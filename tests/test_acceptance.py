@@ -1,15 +1,14 @@
 """Acceptance gate: one test per criterion, each printing a PASS/FAIL line.
 
-Criterion 8 records the end-to-end experiment outputs into a fixture file on
-its first green run; afterwards the same seeded run must reproduce those
-values bit-exactly.
+Criterion 8 compares the end-to-end experiment outputs with a recorded
+fixture bit-exactly; a missing fixture is a failure (tests/regen_fixtures.py
+records it).
 """
 
 import json
 import math
 import time
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 
@@ -26,11 +25,10 @@ from maskcert.objectives import (LossWeights, composite_step_loss,
                                  triangle_bound_check)
 from maskcert.pipeline import run_experiment
 from maskcert.transforms import TransformSpec
+from regen_fixtures import (DEFAULT_CONFIG, DEFAULT_FIXTURE as FIXTURE,
+                            REGEN_HINT, default_experiment_record,
+                            small_run_config_text)
 from util import check_graph_fd, run_primitive_fd_suite, tape_kink_margin
-
-ROOT = Path(__file__).resolve().parent.parent
-DEFAULT_CONFIG = ROOT / "configs" / "default.cfg"
-FIXTURE = Path(__file__).resolve().parent / "fixtures" / "default_experiment.json"
 
 
 def criterion(number, description, ok, detail=""):
@@ -240,20 +238,11 @@ def test_criterion_8_end_to_end_default_experiment():
     directional = rows["csam"].pca >= rows["lmp"].pca
     acc_close = rows["csam"].clean_accuracy >= rows["vanilla"].clean_accuracy - 0.05
 
-    recorded = {m: {"acc": repr(rows[m].clean_accuracy), "pca": repr(rows[m].pca),
-                    "ratio": repr(rows[m].ratio)} for m in rows}
     if not FIXTURE.exists():
-        if directional and acc_close and elapsed < 600.0:
-            FIXTURE.parent.mkdir(parents=True, exist_ok=True)
-            FIXTURE.write_text(json.dumps({"config_seed": cfg.seed,
-                                           "results": recorded}, indent=2) + "\n",
-                               encoding="utf-8")
-            print(f"[criterion  8] recorded fixtures at first green run: {recorded}",
-                  flush=True)
-        fixture_ok = True
-    else:
-        frozen = json.loads(FIXTURE.read_text())
-        fixture_ok = frozen["results"] == recorded and frozen["config_seed"] == cfg.seed
+        raise AssertionError(f"criterion 8: missing fixture {FIXTURE}; regenerate it "
+                             f"with `{REGEN_HINT} default_experiment`")
+    frozen = json.loads(FIXTURE.read_text())
+    fixture_ok = frozen == default_experiment_record(out, cfg)
 
     criterion(8, "default experiment meets the directional contract and "
                  "reproduces the recorded fixtures bit-exactly",
@@ -265,18 +254,7 @@ def test_criterion_8_end_to_end_default_experiment():
 
 def test_criterion_9_determinism(tmp_path):
     cfg_path = tmp_path / "exp.cfg"
-    cfg_path.write_text("""
-synthetic_train_per_class = 40
-synthetic_test_per_class = 40
-stage1_epochs = 6
-stage2_epochs = 4
-stage3_epochs = 6
-cert_samples = 15
-cert_repetitions = 3
-cert_t_count = 100
-cert_eval_size = 20
-seed = 77
-""", encoding="utf-8")
+    cfg_path.write_text(small_run_config_text(), encoding="utf-8")
     out1, out2 = tmp_path / "r1", tmp_path / "r2"
     assert main(["run-all", "--config", str(cfg_path), "--out", str(out1)]) == EXIT_OK
     assert main(["run-all", "--config", str(cfg_path), "--out", str(out2)]) == EXIT_OK
