@@ -1,13 +1,19 @@
-"""Minimal reverse-mode automatic differentiation on a flat tape.
+"""Reverse-mode differentiation of the two objectives maskcert trains.
 
-Values are eagerly computed float64 numpy arrays. Every operation appends a
-node to its tape, so insertion order is always a valid topological order and
-the backward pass is a single reverse sweep. A tape can also be *replayed*
-with substituted leaf values: the recorded graph is re-evaluated as a pure
-function, with `detach` nodes frozen at their recorded constants and the
-straight-through node shifting linearly with its parent. Replay is what makes
-finite-difference checks of tape gradients well defined, including through
-the straight-through path.
+The tape records one node per piece of those objectives: the masked MLP
+logits, a softmax, the batch-mean cross-entropy of stages 1 and 3, and for
+the stage-2 mask search the noisy mask draw, the straight-through node, the
+stability, ratio and consistency terms, the L1 mean and the weighted sum that
+joins them. Each kind is one function that computes its value eagerly and
+returns a vector-Jacobian product over the residuals of that forward pass, so
+the backward pass never evaluates a forward again. Insertion order is a valid
+topological order and the backward pass is a single reverse sweep.
+
+A tape can also be *replayed* with substituted leaf values: the recorded
+graph is re-evaluated as a pure function, with the noise draws held fixed and
+the straight-through node shifting linearly with the soft mask from the point
+it was recorded at. Replay is what makes finite-difference checks of tape
+gradients well defined, including through the straight-through path.
 
 Tapes are single-threaded; use one tape per worker. Nodes never change after
 creation except for the grad slot, which is written only by this tape's own
@@ -16,21 +22,19 @@ backward pass.
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple
-
 import numpy as np
 
+from .model import masked_forward, softmax as softmax_values
+
 __all__ = [
-    "Tape", "Node", "primitive", "backprop", "detach",
-    "affine", "relu", "softmax", "log", "exp", "add", "sub", "mul", "div",
-    "sum", "mean", "square", "sqrt", "l2_norm_sq", "inf_norm", "clip",
-    "softplus", "kl_div", "cross_entropy", "topk_margin", "l1_sum", "ste",
-    "KL_SMOOTHING",
+    "Tape", "Node", "primitive", "backprop",
+    "masked_mlp", "softmax", "cross_entropy", "noisy", "ste", "stability",
+    "ratio_penalty", "consistency", "l1_mean", "weighted_sum", "KL_SMOOTHING",
 ]
 
-# Both arguments of kl_div are mixed with the uniform distribution at this
-# weight before taking logs, so exact zeros in a probability vector cannot
-# produce log(0).
+# Both arguments of the consistency term are mixed with the uniform
+# distribution at this weight before taking logs, so exact zeros in a
+# probability vector cannot produce log(0).
 KL_SMOOTHING = 1e-8
 
 
@@ -38,24 +42,13 @@ def _f64(x) -> np.ndarray:
     return np.asarray(x, dtype=np.float64)
 
 
-def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum `grad` down to `shape`, inverting numpy broadcasting."""
-    extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(ax for ax, n in enumerate(shape) if n == 1 and grad.shape[ax] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad.reshape(shape)
-
-
 class Node:
     """One tape entry: value, provenance, and a lazily allocated grad slot."""
 
     __slots__ = ("tape", "id", "value", "grad", "op", "parents", "attrs",
-                 "requires_grad", "_vjps")
+                 "requires_grad", "vjp")
 
-    def __init__(self, tape, nid, value, op, parents, attrs, requires_grad, vjps):
+    def __init__(self, tape, nid, value, op, parents, attrs, requires_grad, vjp):
         self.tape = tape
         self.id = nid
         self.value = value
@@ -64,7 +57,7 @@ class Node:
         self.parents = parents
         self.attrs = attrs
         self.requires_grad = requires_grad
-        self._vjps = vjps
+        self.vjp = vjp
 
     @property
     def shape(self):
@@ -82,7 +75,7 @@ class Tape:
 
     def leaf(self, value, requires_grad: bool = False) -> Node:
         node = Node(self, len(self.nodes), _f64(value), "leaf", (), {},
-                    requires_grad, ())
+                    requires_grad, None)
         self.nodes.append(node)
         return node
 
@@ -94,8 +87,9 @@ class Tape:
 
         `overrides` maps Node (or node id) to a replacement array of the same
         shape. Returns the list of recomputed values indexed by node id.
-        Detach nodes keep their recorded constants, so the replayed function
-        is exactly the one the backward pass differentiates.
+        Noise draws and the straight-through point keep their recorded
+        values, so the replayed function is exactly the one the backward pass
+        differentiates.
         """
         subst = {}
         for key, val in overrides.items():
@@ -115,20 +109,8 @@ class Tape:
                     values[node.id] = subst.get(node.id, node.value)
                 else:
                     parent_vals = [values[p.id] for p in node.parents]
-                    values[node.id] = _f64(_OPS[node.op].forward(parent_vals, node.attrs))
+                    values[node.id] = _f64(_OPS[node.op](parent_vals, **node.attrs)[0])
         return values
-
-
-class _Op(NamedTuple):
-    forward: Callable            # (parent_values, attrs) -> array
-    vjps: Callable               # (parent_values, out_value, attrs) -> [(arg_idx, fn)]
-
-
-_OPS: dict[str, _Op] = {}
-
-
-def _register(kind, forward, vjps):
-    _OPS[kind] = _Op(forward, vjps)
 
 
 def primitive(kind: str, inputs: list[Node], **attrs) -> Node:
@@ -140,16 +122,15 @@ def primitive(kind: str, inputs: list[Node], **attrs) -> Node:
     tape = inputs[0].tape
     if any(n.tape is not tape for n in inputs):
         raise ValueError(f"{kind}: inputs live on different tapes")
-    spec = _OPS[kind]
-    parent_vals = [n.value for n in inputs]
     with np.errstate(all="ignore"):
-        value = _f64(spec.forward(parent_vals, attrs))
+        value, vjp = _OPS[kind]([n.value for n in inputs], **attrs)
+    value = _f64(value)
     nid = len(tape.nodes)
     if not np.all(np.isfinite(value)):
         raise FloatingPointError(f"{kind}: non-finite forward value at node {nid}")
-    requires_grad = kind != "detach" and any(n.requires_grad for n in inputs)
-    vjps = tuple(spec.vjps(parent_vals, value, attrs)) if requires_grad else ()
-    node = Node(tape, nid, value, kind, tuple(inputs), attrs, requires_grad, vjps)
+    requires_grad = any(n.requires_grad for n in inputs)
+    node = Node(tape, nid, value, kind, tuple(inputs), attrs, requires_grad,
+                vjp if requires_grad else None)
     tape.nodes.append(node)
     return node
 
@@ -157,9 +138,10 @@ def primitive(kind: str, inputs: list[Node], **attrs) -> Node:
 def backprop(root: Node) -> dict[int, np.ndarray]:
     """Reverse sweep from a scalar root; returns {leaf id: gradient}.
 
-    Gradients accumulate over all paths. Leaves with requires_grad=False are
-    skipped; detached edges contribute nothing. Requires-grad leaves that no
-    gradient reached report zeros.
+    Each node's VJP returns one list of parent gradients. Gradients
+    accumulate over all paths in reverse tape order; parents that do not
+    require grad are skipped, and the VJP may return None for them.
+    Requires-grad leaves that no gradient reached report zeros.
     """
     if root.value.size != 1:
         raise ValueError(f"backprop: root must be scalar, got shape {root.value.shape}")
@@ -168,192 +150,76 @@ def backprop(root: Node) -> dict[int, np.ndarray]:
         node.grad = None
     root.grad = np.ones_like(root.value)
     for node in reversed(tape.nodes[: root.id + 1]):
-        if node.grad is None or not node._vjps:
+        if node.grad is None or node.vjp is None:
             continue
-        for arg_idx, vjp in node._vjps:
-            parent = node.parents[arg_idx]
-            if not parent.requires_grad:
-                continue
-            g = vjp(node.grad)
-            parent.grad = g if parent.grad is None else parent.grad + g
+        needs = [p.requires_grad for p in node.parents]
+        for parent, g in zip(node.parents, node.vjp(node.grad, needs)):
+            if parent.requires_grad:
+                parent.grad = g if parent.grad is None else parent.grad + g
     return {n.id: (n.grad if n.grad is not None else np.zeros_like(n.value))
             for n in tape.nodes if n.op == "leaf" and n.requires_grad}
 
 
 # ---------------------------------------------------------------------------
-# primitive kinds
+# kinds: (parent values, **attrs) -> (value, vjp(g, needs) -> parent gradients)
 
 
-def _check_ew(kind, x, y):
-    try:
-        np.broadcast_shapes(x.shape, y.shape)
-    except ValueError:
-        raise ValueError(f"{kind}: incompatible shapes {x.shape} and {y.shape}") from None
+def _masked_mlp(v, specs, masked):
+    n = len(specs)
+    x, ws, bs = v[0], v[1:n + 1], v[n + 1:2 * n + 1]
+    slot = dict(zip(masked, range(2 * n + 1, len(v))))  # layer -> mask input
+    if x.ndim != 2 or x.shape[1] != ws[0].shape[1]:
+        raise ValueError(f"masked_mlp: input shape {x.shape} does not match weight {ws[0].shape}")
+    for i, j in slot.items():
+        if v[j].shape not in (ws[i].shape, (ws[i].shape[0], 1)):
+            raise ValueError(
+                f"masked_mlp: mask shape {v[j].shape} does not broadcast to weight "
+                f"{ws[i].shape} in layer {i}")
+    hs, zs, effective = masked_forward(x, ws, bs, specs, [v[slot[i]] if i in slot else None
+                                                          for i in range(n)])
+    for i, z in enumerate(zs):
+        if not np.all(np.isfinite(z)):
+            raise FloatingPointError(f"masked_mlp: non-finite pre-activation in layer {i}")
+
+    def vjp(g, needs):
+        grads = [None] * len(v)
+        for i in reversed(range(n)):
+            if specs[i].activation == "relu":
+                g = g * (zs[i] > 0)
+            if needs[n + 1 + i]:
+                grads[n + 1 + i] = g.sum(axis=0)
+            j = slot.get(i)
+            if needs[1 + i] or (j is not None and needs[j]):
+                gw = g.T @ hs[i]
+                if j is None:
+                    grads[1 + i] = gw
+                else:
+                    if needs[j]:
+                        g_mask = gw * ws[i]
+                        # a structured (out, 1) mask collects its row's gradient
+                        grads[j] = (g_mask if v[j].shape == g_mask.shape
+                                    else g_mask.sum(axis=1, keepdims=True))
+                    if needs[1 + i]:
+                        grads[1 + i] = gw * v[j]
+            if i > 0 or needs[0]:
+                g = g @ effective[i]
+        if needs[0]:
+            grads[0] = g
+        return grads
+
+    return hs[-1], vjp
 
 
-def _affine_fwd(v, a):
-    x, w, b = v
-    if (x.ndim != 2 or w.ndim != 2 or b.ndim != 1
-            or x.shape[1] != w.shape[1] or w.shape[0] != b.shape[0]):
-        raise ValueError(f"affine: incompatible shapes x={x.shape} w={w.shape} b={b.shape}")
-    return x @ w.T + b
-
-
-def _affine_vjps(v, out, a):
-    x, w, _ = v
-    return [(0, lambda g: g @ w),
-            (1, lambda g: g.T @ x),
-            (2, lambda g: g.sum(axis=0))]
-
-
-_register("affine", _affine_fwd, _affine_vjps)
-
-_register("relu",
-          lambda v, a: np.maximum(v[0], 0.0),
-          lambda v, out, a: [(0, lambda g: g * (v[0] > 0))])
-
-
-def _softmax_fwd(v, a):
+def _softmax(v):
     x = v[0]
     if x.ndim not in (1, 2) or x.shape[-1] < 1:
         raise ValueError(f"softmax: expected 1-D or 2-D input, got shape {x.shape}")
-    z = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    p = softmax_values(x)
+    return p, lambda g, needs: [p * (g - (g * p).sum(axis=-1, keepdims=True))]
 
 
-def _softmax_vjps(v, out, a):
-    p = out
-    return [(0, lambda g: p * (g - (g * p).sum(axis=-1, keepdims=True)))]
-
-
-_register("softmax", _softmax_fwd, _softmax_vjps)
-
-_register("log", lambda v, a: np.log(v[0]),
-          lambda v, out, a: [(0, lambda g: g / v[0])])
-_register("exp", lambda v, a: np.exp(v[0]),
-          lambda v, out, a: [(0, lambda g: g * out)])
-
-
-def _ew_fwd(kind, fn):
-    def forward(v, a):
-        _check_ew(kind, v[0], v[1])
-        return fn(v[0], v[1])
-    return forward
-
-
-_register("add", _ew_fwd("add", np.add),
-          lambda v, out, a: [(0, lambda g: _unbroadcast(g, v[0].shape)),
-                             (1, lambda g: _unbroadcast(g, v[1].shape))])
-_register("sub", _ew_fwd("sub", np.subtract),
-          lambda v, out, a: [(0, lambda g: _unbroadcast(g, v[0].shape)),
-                             (1, lambda g: _unbroadcast(-g, v[1].shape))])
-_register("mul", _ew_fwd("mul", np.multiply),
-          lambda v, out, a: [(0, lambda g: _unbroadcast(g * v[1], v[0].shape)),
-                             (1, lambda g: _unbroadcast(g * v[0], v[1].shape))])
-_register("div", _ew_fwd("div", np.divide),
-          lambda v, out, a: [(0, lambda g: _unbroadcast(g / v[1], v[0].shape)),
-                             (1, lambda g: _unbroadcast(-g * v[0] / (v[1] * v[1]), v[1].shape))])
-
-_register("sum", lambda v, a: v[0].sum(),
-          lambda v, out, a: [(0, lambda g: np.ones_like(v[0]) * g)])
-_register("mean", lambda v, a: v[0].mean(),
-          lambda v, out, a: [(0, lambda g: np.ones_like(v[0]) * (g / v[0].size))])
-_register("square", lambda v, a: v[0] * v[0],
-          lambda v, out, a: [(0, lambda g: g * 2.0 * v[0])])
-_register("sqrt", lambda v, a: np.sqrt(v[0]),
-          lambda v, out, a: [(0, lambda g: g / (2.0 * out))])
-_register("l1_sum", lambda v, a: np.abs(v[0]).sum(),
-          lambda v, out, a: [(0, lambda g: g * np.sign(v[0]))])
-
-
-def _l2sq_fwd(v, a):
-    x = v[0]
-    if x.ndim < 1:
-        raise ValueError("l2_norm_sq: expected at least 1-D input")
-    return (x * x).sum(axis=-1)
-
-
-_register("l2_norm_sq", _l2sq_fwd,
-          lambda v, out, a: [(0, lambda g: np.expand_dims(g, -1) * 2.0 * v[0])])
-
-
-def _inf_norm_fwd(v, a):
-    x = v[0]
-    if x.ndim not in (1, 2) or x.shape[-1] < 1:
-        raise ValueError(f"inf_norm: expected 1-D or 2-D input, got shape {x.shape}")
-    return np.abs(x).max(axis=-1)
-
-
-def _inf_norm_vjps(v, out, a):
-    x = v[0]
-    # np.argmax picks the first attaining index; the subgradient is supported
-    # there alone.
-    idx = np.argmax(np.abs(x), axis=-1)
-
-    def vjp(g):
-        z = np.zeros_like(x)
-        if x.ndim == 1:
-            z[idx] = np.sign(x[idx]) * g
-        else:
-            rows = np.arange(x.shape[0])
-            z[rows, idx] = np.sign(x[rows, idx]) * g
-        return z
-
-    return [(0, vjp)]
-
-
-_register("inf_norm", _inf_norm_fwd, _inf_norm_vjps)
-
-
-def _clip_fwd(v, a):
-    lo, hi = a["lo"], a["hi"]
-    if not lo < hi:
-        raise ValueError(f"clip: need lo < hi, got [{lo}, {hi}]")
-    return np.clip(v[0], lo, hi)
-
-
-def _clip_vjps(v, out, a):
-    # Gradient passes on the closed interval [lo, hi]; it flows at exact
-    # saturation boundaries.
-    mask = (v[0] >= a["lo"]) & (v[0] <= a["hi"])
-    return [(0, lambda g: g * mask)]
-
-
-_register("clip", _clip_fwd, _clip_vjps)
-
-# softplus(x) = max(x, 0) + log1p(exp(-|x|)); never overflows.
-_register("softplus",
-          lambda v, a: np.maximum(v[0], 0.0) + np.log1p(np.exp(-np.abs(v[0]))),
-          lambda v, out, a: [(0, lambda g: g * np.exp(-np.logaddexp(0.0, -v[0])))])
-
-
-def _kl_fwd(v, a):
-    p, q = v
-    if p.shape != q.shape or p.ndim not in (1, 2):
-        raise ValueError(f"kl_div: expected matching 1-D or 2-D inputs, got {p.shape} and {q.shape}")
-    k = p.shape[-1]
-    ps = (1.0 - KL_SMOOTHING) * p + KL_SMOOTHING / k
-    qs = (1.0 - KL_SMOOTHING) * q + KL_SMOOTHING / k
-    return (ps * (np.log(ps) - np.log(qs))).sum(axis=-1)
-
-
-def _kl_vjps(v, out, a):
-    p, q = v
-    k = p.shape[-1]
-    ps = (1.0 - KL_SMOOTHING) * p + KL_SMOOTHING / k
-    qs = (1.0 - KL_SMOOTHING) * q + KL_SMOOTHING / k
-    logr = np.log(ps) - np.log(qs)
-    return [(0, lambda g: np.expand_dims(g, -1) * (1.0 - KL_SMOOTHING) * (logr + 1.0)),
-            (1, lambda g: np.expand_dims(g, -1) * (1.0 - KL_SMOOTHING) * (-ps / qs))]
-
-
-_register("kl_div", _kl_fwd, _kl_vjps)
-
-
-def _ce_fwd(v, a):
+def _cross_entropy(v, labels):
     logits = v[0]
-    labels = a["labels"]
     if logits.ndim != 2:
         raise ValueError(f"cross_entropy: expected 2-D logits, got shape {logits.shape}")
     if labels.shape != (logits.shape[0],):
@@ -361,193 +227,211 @@ def _ce_fwd(v, a):
             f"cross_entropy: labels shape {labels.shape} does not match batch {logits.shape[0]}")
     if labels.min(initial=0) < 0 or labels.max(initial=-1) >= logits.shape[1]:
         raise ValueError("cross_entropy: label out of range")
-    z = logits - logits.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(z).sum(axis=1, keepdims=True))
-    logp = z - lse
-    return -logp[np.arange(logits.shape[0]), labels]
-
-
-def _ce_vjps(v, out, a):
-    logits = v[0]
-    labels = a["labels"]
+    rows = np.arange(logits.shape[0])
     z = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(z)
-    p = e / e.sum(axis=1, keepdims=True)
-    onehot = np.zeros_like(logits)
-    onehot[np.arange(logits.shape[0]), labels] = 1.0
-    return [(0, lambda g: g[:, None] * (p - onehot))]
+    total = e.sum(axis=1, keepdims=True)
+    nll = -(z - np.log(total))[rows, labels]
+
+    def vjp(g, needs):
+        onehot = np.zeros_like(logits)
+        onehot[rows, labels] = 1.0
+        g_rows = np.ones_like(nll) * (g / nll.size)
+        return [g_rows[:, None] * (e / total - onehot)]
+
+    return nll.mean(), vjp
 
 
-_register("cross_entropy", _ce_fwd, _ce_vjps)
+def _noisy(v, xi):
+    if xi.shape != v[0].shape:
+        raise ValueError(f"noisy: noise shape {xi.shape} does not match {v[0].shape}")
+    shifted = v[0] + xi
+    # Gradient passes on the closed interval [0, 1]; it flows at exact
+    # saturation boundaries.
+    passed = (shifted >= 0.0) & (shifted <= 1.0)
+    return np.clip(shifted, 0.0, 1.0), lambda g, needs: [g * passed]
 
 
-def _top2(x):
-    """First-attaining argmax and second-largest index per row."""
-    i1 = np.argmax(x, axis=-1)
-    masked = x.copy()
-    if x.ndim == 1:
-        masked[i1] = -np.inf
-    else:
-        masked[np.arange(x.shape[0]), i1] = -np.inf
-    i2 = np.argmax(masked, axis=-1)
-    return i1, i2
-
-
-def _topk_margin_fwd(v, a):
-    x = v[0]
-    if x.ndim not in (1, 2) or x.shape[-1] < 2:
-        raise ValueError(f"topk_margin: need at least 2 classes, got shape {x.shape}")
-    i1, i2 = _top2(x)
-    if x.ndim == 1:
-        return (x[i1] - x[i2]) / 2.0
-    rows = np.arange(x.shape[0])
-    return (x[rows, i1] - x[rows, i2]) / 2.0
-
-
-def _topk_margin_vjps(v, out, a):
-    x = v[0]
-    i1, i2 = _top2(x)
-
-    def vjp(g):
-        z = np.zeros_like(x)
-        if x.ndim == 1:
-            z[i1] += g / 2.0
-            z[i2] -= g / 2.0
-        else:
-            rows = np.arange(x.shape[0])
-            z[rows, i1] += g / 2.0
-            z[rows, i2] -= g / 2.0
-        return z
-
-    return [(0, vjp)]
-
-
-_register("topk_margin", _topk_margin_fwd, _topk_margin_vjps)
-
-
-def _detach_fwd(v, a):
-    if "frozen" not in a:
-        a["frozen"] = v[0]
-    return a["frozen"]
-
-
-_register("detach", _detach_fwd, lambda v, out, a: [])
-
-
-def _ste_fwd(v, a):
-    hard = a["hard"]
+def _ste(v, hard, c0):
     if hard.shape != v[0].shape:
         raise ValueError(f"ste: hard mask shape {hard.shape} does not match {v[0].shape}")
-    if "c0" not in a:
-        a["c0"] = v[0]
-    # Value equals the binary mask exactly at the recorded point and shifts
-    # linearly with the soft mask, so replay differentiates to the identity.
-    return hard + (v[0] - a["c0"])
+    # Value equals the binary mask exactly at the recorded point c0 and
+    # shifts linearly with the soft mask, so replay differentiates to the
+    # identity.
+    return hard + (v[0] - c0), lambda g, needs: [g]
 
 
-_register("ste", _ste_fwd, lambda v, out, a: [(0, lambda g: g)])
+def _check_pair(kind, p, q):
+    if p.shape != q.shape or p.ndim != 2:
+        raise ValueError(f"{kind}: expected matching (batch, classes) inputs, "
+                         f"got {p.shape} and {q.shape}")
+
+
+def _row_mean_grad(g, rows):
+    """Gradient of the batch mean on each row, as a column."""
+    return np.expand_dims(np.ones_like(rows) * (g / rows.size), -1)
+
+
+def _stability(v):
+    p, q = v
+    _check_pair("stability", p, q)
+    diff = p - q
+    rows = (diff * diff).sum(axis=-1)
+
+    def vjp(g, needs):
+        g_diff = _row_mean_grad(g, rows) * 2.0 * diff
+        return [g_diff, -g_diff]
+
+    return rows.mean(), vjp
+
+
+def _ratio_penalty(v, eta, eps):
+    p, q = v
+    _check_pair("ratio_penalty", p, q)
+    if p.shape[1] < 2:
+        raise ValueError(f"ratio_penalty: need at least 2 classes, got shape {p.shape}")
+    rows = np.arange(p.shape[0])
+    diff = p - q
+    # Sup-norm and top-2 subgradients are supported at the first attaining
+    # index alone (np.argmax order).
+    top = np.argmax(np.abs(diff), axis=1)
+    z = np.abs(diff).max(axis=1)
+    i1 = np.argmax(p, axis=1)
+    rest = p.copy()
+    rest[rows, i1] = -np.inf
+    i2 = np.argmax(rest, axis=1)
+    den = (p[rows, i1] - p[rows, i2]) / 2.0 + eps
+    s = z / den - eta
+    softplus = np.maximum(s, 0.0) + np.log1p(np.exp(-np.abs(s)))  # never overflows
+
+    def vjp(g, needs):
+        g_s = np.ones_like(s) * (g / s.size) * np.exp(-np.logaddexp(0.0, -s))
+        g_den = -g_s * z / (den * den)
+        g_top2 = np.zeros_like(p)
+        g_top2[rows, i1] += g_den / 2.0
+        g_top2[rows, i2] -= g_den / 2.0
+        g_diff = np.zeros_like(diff)
+        g_diff[rows, top] = np.sign(diff[rows, top]) * (g_s / den)
+        return [g_top2 + g_diff, -g_diff]
+
+    return softplus.mean(), vjp
+
+
+def _consistency(v):
+    p, q = v
+    _check_pair("consistency", p, q)
+    k = p.shape[-1]
+    ps = (1.0 - KL_SMOOTHING) * p + KL_SMOOTHING / k
+    qs = (1.0 - KL_SMOOTHING) * q + KL_SMOOTHING / k
+    log_ratio = np.log(ps) - np.log(qs)
+    rows = (ps * log_ratio).sum(axis=-1)
+
+    def vjp(g, needs):
+        g_rows = _row_mean_grad(g, rows)
+        return [g_rows * (1.0 - KL_SMOOTHING) * (log_ratio + 1.0),
+                g_rows * (1.0 - KL_SMOOTHING) * (-ps / qs)]
+
+    return rows.mean(), vjp
+
+
+def _l1_mean(v):
+    scale = 1.0 / sum(x.size for x in v)
+    value = sum(np.abs(x).sum() for x in v) * scale
+    return value, lambda g, needs: [g * scale * np.sign(x) for x in v]
+
+
+def _pairwise_sum(terms):
+    """Sum with the halves added first: four terms add as (t0 + t1) + (t2 + t3)."""
+    if len(terms) == 1:
+        return terms[0]
+    half = len(terms) // 2
+    return _pairwise_sum(terms[:half]) + _pairwise_sum(terms[half:])
+
+
+def _weighted_sum(v, weights):
+    if len(weights) != len(v) or any(np.shape(w) != x.shape for w, x in zip(weights, v)):
+        raise ValueError("weighted_sum: one weight of each input's shape required")
+    value = _pairwise_sum([(w * x).sum() for w, x in zip(weights, v)])
+    return value, lambda g, needs: [g * w for w in weights]
+
+
+_OPS = {
+    "masked_mlp": _masked_mlp,
+    "softmax": _softmax,
+    "cross_entropy": _cross_entropy,
+    "noisy": _noisy,
+    "ste": _ste,
+    "stability": _stability,
+    "ratio_penalty": _ratio_penalty,
+    "consistency": _consistency,
+    "l1_mean": _l1_mean,
+    "weighted_sum": _weighted_sum,
+}
 
 
 # ---------------------------------------------------------------------------
 # wrappers
 
 
-def detach(x: Node) -> Node:
-    """Same value as x; gradient flow through this edge is zero."""
-    return primitive("detach", [x])
+def masked_mlp(x: Node, weights: list[Node], biases: list[Node], specs,
+               masks: list | None = None) -> Node:
+    """Logits of the layer stack, each weight multiplied by its mask node.
+
+    A mask has the weight's (out, in) shape or a structured (out, 1) shape;
+    a None entry, or masks=None, leaves that layer dense.
+    """
+    masks = masks or [None] * len(specs)
+    masked = tuple(i for i, m in enumerate(masks) if m is not None)
+    return primitive("masked_mlp", [x, *weights, *biases, *(masks[i] for i in masked)],
+                     specs=tuple(specs), masked=masked)
 
 
-def affine(x, w, b):
-    """x @ w.T + b for x (batch, in), w (out, in), b (out,)."""
-    return primitive("affine", [x, w, b])
-
-
-def relu(x):
-    return primitive("relu", [x])
-
-
-def softmax(x):
+def softmax(x: Node) -> Node:
     """Row-wise softmax over the last axis, shifted by the row max."""
     return primitive("softmax", [x])
 
 
-def log(x):
-    return primitive("log", [x])
-
-
-def exp(x):
-    return primitive("exp", [x])
-
-
-def add(a, b):
-    return primitive("add", [a, b])
-
-
-def sub(a, b):
-    return primitive("sub", [a, b])
-
-
-def mul(a, b):
-    return primitive("mul", [a, b])
-
-
-def div(a, b):
-    return primitive("div", [a, b])
-
-
-def sum(x):  # noqa: A001 - numpy-style reduction name
-    return primitive("sum", [x])
-
-
-def mean(x):
-    return primitive("mean", [x])
-
-
-def square(x):
-    return primitive("square", [x])
-
-
-def sqrt(x):
-    return primitive("sqrt", [x])
-
-
-def l2_norm_sq(x):
-    """Sum of squares over the last axis."""
-    return primitive("l2_norm_sq", [x])
-
-
-def inf_norm(x):
-    """Max |x_i| over the last axis; subgradient at the first attaining index."""
-    return primitive("inf_norm", [x])
-
-
-def clip(x, lo: float, hi: float):
-    return primitive("clip", [x], lo=float(lo), hi=float(hi))
-
-
-def softplus(x):
-    return primitive("softplus", [x])
-
-
-def kl_div(p, q):
-    """Row-wise KL(p || q) with uniform smoothing of both arguments."""
-    return primitive("kl_div", [p, q])
-
-
-def cross_entropy(logits, labels):
-    """Per-row negative log likelihood from logits (fused log-softmax)."""
+def cross_entropy(logits: Node, labels) -> Node:
+    """Batch mean negative log likelihood from logits (fused log-softmax)."""
     return primitive("cross_entropy", [logits], labels=np.asarray(labels, dtype=np.int64))
 
 
-def topk_margin(p):
-    """(largest - second largest) / 2 per row, first-index tie-break."""
-    return primitive("topk_margin", [p])
-
-
-def l1_sum(x):
-    return primitive("l1_sum", [x])
+def noisy(c: Node, xi) -> Node:
+    """clip(C + xi, 0, 1) for a fixed noise draw xi."""
+    return primitive("noisy", [c], xi=_f64(xi))
 
 
 def ste(c: Node, hard) -> Node:
     """Straight-through node: forward value is the binary mask, gradient is identity in c."""
-    return primitive("ste", [c], hard=_f64(hard))
+    return primitive("ste", [c], hard=_f64(hard), c0=c.value)
+
+
+def stability(p_m: Node, p_n: Node) -> Node:
+    """Batch mean of the squared L2 distance between probability rows from
+    two independent mask draws."""
+    return primitive("stability", [p_m, p_n])
+
+
+def ratio_penalty(p: Node, p_t: Node, eta: float, eps: float) -> Node:
+    """Batch mean of softplus(Z / (d + eps) - eta), with Z the sup-norm
+    distance between the clean and transformed rows and d half the gap between
+    the clean row's top two entries: a smooth penalty on the robustness ratio
+    exceeding the safety threshold."""
+    return primitive("ratio_penalty", [p, p_t], eta=float(eta), eps=float(eps))
+
+
+def consistency(p_soft: Node, p_hard: Node) -> Node:
+    """Batch mean KL(p_soft || p_hard) with uniform smoothing of both
+    arguments; p_hard normally arrives through the straight-through node so
+    gradient reaches the soft mask."""
+    return primitive("consistency", [p_soft, p_hard])
+
+
+def l1_mean(xs: list[Node]) -> Node:
+    """Sum of |x| over every entry of the inputs, divided by their entry count."""
+    return primitive("l1_mean", list(xs))
+
+
+def weighted_sum(xs: list[Node], weights) -> Node:
+    """Sum over inputs of sum(weight * x), each weight shaped like its input."""
+    return primitive("weighted_sum", list(xs), weights=tuple(weights))

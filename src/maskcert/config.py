@@ -8,6 +8,7 @@ offending key and line number. An empty file yields the full defaults.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, fields
 from typing import Any
@@ -120,7 +121,6 @@ _RANGES = {
                        "one of direction_shift, interp_corrupt"),
     "corruption": (lambda v: v in ("haze", "gaussian_blur3"),
                    "one of haze, gaussian_blur3"),
-    "corruption_severity": (lambda v: v > 0, "> 0"),
     "hidden_dims": (lambda v: len(v) >= 1 and all(d >= 1 for d in v),
                     "positive layer widths"),
     "mask_mode": (lambda v: v in ("unstructured", "structured"),
@@ -161,6 +161,15 @@ _RANGES = {
 _FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
 
 
+def _check(key: str, value, where: str) -> None:
+    if _FIELD_TYPES[key] == "float" and not math.isfinite(value):
+        raise ConfigError(f"{where}: key {key!r} must be a finite number, got {value!r}")
+    if key in _RANGES:
+        ok, constraint = _RANGES[key]
+        if not ok(value):
+            raise ConfigError(f"{where}: key {key!r} must be {constraint}, got {value!r}")
+
+
 def _convert(key: str, raw: str, where: str):
     try:
         if key == "hidden_dims":
@@ -171,10 +180,7 @@ def _convert(key: str, raw: str, where: str):
             value = _PARSERS[_FIELD_TYPES[key]](raw)
     except ValueError as exc:
         raise ConfigError(f"{where}: key {key!r}: {exc}") from None
-    if key in _RANGES:
-        ok, constraint = _RANGES[key]
-        if not ok(value):
-            raise ConfigError(f"{where}: key {key!r} must be {constraint}, got {value!r}")
+    _check(key, value, where)
     return value
 
 
@@ -182,11 +188,11 @@ def validate(cfg: ExperimentConfig, where: str = "config") -> ExperimentConfig:
     """Cross-field checks; per-key ranges are re-applied for configs built in
     code rather than parsed."""
     for key in _FIELD_TYPES:
-        value = getattr(cfg, key)
-        if key in _RANGES:
-            ok, constraint = _RANGES[key]
-            if not ok(value):
-                raise ConfigError(f"{where}: key {key!r} must be {constraint}, got {value!r}")
+        _check(key, getattr(cfg, key), where)
+    try:
+        CorruptionTag(cfg.corruption, cfg.corruption_severity)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: key 'corruption_severity': {exc}") from None
     if cfg.cert_t_lo >= cfg.cert_t_hi:
         raise ConfigError(f"{where}: cert_t_lo must be < cert_t_hi")
     if cfg.dataset_kind == "idx":

@@ -1,5 +1,5 @@
-"""Soft-mask lifecycle: percentile-scaled init, noise injection, layer-wise
-top-k binarization, and the straight-through path.
+"""Soft-mask lifecycle: percentile-scaled init, noise injection, and
+layer-wise top-k binarization.
 
 A soft mask is a list of per-layer float vectors in [0, 1] whose lengths are
 the model's prunable-unit counts (mask_dims); exempt layers carry empty
@@ -74,14 +74,12 @@ def init_percentile_scaled(model: MaskableModel, tau: float) -> list[np.ndarray]
 
 def sample_noisy(c_nodes: list, mu: float, rng: np.random.Generator) -> list:
     """clip(C + xi, 0, 1) with xi ~ U(-mu, mu) i.i.d. per entry, fresh per
-    call. Gradient reaches C through clip's pass-through region."""
+    call, as one noisy tape node per mask node; None entries (exempt layers)
+    stay None. Gradient reaches C where C + xi lies in [0, 1]."""
     if mu < 0:
         raise ValueError(f"mu must be non-negative, got {mu}")
-    out = []
-    for c in c_nodes:
-        xi = rng.uniform(-mu, mu, size=c.value.shape)
-        out.append(ad.clip(ad.add(c, c.tape.const(xi)), 0.0, 1.0))
-    return out
+    return [None if c is None else ad.noisy(c, rng.uniform(-mu, mu, size=c.value.shape))
+            for c in c_nodes]
 
 
 def noisy_mask_values(c_layers: list[np.ndarray], mu: float,
@@ -113,12 +111,6 @@ def binarize(soft_mask: list[np.ndarray], pr: float) -> HardMask:
         layers.append(mask)
         thresholds.append(float(c[order[kappa - 1]]))
     return HardMask(layers, thresholds, float(pr))
-
-
-def ste(c_node, hard_values: np.ndarray):
-    """Differentiable hard-mask node: forward value equals the binary mask
-    bitwise, gradient with respect to C is the identity."""
-    return ad.ste(c_node, hard_values)
 
 
 def effective_ratio(mask_layers, model: MaskableModel) -> float:

@@ -116,27 +116,49 @@ class MaskableModel:
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.in_dim:
             raise ValueError(f"forward: expected input (batch, {self.in_dim}), got {x.shape}")
-        if multipliers is not None and len(multipliers) != len(self.specs):
-            raise ValueError("forward: one multiplier entry per layer required")
-        h = x
-        for i, spec in enumerate(self.specs):
-            w = self.weights[i]
-            if multipliers is not None and multipliers[i] is not None:
-                m = np.asarray(multipliers[i], dtype=np.float64)
-                if m.shape != w.shape:
+        if multipliers is not None:
+            if len(multipliers) != len(self.specs):
+                raise ValueError("forward: one multiplier entry per layer required")
+            multipliers = [None if m is None else np.asarray(m, dtype=np.float64)
+                           for m in multipliers]
+            for i, (m, w) in enumerate(zip(multipliers, self.weights)):
+                if m is not None and m.shape != w.shape:
                     raise ValueError(
                         f"forward: multiplier shape {m.shape} != weight shape {w.shape} "
                         f"in layer {i}")
-                w = m * w
-            h = h @ w.T + self.biases[i]
-            if spec.activation == "relu":
-                h = np.maximum(h, 0.0)
-        z = h - h.max(axis=1, keepdims=True)
-        e = np.exp(z)
-        p = e / e.sum(axis=1, keepdims=True)
+        hs, _, _ = masked_forward(x, self.weights, self.biases, self.specs, multipliers)
+        p = softmax(hs[-1])
         if not np.all(np.isfinite(p)):
             raise FloatingPointError("forward: non-finite output probabilities")
         return p
+
+
+def masked_forward(x, weights, biases, specs, multipliers=None):
+    """Run the layer stack with each weight multiplied by its multiplier
+    (None entries, or multipliers=None, leave a layer dense).
+
+    Returns (hs, zs, ws): hs[0] is x and hs[i + 1] the output of layer i
+    after its activation, so hs[-1] holds the logits; zs[i] is layer i's
+    pre-activation and ws[i] the weight it applied. The backward pass of the
+    masked-MLP tape node reuses all three.
+    """
+    hs, zs, ws = [x], [], []
+    for i, spec in enumerate(specs):
+        w = weights[i]
+        if multipliers is not None and multipliers[i] is not None:
+            w = multipliers[i] * w
+        z = hs[-1] @ w.T + biases[i]
+        hs.append(np.maximum(z, 0.0) if spec.activation == "relu" else z)
+        zs.append(z)
+        ws.append(w)
+    return hs, zs, ws
+
+
+def softmax(h: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis, shifted by the max for stability."""
+    z = h - h.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def broadcast_mask(vector: np.ndarray, spec: LayerSpec, mode: str) -> np.ndarray:
@@ -242,7 +264,11 @@ def load_checkpoint(path):
             if not isinstance(vec, list) or len(vec) != n:
                 raise DatasetError(
                     f"checkpoint {path}: {name} layer {i} length {len(vec) if isinstance(vec, list) else '?'} != {n}")
-            out.append(np.asarray(vec, dtype=np.float64))
+            arr = np.asarray(vec, dtype=np.float64)
+            if name == "hard_mask" and not np.all((arr == 0.0) | (arr == 1.0)):
+                raise DatasetError(
+                    f"checkpoint {path}: hard_mask layer {i} has entries other than 0 and 1")
+            out.append(arr)
         return out
 
     extras = {

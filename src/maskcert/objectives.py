@@ -52,83 +52,12 @@ class StepReport:
     draw_seed: str
 
 
-def margin(p):
-    """Half the gap between the top-2 entries per probability row."""
-    return ad.topk_margin(p)
-
-
-def discrepancy(p_a, p_b):
-    """Row-wise sup-norm distance between two probability batches."""
-    if p_a.value.shape != p_b.value.shape:
-        raise ValueError(f"discrepancy: shapes differ, {p_a.value.shape} vs {p_b.value.shape}")
-    return ad.inf_norm(ad.sub(p_a, p_b))
-
-
-def stability_loss(p_m, p_n):
-    """Batch mean of the squared L2 distance between probability rows from
-    two independent mask draws."""
-    return ad.mean(ad.l2_norm_sq(ad.sub(p_m, p_n)))
-
-
-def ratio_loss(z, d, weights: LossWeights):
-    """Batch mean of softplus(Z / (d + eps) - eta): a smooth penalty on the
-    robustness ratio exceeding the safety threshold, per sample."""
-    tape = z.tape
-    r = ad.div(z, ad.add(d, tape.const(weights.margin_eps)))
-    return ad.mean(ad.softplus(ad.sub(r, tape.const(weights.eta))))
-
-
-def consistency_loss(p_soft, p_hard):
-    """Batch mean KL(p_soft || p_hard); p_hard normally arrives through the
-    straight-through node so gradient reaches the soft mask."""
-    return ad.mean(ad.kl_div(p_soft, p_hard))
-
-
-# ---------------------------------------------------------------------------
-# graph construction over a model
-
-
 def mask_node_shape(spec, mode):
-    """Leaf shape for a layer's mask so plain elementwise broadcasting against
-    the (out, in) weight works: (out, in) unstructured, (out, 1) structured."""
+    """Leaf shape for a layer's mask so that it broadcasts against the
+    (out, in) weight: (out, in) unstructured, (out, 1) structured."""
     if mode == "unstructured":
         return (spec.out_dim, spec.in_dim)
     return (spec.out_dim, 1)
-
-
-def mask_leaves(tape, model: MaskableModel, soft_mask, requires_grad=True):
-    """One leaf per maskable layer (None for exempt layers), in broadcastable
-    shape. The i-th entry aligns with model layer i."""
-    leaves = []
-    for spec, c in zip(model.specs, soft_mask):
-        if c.size == 0:
-            leaves.append(None)
-        else:
-            leaves.append(tape.leaf(c.reshape(mask_node_shape(spec, model.mask_mode)),
-                                    requires_grad=requires_grad))
-    return leaves
-
-
-def weight_leaves(tape, model: MaskableModel, trainable=False):
-    ws = [tape.leaf(w, requires_grad=trainable) for w in model.weights]
-    bs = [tape.leaf(b, requires_grad=trainable) for b in model.biases]
-    return ws, bs
-
-
-def build_logits(x_node, w_nodes, b_nodes, specs, mask_nodes=None):
-    h = x_node
-    for i, spec in enumerate(specs):
-        w = w_nodes[i]
-        if mask_nodes is not None and mask_nodes[i] is not None:
-            w = ad.mul(mask_nodes[i], w)
-        h = ad.affine(h, w, b_nodes[i])
-        if spec.activation == "relu":
-            h = ad.relu(h)
-    return h
-
-
-def build_probs(x_node, w_nodes, b_nodes, specs, mask_nodes=None):
-    return ad.softmax(build_logits(x_node, w_nodes, b_nodes, specs, mask_nodes))
 
 
 @dataclass
@@ -154,83 +83,51 @@ def composite_step_loss(model: MaskableModel, soft_mask, x, x_t,
         raise ValueError("composite_step_loss: empty batch")
     if x.shape != x_t.shape:
         raise ValueError(f"batch pair shapes differ: {x.shape} vs {x_t.shape}")
-    total_units = sum(c.size for c in soft_mask)
-    if total_units == 0:
+    if sum(c.size for c in soft_mask) == 0:
         raise ValueError("model has no prunable units to search over")
 
     tape = ad.Tape()
-    c_leaves = mask_leaves(tape, model, soft_mask, requires_grad=True)
-    w_nodes, b_nodes = weight_leaves(tape, model, trainable=False)
+    # one leaf per maskable layer, None for exempt ones
+    leaves = [tape.leaf(c.reshape(mask_node_shape(spec, model.mask_mode)), requires_grad=True)
+              if c.size else None for spec, c in zip(model.specs, soft_mask)]
+    live = [c for c in leaves if c is not None]
+    ws = [tape.const(w) for w in model.weights]
+    bs = [tape.const(b) for b in model.biases]
+
+    def probs(inp, masks):
+        return ad.softmax(ad.masked_mlp(inp, ws, bs, model.specs, masks))
+
+    # The terms are recorded in this order so that gradient reaches p_m from
+    # the ratio term first, then consistency, then stability.
+    c_m, c_n, c_s = (sample_noisy(leaves, mu, rng) for _ in range(3))
     x_node = tape.const(x)
-    xt_node = tape.const(x_t)
-
-    live = [c for c in c_leaves if c is not None]
-    c_m = _scatter(sample_noisy(live, mu, rng), c_leaves)
-    c_n = _scatter(sample_noisy(live, mu, rng), c_leaves)
-    c_s = _scatter(sample_noisy(live, mu, rng), c_leaves)
-
-    p_m = build_probs(x_node, w_nodes, b_nodes, model.specs, c_m)
-    p_n = build_probs(x_node, w_nodes, b_nodes, model.specs, c_n)
-    l_stab = stability_loss(p_m, p_n)
-
+    p_m = probs(x_node, c_m)
+    l_stab = ad.stability(p_m, probs(x_node, c_n))
     hard = binarize(soft_mask, pr)
-    ste_nodes = []
-    for leaf, spec, vec in zip(c_leaves, model.specs, hard.layers):
-        if leaf is None:
-            ste_nodes.append(None)
-        else:
-            shaped = vec.reshape(mask_node_shape(spec, model.mask_mode))
-            ste_nodes.append(ad.ste(leaf, shaped))
-    p_h = build_probs(x_node, w_nodes, b_nodes, model.specs, ste_nodes)
-    l_consis = consistency_loss(p_m, p_h)
-
-    p_s = build_probs(xt_node, w_nodes, b_nodes, model.specs, c_s)
-    z = discrepancy(p_m, p_s)
-    d = margin(p_m)
-    l_ratio = ratio_loss(z, d, weights)
-
-    l1_raw = None
-    for leaf in live:
-        term = ad.l1_sum(leaf)
-        l1_raw = term if l1_raw is None else ad.add(l1_raw, term)
-    l1_norm = ad.mul(l1_raw, tape.const(1.0 / total_units))
-
-    total = ad.add(
-        ad.add(ad.mul(tape.const(weights.stab), l_stab),
-               ad.mul(tape.const(weights.ratio), l_ratio)),
-        ad.add(ad.mul(tape.const(weights.consis), l_consis),
-               ad.mul(tape.const(weights.l1), l1_norm)))
+    p_h = probs(x_node, [None if c is None else ad.ste(c, vec.reshape(c.shape))
+                         for c, vec in zip(leaves, hard.layers)])
+    l_consis = ad.consistency(p_m, p_h)
+    l_ratio = ad.ratio_penalty(p_m, probs(tape.const(x_t), c_s),
+                               weights.eta, weights.margin_eps)
+    l1_norm = ad.l1_mean(live)
+    total = ad.weighted_sum([l_stab, l_ratio, l_consis, l1_norm],
+                            [weights.stab, weights.ratio, weights.consis, weights.l1])
 
     grad_map = ad.backprop(total)
-    grads, sq = [], 0.0
-    for leaf, c in zip(c_leaves, soft_mask):
-        if leaf is None:
-            grads.append(np.empty(0))
-        else:
-            g = grad_map[leaf.id].reshape(c.shape)
-            grads.append(g)
-            sq += float((g * g).sum())
-
+    grads = [np.empty(0) if leaf is None else grad_map[leaf.id].reshape(c.shape)
+             for leaf, c in zip(leaves, soft_mask)]
     report = StepReport(
         step=step,
         l_stab=float(l_stab.value),
         l_ratio=float(l_ratio.value),
         l_consis=float(l_consis.value),
         l1_normalized=float(l1_norm.value),
-        l1_raw=float(l1_raw.value),
+        l1_raw=float(sum(np.abs(c.value).sum() for c in live)),
         composite=float(total.value),
-        grad_norm=float(np.sqrt(sq)),
+        grad_norm=float(np.sqrt(sum(float((g * g).sum()) for g in grads))),
         draw_seed=draw_seed,
     )
     return CompositeResult(loss=total, report=report, grads=grads)
-
-
-def _scatter(live_nodes, template):
-    """Re-align a dense list of nodes with a template containing None gaps."""
-    out, it = [], iter(live_nodes)
-    for slot in template:
-        out.append(None if slot is None else next(it))
-    return out
 
 
 @dataclass

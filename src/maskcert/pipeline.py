@@ -28,8 +28,7 @@ from .errors import ConfigError
 from .masks import (HardMask, binarize, effective_ratio, hard_multipliers,
                     init_percentile_scaled, unit_magnitudes)
 from .model import MaskableModel
-from .objectives import (LossWeights, StepReport, build_logits,
-                         composite_step_loss, weight_leaves)
+from .objectives import LossWeights, StepReport, composite_step_loss
 from .transforms import augment_dataset
 
 # rng stream namespaces under the experiment root seed
@@ -134,14 +133,13 @@ def _ce_epochs(model: MaskableModel, data: Dataset, epochs: int, lr: float,
             idx = order[start:start + batch_size]
             xb, yb = data.x[idx], data.y[idx]
             tape = ad.Tape()
-            w_nodes, b_nodes = weight_leaves(tape, model, trainable=True)
-            mask_nodes = None
-            if multipliers is not None:
-                mask_nodes = [None if m is None else tape.const(m) for m in multipliers]
+            w_nodes = [tape.leaf(w, requires_grad=True) for w in model.weights]
+            b_nodes = [tape.leaf(b, requires_grad=True) for b in model.biases]
+            masks = None if multipliers is None else [
+                None if m is None else tape.const(m) for m in multipliers]
             try:
-                logits = build_logits(tape.const(xb), w_nodes, b_nodes,
-                                      model.specs, mask_nodes)
-                loss = ad.mean(ad.cross_entropy(logits, yb))
+                logits = ad.masked_mlp(tape.const(xb), w_nodes, b_nodes, model.specs, masks)
+                loss = ad.cross_entropy(logits, yb)
             except FloatingPointError as exc:
                 raise FloatingPointError(
                     f"training diverged at epoch {epoch}: {exc}") from None

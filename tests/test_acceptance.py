@@ -28,7 +28,8 @@ from maskcert.transforms import TransformSpec
 from regen_fixtures import (DEFAULT_CONFIG, DEFAULT_FIXTURE as FIXTURE,
                             REGEN_HINT, default_experiment_record,
                             small_run_config_text)
-from util import check_graph_fd, run_primitive_fd_suite, tape_kink_margin
+from util import (PRIMITIVE_CASES, check_graph_fd, run_primitive_fd_suite,
+                  tape_kink_margin)
 
 
 def criterion(number, description, ok, detail=""):
@@ -44,6 +45,7 @@ def budget(number, seconds, limit):
 
 def test_criterion_1_gradient_correctness():
     start = time.perf_counter()
+    covered = set(PRIMITIVE_CASES) == set(ad._OPS)
     worst = run_primitive_fd_suite(instances_per_case=20)
 
     # full composite objective on a 2-layer toy model; instances are admitted
@@ -69,7 +71,7 @@ def test_criterion_1_gradient_correctness():
     elapsed = time.perf_counter() - start
     budget(1, elapsed, 30.0)
     criterion(1, "all primitives and the composite objective match finite "
-                 "differences at 1e-4", checked == 20 and worst < 1e-4,
+                 "differences at 1e-4", covered and checked == 20 and worst < 1e-4,
               f"worst rel err {worst:.2e}, {elapsed:.1f}s")
 
 

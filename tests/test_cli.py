@@ -1,8 +1,11 @@
 import csv
+import json
 
+import numpy as np
 import pytest
 
 from maskcert.cli import (EXIT_CONFIG, EXIT_IO, EXIT_OK, main)
+from maskcert.model import MaskableModel, mlp_specs, save_checkpoint
 
 TINY = """
 synthetic_train_per_class = 30
@@ -157,6 +160,33 @@ class TestErrorsAndProvenance:
         cfg.write_text("pruning_ratio = 1.5\n", encoding="utf-8")
         assert run("gen-data", cfg, tmp_path / "o") == EXIT_CONFIG
         assert "pruning_ratio" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["cert_t_hi = inf", "lambda_stab = nan"])
+    def test_non_finite_float_rejected(self, tmp_path, capsys, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(TINY + line + "\n", encoding="utf-8")
+        assert run("run-all", cfg, tmp_path / "o") == EXIT_CONFIG
+        assert line.split(" = ")[0] in capsys.readouterr().err
+
+    def test_haze_severity_above_one_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(TINY + "transform_kind = interp_corrupt\ncorruption = haze\n"
+                       "corruption_severity = 5\n", encoding="utf-8")
+        assert run("run-all", cfg, tmp_path / "o") == EXIT_CONFIG
+        assert "corruption_severity" in capsys.readouterr().err
+
+    def test_certify_rejects_fractional_hard_mask(self, tiny_config, tmp_path, capsys):
+        model = MaskableModel.initialized(mlp_specs(16, [64, 64], 2), "unstructured",
+                                          np.random.default_rng(0))
+        ckpt = tmp_path / "half.ckpt"
+        save_checkpoint(ckpt, model, "finetuned",
+                        hard_mask=[np.ones(n) for n in model.mask_dims()])
+        doc = json.loads(ckpt.read_text())
+        doc["hard_mask"] = [[0.5] * len(m) for m in doc["hard_mask"]]
+        ckpt.write_text(json.dumps(doc))
+        assert run("certify", tiny_config, tmp_path / "o", "--stage-checkpoint",
+                   str(ckpt)) == EXIT_IO
+        assert "hard_mask" in capsys.readouterr().err
 
     def test_unknown_command_is_config_error(self, tiny_config, tmp_path):
         assert main(["frobnicate", "--config", str(tiny_config)]) == EXIT_CONFIG

@@ -104,6 +104,19 @@ class TestCrossField:
             validate(dataclasses.replace(ExperimentConfig(), cert_t_lo=10.0,
                                          cert_t_hi=1.0))
 
+    def test_non_finite_float_rejected_in_code(self):
+        for value in (float("inf"), float("nan")):
+            with pytest.raises(ConfigError, match="cert_t_hi"):
+                validate(dataclasses.replace(ExperimentConfig(), cert_t_hi=value))
+
+    def test_corruption_severity_follows_corruption(self):
+        for name, severity in (("haze", 1.5), ("gaussian_blur3", 0.0)):
+            with pytest.raises(ConfigError, match="corruption_severity"):
+                validate(dataclasses.replace(ExperimentConfig(), corruption=name,
+                                             corruption_severity=severity))
+        validate(dataclasses.replace(ExperimentConfig(), corruption="gaussian_blur3",
+                                     corruption_severity=5.0))
+
     def test_negative_seed_rejected(self, tmp_path):
         path = tmp_path / "s.cfg"
         path.write_text("seed = -3\n", encoding="utf-8")

@@ -90,7 +90,7 @@ class TestSampleNoisy:
         c = tape.leaf(np.array([0.5, 0.5]), requires_grad=True)
         rng = np.random.default_rng(1)
         out = sample_noisy([c], 0.2, rng)[0]  # noise <= 0.2 keeps both interior
-        grads = ad.backprop(ad.sum(out))
+        grads = ad.backprop(ad.weighted_sum([out], [np.ones(2)]))
         assert np.array_equal(grads[c.id], np.ones(2))
 
     def test_fresh_noise_per_call(self):
@@ -100,6 +100,12 @@ class TestSampleNoisy:
         a = sample_noisy([c], 0.4, rng)[0]
         b = sample_noisy([c], 0.4, rng)[0]
         assert not np.array_equal(a.value, b.value)
+
+    def test_skips_exempt_layers(self):
+        tape = ad.Tape()
+        c = tape.leaf(np.full(3, 0.5), requires_grad=True)
+        out = sample_noisy([c, None], 0.1, np.random.default_rng(3))
+        assert out[1] is None and out[0].op == "noisy"
 
     def test_negative_mu_rejected(self):
         tape = ad.Tape()
@@ -220,21 +226,19 @@ class TestSteThroughLoss:
         hard = binarize([c_val], 0.5).layers[0]
         x = rng.standard_normal((3, 1))
 
+        spec = [LayerSpec(1, 2, "none")]
+        target = np.tile([0.8, 0.2], (3, 1))
+
+        def loss(tape, mask):
+            logits = ad.masked_mlp(tape.const(x), [tape.const(w)], [tape.const(np.zeros(2))],
+                                   spec, [mask])
+            return ad.consistency(tape.const(target), ad.softmax(logits))
+
         tape = ad.Tape()
         c = tape.leaf(c_val.reshape(2, 1), requires_grad=True)
-        m_node = ad.ste(c, hard.reshape(2, 1))
-        w_node = tape.const(w)
-        logits = ad.affine(tape.const(x), ad.mul(m_node, w_node), tape.const(np.zeros(2)))
-        p_hard = ad.softmax(logits)
-        target = tape.const(np.tile([0.8, 0.2], (3, 1)))
-        loss = ad.mean(ad.kl_div(target, p_hard))
-        g_c = ad.backprop(loss)[c.id]
+        g_c = ad.backprop(loss(tape, ad.ste(c, hard.reshape(2, 1))))[c.id]
 
         tape2 = ad.Tape()
         m_leaf = tape2.leaf(hard.reshape(2, 1), requires_grad=True)
-        logits2 = ad.affine(tape2.const(x), ad.mul(m_leaf, tape2.const(w)),
-                            tape2.const(np.zeros(2)))
-        loss2 = ad.mean(ad.kl_div(tape2.const(np.tile([0.8, 0.2], (3, 1))),
-                                  ad.softmax(logits2)))
-        g_m = ad.backprop(loss2)[m_leaf.id]
+        g_m = ad.backprop(loss(tape2, m_leaf))[m_leaf.id]
         assert rel_err(g_c, g_m) < 1e-12

@@ -7,15 +7,24 @@ from maskcert import autodiff as ad
 from maskcert.masks import init_percentile_scaled, noisy_mask_values
 from maskcert.model import MaskableModel, broadcast_mask, mlp_specs
 from maskcert.objectives import (LossWeights, composite_step_loss,
-                                 consistency_loss, discrepancy, margin,
-                                 ratio_loss, stability_loss,
-                                 triangle_bound_check)
+                                 mask_node_shape, triangle_bound_check)
 from util import check_graph_fd, tape_kink_margin
 
 
-def leafed_pair(a, b):
+def consts(*arrays):
     tape = ad.Tape()
-    return tape, tape.const(a), tape.const(b)
+    return [tape.const(np.atleast_2d(a)) for a in arrays]
+
+
+def ratio(p, p_t, w=LossWeights()):
+    a, b = consts(p, p_t)
+    return float(ad.ratio_penalty(a, b, w.eta, w.margin_eps).value)
+
+
+def softplus_ratio(z, d, w=LossWeights()):
+    """softplus(Z / (d + eps) - eta) for one sample."""
+    s = z / (d + w.margin_eps) - w.eta
+    return max(s, 0.0) + math.log1p(math.exp(-abs(s)))
 
 
 def toy_model(seed=0, in_dim=5, hidden=(6,), classes=3, mode="unstructured"):
@@ -25,67 +34,57 @@ def toy_model(seed=0, in_dim=5, hidden=(6,), classes=3, mode="unstructured"):
 
 class TestMargin:
     def test_examples(self):
-        tape = ad.Tape()
-        p = tape.const(np.array([[0.7, 0.2, 0.1], [1 / 3, 1 / 3, 1 / 3], [1.0, 0.0, 0.0]]))
-        d = margin(p).value
-        assert abs(d[0] - 0.25) < 1e-15
-        assert d[1] == 0.0
-        assert d[2] == 0.5
+        # the margin is half the gap between the top-2 entries; Z = 0.1 here
+        for p, d in (([0.7, 0.2, 0.1], 0.25), ([1 / 3, 1 / 3, 1 / 3], 0.0),
+                     ([1.0, 0.0, 0.0], 0.5)):
+            p = np.array(p)
+            val = ratio(p, p - [0.1, 0.0, 0.0])
+            assert abs(val - softplus_ratio(0.1, d)) <= 1e-9 * val
 
 
 class TestDiscrepancy:
     def test_examples(self):
-        tape, a, b = leafed_pair(np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]]))
-        assert discrepancy(a, b).value[0] == 1.0
-        tape, a, b = leafed_pair(np.array([[0.6, 0.3, 0.1]]),
-                                 np.array([[0.5, 0.45, 0.05]]))
-        assert abs(discrepancy(a, b).value[0] - 0.15) < 1e-15
-        tape, a, b = leafed_pair(np.array([[0.2, 0.8]]), np.array([[0.2, 0.8]]))
-        assert discrepancy(a, b).value[0] == 0.0
+        # Z is the row-wise sup-norm distance; margins 0.5, 0.15 and 0.3
+        for p, p_t, z, d in (([1.0, 0.0], [0.0, 1.0], 1.0, 0.5),
+                             ([0.6, 0.3, 0.1], [0.5, 0.45, 0.05], 0.15, 0.15),
+                             ([0.2, 0.8], [0.2, 0.8], 0.0, 0.3)):
+            val = ratio(np.array(p), np.array(p_t))
+            assert abs(val - softplus_ratio(z, d)) <= 1e-9 * val
 
     def test_length_mismatch(self):
-        tape, a, b = leafed_pair(np.ones((1, 2)), np.ones((1, 3)))
-        with pytest.raises(ValueError, match="discrepancy"):
-            discrepancy(a, b)
+        a, b = consts(np.ones((1, 2)), np.ones((1, 3)))
+        with pytest.raises(ValueError, match="ratio_penalty"):
+            ad.ratio_penalty(a, b, 1.0, 1e-6)
 
 
 class TestStability:
     def test_identical_draws_zero(self):
-        tape, a, b = leafed_pair(np.array([[0.3, 0.7]]), np.array([[0.3, 0.7]]))
-        assert stability_loss(a, b).value == 0.0
+        a, b = consts([[0.3, 0.7]], [[0.3, 0.7]])
+        assert ad.stability(a, b).value == 0.0
 
     def test_opposite_one_hots(self):
-        tape, a, b = leafed_pair(np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]]))
-        assert stability_loss(a, b).value == 2.0
+        a, b = consts([[1.0, 0.0]], [[0.0, 1.0]])
+        assert ad.stability(a, b).value == 2.0
 
     def test_batch_mean(self):
-        tape, a, b = leafed_pair(np.array([[1.0, 0.0], [0.5, 0.5]]),
-                                 np.array([[0.0, 1.0], [0.5, 0.5]]))
-        assert stability_loss(a, b).value == 1.0  # (2 + 0) / 2
+        a, b = consts([[1.0, 0.0], [0.5, 0.5]], [[0.0, 1.0], [0.5, 0.5]])
+        assert ad.stability(a, b).value == 1.0  # (2 + 0) / 2
 
 
 class TestRatioLoss:
     def test_closed_forms(self):
         w = LossWeights()
-        tape = ad.Tape()
-        z = tape.const(np.array([0.0]))
-        d = tape.const(np.array([0.5]))
-        val = float(ratio_loss(z, d, w).value)
-        assert abs(val - math.log1p(math.exp(-1.0))) < 1e-9
-        z2 = tape.const(np.array([0.5 + w.margin_eps]))
-        val2 = float(ratio_loss(z2, d, w).value)
+        p = np.array([1.0, 0.0])  # margin 0.5
+        assert abs(ratio(p, p) - math.log1p(math.exp(-1.0))) < 1e-9
+        val2 = ratio(p, p - [0.5 + w.margin_eps, 0.0])
         assert abs(val2 - math.log(2.0)) < 1e-12
 
     def test_monotone_in_z_and_d(self):
-        w = LossWeights()
-        tape = ad.Tape()
-        zs = np.linspace(0, 1, 21)
-        ds = np.linspace(0.01, 0.5, 21)
-        vals_z = [float(ratio_loss(tape.const(np.array([z])),
-                                   tape.const(np.array([0.2])), w).value) for z in zs]
+        p = np.array([0.7, 0.3])  # margin 0.2
+        vals_z = [ratio(p, p - [z, 0.0]) for z in np.linspace(0, 1, 21)]
         assert all(b > a for a, b in zip(vals_z, vals_z[1:]))
-        vals_d = [float(ratio_loss(tape.const(np.array([0.5])),
-                                   tape.const(np.array([d])), w).value) for d in ds]
+        vals_d = [ratio([0.5 + d, 0.5 - d], [d, 0.5 - d])  # Z = 0.5
+                  for d in np.linspace(0.01, 0.5, 21)]
         assert all(b < a for a, b in zip(vals_d, vals_d[1:]))
 
     def test_weights_validation(self):
@@ -97,19 +96,19 @@ class TestRatioLoss:
 
 class TestConsistency:
     def test_identical_zero(self):
-        tape, a, b = leafed_pair(np.array([[0.4, 0.6]]), np.array([[0.4, 0.6]]))
-        assert abs(float(consistency_loss(a, b).value)) < 1e-14
+        a, b = consts([[0.4, 0.6]], [[0.4, 0.6]])
+        assert abs(float(ad.consistency(a, b).value)) < 1e-14
 
     def test_one_hot_vs_uniform(self):
-        tape, a, b = leafed_pair(np.array([[1.0, 0.0]]), np.array([[0.5, 0.5]]))
-        val = float(consistency_loss(a, b).value)
+        a, b = consts([[1.0, 0.0]], [[0.5, 0.5]])
+        val = float(ad.consistency(a, b).value)
         assert abs(val - math.log(2.0)) < 1e-6  # smoothing shifts by < 1e-6
 
     def test_gradient_reaches_both_arguments(self):
         tape = ad.Tape()
         a = tape.leaf(np.array([[0.3, 0.7]]), requires_grad=True)
         b = tape.leaf(np.array([[0.6, 0.4]]), requires_grad=True)
-        grads = ad.backprop(consistency_loss(a, b))
+        grads = ad.backprop(ad.consistency(a, b))
         assert np.any(grads[a.id] != 0)
         assert np.any(grads[b.id] != 0)
 
@@ -204,9 +203,7 @@ class TestGraphForwardParity:
     def test_tape_probs_match_numpy_forward_bitwise(self):
         # certification scores model.forward; training optimizes the tape
         # build; both must compute the identical function
-        from maskcert import autodiff as ad
-        from maskcert.masks import binarize, hard_multipliers, init_percentile_scaled
-        from maskcert.objectives import build_probs, mask_leaves, weight_leaves, mask_node_shape
+        from maskcert.masks import binarize, hard_multipliers
         for mode in ("unstructured", "structured"):
             for seed in range(5):
                 rng = np.random.default_rng(seed)
@@ -217,15 +214,11 @@ class TestGraphForwardParity:
                 p_np = model.forward(x, mult)
 
                 tape = ad.Tape()
-                w_nodes, b_nodes = weight_leaves(tape, model)
-                nodes = []
-                for vec, spec in zip(hard.layers, model.specs):
-                    if vec.size == 0:
-                        nodes.append(None)
-                    else:
-                        nodes.append(tape.const(vec.reshape(mask_node_shape(spec, mode))))
-                p_tape = build_probs(tape.const(x), w_nodes, b_nodes, model.specs, nodes)
-                assert np.array_equal(p_np, p_tape.value)
+                nodes = [tape.const(vec.reshape(mask_node_shape(spec, mode))) if vec.size else None
+                         for vec, spec in zip(hard.layers, model.specs)]
+                logits = ad.masked_mlp(tape.const(x), [tape.const(w) for w in model.weights],
+                                       [tape.const(b) for b in model.biases], model.specs, nodes)
+                assert np.array_equal(p_np, ad.softmax(logits).value)
 
 
 class TestTriangleBound:
