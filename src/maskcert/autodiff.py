@@ -59,10 +59,6 @@ class Node:
         self.requires_grad = requires_grad
         self.vjp = vjp
 
-    @property
-    def shape(self):
-        return self.value.shape
-
     def __repr__(self):
         return f"Node(id={self.id}, op={self.op!r}, shape={self.value.shape})"
 

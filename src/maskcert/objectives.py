@@ -104,7 +104,7 @@ def composite_step_loss(model: MaskableModel, soft_mask, x, x_t,
     p_m = probs(x_node, c_m)
     l_stab = ad.stability(p_m, probs(x_node, c_n))
     hard = binarize(soft_mask, pr)
-    p_h = probs(x_node, [None if c is None else ad.ste(c, vec.reshape(c.shape))
+    p_h = probs(x_node, [None if c is None else ad.ste(c, vec.reshape(c.value.shape))
                          for c, vec in zip(leaves, hard.layers)])
     l_consis = ad.consistency(p_m, p_h)
     l_ratio = ad.ratio_penalty(p_m, probs(tape.const(x_t), c_s),
