@@ -78,6 +78,14 @@ class Tape:
     def const(self, value) -> Node:
         return self.leaf(value, requires_grad=False)
 
+    def release(self) -> None:
+        """Drop the node list once the tape's step is done; the tape cannot
+        be swept or replayed afterwards. Each node points back at its tape, so
+        until then tape and nodes form a cycle that only the cyclic garbage
+        collector frees; after it, reference counting frees the step's arrays
+        as soon as the caller drops its last node."""
+        self.nodes.clear()
+
     def replay(self, overrides: dict) -> list[np.ndarray]:
         """Re-evaluate the recorded graph with some leaf values substituted.
 
@@ -142,6 +150,8 @@ def backprop(root: Node) -> dict[int, np.ndarray]:
     if root.value.size != 1:
         raise ValueError(f"backprop: root must be scalar, got shape {root.value.shape}")
     tape = root.tape
+    if root.id >= len(tape.nodes) or tape.nodes[root.id] is not root:
+        raise ValueError("backprop: root is not on a live tape")
     for node in tape.nodes:
         node.grad = None
     root.grad = np.ones_like(root.value)

@@ -7,8 +7,20 @@ independent repetitions (conservative against underestimation), then the
 min over a log-spaced temperature grid. All bound arithmetic lives in log
 space, since t reaches 1e4 and exp(Z t) overflows any fixed-width float.
 
-The pass decision uses max{Y} itself; the alpha-scaled value max{Y}/alpha
-that enters the underestimation-confidence bound is reported alongside.
+The grid minimum is found without evaluating the whole grid. Each
+log Y_j(t) = logsumexp_i(Z_ji t) - log n - d t is a log-sum-exp of affine
+functions of t plus an affine term, so it is convex in t; the max over
+repetitions of convex functions is convex too. Sampled at increasing grid
+points, a convex function never rises and then falls: for i < j < k,
+f(t_j) <= max(f(t_i), f(t_k)). A discrete ternary search therefore finds
+its first minimizing grid point with O(log T) evaluations; the tests check
+it against the brute-force grid.
+
+The clean prediction of a sample is computed once and shared by its margin,
+its pass decision and every repetition's discrepancies. The pass decision
+uses max{Y} itself. The alpha-scaled value max{Y}/alpha, which enters the
+underestimation-confidence bound, is kept on each SampleCert for callers;
+the report files do not carry it.
 """
 
 from __future__ import annotations
@@ -69,11 +81,11 @@ def clean_margin(p: np.ndarray) -> float:
     return float((top2[1] - top2[0]) / 2.0)
 
 
-def z_samples(model: MaskableModel, multipliers, x: np.ndarray, spec: TransformSpec,
-              n: int, rng: np.random.Generator) -> np.ndarray:
-    """Sup-norm prediction discrepancies against n fresh transformed inputs."""
+def z_samples(model: MaskableModel, multipliers, x: np.ndarray, p: np.ndarray,
+              spec: TransformSpec, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Sup-norm prediction discrepancies between the clean probabilities p
+    of x and n fresh transformed inputs."""
     x = np.asarray(x, dtype=np.float64)
-    p = model.forward(x[None, :], multipliers)[0]
     xt = sample_set(spec, x, n, rng)
     pt = model.forward(xt, multipliers)
     return np.abs(pt - p).max(axis=1)
@@ -95,10 +107,41 @@ def log_y(z: np.ndarray, d: float, t: float) -> float:
 
 
 def log_y_grid(z: np.ndarray, d: float, t_grid: np.ndarray) -> np.ndarray:
-    """Vectorized log_y across a temperature grid (same Z list for all t)."""
+    """Vectorized log_y across k temperatures: z of shape (n,) gives (k,);
+    z of shape (l, n) gives (l, k), row j equal to the call on z[j]."""
     z = np.asarray(z, dtype=np.float64)
     t = np.asarray(t_grid, dtype=np.float64)
-    return _logsumexp(t[:, None] * z[None, :], axis=1) - math.log(z.size) - d * t
+    return _logsumexp(t[:, None] * z[..., None, :]) - math.log(z.shape[-1]) - d * t
+
+
+def grid_min(rep_z: np.ndarray, d: float, grid: np.ndarray) -> tuple[int, float]:
+    """First index of the minimum over the grid of max_j log_y(rep_z[j], d, t),
+    and that minimum, by discrete ternary search (the function is convex in t).
+
+    If f(m1) <= f(m2) then every point past m2 is at least f(m1) and the first
+    minimizer is at or before m2; otherwise every point up to m1 is above f(m2).
+    The last (at most three) points are scanned. Each point is evaluated once.
+    """
+    known: dict[int, float] = {}
+
+    def at(idx):
+        todo = [i for i in idx if i not in known]
+        if todo:
+            known.update(zip(todo, np.max(log_y_grid(rep_z, d, grid[todo]), axis=0)))
+        return [known[i] for i in idx]
+
+    lo, hi = 0, len(grid) - 1
+    while hi - lo > 2:
+        third = (hi - lo) // 3
+        m1, m2 = lo + third, hi - third
+        f1, f2 = at((m1, m2))
+        if f1 <= f2:
+            hi = m2
+        else:
+            lo = m1 + 1
+    tail = at(range(lo, hi + 1))
+    k = int(np.argmin(tail))
+    return lo + k, float(tail[k])
 
 
 @dataclass
@@ -110,28 +153,26 @@ class BoundResult:
     rep_z: np.ndarray  # (l, n) raw discrepancies per repetition
 
 
-def bound_estimate(model: MaskableModel, multipliers, x, spec: TransformSpec,
-                   config: CertConfig, rng: np.random.Generator) -> BoundResult:
-    """Flip-probability bound for one sample.
+def bound_estimate(model: MaskableModel, multipliers, x, p: np.ndarray,
+                   spec: TransformSpec, config: CertConfig,
+                   rng: np.random.Generator) -> BoundResult:
+    """Flip-probability bound for one sample with clean probabilities p.
 
     Fresh transforms per repetition; per temperature the max over repetition
     estimates, then the min over the grid, clamped to [0, 1]. A zero margin
     is trivially uncertifiable (eps_hat = 1), not an error.
     """
     x = np.asarray(x, dtype=np.float64)
-    p = model.forward(x[None, :], multipliers)[0]
     d = clean_margin(p)
     rep_z = np.stack([
-        z_samples(model, multipliers, x, spec, config.samples_per_rep, rng)
+        z_samples(model, multipliers, x, p, spec, config.samples_per_rep, rng)
         for _ in range(config.repetitions)])
     if d == 0.0:
         return BoundResult(d, 1.0, 1.0, float("nan"), rep_z)
     grid = config.t_grid()
-    log_bound = np.max(
-        np.stack([log_y_grid(z, d, grid) for z in rep_z]), axis=0)
-    best = int(np.argmin(log_bound))
-    eps_hat = min(1.0, float(np.exp(log_bound[best])))
-    eps_alpha = min(1.0, float(np.exp(log_bound[best])) / config.alpha)
+    best, log_min = grid_min(rep_z, d, grid)
+    eps_hat = min(1.0, float(np.exp(log_min)))
+    eps_alpha = min(1.0, float(np.exp(log_min)) / config.alpha)
     return BoundResult(d, eps_hat, eps_alpha, float(grid[best]), rep_z)
 
 
@@ -161,7 +202,7 @@ def certify_sample(model: MaskableModel, multipliers, x, y: int, spec: Transform
     x = np.asarray(x, dtype=np.float64)
     p = model.forward(x[None, :], multipliers)[0]
     predicted = int(np.argmax(p))
-    res = bound_estimate(model, multipliers, x, spec, config, rng)
+    res = bound_estimate(model, multipliers, x, p, spec, config, rng)
     certified = (predicted == int(y)) and (res.eps_hat <= config.error_bound)
     return SampleCert(
         sample_id=sample_id,
@@ -182,6 +223,11 @@ class PcaResult:
     fraction: float
     rows: list[SampleCert]
     paley: float
+    # sample counts: a minimum at an end of the temperature grid means the
+    # range was too narrow for that sample; eps_hat_zero bounds underflowed
+    best_t_at_t_lo: int
+    best_t_at_t_hi: int
+    eps_hat_zero: int
 
 
 def pca(model: MaskableModel, multipliers, x_eval, y_eval, spec: TransformSpec,
@@ -200,7 +246,12 @@ def pca(model: MaskableModel, multipliers, x_eval, y_eval, spec: TransformSpec,
         rows.append(certify_sample(model, multipliers, x_eval[i], y_eval[i],
                                    spec, config, rng, sample_id=i))
     frac = float(np.mean([r.certified for r in rows]))
-    return PcaResult(fraction=frac, rows=rows, paley=paley_confidence(config))
+    grid = config.t_grid()
+    best_t = np.array([r.best_t for r in rows])
+    return PcaResult(fraction=frac, rows=rows, paley=paley_confidence(config),
+                     best_t_at_t_lo=int(np.sum(best_t == grid[0])),
+                     best_t_at_t_hi=int(np.sum(best_t == grid[-1])),
+                     eps_hat_zero=sum(r.eps_hat == 0.0 for r in rows))
 
 
 def paley_confidence(config: CertConfig, c_v: float | None = None) -> float:

@@ -89,7 +89,10 @@ def _write_cert_report(out: Path, stem: str, cfg: ExperimentConfig,
                  r.best_t, r.certified) for r in result.rows))
     summary = {"pca": result.fraction,
                "paley_confidence": result.paley,
-               "pruning_ratio": ratio}
+               "pruning_ratio": ratio,
+               "best_t_at_t_lo": result.best_t_at_t_lo,
+               "best_t_at_t_hi": result.best_t_at_t_hi,
+               "eps_hat_zero": result.eps_hat_zero}
     for line in serialize(cfg).splitlines():
         key, value = line.split(" = ", 1)
         summary[f"config.{key}"] = value

@@ -23,6 +23,14 @@ from .transforms import CorruptionTag, TransformSpec
 METHODS = ("vanilla", "lmp", "csam")
 AUGMENT_LEVELS = ("none", "L1", "L2")
 
+# Upper bounds on the certification sizes. Each evaluation sample runs
+# cert_repetitions forwards of cert_samples transformed inputs and holds a
+# (cert_repetitions, cert_samples) discrepancy table; the temperature grid
+# holds cert_t_count points, of which the search evaluates O(log) many.
+CERT_SAMPLES_MAX = 10_000
+CERT_REPETITIONS_MAX = 100
+CERT_T_COUNT_MAX = 1_000_000
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -146,11 +154,12 @@ _RANGES = {
     "methods": (lambda v: len(v) >= 1 and len(set(v)) == len(v)
                 and all(m in METHODS for m in v),
                 "distinct names from vanilla, lmp, csam"),
-    "cert_samples": (lambda v: v >= 1, ">= 1"),
-    "cert_repetitions": (lambda v: v >= 1, ">= 1"),
+    "cert_samples": (lambda v: 1 <= v <= CERT_SAMPLES_MAX, f"in [1, {CERT_SAMPLES_MAX}]"),
+    "cert_repetitions": (lambda v: 1 <= v <= CERT_REPETITIONS_MAX,
+                         f"in [1, {CERT_REPETITIONS_MAX}]"),
     "cert_alpha": (lambda v: 0.0 < v < 1.0, "in (0, 1)"),
     "cert_error_bound": (lambda v: 0.0 < v < 1.0, "in (0, 1)"),
-    "cert_t_count": (lambda v: v >= 2, ">= 2"),
+    "cert_t_count": (lambda v: 2 <= v <= CERT_T_COUNT_MAX, f"in [2, {CERT_T_COUNT_MAX}]"),
     "cert_t_lo": (lambda v: v > 0, "> 0"),
     "cert_t_hi": (lambda v: v > 0, "> 0"),
     "cert_eval_size": (lambda v: v >= 1, ">= 1"),

@@ -150,6 +150,7 @@ def _ce_epochs(model: MaskableModel, data: Dataset, epochs: int, lr: float,
             params = model.weights + model.biases
             gs = [grads[node.id] for node in w_nodes] + [grads[node.id] for node in b_nodes]
             opt.step(params, gs)
+            tape.release()
             loss_sum += float(loss.value) * len(idx)
         history.append(EpochStats(epoch, loss_sum / n, accuracy(model, data, multipliers)))
     return history
@@ -195,6 +196,7 @@ def stage2_mask_search(model: MaskableModel, pairs, tc: TrainConfig,
             opt.step(soft, result.grads)
             soft = [np.clip(c, 0.0, 1.0) for c in soft]
             reports.append(result.report)
+            result.loss.tape.release()
             step += 1
     return soft, reports
 

@@ -205,6 +205,13 @@ class TestErrors:
         with pytest.raises(ValueError, match="ratio_penalty"):
             ad.ratio_penalty(p, q, 1.0, 1e-6)
 
+    def test_backprop_on_released_tape(self):
+        tape, (x,) = leafed(np.ones((1, 2)))
+        loss = ad.cross_entropy(x, np.array([0]))
+        tape.release()
+        with pytest.raises(ValueError, match="live tape"):
+            ad.backprop(loss)
+
     def test_unknown_kind(self):
         tape, (x,) = leafed(np.ones(2))
         with pytest.raises(ValueError, match="unknown primitive"):

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from maskcert import certify
 from maskcert.certify import (CertConfig, bound_estimate, certify_sample,
-                              clean_margin, log_y, log_y_grid, paley_confidence,
-                              pca, z_samples)
+                              clean_margin, grid_min, log_y, log_y_grid,
+                              paley_confidence, pca, z_samples)
 from maskcert.model import LayerSpec, MaskableModel, mlp_specs
 from maskcert.transforms import TransformSpec
 
@@ -32,6 +33,10 @@ def flipping_model(in_dim=4, axis=1, scale=50.0, gap=1e-9):
     w[1, axis] = -scale
     b = np.array([-scale * gap, scale * gap])
     return MaskableModel([LayerSpec(in_dim, 2, "none")], [w], [b], "unstructured")
+
+
+def clean_probs(model, x):
+    return model.forward(np.asarray(x, dtype=float)[None, :])[0]
 
 
 def small_cfg(**kw):
@@ -83,6 +88,26 @@ class TestLogY:
         for got, t in zip(vals, grid):
             assert abs(got - log_y(z, 0.3, float(t))) < 1e-12
 
+    def test_repetition_rows_equal_per_repetition_calls(self):
+        rng = np.random.default_rng(2)
+        grid = CertConfig().t_grid()
+        for l, n in ((1, 1), (3, 17), (10, 100)):
+            rep_z = rng.uniform(0, 1, (l, n))
+            batched = log_y_grid(rep_z, 0.2, grid)
+            assert batched.shape == (l, len(grid))
+            for row, z in zip(batched, rep_z):
+                assert np.array_equal(row, log_y_grid(z, 0.2, grid))
+
+    def test_grid_subset_equals_full_grid_columns(self):
+        # the search evaluates a few points at a time; each must be the value
+        # the whole grid would give there
+        rng = np.random.default_rng(3)
+        grid = CertConfig().t_grid()
+        rep_z = rng.uniform(0, 1, (10, 100))
+        full = log_y_grid(rep_z, 0.3, grid)
+        for idx in ([0], [166, 333], [497, 498, 499]):
+            assert np.array_equal(log_y_grid(rep_z, 0.3, grid[idx]), full[:, idx])
+
     def test_validation(self):
         with pytest.raises(ValueError, match="temperature"):
             log_y(np.zeros(3), 0.1, 0.0)
@@ -93,7 +118,8 @@ class TestLogY:
 class TestZSamples:
     def test_constant_classifier_all_zero(self):
         model = constant_model()
-        z = z_samples(model, None, np.zeros(4), direction_spec(), 50,
+        x = np.zeros(4)
+        z = z_samples(model, None, x, clean_probs(model, x), direction_spec(), 50,
                       np.random.default_rng(2))
         assert np.array_equal(z, np.zeros(50))
 
@@ -102,14 +128,16 @@ class TestZSamples:
         model = MaskableModel.initialized(mlp_specs(4, [5], 3), "unstructured", rng)
         spec = TransformSpec(kind="direction_shift", direction=direction_spec().direction,
                              delta_range=(0.0, 0.0))
-        z = z_samples(model, None, rng.standard_normal(4), spec, 20,
+        x = rng.standard_normal(4)
+        z = z_samples(model, None, x, clean_probs(model, x), spec, 20,
                       np.random.default_rng(4))
         assert np.array_equal(z, np.zeros(20))
 
     def test_bounded_in_unit_interval(self):
         rng = np.random.default_rng(5)
         model = MaskableModel.initialized(mlp_specs(4, [6], 3), "unstructured", rng)
-        z = z_samples(model, None, rng.standard_normal(4), direction_spec(), 40,
+        x = rng.standard_normal(4)
+        z = z_samples(model, None, x, clean_probs(model, x), direction_spec(), 40,
                       np.random.default_rng(6))
         assert np.all((z >= 0) & (z <= 1))
 
@@ -117,9 +145,9 @@ class TestZSamples:
 class TestBoundEstimate:
     def test_constant_classifier_certifies(self):
         model = constant_model()
-        res = bound_estimate(model, None, np.zeros(4), direction_spec(),
+        p = clean_probs(model, np.zeros(4))
+        res = bound_estimate(model, None, np.zeros(4), p, direction_spec(),
                              small_cfg(), np.random.default_rng(7))
-        p = model.forward(np.zeros((1, 4)))[0]
         d = clean_margin(p)
         # all Z are 0, so the best bound is exp(-d * t_max), which underflows
         assert res.eps_hat <= math.exp(-d * 1e4) * 1.01
@@ -128,15 +156,15 @@ class TestBoundEstimate:
     def test_always_flipping_uncertifiable(self):
         model = flipping_model()
         x = np.zeros(4)
-        res = bound_estimate(model, None, x, direction_spec(), small_cfg(),
-                             np.random.default_rng(8))
+        res = bound_estimate(model, None, x, clean_probs(model, x), direction_spec(),
+                             small_cfg(), np.random.default_rng(8))
         assert np.all(res.rep_z >= res.margin)  # every transform flips
         assert res.eps_hat == 1.0
 
     def test_zero_margin_uncertifiable_not_error(self):
         model = constant_model(bias=(0.0, 0.0))
-        res = bound_estimate(model, None, np.zeros(4), direction_spec(),
-                             small_cfg(), np.random.default_rng(9))
+        res = bound_estimate(model, None, np.zeros(4), clean_probs(model, np.zeros(4)),
+                             direction_spec(), small_cfg(), np.random.default_rng(9))
         assert res.margin == 0.0 and res.eps_hat == 1.0
         assert math.isnan(res.best_t)
 
@@ -145,8 +173,9 @@ class TestBoundEstimate:
         for seed in range(5):
             model = MaskableModel.initialized(mlp_specs(4, [5], 2), "unstructured",
                                               np.random.default_rng(seed))
-            res = bound_estimate(model, None, rng.standard_normal(4),
-                                 direction_spec(), small_cfg(), np.random.default_rng(seed))
+            x = rng.standard_normal(4)
+            res = bound_estimate(model, None, x, clean_probs(model, x), direction_spec(),
+                                 small_cfg(), np.random.default_rng(seed))
             assert 0.0 <= res.eps_hat <= 1.0
 
     def test_monotone_conservative_in_repetitions(self):
@@ -160,6 +189,123 @@ class TestBoundEstimate:
             eps = float(np.exp(prefix.min()))
             assert eps >= prev_eps - 1e-15
             prev_eps = eps
+
+
+def brute_min(rep_z, d, grid):
+    """The oracle: every grid point, then the first argmin."""
+    f = np.max(log_y_grid(rep_z, d, grid), axis=0)
+    best = int(np.argmin(f))
+    return best, f[best], f
+
+
+def eps_of(log_value):
+    return min(1.0, float(np.exp(log_value)))
+
+
+def random_case(rng, family):
+    """(rep_z, d, grid) for one property-test case of the given family."""
+    l, n = int(rng.integers(1, 7)), int(rng.integers(1, 31))
+    if rng.uniform() < 0.5:
+        grid = CertConfig().t_grid()
+    else:
+        grid = CertConfig(t_count=int(rng.integers(2, 601)),
+                          t_lo=10 ** rng.uniform(-5, -1), t_hi=10 ** rng.uniform(0, 4)).t_grid()
+    d = float(rng.uniform(1e-6, 0.5))
+    if family == "uniform":
+        rep_z = rng.uniform(0, 1, (l, n))
+    elif family == "rare_flips":  # mean below d, max above: interior minima
+        rep_z = rng.uniform(0, 0.05, (l, n))
+        flips = rng.uniform(size=(l, n)) < 0.1
+        rep_z[flips] = rng.uniform(d, 1, flips.sum())
+    elif family == "zero":  # decreasing: minimum at the top of the grid
+        rep_z = np.zeros((l, n))
+    elif family == "above":  # every transform flips: minimum at the bottom
+        rep_z = rng.uniform(d + 1e-3, 1, (l, n))
+    elif family == "atoms":  # a few repeated values, d one of them
+        atoms = rng.uniform(0, 1, 3)
+        rep_z = rng.choice(atoms, (l, n))
+        d = float(rng.choice(atoms))
+    else:  # "z_equals_d": log Y_j(t) = 0 for every t in exact arithmetic
+        rep_z = np.full((l, n), d)
+    return rep_z, d, grid
+
+
+FAMILIES = ("uniform", "rare_flips", "zero", "above", "atoms", "z_equals_d")
+
+
+def check_against_oracle(rep_z, d, grid, family=""):
+    """Search result vs brute-force grid: bitwise equal unless the bound is
+    flat up to rounding, and never a different certified decision."""
+    best, value = grid_min(rep_z, d, grid)
+    o_best, o_value, f = brute_min(rep_z, d, grid)
+    # every evaluated point equals the whole grid's value there
+    assert value == f[best]
+    eps, o_eps = eps_of(value), eps_of(o_value)
+    if family == "z_equals_d":
+        assert abs(eps - o_eps) <= 1e-12
+    elif np.any(rep_z.max(axis=1) == d):
+        # some repetition's log Y tends to a constant from above, and the tail
+        # is flat up to rounding of the cancelled d*t terms
+        assert abs(value - o_value) <= 8 * np.spacing(d * grid[-1])
+    else:
+        assert eps == o_eps and best == o_best
+    error_bound = CertConfig().error_bound
+    assert (eps <= error_bound) == (o_eps <= error_bound)
+
+
+class TestGridSearch:
+    def test_matches_brute_force_grid(self):
+        rng = np.random.default_rng(30)
+        for i in range(6000):
+            family = FAMILIES[i % len(FAMILIES)]
+            check_against_oracle(*random_case(rng, family), family=family)
+
+    def test_matches_brute_force_on_pipeline_runs(self, monkeypatch):
+        from regen_fixtures import SMALL_RUN
+        from maskcert.config import ExperimentConfig, validate
+        from maskcert.pipeline import run_experiment
+
+        calls = []
+        real = certify.grid_min
+
+        def spy(rep_z, d, grid):
+            calls.append((rep_z, d, grid))
+            return real(rep_z, d, grid)
+
+        monkeypatch.setattr(certify, "grid_min", spy)
+        run_experiment(validate(ExperimentConfig(**SMALL_RUN)))
+        rng = np.random.default_rng(31)
+        model = MaskableModel.initialized(mlp_specs(4, [8], 2), "unstructured", rng)
+        pca(model, None, rng.standard_normal((40, 4)), rng.integers(0, 2, 40),
+            direction_spec(), CertConfig(eval_size=40, seed=5))
+        assert len(calls) > 60
+        for rep_z, d, grid in calls:
+            check_against_oracle(rep_z, d, grid)
+
+    def test_evaluations_logarithmic_in_grid_size(self, monkeypatch):
+        t_count = 100_000
+        points = []
+        real = certify.log_y_grid
+
+        def spy(z, d, t_grid):
+            points.extend(np.asarray(t_grid).tolist())
+            return real(z, d, t_grid)
+
+        monkeypatch.setattr(certify, "log_y_grid", spy)
+        rng = np.random.default_rng(32)
+        model = MaskableModel.initialized(mlp_specs(4, [5], 2), "unstructured", rng)
+        cfg = small_cfg(samples_per_rep=10, t_count=t_count)
+        limit = 2 * math.ceil(math.log(t_count, 1.5)) + 3
+        for i in range(5):
+            points.clear()
+            certify_sample(model, None, rng.standard_normal(4), 0, direction_spec(),
+                           cfg, np.random.default_rng(i))
+            assert 0 < len(points) <= limit
+            assert len(set(points)) == len(points)  # no point evaluated twice
+
+    def test_flat_sequence_takes_first_point(self):
+        grid = CertConfig().t_grid()
+        assert grid_min(np.zeros((2, 3)), 0.0, grid) == (0, 0.0)
 
 
 class TestCertifySampleAndPca:
@@ -184,6 +330,33 @@ class TestCertifySampleAndPca:
         res = pca(model, None, x, y, direction_spec(), small_cfg(eval_size=12))
         expected = np.mean(y == 0)
         assert res.fraction == expected
+
+    def test_pca_grid_edge_counts(self):
+        x = np.zeros((6, 4))
+        cfg = small_cfg(eval_size=6)
+        # all Z = 0: the bound decreases along the grid and underflows at t_hi
+        res = pca(constant_model(), None, x, np.zeros(6), direction_spec(), cfg)
+        assert (res.best_t_at_t_lo, res.best_t_at_t_hi, res.eps_hat_zero) == (0, 6, 6)
+        # every transform flips: the bound increases, eps_hat is clamped to 1
+        res = pca(flipping_model(), None, x, np.ones(6), direction_spec(), cfg)
+        assert (res.best_t_at_t_lo, res.best_t_at_t_hi, res.eps_hat_zero) == (6, 0, 0)
+        # zero margin: no grid point is chosen
+        res = pca(constant_model(bias=(0.0, 0.0)), None, x, np.zeros(6), direction_spec(), cfg)
+        assert (res.best_t_at_t_lo, res.best_t_at_t_hi, res.eps_hat_zero) == (0, 0, 0)
+
+    def test_one_clean_forward_per_sample(self, monkeypatch):
+        rows = []
+        real = MaskableModel.forward
+
+        def spy(self, x, multipliers=None):
+            rows.append(len(x))
+            return real(self, x, multipliers)
+
+        monkeypatch.setattr(MaskableModel, "forward", spy)
+        cfg = small_cfg()
+        certify_sample(constant_model(), None, np.zeros(4), 0, direction_spec(), cfg,
+                       np.random.default_rng(16))
+        assert rows == [1] + [cfg.samples_per_rep] * cfg.repetitions
 
     def test_pca_empty_rejected(self):
         model = constant_model()

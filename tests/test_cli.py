@@ -4,7 +4,9 @@ import json
 import numpy as np
 import pytest
 
+from maskcert.certify import CertConfig
 from maskcert.cli import (EXIT_CONFIG, EXIT_IO, EXIT_OK, main)
+from maskcert.config import CERT_REPETITIONS_MAX, CERT_SAMPLES_MAX, CERT_T_COUNT_MAX
 from maskcert.model import MaskableModel, mlp_specs, save_checkpoint
 
 TINY = """
@@ -56,6 +58,12 @@ class TestStageChain:
         assert len(rows) == 16  # header + eval_size
         summary = (out / "cert_report_summary.txt").read_text()
         assert "pca = " in summary and "paley_confidence = " in summary
+        kv = dict(line.split(" = ", 1) for line in summary.splitlines())
+        grid = CertConfig(t_count=60).t_grid()
+        best_t = [float(r[5]) for r in rows[1:]]
+        assert kv["best_t_at_t_lo"] == str(best_t.count(grid[0]))
+        assert kv["best_t_at_t_hi"] == str(best_t.count(grid[-1]))
+        assert kv["eps_hat_zero"] == str(sum(float(r[4]) == 0.0 for r in rows[1:]))
         status = (out / "status.txt").read_text()
         assert "status = ok" in status
         assert (out / "config.echo.txt").exists()
@@ -167,6 +175,17 @@ class TestErrorsAndProvenance:
         cfg.write_text(TINY + line + "\n", encoding="utf-8")
         assert run("run-all", cfg, tmp_path / "o") == EXIT_CONFIG
         assert line.split(" = ")[0] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,cap", [("cert_samples", CERT_SAMPLES_MAX),
+                                         ("cert_repetitions", CERT_REPETITIONS_MAX),
+                                         ("cert_t_count", CERT_T_COUNT_MAX)])
+    def test_certification_size_above_cap_rejected(self, tiny_config, tmp_path, capsys,
+                                                   key, cap):
+        # rejected while parsing, before any checkpoint is read or work is done
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text(f"{key} = {cap + 1}\n", encoding="utf-8")
+        assert run("certify", cfg, tmp_path / "o") == EXIT_CONFIG
+        assert key in capsys.readouterr().err
 
     def test_haze_severity_above_one_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

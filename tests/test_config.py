@@ -2,7 +2,8 @@ import dataclasses
 
 import pytest
 
-from maskcert.config import (ExperimentConfig, augment_count, cert_config,
+from maskcert.config import (CERT_REPETITIONS_MAX, CERT_SAMPLES_MAX, CERT_T_COUNT_MAX,
+                             ExperimentConfig, augment_count, cert_config,
                              loss_weights, parse_config, serialize,
                              synthetic_spec, transform_spec, validate)
 from maskcert.errors import ConfigError
@@ -47,6 +48,14 @@ batch_size = 16
         path = write(tmp_path, "pruning_ratio = 1.5\n")
         with pytest.raises(ConfigError, match="pruning_ratio"):
             parse_config(path)
+
+    @pytest.mark.parametrize("key,cap", [("cert_samples", CERT_SAMPLES_MAX),
+                                         ("cert_repetitions", CERT_REPETITIONS_MAX),
+                                         ("cert_t_count", CERT_T_COUNT_MAX)])
+    def test_certification_size_caps(self, tmp_path, key, cap):
+        assert getattr(parse_config(write(tmp_path, f"{key} = {cap}\n")), key) == cap
+        with pytest.raises(ConfigError, match=f"{key}.*{cap}"):
+            parse_config(write(tmp_path, f"{key} = {cap + 1}\n"))
 
     def test_type_error_names_key(self, tmp_path):
         path = write(tmp_path, "batch_size = lots\n")

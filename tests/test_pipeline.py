@@ -1,8 +1,11 @@
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
 
+from maskcert import autodiff as ad
 from maskcert import pipeline
 from maskcert.config import ExperimentConfig, validate
 from maskcert.errors import ConfigError
@@ -127,6 +130,35 @@ class TestStage2:
         for a, b in zip(s1, s2):
             assert np.array_equal(a, b)
         assert [r.composite for r in r1] == [r.composite for r in r2]
+
+
+class TestTapeLifetime:
+    def test_step_tapes_freed_without_cyclic_gc(self, monkeypatch):
+        # each training step releases its tape, so reference counting frees
+        # it; with the cyclic collector off, no tape may outlive the stages
+        refs = []
+
+        class TrackedTape(ad.Tape):
+            def __init__(self):
+                super().__init__()
+                refs.append(weakref.ref(self))
+
+        monkeypatch.setattr(ad, "Tape", TrackedTape)
+        cfg = tiny_cfg(stage1_epochs=1, stage2_epochs=1, stage3_epochs=1)
+        _, _, _, train_aug, pairs, model = tiny_setup(cfg)
+        tc = pipeline.train_config(cfg)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            stage1_pretrain(model, train_aug, tc, cfg.seed)
+            soft, _ = stage2_mask_search(model, pairs, tc, LossWeights(), 0.5, 0.5, 30.0,
+                                         cfg.seed)
+            stage3_finetune(model, binarize(soft, 0.5), train_aug, tc, cfg.seed)
+            alive = sum(ref() is not None for ref in refs)
+        finally:
+            if enabled:
+                gc.enable()
+        assert len(refs) > 3 and alive == 0
 
 
 class TestStage3:
