@@ -235,15 +235,17 @@ def pca(model: MaskableModel, multipliers, x_eval, y_eval, spec: TransformSpec,
     """Certified fraction over an evaluation set, with the full per-sample
     table. Sample i draws from a stream derived as (seed, namespace, i), so
     different models certified against the same config see identical
-    transform draws."""
+    transform draws. The multipliers are folded into the weights once
+    (MaskableModel.folded), which gives bit-identical forwards."""
     x_eval = np.asarray(x_eval, dtype=np.float64)
     y_eval = np.asarray(y_eval)
     if len(x_eval) == 0:
         raise ValueError("pca: empty evaluation set")
+    deployed = model.folded(multipliers)
     rows = []
     for i in range(len(x_eval)):
         rng = np.random.default_rng([config.seed, CERT_SAMPLE_STREAM, i])
-        rows.append(certify_sample(model, multipliers, x_eval[i], y_eval[i],
+        rows.append(certify_sample(deployed, None, x_eval[i], y_eval[i],
                                    spec, config, rng, sample_id=i))
     frac = float(np.mean([r.certified for r in rows]))
     grid = config.t_grid()

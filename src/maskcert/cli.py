@@ -24,7 +24,7 @@ import numpy as np
 
 from . import pipeline
 from .certify import PcaResult, pca
-from .config import (ExperimentConfig, cert_config, loss_weights,
+from .config import (ExperimentConfig, cert_config, loss_weights, model_layer_specs,
                      parse_config, serialize, synthetic_spec, validate)
 from .datasets import accuracy, gen_synthetic, write_dataset_csv
 from .errors import ConfigError, DatasetError
@@ -122,14 +122,27 @@ def _write_summary(out: Path, output) -> None:
                ((r.method, r.clean_accuracy, r.pca, r.ratio) for r in output.results))
 
 
-def _load_ckpt_arg(args, default_name: str):
+def _load_ckpt_arg(args, default_name: str, cfg: ExperimentConfig, in_dim: int):
+    """Load the command's input checkpoint and check that it holds the model
+    the config describes for `in_dim` input features (the seed may differ)."""
     path = args.stage_checkpoint or (Path(args.out) / default_name)
     path = Path(path)
     if not path.exists():
         raise DatasetError(
             f"missing prerequisite checkpoint {path}; run the earlier stage "
             f"or pass --stage-checkpoint")
-    return load_checkpoint(path)
+    model, extras = load_checkpoint(path)
+    specs = model_layer_specs(cfg, in_dim, pipeline.class_count(cfg))
+    if model.specs != specs or model.mask_mode != cfg.mask_mode:
+        raise ConfigError(
+            f"checkpoint {path} holds layers {_describe(model.specs, model.mask_mode)}, "
+            f"but the config describes {_describe(specs, cfg.mask_mode)}")
+    return model, extras
+
+
+def _describe(specs, mask_mode: str) -> str:
+    layers = ", ".join(f"{s.in_dim}->{s.out_dim} {s.activation}" for s in specs)
+    return f"{layers} with mask_mode {mask_mode}"
 
 
 # ---------------------------------------------------------------------------
@@ -156,8 +169,8 @@ def _cmd_pretrain(cfg: ExperimentConfig, args, out: Path) -> dict:
 
 
 def _cmd_search(cfg: ExperimentConfig, args, out: Path) -> dict:
-    model, _ = _load_ckpt_arg(args, "pretrained.ckpt")
-    _, _, _, _, pairs = pipeline.build_data(cfg)
+    train, _, _, _, pairs = pipeline.build_data(cfg)
+    model, _ = _load_ckpt_arg(args, "pretrained.ckpt", cfg, train.x.shape[1])
     soft, reports = pipeline.stage2_mask_search(
         model, pairs, pipeline.train_config(cfg), loss_weights(cfg),
         cfg.pruning_ratio, cfg.noise_magnitude, cfg.init_percentile, cfg.seed)
@@ -168,11 +181,11 @@ def _cmd_search(cfg: ExperimentConfig, args, out: Path) -> dict:
 
 
 def _cmd_finetune(cfg: ExperimentConfig, args, out: Path) -> dict:
-    model, extras = _load_ckpt_arg(args, "mask_searched.ckpt")
+    train, _, _, train_aug, _ = pipeline.build_data(cfg)
+    model, extras = _load_ckpt_arg(args, "mask_searched.ckpt", cfg, train.x.shape[1])
     if extras["soft_mask"] is None:
         raise DatasetError("finetune needs a mask-search checkpoint carrying a soft mask")
     hard = binarize(extras["soft_mask"], cfg.pruning_ratio)
-    _, _, _, train_aug, _ = pipeline.build_data(cfg)
     history = pipeline.stage3_finetune(model, hard, train_aug,
                                        pipeline.train_config(cfg), cfg.seed)
     save_checkpoint(out / "finetuned.ckpt", model, "finetuned",
@@ -183,12 +196,9 @@ def _cmd_finetune(cfg: ExperimentConfig, args, out: Path) -> dict:
 
 
 def _cmd_certify(cfg: ExperimentConfig, args, out: Path) -> dict:
-    model, extras = _load_ckpt_arg(args, "finetuned.ckpt")
-    hard = None
-    if extras["hard_mask"] is not None:
-        hard = HardMask(extras["hard_mask"], [float("nan")] * len(extras["hard_mask"]),
-                        cfg.pruning_ratio)
-    _, test, spec, _, _ = pipeline.build_data(cfg)
+    train, test, spec, _, _ = pipeline.build_data(cfg)
+    model, extras = _load_ckpt_arg(args, "finetuned.ckpt", cfg, train.x.shape[1])
+    hard = None if extras["hard_mask"] is None else HardMask(extras["hard_mask"])
     idx = pipeline.eval_subset(cfg, test)
     multipliers = hard_multipliers(model, hard)
     result = pca(model, multipliers, test.x[idx], test.y[idx], spec, cert_config(cfg))

@@ -21,14 +21,9 @@ from .model import MaskableModel, broadcast_mask
 
 @dataclass
 class HardMask:
-    """Binary per-layer masks plus the thresholds that produced them."""
+    """Binary per-layer masks: one 0/1 vector per layer, empty for exempt
+    layers."""
     layers: list[np.ndarray]
-    thresholds: list[float]
-    pruning_ratio: float
-
-    @property
-    def keep_ratio(self) -> float:
-        return 1.0 - self.pruning_ratio
 
 
 def unit_magnitudes(model: MaskableModel) -> list[np.ndarray]:
@@ -63,7 +58,7 @@ def init_percentile_scaled(model: MaskableModel, tau: float) -> list[np.ndarray]
             soft.append(np.empty(0))
             continue
         kappa = _keep_count(frac, n)
-        q = np.sort(mags)[n - kappa]
+        q = np.partition(mags, n - kappa)[n - kappa]
         if q <= 0.0:
             raise ValueError(
                 f"layer {i}: percentile threshold is zero; re-initialize the "
@@ -91,26 +86,31 @@ def noisy_mask_values(c_layers: list[np.ndarray], mu: float,
             for c in c_layers]
 
 
+def _top_k(c: np.ndarray, kappa: int) -> np.ndarray:
+    """0/1 float indicator of the kappa largest entries of c, ties at the
+    threshold kept by lower index first: the set argsort(-c, kind="stable")
+    [:kappa] keeps. Selection, not sorting, so O(n): with v the kappa-th
+    largest value, every entry > v is kept (at most kappa - 1 of them) and
+    the lowest-index entries == v fill the rest."""
+    n = c.size
+    if np.isnan(c).any():
+        raise FloatingPointError("top-k projection of a mask with NaN entries")
+    v = np.partition(c, n - kappa)[n - kappa]
+    keep = c > v
+    ties = np.flatnonzero(c == v)
+    keep[ties[:kappa - np.count_nonzero(keep)]] = True
+    return keep.astype(np.float64)
+
+
 def binarize(soft_mask: list[np.ndarray], pr: float) -> HardMask:
     """Layer-wise top-k projection: keep ceil((1-pr) * N_i) units per layer,
-    ties broken by lower index kept first."""
+    ties broken by lower index kept first (see _top_k)."""
     if not 0.0 <= pr < 1.0:
         raise ValueError(f"pruning ratio must be in [0, 1), got {pr}")
     keep_frac = 1 - Fraction(str(pr))
-    layers, thresholds = [], []
-    for c in soft_mask:
-        n = c.size
-        if n == 0:
-            layers.append(np.empty(0))
-            thresholds.append(float("nan"))
-            continue
-        kappa = _keep_count(keep_frac, n)
-        order = np.argsort(-c, kind="stable")  # stable: lower index first on ties
-        mask = np.zeros(n)
-        mask[order[:kappa]] = 1.0
-        layers.append(mask)
-        thresholds.append(float(c[order[kappa - 1]]))
-    return HardMask(layers, thresholds, float(pr))
+    layers = [_top_k(c, _keep_count(keep_frac, c.size)) if c.size else np.empty(0)
+              for c in soft_mask]
+    return HardMask(layers)
 
 
 def effective_ratio(mask_layers, model: MaskableModel) -> float:

@@ -116,21 +116,42 @@ class MaskableModel:
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.in_dim:
             raise ValueError(f"forward: expected input (batch, {self.in_dim}), got {x.shape}")
-        if multipliers is not None:
-            if len(multipliers) != len(self.specs):
-                raise ValueError("forward: one multiplier entry per layer required")
-            multipliers = [None if m is None else np.asarray(m, dtype=np.float64)
-                           for m in multipliers]
-            for i, (m, w) in enumerate(zip(multipliers, self.weights)):
-                if m is not None and m.shape != w.shape:
-                    raise ValueError(
-                        f"forward: multiplier shape {m.shape} != weight shape {w.shape} "
-                        f"in layer {i}")
+        multipliers = self._checked_multipliers(multipliers, "forward")
         hs, _, _ = masked_forward(x, self.weights, self.biases, self.specs, multipliers)
         p = softmax(hs[-1])
         if not np.all(np.isfinite(p)):
             raise FloatingPointError("forward: non-finite output probabilities")
         return p
+
+    def folded(self, multipliers) -> "MaskableModel":
+        """Dense model whose weights are the masked weights m * w (w where the
+        entry, or `multipliers` itself, is None). Its forward(x) equals
+        forward(x, multipliers) bit for bit, since masked_forward forms the
+        same product, but pays for the product once instead of per call.
+        Unmasked weights and the biases are shared, not copied."""
+        multipliers = self._checked_multipliers(multipliers, "folded")
+        if multipliers is None:
+            return self
+        return MaskableModel(self.specs,
+                             [w if m is None else m * w
+                              for m, w in zip(multipliers, self.weights)],
+                             self.biases, self.mask_mode)
+
+    def _checked_multipliers(self, multipliers, where: str):
+        """Multipliers as float64 arrays, one entry per layer, each None or of
+        its weight's shape."""
+        if multipliers is None:
+            return None
+        if len(multipliers) != len(self.specs):
+            raise ValueError(f"{where}: one multiplier entry per layer required")
+        multipliers = [None if m is None else np.asarray(m, dtype=np.float64)
+                       for m in multipliers]
+        for i, (m, w) in enumerate(zip(multipliers, self.weights)):
+            if m is not None and m.shape != w.shape:
+                raise ValueError(
+                    f"{where}: multiplier shape {m.shape} != weight shape {w.shape} "
+                    f"in layer {i}")
+        return multipliers
 
 
 def masked_forward(x, weights, biases, specs, multipliers=None):
@@ -182,24 +203,47 @@ def broadcast_mask(vector: np.ndarray, spec: LayerSpec, mode: str) -> np.ndarray
 
 def save_checkpoint(path, model: MaskableModel, stage: str, *, soft_mask=None,
                     hard_mask=None, seed=None) -> None:
+    """Write the model and optional masks as one JSON document plus a newline.
+
+    The document is {"version", "stage", "mask_mode", "seed", "layers" (each
+    {"in", "out", "activation", "W", "b"}), "soft_mask", "hard_mask"}, hard
+    mask entries as integers, in exactly the bytes json.dump would write. The
+    scalar skeleton is formatted here and each array is encoded on its own by
+    json.dumps (the C encoder; json.dump always runs the pure-Python one), so
+    no text of the whole document is ever held in memory.
+    """
     if stage not in STAGE_TAGS:
         raise ValueError(f"unknown stage tag {stage!r}")
-    doc = {
-        "version": CHECKPOINT_VERSION,
-        "stage": stage,
-        "mask_mode": model.mask_mode,
-        "seed": seed,
-        "layers": [
-            {"in": s.in_dim, "out": s.out_dim, "activation": s.activation,
-             "W": w.tolist(), "b": b.tolist()}
-            for s, w, b in zip(model.specs, model.weights, model.biases)
-        ],
-        "soft_mask": [c.tolist() for c in soft_mask] if soft_mask is not None else None,
-        "hard_mask": [[int(v) for v in m] for m in hard_mask] if hard_mask is not None else None,
-    }
+    dumps = json.dumps
+    layers = (f'{{"in": {s.in_dim}, "out": {s.out_dim}, "activation": {dumps(s.activation)}, '
+              f'"W": {dumps(w.tolist())}, "b": {dumps(b.tolist())}}}'
+              for s, w, b in zip(model.specs, model.weights, model.biases))
+    soft = None if soft_mask is None else (dumps(c.tolist()) for c in soft_mask)
+    hard = None if hard_mask is None else (
+        dumps(np.asarray(m).astype(np.int64).tolist()) for m in hard_mask)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+        fh.write(f'{{"version": {CHECKPOINT_VERSION}, "stage": {dumps(stage)}, '
+                 f'"mask_mode": {dumps(model.mask_mode)}, "seed": {dumps(seed)}, "layers": ')
+        _write_json_array(fh, layers)
+        fh.write(', "soft_mask": ')
+        _write_json_array(fh, soft)
+        fh.write(', "hard_mask": ')
+        _write_json_array(fh, hard)
+        fh.write("}\n")
+
+
+def _write_json_array(fh, items) -> None:
+    """Write already-encoded JSON texts as one JSON array (null for None),
+    one item at a time."""
+    if items is None:
+        fh.write("null")
+        return
+    fh.write("[")
+    for i, text in enumerate(items):
+        if i:
+            fh.write(", ")
+        fh.write(text)
+    fh.write("]")
 
 
 def load_checkpoint(path):

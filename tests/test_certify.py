@@ -7,6 +7,7 @@ from maskcert import certify
 from maskcert.certify import (CertConfig, bound_estimate, certify_sample,
                               clean_margin, grid_min, log_y, log_y_grid,
                               paley_confidence, pca, z_samples)
+from maskcert.masks import binarize, hard_multipliers
 from maskcert.model import LayerSpec, MaskableModel, mlp_specs
 from maskcert.transforms import TransformSpec
 
@@ -375,6 +376,32 @@ class TestCertifySampleAndPca:
         for a, b in zip(r1.rows, r2.rows):
             assert a.eps_hat == b.eps_hat and a.best_t == b.best_t
             assert np.array_equal(a.rep_z_max, b.rep_z_max)
+
+
+class TestFoldedCertification:
+    @pytest.mark.parametrize("mode", ["unstructured", "structured"])
+    def test_rows_equal_masked_forward_certification(self, mode):
+        rng = np.random.default_rng(17)
+        model = MaskableModel.initialized(mlp_specs(4, [8, 6], 2), mode, rng)
+        for b in model.biases:
+            b[:] = rng.uniform(0.1, 0.5, b.size)  # live relus, nonzero margins
+        x = rng.standard_normal((6, 4))
+        y = rng.integers(0, 2, 6)
+        hard = binarize([rng.uniform(size=n) for n in model.mask_dims()], 0.5)
+        mult = hard_multipliers(model, hard)
+        cfg = small_cfg(eval_size=6, seed=5)
+        rows = pca(model, mult, x, y, direction_spec(), cfg).rows
+        dense = pca(model.folded(mult), None, x, y, direction_spec(), cfg).rows
+        assert all(row.margin > 0 for row in rows)
+        for i, (row, dense_row) in enumerate(zip(rows, dense)):
+            # the per-sample path multiplies the masks inside every forward
+            unfolded = certify_sample(
+                model, mult, x[i], y[i], direction_spec(), cfg,
+                np.random.default_rng([cfg.seed, certify.CERT_SAMPLE_STREAM, i]), sample_id=i)
+            for other in (dense_row, unfolded):
+                assert (row.eps_hat, row.best_t, row.margin, row.predicted) == \
+                       (other.eps_hat, other.best_t, other.margin, other.predicted)
+                assert np.array_equal(row.rep_z_max, other.rep_z_max)
 
 
 class TestChernoffSoundness:

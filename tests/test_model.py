@@ -1,3 +1,4 @@
+import io
 import json
 
 import numpy as np
@@ -89,6 +90,22 @@ class TestForward:
         with pytest.raises(ValueError, match="forward"):
             m.forward(np.ones((2, 7)))
 
+    @pytest.mark.parametrize("mode", ["unstructured", "structured"])
+    def test_folded_forward_equals_masked_forward(self, mode):
+        rng = np.random.default_rng(6)
+        m = MaskableModel.initialized(mlp_specs(5, [7, 6], 3), mode, rng)
+        x = rng.standard_normal((9, 5))
+        mult = [broadcast_mask((rng.uniform(size=n) < 0.5).astype(float), spec, mode)
+                if n else None for n, spec in zip(m.mask_dims(), m.specs)]
+        folded = m.folded(mult)
+        assert np.array_equal(folded.forward(x), m.forward(x, mult))
+        assert m.folded(None) is m
+
+    def test_folded_checks_multiplier_shapes(self):
+        m = two_layer()
+        with pytest.raises(ValueError, match="folded: multiplier shape"):
+            m.folded([np.ones((4, 1)), None])
+
 
 class TestBroadcast:
     def test_unstructured_reshape_roundtrip(self):
@@ -173,3 +190,56 @@ class TestCheckpoint:
         save_checkpoint(p3, m, "finetuned", hard_mask=hard)
         _, e3 = load_checkpoint(p3)
         assert e3["hard_mask"] is not None and e3["soft_mask"] is None
+
+
+def json_dump_bytes(model, stage, soft_mask=None, hard_mask=None, seed=None):
+    """Reference checkpoint bytes: the whole document through json.dump."""
+    doc = {
+        "version": 1,
+        "stage": stage,
+        "mask_mode": model.mask_mode,
+        "seed": seed,
+        "layers": [
+            {"in": s.in_dim, "out": s.out_dim, "activation": s.activation,
+             "W": w.tolist(), "b": b.tolist()}
+            for s, w, b in zip(model.specs, model.weights, model.biases)
+        ],
+        "soft_mask": [c.tolist() for c in soft_mask] if soft_mask is not None else None,
+        "hard_mask": [[int(v) for v in m] for m in hard_mask] if hard_mask is not None else None,
+    }
+    buf = io.StringIO()
+    json.dump(doc, buf)
+    buf.write("\n")
+    return buf.getvalue().encode("utf-8")
+
+
+class TestCheckpointBytes:
+    @pytest.mark.parametrize("mode", ["unstructured", "structured"])
+    @pytest.mark.parametrize("masks", ["soft", "hard", "none"])
+    @pytest.mark.parametrize("seed", [None, 1009])
+    def test_equals_json_dump(self, tmp_path, mode, masks, seed):
+        rng = np.random.default_rng(12)
+        model = MaskableModel.initialized(mlp_specs(5, [6, 4], 3), mode, rng)
+        # awkward floats: signed zero, subnormal, huge, many-digit reprs
+        model.weights[0][0, :4] = [-0.0, 5e-324, 1.7976931348623157e308, 0.1 + 0.2]
+        model.biases[1][:] = rng.standard_normal(4) * 1e-7
+        soft = [rng.uniform(size=n) for n in model.mask_dims()]
+        hard = [(c > 0.5).astype(float) for c in soft]
+        # structured mode exempts the classifier, so its mask entries are empty
+        assert (model.mask_dims()[-1] == 0) == (mode == "structured")
+        kw = {"soft": {"soft_mask": soft}, "hard": {"hard_mask": hard}, "none": {}}[masks]
+        stage = {"soft": "mask_searched", "hard": "finetuned", "none": "pretrained"}[masks]
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, model, stage, seed=seed, **kw)
+        assert path.read_bytes() == json_dump_bytes(model, stage, seed=seed, **kw)
+
+        loaded, extras = load_checkpoint(path)
+        assert loaded.specs == model.specs and loaded.mask_mode == mode
+        for a, b in zip(model.weights + model.biases, loaded.weights + loaded.biases):
+            assert np.array_equal(a, b)
+        assert extras["stage"] == stage and extras["seed"] == seed
+        for name, want in (("soft_mask", kw.get("soft_mask")), ("hard_mask", kw.get("hard_mask"))):
+            if want is None:
+                assert extras[name] is None
+            else:
+                assert all(np.array_equal(a, b) for a, b in zip(want, extras[name]))
