@@ -16,11 +16,17 @@ f(t_j) <= max(f(t_i), f(t_k)). A discrete ternary search therefore finds
 its first minimizing grid point with O(log T) evaluations; the tests check
 it against the brute-force grid.
 
-The clean prediction of a sample is computed once and shared by its margin,
-its pass decision and every repetition's discrepancies. The pass decision
-uses max{Y} itself. The alpha-scaled value max{Y}/alpha, which enters the
-underestimation-confidence bound, is kept on each SampleCert for callers;
-the report files do not carry it.
+The clean predictions of the evaluation set come from stacked forwards of
+the (m, 1, d) input, and each sample's is shared by its margin, its pass
+decision and every repetition's discrepancies. The pass decision uses
+max{Y} itself; the alpha-scaled value max{Y}/alpha of the underestimation-
+confidence bound is not computed. The work is done in stacked passes over
+buffers allocated once per evaluation set: one forward of all of a sample's
+transformed inputs (whole repetitions, up to a float budget), and a grid
+search that steps a block of samples in lockstep. Inputs are stacked, never
+flattened into one matrix, because matmul runs one GEMM per trailing 2-D
+block and so gives each repetition the bits of its own call, which one
+larger GEMM does not.
 """
 
 from __future__ import annotations
@@ -35,6 +41,14 @@ from .model import MaskableModel
 from .transforms import TransformSpec, sample_set
 
 CERT_SAMPLE_STREAM = 77  # rng namespace for per-sample certification streams
+
+# Work-buffer budgets in float64 entries. A stacked forward takes whole
+# repetitions while its widest layer buffer stays within STACK_FLOATS; a
+# grid-search block takes samples while its (B, l, 3, n) products stay within
+# GRID_FLOATS. Each takes at least one repetition or sample, which at the
+# certification caps is as much as one per-repetition call would allocate.
+STACK_FLOATS = 1 << 15
+GRID_FLOATS = 48 << 10
 
 
 @dataclass(frozen=True)
@@ -81,19 +95,12 @@ def clean_margin(p: np.ndarray) -> float:
     return float((top2[1] - top2[0]) / 2.0)
 
 
-def z_samples(model: MaskableModel, multipliers, x: np.ndarray, p: np.ndarray,
-              spec: TransformSpec, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Sup-norm prediction discrepancies between the clean probabilities p
-    of x and n fresh transformed inputs."""
-    x = np.asarray(x, dtype=np.float64)
-    xt = sample_set(spec, x, n, rng)
-    pt = model.forward(xt, multipliers)
-    return np.abs(pt - p).max(axis=1)
-
-
 def _logsumexp(a: np.ndarray, axis=-1) -> np.ndarray:
+    """log sum exp along `axis`, shifted by the max; overwrites a."""
     m = a.max(axis=axis, keepdims=True)
-    return (m + np.log(np.exp(a - m).sum(axis=axis, keepdims=True))).squeeze(axis)
+    np.subtract(a, m, out=a)
+    np.exp(a, out=a)
+    return (m + np.log(a.sum(axis=axis, keepdims=True))).squeeze(axis)
 
 
 def log_y(z: np.ndarray, d: float, t: float) -> float:
@@ -106,74 +113,73 @@ def log_y(z: np.ndarray, d: float, t: float) -> float:
     return float(_logsumexp(z * t) - math.log(z.size) - d * t)
 
 
-def log_y_grid(z: np.ndarray, d: float, t_grid: np.ndarray) -> np.ndarray:
+def log_y_grid(z: np.ndarray, d, t_grid: np.ndarray, work=None) -> np.ndarray:
     """Vectorized log_y across k temperatures: z of shape (n,) gives (k,);
-    z of shape (l, n) gives (l, k), row j equal to the call on z[j]."""
+    z of shape (l, n) gives (l, k), row j equal to the call on z[j]. A block
+    of samples passes z of shape (B, l, n), t_grid of shape (B, 1, k) and d
+    of shape (B, 1, 1), and gets (B, l, k), each sample's rows equal to its
+    own call. With `work`, a flat float64 buffer at least as long as the
+    (..., k, n) products, they are formed there."""
     z = np.asarray(z, dtype=np.float64)
     t = np.asarray(t_grid, dtype=np.float64)
-    return _logsumexp(t[:, None] * z[..., None, :]) - math.log(z.shape[-1]) - d * t
+    shape = np.broadcast_shapes(t.shape + (1,), z.shape[:-1] + (1, z.shape[-1]))
+    out = None if work is None else work[:math.prod(shape)].reshape(shape)
+    a = np.multiply(t[..., :, None], z[..., None, :], out=out)
+    return _logsumexp(a) - math.log(z.shape[-1]) - d * t
 
 
-def grid_min(rep_z: np.ndarray, d: float, grid: np.ndarray) -> tuple[int, float]:
-    """First index of the minimum over the grid of max_j log_y(rep_z[j], d, t),
-    and that minimum, by discrete ternary search (the function is convex in t).
+def grid_min(rep_z: np.ndarray, d: np.ndarray, grid: np.ndarray,
+             work=None) -> tuple[np.ndarray, np.ndarray]:
+    """For each sample b of a block, the first index of the minimum over the
+    grid of max_j log_y(rep_z[b, j], d[b], t), and that minimum, by discrete
+    ternary search (the function is convex in t); rep_z has shape (B, l, n)
+    and d shape (B,).
 
     If f(m1) <= f(m2) then every point past m2 is at least f(m1) and the first
     minimizer is at or before m2; otherwise every point up to m1 is above f(m2).
-    The last (at most three) points are scanned. Each point is evaluated once.
+    The last (at most three) points are scanned. The samples step in lockstep:
+    each step evaluates every sample's new points in one log_y_grid call (into
+    `work`, see log_y_grid), and each point of a sample is evaluated once.
     """
-    known: dict[int, float] = {}
+    rep_z = np.asarray(rep_z, dtype=np.float64)
+    d = np.asarray(d, dtype=np.float64)
+    count = len(d)
+    known: list[dict[int, float]] = [{} for _ in range(count)]
 
-    def at(idx):
-        todo = [i for i in idx if i not in known]
-        if todo:
-            known.update(zip(todo, np.max(log_y_grid(rep_z, d, grid[todo]), axis=0)))
-        return [known[i] for i in idx]
+    def at(rows, points):
+        """f at points[k] of sample rows[k], for every k."""
+        todo = [[i for i in dict.fromkeys(pts) if i not in known[r]]
+                for r, pts in zip(rows, points)]
+        need = [k for k, pts in enumerate(todo) if pts]
+        if need:
+            width = max(len(todo[k]) for k in need)
+            # pad each sample's points to one width by repeating its last one
+            idx = [todo[k] + todo[k][-1:] * (width - len(todo[k])) for k in need]
+            sel = [rows[k] for k in need]
+            z = rep_z if len(sel) == count else rep_z[sel]
+            vals = log_y_grid(z, d[sel, None, None], grid[idx][:, None, :], work)
+            for k, v in zip(need, vals.max(axis=1).tolist()):
+                known[rows[k]].update(zip(todo[k], v))
+        return [[known[r][i] for i in pts] for r, pts in zip(rows, points)]
 
-    lo, hi = 0, len(grid) - 1
-    while hi - lo > 2:
-        third = (hi - lo) // 3
-        m1, m2 = lo + third, hi - third
-        f1, f2 = at((m1, m2))
-        if f1 <= f2:
-            hi = m2
-        else:
-            lo = m1 + 1
-    tail = at(range(lo, hi + 1))
-    k = int(np.argmin(tail))
-    return lo + k, float(tail[k])
-
-
-@dataclass
-class BoundResult:
-    margin: float
-    eps_hat: float
-    eps_hat_alpha: float
-    best_t: float
-    rep_z: np.ndarray  # (l, n) raw discrepancies per repetition
-
-
-def bound_estimate(model: MaskableModel, multipliers, x, p: np.ndarray,
-                   spec: TransformSpec, config: CertConfig,
-                   rng: np.random.Generator) -> BoundResult:
-    """Flip-probability bound for one sample with clean probabilities p.
-
-    Fresh transforms per repetition; per temperature the max over repetition
-    estimates, then the min over the grid, clamped to [0, 1]. A zero margin
-    is trivially uncertifiable (eps_hat = 1), not an error.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    d = clean_margin(p)
-    rep_z = np.stack([
-        z_samples(model, multipliers, x, p, spec, config.samples_per_rep, rng)
-        for _ in range(config.repetitions)])
-    if d == 0.0:
-        return BoundResult(d, 1.0, 1.0, float("nan"), rep_z)
-    grid = config.t_grid()
-    best, log_min = grid_min(rep_z, d, grid)
-    eps_hat = min(1.0, float(np.exp(log_min)))
-    eps_alpha = min(1.0, float(np.exp(log_min)) / config.alpha)
-    return BoundResult(d, eps_hat, eps_alpha, float(grid[best]), rep_z)
+    lo, hi = [0] * count, [len(grid) - 1] * count
+    while True:
+        rows = [b for b in range(count) if hi[b] - lo[b] > 2]
+        if not rows:
+            break
+        mids = []
+        for b in rows:
+            third = (hi[b] - lo[b]) // 3
+            mids.append((lo[b] + third, hi[b] - third))
+        for b, (m1, m2), (f1, f2) in zip(rows, mids, at(rows, mids)):
+            if f1 <= f2:
+                hi[b] = m2
+            else:
+                lo[b] = m1 + 1
+    tails = at(range(count), [range(lo[b], hi[b] + 1) for b in range(count)])
+    firsts = [int(np.argmin(tail)) for tail in tails]
+    return (np.array([lo[b] + k for b, k in enumerate(firsts)], dtype=np.int64),
+            np.array([tail[k] for tail, k in zip(tails, firsts)]))
 
 
 @dataclass
@@ -183,39 +189,13 @@ class SampleCert:
     predicted: int
     margin: float
     eps_hat: float
-    eps_hat_alpha: float
     best_t: float
     certified: bool
-    rep_z_mean: np.ndarray
-    rep_z_max: np.ndarray
+    rep_z_max: np.ndarray  # (l,) largest discrepancy of each repetition
 
     @property
     def correct_on_clean(self) -> bool:
         return self.predicted == self.label
-
-
-def certify_sample(model: MaskableModel, multipliers, x, y: int, spec: TransformSpec,
-                   config: CertConfig, rng: np.random.Generator,
-                   sample_id: int = 0) -> SampleCert:
-    """certified <=> the clean prediction is correct and the flip-probability
-    bound is at or below the configured error bound."""
-    x = np.asarray(x, dtype=np.float64)
-    p = model.forward(x[None, :], multipliers)[0]
-    predicted = int(np.argmax(p))
-    res = bound_estimate(model, multipliers, x, p, spec, config, rng)
-    certified = (predicted == int(y)) and (res.eps_hat <= config.error_bound)
-    return SampleCert(
-        sample_id=sample_id,
-        label=int(y),
-        predicted=predicted,
-        margin=res.margin,
-        eps_hat=res.eps_hat,
-        eps_hat_alpha=res.eps_hat_alpha,
-        best_t=res.best_t,
-        certified=certified,
-        rep_z_mean=res.rep_z.mean(axis=1),
-        rep_z_max=res.rep_z.max(axis=1),
-    )
 
 
 @dataclass
@@ -228,32 +208,99 @@ class PcaResult:
     best_t_at_t_lo: int
     best_t_at_t_hi: int
     eps_hat_zero: int
+    # natural log of the grid-minimum bound (before eps_hat's clamp to
+    # [0, 1]) over the samples with a nonzero margin; nan if there are none
+    log_eps_hat_min: float
+    log_eps_hat_median: float
+    log_eps_hat_max: float
 
 
 def pca(model: MaskableModel, multipliers, x_eval, y_eval, spec: TransformSpec,
         config: CertConfig) -> PcaResult:
     """Certified fraction over an evaluation set, with the full per-sample
-    table. Sample i draws from a stream derived as (seed, namespace, i), so
+    table. Sample i is certified <=> its clean prediction is correct and its
+    flip-probability bound is at or below the configured error bound; a zero
+    margin is trivially uncertifiable (eps_hat = 1, best_t = nan), not an
+    error.
+
+    Sample i draws from a stream derived as (seed, namespace, i), so
     different models certified against the same config see identical
     transform draws. The multipliers are folded into the weights once
-    (MaskableModel.folded), which gives bit-identical forwards."""
+    (MaskableModel.folded). The clean predictions come from forwards of the
+    (m, 1, d) stack, as many samples at a time as the layer buffers hold;
+    each sample's l·n transformed inputs go through stacked forwards of
+    whole repetitions into buffers allocated once per call; and blocks of
+    samples share each grid-search step. Every forward, transform and bound
+    has the bits of a per-sample, per-repetition evaluation: stacked matmul
+    runs one GEMM per trailing 2-D block.
+    """
     x_eval = np.asarray(x_eval, dtype=np.float64)
     y_eval = np.asarray(y_eval)
     if len(x_eval) == 0:
         raise ValueError("pca: empty evaluation set")
     deployed = model.folded(multipliers)
-    rows = []
-    for i in range(len(x_eval)):
-        rng = np.random.default_rng([config.seed, CERT_SAMPLE_STREAM, i])
-        rows.append(certify_sample(deployed, None, x_eval[i], y_eval[i],
-                                   spec, config, rng, sample_id=i))
-    frac = float(np.mean([r.certified for r in rows]))
+    m, l, n = len(x_eval), config.repetitions, config.samples_per_rep
     grid = config.t_grid()
+
+    # work buffers: each layer's output for `reps` repetitions at a time (or
+    # as many clean inputs), a grid-search block of `block` samples
+    widest = max(deployed.in_dim, *(s.out_dim for s in deployed.specs))
+    reps = min(l, max(1, STACK_FLOATS // (n * widest)))
+    block = min(m, max(1, GRID_FLOATS // (3 * l * n)))
+    layer_buf = [np.empty(reps * n * s.out_dim) for s in deployed.specs]
+    xt, xt_work = np.empty((2, reps, n, deployed.in_dim))
+    rep_z = np.empty((block, l, n))
+    grid_work = np.empty(3 * block * l * n)
+
+    def forward(xs):
+        """Probabilities of a (a, b, in_dim) stack, computed in the buffers."""
+        a, b = xs.shape[:2]
+        return deployed.forward(xs, out=[buf[:a * b * s.out_dim].reshape(a, b, s.out_dim)
+                                         for buf, s in zip(layer_buf, deployed.specs)])
+
+    p_clean = np.empty((m, deployed.class_count))
+    for start in range(0, m, reps * n):
+        p_clean[start:start + reps * n] = forward(x_eval[start:start + reps * n, None])[:, 0]
+
+    rows, log_bounds = [], []
+    for start in range(0, m, block):
+        ids = range(start, min(start + block, m))
+        for b, i in enumerate(ids):
+            rng = np.random.default_rng([config.seed, CERT_SAMPLE_STREAM, i])
+            for j in range(0, l, reps):
+                r = min(reps, l - j)
+                pt = forward(sample_set(spec, x_eval[i], (r, n), rng, out=xt[:r],
+                                        work=xt_work[:r]))
+                pt -= p_clean[i]  # sup-norm discrepancies to the clean probabilities
+                np.abs(pt, out=pt)
+                pt.max(axis=-1, out=rep_z[b, j:j + r])
+        d = np.array([clean_margin(p_clean[i]) for i in ids])
+        # a zero-margin sample is searched too, but its result is not used
+        best, log_min = grid_min(rep_z[:len(ids)], d, grid, grid_work)
+        for b, i in enumerate(ids):
+            eps_hat, best_t = 1.0, float("nan")
+            if d[b] > 0.0:
+                log_bounds.append(float(log_min[b]))
+                eps_hat = min(1.0, float(np.exp(log_min[b])))
+                best_t = float(grid[best[b]])
+            predicted = int(np.argmax(p_clean[i]))
+            rows.append(SampleCert(
+                sample_id=i, label=int(y_eval[i]), predicted=predicted,
+                margin=float(d[b]), eps_hat=eps_hat, best_t=best_t,
+                certified=predicted == int(y_eval[i]) and eps_hat <= config.error_bound,
+                rep_z_max=rep_z[b].max(axis=1)))
+    frac = float(np.mean([r.certified for r in rows]))
     best_t = np.array([r.best_t for r in rows])
+    # the median by hand: np.median imports numpy.ma (about 14 ms, 0.7 MB)
+    logs = sorted(log_bounds) or [math.nan]
+    half = len(logs) // 2
     return PcaResult(fraction=frac, rows=rows, paley=paley_confidence(config),
                      best_t_at_t_lo=int(np.sum(best_t == grid[0])),
                      best_t_at_t_hi=int(np.sum(best_t == grid[-1])),
-                     eps_hat_zero=sum(r.eps_hat == 0.0 for r in rows))
+                     eps_hat_zero=sum(r.eps_hat == 0.0 for r in rows),
+                     log_eps_hat_min=logs[0],
+                     log_eps_hat_median=(logs[half] + logs[~half]) / 2,
+                     log_eps_hat_max=logs[-1])
 
 
 def paley_confidence(config: CertConfig, c_v: float | None = None) -> float:

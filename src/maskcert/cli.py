@@ -92,7 +92,10 @@ def _write_cert_report(out: Path, stem: str, cfg: ExperimentConfig,
                "pruning_ratio": ratio,
                "best_t_at_t_lo": result.best_t_at_t_lo,
                "best_t_at_t_hi": result.best_t_at_t_hi,
-               "eps_hat_zero": result.eps_hat_zero}
+               "eps_hat_zero": result.eps_hat_zero,
+               "log_eps_hat_min": result.log_eps_hat_min,
+               "log_eps_hat_median": result.log_eps_hat_median,
+               "log_eps_hat_max": result.log_eps_hat_max}
     for line in serialize(cfg).splitlines():
         key, value = line.split(" = ", 1)
         summary[f"config.{key}"] = value
@@ -122,9 +125,11 @@ def _write_summary(out: Path, output) -> None:
                ((r.method, r.clean_accuracy, r.pca, r.ratio) for r in output.results))
 
 
-def _load_ckpt_arg(args, default_name: str, cfg: ExperimentConfig, in_dim: int):
+def _load_ckpt_arg(args, default_name: str, cfg: ExperimentConfig, in_dim: int,
+                   stages=None):
     """Load the command's input checkpoint and check that it holds the model
-    the config describes for `in_dim` input features (the seed may differ)."""
+    the config describes for `in_dim` input features (the seed may differ),
+    then, when `stages` is given, that its stage tag is one of them."""
     path = args.stage_checkpoint or (Path(args.out) / default_name)
     path = Path(path)
     if not path.exists():
@@ -137,6 +142,10 @@ def _load_ckpt_arg(args, default_name: str, cfg: ExperimentConfig, in_dim: int):
         raise ConfigError(
             f"checkpoint {path} holds layers {_describe(model.specs, model.mask_mode)}, "
             f"but the config describes {_describe(specs, cfg.mask_mode)}")
+    if stages is not None and extras["stage"] not in stages:
+        raise DatasetError(
+            f"{args.command} needs a {' or '.join(stages)} checkpoint, but {path} "
+            f"has stage {extras['stage']}")
     return model, extras
 
 
@@ -170,7 +179,8 @@ def _cmd_pretrain(cfg: ExperimentConfig, args, out: Path) -> dict:
 
 def _cmd_search(cfg: ExperimentConfig, args, out: Path) -> dict:
     train, _, _, _, pairs = pipeline.build_data(cfg)
-    model, _ = _load_ckpt_arg(args, "pretrained.ckpt", cfg, train.x.shape[1])
+    model, _ = _load_ckpt_arg(args, "pretrained.ckpt", cfg, train.x.shape[1],
+                              ("pretrained",))
     soft, reports = pipeline.stage2_mask_search(
         model, pairs, pipeline.train_config(cfg), loss_weights(cfg),
         cfg.pruning_ratio, cfg.noise_magnitude, cfg.init_percentile, cfg.seed)
@@ -197,7 +207,8 @@ def _cmd_finetune(cfg: ExperimentConfig, args, out: Path) -> dict:
 
 def _cmd_certify(cfg: ExperimentConfig, args, out: Path) -> dict:
     train, test, spec, _, _ = pipeline.build_data(cfg)
-    model, extras = _load_ckpt_arg(args, "finetuned.ckpt", cfg, train.x.shape[1])
+    model, extras = _load_ckpt_arg(args, "finetuned.ckpt", cfg, train.x.shape[1],
+                                   ("pretrained", "finetuned"))
     hard = None if extras["hard_mask"] is None else HardMask(extras["hard_mask"])
     idx = pipeline.eval_subset(cfg, test)
     multipliers = hard_multipliers(model, hard)

@@ -106,20 +106,23 @@ class MaskableModel:
         return MaskableModel(self.specs, [w.copy() for w in self.weights],
                              [b.copy() for b in self.biases], self.mask_mode)
 
-    def forward(self, x: np.ndarray, multipliers=None) -> np.ndarray:
-        """Softmax class probabilities, shape (batch, K).
+    def forward(self, x: np.ndarray, multipliers=None, out=None) -> np.ndarray:
+        """Softmax class probabilities, shape (..., batch, K).
 
         `multipliers` is an optional per-layer list of arrays already
-        broadcast to each weight's shape (None entries mean dense). Never
+        broadcast to each weight's shape (None entries mean dense). Inputs may
+        be stacked, (..., batch, in_dim); each trailing (batch, in_dim) block
+        gives the bits it would give alone. `out` is as for masked_forward,
+        and the probabilities are then written into its last array. Never
         mutates the model, so concurrent evaluations are safe.
         """
         x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != self.in_dim:
+        if x.ndim < 2 or x.shape[-1] != self.in_dim:
             raise ValueError(f"forward: expected input (batch, {self.in_dim}), got {x.shape}")
         multipliers = self._checked_multipliers(multipliers, "forward")
-        hs, _, _ = masked_forward(x, self.weights, self.biases, self.specs, multipliers)
-        p = softmax(hs[-1])
-        if not np.all(np.isfinite(p)):
+        hs, _, _ = masked_forward(x, self.weights, self.biases, self.specs, multipliers, out)
+        p = softmax(hs[-1], out=None if out is None else hs[-1])
+        if not np.isfinite(p).all():
             raise FloatingPointError("forward: non-finite output probabilities")
         return p
 
@@ -154,7 +157,7 @@ class MaskableModel:
         return multipliers
 
 
-def masked_forward(x, weights, biases, specs, multipliers=None):
+def masked_forward(x, weights, biases, specs, multipliers=None, out=None):
     """Run the layer stack with each weight multiplied by its multiplier
     (None entries, or multipliers=None, leave a layer dense).
 
@@ -162,24 +165,37 @@ def masked_forward(x, weights, biases, specs, multipliers=None):
     after its activation, so hs[-1] holds the logits; zs[i] is layer i's
     pre-activation and ws[i] the weight it applied. The backward pass of the
     masked-MLP tape node reuses all three.
+
+    x may be stacked, (..., batch, in): matmul runs one GEMM per trailing
+    (batch, in) block, so every block gets the bits of its own call, which
+    one GEMM over the flattened rows does not promise. With `out`, one array
+    per layer shaped like that layer's output, layer i is computed into
+    out[i] by the same ufuncs and its activation applied there in place, so
+    nothing is allocated; zs then holds the activated outputs.
     """
     hs, zs, ws = [x], [], []
     for i, spec in enumerate(specs):
         w = weights[i]
         if multipliers is not None and multipliers[i] is not None:
             w = multipliers[i] * w
-        z = hs[-1] @ w.T + biases[i]
-        hs.append(np.maximum(z, 0.0) if spec.activation == "relu" else z)
+        z = np.matmul(hs[-1], w.T, out=None if out is None else out[i])
+        z += biases[i]
+        h = z
+        if spec.activation == "relu":
+            h = np.maximum(z, 0.0, out=None if out is None else z)
+        hs.append(h)
         zs.append(z)
         ws.append(w)
     return hs, zs, ws
 
 
-def softmax(h: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis, shifted by the max for stability."""
-    z = h - h.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+def softmax(h: np.ndarray, out=None) -> np.ndarray:
+    """Softmax over the last axis, shifted by the max for stability; written
+    into `out` (which may be h itself) when given."""
+    e = np.subtract(h, h.max(axis=-1, keepdims=True), out=out)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def broadcast_mask(vector: np.ndarray, spec: LayerSpec, mode: str) -> np.ndarray:

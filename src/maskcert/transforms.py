@@ -83,20 +83,29 @@ def apply(spec: TransformSpec, x: np.ndarray, delta: float) -> np.ndarray:
     return np.clip((1.0 - delta) * x + delta * cx, 0.0, 1.0)
 
 
-def sample_set(spec: TransformSpec, x: np.ndarray, n: int,
-               rng: np.random.Generator) -> np.ndarray:
-    """n transformed copies of x with delta ~ U(delta_range), stacked on a
-    new leading axis. Deterministic given the generator state."""
-    if n < 1:
+def sample_set(spec: TransformSpec, x: np.ndarray, n, rng: np.random.Generator,
+               out=None, work=None) -> np.ndarray:
+    """Transformed copies of x with delta ~ U(delta_range): n an int gives
+    shape (n, *x.shape), a shape tuple (l, n) gives (l, n, *x.shape), whose
+    deltas are the l·n draws of l successive calls with n in order, so every
+    row has the bits of those calls. Deterministic given the generator state.
+
+    With `out` the copies are written there; interp_corrupt then also needs
+    `work`, an array of the same shape, for its second term.
+    """
+    shape = (n,) if isinstance(n, (int, np.integer)) else tuple(n)
+    if min(shape) < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     x = np.asarray(x, dtype=np.float64)
     lo, hi = spec.delta_range
-    deltas = rng.uniform(lo, hi, size=n)
-    d = deltas.reshape((n,) + (1,) * x.ndim)
+    d = rng.uniform(lo, hi, size=shape).reshape(shape + (1,) * x.ndim)
     if spec.kind == "direction_shift":
-        return x[None] + d * spec.direction
+        out = np.multiply(d, spec.direction, out=out)
+        return np.add(x, out, out=out)
     cx = corrupt_input(spec.corrupt, x)
-    return np.clip((1.0 - d) * x[None] + d * cx[None], 0.0, 1.0)
+    out = np.multiply(1.0 - d, x, out=out)
+    out += np.multiply(d, cx, out=work)
+    return np.clip(out, 0.0, 1.0, out=out)
 
 
 def augment_dataset(x: np.ndarray, y: np.ndarray, spec: TransformSpec, count: int,

@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from maskcert import certify
-from maskcert.certify import (CertConfig, bound_estimate, certify_sample,
-                              clean_margin, grid_min, log_y, log_y_grid,
-                              paley_confidence, pca, z_samples)
+from maskcert.certify import (CertConfig, clean_margin, grid_min, log_y, log_y_grid,
+                              paley_confidence, pca)
 from maskcert.masks import binarize, hard_multipliers
 from maskcert.model import LayerSpec, MaskableModel, mlp_specs
-from maskcert.transforms import TransformSpec
+from maskcert.transforms import CorruptionTag, TransformSpec, sample_set
 
 
 def constant_model(bias=(2.0, 0.0), in_dim=4):
@@ -44,6 +43,62 @@ def small_cfg(**kw):
     defaults = dict(samples_per_rep=20, repetitions=3, t_count=60, eval_size=4, seed=0)
     defaults.update(kw)
     return CertConfig(**defaults)
+
+
+def certify_one(model, x, y, spec, cfg, multipliers=None):
+    """pca's row for a one-sample evaluation set."""
+    return pca(model, multipliers, np.asarray(x, dtype=float)[None, :], [y], spec, cfg).rows[0]
+
+
+def grid_min_one(rep_z, d, grid):
+    """grid_min on a block of one sample, as (index, value)."""
+    best, value = grid_min(np.asarray(rep_z)[None], np.array([d]), grid)
+    return int(best[0]), float(value[0])
+
+
+def per_sample_oracle(model, multipliers, x_eval, y_eval, spec, config):
+    """The per-sample certification pca replaces: a 1-row clean forward,
+    then one forward per repetition of n `sample_set` draws from the sample's
+    stream, then one grid search per sample. One dict per sample, plus the
+    log of the grid-minimum bound of each sample with a nonzero margin."""
+    grid = config.t_grid()
+    rows, logs = [], []
+    for i, (x, y) in enumerate(zip(x_eval, y_eval)):
+        rng = np.random.default_rng([config.seed, certify.CERT_SAMPLE_STREAM, i])
+        p = model.forward(x[None, :], multipliers)[0]
+        rep_z = np.stack([
+            np.abs(model.forward(sample_set(spec, x, config.samples_per_rep, rng),
+                                 multipliers) - p).max(axis=1)
+            for _ in range(config.repetitions)])
+        d = clean_margin(p)
+        eps_hat, best_t = 1.0, math.nan
+        if d > 0.0:
+            best, log_min = grid_min_one(rep_z, d, grid)
+            eps_hat, best_t = min(1.0, float(np.exp(log_min))), float(grid[best])
+            logs.append(log_min)
+        predicted = int(np.argmax(p))
+        rows.append(dict(margin=d, eps_hat=eps_hat, best_t=best_t, predicted=predicted,
+                         certified=predicted == int(y) and eps_hat <= config.error_bound,
+                         rep_z=rep_z))
+    return rows, logs
+
+
+def assert_rows_equal_oracle(result, oracle):
+    """pca rows == the oracle's on every reported field, nan best_t included."""
+    rows, logs = oracle
+    assert len(result.rows) == len(rows)
+    for row, want in zip(result.rows, rows):
+        assert (row.margin, row.eps_hat, row.predicted, row.certified) == \
+               (want["margin"], want["eps_hat"], want["predicted"], want["certified"])
+        assert row.best_t == want["best_t"] or (math.isnan(row.best_t)
+                                                and math.isnan(want["best_t"]))
+        assert np.array_equal(row.rep_z_max, want["rep_z"].max(axis=1))
+    if logs:
+        assert (result.log_eps_hat_min, result.log_eps_hat_max) == (min(logs), max(logs))
+        assert result.log_eps_hat_median == float(np.median(logs))
+    else:
+        assert all(math.isnan(v) for v in (result.log_eps_hat_min, result.log_eps_hat_median,
+                                           result.log_eps_hat_max))
 
 
 class TestLogY:
@@ -99,6 +154,17 @@ class TestLogY:
             for row, z in zip(batched, rep_z):
                 assert np.array_equal(row, log_y_grid(z, 0.2, grid))
 
+    def test_block_rows_equal_per_sample_calls(self):
+        rng = np.random.default_rng(4)
+        grid = CertConfig().t_grid()
+        rep_z = rng.uniform(0, 1, (5, 3, 40))
+        d = rng.uniform(0, 0.5, 5)
+        idx = rng.integers(0, len(grid), (5, 3))
+        t = grid[idx][:, None, :]
+        want = np.stack([log_y_grid(z, dd, grid[ix]) for z, dd, ix in zip(rep_z, d, idx)])
+        for work in (None, np.empty(5 * 3 * 3 * 40 + 7)):
+            assert np.array_equal(log_y_grid(rep_z, d[:, None, None], t, work), want)
+
     def test_grid_subset_equals_full_grid_columns(self):
         # the search evaluates a few points at a time; each must be the value
         # the whole grid would give there
@@ -117,67 +183,61 @@ class TestLogY:
 
 
 class TestZSamples:
+    """The per-repetition discrepancies Z, seen through rep_z_max."""
+
     def test_constant_classifier_all_zero(self):
-        model = constant_model()
-        x = np.zeros(4)
-        z = z_samples(model, None, x, clean_probs(model, x), direction_spec(), 50,
-                      np.random.default_rng(2))
-        assert np.array_equal(z, np.zeros(50))
+        row = certify_one(constant_model(), np.zeros(4), 0, direction_spec(),
+                          small_cfg(samples_per_rep=50))
+        assert np.array_equal(row.rep_z_max, np.zeros(3))
 
     def test_collapsed_range_all_zero(self):
         rng = np.random.default_rng(3)
         model = MaskableModel.initialized(mlp_specs(4, [5], 3), "unstructured", rng)
         spec = TransformSpec(kind="direction_shift", direction=direction_spec().direction,
                              delta_range=(0.0, 0.0))
-        x = rng.standard_normal(4)
-        z = z_samples(model, None, x, clean_probs(model, x), spec, 20,
-                      np.random.default_rng(4))
-        assert np.array_equal(z, np.zeros(20))
+        row = certify_one(model, rng.standard_normal(4), 0, spec, small_cfg())
+        assert np.array_equal(row.rep_z_max, np.zeros(3))
 
     def test_bounded_in_unit_interval(self):
         rng = np.random.default_rng(5)
         model = MaskableModel.initialized(mlp_specs(4, [6], 3), "unstructured", rng)
-        x = rng.standard_normal(4)
-        z = z_samples(model, None, x, clean_probs(model, x), direction_spec(), 40,
-                      np.random.default_rng(6))
-        assert np.all((z >= 0) & (z <= 1))
+        row = certify_one(model, rng.standard_normal(4), 0, direction_spec(),
+                          small_cfg(samples_per_rep=40))
+        assert np.all((row.rep_z_max >= 0) & (row.rep_z_max <= 1))
 
 
 class TestBoundEstimate:
     def test_constant_classifier_certifies(self):
         model = constant_model()
-        p = clean_probs(model, np.zeros(4))
-        res = bound_estimate(model, None, np.zeros(4), p, direction_spec(),
-                             small_cfg(), np.random.default_rng(7))
-        d = clean_margin(p)
+        row = certify_one(model, np.zeros(4), 0, direction_spec(), small_cfg())
+        d = clean_margin(clean_probs(model, np.zeros(4)))
         # all Z are 0, so the best bound is exp(-d * t_max), which underflows
-        assert res.eps_hat <= math.exp(-d * 1e4) * 1.01
-        assert res.best_t == pytest.approx(1e4)
+        assert row.eps_hat <= math.exp(-d * 1e4) * 1.01
+        assert row.best_t == pytest.approx(1e4)
 
     def test_always_flipping_uncertifiable(self):
         model = flipping_model()
-        x = np.zeros(4)
-        res = bound_estimate(model, None, x, clean_probs(model, x), direction_spec(),
-                             small_cfg(), np.random.default_rng(8))
-        assert np.all(res.rep_z >= res.margin)  # every transform flips
-        assert res.eps_hat == 1.0
+        x = np.zeros((1, 4))
+        cfg = small_cfg()
+        (want,), _ = per_sample_oracle(model, None, x, [1], direction_spec(), cfg)
+        assert np.all(want["rep_z"] >= want["margin"])  # every transform flips
+        row = pca(model, None, x, [1], direction_spec(), cfg).rows[0]
+        assert row.eps_hat == 1.0
 
     def test_zero_margin_uncertifiable_not_error(self):
-        model = constant_model(bias=(0.0, 0.0))
-        res = bound_estimate(model, None, np.zeros(4), clean_probs(model, np.zeros(4)),
-                             direction_spec(), small_cfg(), np.random.default_rng(9))
-        assert res.margin == 0.0 and res.eps_hat == 1.0
-        assert math.isnan(res.best_t)
+        row = certify_one(constant_model(bias=(0.0, 0.0)), np.zeros(4), 0,
+                          direction_spec(), small_cfg())
+        assert row.margin == 0.0 and row.eps_hat == 1.0
+        assert math.isnan(row.best_t)
 
     def test_eps_hat_never_exceeds_one(self):
         rng = np.random.default_rng(10)
         for seed in range(5):
             model = MaskableModel.initialized(mlp_specs(4, [5], 2), "unstructured",
                                               np.random.default_rng(seed))
-            x = rng.standard_normal(4)
-            res = bound_estimate(model, None, x, clean_probs(model, x), direction_spec(),
-                                 small_cfg(), np.random.default_rng(seed))
-            assert 0.0 <= res.eps_hat <= 1.0
+            row = certify_one(model, rng.standard_normal(4), 0, direction_spec(),
+                              small_cfg(seed=seed))
+            assert 0.0 <= row.eps_hat <= 1.0
 
     def test_monotone_conservative_in_repetitions(self):
         rng = np.random.default_rng(11)
@@ -203,14 +263,15 @@ def eps_of(log_value):
     return min(1.0, float(np.exp(log_value)))
 
 
-def random_case(rng, family):
-    """(rep_z, d, grid) for one property-test case of the given family."""
-    l, n = int(rng.integers(1, 7)), int(rng.integers(1, 31))
+def random_grid(rng):
     if rng.uniform() < 0.5:
-        grid = CertConfig().t_grid()
-    else:
-        grid = CertConfig(t_count=int(rng.integers(2, 601)),
-                          t_lo=10 ** rng.uniform(-5, -1), t_hi=10 ** rng.uniform(0, 4)).t_grid()
+        return CertConfig().t_grid()
+    return CertConfig(t_count=int(rng.integers(2, 601)),
+                      t_lo=10 ** rng.uniform(-5, -1), t_hi=10 ** rng.uniform(0, 4)).t_grid()
+
+
+def random_rep_z(rng, family, l, n):
+    """(rep_z, d) of shape (l, n) for one property-test case of the family."""
     d = float(rng.uniform(1e-6, 0.5))
     if family == "uniform":
         rep_z = rng.uniform(0, 1, (l, n))
@@ -228,7 +289,7 @@ def random_case(rng, family):
         d = float(rng.choice(atoms))
     else:  # "z_equals_d": log Y_j(t) = 0 for every t in exact arithmetic
         rep_z = np.full((l, n), d)
-    return rep_z, d, grid
+    return rep_z, d
 
 
 FAMILIES = ("uniform", "rare_flips", "zero", "above", "atoms", "z_equals_d")
@@ -237,7 +298,7 @@ FAMILIES = ("uniform", "rare_flips", "zero", "above", "atoms", "z_equals_d")
 def check_against_oracle(rep_z, d, grid, family=""):
     """Search result vs brute-force grid: bitwise equal unless the bound is
     flat up to rounding, and never a different certified decision."""
-    best, value = grid_min(rep_z, d, grid)
+    best, value = grid_min_one(rep_z, d, grid)
     o_best, o_value, f = brute_min(rep_z, d, grid)
     # every evaluated point equals the whole grid's value there
     assert value == f[best]
@@ -254,12 +315,28 @@ def check_against_oracle(rep_z, d, grid, family=""):
     assert (eps <= error_bound) == (o_eps <= error_bound)
 
 
+def check_block_equals_single(rep_z, d, grid, result=None):
+    """A block's search gives each sample the bits of its block of one."""
+    best, value = grid_min(rep_z, d, grid) if result is None else result
+    for b in range(len(d)):
+        assert (int(best[b]), float(value[b])) == grid_min_one(rep_z[b], d[b], grid)
+
+
 class TestGridSearch:
     def test_matches_brute_force_grid(self):
+        # 6,000 cases in 1,000 blocks, one shape and grid per block and every
+        # family once per block in random order, so the samples of a block
+        # leave the ternary loop at different steps
         rng = np.random.default_rng(30)
-        for i in range(6000):
-            family = FAMILIES[i % len(FAMILIES)]
-            check_against_oracle(*random_case(rng, family), family=family)
+        for _ in range(1000):
+            l, n, grid = int(rng.integers(1, 7)), int(rng.integers(1, 31)), random_grid(rng)
+            families = rng.permutation(FAMILIES)
+            cases = [random_rep_z(rng, family, l, n) for family in families]
+            rep_z = np.stack([z for z, _ in cases])
+            d = np.array([dd for _, dd in cases])
+            check_block_equals_single(rep_z, d, grid)
+            for z, dd, family in zip(rep_z, d, families):
+                check_against_oracle(z, dd, grid, family=family)
 
     def test_matches_brute_force_on_pipeline_runs(self, monkeypatch):
         from regen_fixtures import SMALL_RUN
@@ -269,9 +346,10 @@ class TestGridSearch:
         calls = []
         real = certify.grid_min
 
-        def spy(rep_z, d, grid):
-            calls.append((rep_z, d, grid))
-            return real(rep_z, d, grid)
+        def spy(rep_z, d, grid, work=None):
+            result = real(rep_z, d, grid, work)
+            calls.append((rep_z.copy(), d, grid, result))
+            return result
 
         monkeypatch.setattr(certify, "grid_min", spy)
         run_experiment(validate(ExperimentConfig(**SMALL_RUN)))
@@ -279,48 +357,75 @@ class TestGridSearch:
         model = MaskableModel.initialized(mlp_specs(4, [8], 2), "unstructured", rng)
         pca(model, None, rng.standard_normal((40, 4)), rng.integers(0, 2, 40),
             direction_spec(), CertConfig(eval_size=40, seed=5))
-        assert len(calls) > 60
-        for rep_z, d, grid in calls:
-            check_against_oracle(rep_z, d, grid)
+        assert sum(len(d) for _, d, _, _ in calls) > 60
+        assert max(len(d) for _, d, _, _ in calls) > 1
+        for rep_z, d, grid, result in calls:
+            check_block_equals_single(rep_z, d, grid, result)
+            for z, dd in zip(rep_z, d):
+                check_against_oracle(z, dd, grid)
 
     def test_evaluations_logarithmic_in_grid_size(self, monkeypatch):
         t_count = 100_000
         points = []
         real = certify.log_y_grid
 
-        def spy(z, d, t_grid):
-            points.extend(np.asarray(t_grid).tolist())
-            return real(z, d, t_grid)
+        def spy(z, d, t_grid, work=None):
+            points.extend(np.asarray(t_grid).ravel().tolist())
+            return real(z, d, t_grid, work)
 
         monkeypatch.setattr(certify, "log_y_grid", spy)
         rng = np.random.default_rng(32)
         model = MaskableModel.initialized(mlp_specs(4, [5], 2), "unstructured", rng)
-        cfg = small_cfg(samples_per_rep=10, t_count=t_count)
         limit = 2 * math.ceil(math.log(t_count, 1.5)) + 3
         for i in range(5):
             points.clear()
-            certify_sample(model, None, rng.standard_normal(4), 0, direction_spec(),
-                           cfg, np.random.default_rng(i))
+            cfg = small_cfg(samples_per_rep=10, t_count=t_count, seed=i)
+            certify_one(model, rng.standard_normal(4), 0, direction_spec(), cfg)
             assert 0 < len(points) <= limit
             assert len(set(points)) == len(points)  # no point evaluated twice
 
     def test_flat_sequence_takes_first_point(self):
         grid = CertConfig().t_grid()
-        assert grid_min(np.zeros((2, 3)), 0.0, grid) == (0, 0.0)
+        assert grid_min_one(np.zeros((2, 3)), 0.0, grid) == (0, 0.0)
+
+    def test_one_log_y_grid_call_per_step(self, monkeypatch):
+        calls = []
+        real = certify.log_y_grid
+
+        def spy(z, d, t_grid, work=None):
+            calls.append(len(z))
+            return real(z, d, t_grid, work)
+
+        monkeypatch.setattr(certify, "log_y_grid", spy)
+        rng = np.random.default_rng(34)
+        grid = CertConfig().t_grid()
+        rep_z = rng.uniform(0, 0.05, (16, 3, 20))
+        rep_z[rng.uniform(size=rep_z.shape) < 0.1] = 0.5
+        d = rng.uniform(0.01, 0.3, 16)
+        single_steps = []
+        for z, dd in zip(rep_z, d):
+            calls.clear()
+            grid_min_one(z, dd, grid)
+            single_steps.append(len(calls))
+        calls.clear()
+        grid_min(rep_z, d, grid)
+        # the block steps as long as its longest search, each step one call
+        # over the samples still searching, and never evaluates more rows
+        assert len(set(single_steps)) > 1
+        assert len(calls) == max(single_steps)
+        assert calls[0] == 16 and sum(calls) == sum(single_steps)
 
 
 class TestCertifySampleAndPca:
     def test_misclassified_never_certified(self):
         model = constant_model(bias=(2.0, 0.0))  # always predicts class 0
-        row = certify_sample(model, None, np.zeros(4), 1, direction_spec(),
-                             small_cfg(), np.random.default_rng(12))
+        row = certify_one(model, np.zeros(4), 1, direction_spec(), small_cfg())
         assert not row.certified
         assert row.eps_hat <= 1e-3  # the bound itself is tiny; the label gate fails
 
     def test_constant_correct_certified(self):
         model = constant_model(bias=(2.0, 0.0))
-        row = certify_sample(model, None, np.zeros(4), 0, direction_spec(),
-                             small_cfg(), np.random.default_rng(13))
+        row = certify_one(model, np.zeros(4), 0, direction_spec(), small_cfg())
         assert row.certified
 
     def test_pca_constant_classifier_counts_majority(self):
@@ -345,19 +450,20 @@ class TestCertifySampleAndPca:
         res = pca(constant_model(bias=(0.0, 0.0)), None, x, np.zeros(6), direction_spec(), cfg)
         assert (res.best_t_at_t_lo, res.best_t_at_t_hi, res.eps_hat_zero) == (0, 0, 0)
 
-    def test_one_clean_forward_per_sample(self, monkeypatch):
-        rows = []
+    def test_one_clean_forward_per_set(self, monkeypatch):
+        shapes = []
         real = MaskableModel.forward
 
-        def spy(self, x, multipliers=None):
-            rows.append(len(x))
-            return real(self, x, multipliers)
+        def spy(self, x, multipliers=None, out=None):
+            shapes.append(x.shape)
+            return real(self, x, multipliers, out)
 
         monkeypatch.setattr(MaskableModel, "forward", spy)
         cfg = small_cfg()
-        certify_sample(constant_model(), None, np.zeros(4), 0, direction_spec(), cfg,
-                       np.random.default_rng(16))
-        assert rows == [1] + [cfg.samples_per_rep] * cfg.repetitions
+        x = np.zeros((5, 4))
+        pca(constant_model(), None, x, np.zeros(5), direction_spec(), cfg)
+        # the (m, 1, d) clean stack, then one (l, n, d) stack per sample
+        assert shapes == [(5, 1, 4)] + [(cfg.repetitions, cfg.samples_per_rep, 4)] * 5
 
     def test_pca_empty_rejected(self):
         model = constant_model()
@@ -390,18 +496,114 @@ class TestFoldedCertification:
         hard = binarize([rng.uniform(size=n) for n in model.mask_dims()], 0.5)
         mult = hard_multipliers(model, hard)
         cfg = small_cfg(eval_size=6, seed=5)
-        rows = pca(model, mult, x, y, direction_spec(), cfg).rows
+        result = pca(model, mult, x, y, direction_spec(), cfg)
         dense = pca(model.folded(mult), None, x, y, direction_spec(), cfg).rows
-        assert all(row.margin > 0 for row in rows)
-        for i, (row, dense_row) in enumerate(zip(rows, dense)):
-            # the per-sample path multiplies the masks inside every forward
-            unfolded = certify_sample(
-                model, mult, x[i], y[i], direction_spec(), cfg,
-                np.random.default_rng([cfg.seed, certify.CERT_SAMPLE_STREAM, i]), sample_id=i)
-            for other in (dense_row, unfolded):
-                assert (row.eps_hat, row.best_t, row.margin, row.predicted) == \
-                       (other.eps_hat, other.best_t, other.margin, other.predicted)
-                assert np.array_equal(row.rep_z_max, other.rep_z_max)
+        assert all(row.margin > 0 for row in result.rows)
+        for row, dense_row in zip(result.rows, dense):
+            assert (row.eps_hat, row.best_t, row.margin, row.predicted) == \
+                   (dense_row.eps_hat, dense_row.best_t, dense_row.margin, dense_row.predicted)
+            assert np.array_equal(row.rep_z_max, dense_row.rep_z_max)
+        # the per-sample path multiplies the masks inside every forward
+        assert_rows_equal_oracle(result,
+                                 per_sample_oracle(model, mult, x, y, direction_spec(), cfg))
+
+
+def stacked_spec(kind, in_dim):
+    if kind == "direction_shift":
+        v = np.zeros(in_dim)
+        v[:2] = (0.6, 0.8)
+        return TransformSpec(kind="direction_shift", direction=v)
+    severity = {"haze": 0.4, "gaussian_blur3": 0.7}[kind]
+    return TransformSpec(kind="interp_corrupt", corrupt=CorruptionTag(kind, severity))
+
+
+def set_budgets(monkeypatch, reps, block, model, cfg):
+    """Budgets that stack `reps` repetitions per forward and `block` samples
+    per grid search; returns the block size pca will use."""
+    widest = max(model.in_dim, *(s.out_dim for s in model.specs))
+    monkeypatch.setattr(certify, "STACK_FLOATS", reps * cfg.samples_per_rep * widest)
+    monkeypatch.setattr(certify, "GRID_FLOATS",
+                        block * 3 * cfg.repetitions * cfg.samples_per_rep)
+    return block
+
+
+def live_model(mode, seed, in_dim=6, classes=10):
+    rng = np.random.default_rng(seed)
+    model = MaskableModel.initialized(mlp_specs(in_dim, [8, 5], classes), mode, rng)
+    for b in model.biases[:-1]:
+        b[:] = rng.uniform(0.1, 0.5, b.size)  # live relus
+    hard = binarize([rng.uniform(size=n) for n in model.mask_dims()], 0.5)
+    return model, hard_multipliers(model, hard), rng
+
+
+class TestStackedPass:
+    """pca equals the per-sample algorithm it replaced, bit for bit."""
+
+    KINDS = ("direction_shift", "haze", "gaussian_blur3")
+
+    def check(self, model, mult, x, y, kind, cfg):
+        spec = stacked_spec(kind, model.in_dim)
+        result = pca(model, mult, x, y, spec, cfg)
+        assert_rows_equal_oracle(result, per_sample_oracle(model, mult, x, y, spec, cfg))
+        return result
+
+    @pytest.mark.parametrize("where", ["m=1", "m=block-1", "m=block+1"])
+    @pytest.mark.parametrize("mode", ["unstructured", "structured"])
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("budget", ["default", "tight"])
+    def test_rows_equal_per_sample_oracle(self, monkeypatch, budget, kind, mode, where):
+        model, mult, rng = live_model(mode, seed=40)
+        if budget == "default":  # the default l and n: one forward per sample
+            cfg = CertConfig(seed=3)
+            block = certify.GRID_FLOATS // (3 * cfg.repetitions * cfg.samples_per_rep)
+        else:  # repetitions stacked 2 + 1, blocks of 4
+            cfg = small_cfg(samples_per_rep=7, seed=3)
+            block = set_budgets(monkeypatch, 2, 4, model, cfg)
+        m = {"m=1": 1, "m=block-1": block - 1, "m=block+1": block + 1}[where]
+        self.check(model, mult, rng.uniform(size=(m, 6)), rng.integers(0, 10, m), kind, cfg)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("shape", ["T=2", "T=3", "l=1", "n=1"])
+    def test_small_shapes(self, monkeypatch, kind, shape):
+        model, mult, rng = live_model("unstructured", seed=41)
+        sizes = {"T=2": dict(t_count=2), "T=3": dict(t_count=3),
+                 "l=1": dict(repetitions=1), "n=1": dict(samples_per_rep=1)}[shape]
+        cfg = small_cfg(**{"samples_per_rep": 5, "seed": 4, **sizes})
+        block = set_budgets(monkeypatch, 2, 3, model, cfg)
+        self.check(model, mult, rng.uniform(size=(block + 1, 6)),
+                   rng.integers(0, 10, block + 1), kind, cfg)
+
+    def test_clean_forward_in_chunks(self, monkeypatch):
+        # 30 samples, 14 rows per clean forward: three chunks
+        model, mult, rng = live_model("structured", seed=42)
+        cfg = small_cfg(samples_per_rep=7, seed=5)
+        set_budgets(monkeypatch, 2, 4, model, cfg)
+        self.check(model, mult, rng.uniform(size=(30, 6)), rng.integers(0, 10, 30),
+                   "haze", cfg)
+
+    @pytest.mark.parametrize("budget", ["default", "tight"])
+    def test_zero_margin_samples_inside_a_block(self, monkeypatch, budget):
+        # logits (s x0, -s x0): a tie, so a zero margin, exactly where x0 = 0
+        w = np.zeros((2, 6))
+        w[0, 0], w[1, 0] = 3.0, -3.0
+        model = MaskableModel([LayerSpec(6, 2, "none")], [w], [np.zeros(2)], "unstructured")
+        cfg = small_cfg(samples_per_rep=7, seed=6)
+        if budget == "tight":
+            set_budgets(monkeypatch, 2, 4, model, cfg)
+        rng = np.random.default_rng(43)
+        x = rng.uniform(-1, 1, (10, 6))
+        x[[1, 3, 4, 9], 0] = 0.0
+        result = self.check(model, None, x, rng.integers(0, 2, 10), "direction_shift", cfg)
+        zero = [r.sample_id for r in result.rows if r.margin == 0.0]
+        assert zero == [1, 3, 4, 9]
+        assert all(math.isnan(result.rows[i].best_t) for i in zero)
+
+    def test_all_zero_margins_give_nan_log_bounds(self):
+        x = np.zeros((3, 4))
+        result = pca(constant_model(bias=(0.0, 0.0)), None, x, np.zeros(3),
+                     direction_spec(), small_cfg())
+        assert all(math.isnan(v) for v in (result.log_eps_hat_min, result.log_eps_hat_median,
+                                           result.log_eps_hat_max))
 
 
 class TestChernoffSoundness:

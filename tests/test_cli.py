@@ -64,6 +64,13 @@ class TestStageChain:
         assert kv["best_t_at_t_lo"] == str(best_t.count(grid[0]))
         assert kv["best_t_at_t_hi"] == str(best_t.count(grid[-1]))
         assert kv["eps_hat_zero"] == str(sum(float(r[4]) == 0.0 for r in rows[1:]))
+        # eps_hat = min(1, exp(log bound)) is monotone, so the extreme log
+        # bounds give the extreme eps_hat of the nonzero-margin samples
+        live = [float(r[4]) for r in rows[1:] if float(r[3]) > 0.0]
+        log_min, log_max = float(kv["log_eps_hat_min"]), float(kv["log_eps_hat_max"])
+        assert log_min <= float(kv["log_eps_hat_median"]) <= log_max
+        assert min(live) == min(1.0, float(np.exp(log_min)))
+        assert max(live) == min(1.0, float(np.exp(log_max)))
         status = (out / "status.txt").read_text()
         assert "status = ok" in status
         assert (out / "config.echo.txt").exists()
@@ -187,6 +194,40 @@ class TestCheckpointArchitecture:
     def test_other_seed_accepted(self, tiny_config, tmp_path, pretrained, command):
         assert run(command, tiny_config, tmp_path / "o", "--seed", "7",
                    "--stage-checkpoint", str(pretrained)) == EXIT_OK
+
+
+class TestCheckpointStage:
+    @pytest.fixture
+    def chain(self, tiny_config, tmp_path):
+        out = tmp_path / "chain"
+        for command in ("pretrain", "search", "finetune"):
+            assert run(command, tiny_config, out) == EXIT_OK
+        return out
+
+    @pytest.mark.parametrize("command, stage, accepted", [
+        ("search", "mask_searched", "pretrained"),
+        ("search", "finetuned", "pretrained"),
+        ("certify", "mask_searched", "pretrained or finetuned"),
+    ])
+    def test_wrong_stage_is_io_error(self, tiny_config, tmp_path, capsys, chain,
+                                     command, stage, accepted):
+        ckpt = chain / f"{stage}.ckpt"
+        assert run(command, tiny_config, tmp_path / "o", "--stage-checkpoint",
+                   str(ckpt)) == EXIT_IO
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and f"stage {stage}" in err and accepted in err
+
+    @pytest.mark.parametrize("command, stage", [
+        ("search", "pretrained"), ("certify", "pretrained"), ("certify", "finetuned")])
+    def test_accepted_stage(self, tiny_config, tmp_path, chain, command, stage):
+        assert run(command, tiny_config, tmp_path / "o", "--stage-checkpoint",
+                   str(chain / f"{stage}.ckpt")) == EXIT_OK
+
+    def test_architecture_checked_first(self, tmp_path, chain):
+        cfg = tmp_path / "other.cfg"
+        cfg.write_text(TINY + "hidden_dims = 8\n", encoding="utf-8")
+        assert run("certify", cfg, tmp_path / "o", "--stage-checkpoint",
+                   str(chain / "mask_searched.ckpt")) == EXIT_CONFIG
 
 
 class TestErrorsAndProvenance:

@@ -101,6 +101,25 @@ class TestForward:
         assert np.array_equal(folded.forward(x), m.forward(x, mult))
         assert m.folded(None) is m
 
+    @pytest.mark.parametrize("classes", [2, 10])
+    def test_stacked_forward_equals_per_block_calls(self, classes):
+        # one GEMM per trailing 2-D block: each block keeps the bits of its own
+        # call, also for the narrow logits layer, with or without buffers
+        rng = np.random.default_rng(7)
+        m = MaskableModel.initialized(mlp_specs(16, [64, 64], classes), "unstructured", rng)
+        x = rng.standard_normal((4, 25, 16))
+        calls = np.stack([m.forward(block) for block in x])
+        assert np.array_equal(m.forward(x), calls)
+        out = [np.empty((4, 25, s.out_dim)) for s in m.specs]
+        p = m.forward(x, out=out)
+        assert p is out[-1] and np.array_equal(p, calls)
+        rows = np.stack([m.forward(row[None, :]) for row in x[0]])
+        assert np.array_equal(m.forward(x[0][:, None, :]), rows)
+
+    def test_forward_rejects_vector_input(self):
+        with pytest.raises(ValueError, match="forward"):
+            two_layer().forward(np.ones(3))
+
     def test_folded_checks_multiplier_shapes(self):
         m = two_layer()
         with pytest.raises(ValueError, match="folded: multiplier shape"):

@@ -121,6 +121,27 @@ class TestSampleSet:
     def test_n_validated(self):
         with pytest.raises(ValueError, match="n"):
             sample_set(shift_spec(), np.zeros(4), 0, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="n"):
+            sample_set(shift_spec(), np.zeros(4), (3, 0), np.random.default_rng(0))
+
+    @pytest.mark.parametrize("spec", [
+        TransformSpec(kind="direction_shift", direction=np.array([0.6, 0.0, 0.8, 0.0, 0.0])),
+        TransformSpec(kind="interp_corrupt", corrupt=CorruptionTag("haze", 0.3)),
+        TransformSpec(kind="interp_corrupt", corrupt=CorruptionTag("gaussian_blur3", 0.8),
+                      delta_range=(0.2, 0.9)),
+    ], ids=["direction_shift", "haze", "gaussian_blur3"])
+    def test_stacked_equals_successive_calls(self, spec):
+        x = np.random.default_rng(8).uniform(size=5)
+        rng = np.random.default_rng(9)
+        calls = np.stack([sample_set(spec, x, 7, rng) for _ in range(3)])
+        assert np.array_equal(sample_set(spec, x, (3, 7), np.random.default_rng(9)), calls)
+        # into buffers, continuing the stream where one call of 2 x 7 stopped
+        out, work = np.empty((4, 7, 5)), np.empty((4, 7, 5))
+        rng = np.random.default_rng(9)
+        first = sample_set(spec, x, (2, 7), rng, out=out[:2], work=work[:2])
+        assert first.base is out and np.array_equal(first, calls[:2])
+        assert np.array_equal(sample_set(spec, x, (1, 7), rng, out=out[:1], work=work[:1]),
+                              calls[2:])
 
 
 class TestAugmentDataset:
