@@ -1,6 +1,6 @@
 """Record the regression fixtures in tests/fixtures/.
 
-    PYTHONPATH=src python tests/regen_fixtures.py default_experiment trajectory
+    PYTHONPATH=src python tests/regen_fixtures.py default_experiment trajectory stage2_step
 
 Each named fixture is recomputed from the current code and overwritten. The
 tests never write fixtures: a missing file fails them. Re-record one only
@@ -10,19 +10,25 @@ for a deliberate change of results, and say so in the change description.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 from pathlib import Path
 
 import numpy as np
 
 from maskcert.config import ExperimentConfig, parse_config, validate
-from maskcert.pipeline import run_experiment
+from maskcert.datasets import Dataset
+from maskcert.masks import binarize, hard_multipliers, init_percentile_scaled, unit_magnitudes
+from maskcert.model import MaskableModel, mlp_specs
+from maskcert.objectives import LossWeights, composite_step_loss
+from maskcert.pipeline import _ce_epochs, run_experiment
 
 ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_CONFIG = ROOT / "configs" / "default.cfg"
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 DEFAULT_FIXTURE = FIXTURES / "default_experiment.json"
 TRAJECTORY_FIXTURE = FIXTURES / "trajectory.json"
+STEP_FIXTURE = FIXTURES / "stage2_step.json"
 REGEN_HINT = "PYTHONPATH=src python tests/regen_fixtures.py"
 
 # The small run that criterion 9 repeats and the trajectory fixture pins.
@@ -69,6 +75,80 @@ def trajectory_record() -> dict:
     }
 
 
+# (input dim, hidden dims, classes) of the models the step fixture covers
+STEP_SIZES = ((16, [64, 64], 2), (5, [6], 3), (784, [128, 64], 10))
+STEP_VARIANTS = 7  # per size and mask mode
+# per variant: batch size, pruning ratio, noise magnitude
+STEP_BATCH = (1, 7, 64, 33, 64, 2, 16)
+STEP_PR = (0.5, 0.0, 0.9, 0.7, 0.5, 0.3, 0.95)
+STEP_MU = (0.5, 0.0, 0.1, 0.5, 0.25, 1.0, 0.05)
+REPORT_FLOATS = ("l_stab", "l_ratio", "l_consis", "l1_normalized", "composite", "grad_norm")
+
+
+def _sha256(arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+def _inputs(rng, in_dim, rows):
+    """Image-like inputs in [0, 1) for the 784-wide model, normal otherwise."""
+    if in_dim == 784:
+        return rng.uniform(size=(rows, in_dim))
+    return rng.standard_normal((rows, in_dim))
+
+
+def _step_case(in_dim, hidden, classes, mode, k):
+    rng = np.random.default_rng([31, in_dim, len(hidden), k, mode == "structured"])
+    model = MaskableModel.initialized(mlp_specs(in_dim, hidden, classes), mode, rng)
+    if k % 2 == 0:
+        soft = init_percentile_scaled(model, 30.0)
+    else:
+        soft = [rng.uniform(size=n) for n in model.mask_dims()]
+    x = _inputs(rng, in_dim, STEP_BATCH[k])
+    x_t = x + 0.3 * rng.standard_normal(x.shape)
+    weights = (LossWeights() if k != 5 else
+               LossWeights(stab=1.0, ratio=2.0, consis=0.5, l1=1e-3, eta=0.5))
+    res = composite_step_loss(model, soft, x, x_t, weights, STEP_PR[k], STEP_MU[k],
+                              np.random.default_rng([32, k]), step=k)
+    return {"grads": [_sha256([g]) for g in res.grads],
+            "grad_shapes": [list(g.shape) for g in res.grads],
+            "report": {"step": res.report.step,
+                       **{f: repr(getattr(res.report, f)) for f in REPORT_FLOATS}}}
+
+
+def _ce_case(in_dim, hidden, classes, variant):
+    """Two epochs of _ce_epochs: dense (variants 0, 1) or under an
+    unstructured (2) or structured (3) hard mask."""
+    mode = "structured" if variant == 3 else "unstructured"
+    rng = np.random.default_rng([33, in_dim, len(hidden), variant])
+    model = MaskableModel.initialized(mlp_specs(in_dim, hidden, classes), mode, rng)
+    data = Dataset(_inputs(rng, in_dim, 40), rng.integers(0, classes, size=40))
+    multipliers = (None if variant < 2 else
+                   hard_multipliers(model, binarize(unit_magnitudes(model), 0.6)))
+    lr, momentum, batch = ((0.05, 0.9, 16), (0.01, 0.5, 7))[variant % 2]
+    history = _ce_epochs(model, data, 2, lr, momentum, batch,
+                         np.random.default_rng([34, variant]), multipliers)
+    return {"weights": _sha256(model.weights), "biases": _sha256(model.biases),
+            "history": [[repr(h.mean_loss), repr(h.accuracy)] for h in history]}
+
+
+def stage2_step_record() -> dict:
+    """Gradient hashes and report floats of seeded composite_step_loss
+    instances (three sizes, both mask modes), and weight hashes after seeded
+    masked and unmasked _ce_epochs runs."""
+    steps, ce = {}, {}
+    for in_dim, hidden, classes in STEP_SIZES:
+        size = "-".join(map(str, [in_dim, *hidden, classes]))
+        for mode in ("unstructured", "structured"):
+            for k in range(STEP_VARIANTS):
+                steps[f"{size}/{mode}/{k}"] = _step_case(in_dim, hidden, classes, mode, k)
+        for variant in range(4):
+            ce[f"{size}/{variant}"] = _ce_case(in_dim, hidden, classes, variant)
+    return {"composite_step_loss": steps, "ce_epochs": ce}
+
+
 def _write(path: Path, doc: dict) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
@@ -76,13 +156,16 @@ def _write(path: Path, doc: dict) -> None:
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("fixtures", nargs="+", choices=("default_experiment", "trajectory"))
+    parser.add_argument("fixtures", nargs="+", choices=("default_experiment", "trajectory",
+                                                       "stage2_step"))
     for name in parser.parse_args().fixtures:
         if name == "default_experiment":
             cfg = parse_config(DEFAULT_CONFIG)
             _write(DEFAULT_FIXTURE, default_experiment_record(run_experiment(cfg), cfg))
-        else:
+        elif name == "trajectory":
             _write(TRAJECTORY_FIXTURE, trajectory_record())
+        else:
+            _write(STEP_FIXTURE, stage2_step_record())
 
 
 if __name__ == "__main__":
