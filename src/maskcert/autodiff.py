@@ -1,23 +1,20 @@
-"""Reverse-mode differentiation of the two objectives maskcert trains.
+"""Values and vector-Jacobian products of the pieces of the two objectives
+maskcert trains.
 
-The tape records one node per piece of those objectives: the masked MLP
-logits, a softmax, the batch-mean cross-entropy of stages 1 and 3, and for
-the stage-2 mask search the noisy mask draw, the straight-through node, the
-stability, ratio and consistency terms, the L1 mean and the weighted sum that
-joins them. Each kind is one function that computes its value eagerly and
-returns a vector-Jacobian product over the residuals of that forward pass, so
-the backward pass never evaluates a forward again. Insertion order is a valid
-topological order and the backward pass is a single reverse sweep.
+Each kind is one function of its input values (and fixed attributes) that
+computes its value eagerly and returns it with a vector-Jacobian product over
+the residuals of that forward pass: vjp(g, needs) gives one gradient per
+input, None where `needs` is False. The kinds are the masked MLP logits, a
+softmax, the batch-mean cross-entropy of stages 1 and 3, and for the stage-2
+mask search the noisy mask draw, the straight-through mask, the stability,
+ratio and consistency terms, the L1 mean and the weighted sum that joins
+them. `primitive` dispatches to them; the stage-2 step
+(`objectives.composite_step_loss`) and the cross-entropy step
+(`pipeline._ce_epochs`) chain the VJPs by hand in straight-line code.
 
-A tape can also be *replayed* with substituted leaf values: the recorded
-graph is re-evaluated as a pure function, with the noise draws held fixed and
-the straight-through node shifting linearly with the soft mask from the point
-it was recorded at. Replay is what makes finite-difference checks of tape
-gradients well defined, including through the straight-through path.
-
-Tapes are single-threaded; use one tape per worker. Nodes never change after
-creation except for the grad slot, which is written only by this tape's own
-backward pass.
+The masked MLP and the softmax accept stacked inputs, (..., batch, features),
+with masks stacked the same way: numpy's matmul runs one GEMM per trailing
+2-D block, so each copy gets the bits it would get alone.
 """
 
 from __future__ import annotations
@@ -26,11 +23,7 @@ import numpy as np
 
 from .model import masked_forward, softmax as softmax_values
 
-__all__ = [
-    "Tape", "Node", "primitive", "backprop",
-    "masked_mlp", "softmax", "cross_entropy", "noisy", "ste", "stability",
-    "ratio_penalty", "consistency", "l1_mean", "weighted_sum", "KL_SMOOTHING",
-]
+__all__ = ["primitive", "KL_SMOOTHING"]
 
 # Both arguments of the consistency term are mixed with the uniform
 # distribution at this weight before taking logs, so exact zeros in a
@@ -38,153 +31,46 @@ __all__ = [
 KL_SMOOTHING = 1e-8
 
 
-def _f64(x) -> np.ndarray:
-    return np.asarray(x, dtype=np.float64)
+def primitive(kind: str, values: list, **attrs):
+    """(value, vjp) of one registered kind at the given input values.
 
-
-class Node:
-    """One tape entry: value, provenance, and a lazily allocated grad slot."""
-
-    __slots__ = ("tape", "id", "value", "grad", "op", "parents", "attrs",
-                 "requires_grad", "vjp")
-
-    def __init__(self, tape, nid, value, op, parents, attrs, requires_grad, vjp):
-        self.tape = tape
-        self.id = nid
-        self.value = value
-        self.grad = None
-        self.op = op
-        self.parents = parents
-        self.attrs = attrs
-        self.requires_grad = requires_grad
-        self.vjp = vjp
-
-    def __repr__(self):
-        return f"Node(id={self.id}, op={self.op!r}, shape={self.value.shape})"
-
-
-class Tape:
-    """Append-only node store; node id equals insertion index."""
-
-    def __init__(self):
-        self.nodes: list[Node] = []
-
-    def leaf(self, value, requires_grad: bool = False) -> Node:
-        node = Node(self, len(self.nodes), _f64(value), "leaf", (), {},
-                    requires_grad, None)
-        self.nodes.append(node)
-        return node
-
-    def const(self, value) -> Node:
-        return self.leaf(value, requires_grad=False)
-
-    def release(self) -> None:
-        """Drop the node list once the tape's step is done; the tape cannot
-        be swept or replayed afterwards. Each node points back at its tape, so
-        until then tape and nodes form a cycle that only the cyclic garbage
-        collector frees; after it, reference counting frees the step's arrays
-        as soon as the caller drops its last node."""
-        self.nodes.clear()
-
-    def replay(self, overrides: dict) -> list[np.ndarray]:
-        """Re-evaluate the recorded graph with some leaf values substituted.
-
-        `overrides` maps Node (or node id) to a replacement array of the same
-        shape. Returns the list of recomputed values indexed by node id.
-        Noise draws and the straight-through point keep their recorded
-        values, so the replayed function is exactly the one the backward pass
-        differentiates.
-        """
-        subst = {}
-        for key, val in overrides.items():
-            nid = key.id if isinstance(key, Node) else int(key)
-            node = self.nodes[nid]
-            if node.op != "leaf":
-                raise ValueError(f"replay: node {nid} ({node.op}) is not a leaf")
-            arr = _f64(val)
-            if arr.shape != node.value.shape:
-                raise ValueError(
-                    f"replay: leaf {nid} expects shape {node.value.shape}, got {arr.shape}")
-            subst[nid] = arr
-        values: list[np.ndarray] = [None] * len(self.nodes)
-        with np.errstate(all="ignore"):
-            for node in self.nodes:
-                if node.op == "leaf":
-                    values[node.id] = subst.get(node.id, node.value)
-                else:
-                    parent_vals = [values[p.id] for p in node.parents]
-                    values[node.id] = _f64(_OPS[node.op](parent_vals, **node.attrs)[0])
-        return values
-
-
-def primitive(kind: str, inputs: list[Node], **attrs) -> Node:
-    """Append one operation of the given kind and eagerly compute its value."""
-    if kind not in _OPS:
-        raise ValueError(f"unknown primitive kind {kind!r}")
-    if not inputs:
-        raise ValueError(f"{kind}: at least one input node required")
-    tape = inputs[0].tape
-    if any(n.tape is not tape for n in inputs):
-        raise ValueError(f"{kind}: inputs live on different tapes")
-    with np.errstate(all="ignore"):
-        value, vjp = _OPS[kind]([n.value for n in inputs], **attrs)
-    value = _f64(value)
-    nid = len(tape.nodes)
-    if not np.all(np.isfinite(value)):
-        raise FloatingPointError(f"{kind}: non-finite forward value at node {nid}")
-    requires_grad = any(n.requires_grad for n in inputs)
-    node = Node(tape, nid, value, kind, tuple(inputs), attrs, requires_grad,
-                vjp if requires_grad else None)
-    tape.nodes.append(node)
-    return node
-
-
-def backprop(root: Node) -> dict[int, np.ndarray]:
-    """Reverse sweep from a scalar root; returns {leaf id: gradient}.
-
-    Each node's VJP returns one list of parent gradients. Gradients
-    accumulate over all paths in reverse tape order; parents that do not
-    require grad are skipped, and the VJP may return None for them.
-    Requires-grad leaves that no gradient reached report zeros.
+    Floating-point warnings are silenced; callers check finiteness where a
+    value can first go non-finite (masked_mlp checks its pre-activations).
     """
-    if root.value.size != 1:
-        raise ValueError(f"backprop: root must be scalar, got shape {root.value.shape}")
-    tape = root.tape
-    if root.id >= len(tape.nodes) or tape.nodes[root.id] is not root:
-        raise ValueError("backprop: root is not on a live tape")
-    for node in tape.nodes:
-        node.grad = None
-    root.grad = np.ones_like(root.value)
-    for node in reversed(tape.nodes[: root.id + 1]):
-        if node.grad is None or node.vjp is None:
-            continue
-        needs = [p.requires_grad for p in node.parents]
-        for parent, g in zip(node.parents, node.vjp(node.grad, needs)):
-            if parent.requires_grad:
-                parent.grad = g if parent.grad is None else parent.grad + g
-    return {n.id: (n.grad if n.grad is not None else np.zeros_like(n.value))
-            for n in tape.nodes if n.op == "leaf" and n.requires_grad}
+    op = _OPS.get(kind)
+    if op is None:
+        raise ValueError(f"unknown primitive kind {kind!r}")
+    if not values:
+        raise ValueError(f"{kind}: at least one input value required")
+    with np.errstate(all="ignore"):
+        return op(values, **attrs)
+
+
+def _unstack(g, ndim):
+    """Sum a gradient over the leading stack axes its input did not have."""
+    return g.sum(axis=tuple(range(g.ndim - ndim))) if g.ndim > ndim else g
 
 
 # ---------------------------------------------------------------------------
-# kinds: (parent values, **attrs) -> (value, vjp(g, needs) -> parent gradients)
+# kinds: (input values, **attrs) -> (value, vjp(g, needs) -> input gradients)
 
 
-def _masked_mlp(v, specs, masked):
+def _masked_mlp(v, specs, masks=None):
     n = len(specs)
-    x, ws, bs = v[0], v[1:n + 1], v[n + 1:2 * n + 1]
-    slot = dict(zip(masked, range(2 * n + 1, len(v))))  # layer -> mask input
-    if x.ndim != 2 or x.shape[1] != ws[0].shape[1]:
+    x, ws, bs = v[0], v[1:n + 1], v[n + 1:]
+    masks = masks or [None] * n
+    if len(ws) != n or len(bs) != n or len(masks) != n:
+        raise ValueError("masked_mlp: one weight, bias and mask entry per layer required")
+    if x.ndim < 2 or x.shape[-1] != ws[0].shape[-1]:
         raise ValueError(f"masked_mlp: input shape {x.shape} does not match weight {ws[0].shape}")
-    for i, j in slot.items():
-        if v[j].shape not in (ws[i].shape, (ws[i].shape[0], 1)):
+    for i, (m, w) in enumerate(zip(masks, ws)):
+        if m is not None and m.shape[-2:] not in (w.shape[-2:], (w.shape[-2], 1)):
             raise ValueError(
-                f"masked_mlp: mask shape {v[j].shape} does not broadcast to weight "
-                f"{ws[i].shape} in layer {i}")
-    hs, zs, effective = masked_forward(x, ws, bs, specs, [v[slot[i]] if i in slot else None
-                                                          for i in range(n)])
+                f"masked_mlp: mask shape {m.shape} does not broadcast to weight "
+                f"{w.shape} in layer {i}")
+    hs, zs, effective = masked_forward(x, ws, bs, specs, masks)
     for i, z in enumerate(zs):
-        if not np.all(np.isfinite(z)):
+        if not np.isfinite(z).all():
             raise FloatingPointError(f"masked_mlp: non-finite pre-activation in layer {i}")
 
     def vjp(g, needs):
@@ -193,22 +79,13 @@ def _masked_mlp(v, specs, masked):
             if specs[i].activation == "relu":
                 g = g * (zs[i] > 0)
             if needs[n + 1 + i]:
-                grads[n + 1 + i] = g.sum(axis=0)
-            j = slot.get(i)
-            if needs[1 + i] or (j is not None and needs[j]):
-                gw = g.T @ hs[i]
-                if j is None:
-                    grads[1 + i] = gw
-                else:
-                    if needs[j]:
-                        g_mask = gw * ws[i]
-                        # a structured (out, 1) mask collects its row's gradient
-                        grads[j] = (g_mask if v[j].shape == g_mask.shape
-                                    else g_mask.sum(axis=1, keepdims=True))
-                    if needs[1 + i]:
-                        grads[1 + i] = gw * v[j]
+                grads[n + 1 + i] = _unstack(g, 1)
+            if needs[1 + i]:
+                gw = np.matmul(g.mT, hs[i])
+                grads[1 + i] = _unstack(gw if masks[i] is None else gw * masks[i],
+                                        ws[i].ndim)
             if i > 0 or needs[0]:
-                g = g @ effective[i]
+                g = np.matmul(g, effective[i])
         if needs[0]:
             grads[0] = g
         return grads
@@ -218,14 +95,15 @@ def _masked_mlp(v, specs, masked):
 
 def _softmax(v):
     x = v[0]
-    if x.ndim not in (1, 2) or x.shape[-1] < 1:
-        raise ValueError(f"softmax: expected 1-D or 2-D input, got shape {x.shape}")
+    if x.ndim < 1 or x.shape[-1] < 1:
+        raise ValueError(f"softmax: expected a non-empty last axis, got shape {x.shape}")
     p = softmax_values(x)
     return p, lambda g, needs: [p * (g - (g * p).sum(axis=-1, keepdims=True))]
 
 
 def _cross_entropy(v, labels):
     logits = v[0]
+    labels = np.asarray(labels, dtype=np.int64)
     if logits.ndim != 2:
         raise ValueError(f"cross_entropy: expected 2-D logits, got shape {logits.shape}")
     if labels.shape != (logits.shape[0],):
@@ -248,23 +126,25 @@ def _cross_entropy(v, labels):
     return nll.mean(), vjp
 
 
-def _noisy(v, xi):
-    if xi.shape != v[0].shape:
-        raise ValueError(f"noisy: noise shape {xi.shape} does not match {v[0].shape}")
-    shifted = v[0] + xi
+def _noisy(v, xi, out=None):
+    c = v[0]
+    if len(xi) != len(c) or any(np.shape(d) != c.shape[1:] for d in xi):
+        raise ValueError(f"noisy: one noise array of shape {c.shape[1:]} per copy of c required")
+    shifted = np.empty(c.shape) if out is None else out
+    for k, d in enumerate(xi):
+        np.add(c[k], d, out=shifted[k])
     # Gradient passes on the closed interval [0, 1]; it flows at exact
     # saturation boundaries.
     passed = (shifted >= 0.0) & (shifted <= 1.0)
-    return np.clip(shifted, 0.0, 1.0), lambda g, needs: [g * passed]
+    return np.clip(shifted, 0.0, 1.0, out=shifted), lambda g, needs: [g * passed]
 
 
-def _ste(v, hard, c0):
+def _ste(v, hard, c0, out=None):
     if hard.shape != v[0].shape:
         raise ValueError(f"ste: hard mask shape {hard.shape} does not match {v[0].shape}")
-    # Value equals the binary mask exactly at the recorded point c0 and
-    # shifts linearly with the soft mask, so replay differentiates to the
-    # identity.
-    return hard + (v[0] - c0), lambda g, needs: [g]
+    # Value equals the binary mask exactly at the point c0 and shifts
+    # linearly with the soft mask, so it differentiates to the identity.
+    return np.add(hard, v[0] - c0, out=out), lambda g, needs: [g]
 
 
 def _check_pair(kind, p, q):
@@ -300,8 +180,9 @@ def _ratio_penalty(v, eta, eps):
     diff = p - q
     # Sup-norm and top-2 subgradients are supported at the first attaining
     # index alone (np.argmax order).
-    top = np.argmax(np.abs(diff), axis=1)
-    z = np.abs(diff).max(axis=1)
+    abs_diff = np.abs(diff)
+    top = np.argmax(abs_diff, axis=1)
+    z = abs_diff.max(axis=1)
     i1 = np.argmax(p, axis=1)
     rest = p.copy()
     rest[rows, i1] = -np.inf
@@ -355,7 +236,8 @@ def _pairwise_sum(terms):
 
 
 def _weighted_sum(v, weights):
-    if len(weights) != len(v) or any(np.shape(w) != x.shape for w, x in zip(weights, v)):
+    if len(weights) != len(v) or any(getattr(w, "shape", ()) != getattr(x, "shape", ())
+                                     for w, x in zip(weights, v)):
         raise ValueError("weighted_sum: one weight of each input's shape required")
     value = _pairwise_sum([(w * x).sum() for w, x in zip(weights, v)])
     return value, lambda g, needs: [g * w for w in weights]
@@ -373,71 +255,3 @@ _OPS = {
     "l1_mean": _l1_mean,
     "weighted_sum": _weighted_sum,
 }
-
-
-# ---------------------------------------------------------------------------
-# wrappers
-
-
-def masked_mlp(x: Node, weights: list[Node], biases: list[Node], specs,
-               masks: list | None = None) -> Node:
-    """Logits of the layer stack, each weight multiplied by its mask node.
-
-    A mask has the weight's (out, in) shape or a structured (out, 1) shape;
-    a None entry, or masks=None, leaves that layer dense.
-    """
-    masks = masks or [None] * len(specs)
-    masked = tuple(i for i, m in enumerate(masks) if m is not None)
-    return primitive("masked_mlp", [x, *weights, *biases, *(masks[i] for i in masked)],
-                     specs=tuple(specs), masked=masked)
-
-
-def softmax(x: Node) -> Node:
-    """Row-wise softmax over the last axis, shifted by the row max."""
-    return primitive("softmax", [x])
-
-
-def cross_entropy(logits: Node, labels) -> Node:
-    """Batch mean negative log likelihood from logits (fused log-softmax)."""
-    return primitive("cross_entropy", [logits], labels=np.asarray(labels, dtype=np.int64))
-
-
-def noisy(c: Node, xi) -> Node:
-    """clip(C + xi, 0, 1) for a fixed noise draw xi."""
-    return primitive("noisy", [c], xi=_f64(xi))
-
-
-def ste(c: Node, hard) -> Node:
-    """Straight-through node: forward value is the binary mask, gradient is identity in c."""
-    return primitive("ste", [c], hard=_f64(hard), c0=c.value)
-
-
-def stability(p_m: Node, p_n: Node) -> Node:
-    """Batch mean of the squared L2 distance between probability rows from
-    two independent mask draws."""
-    return primitive("stability", [p_m, p_n])
-
-
-def ratio_penalty(p: Node, p_t: Node, eta: float, eps: float) -> Node:
-    """Batch mean of softplus(Z / (d + eps) - eta), with Z the sup-norm
-    distance between the clean and transformed rows and d half the gap between
-    the clean row's top two entries: a smooth penalty on the robustness ratio
-    exceeding the safety threshold."""
-    return primitive("ratio_penalty", [p, p_t], eta=float(eta), eps=float(eps))
-
-
-def consistency(p_soft: Node, p_hard: Node) -> Node:
-    """Batch mean KL(p_soft || p_hard) with uniform smoothing of both
-    arguments; p_hard normally arrives through the straight-through node so
-    gradient reaches the soft mask."""
-    return primitive("consistency", [p_soft, p_hard])
-
-
-def l1_mean(xs: list[Node]) -> Node:
-    """Sum of |x| over every entry of the inputs, divided by their entry count."""
-    return primitive("l1_mean", list(xs))
-
-
-def weighted_sum(xs: list[Node], weights) -> Node:
-    """Sum over inputs of sum(weight * x), each weight shaped like its input."""
-    return primitive("weighted_sum", list(xs), weights=tuple(weights))

@@ -103,18 +103,9 @@ def _logsumexp(a: np.ndarray, axis=-1) -> np.ndarray:
     return (m + np.log(a.sum(axis=axis, keepdims=True))).squeeze(axis)
 
 
-def log_y(z: np.ndarray, d: float, t: float) -> float:
-    """log of (1/(n e^{dt})) sum_i e^{Z_i t}, overflow-free for t up to 1e4."""
-    if t <= 0:
-        raise ValueError(f"temperature must be positive, got {t}")
-    if d < 0:
-        raise ValueError(f"margin must be non-negative, got {d}")
-    z = np.asarray(z, dtype=np.float64)
-    return float(_logsumexp(z * t) - math.log(z.size) - d * t)
-
-
 def log_y_grid(z: np.ndarray, d, t_grid: np.ndarray, work=None) -> np.ndarray:
-    """Vectorized log_y across k temperatures: z of shape (n,) gives (k,);
+    """log Y(t) = log of (1/(n e^{dt})) sum_i e^{Z_i t}, overflow-free for t
+    up to 1e4, across k temperatures: z of shape (n,) gives (k,);
     z of shape (l, n) gives (l, k), row j equal to the call on z[j]. A block
     of samples passes z of shape (B, l, n), t_grid of shape (B, 1, k) and d
     of shape (B, 1, 1), and gets (B, l, k), each sample's rows equal to its
@@ -131,7 +122,7 @@ def log_y_grid(z: np.ndarray, d, t_grid: np.ndarray, work=None) -> np.ndarray:
 def grid_min(rep_z: np.ndarray, d: np.ndarray, grid: np.ndarray,
              work=None) -> tuple[np.ndarray, np.ndarray]:
     """For each sample b of a block, the first index of the minimum over the
-    grid of max_j log_y(rep_z[b, j], d[b], t), and that minimum, by discrete
+    grid of max_j log Y(t) of rep_z[b, j] at margin d[b], and that minimum, by discrete
     ternary search (the function is convex in t); rep_z has shape (B, l, n)
     and d shape (B,).
 

@@ -9,6 +9,7 @@ pruning ratio on 10 units keeps ceil(3) = 3 units, not 4.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -44,6 +45,13 @@ def _keep_count(fraction: Fraction, n: int) -> int:
     return math.ceil(fraction * n) if n > 0 else 0
 
 
+@functools.lru_cache(maxsize=64)
+def _binarize_keep_count(pr: float, n: int) -> int:
+    """Units binarize keeps out of n at pruning ratio pr; cached because the
+    mask search binarizes the same layer sizes at the same ratio every step."""
+    return _keep_count(1 - Fraction(str(pr)), n)
+
+
 def init_percentile_scaled(model: MaskableModel, tau: float) -> list[np.ndarray]:
     """Soft mask C = clip(|w| / Q, 0, 1) per layer, where Q is the
     ceil(tau% * N)-th largest magnitude, so exactly the top tau% of units
@@ -67,23 +75,21 @@ def init_percentile_scaled(model: MaskableModel, tau: float) -> list[np.ndarray]
     return soft
 
 
-def sample_noisy(c_nodes: list, mu: float, rng: np.random.Generator) -> list:
-    """clip(C + xi, 0, 1) with xi ~ U(-mu, mu) i.i.d. per entry, fresh per
-    call, as one noisy tape node per mask node; None entries (exempt layers)
-    stay None. Gradient reaches C where C + xi lies in [0, 1]."""
+def sample_noisy(c_layers: list, mu: float, rng: np.random.Generator,
+                 draws: int = 1, out: list | None = None) -> list:
+    """`draws` independent draws of clip(C + xi, 0, 1), xi ~ U(-mu, mu) i.i.d.
+    per entry, fresh per call, taken draw by draw over every layer. Returns
+    one (value, vjp) pair of the noisy kind per layer, the value stacked as
+    (draws, *C.shape) and written into that layer's `out` array when given.
+    The VJP gives each draw's gradient on C, which passes where C + xi lies
+    in [0, 1]."""
     if mu < 0:
         raise ValueError(f"mu must be non-negative, got {mu}")
-    return [None if c is None else ad.noisy(c, rng.uniform(-mu, mu, size=c.value.shape))
-            for c in c_nodes]
-
-
-def noisy_mask_values(c_layers: list[np.ndarray], mu: float,
-                      rng: np.random.Generator) -> list[np.ndarray]:
-    """Value-level counterpart of sample_noisy for gradient-free evaluation."""
-    if mu < 0:
-        raise ValueError(f"mu must be non-negative, got {mu}")
-    return [np.clip(c + rng.uniform(-mu, mu, size=c.shape), 0.0, 1.0)
-            for c in c_layers]
+    xis = [[rng.uniform(-mu, mu, size=c.shape) for c in c_layers] for _ in range(draws)]
+    return [ad.primitive("noisy", [np.broadcast_to(c, (draws, *c.shape))],
+                         xi=[layer_xis[i] for layer_xis in xis],
+                         out=None if out is None else out[i])
+            for i, c in enumerate(c_layers)]
 
 
 def _top_k(c: np.ndarray, kappa: int) -> np.ndarray:
@@ -107,8 +113,7 @@ def binarize(soft_mask: list[np.ndarray], pr: float) -> HardMask:
     ties broken by lower index kept first (see _top_k)."""
     if not 0.0 <= pr < 1.0:
         raise ValueError(f"pruning ratio must be in [0, 1), got {pr}")
-    keep_frac = 1 - Fraction(str(pr))
-    layers = [_top_k(c, _keep_count(keep_frac, c.size)) if c.size else np.empty(0)
+    layers = [_top_k(c, _binarize_keep_count(pr, c.size)) if c.size else np.empty(0)
               for c in soft_mask]
     return HardMask(layers)
 

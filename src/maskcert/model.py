@@ -163,11 +163,12 @@ def masked_forward(x, weights, biases, specs, multipliers=None, out=None):
 
     Returns (hs, zs, ws): hs[0] is x and hs[i + 1] the output of layer i
     after its activation, so hs[-1] holds the logits; zs[i] is layer i's
-    pre-activation and ws[i] the weight it applied. The backward pass of the
-    masked-MLP tape node reuses all three.
+    pre-activation and ws[i] the weight it applied. The masked-MLP VJP in
+    autodiff reuses all three.
 
-    x may be stacked, (..., batch, in): matmul runs one GEMM per trailing
-    (batch, in) block, so every block gets the bits of its own call, which
+    x may be stacked, (..., batch, in), and so may the multipliers,
+    (..., out, in), one mask per stacked copy: matmul runs one GEMM per
+    trailing 2-D block, so every block gets the bits of its own call, which
     one GEMM over the flattened rows does not promise. With `out`, one array
     per layer shaped like that layer's output, layer i is computed into
     out[i] by the same ufuncs and its activation applied there in place, so
@@ -178,7 +179,7 @@ def masked_forward(x, weights, biases, specs, multipliers=None, out=None):
         w = weights[i]
         if multipliers is not None and multipliers[i] is not None:
             w = multipliers[i] * w
-        z = np.matmul(hs[-1], w.T, out=None if out is None else out[i])
+        z = np.matmul(hs[-1], w.mT, out=None if out is None else out[i])
         z += biases[i]
         h = z
         if spec.activation == "relu":

@@ -1,12 +1,12 @@
-"""The composite mask-search objective and its building blocks.
+"""The composite mask-search objective and its gradient on the soft mask.
 
 One training step draws three independent noisy soft masks, compares the
 resulting predictions for structural stability, aligns the soft-mask
-predictions with the binarized mask through a straight-through node, and
+predictions with the binarized mask through a straight-through mask, and
 penalizes the prediction discrepancy between clean and transformed inputs
-relative to the classification margin. All terms are assembled on a single
-tape so one backward pass yields the full gradient on the soft mask while
-frozen weights never receive gradients.
+relative to the classification margin. The four masked copies of the network
+run as one stacked forward, and one backward pass chains the VJPs of the
+terms by hand, so the frozen weights never receive gradients.
 """
 
 from __future__ import annotations
@@ -16,9 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .errors import InvariantError
-from .masks import binarize, noisy_mask_values, sample_noisy
-from .model import MaskableModel, broadcast_mask
+from .masks import binarize, sample_noisy
+from .model import MaskableModel
 
 
 @dataclass(frozen=True)
@@ -46,15 +45,13 @@ class StepReport:
     l_ratio: float
     l_consis: float
     l1_normalized: float
-    l1_raw: float
     composite: float
     grad_norm: float
-    draw_seed: str
 
 
-def mask_node_shape(spec, mode):
-    """Leaf shape for a layer's mask so that it broadcasts against the
-    (out, in) weight: (out, in) unstructured, (out, 1) structured."""
+def mask_shape(spec, mode):
+    """Shape of a layer's mask so that it broadcasts against the (out, in)
+    weight: (out, in) unstructured, (out, 1) structured."""
     if mode == "unstructured":
         return (spec.out_dim, spec.in_dim)
     return (spec.out_dim, 1)
@@ -62,23 +59,29 @@ def mask_node_shape(spec, mode):
 
 @dataclass
 class CompositeResult:
-    loss: object                 # scalar Node
     report: StepReport
     grads: list[np.ndarray]      # per layer, flattened to mask-vector shape
 
 
 def composite_step_loss(model: MaskableModel, soft_mask, x, x_t,
                         weights: LossWeights, pr: float, mu: float,
-                        rng: np.random.Generator, step: int = 0,
-                        draw_seed: str = "") -> CompositeResult:
-    """One full objective evaluation plus backward pass on a fresh tape.
+                        rng: np.random.Generator, step: int = 0) -> CompositeResult:
+    """One evaluation of the objective and its gradient on the soft mask.
 
-    Weights are frozen (their gradients are never allocated); only the soft
-    mask receives gradients. Returns the loss node, a StepReport, and the
-    per-layer mask gradients.
+    The noise draws come from `rng` in the order m, n, s, each over every
+    maskable layer. Each layer's four masks form one (4, out, in) stack (or
+    (4, out, 1) structured) in copy order [clip(C + xi_m), clip(C + xi_n),
+    clip(C + xi_s), hard + (C - c0)] with c0 = C, so the noisy copies are one
+    block. The stack runs on stack([x, x, x_t, x]) in one forward, and one
+    backward chains the term VJPs. Gradients add up in a fixed order: on p_m
+    ratio, then consistency, then stability; on C the L1 term, then the
+    straight-through, s, n and m copies. Weights are frozen and get no
+    gradient. Returns a StepReport and the per-layer mask gradients.
     """
     x = np.asarray(x, dtype=np.float64)
     x_t = np.asarray(x_t, dtype=np.float64)
+    if x.ndim != 2:
+        raise ValueError(f"composite_step_loss: expected (batch, features) inputs, got {x.shape}")
     if len(x) == 0:
         raise ValueError("composite_step_loss: empty batch")
     if x.shape != x_t.shape:
@@ -86,97 +89,67 @@ def composite_step_loss(model: MaskableModel, soft_mask, x, x_t,
     if sum(c.size for c in soft_mask) == 0:
         raise ValueError("model has no prunable units to search over")
 
-    tape = ad.Tape()
-    # one leaf per maskable layer, None for exempt ones
-    leaves = [tape.leaf(c.reshape(mask_node_shape(spec, model.mask_mode)), requires_grad=True)
-              if c.size else None for spec, c in zip(model.specs, soft_mask)]
-    live = [c for c in leaves if c is not None]
-    ws = [tape.const(w) for w in model.weights]
-    bs = [tape.const(b) for b in model.biases]
-
-    def probs(inp, masks):
-        return ad.softmax(ad.masked_mlp(inp, ws, bs, model.specs, masks))
-
-    # The terms are recorded in this order so that gradient reaches p_m from
-    # the ratio term first, then consistency, then stability.
-    c_m, c_n, c_s = (sample_noisy(leaves, mu, rng) for _ in range(3))
-    x_node = tape.const(x)
-    p_m = probs(x_node, c_m)
-    l_stab = ad.stability(p_m, probs(x_node, c_n))
+    n = len(model.specs)
+    masked = [i for i, c in enumerate(soft_mask) if c.size]
+    cs = [soft_mask[i].reshape(mask_shape(model.specs[i], model.mask_mode))
+          for i in masked]
+    stacks = [np.empty((4, *c.shape)) for c in cs]
+    noisy = sample_noisy(cs, mu, rng, draws=3, out=[m[:3] for m in stacks])
     hard = binarize(soft_mask, pr)
-    p_h = probs(x_node, [None if c is None else ad.ste(c, vec.reshape(c.value.shape))
-                         for c, vec in zip(leaves, hard.layers)])
-    l_consis = ad.consistency(p_m, p_h)
-    l_ratio = ad.ratio_penalty(p_m, probs(tape.const(x_t), c_s),
-                               weights.eta, weights.margin_eps)
-    l1_norm = ad.l1_mean(live)
-    total = ad.weighted_sum([l_stab, l_ratio, l_consis, l1_norm],
-                            [weights.stab, weights.ratio, weights.consis, weights.l1])
+    ste = [ad.primitive("ste", [c], hard=hard.layers[i].reshape(c.shape), c0=c, out=m[3])
+           for i, c, m in zip(masked, cs, stacks)]
+    # The weights each copy runs with, W * mask, formed in the mask stack
+    # itself where the shapes allow.
+    unstructured = model.mask_mode == "unstructured"
+    ws = list(model.weights)
+    for i, m in zip(masked, stacks):
+        ws[i] = np.multiply(m, ws[i], out=m if unstructured else None)
 
-    grad_map = ad.backprop(total)
-    grads = [np.empty(0) if leaf is None else grad_map[leaf.id].reshape(c.shape)
-             for leaf, c in zip(leaves, soft_mask)]
+    logits, mlp_vjp = ad.primitive("masked_mlp", [np.stack([x, x, x_t, x]), *ws, *model.biases],
+                                   specs=tuple(model.specs))
+    probs, softmax_vjp = ad.primitive("softmax", [logits])
+    p_m, p_n, p_s, p_h = probs
+    l_stab, stab_vjp = ad.primitive("stability", [p_m, p_n])
+    l_consis, consis_vjp = ad.primitive("consistency", [p_m, p_h])
+    l_ratio, ratio_vjp = ad.primitive("ratio_penalty", [p_m, p_s],
+                                      eta=weights.eta, eps=weights.margin_eps)
+    l1_norm, l1_vjp = ad.primitive("l1_mean", cs)
+    total, sum_vjp = ad.primitive("weighted_sum", [l_stab, l_ratio, l_consis, l1_norm],
+                                  weights=(weights.stab, weights.ratio, weights.consis,
+                                           weights.l1))
+    if not np.isfinite(total):
+        raise FloatingPointError("composite_step_loss: non-finite objective")
+
+    both = (True, True)
+    g_stab, g_ratio, g_consis, g_l1 = sum_vjp(1.0, (True,) * 4)
+    g_probs = np.empty_like(probs)
+    ratio_m, g_probs[2] = ratio_vjp(g_ratio, both)
+    consis_m, g_probs[3] = consis_vjp(g_consis, both)
+    stab_m, g_probs[1] = stab_vjp(g_stab, both)
+    np.add(ratio_m + consis_m, stab_m, out=g_probs[0])
+    g_logits = softmax_vjp(g_probs, (True,))[0]
+    g_ws = mlp_vjp(g_logits, [False] + [i in masked for i in range(n)] + [False] * n)
+    g_l1 = l1_vjp(g_l1, (True,) * len(cs))
+
+    grads = [np.empty(0) for _ in soft_mask]
+    for k, i in enumerate(masked):
+        g_w, w = g_ws[1 + i], model.weights[i]
+        # a structured (out, 1) mask collects its row's gradient
+        g_mask = (np.multiply(g_w, w, out=g_w) if unstructured
+                  else (g_w * w).sum(axis=-1, keepdims=True))
+        g_noisy = noisy[k][1](g_mask[:3], (True,))[0]
+        g = g_l1[k] + ste[k][1](g_mask[3], (True,))[0]
+        g += g_noisy[2]
+        g += g_noisy[1]
+        g += g_noisy[0]
+        grads[i] = g.reshape(soft_mask[i].shape)
     report = StepReport(
         step=step,
-        l_stab=float(l_stab.value),
-        l_ratio=float(l_ratio.value),
-        l_consis=float(l_consis.value),
-        l1_normalized=float(l1_norm.value),
-        l1_raw=float(sum(np.abs(c.value).sum() for c in live)),
-        composite=float(total.value),
+        l_stab=float(l_stab),
+        l_ratio=float(l_ratio),
+        l_consis=float(l_consis),
+        l1_normalized=float(l1_norm),
+        composite=float(total),
         grad_norm=float(np.sqrt(sum(float((g * g).sum()) for g in grads))),
-        draw_seed=draw_seed,
     )
-    return CompositeResult(loss=total, report=report, grads=grads)
-
-
-@dataclass
-class TriangleCheck:
-    z_c: float
-    bound: float
-    term_a: float
-    term_b: float
-    term_c: float
-
-
-def triangle_bound_check(model: MaskableModel, soft_mask, x, x_t, mu: float,
-                         rng: np.random.Generator, draws: int) -> TriangleCheck:
-    """Numerically verify the three-term bound on the prediction discrepancy
-    of one fixed noisy draw against the noisy-mask ensemble mean.
-
-    The bound holds for any reference point by the triangle inequality plus
-    the norm ordering, so it must hold for the empirical mean too; violation
-    raises InvariantError.
-    """
-    if draws < 2:
-        raise ValueError(f"draws must be >= 2, got {draws}")
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    x_t = np.atleast_2d(np.asarray(x_t, dtype=np.float64))
-
-    def _forward(mask_vals, inp):
-        mult = [broadcast_mask(v, spec, model.mask_mode) if v.size else None
-                for v, spec in zip(mask_vals, model.specs)]
-        return model.forward(inp, mult)[0]
-
-    fixed = noisy_mask_values(soft_mask, mu, rng)
-    p_c_x = _forward(fixed, x)
-    p_c_xt = _forward(fixed, x_t)
-
-    acc_x = np.zeros(model.class_count)
-    acc_xt = np.zeros(model.class_count)
-    for _ in range(draws):
-        draw = noisy_mask_values(soft_mask, mu, rng)
-        acc_x += _forward(draw, x)
-        acc_xt += _forward(draw, x_t)
-    bar_x = acc_x / draws
-    bar_xt = acc_xt / draws
-
-    z_c = float(np.abs(p_c_x - p_c_xt).max())
-    term_a = float(np.sqrt(((p_c_x - bar_x) ** 2).sum()))
-    term_b = float(np.abs(bar_x - bar_xt).max())
-    term_c = float(np.sqrt(((bar_xt - p_c_xt) ** 2).sum()))
-    bound = term_a + term_b + term_c
-    if z_c > bound + 1e-9:
-        raise InvariantError(
-            f"triangle bound violated: Z_C={z_c} > A+B+C={bound}")
-    return TriangleCheck(z_c, bound, term_a, term_b, term_c)
+    return CompositeResult(report=report, grads=grads)

@@ -101,8 +101,10 @@ class Adam:
         for i, (p, g) in enumerate(zip(params, grads)):
             if g.size == 0:
                 continue
-            m = self.m.get(i, np.zeros_like(g))
-            v = self.v.get(i, np.zeros_like(g))
+            m = self.m.get(i)
+            v = self.v.get(i)
+            if m is None:
+                m, v = np.zeros_like(g), np.zeros_like(g)
             m = b1 * m + (1 - b1) * g
             v = b2 * v + (1 - b2) * g * g
             self.m[i], self.v[i] = m, v
@@ -126,32 +128,28 @@ def _ce_epochs(model: MaskableModel, data: Dataset, epochs: int, lr: float,
     opt = MomentumSGD(lr, momentum)
     history = []
     n = len(data)
+    n_layers = len(model.specs)
+    needs = (False,) + (True,) * (2 * n_layers)  # weights and biases
     for epoch in range(epochs):
         order = rng.permutation(n)
         loss_sum = 0.0
         for start in range(0, n, batch_size):
             idx = order[start:start + batch_size]
             xb, yb = data.x[idx], data.y[idx]
-            tape = ad.Tape()
-            w_nodes = [tape.leaf(w, requires_grad=True) for w in model.weights]
-            b_nodes = [tape.leaf(b, requires_grad=True) for b in model.biases]
-            masks = None if multipliers is None else [
-                None if m is None else tape.const(m) for m in multipliers]
             try:
-                logits = ad.masked_mlp(tape.const(xb), w_nodes, b_nodes, model.specs, masks)
-                loss = ad.cross_entropy(logits, yb)
+                logits, mlp_vjp = ad.primitive(
+                    "masked_mlp", [xb, *model.weights, *model.biases],
+                    specs=tuple(model.specs), masks=multipliers)
+                loss, ce_vjp = ad.primitive("cross_entropy", [logits], labels=yb)
             except FloatingPointError as exc:
                 raise FloatingPointError(
                     f"training diverged at epoch {epoch}: {exc}") from None
-            if not np.isfinite(loss.value):
+            if not np.isfinite(loss):
                 raise FloatingPointError(
                     f"training diverged at epoch {epoch}: non-finite loss")
-            grads = ad.backprop(loss)
-            params = model.weights + model.biases
-            gs = [grads[node.id] for node in w_nodes] + [grads[node.id] for node in b_nodes]
-            opt.step(params, gs)
-            tape.release()
-            loss_sum += float(loss.value) * len(idx)
+            grads = mlp_vjp(ce_vjp(1.0, (True,))[0], needs)[1:]
+            opt.step(model.weights + model.biases, grads)
+            loss_sum += float(loss) * len(idx)
         history.append(EpochStats(epoch, loss_sum / n, accuracy(model, data, multipliers)))
     return history
 
@@ -171,7 +169,7 @@ def stage2_mask_search(model: MaskableModel, pairs, tc: TrainConfig,
     Returns (soft_mask, step reports). The mask is clamped back into [0, 1]
     after every update. Each step's noise draws come from a stream derived
     from (seed, noise namespace, step), so any step is reproducible in
-    isolation; the draw_seed column records that triple.
+    isolation.
     """
     clean, transformed = pairs
     if len(clean) == 0:
@@ -191,12 +189,10 @@ def stage2_mask_search(model: MaskableModel, pairs, tc: TrainConfig,
             noise_rng = np.random.default_rng([seed, STREAM_STAGE2_NOISE, step])
             result = composite_step_loss(
                 model, soft, clean[idx], transformed[idx], weights, pr, mu,
-                noise_rng, step=step,
-                draw_seed=f"{seed}:{STREAM_STAGE2_NOISE}:{step}")
+                noise_rng, step=step)
             opt.step(soft, result.grads)
             soft = [np.clip(c, 0.0, 1.0) for c in soft]
             reports.append(result.report)
-            result.loss.tape.release()
             step += 1
     return soft, reports
 

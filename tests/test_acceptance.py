@@ -13,23 +13,24 @@ from fractions import Fraction
 import numpy as np
 
 from maskcert import autodiff as ad
-from maskcert.certify import (CertConfig, log_y, log_y_grid, paley_confidence,
-                              pca)
+from maskcert.certify import CertConfig, log_y_grid, paley_confidence, pca
 from maskcert.cli import EXIT_OK, main
 from maskcert.config import ExperimentConfig, parse_config
-from maskcert.masks import (binarize, effective_ratio, init_percentile_scaled,
-                            noisy_mask_values)
+from maskcert.masks import binarize, effective_ratio, init_percentile_scaled
 from maskcert.model import (LayerSpec, MaskableModel, broadcast_mask,
                             mlp_specs)
-from maskcert.objectives import (LossWeights, composite_step_loss,
-                                 triangle_bound_check)
+from maskcert.objectives import LossWeights, composite_step_loss
 from maskcert.pipeline import run_experiment
 from maskcert.transforms import TransformSpec
 from regen_fixtures import (DEFAULT_CONFIG, DEFAULT_FIXTURE as FIXTURE,
                             REGEN_HINT, default_experiment_record,
                             small_run_config_text)
-from util import (PRIMITIVE_CASES, check_graph_fd, run_primitive_fd_suite,
-                  tape_kink_margin)
+from util import (PRIMITIVE_CASES, composite_fd, log_y, noisy_mask_values,
+                  run_primitive_fd_suite, triangle_bound_check)
+
+# The seeds of criterion 1's composite instances that clear every kink by
+# 1e-3, as admitted since the objective was first checked this way.
+ADMITTED_SEEDS = [2, 5, 7, 8, 9, 11, 14, 16, 20, 22, 27, 28, 32, 34, 36, 41, 42, 43, 45, 55]
 
 
 def criterion(number, description, ok, detail=""):
@@ -50,9 +51,9 @@ def test_criterion_1_gradient_correctness():
 
     # full composite objective on a 2-layer toy model; instances are admitted
     # only when clear of every kink by construction
-    checked = 0
+    admitted = []
     seed = 0
-    while checked < 20 and seed < 200:
+    while len(admitted) < 20 and seed < 200:
         seed += 1
         rng = np.random.default_rng([7, seed])
         model = MaskableModel.initialized(mlp_specs(5, [6], 3), "unstructured",
@@ -62,16 +63,15 @@ def test_criterion_1_gradient_correctness():
         x_t = x + 0.3 * rng.standard_normal((4, 5))
         res = composite_step_loss(model, soft, x, x_t, LossWeights(), 0.5, 0.5,
                                   np.random.default_rng([9, seed]))
-        tape = res.loss.tape
-        if tape_kink_margin(tape) < 1e-3:
+        err = composite_fd(model, soft, x, x_t, LossWeights(), 0.5, 0.5, [9, seed], res)
+        if err is None:
             continue
-        leaves = [n for n in tape.nodes if n.op == "leaf" and n.requires_grad]
-        worst = max(worst, check_graph_fd(tape, res.loss, leaves))
-        checked += 1
+        worst = max(worst, err)
+        admitted.append(seed)
     elapsed = time.perf_counter() - start
     budget(1, elapsed, 30.0)
     criterion(1, "all primitives and the composite objective match finite "
-                 "differences at 1e-4", covered and checked == 20 and worst < 1e-4,
+                 "differences at 1e-4", covered and admitted == ADMITTED_SEEDS and worst < 1e-4,
               f"worst rel err {worst:.2e}, {elapsed:.1f}s")
 
 

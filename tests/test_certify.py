@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from maskcert import certify
-from maskcert.certify import (CertConfig, clean_margin, grid_min, log_y, log_y_grid,
+from maskcert.certify import (CertConfig, clean_margin, grid_min, log_y_grid,
                               paley_confidence, pca)
 from maskcert.masks import binarize, hard_multipliers
 from maskcert.model import LayerSpec, MaskableModel, mlp_specs
 from maskcert.transforms import CorruptionTag, TransformSpec, sample_set
+from util import log_y
 
 
 def constant_model(bias=(2.0, 0.0), in_dim=4):

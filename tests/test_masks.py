@@ -6,10 +6,9 @@ import pytest
 
 from maskcert import autodiff as ad
 from maskcert.masks import (binarize, effective_ratio, hard_multipliers,
-                            init_percentile_scaled, noisy_mask_values,
-                            sample_noisy, unit_magnitudes)
+                            init_percentile_scaled, sample_noisy, unit_magnitudes)
 from maskcert.model import LayerSpec, MaskableModel, mlp_specs
-from util import rel_err
+from util import noisy_mask_values, rel_err
 
 
 def single_layer_model(weights, mode="unstructured"):
@@ -73,11 +72,9 @@ class TestPercentileInit:
 
 class TestSampleNoisy:
     def test_mu_zero_identity(self):
-        tape = ad.Tape()
         c_val = np.array([0.1, 0.5, 0.9])
-        c = tape.leaf(c_val, requires_grad=True)
-        out = sample_noisy([c], 0.0, np.random.default_rng(0))[0]
-        assert np.array_equal(out.value, c_val)
+        out, _ = sample_noisy([c_val], 0.0, np.random.default_rng(0))[0]
+        assert np.array_equal(out, [c_val])
 
     def test_clipping_saturation(self):
         # forced noise of +-0.5 on [0.9, 0.1] saturates both ends
@@ -86,32 +83,33 @@ class TestSampleNoisy:
         assert np.array_equal(np.clip(c_val + xi, 0, 1), [1.0, 0.0])
 
     def test_gradient_through_pass_region(self):
-        tape = ad.Tape()
-        c = tape.leaf(np.array([0.5, 0.5]), requires_grad=True)
         rng = np.random.default_rng(1)
-        out = sample_noisy([c], 0.2, rng)[0]  # noise <= 0.2 keeps both interior
-        grads = ad.backprop(ad.weighted_sum([out], [np.ones(2)]))
-        assert np.array_equal(grads[c.id], np.ones(2))
+        # noise <= 0.2 keeps both interior
+        _, noisy_vjp = sample_noisy([np.array([0.5, 0.5])], 0.2, rng)[0]
+        assert np.array_equal(noisy_vjp(np.ones((1, 2)), [True])[0], np.ones((1, 2)))
 
     def test_fresh_noise_per_call(self):
-        tape = ad.Tape()
-        c = tape.leaf(np.full(64, 0.5), requires_grad=True)
+        c = np.full(64, 0.5)
         rng = np.random.default_rng(2)
-        a = sample_noisy([c], 0.4, rng)[0]
-        b = sample_noisy([c], 0.4, rng)[0]
-        assert not np.array_equal(a.value, b.value)
+        a, _ = sample_noisy([c], 0.4, rng)[0]
+        b, _ = sample_noisy([c], 0.4, rng)[0]
+        assert not np.array_equal(a, b)
 
-    def test_skips_exempt_layers(self):
-        tape = ad.Tape()
-        c = tape.leaf(np.full(3, 0.5), requires_grad=True)
-        out = sample_noisy([c, None], 0.1, np.random.default_rng(3))
-        assert out[1] is None and out[0].op == "noisy"
+    def test_draws_taken_draw_by_draw_over_layers(self):
+        # with three draws, layer i's copy k uses the k-th noise array drawn
+        # for that layer, drawing every layer once per draw
+        cs = [np.full(3, 0.5), np.full((2, 2), 0.5)]
+        out = [np.empty((3, *c.shape)) for c in cs]
+        values = sample_noisy(cs, 0.3, np.random.default_rng(5), draws=3, out=out)
+        rng = np.random.default_rng(5)
+        xis = [[rng.uniform(-0.3, 0.3, size=c.shape) for c in cs] for _ in range(3)]
+        for i, (c, (v, _)) in enumerate(zip(cs, values)):
+            assert v is out[i]
+            assert np.array_equal(v, [np.clip(c + xis[k][i], 0, 1) for k in range(3)])
 
     def test_negative_mu_rejected(self):
-        tape = ad.Tape()
-        c = tape.leaf(np.ones(2))
         with pytest.raises(ValueError, match="mu"):
-            sample_noisy([c], -0.1, np.random.default_rng(0))
+            sample_noisy([np.ones(2)], -0.1, np.random.default_rng(0))
 
     def test_empirical_mean_matches_analytic(self):
         # E[clip(c + U(-mu, mu), 0, 1)] via the piecewise integral
@@ -287,27 +285,28 @@ class TestEffectiveRatio:
 
 class TestSteThroughLoss:
     def test_grad_equals_hard_argument_grad(self):
-        # 2-unit layer: gradient on C through the straight-through node must
+        # 2-unit layer: gradient on C through the straight-through mask must
         # match the derivative of the loss with respect to the hard mask
         rng = np.random.default_rng(9)
         w = rng.standard_normal((2, 1))
-        c_val = np.array([0.7, 0.2])
-        hard = binarize([c_val], 0.5).layers[0]
+        c_val = np.array([0.7, 0.2]).reshape(2, 1)
+        hard = binarize([c_val.ravel()], 0.5).layers[0].reshape(2, 1)
         x = rng.standard_normal((3, 1))
-
-        spec = [LayerSpec(1, 2, "none")]
         target = np.tile([0.8, 0.2], (3, 1))
 
-        def loss(tape, mask):
-            logits = ad.masked_mlp(tape.const(x), [tape.const(w)], [tape.const(np.zeros(2))],
-                                   spec, [mask])
-            return ad.consistency(tape.const(target), ad.softmax(logits))
+        def mask_grad(mask):
+            """d consistency(target, softmax(x (mask * w)^T)) / d mask."""
+            effective = mask * w
+            logits, mlp_vjp = ad.primitive("masked_mlp", [x, effective, np.zeros(2)],
+                                           specs=(LayerSpec(1, 2, "none"),))
+            p, softmax_vjp = ad.primitive("softmax", [logits])
+            _, consis_vjp = ad.primitive("consistency", [target, p])
+            g_p = consis_vjp(1.0, [False, True])[1]
+            g_w = mlp_vjp(softmax_vjp(g_p, [True])[0], [False, True, False])[1]
+            return g_w * w
 
-        tape = ad.Tape()
-        c = tape.leaf(c_val.reshape(2, 1), requires_grad=True)
-        g_c = ad.backprop(loss(tape, ad.ste(c, hard.reshape(2, 1))))[c.id]
-
-        tape2 = ad.Tape()
-        m_leaf = tape2.leaf(hard.reshape(2, 1), requires_grad=True)
-        g_m = ad.backprop(loss(tape2, m_leaf))[m_leaf.id]
+        m, ste_vjp = ad.primitive("ste", [c_val], hard=hard, c0=c_val)
+        assert np.array_equal(m, hard)
+        g_c = ste_vjp(mask_grad(m), [True])[0]
+        g_m = mask_grad(hard)
         assert rel_err(g_c, g_m) < 1e-12

@@ -132,18 +132,20 @@ class TestStage2:
         assert [r.composite for r in r1] == [r.composite for r in r2]
 
 
-class TestTapeLifetime:
-    def test_step_tapes_freed_without_cyclic_gc(self, monkeypatch):
-        # each training step releases its tape, so reference counting frees
-        # it; with the cyclic collector off, no tape may outlive the stages
+class TestStepLifetime:
+    def test_step_values_freed_without_cyclic_gc(self, monkeypatch):
+        # each training step's values are freed by reference counting; with
+        # the cyclic collector off, none may outlive the stages
         refs = []
+        primitive = ad.primitive
 
-        class TrackedTape(ad.Tape):
-            def __init__(self):
-                super().__init__()
-                refs.append(weakref.ref(self))
+        def tracked(kind, values, **attrs):
+            value, vjp = primitive(kind, values, **attrs)
+            if np.ndim(value):
+                refs.append(weakref.ref(value))
+            return value, vjp
 
-        monkeypatch.setattr(ad, "Tape", TrackedTape)
+        monkeypatch.setattr(ad, "primitive", tracked)
         cfg = tiny_cfg(stage1_epochs=1, stage2_epochs=1, stage3_epochs=1)
         _, _, _, train_aug, pairs, model = tiny_setup(cfg)
         tc = pipeline.train_config(cfg)

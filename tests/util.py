@@ -1,10 +1,20 @@
-"""Shared oracles for the test suite: replay-based finite differences and
-kink-free random instance construction for every autodiff primitive."""
+"""Shared oracles for the test suite: finite differences of every registered
+autodiff kind and of the composite stage-2 objective, kink-free random
+instance construction, and reference forms of helpers the program itself no
+longer needs (the scalar log Y, value-level noisy masks and the triangle
+bound check)."""
+
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from maskcert import autodiff as ad
-from maskcert.model import LayerSpec, mlp_specs
+from maskcert.certify import _logsumexp
+from maskcert.errors import InvariantError
+from maskcert.masks import binarize
+from maskcert.model import LayerSpec, broadcast_mask, masked_forward, mlp_specs
+from maskcert.objectives import mask_shape
 
 FD_H = 1e-5
 FD_TOL = 1e-4
@@ -19,27 +29,34 @@ def rel_err(analytic, numeric) -> float:
     return float(np.max(np.abs(a - f) / denom))
 
 
-def fd_leaf_grad(tape, root, leaf, h=FD_H) -> np.ndarray:
-    """Central differences of the recorded tape function w.r.t. one leaf."""
-    base = leaf.value
+def fd_grad(f, base, h=FD_H) -> np.ndarray:
+    """Central differences of the scalar function f at the array base."""
     g = np.zeros_like(base)
     for i in range(base.size):
         vp = base.copy()
         vp.ravel()[i] += h
         vm = base.copy()
         vm.ravel()[i] -= h
-        fp = tape.replay({leaf: vp})[root.id]
-        fm = tape.replay({leaf: vm})[root.id]
-        g.ravel()[i] = (float(fp) - float(fm)) / (2 * h)
+        g.ravel()[i] = (f(vp) - f(vm)) / (2 * h)
     return g
 
 
-def check_graph_fd(tape, root, leaves, tol=FD_TOL, h=FD_H) -> float:
-    grads = ad.backprop(root)
+def check_kind_fd(kind, inputs, attrs, checked, rng, tol=FD_TOL, h=FD_H) -> float:
+    """The VJP of one kind against central differences of its value, each
+    checked input perturbed on its own. The value is contracted against a
+    random weight so that the upstream gradient is non-uniform. Returns the
+    worst relative error."""
+    value, vjp = ad.primitive(kind, inputs, **attrs)
+    weight = rng.uniform(0.5, 1.5, size=np.shape(value))
+    grads = vjp(weight, [i in checked for i in range(len(inputs))])
     worst = 0.0
-    for leaf in leaves:
-        worst = max(worst, rel_err(grads[leaf.id], fd_leaf_grad(tape, root, leaf, h)))
-    assert worst < tol, f"gradient mismatch vs finite differences: {worst:.3e}"
+    for i in checked:
+        def f(arr, i=i):
+            vals = list(inputs)
+            vals[i] = arr
+            return float((weight * ad.primitive(kind, vals, **attrs)[0]).sum())
+        worst = max(worst, rel_err(grads[i], fd_grad(f, inputs[i], h)))
+    assert worst < tol, f"{kind}: gradient mismatch vs finite differences: {worst:.3e}"
     return worst
 
 
@@ -48,53 +65,104 @@ def _row_gap(x):
     return s[..., -1] - s[..., -2]
 
 
-def _relu_margin(node):
-    """Smallest |pre-activation| of any relu layer of a masked_mlp node,
-    recomputed from its inputs."""
-    specs, masked = node.attrs["specs"], node.attrs["masked"]
-    n = len(specs)
-    v = [p.value for p in node.parents]
-    masks = dict(zip(masked, v[2 * n + 1:]))
-    margin, h = np.inf, v[0]
-    for i, spec in enumerate(specs):
-        w = masks[i] * v[1 + i] if i in masks else v[1 + i]
-        h = h @ w.T + v[n + 1 + i]
-        if spec.activation == "relu":
-            margin = min(margin, float(np.abs(h).min()))
-            h = np.maximum(h, 0.0)
+def relu_margin(x, weights, biases, specs, masks=None) -> float:
+    """Smallest |pre-activation| of any relu layer, read from the
+    pre-activations masked_forward returns."""
+    _, zs, _ = masked_forward(x, weights, biases, specs, masks)
+    return min((float(np.abs(z).min()) for z, s in zip(zs, specs) if s.activation == "relu"),
+               default=np.inf)
+
+
+def ratio_margin(p, q) -> float:
+    """Distance of (p, q) from the sup-norm and top-2 kinks of ratio_penalty."""
+    a = np.abs(p - q)
+    margin = min(float(_row_gap(a).min()), float(a.max(axis=-1).min()))
+    s = np.sort(p, axis=-1)
+    margin = min(margin, float((s[..., -1] - s[..., -2]).min()))
+    if s.shape[-1] >= 3:
+        margin = min(margin, float((s[..., -2] - s[..., -3]).min()))
     return margin
 
 
-def tape_kink_margin(tape) -> float:
-    """Distance from the recorded values to the nearest non-smooth point of
-    any kinked primitive on the tape: relu pre-activations in masked_mlp,
-    clip edges in noisy, sup-norm and top-2 gaps in ratio_penalty, and zeros
-    in l1_mean. Instances are admitted for finite differencing only when this
-    clears a margin."""
-    margin = np.inf
-    for node in tape.nodes:
-        v = [p.value for p in node.parents]
-        if node.op == "masked_mlp":
-            margin = min(margin, _relu_margin(node))
-        elif node.op == "noisy":
-            x = v[0] + node.attrs["xi"]
-            margin = min(margin, float(np.abs(x).min()), float(np.abs(x - 1.0).min()))
-        elif node.op == "ratio_penalty":
-            a = np.abs(v[0] - v[1])
-            margin = min(margin, float(_row_gap(a).min()), float(a.max(axis=-1).min()))
-            s = np.sort(v[0], axis=-1)
-            margin = min(margin, float((s[..., -1] - s[..., -2]).min()))
-            if s.shape[-1] >= 3:
-                margin = min(margin, float((s[..., -2] - s[..., -3]).min()))
-        elif node.op == "l1_mean":
-            margin = min(margin, *(float(np.abs(x).min()) for x in v))
-    return margin
+# ---------------------------------------------------------------------------
+# the composite objective as a pure function of the soft mask
 
 
-def weighted_scalar(out, rng):
-    """Contract a node against a random constant so the upstream gradient in
-    finite-difference checks is non-uniform."""
-    return ad.weighted_sum([out], [rng.uniform(0.5, 1.5, size=out.value.shape)])
+def _value(kind, *inputs, **attrs):
+    return ad.primitive(kind, list(inputs), **attrs)[0]
+
+
+def composite_objective(model, cs, x, x_t, weights, xis, hard, c0):
+    """The stage-2 objective as a pure function of the per-layer soft masks
+    cs (maskable layers only, in mask shape), with the noise draws
+    xis = (xi_m, xi_n, xi_s) (each one array per layer), the hard masks and
+    the straight-through point c0 held fixed. It is assembled from the
+    registered kinds one masked copy at a time.
+    Returns the total and the distance of this evaluation from the nearest
+    kink: relu pre-activations, clip edges of the noisy masks, the sup-norm
+    and top-2 gaps of the ratio term, and zeros of the L1 term."""
+    masked = [i for i, n in enumerate(model.mask_dims()) if n]
+
+    def masks_of(layer_masks):
+        full = [None] * len(model.specs)
+        for i, m in zip(masked, layer_masks):
+            full[i] = m
+        return full
+
+    noisy = [[_value("noisy", c[None], xi=[xi])[0] for c, xi in zip(cs, draw)] for draw in xis]
+    ste = [_value("ste", c, hard=h, c0=c_0) for c, h, c_0 in zip(cs, hard, c0)]
+    copies = [(x, noisy[0]), (x, noisy[1]), (x, ste), (x_t, noisy[2])]
+    probs, margin = [], np.inf
+    for inp, layer_masks in copies:
+        masks = masks_of(layer_masks)
+        logits = _value("masked_mlp", inp, *model.weights, *model.biases,
+                        specs=tuple(model.specs), masks=masks)
+        probs.append(_value("softmax", logits))
+        margin = min(margin, relu_margin(inp, model.weights, model.biases, model.specs, masks))
+    p_m, p_n, p_h, p_s = probs
+    terms = [_value("stability", p_m, p_n),
+             _value("ratio_penalty", p_m, p_s, eta=weights.eta, eps=weights.margin_eps),
+             _value("consistency", p_m, p_h),
+             _value("l1_mean", *cs)]
+    total = _value("weighted_sum", *terms,
+                   weights=(weights.stab, weights.ratio, weights.consis, weights.l1))
+    shifted = [c + xi for draw in xis for c, xi in zip(cs, draw)]
+    margin = min(margin, ratio_margin(p_m, p_s),
+                 *(float(np.abs(s).min()) for s in shifted),
+                 *(float(np.abs(s - 1.0).min()) for s in shifted),
+                 *(float(np.abs(c).min()) for c in cs))
+    return float(total), margin
+
+
+def composite_fd(model, soft, x, x_t, weights, pr, mu, seed, result, min_margin=1e-3):
+    """Finite-difference check of one composite_step_loss result, computed
+    with rng default_rng(seed): the same draws are taken again in the step's
+    order, and every entry of each layer's soft mask is perturbed in
+    composite_objective. Returns the worst relative error, or None when the
+    instance lies within min_margin of a kink."""
+    rng = np.random.default_rng(seed)
+    masked = [i for i, c in enumerate(soft) if c.size]
+    cs = [soft[i].reshape(mask_shape(model.specs[i], model.mask_mode)) for i in masked]
+    xis = [[rng.uniform(-mu, mu, size=c.shape) for c in cs] for _ in range(3)]
+    hard = [binarize(soft, pr).layers[i].reshape(c.shape) for i, c in zip(masked, cs)]
+
+    def objective(layer_masks):
+        return composite_objective(model, layer_masks, x, x_t, weights, xis, hard, cs)
+
+    total, margin = objective(cs)
+    assert total == result.report.composite, "stacked step and per-copy oracle disagree"
+    if margin < min_margin:
+        return None
+    worst = 0.0
+    for k, i in enumerate(masked):
+        def f(arr, k=k):
+            return objective(cs[:k] + [arr] + cs[k + 1:])[0]
+        worst = max(worst, rel_err(result.grads[i].reshape(cs[k].shape), fd_grad(f, cs[k])))
+    return worst
+
+
+# ---------------------------------------------------------------------------
+# kink-free random instances of every kind
 
 
 def _spaced(rng, n, lo, hi, min_gap_factor=0.25):
@@ -128,60 +196,49 @@ def _probs(rng, shape, alpha=2.0, floor=1e-3):
     return p / p.sum(axis=-1, keepdims=True)
 
 
-def _leafed(rng, arrays):
-    tape = ad.Tape()
-    leaves = [tape.leaf(a, requires_grad=True) for a in arrays]
-    return tape, leaves
-
-
-def _case_masked_mlp(rng, specs, mask_shapes):
-    """Every input a leaf; redrawn until each relu pre-activation is clear of
-    the kink."""
+def _case_masked_mlp(rng, specs, mask_shapes, stack=()):
+    """Input, weights and biases checked, masks fixed; redrawn until each
+    relu pre-activation is clear of the kink. `stack` prepends copy axes to
+    the input, the weights and the masks."""
+    n = len(specs)
     while True:
-        arrays = [rng.standard_normal((5, specs[0].in_dim))]
-        arrays += [rng.standard_normal((s.out_dim, s.in_dim)) for s in specs]
-        arrays += [rng.standard_normal(s.out_dim) for s in specs]
-        arrays += [rng.uniform(0.2, 1.0, size=m) for m in mask_shapes if m is not None]
-        tape, leaves = _leafed(rng, arrays)
-        n = len(specs)
-        it = iter(leaves[2 * n + 1:])
-        masks = [None if m is None else next(it) for m in mask_shapes]
-        out = ad.masked_mlp(leaves[0], leaves[1:n + 1], leaves[n + 1:2 * n + 1], specs, masks)
-        if tape_kink_margin(tape) > 1e-2:
-            return tape, weighted_scalar(out, rng), leaves
+        x = rng.standard_normal((*stack, 5, specs[0].in_dim))
+        ws = [rng.standard_normal((*stack, s.out_dim, s.in_dim)) for s in specs]
+        bs = [rng.standard_normal(s.out_dim) for s in specs]
+        masks = [None if m is None else rng.uniform(0.2, 1.0, size=(*stack, *m))
+                 for m in mask_shapes]
+        if relu_margin(x, ws, bs, specs, masks) > 1e-2:
+            return ("masked_mlp", [x, *ws, *bs], {"specs": tuple(specs), "masks": masks},
+                    range(2 * n + 1))
 
 
 def _case_softmax(rng, shape):
-    tape, (x,) = _leafed(rng, [rng.standard_normal(shape)])
-    return tape, weighted_scalar(ad.softmax(x), rng), [x]
+    return "softmax", [rng.standard_normal(shape)], {}, [0]
 
 
 def _case_cross_entropy(rng):
     logits = rng.standard_normal((6, 4))
     labels = rng.integers(0, 4, size=6)
-    tape, (x,) = _leafed(rng, [logits])
-    return tape, weighted_scalar(ad.cross_entropy(x, labels), rng), [x]
+    return "cross_entropy", [logits], {"labels": labels}, [0]
 
 
 def _case_noisy(rng, shape, c_lo, c_hi):
+    """Copies c of shape (draws, ...) and one noise array per copy."""
     xi = rng.uniform(-0.5, 0.5, size=shape)
     c = rng.uniform(c_lo, c_hi, size=shape)
     for edge in (0.0, 1.0):
         c = np.where(np.abs(c + xi - edge) < 5e-3, c + 0.05, c)
-    tape, (c_leaf,) = _leafed(rng, [c])
-    return tape, weighted_scalar(ad.noisy(c_leaf, xi), rng), [c_leaf]
+    return "noisy", [c], {"xi": list(xi)}, [0]
 
 
 def _case_ste(rng, shape):
     c = rng.uniform(0.05, 0.95, size=shape)
     hard = (rng.uniform(size=shape) < 0.5).astype(float)
-    tape, (c_leaf,) = _leafed(rng, [c])
-    return tape, weighted_scalar(ad.ste(c_leaf, hard), rng), [c_leaf]
+    return "ste", [c], {"hard": hard, "c0": c.copy()}, [0]
 
 
 def _case_stability(rng, shape):
-    tape, (p, q) = _leafed(rng, [rng.standard_normal(shape), rng.standard_normal(shape)])
-    return tape, weighted_scalar(ad.stability(p, q), rng), [p, q]
+    return "stability", [rng.standard_normal(shape), rng.standard_normal(shape)], {}, [0, 1]
 
 
 def _case_ratio(rng, shape, margin_lo=-1.5, margin_hi=1.5, shift=0.2, eta=1.0):
@@ -189,46 +246,47 @@ def _case_ratio(rng, shape, margin_lo=-1.5, margin_hi=1.5, shift=0.2, eta=1.0):
     |delta| per row (sup-norm gap)."""
     p = _distinct_rows(rng, shape, margin_lo, margin_hi)
     delta = _distinct_abs_rows(rng, shape) * shift
-    tape, (p_leaf, q_leaf) = _leafed(rng, [p, p - delta])
-    node = ad.ratio_penalty(p_leaf, q_leaf, eta, 1e-6)
-    return tape, weighted_scalar(node, rng), [p_leaf, q_leaf]
+    return "ratio_penalty", [p, p - delta], {"eta": eta, "eps": 1e-6}, [0, 1]
 
 
 def _case_consistency(rng, shape, alpha=2.0, floor=1e-3):
-    tape, (p, q) = _leafed(rng, [_probs(rng, shape, alpha, floor),
-                                 _probs(rng, shape, alpha, floor)])
-    return tape, weighted_scalar(ad.consistency(p, q), rng), [p, q]
+    return ("consistency", [_probs(rng, shape, alpha, floor), _probs(rng, shape, alpha, floor)],
+            {}, [0, 1])
 
 
 def _case_l1_mean(rng):
-    tape, leaves = _leafed(rng, [_signed_away_from_zero(rng, s) for s in ((3, 4), (5,), (2, 1))])
-    return tape, weighted_scalar(ad.l1_mean(leaves), rng), leaves
+    xs = [_signed_away_from_zero(rng, s) for s in ((3, 4), (5,), (2, 1))]
+    return "l1_mean", xs, {}, range(3)
 
 
 def _case_weighted_sum(rng):
     shapes = [(3, 4), (), (5,), (2, 2)]
-    tape, leaves = _leafed(rng, [rng.standard_normal(s) for s in shapes])
-    weights = [rng.uniform(-1.5, 1.5, size=s) for s in shapes]
-    return tape, weighted_scalar(ad.weighted_sum(leaves, weights), rng), leaves
+    xs = [np.asarray(rng.standard_normal(s)) for s in shapes]
+    weights = tuple(rng.uniform(-1.5, 1.5, size=s) for s in shapes)
+    return "weighted_sum", xs, {"weights": weights}, range(4)
 
 
 _MLP = mlp_specs(3, [4], 2)
 
-# kind -> list of (label, builders); each builder(rng) -> (tape, root, leaves).
-# A label names the elementary operation its cases stress inside the kind,
-# and labels are unique across kinds.
+# kind -> list of (label, builders); each builder(rng) -> (kind, inputs,
+# attrs, indices of the inputs to check). A label names the elementary
+# operation its cases stress inside the kind, and labels are unique across
+# kinds.
 PRIMITIVE_CASES = {
     "masked_mlp": [
         ("affine", [lambda r: _case_masked_mlp(r, [LayerSpec(3, 2, "none")], [None])]),
         ("relu", [lambda r: _case_masked_mlp(r, _MLP, [None, None])]),
         ("mul", [lambda r: _case_masked_mlp(r, _MLP, [(4, 3), (2, 4)]),   # unstructured
-                 lambda r: _case_masked_mlp(r, _MLP, [(4, 1), None])])],  # structured
+                 lambda r: _case_masked_mlp(r, _MLP, [(4, 1), None])]),  # structured
+        ("stack", [lambda r: _case_masked_mlp(r, _MLP, [None, None], stack=(3,)),
+                   lambda r: _case_masked_mlp(r, _MLP, [(4, 1), (2, 4)], stack=(2,))])],
     "softmax": [("softmax", [lambda r: _case_softmax(r, (5,)),
-                             lambda r: _case_softmax(r, (4, 3))])],
+                             lambda r: _case_softmax(r, (4, 3)),
+                             lambda r: _case_softmax(r, (2, 4, 3))])],
     "cross_entropy": [("cross_entropy", [_case_cross_entropy])],
     "noisy": [
         ("add", [lambda r: _case_noisy(r, (3, 5), 0.5, 0.5)]),  # C + xi stays inside [0, 1]
-        ("clip", [lambda r: _case_noisy(r, (8,), 0.0, 1.0),    # some entries saturate
+        ("clip", [lambda r: _case_noisy(r, (1, 8), 0.0, 1.0),  # some entries saturate
                   lambda r: _case_noisy(r, (3, 5), 0.0, 1.0)])],
     "ste": [("ste", [lambda r: _case_ste(r, (6,)), lambda r: _case_ste(r, (3, 4))])],
     "stability": [("l2_norm_sq", [lambda r: _case_stability(r, (3, 4))])],
@@ -256,8 +314,8 @@ def run_case_fd(label, instances_per_case=20, seed_base=1000) -> float:
     for j, build in enumerate(CASE_LABELS[label]):
         for k in range(instances_per_case):
             rng = np.random.default_rng([seed_base, sum(map(ord, label)), j, k])
-            tape, root, leaves = build(rng)
-            worst = max(worst, check_graph_fd(tape, root, leaves))
+            kind, inputs, attrs, checked = build(rng)
+            worst = max(worst, check_kind_fd(kind, inputs, attrs, list(checked), rng))
     return worst
 
 
@@ -265,3 +323,79 @@ def run_primitive_fd_suite(instances_per_case=20, seed_base=1000):
     """Finite-difference check of every primitive over all its cases.
     Returns the worst relative error seen."""
     return max(run_case_fd(label, instances_per_case, seed_base) for label in CASE_LABELS)
+
+
+# ---------------------------------------------------------------------------
+# reference forms of helpers the program no longer needs
+
+
+def log_y(z: np.ndarray, d: float, t: float) -> float:
+    """log of (1/(n e^{dt})) sum_i e^{Z_i t}, overflow-free for t up to 1e4:
+    the scalar form of certify.log_y_grid."""
+    if t <= 0:
+        raise ValueError(f"temperature must be positive, got {t}")
+    if d < 0:
+        raise ValueError(f"margin must be non-negative, got {d}")
+    z = np.asarray(z, dtype=np.float64)
+    return float(_logsumexp(z * t) - math.log(z.size) - d * t)
+
+
+def noisy_mask_values(c_layers: list[np.ndarray], mu: float,
+                      rng: np.random.Generator) -> list[np.ndarray]:
+    """clip(C + xi, 0, 1) per layer with xi ~ U(-mu, mu), values only."""
+    if mu < 0:
+        raise ValueError(f"mu must be non-negative, got {mu}")
+    return [np.clip(c + rng.uniform(-mu, mu, size=c.shape), 0.0, 1.0)
+            for c in c_layers]
+
+
+@dataclass
+class TriangleCheck:
+    z_c: float
+    bound: float
+    term_a: float
+    term_b: float
+    term_c: float
+
+
+def triangle_bound_check(model, soft_mask, x, x_t, mu: float,
+                         rng: np.random.Generator, draws: int) -> TriangleCheck:
+    """Numerically verify the three-term bound on the prediction discrepancy
+    of one fixed noisy draw against the noisy-mask ensemble mean.
+
+    The bound holds for any reference point by the triangle inequality plus
+    the norm ordering, so it must hold for the empirical mean too; violation
+    raises InvariantError.
+    """
+    if draws < 2:
+        raise ValueError(f"draws must be >= 2, got {draws}")
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    x_t = np.atleast_2d(np.asarray(x_t, dtype=np.float64))
+
+    def _forward(mask_vals, inp):
+        mult = [broadcast_mask(v, spec, model.mask_mode) if v.size else None
+                for v, spec in zip(mask_vals, model.specs)]
+        return model.forward(inp, mult)[0]
+
+    fixed = noisy_mask_values(soft_mask, mu, rng)
+    p_c_x = _forward(fixed, x)
+    p_c_xt = _forward(fixed, x_t)
+
+    acc_x = np.zeros(model.class_count)
+    acc_xt = np.zeros(model.class_count)
+    for _ in range(draws):
+        draw = noisy_mask_values(soft_mask, mu, rng)
+        acc_x += _forward(draw, x)
+        acc_xt += _forward(draw, x_t)
+    bar_x = acc_x / draws
+    bar_xt = acc_xt / draws
+
+    z_c = float(np.abs(p_c_x - p_c_xt).max())
+    term_a = float(np.sqrt(((p_c_x - bar_x) ** 2).sum()))
+    term_b = float(np.abs(bar_x - bar_xt).max())
+    term_c = float(np.sqrt(((bar_xt - p_c_xt) ** 2).sum()))
+    bound = term_a + term_b + term_c
+    if z_c > bound + 1e-9:
+        raise InvariantError(
+            f"triangle bound violated: Z_C={z_c} > A+B+C={bound}")
+    return TriangleCheck(z_c, bound, term_a, term_b, term_c)
