@@ -12,9 +12,10 @@ them. `primitive` dispatches to them; the stage-2 step
 (`objectives.composite_step_loss`) and the cross-entropy step
 (`pipeline._ce_epochs`) chain the VJPs by hand in straight-line code.
 
-The masked MLP and the softmax accept stacked inputs, (..., batch, features),
-with masks stacked the same way: numpy's matmul runs one GEMM per trailing
-2-D block, so each copy gets the bits it would get alone.
+The masked MLP and the softmax accept stacked copies: an input of shape
+(..., batch, features) with weights and masks stacked the same way. numpy's
+matmul runs one GEMM per trailing 2-D block, so each copy gets the bits it
+would get alone.
 """
 
 from __future__ import annotations
@@ -56,6 +57,9 @@ def _unstack(g, ndim):
 
 
 def _masked_mlp(v, specs, masks=None):
+    """Logits of the layer stack on inputs [x, *weights, *biases], each weight
+    multiplied by its fixed mask: the weight's shape or a structured (out, 1)
+    shape; a None entry, or masks=None, leaves that layer dense."""
     n = len(specs)
     x, ws, bs = v[0], v[1:n + 1], v[n + 1:]
     masks = masks or [None] * n
@@ -94,6 +98,7 @@ def _masked_mlp(v, specs, masks=None):
 
 
 def _softmax(v):
+    """Softmax over the last axis, shifted by the row max."""
     x = v[0]
     if x.ndim < 1 or x.shape[-1] < 1:
         raise ValueError(f"softmax: expected a non-empty last axis, got shape {x.shape}")
@@ -102,6 +107,7 @@ def _softmax(v):
 
 
 def _cross_entropy(v, labels):
+    """Batch mean negative log likelihood from 2-D logits (fused log-softmax)."""
     logits = v[0]
     labels = np.asarray(labels, dtype=np.int64)
     if logits.ndim != 2:
@@ -127,6 +133,9 @@ def _cross_entropy(v, labels):
 
 
 def _noisy(v, xi, out=None):
+    """clip(c[k] + xi[k], 0, 1) for copies c of a soft mask stacked on the
+    first axis and one fixed noise draw per copy, written into `out` when
+    given."""
     c = v[0]
     if len(xi) != len(c) or any(np.shape(d) != c.shape[1:] for d in xi):
         raise ValueError(f"noisy: one noise array of shape {c.shape[1:]} per copy of c required")
@@ -140,6 +149,7 @@ def _noisy(v, xi, out=None):
 
 
 def _ste(v, hard, c0, out=None):
+    """Straight-through mask hard + (c - c0), written into `out` when given."""
     if hard.shape != v[0].shape:
         raise ValueError(f"ste: hard mask shape {hard.shape} does not match {v[0].shape}")
     # Value equals the binary mask exactly at the point c0 and shifts
@@ -159,6 +169,8 @@ def _row_mean_grad(g, rows):
 
 
 def _stability(v):
+    """Batch mean of the squared L2 distance between the probability rows of
+    two independent mask draws."""
     p, q = v
     _check_pair("stability", p, q)
     diff = p - q
@@ -172,6 +184,10 @@ def _stability(v):
 
 
 def _ratio_penalty(v, eta, eps):
+    """Batch mean of softplus(Z / (d + eps) - eta), with Z the sup-norm
+    distance between the clean and transformed rows and d half the gap
+    between the clean row's top two entries: a smooth penalty on the
+    robustness ratio exceeding the safety threshold."""
     p, q = v
     _check_pair("ratio_penalty", p, q)
     if p.shape[1] < 2:
@@ -205,6 +221,7 @@ def _ratio_penalty(v, eta, eps):
 
 
 def _consistency(v):
+    """Batch mean KL(p || q) with uniform smoothing of both arguments."""
     p, q = v
     _check_pair("consistency", p, q)
     k = p.shape[-1]
@@ -222,6 +239,7 @@ def _consistency(v):
 
 
 def _l1_mean(v):
+    """Sum of |x| over every entry of the inputs, divided by their entry count."""
     scale = 1.0 / sum(x.size for x in v)
     value = sum(np.abs(x).sum() for x in v) * scale
     return value, lambda g, needs: [g * scale * np.sign(x) for x in v]
@@ -236,8 +254,8 @@ def _pairwise_sum(terms):
 
 
 def _weighted_sum(v, weights):
-    if len(weights) != len(v) or any(getattr(w, "shape", ()) != getattr(x, "shape", ())
-                                     for w, x in zip(weights, v)):
+    """Sum over inputs of sum(weight * x), each weight shaped like its input."""
+    if len(weights) != len(v) or any(np.shape(w) != np.shape(x) for w, x in zip(weights, v)):
         raise ValueError("weighted_sum: one weight of each input's shape required")
     value = _pairwise_sum([(w * x).sum() for w, x in zip(weights, v)])
     return value, lambda g, needs: [g * w for w in weights]

@@ -9,7 +9,6 @@ pruning ratio on 10 units keeps ceil(3) = 3 units, not 4.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -43,13 +42,6 @@ def unit_magnitudes(model: MaskableModel) -> list[np.ndarray]:
 
 def _keep_count(fraction: Fraction, n: int) -> int:
     return math.ceil(fraction * n) if n > 0 else 0
-
-
-@functools.lru_cache(maxsize=64)
-def _binarize_keep_count(pr: float, n: int) -> int:
-    """Units binarize keeps out of n at pruning ratio pr; cached because the
-    mask search binarizes the same layer sizes at the same ratio every step."""
-    return _keep_count(1 - Fraction(str(pr)), n)
 
 
 def init_percentile_scaled(model: MaskableModel, tau: float) -> list[np.ndarray]:
@@ -113,7 +105,8 @@ def binarize(soft_mask: list[np.ndarray], pr: float) -> HardMask:
     ties broken by lower index kept first (see _top_k)."""
     if not 0.0 <= pr < 1.0:
         raise ValueError(f"pruning ratio must be in [0, 1), got {pr}")
-    layers = [_top_k(c, _binarize_keep_count(pr, c.size)) if c.size else np.empty(0)
+    keep_frac = 1 - Fraction(str(pr))
+    layers = [_top_k(c, _keep_count(keep_frac, c.size)) if c.size else np.empty(0)
               for c in soft_mask]
     return HardMask(layers)
 
