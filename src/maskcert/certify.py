@@ -122,9 +122,9 @@ def log_y_grid(z: np.ndarray, d, t_grid: np.ndarray, work=None) -> np.ndarray:
 def grid_min(rep_z: np.ndarray, d: np.ndarray, grid: np.ndarray,
              work=None) -> tuple[np.ndarray, np.ndarray]:
     """For each sample b of a block, the first index of the minimum over the
-    grid of max_j log Y(t) of rep_z[b, j] at margin d[b], and that minimum, by discrete
-    ternary search (the function is convex in t); rep_z has shape (B, l, n)
-    and d shape (B,).
+    grid of max_j log Y(t) of rep_z[b, j] at margin d[b], and that minimum,
+    by discrete ternary search (the function is convex in t); rep_z has
+    shape (B, l, n) and d shape (B,).
 
     If f(m1) <= f(m2) then every point past m2 is at least f(m1) and the first
     minimizer is at or before m2; otherwise every point up to m1 is above f(m2).

@@ -166,10 +166,10 @@ def masked_forward(x, weights, biases, specs, multipliers=None, out=None):
     pre-activation and ws[i] the weight it applied. The masked-MLP VJP in
     autodiff reuses all three.
 
-    x may be stacked, (..., batch, in), and so may the multipliers,
-    (..., out, in), one mask per stacked copy: matmul runs one GEMM per
-    trailing 2-D block, so every block gets the bits of its own call, which
-    one GEMM over the flattened rows does not promise. With `out`, one array
+    x may be stacked, (..., batch, in), and so may the weights and the
+    multipliers, (..., out, in), one per stacked copy: matmul runs one GEMM
+    per trailing 2-D block, so every block gets the bits of its own call,
+    which one GEMM over the flattened rows does not promise. With `out`, one array
     per layer shaped like that layer's output, layer i is computed into
     out[i] by the same ufuncs and its activation applied there in place, so
     nothing is allocated; zs then holds the activated outputs.
