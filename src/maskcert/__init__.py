@@ -4,7 +4,7 @@ certification of the deployed masked model."""
 from .certify import CertConfig, PcaResult, SampleCert, paley_confidence, pca
 from .config import ExperimentConfig, parse_config
 from .datasets import Dataset, SyntheticDatasetSpec, gen_synthetic, load_idx
-from .masks import HardMask, binarize, effective_ratio, init_percentile_scaled
+from .masks import binarize, effective_ratio, init_percentile_scaled
 from .model import LayerSpec, MaskableModel, load_checkpoint, save_checkpoint
 from .objectives import LossWeights, StepReport, composite_step_loss
 from .pipeline import TrainConfig, run_experiment
@@ -16,7 +16,7 @@ __all__ = [
     "CertConfig", "PcaResult", "SampleCert", "paley_confidence", "pca",
     "ExperimentConfig", "parse_config",
     "Dataset", "SyntheticDatasetSpec", "gen_synthetic", "load_idx",
-    "HardMask", "binarize", "effective_ratio", "init_percentile_scaled",
+    "binarize", "effective_ratio", "init_percentile_scaled",
     "LayerSpec", "MaskableModel", "load_checkpoint", "save_checkpoint",
     "LossWeights", "StepReport", "composite_step_loss",
     "TrainConfig", "run_experiment",

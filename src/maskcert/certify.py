@@ -60,7 +60,6 @@ class CertConfig:
     t_count: int = 500
     t_lo: float = 1e-4
     t_hi: float = 1e4
-    eval_size: int = 100         # m
     c_v: float = 1.0
     seed: int = 0
 
@@ -75,8 +74,6 @@ class CertConfig:
             raise ValueError("temperature grid needs t_lo < t_hi")
         if self.t_count < 2:
             raise ValueError("temperature grid needs at least 2 points")
-        if self.eval_size < 1:
-            raise ValueError("eval_size must be >= 1")
         if self.c_v <= 0:
             raise ValueError("c_v must be positive")
         if self.seed < 0:
@@ -184,10 +181,6 @@ class SampleCert:
     certified: bool
     rep_z_max: np.ndarray  # (l,) largest discrepancy of each repetition
 
-    @property
-    def correct_on_clean(self) -> bool:
-        return self.predicted == self.label
-
 
 @dataclass
 class PcaResult:
@@ -206,18 +199,18 @@ class PcaResult:
     log_eps_hat_max: float
 
 
-def pca(model: MaskableModel, multipliers, x_eval, y_eval, spec: TransformSpec,
+def pca(deployed: MaskableModel, x_eval, y_eval, spec: TransformSpec,
         config: CertConfig) -> PcaResult:
-    """Certified fraction over an evaluation set, with the full per-sample
-    table. Sample i is certified <=> its clean prediction is correct and its
-    flip-probability bound is at or below the configured error bound; a zero
-    margin is trivially uncertifiable (eps_hat = 1, best_t = nan), not an
-    error.
+    """Certified fraction of the deployed model (its hard mask already
+    folded into the weights, MaskableModel.folded) over an evaluation set,
+    with the full per-sample table. Sample i is certified <=> its clean
+    prediction is correct and its flip-probability bound is at or below the
+    configured error bound; a zero margin is trivially uncertifiable
+    (eps_hat = 1, best_t = nan), not an error.
 
     Sample i draws from a stream derived as (seed, namespace, i), so
     different models certified against the same config see identical
-    transform draws. The multipliers are folded into the weights once
-    (MaskableModel.folded). The clean predictions come from forwards of the
+    transform draws. The clean predictions come from forwards of the
     (m, 1, d) stack, as many samples at a time as the layer buffers hold;
     each sample's l·n transformed inputs go through stacked forwards of
     whole repetitions into buffers allocated once per call; and blocks of
@@ -229,7 +222,6 @@ def pca(model: MaskableModel, multipliers, x_eval, y_eval, spec: TransformSpec,
     y_eval = np.asarray(y_eval)
     if len(x_eval) == 0:
         raise ValueError("pca: empty evaluation set")
-    deployed = model.folded(multipliers)
     m, l, n = len(x_eval), config.repetitions, config.samples_per_rep
     grid = config.t_grid()
 

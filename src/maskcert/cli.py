@@ -28,7 +28,7 @@ from .config import (ExperimentConfig, cert_config, loss_weights, model_layer_sp
                      parse_config, serialize, synthetic_spec, validate)
 from .datasets import accuracy, gen_synthetic, write_dataset_csv
 from .errors import ConfigError, DatasetError
-from .masks import HardMask, binarize, effective_ratio, hard_multipliers
+from .masks import binarize, effective_ratio, hard_multipliers
 from .model import load_checkpoint, save_checkpoint
 
 EXIT_OK = 0
@@ -113,11 +113,11 @@ def _save_method_artifacts(out: Path, cfg: ExperimentConfig, output) -> None:
             _write_stage2_log(out / "stage2_log.csv", art.stage_logs["stage2"])
         if art.hard is not None:
             save_checkpoint(out / f"finetuned_{method}.ckpt", art.model,
-                            "finetuned", hard_mask=art.hard.layers, seed=cfg.seed)
+                            "finetuned", hard_mask=art.hard, seed=cfg.seed)
         if "stage3" in art.stage_logs:
             _write_epoch_log(out / f"stage3_log_{method}.csv", art.stage_logs["stage3"])
-        ratio = effective_ratio(art.hard, art.model) if art.hard is not None else 0.0
-        _write_cert_report(out, f"cert_report_{method}", cfg, art.cert, ratio)
+        _write_cert_report(out, f"cert_report_{method}", cfg, art.cert,
+                           effective_ratio(art.hard, art.model))
 
 
 def _write_summary(out: Path, output) -> None:
@@ -199,7 +199,7 @@ def _cmd_finetune(cfg: ExperimentConfig, args, out: Path) -> dict:
     history = pipeline.stage3_finetune(model, hard, train_aug,
                                        pipeline.train_config(cfg), cfg.seed)
     save_checkpoint(out / "finetuned.ckpt", model, "finetuned",
-                    hard_mask=hard.layers, seed=cfg.seed)
+                    hard_mask=hard, seed=cfg.seed)
     _write_epoch_log(out / "stage3_log.csv", history)
     return {"final_loss": history[-1].mean_loss,
             "realized_ratio": effective_ratio(hard, model)}
@@ -209,14 +209,14 @@ def _cmd_certify(cfg: ExperimentConfig, args, out: Path) -> dict:
     train, test, spec, _, _ = pipeline.build_data(cfg)
     model, extras = _load_ckpt_arg(args, "finetuned.ckpt", cfg, train.x.shape[1],
                                    ("pretrained", "finetuned"))
-    hard = None if extras["hard_mask"] is None else HardMask(extras["hard_mask"])
+    hard = extras["hard_mask"]
     idx = pipeline.eval_subset(cfg, test)
-    multipliers = hard_multipliers(model, hard)
-    result = pca(model, multipliers, test.x[idx], test.y[idx], spec, cert_config(cfg))
-    ratio = effective_ratio(hard, model) if hard is not None else 0.0
+    deployed = model.folded(hard_multipliers(model, hard))
+    result = pca(deployed, test.x[idx], test.y[idx], spec, cert_config(cfg))
+    ratio = effective_ratio(hard, model)
     _write_cert_report(out, "cert_report", cfg, result, ratio)
     return {"pca": result.fraction, "pruning_ratio": ratio,
-            "clean_accuracy": accuracy(model, test, multipliers)}
+            "clean_accuracy": accuracy(deployed, test)}
 
 
 def _cmd_run_all(cfg: ExperimentConfig, args, out: Path) -> dict:
@@ -229,8 +229,8 @@ def _cmd_run_all(cfg: ExperimentConfig, args, out: Path) -> dict:
 def _cmd_compare(cfg: ExperimentConfig, args, out: Path) -> dict:
     output = pipeline.run_experiment(cfg)
     for method, art in output.artifacts.items():
-        ratio = effective_ratio(art.hard, art.model) if art.hard is not None else 0.0
-        _write_cert_report(out, f"cert_report_{method}", cfg, art.cert, ratio)
+        _write_cert_report(out, f"cert_report_{method}", cfg, art.cert,
+                           effective_ratio(art.hard, art.model))
     _write_summary(out, output)
     return {f"wall_time_{r.method}": r.wall_time for r in output.results}
 

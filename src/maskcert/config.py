@@ -281,7 +281,6 @@ def cert_config(cfg: ExperimentConfig) -> CertConfig:
                       error_bound=cfg.cert_error_bound,
                       t_count=cfg.cert_t_count,
                       t_lo=cfg.cert_t_lo, t_hi=cfg.cert_t_hi,
-                      eval_size=cfg.cert_eval_size,
                       c_v=cfg.cert_cv, seed=cfg.seed)
 
 

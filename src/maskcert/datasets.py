@@ -148,8 +148,8 @@ def write_dataset_csv(path, ds: Dataset) -> None:
             fh.write(",".join(repr(float(v)) for v in row) + f",{int(label)}\n")
 
 
-def accuracy(model, ds: Dataset, multipliers=None) -> float:
+def accuracy(model, ds: Dataset) -> float:
     if len(ds) == 0:
         raise ValueError("cannot score an empty dataset")
-    probs = model.forward(ds.x, multipliers)
+    probs = model.forward(ds.x)
     return float(np.mean(np.argmax(probs, axis=1) == ds.y))

@@ -12,7 +12,3 @@ class ConfigError(ValueError):
 
 class DatasetError(ValueError):
     """Malformed or missing dataset / checkpoint file content."""
-
-
-class InvariantError(RuntimeError):
-    """An internal consistency check failed."""

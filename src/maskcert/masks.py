@@ -3,27 +3,21 @@ layer-wise top-k binarization.
 
 A soft mask is a list of per-layer float vectors in [0, 1] whose lengths are
 the model's prunable-unit counts (mask_dims); exempt layers carry empty
-vectors. Keep counts use exact rational arithmetic so that e.g. a 0.7
+vectors. A hard mask is the same list with 0/1 entries, as binarize returns
+it and checkpoints store it; hard_multipliers shapes it to apply to the
+weights. Keep counts use exact rational arithmetic so that e.g. a 0.7
 pruning ratio on 10 units keeps ceil(3) = 3 units, not 4.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from . import autodiff as ad
-from .model import MaskableModel, broadcast_mask
-
-
-@dataclass
-class HardMask:
-    """Binary per-layer masks: one 0/1 vector per layer, empty for exempt
-    layers."""
-    layers: list[np.ndarray]
+from .model import MaskableModel, mask_shape
 
 
 def unit_magnitudes(model: MaskableModel) -> list[np.ndarray]:
@@ -100,45 +94,40 @@ def _top_k(c: np.ndarray, kappa: int) -> np.ndarray:
     return keep.astype(np.float64)
 
 
-def binarize(soft_mask: list[np.ndarray], pr: float) -> HardMask:
-    """Layer-wise top-k projection: keep ceil((1-pr) * N_i) units per layer,
-    ties broken by lower index kept first (see _top_k)."""
+def binarize(soft_mask: list[np.ndarray], pr: float) -> list[np.ndarray]:
+    """Hard mask by layer-wise top-k projection: keep ceil((1-pr) * N_i)
+    units per layer, ties broken by lower index kept first (see _top_k)."""
     if not 0.0 <= pr < 1.0:
         raise ValueError(f"pruning ratio must be in [0, 1), got {pr}")
     keep_frac = 1 - Fraction(str(pr))
-    layers = [_top_k(c, _keep_count(keep_frac, c.size)) if c.size else np.empty(0)
-              for c in soft_mask]
-    return HardMask(layers)
+    return [_top_k(c, _keep_count(keep_frac, c.size)) if c.size else np.empty(0)
+            for c in soft_mask]
 
 
-def effective_ratio(mask_layers, model: MaskableModel) -> float:
-    """Realized pruning ratio: zeroed weight entries / total weight entries,
-    counted with exact integers. Accepts a HardMask or a per-layer list of
-    vectors; empty entries leave a layer dense."""
-    if isinstance(mask_layers, HardMask):
-        mask_layers = mask_layers.layers
-    if len(mask_layers) != len(model.specs):
-        raise ValueError("mask must have one entry per layer")
-    zeroed = 0
-    for spec, vec in zip(model.specs, mask_layers):
-        v = np.asarray(vec)
-        if v.size == 0:
-            continue
-        if model.mask_mode == "unstructured":
-            if v.shape != (spec.out_dim * spec.in_dim,):
-                raise ValueError(
-                    f"mask length {v.size} != {spec.out_dim * spec.in_dim}")
-            zeroed += int(np.count_nonzero(v == 0))
-        else:
-            if v.shape != (spec.out_dim,):
-                raise ValueError(f"mask length {v.size} != {spec.out_dim}")
-            zeroed += int(np.count_nonzero(v == 0)) * spec.in_dim
-    return zeroed / model.weight_count()
-
-
-def hard_multipliers(model: MaskableModel, hard: HardMask | None) -> list | None:
-    """Broadcast a hard mask to per-layer weight-shaped multipliers."""
+def hard_multipliers(model: MaskableModel, hard: list | None) -> list | None:
+    """Per-layer multipliers of a hard mask for MaskableModel.folded and
+    masked_forward: each vector reshaped to its layer's mask_shape, None for
+    an empty vector (a dense layer); None for no mask. A vector of the wrong
+    length raises ValueError naming its layer."""
     if hard is None:
         return None
-    return [broadcast_mask(vec, spec, model.mask_mode) if vec.size else None
-            for vec, spec in zip(hard.layers, model.specs)]
+    if len(hard) != len(model.specs):
+        raise ValueError("hard mask must have one entry per layer")
+    out = []
+    for i, (vec, spec) in enumerate(zip(hard, model.specs)):
+        v = np.asarray(vec, dtype=np.float64)
+        shape = mask_shape(spec, model.mask_mode)
+        if v.size and v.shape != (math.prod(shape),):
+            raise ValueError(
+                f"hard mask layer {i}: expected length {math.prod(shape)}, got {v.shape}")
+        out.append(v.reshape(shape) if v.size else None)
+    return out
+
+
+def effective_ratio(hard: list | None, model: MaskableModel) -> float:
+    """Realized pruning ratio: zeroed weight entries / total weight entries,
+    counted with exact integers; 0 without a hard mask."""
+    zeroed = sum(int(np.count_nonzero(np.broadcast_to(m, w.shape) == 0))
+                 for m, w in zip(hard_multipliers(model, hard) or [], model.weights)
+                 if m is not None)
+    return zeroed / model.weight_count()

@@ -1,17 +1,19 @@
 """Dense feed-forward classifiers with per-layer mask slots and checkpoints.
 
 A model is a stack of affine layers with relu activations, ending in a
-logits layer. Masks multiply the weight matrices elementwise after being
-broadcast to weight shape: in unstructured mode a mask entry covers one
-weight, in structured mode one mask entry scales an entire output row.
-Biases are never masked. In structured mode the final classifier layer is
-exempt (pruning its outputs would delete classes), so its prunable-unit
+logits layer. Masks multiply the weight matrices elementwise, shaped by
+mask_shape to broadcast against them: in unstructured mode a mask entry
+covers one weight, in structured mode one mask entry scales an entire output
+row. Biases are never masked. In structured mode the final classifier layer
+is exempt (pruning its outputs would delete classes), so its prunable-unit
 count is zero.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +39,14 @@ class LayerSpec:
             raise ValueError(f"unknown activation {self.activation!r}")
 
 
+def mask_shape(spec: LayerSpec, mode: str) -> tuple[int, int]:
+    """Shape of a layer's mask so that it broadcasts against the (out, in)
+    weight: (out, in) unstructured, (out, 1) structured."""
+    if mode == "unstructured":
+        return (spec.out_dim, spec.in_dim)
+    return (spec.out_dim, 1)
+
+
 def mlp_specs(in_dim: int, hidden: list[int], classes: int) -> list[LayerSpec]:
     """Layer specs for an MLP with relu hidden layers and a logits head."""
     dims = [in_dim, *hidden, classes]
@@ -48,7 +58,8 @@ def mlp_specs(in_dim: int, hidden: list[int], classes: int) -> list[LayerSpec]:
 
 
 class MaskableModel:
-    """Stack of dense layers whose weights accept broadcast mask multipliers."""
+    """Stack of dense layers; a mask is applied by folding it into the
+    weights (folded)."""
 
     def __init__(self, specs: list[LayerSpec], weights, biases, mask_mode="unstructured"):
         if not specs:
@@ -93,46 +104,40 @@ class MaskableModel:
 
     def mask_dims(self) -> list[int]:
         """Prunable-unit count per layer for the model's mask mode."""
-        dims = []
-        last = len(self.specs) - 1
-        for i, spec in enumerate(self.specs):
-            if self.mask_mode == "unstructured":
-                dims.append(spec.out_dim * spec.in_dim)
-            else:
-                dims.append(spec.out_dim if i != last else 0)
+        dims = [math.prod(mask_shape(s, self.mask_mode)) for s in self.specs]
+        if self.mask_mode == "structured":
+            dims[-1] = 0
         return dims
 
     def copy(self) -> "MaskableModel":
         return MaskableModel(self.specs, [w.copy() for w in self.weights],
                              [b.copy() for b in self.biases], self.mask_mode)
 
-    def forward(self, x: np.ndarray, multipliers=None, out=None) -> np.ndarray:
+    def forward(self, x: np.ndarray, out=None) -> np.ndarray:
         """Softmax class probabilities, shape (..., batch, K).
 
-        `multipliers` is an optional per-layer list of arrays already
-        broadcast to each weight's shape (None entries mean dense). Inputs may
-        be stacked, (..., batch, in_dim); each trailing (batch, in_dim) block
-        gives the bits it would give alone. `out` is as for masked_forward,
-        and the probabilities are then written into its last array. Never
-        mutates the model, so concurrent evaluations are safe.
+        Inputs may be stacked, (..., batch, in_dim); each trailing
+        (batch, in_dim) block gives the bits it would give alone. `out` is as
+        for masked_forward, and the probabilities are then written into its
+        last array. Never mutates the model, so concurrent evaluations are
+        safe.
         """
         x = np.asarray(x, dtype=np.float64)
         if x.ndim < 2 or x.shape[-1] != self.in_dim:
             raise ValueError(f"forward: expected input (batch, {self.in_dim}), got {x.shape}")
-        multipliers = self._checked_multipliers(multipliers, "forward")
-        hs, _, _ = masked_forward(x, self.weights, self.biases, self.specs, multipliers, out)
+        hs, _, _ = masked_forward(x, self.weights, self.biases, self.specs, out=out)
         p = softmax(hs[-1], out=None if out is None else hs[-1])
         if not np.isfinite(p).all():
             raise FloatingPointError("forward: non-finite output probabilities")
         return p
 
     def folded(self, multipliers) -> "MaskableModel":
-        """Dense model whose weights are the masked weights m * w (w where the
-        entry, or `multipliers` itself, is None). Its forward(x) equals
-        forward(x, multipliers) bit for bit, since masked_forward forms the
-        same product, but pays for the product once instead of per call.
-        Unmasked weights and the biases are shared, not copied."""
-        multipliers = self._checked_multipliers(multipliers, "folded")
+        """The deployed model: dense, with weights m * w for each layer's
+        multiplier m (see masks.hard_multipliers), and w where the entry, or
+        `multipliers` itself, is None. Its forward equals masked_forward under
+        the same multipliers bit for bit, since that forms the same product,
+        but pays for the product once instead of per call. Unmasked weights
+        and the biases are shared, not copied."""
         if multipliers is None:
             return self
         return MaskableModel(self.specs,
@@ -140,26 +145,11 @@ class MaskableModel:
                               for m, w in zip(multipliers, self.weights)],
                              self.biases, self.mask_mode)
 
-    def _checked_multipliers(self, multipliers, where: str):
-        """Multipliers as float64 arrays, one entry per layer, each None or of
-        its weight's shape."""
-        if multipliers is None:
-            return None
-        if len(multipliers) != len(self.specs):
-            raise ValueError(f"{where}: one multiplier entry per layer required")
-        multipliers = [None if m is None else np.asarray(m, dtype=np.float64)
-                       for m in multipliers]
-        for i, (m, w) in enumerate(zip(multipliers, self.weights)):
-            if m is not None and m.shape != w.shape:
-                raise ValueError(
-                    f"{where}: multiplier shape {m.shape} != weight shape {w.shape} "
-                    f"in layer {i}")
-        return multipliers
-
 
 def masked_forward(x, weights, biases, specs, multipliers=None, out=None):
-    """Run the layer stack with each weight multiplied by its multiplier
-    (None entries, or multipliers=None, leave a layer dense).
+    """Run the layer stack with each weight multiplied by its multiplier, of
+    the weight's shape or its mask_shape (None entries, or multipliers=None,
+    leave a layer dense).
 
     Returns (hs, zs, ws): hs[0] is x and hs[i + 1] the output of layer i
     after its activation, so hs[-1] holds the logits; zs[i] is layer i's
@@ -167,7 +157,7 @@ def masked_forward(x, weights, biases, specs, multipliers=None, out=None):
     autodiff reuses all three.
 
     x may be stacked, (..., batch, in), and so may the weights and the
-    multipliers, (..., out, in), one per stacked copy: matmul runs one GEMM
+    multipliers, one per stacked copy: matmul runs one GEMM
     per trailing 2-D block, so every block gets the bits of its own call,
     which one GEMM over the flattened rows does not promise. With `out`, one array
     per layer shaped like that layer's output, layer i is computed into
@@ -197,21 +187,6 @@ def softmax(h: np.ndarray, out=None) -> np.ndarray:
     np.exp(e, out=e)
     e /= e.sum(axis=-1, keepdims=True)
     return e
-
-
-def broadcast_mask(vector: np.ndarray, spec: LayerSpec, mode: str) -> np.ndarray:
-    """Map a per-layer mask vector to a multiplier of the weight's shape."""
-    v = np.asarray(vector, dtype=np.float64)
-    if mode == "unstructured":
-        if v.shape != (spec.out_dim * spec.in_dim,):
-            raise ValueError(
-                f"broadcast: expected length {spec.out_dim * spec.in_dim}, got {v.shape}")
-        return v.reshape(spec.out_dim, spec.in_dim)
-    if mode == "structured":
-        if v.shape != (spec.out_dim,):
-            raise ValueError(f"broadcast: expected length {spec.out_dim}, got {v.shape}")
-        return np.repeat(v[:, None], spec.in_dim, axis=1)
-    raise ValueError(f"unknown mask mode {mode!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -263,12 +238,33 @@ def _write_json_array(fh, items) -> None:
     fh.write("]")
 
 
+def _finite_array(raw, shape, where: str) -> np.ndarray:
+    """`raw` as a float64 array, if it is JSON lists nested to exactly `shape`
+    (one or two axes) holding finite numbers only; else DatasetError naming
+    `where`. numpy reads null and strings as objects, but true and false
+    among numbers as 1 and 0, so those are looked for in the lists."""
+    try:
+        arr = np.array(raw)
+        ok = arr.shape == shape and arr.dtype.kind in "iuf"
+    except ValueError:  # ragged nesting
+        ok = False
+    if ok:
+        entries = raw if arr.ndim == 1 else itertools.chain.from_iterable(raw)
+        ok = not any(type(v) is bool for v in entries) and np.isfinite(arr).all()
+    if not ok:
+        raise DatasetError(f"{where} does not match its declared shape "
+                           f"{'x'.join(map(str, shape))} of finite numbers")
+    return arr.astype(np.float64, copy=False)
+
+
 def load_checkpoint(path):
     """Load a checkpoint; returns (model, extras dict).
 
     extras carries stage, seed, soft_mask and hard_mask (as float arrays,
-    None when absent). All array lengths are validated before any model is
-    constructed, so a corrupt file never yields a partial model.
+    None when absent). Every array is checked for its declared shape and for
+    finite numbers before any model is constructed, so a corrupt file never
+    yields a partial model; each defect raises DatasetError naming the file
+    and the layer.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -276,7 +272,9 @@ def load_checkpoint(path):
     except json.JSONDecodeError as exc:
         raise DatasetError(f"checkpoint {path}: not valid JSON ({exc})") from None
 
-    if not isinstance(doc, dict) or doc.get("version") != CHECKPOINT_VERSION:
+    if not isinstance(doc, dict):
+        raise DatasetError(f"checkpoint {path}: not a JSON object")
+    if doc.get("version") != CHECKPOINT_VERSION:
         raise DatasetError(
             f"checkpoint {path}: unrecognized version {doc.get('version')!r}")
     stage = doc.get("stage")
@@ -285,34 +283,26 @@ def load_checkpoint(path):
     mode = doc.get("mask_mode")
     if mode not in MASK_MODES:
         raise DatasetError(f"checkpoint {path}: unknown mask_mode {mode!r}")
+    layers = doc.get("layers")
+    if not isinstance(layers, list) or not layers:
+        raise DatasetError(f"checkpoint {path}: layers must be a non-empty list")
 
     specs, weights, biases = [], [], []
-    for i, layer in enumerate(doc.get("layers") or []):
+    for i, layer in enumerate(layers):
         try:
             spec = LayerSpec(int(layer["in"]), int(layer["out"]), layer["activation"])
         except (KeyError, TypeError, ValueError) as exc:
             raise DatasetError(f"checkpoint {path}: bad layer {i} header ({exc})") from None
-        w, b = layer.get("W"), layer.get("b")
-        if (not isinstance(w, list) or len(w) != spec.out_dim
-                or any(not isinstance(r, list) or len(r) != spec.in_dim for r in w)):
-            raise DatasetError(
-                f"checkpoint {path}: layer {i} weight array does not match "
-                f"declared {spec.out_dim}x{spec.in_dim}")
-        if not isinstance(b, list) or len(b) != spec.out_dim:
-            raise DatasetError(
-                f"checkpoint {path}: layer {i} bias length != {spec.out_dim}")
         specs.append(spec)
-        weights.append(np.asarray(w, dtype=np.float64))
-        biases.append(np.asarray(b, dtype=np.float64))
-    if not specs:
-        raise DatasetError(f"checkpoint {path}: no layers")
+        weights.append(_finite_array(layer.get("W"), (spec.out_dim, spec.in_dim),
+                                     f"checkpoint {path}: layer {i} weight array"))
+        biases.append(_finite_array(layer.get("b"), (spec.out_dim,),
+                                    f"checkpoint {path}: layer {i} bias"))
 
     try:
         model = MaskableModel(specs, weights, biases, mode)
     except ValueError as exc:
         raise DatasetError(f"checkpoint {path}: {exc}") from None
-
-    dims = model.mask_dims()
 
     def _validate_mask(name):
         raw = doc.get(name)
@@ -321,11 +311,8 @@ def load_checkpoint(path):
         if not isinstance(raw, list) or len(raw) != len(specs):
             raise DatasetError(f"checkpoint {path}: {name} must have one entry per layer")
         out = []
-        for i, (vec, n) in enumerate(zip(raw, dims)):
-            if not isinstance(vec, list) or len(vec) != n:
-                raise DatasetError(
-                    f"checkpoint {path}: {name} layer {i} length {len(vec) if isinstance(vec, list) else '?'} != {n}")
-            arr = np.asarray(vec, dtype=np.float64)
+        for i, (vec, n) in enumerate(zip(raw, model.mask_dims())):
+            arr = _finite_array(vec, (n,), f"checkpoint {path}: {name} layer {i}")
             if name == "hard_mask" and not np.all((arr == 0.0) | (arr == 1.0)):
                 raise DatasetError(
                     f"checkpoint {path}: hard_mask layer {i} has entries other than 0 and 1")

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .masks import binarize, sample_noisy
-from .model import MaskableModel
+from .model import MaskableModel, mask_shape
 
 
 @dataclass(frozen=True)
@@ -47,14 +47,6 @@ class StepReport:
     l1_normalized: float
     composite: float
     grad_norm: float
-
-
-def mask_shape(spec, mode):
-    """Shape of a layer's mask so that it broadcasts against the (out, in)
-    weight: (out, in) unstructured, (out, 1) structured."""
-    if mode == "unstructured":
-        return (spec.out_dim, spec.in_dim)
-    return (spec.out_dim, 1)
 
 
 @dataclass
@@ -96,7 +88,7 @@ def composite_step_loss(model: MaskableModel, soft_mask, x, x_t,
     stacks = [np.empty((4, *c.shape)) for c in cs]
     noisy = sample_noisy(cs, mu, rng, draws=3, out=[m[:3] for m in stacks])
     hard = binarize(soft_mask, pr)
-    ste = [ad.primitive("ste", [c], hard=hard.layers[i].reshape(c.shape), c0=c, out=m[3])
+    ste = [ad.primitive("ste", [c], hard=hard[i].reshape(c.shape), c0=c, out=m[3])
            for i, c, m in zip(masked, cs, stacks)]
     # The weights each copy runs with, W * mask, formed in the mask stack
     # itself where the shapes allow.

@@ -25,8 +25,8 @@ from .config import (ExperimentConfig, augment_count, cert_config, loss_weights,
                      model_layer_specs, synthetic_spec, transform_spec)
 from .datasets import Dataset, accuracy, gen_synthetic, load_idx
 from .errors import ConfigError
-from .masks import (HardMask, binarize, effective_ratio, hard_multipliers,
-                    init_percentile_scaled, unit_magnitudes)
+from .masks import (binarize, effective_ratio, hard_multipliers, init_percentile_scaled,
+                    unit_magnitudes)
 from .model import MaskableModel
 from .objectives import LossWeights, StepReport, composite_step_loss
 from .transforms import augment_dataset
@@ -51,9 +51,6 @@ class TrainConfig:
     stage3_lr: float = 0.001
     batch_size: int = 64
     momentum: float = 0.9
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
 
     def __post_init__(self):
         if min(self.stage1_epochs, self.stage2_epochs, self.stage3_epochs) < 1:
@@ -88,16 +85,17 @@ class MomentumSGD:
 class Adam:
     """Per-coordinate first/second-moment update with bias correction."""
 
-    def __init__(self, lr: float, beta1=0.9, beta2=0.999, eps=1e-8):
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, lr: float):
         self.lr = lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m: dict[int, np.ndarray] = {}
         self.v: dict[int, np.ndarray] = {}
         self.t = 0
 
     def step(self, params: list[np.ndarray], grads: list[np.ndarray]):
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = self.BETA1, self.BETA2
         for i, (p, g) in enumerate(zip(params, grads)):
             if g.size == 0:
                 continue
@@ -110,7 +108,7 @@ class Adam:
             self.m[i], self.v[i] = m, v
             mhat = m / (1 - b1 ** self.t)
             vhat = v / (1 - b2 ** self.t)
-            p -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+            p -= self.lr * mhat / (np.sqrt(vhat) + self.EPS)
 
 
 @dataclass
@@ -123,8 +121,8 @@ class EpochStats:
 def _ce_epochs(model: MaskableModel, data: Dataset, epochs: int, lr: float,
                momentum: float, batch_size: int, rng: np.random.Generator,
                multipliers=None) -> list[EpochStats]:
-    """Mini-batch cross-entropy training, optionally under fixed multipliers.
-    Updates model weights in place."""
+    """Mini-batch cross-entropy training, optionally under fixed multipliers
+    (hard_multipliers). Updates model weights in place."""
     opt = MomentumSGD(lr, momentum)
     history = []
     n = len(data)
@@ -150,7 +148,8 @@ def _ce_epochs(model: MaskableModel, data: Dataset, epochs: int, lr: float,
             grads = mlp_vjp(ce_vjp(1.0, (True,))[0], needs)[1:]
             opt.step(model.weights + model.biases, grads)
             loss_sum += float(loss) * len(idx)
-        history.append(EpochStats(epoch, loss_sum / n, accuracy(model, data, multipliers)))
+        history.append(EpochStats(epoch, loss_sum / n,
+                                  accuracy(model.folded(multipliers), data)))
     return history
 
 
@@ -178,7 +177,7 @@ def stage2_mask_search(model: MaskableModel, pairs, tc: TrainConfig,
     if sum(model.mask_dims()) == 0:
         raise ConfigError("model has no prunable units under this mask mode")
     soft = init_percentile_scaled(model, tau)
-    opt = Adam(tc.stage2_lr, tc.adam_beta1, tc.adam_beta2, tc.adam_eps)
+    opt = Adam(tc.stage2_lr)
     shuffle_rng = np.random.default_rng([seed, STREAM_STAGE2_SHUFFLE])
     reports: list[StepReport] = []
     step = 0
@@ -197,7 +196,7 @@ def stage2_mask_search(model: MaskableModel, pairs, tc: TrainConfig,
     return soft, reports
 
 
-def stage3_finetune(model: MaskableModel, hard: HardMask, train_aug: Dataset,
+def stage3_finetune(model: MaskableModel, hard: list, train_aug: Dataset,
                     tc: TrainConfig, seed: int) -> list[EpochStats]:
     """Fine-tune weights under the fixed binary mask (in place)."""
     multipliers = hard_multipliers(model, hard)
@@ -206,7 +205,7 @@ def stage3_finetune(model: MaskableModel, hard: HardMask, train_aug: Dataset,
                       tc.momentum, tc.batch_size, rng, multipliers=multipliers)
 
 
-def lmp_mask(model: MaskableModel, pr: float) -> HardMask:
+def lmp_mask(model: MaskableModel, pr: float) -> list:
     """Least-magnitude pruning: per-layer top-(1-pr) units by weight
     magnitude, with the same keep counts and tie rules as binarize."""
     return binarize(unit_magnitudes(model), pr)
@@ -225,7 +224,7 @@ class MethodResult:
 @dataclass
 class MethodArtifacts:
     model: MaskableModel
-    hard: HardMask | None
+    hard: list | None
     soft: list | None
     cert: PcaResult
     stage_logs: dict
@@ -315,14 +314,13 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentOutput:
         else:
             raise ConfigError(f"unknown method {method!r}")
 
-        multipliers = hard_multipliers(model, hard)
-        cert = pca(model, multipliers, x_eval, y_eval, spec, ccfg)
-        ratio = effective_ratio(hard, model) if hard is not None else 0.0
+        deployed = model.folded(hard_multipliers(model, hard))
+        cert = pca(deployed, x_eval, y_eval, spec, ccfg)
         results.append(MethodResult(
             method=method,
-            clean_accuracy=accuracy(model, test, multipliers),
+            clean_accuracy=accuracy(deployed, test),
             pca=cert.fraction,
-            ratio=ratio,
+            ratio=effective_ratio(hard, model),
             wall_time=time.perf_counter() - t0,
             seed=cfg.seed,
         ))

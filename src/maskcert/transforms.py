@@ -133,7 +133,7 @@ def augment_dataset(x: np.ndarray, y: np.ndarray, spec: TransformSpec, count: in
         picks.extend(rng.permutation(len(x)).tolist())
     idx = np.asarray(picks[:count], dtype=np.int64)
     clean = x[idx]
-    transformed = np.stack([apply(spec, row, delta_fixed) for row in clean])
+    transformed = apply(spec, clean, delta_fixed)
     x_aug = np.concatenate([x, transformed])
     y_aug = np.concatenate([y, y[idx]])
     return x_aug, y_aug, (clean, transformed)

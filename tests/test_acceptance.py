@@ -16,9 +16,9 @@ from maskcert import autodiff as ad
 from maskcert.certify import CertConfig, log_y_grid, paley_confidence, pca
 from maskcert.cli import EXIT_OK, main
 from maskcert.config import ExperimentConfig, parse_config
-from maskcert.masks import binarize, effective_ratio, init_percentile_scaled
-from maskcert.model import (LayerSpec, MaskableModel, broadcast_mask,
-                            mlp_specs)
+from maskcert.masks import (binarize, effective_ratio, hard_multipliers,
+                            init_percentile_scaled)
+from maskcert.model import LayerSpec, MaskableModel, mlp_specs
 from maskcert.objectives import LossWeights, composite_step_loss
 from maskcert.pipeline import run_experiment
 from maskcert.transforms import TransformSpec
@@ -87,8 +87,7 @@ def test_criterion_2_variance_identity():
 
     def probs():
         vals = noisy_mask_values(soft, mu, rng)
-        mult = [broadcast_mask(v, s, "unstructured") for v, s in zip(vals, model.specs)]
-        return model.forward(x, mult)[0]
+        return model.folded(hard_multipliers(model, vals)).forward(x)[0]
 
     n = 10_000
     p_a = np.stack([probs() for _ in range(n)])
@@ -216,7 +215,7 @@ def test_criterion_7_mask_machinery():
         soft = [rng.uniform(size=n) for n in dims]
         for pr in (0.0, 0.3, 0.5, 0.7, 0.9):
             hard = binarize(soft, pr)
-            for vec, n in zip(hard.layers, dims):
+            for vec, n in zip(hard, dims):
                 expect = math.ceil((1 - Fraction(str(pr))) * n)
                 ok &= int(vec.sum()) == expect
             ratio = effective_ratio(hard, model)
@@ -272,7 +271,7 @@ def test_criterion_9_determinism(tmp_path):
 
 def test_criterion_10_certification_anchors():
     start = time.perf_counter()
-    cfg = CertConfig(eval_size=25, seed=5)
+    cfg = CertConfig(seed=5)
     v = np.zeros(4)
     v[1] = 1.0
     spec = TransformSpec(kind="direction_shift", direction=v)
@@ -282,7 +281,7 @@ def test_criterion_10_certification_anchors():
     # constant classifier, evaluated on the subset labeled with its output
     constant = MaskableModel([LayerSpec(4, 2, "none")], [np.zeros((2, 4))],
                              [np.array([2.0, 0.0])], "unstructured")
-    res_const = pca(constant, None, x_eval, np.zeros(25, dtype=int), spec, cfg)
+    res_const = pca(constant, x_eval, np.zeros(25, dtype=int), spec, cfg)
 
     # classifier whose argmax flips for any positive shift along v
     scale, gap = 50.0, 1e-9
@@ -293,7 +292,7 @@ def test_criterion_10_certification_anchors():
                             [np.array([-scale * gap, scale * gap])], "unstructured")
     x_flat = x_eval.copy()
     x_flat[:, 1] = 0.0  # clean inputs sit exactly on the flip threshold side
-    res_flip = pca(flipper, None, x_flat, np.ones(25, dtype=int), spec, cfg)
+    res_flip = pca(flipper, x_flat, np.ones(25, dtype=int), spec, cfg)
     all_flipped = all(np.all(r.rep_z_max >= r.margin) for r in res_flip.rows)
 
     elapsed = time.perf_counter() - start

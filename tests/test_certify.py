@@ -7,7 +7,7 @@ from maskcert import certify
 from maskcert.certify import (CertConfig, clean_margin, grid_min, log_y_grid,
                               paley_confidence, pca)
 from maskcert.masks import binarize, hard_multipliers
-from maskcert.model import LayerSpec, MaskableModel, mlp_specs
+from maskcert.model import LayerSpec, MaskableModel, masked_forward, mlp_specs, softmax
 from maskcert.transforms import CorruptionTag, TransformSpec, sample_set
 from util import log_y
 
@@ -41,14 +41,14 @@ def clean_probs(model, x):
 
 
 def small_cfg(**kw):
-    defaults = dict(samples_per_rep=20, repetitions=3, t_count=60, eval_size=4, seed=0)
+    defaults = dict(samples_per_rep=20, repetitions=3, t_count=60, seed=0)
     defaults.update(kw)
     return CertConfig(**defaults)
 
 
-def certify_one(model, x, y, spec, cfg, multipliers=None):
+def certify_one(model, x, y, spec, cfg):
     """pca's row for a one-sample evaluation set."""
-    return pca(model, multipliers, np.asarray(x, dtype=float)[None, :], [y], spec, cfg).rows[0]
+    return pca(model, np.asarray(x, dtype=float)[None, :], [y], spec, cfg).rows[0]
 
 
 def grid_min_one(rep_z, d, grid):
@@ -60,16 +60,20 @@ def grid_min_one(rep_z, d, grid):
 def per_sample_oracle(model, multipliers, x_eval, y_eval, spec, config):
     """The per-sample certification pca replaces: a 1-row clean forward,
     then one forward per repetition of n `sample_set` draws from the sample's
-    stream, then one grid search per sample. One dict per sample, plus the
-    log of the grid-minimum bound of each sample with a nonzero margin."""
+    stream, then one grid search per sample, every forward multiplying the
+    masks into the weights itself. One dict per sample, plus the log of the
+    grid-minimum bound of each sample with a nonzero margin."""
+    def forward(x):
+        return softmax(masked_forward(x, model.weights, model.biases, model.specs,
+                                      multipliers)[0][-1])
+
     grid = config.t_grid()
     rows, logs = [], []
     for i, (x, y) in enumerate(zip(x_eval, y_eval)):
         rng = np.random.default_rng([config.seed, certify.CERT_SAMPLE_STREAM, i])
-        p = model.forward(x[None, :], multipliers)[0]
+        p = forward(x[None, :])[0]
         rep_z = np.stack([
-            np.abs(model.forward(sample_set(spec, x, config.samples_per_rep, rng),
-                                 multipliers) - p).max(axis=1)
+            np.abs(forward(sample_set(spec, x, config.samples_per_rep, rng)) - p).max(axis=1)
             for _ in range(config.repetitions)])
         d = clean_margin(p)
         eps_hat, best_t = 1.0, math.nan
@@ -222,7 +226,7 @@ class TestBoundEstimate:
         cfg = small_cfg()
         (want,), _ = per_sample_oracle(model, None, x, [1], direction_spec(), cfg)
         assert np.all(want["rep_z"] >= want["margin"])  # every transform flips
-        row = pca(model, None, x, [1], direction_spec(), cfg).rows[0]
+        row = pca(model, x, [1], direction_spec(), cfg).rows[0]
         assert row.eps_hat == 1.0
 
     def test_zero_margin_uncertifiable_not_error(self):
@@ -356,8 +360,8 @@ class TestGridSearch:
         run_experiment(validate(ExperimentConfig(**SMALL_RUN)))
         rng = np.random.default_rng(31)
         model = MaskableModel.initialized(mlp_specs(4, [8], 2), "unstructured", rng)
-        pca(model, None, rng.standard_normal((40, 4)), rng.integers(0, 2, 40),
-            direction_spec(), CertConfig(eval_size=40, seed=5))
+        pca(model, rng.standard_normal((40, 4)), rng.integers(0, 2, 40),
+            direction_spec(), CertConfig(seed=5))
         assert sum(len(d) for _, d, _, _ in calls) > 60
         assert max(len(d) for _, d, _, _ in calls) > 1
         for rep_z, d, grid, result in calls:
@@ -434,42 +438,42 @@ class TestCertifySampleAndPca:
         rng = np.random.default_rng(14)
         x = rng.standard_normal((12, 4))
         y = np.array([0, 1] * 6)
-        res = pca(model, None, x, y, direction_spec(), small_cfg(eval_size=12))
+        res = pca(model, x, y, direction_spec(), small_cfg())
         expected = np.mean(y == 0)
         assert res.fraction == expected
 
     def test_pca_grid_edge_counts(self):
         x = np.zeros((6, 4))
-        cfg = small_cfg(eval_size=6)
+        cfg = small_cfg()
         # all Z = 0: the bound decreases along the grid and underflows at t_hi
-        res = pca(constant_model(), None, x, np.zeros(6), direction_spec(), cfg)
+        res = pca(constant_model(), x, np.zeros(6), direction_spec(), cfg)
         assert (res.best_t_at_t_lo, res.best_t_at_t_hi, res.eps_hat_zero) == (0, 6, 6)
         # every transform flips: the bound increases, eps_hat is clamped to 1
-        res = pca(flipping_model(), None, x, np.ones(6), direction_spec(), cfg)
+        res = pca(flipping_model(), x, np.ones(6), direction_spec(), cfg)
         assert (res.best_t_at_t_lo, res.best_t_at_t_hi, res.eps_hat_zero) == (6, 0, 0)
         # zero margin: no grid point is chosen
-        res = pca(constant_model(bias=(0.0, 0.0)), None, x, np.zeros(6), direction_spec(), cfg)
+        res = pca(constant_model(bias=(0.0, 0.0)), x, np.zeros(6), direction_spec(), cfg)
         assert (res.best_t_at_t_lo, res.best_t_at_t_hi, res.eps_hat_zero) == (0, 0, 0)
 
     def test_one_clean_forward_per_set(self, monkeypatch):
         shapes = []
         real = MaskableModel.forward
 
-        def spy(self, x, multipliers=None, out=None):
+        def spy(self, x, out=None):
             shapes.append(x.shape)
-            return real(self, x, multipliers, out)
+            return real(self, x, out)
 
         monkeypatch.setattr(MaskableModel, "forward", spy)
         cfg = small_cfg()
         x = np.zeros((5, 4))
-        pca(constant_model(), None, x, np.zeros(5), direction_spec(), cfg)
+        pca(constant_model(), x, np.zeros(5), direction_spec(), cfg)
         # the (m, 1, d) clean stack, then one (l, n, d) stack per sample
         assert shapes == [(5, 1, 4)] + [(cfg.repetitions, cfg.samples_per_rep, 4)] * 5
 
     def test_pca_empty_rejected(self):
         model = constant_model()
         with pytest.raises(ValueError, match="empty"):
-            pca(model, None, np.empty((0, 4)), np.empty(0), direction_spec(),
+            pca(model, np.empty((0, 4)), np.empty(0), direction_spec(),
                 small_cfg())
 
     def test_deterministic_given_seed(self):
@@ -477,8 +481,8 @@ class TestCertifySampleAndPca:
         model = MaskableModel.initialized(mlp_specs(4, [6], 2), "unstructured", rng)
         x = rng.standard_normal((5, 4))
         y = rng.integers(0, 2, 5)
-        r1 = pca(model, None, x, y, direction_spec(), small_cfg(seed=99))
-        r2 = pca(model, None, x, y, direction_spec(), small_cfg(seed=99))
+        r1 = pca(model, x, y, direction_spec(), small_cfg(seed=99))
+        r2 = pca(model, x, y, direction_spec(), small_cfg(seed=99))
         assert r1.fraction == r2.fraction
         for a, b in zip(r1.rows, r2.rows):
             assert a.eps_hat == b.eps_hat and a.best_t == b.best_t
@@ -496,14 +500,9 @@ class TestFoldedCertification:
         y = rng.integers(0, 2, 6)
         hard = binarize([rng.uniform(size=n) for n in model.mask_dims()], 0.5)
         mult = hard_multipliers(model, hard)
-        cfg = small_cfg(eval_size=6, seed=5)
-        result = pca(model, mult, x, y, direction_spec(), cfg)
-        dense = pca(model.folded(mult), None, x, y, direction_spec(), cfg).rows
+        cfg = small_cfg(seed=5)
+        result = pca(model.folded(mult), x, y, direction_spec(), cfg)
         assert all(row.margin > 0 for row in result.rows)
-        for row, dense_row in zip(result.rows, dense):
-            assert (row.eps_hat, row.best_t, row.margin, row.predicted) == \
-                   (dense_row.eps_hat, dense_row.best_t, dense_row.margin, dense_row.predicted)
-            assert np.array_equal(row.rep_z_max, dense_row.rep_z_max)
         # the per-sample path multiplies the masks inside every forward
         assert_rows_equal_oracle(result,
                                  per_sample_oracle(model, mult, x, y, direction_spec(), cfg))
@@ -544,7 +543,7 @@ class TestStackedPass:
 
     def check(self, model, mult, x, y, kind, cfg):
         spec = stacked_spec(kind, model.in_dim)
-        result = pca(model, mult, x, y, spec, cfg)
+        result = pca(model.folded(mult), x, y, spec, cfg)
         assert_rows_equal_oracle(result, per_sample_oracle(model, mult, x, y, spec, cfg))
         return result
 
@@ -601,7 +600,7 @@ class TestStackedPass:
 
     def test_all_zero_margins_give_nan_log_bounds(self):
         x = np.zeros((3, 4))
-        result = pca(constant_model(bias=(0.0, 0.0)), None, x, np.zeros(3),
+        result = pca(constant_model(bias=(0.0, 0.0)), x, np.zeros(3),
                      direction_spec(), small_cfg())
         assert all(math.isnan(v) for v in (result.log_eps_hat_min, result.log_eps_hat_median,
                                            result.log_eps_hat_max))

@@ -275,6 +275,29 @@ class TestErrorsAndProvenance:
                    str(ckpt)) == EXIT_IO
         assert "hard_mask" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("defect", ["array document", "string in hard_mask",
+                                        "1e999 in W"])
+    def test_certify_malformed_checkpoint_is_io_error(self, tiny_config, tmp_path,
+                                                      capsys, defect):
+        model = MaskableModel.initialized(mlp_specs(16, [64, 64], 2), "unstructured",
+                                          np.random.default_rng(0))
+        ckpt = tmp_path / "bad.ckpt"
+        save_checkpoint(ckpt, model, "finetuned",
+                        hard_mask=[np.ones(n) for n in model.mask_dims()])
+        doc = json.loads(ckpt.read_text())
+        if defect == "array document":
+            text = json.dumps([doc])
+        elif defect == "string in hard_mask":
+            doc["hard_mask"][0][0] = "1"
+            text = json.dumps(doc)
+        else:
+            doc["layers"][0]["W"][0][0] = "@"
+            text = json.dumps(doc).replace('"@"', "1e999")
+        ckpt.write_text(text)
+        assert run("certify", tiny_config, tmp_path / "o", "--stage-checkpoint",
+                   str(ckpt)) == EXIT_IO
+        assert str(ckpt) in capsys.readouterr().err
+
     def test_unknown_command_is_config_error(self, tiny_config, tmp_path):
         assert main(["frobnicate", "--config", str(tiny_config)]) == EXIT_CONFIG
 

@@ -139,15 +139,15 @@ class TestSampleNoisy:
 class TestBinarize:
     def test_top2_by_value(self):
         hm = binarize([np.array([0.2, 0.8, 0.5, 0.9])], 0.5)
-        assert np.array_equal(hm.layers[0], [0, 1, 0, 1])
+        assert np.array_equal(hm[0], [0, 1, 0, 1])
 
     def test_pr_zero_keeps_all(self):
         hm = binarize([np.array([0.1, 0.0, 0.9])], 0.0)
-        assert np.array_equal(hm.layers[0], np.ones(3))
+        assert np.array_equal(hm[0], np.ones(3))
 
     def test_tie_keeps_lower_index(self):
         hm = binarize([np.array([0.5, 0.5, 0.1, 0.9])], 0.5)
-        assert np.array_equal(hm.layers[0], [1, 0, 0, 1])
+        assert np.array_equal(hm[0], [1, 0, 0, 1])
 
     def test_exact_keep_counts(self):
         rng = np.random.default_rng(5)
@@ -155,18 +155,18 @@ class TestBinarize:
             for n in (3, 10, 64, 101):
                 c = rng.uniform(size=n)
                 hm = binarize([c], pr)
-                assert int(hm.layers[0].sum()) == keep_count(1 - Fraction(str(pr)), n)
+                assert int(hm[0].sum()) == keep_count(1 - Fraction(str(pr)), n)
 
     def test_idempotent_on_own_output(self):
         rng = np.random.default_rng(6)
         c = rng.uniform(size=37)
         hm = binarize([c], 0.4)
-        again = binarize([hm.layers[0]], 0.4)
-        assert np.array_equal(hm.layers[0], again.layers[0])
+        again = binarize([hm[0]], 0.4)
+        assert np.array_equal(hm[0], again[0])
 
     def test_all_equal_values_keep_first_indices(self):
         hm = binarize([np.full(6, 0.4)], 0.5)
-        assert np.array_equal(hm.layers[0], [1, 1, 1, 0, 0, 0])
+        assert np.array_equal(hm[0], [1, 1, 1, 0, 0, 0])
 
     def test_pr_range(self):
         with pytest.raises(ValueError, match="pruning ratio"):
@@ -229,7 +229,7 @@ class TestSelectionMatchesArgsort:
         for label, soft, pr in selection_cases():
             want_layers, want_thresholds = argsort_binarize(soft, pr)
             got = binarize(soft, pr)
-            for c, mask, want, threshold in zip(soft, got.layers, want_layers,
+            for c, mask, want, threshold in zip(soft, got, want_layers,
                                                 want_thresholds):
                 assert mask.dtype == np.float64 and np.array_equal(mask, want), label
                 if c.size == 0:
@@ -270,7 +270,7 @@ class TestEffectiveRatio:
                 slack = 1.0 / min(n for n in model.mask_dims() if n > 0)
                 assert pr - slack <= ratio <= pr + slack
                 # unstructured: surviving weights = sum of per-layer keep counts
-                kept = sum(int(m.sum()) for m in hm.layers)
+                kept = sum(int(m.sum()) for m in hm)
                 assert kept == round((1 - ratio) * model.weight_count())
 
     def test_hard_multipliers_shapes(self):
@@ -278,7 +278,7 @@ class TestEffectiveRatio:
         model = MaskableModel.initialized(mlp_specs(4, [5], 3), "structured", rng)
         hm = binarize(init_percentile_scaled(model, 30.0), 0.5)
         mult = hard_multipliers(model, hm)
-        assert mult[0].shape == model.weights[0].shape
+        assert mult[0].shape == (5, 1)  # broadcasts against the (5, 4) weight
         assert mult[1] is None  # exempt classifier stays dense
         assert hard_multipliers(model, None) is None
 
@@ -290,7 +290,7 @@ class TestSteThroughLoss:
         rng = np.random.default_rng(9)
         w = rng.standard_normal((2, 1))
         c_val = np.array([0.7, 0.2]).reshape(2, 1)
-        hard = binarize([c_val.ravel()], 0.5).layers[0].reshape(2, 1)
+        hard = binarize([c_val.ravel()], 0.5)[0].reshape(2, 1)
         x = rng.standard_normal((3, 1))
         target = np.tile([0.8, 0.2], (3, 1))
 

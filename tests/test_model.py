@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from maskcert.errors import DatasetError
-from maskcert.model import (LayerSpec, MaskableModel, broadcast_mask,
-                            load_checkpoint, mlp_specs, save_checkpoint)
+from maskcert.masks import hard_multipliers
+from maskcert.model import (LayerSpec, MaskableModel, load_checkpoint, mask_shape,
+                            masked_forward, mlp_specs, save_checkpoint, softmax)
 
 
 def two_layer(mask_mode="unstructured", seed=0):
@@ -43,13 +44,13 @@ class TestForward:
         m = two_layer()
         x = np.random.default_rng(1).standard_normal((6, 3))
         mult = [np.ones_like(w) for w in m.weights]
-        assert np.array_equal(m.forward(x), m.forward(x, mult))
+        assert np.array_equal(m.forward(x), m.folded(mult).forward(x))
 
     def test_all_zeros_multiplier_uniform(self):
         m = two_layer()
         x = np.random.default_rng(2).standard_normal((5, 3))
         mult = [np.zeros_like(w) for w in m.weights]
-        p = m.forward(x, mult)  # zero weights, zero biases -> equal logits
+        p = m.folded(mult).forward(x)  # zero weights, zero biases -> equal logits
         assert np.max(np.abs(p - 1.0 / m.class_count)) < 1e-15
 
     def test_structured_mask_equals_submodel(self):
@@ -58,9 +59,8 @@ class TestForward:
         rng = np.random.default_rng(3)
         m = two_layer("structured", seed=3)
         x = rng.standard_normal((8, 3))
-        mult = [broadcast_mask(np.array([0.0, 1.0, 1.0, 1.0]), m.specs[0], "structured"),
-                None]
-        masked = m.forward(x, mult)
+        masked = m.folded(hard_multipliers(m, [np.array([0.0, 1.0, 1.0, 1.0]),
+                                               np.empty(0)])).forward(x)
         sub = MaskableModel([LayerSpec(3, 3, "relu"), LayerSpec(3, 2, "none")],
                             [m.weights[0][1:], m.weights[1][:, 1:]],
                             [m.biases[0][1:], m.biases[1]], "structured")
@@ -73,17 +73,17 @@ class TestForward:
         mask = [(rng.uniform(size=w.shape) < 0.6).astype(float) for w in m.weights]
         pruned = MaskableModel(m.specs, [w * mk for w, mk in zip(m.weights, mask)],
                                m.biases, "unstructured")
-        assert np.max(np.abs(m.forward(x, mask) - pruned.forward(x))) < 1e-12
+        assert np.max(np.abs(m.folded(mask).forward(x) - pruned.forward(x))) < 1e-12
 
     def test_structured_output_ignores_next_layer_column(self):
         rng = np.random.default_rng(5)
         m = two_layer("structured", seed=5)
         x = rng.standard_normal((4, 3))
-        mult = [broadcast_mask(np.array([0.0, 1.0, 1.0, 1.0]), m.specs[0], "structured"), None]
-        base = m.forward(x, mult)
+        hard = [np.array([0.0, 1.0, 1.0, 1.0]), np.empty(0)]
+        base = m.folded(hard_multipliers(m, hard)).forward(x)
         tampered = m.copy()
         tampered.weights[1][:, 0] = rng.standard_normal(2) * 100
-        assert np.array_equal(base, tampered.forward(x, mult))
+        assert np.array_equal(base, tampered.folded(hard_multipliers(tampered, hard)).forward(x))
 
     def test_input_width_checked(self):
         m = two_layer()
@@ -95,10 +95,10 @@ class TestForward:
         rng = np.random.default_rng(6)
         m = MaskableModel.initialized(mlp_specs(5, [7, 6], 3), mode, rng)
         x = rng.standard_normal((9, 5))
-        mult = [broadcast_mask((rng.uniform(size=n) < 0.5).astype(float), spec, mode)
-                if n else None for n, spec in zip(m.mask_dims(), m.specs)]
-        folded = m.folded(mult)
-        assert np.array_equal(folded.forward(x), m.forward(x, mult))
+        mult = hard_multipliers(m, [(rng.uniform(size=n) < 0.5).astype(float)
+                                    for n in m.mask_dims()])
+        hs, _, _ = masked_forward(x, m.weights, m.biases, m.specs, mult)
+        assert np.array_equal(m.folded(mult).forward(x), softmax(hs[-1]))
         assert m.folded(None) is m
 
     @pytest.mark.parametrize("classes", [2, 10])
@@ -120,35 +120,47 @@ class TestForward:
         with pytest.raises(ValueError, match="forward"):
             two_layer().forward(np.ones(3))
 
-    def test_folded_checks_multiplier_shapes(self):
-        m = two_layer()
-        with pytest.raises(ValueError, match="folded: multiplier shape"):
-            m.folded([np.ones((4, 1)), None])
 
 
-class TestBroadcast:
-    def test_unstructured_reshape_roundtrip(self):
+class TestHardMultipliers:
+    def single_layer(self, mode, seed=6):
+        rng = np.random.default_rng(seed)
+        return MaskableModel.initialized([LayerSpec(3, 2, "none")], mode, rng)
+
+    def test_mask_shapes(self):
         spec = LayerSpec(3, 2, "none")
+        assert mask_shape(spec, "unstructured") == (2, 3)
+        assert mask_shape(spec, "structured") == (2, 1)
+
+    def test_unstructured_reshape_roundtrip(self):
         v = np.arange(6, dtype=float)
-        out = broadcast_mask(v, spec, "unstructured")
+        (out,) = hard_multipliers(self.single_layer("unstructured"), [v])
         assert out.shape == (2, 3)
         assert np.array_equal(out.ravel(), v)
 
-    def test_structured_row_replication(self):
-        spec = LayerSpec(3, 2, "none")
-        out = broadcast_mask(np.array([1.0, 0.0]), spec, "structured")
-        assert np.array_equal(out, [[1, 1, 1], [0, 0, 0]])
+    def test_structured_mask_is_a_column(self):
+        (out,) = hard_multipliers(self.single_layer("structured"), [np.array([1.0, 0.0])])
+        assert out.shape == (2, 1)
+        assert np.array_equal(out.ravel(), [1, 0])
 
     def test_structured_multiplier_row_scales(self):
-        rng = np.random.default_rng(6)
-        spec = LayerSpec(3, 2, "none")
-        w = rng.standard_normal((2, 3))
+        m = self.single_layer("structured")
         v = np.array([0.5, 2.0])
-        assert np.array_equal(broadcast_mask(v, spec, "structured") * w, v[:, None] * w)
+        (w,) = m.folded(hard_multipliers(m, [v])).weights
+        assert np.array_equal(w, v[:, None] * m.weights[0])
+        # the (out, 1) column gives the bits of a mask repeated to (out, in)
+        assert np.array_equal(w, np.repeat(v[:, None], 3, axis=1) * m.weights[0])
 
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError, match="broadcast"):
-            broadcast_mask(np.ones(5), LayerSpec(3, 2, "none"), "structured")
+    def test_wrong_length_names_the_layer(self):
+        m = two_layer("structured")
+        with pytest.raises(ValueError, match="hard mask layer 0"):
+            hard_multipliers(m, [np.ones(5), np.empty(0)])
+        with pytest.raises(ValueError, match="hard mask layer 1"):
+            hard_multipliers(two_layer(), [np.ones(12), np.ones(4)])
+
+    def test_one_entry_per_layer(self):
+        with pytest.raises(ValueError, match="one entry per layer"):
+            hard_multipliers(two_layer(), [np.ones(12)])
 
 
 class TestCheckpoint:
@@ -195,6 +207,55 @@ class TestCheckpoint:
         path.write_text("not json at all{{{")
         with pytest.raises(DatasetError, match="JSON"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("text, match", [
+        ("[1, 2]", "not a JSON object"),
+        ('{"version": 1, "stage": "pretrained", "mask_mode": "unstructured", "layers": 5}',
+         "layers must be a non-empty list"),
+    ])
+    def test_malformed_document_rejected(self, tmp_path, text, match):
+        path = tmp_path / "model.ckpt"
+        path.write_text(text)
+        with pytest.raises(DatasetError, match=match) as info:
+            load_checkpoint(path)
+        assert str(path) in str(info.value)
+
+    @pytest.mark.parametrize("field, entry, match", [
+        ("W", "x", "layer 1 weight array"),
+        ("W", None, "layer 1 weight array"),
+        ("W", "1e999", "layer 1 weight array"),
+        ("W", True, "layer 1 weight array"),
+        ("b", [0.5], "layer 1 bias"),
+        ("b", "x", "layer 1 bias"),
+        ("b", None, "layer 1 bias"),
+        ("soft_mask", "x", "soft_mask layer 1"),
+        ("soft_mask", None, "soft_mask layer 1"),
+        ("soft_mask", [0.5], "soft_mask layer 1"),
+        ("soft_mask", "NaN", "soft_mask layer 1"),
+        ("hard_mask", "x", "hard_mask layer 1"),
+        ("hard_mask", None, "hard_mask layer 1"),
+        ("hard_mask", [1], "hard_mask layer 1"),
+        ("hard_mask", "Infinity", "hard_mask layer 1"),
+    ])
+    def test_bad_entry_rejected(self, tmp_path, field, entry, match):
+        # one entry of layer 1 replaced: a string, null, a nested list, or a
+        # non-finite number (1e999 parses as inf), in each array of the file
+        m = two_layer(seed=12)
+        path = tmp_path / "model.ckpt"
+        stage = {"soft_mask": "mask_searched", "hard_mask": "finetuned"}.get(field, "pretrained")
+        save_checkpoint(path, m, stage, **({field: [np.ones(n) for n in m.mask_dims()]}
+                                           if field.endswith("mask") else {}))
+        doc = json.loads(path.read_text())
+        arr = doc[field][1] if field.endswith("mask") else doc["layers"][1][field]
+        row = arr[0] if field == "W" else arr
+        row[0] = "@" if entry in ("1e999", "NaN", "Infinity") else entry
+        text = json.dumps(doc)
+        if entry in ("1e999", "NaN", "Infinity"):
+            text = text.replace('"@"', entry)
+        path.write_text(text)
+        with pytest.raises(DatasetError, match=match) as info:
+            load_checkpoint(path)
+        assert str(path) in str(info.value)
 
     def test_stage_tag_contract(self, tmp_path):
         # stage 2 carries the soft mask, stage 3 the hard mask

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from maskcert import autodiff as ad
-from maskcert.masks import init_percentile_scaled
-from maskcert.model import MaskableModel, broadcast_mask, mlp_specs
-from maskcert.objectives import LossWeights, composite_step_loss, mask_shape
+from maskcert.masks import binarize, hard_multipliers, init_percentile_scaled
+from maskcert.model import MaskableModel, mlp_specs
+from maskcert.objectives import LossWeights, composite_step_loss
 from util import composite_fd, noisy_mask_values, triangle_bound_check
 
 
@@ -201,9 +201,9 @@ class TestCompositeStep:
 
 class TestGraphForwardParity:
     def test_training_probs_match_numpy_forward_bitwise(self):
-        # certification scores model.forward; training differentiates the
-        # masked_mlp kind; both must compute the identical function
-        from maskcert.masks import binarize, hard_multipliers
+        # certification scores the folded model's forward; training
+        # differentiates the masked_mlp kind under the same multipliers; both
+        # must compute the identical function
         for mode in ("unstructured", "structured"):
             for seed in range(5):
                 rng = np.random.default_rng(seed)
@@ -211,12 +211,9 @@ class TestGraphForwardParity:
                 x = rng.standard_normal((7, 5))
                 hard = binarize(init_percentile_scaled(model, 30.0), 0.5)
                 mult = hard_multipliers(model, hard)
-                p_np = model.forward(x, mult)
-
-                masks = [vec.reshape(mask_shape(spec, mode)) if vec.size else None
-                         for vec, spec in zip(hard.layers, model.specs)]
+                p_np = model.folded(mult).forward(x)
                 logits = ad.primitive("masked_mlp", [x, *model.weights, *model.biases],
-                                      specs=tuple(model.specs), masks=masks)[0]
+                                      specs=tuple(model.specs), masks=mult)[0]
                 assert np.array_equal(p_np, ad.primitive("softmax", [logits])[0])
 
 
@@ -263,9 +260,7 @@ class TestVarianceIdentitySmoke:
 
         def probs(r):
             vals = noisy_mask_values(soft, mu, r)
-            mult = [broadcast_mask(v, spec, model.mask_mode)
-                    for v, spec in zip(vals, model.specs)]
-            return model.forward(x, mult)[0]
+            return model.folded(hard_multipliers(model, vals)).forward(x)[0]
 
         r = np.random.default_rng(12)
         n = 3000

@@ -204,9 +204,9 @@ class TestStage3:
     def test_stage3_never_mutates_mask(self):
         cfg, _, train_aug, model = self.setup_cfg()
         hard = lmp_mask(model, 0.5)
-        frozen = [m.copy() for m in hard.layers]
+        frozen = [m.copy() for m in hard]
         stage3_finetune(model, hard, train_aug, pipeline.train_config(cfg), cfg.seed)
-        for a, b in zip(frozen, hard.layers):
+        for a, b in zip(frozen, hard):
             assert np.array_equal(a, b)
 
 
@@ -217,13 +217,13 @@ class TestLmp:
         model = MaskableModel([LayerSpec(2, 2, "none")], [w], [np.zeros(2)],
                               "unstructured")
         hard = lmp_mask(model, 0.5)
-        assert np.array_equal(hard.layers[0], [0, 0, 1, 1])
+        assert np.array_equal(hard[0], [0, 0, 1, 1])
 
     def test_pr_zero_noop(self):
         model = MaskableModel.initialized(mlp_specs(4, [5], 2), "unstructured",
                                           np.random.default_rng(0))
         hard = lmp_mask(model, 0.0)
-        assert all(np.all(m == 1) for m in hard.layers)
+        assert all(np.all(m == 1) for m in hard)
 
     def test_realized_ratio_within_slack(self):
         model = MaskableModel.initialized(mlp_specs(6, [9], 3), "unstructured",
@@ -295,7 +295,7 @@ class TestRunExperiment:
         model = out.artifacts["csam"].model
         hard = out.artifacts["csam"].hard
         final_dense = model.specs[-1].out_dim * model.specs[-1].in_dim
-        assert hard.layers[-1].size == 0
+        assert hard[-1].size == 0
         assert rows["csam"].ratio <= cfg.pruning_ratio
         assert rows["csam"].ratio > cfg.pruning_ratio * (
             1 - 2 * final_dense / model.weight_count())

@@ -11,13 +11,15 @@ import numpy as np
 
 from maskcert import autodiff as ad
 from maskcert.certify import _logsumexp
-from maskcert.errors import InvariantError
-from maskcert.masks import binarize
-from maskcert.model import LayerSpec, broadcast_mask, masked_forward, mlp_specs
-from maskcert.objectives import mask_shape
+from maskcert.masks import binarize, hard_multipliers
+from maskcert.model import LayerSpec, mask_shape, masked_forward, mlp_specs
 
 FD_H = 1e-5
 FD_TOL = 1e-4
+
+
+class InvariantError(RuntimeError):
+    """An internal consistency check failed."""
 
 
 def rel_err(analytic, numeric) -> float:
@@ -144,7 +146,7 @@ def composite_fd(model, soft, x, x_t, weights, pr, mu, seed, result, min_margin=
     masked = [i for i, c in enumerate(soft) if c.size]
     cs = [soft[i].reshape(mask_shape(model.specs[i], model.mask_mode)) for i in masked]
     xis = [[rng.uniform(-mu, mu, size=c.shape) for c in cs] for _ in range(3)]
-    hard = [binarize(soft, pr).layers[i].reshape(c.shape) for i, c in zip(masked, cs)]
+    hard = [binarize(soft, pr)[i].reshape(c.shape) for i, c in zip(masked, cs)]
 
     def objective(layer_masks):
         return composite_objective(model, layer_masks, x, x_t, weights, xis, hard, cs)
@@ -373,9 +375,7 @@ def triangle_bound_check(model, soft_mask, x, x_t, mu: float,
     x_t = np.atleast_2d(np.asarray(x_t, dtype=np.float64))
 
     def _forward(mask_vals, inp):
-        mult = [broadcast_mask(v, spec, model.mask_mode) if v.size else None
-                for v, spec in zip(mask_vals, model.specs)]
-        return model.forward(inp, mult)[0]
+        return model.folded(hard_multipliers(model, mask_vals)).forward(inp)[0]
 
     fixed = noisy_mask_values(soft_mask, mu, rng)
     p_c_x = _forward(fixed, x)
