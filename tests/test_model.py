@@ -79,11 +79,11 @@ class TestForward:
         rng = np.random.default_rng(5)
         m = two_layer("structured", seed=5)
         x = rng.standard_normal((4, 3))
-        hard = [np.array([0.0, 1.0, 1.0, 1.0]), np.empty(0)]
-        base = m.folded(hard_multipliers(m, hard)).forward(x)
+        mult = hard_multipliers(m, [np.array([0.0, 1.0, 1.0, 1.0]), np.empty(0)])
+        base = m.folded(mult).forward(x)
         tampered = m.copy()
         tampered.weights[1][:, 0] = rng.standard_normal(2) * 100
-        assert np.array_equal(base, tampered.folded(hard_multipliers(tampered, hard)).forward(x))
+        assert np.array_equal(base, tampered.folded(mult).forward(x))
 
     def test_input_width_checked(self):
         m = two_layer()
