@@ -7,7 +7,7 @@ from .datasets import Dataset, SyntheticDatasetSpec, gen_synthetic, load_idx
 from .masks import binarize, effective_ratio, init_percentile_scaled
 from .model import LayerSpec, MaskableModel, load_checkpoint, save_checkpoint
 from .objectives import LossWeights, StepReport, composite_step_loss
-from .pipeline import TrainConfig, run_experiment
+from .pipeline import run_experiment
 from .transforms import CorruptionTag, TransformSpec
 
 __version__ = "0.1.0"
@@ -19,7 +19,7 @@ __all__ = [
     "binarize", "effective_ratio", "init_percentile_scaled",
     "LayerSpec", "MaskableModel", "load_checkpoint", "save_checkpoint",
     "LossWeights", "StepReport", "composite_step_loss",
-    "TrainConfig", "run_experiment",
+    "run_experiment",
     "CorruptionTag", "TransformSpec",
     "__version__",
 ]

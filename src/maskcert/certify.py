@@ -286,7 +286,7 @@ def pca(deployed: MaskableModel, x_eval, y_eval, spec: TransformSpec,
                      log_eps_hat_max=logs[-1])
 
 
-def paley_confidence(config: CertConfig, c_v: float | None = None) -> float:
+def paley_confidence(config: CertConfig) -> float:
     """Closed-form bound on the probability that the max-of-l estimator still
     underestimates: (1 / (1 + n (1-alpha)^2 / C_v^2))^l.
 
@@ -294,9 +294,7 @@ def paley_confidence(config: CertConfig, c_v: float | None = None) -> float:
     inputs with a single rounding at the end, so e.g. alpha = 0.9, n = 100,
     l = 10, C_v = 1 gives exactly 2**-10.
     """
-    cv = Fraction(str(config.c_v if c_v is None else c_v))
-    if cv <= 0:
-        raise ValueError("c_v must be positive")
+    cv = Fraction(str(config.c_v))
     alpha = Fraction(str(config.alpha))
     n = config.samples_per_rep
     val = (Fraction(1) / (1 + n * (1 - alpha) ** 2 / cv ** 2)) ** config.repetitions

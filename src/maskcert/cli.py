@@ -1,10 +1,10 @@
 """Command-line surface tying the modules into reproducible experiments.
 
 Commands mirror the pipeline stages (gen-data, pretrain, search, finetune,
-certify) plus run-all and compare. Every command echoes its effective config
-into the output directory and finishes by writing a machine-readable status
-file; timestamps and wall times are confined to the status file so report
-CSV bodies are byte-identical across reruns.
+certify) plus run-all, which runs all of them for every configured method.
+Every command echoes its effective config into the output directory and
+finishes by writing a machine-readable status file; timestamps and wall times
+are confined to it, so report CSV bodies are byte-identical across reruns.
 
 Exit codes: 0 success, 1 configuration, 2 I/O, 3 numeric failure,
 4 internal invariant breach.
@@ -24,8 +24,8 @@ import numpy as np
 
 from . import pipeline
 from .certify import PcaResult, pca
-from .config import (ExperimentConfig, cert_config, loss_weights, model_layer_specs,
-                     parse_config, serialize, synthetic_spec, validate)
+from .config import (ExperimentConfig, cert_config, model_layer_specs, parse_config,
+                     serialize, synthetic_spec, validate)
 from .datasets import accuracy, gen_synthetic, write_dataset_csv
 from .errors import ConfigError, DatasetError
 from .masks import binarize, effective_ratio, hard_multipliers
@@ -102,27 +102,25 @@ def _write_cert_report(out: Path, stem: str, cfg: ExperimentConfig,
     _write_kv(out / f"{stem}_summary.txt", summary)
 
 
-def _save_method_artifacts(out: Path, cfg: ExperimentConfig, output) -> None:
+def _write_experiment(out: Path, cfg: ExperimentConfig, output) -> None:
+    """run-all's checkpoints, stage logs, per-method reports and summary.csv."""
     save_checkpoint(out / "pretrained.ckpt", output.pretrained, "pretrained",
                     seed=cfg.seed)
     _write_epoch_log(out / "stage1_log.csv", output.stage1_log)
-    for method, art in output.artifacts.items():
-        if art.soft is not None:
+    for method, r in output.results.items():
+        if r.soft is not None:
             save_checkpoint(out / "mask_searched.ckpt", output.pretrained,
-                            "mask_searched", soft_mask=art.soft, seed=cfg.seed)
-            _write_stage2_log(out / "stage2_log.csv", art.stage_logs["stage2"])
-        if art.hard is not None:
-            save_checkpoint(out / f"finetuned_{method}.ckpt", art.model,
-                            "finetuned", hard_mask=art.hard, seed=cfg.seed)
-        if "stage3" in art.stage_logs:
-            _write_epoch_log(out / f"stage3_log_{method}.csv", art.stage_logs["stage3"])
-        _write_cert_report(out, f"cert_report_{method}", cfg, art.cert,
-                           effective_ratio(art.hard, art.model))
-
-
-def _write_summary(out: Path, output) -> None:
+                            "mask_searched", soft_mask=r.soft, seed=cfg.seed)
+            _write_stage2_log(out / "stage2_log.csv", r.stage_logs["stage2"])
+        if r.hard is not None:
+            save_checkpoint(out / f"finetuned_{method}.ckpt", r.model,
+                            "finetuned", hard_mask=r.hard, seed=cfg.seed)
+        if "stage3" in r.stage_logs:
+            _write_epoch_log(out / f"stage3_log_{method}.csv", r.stage_logs["stage3"])
+        _write_cert_report(out, f"cert_report_{method}", cfg, r.cert, r.ratio)
     _write_csv(out / "summary.csv", ["method", "acc", "pca", "ratio"],
-               ((r.method, r.clean_accuracy, r.pca, r.ratio) for r in output.results))
+               ((r.method, r.clean_accuracy, r.cert.fraction, r.ratio)
+                for r in output.results.values()))
 
 
 def _load_ckpt_arg(args, default_name: str, cfg: ExperimentConfig, in_dim: int,
@@ -171,7 +169,7 @@ def _cmd_gen_data(cfg: ExperimentConfig, args, out: Path) -> dict:
 def _cmd_pretrain(cfg: ExperimentConfig, args, out: Path) -> dict:
     _, _, _, train_aug, _ = pipeline.build_data(cfg)
     model = pipeline.fresh_model(cfg, train_aug.x.shape[1])
-    history = pipeline.stage1_pretrain(model, train_aug, pipeline.train_config(cfg), cfg.seed)
+    history = pipeline.stage1_pretrain(model, train_aug, cfg)
     save_checkpoint(out / "pretrained.ckpt", model, "pretrained", seed=cfg.seed)
     _write_epoch_log(out / "stage1_log.csv", history)
     return {"final_loss": history[-1].mean_loss, "train_accuracy": history[-1].accuracy}
@@ -181,9 +179,7 @@ def _cmd_search(cfg: ExperimentConfig, args, out: Path) -> dict:
     train, _, _, _, pairs = pipeline.build_data(cfg)
     model, _ = _load_ckpt_arg(args, "pretrained.ckpt", cfg, train.x.shape[1],
                               ("pretrained",))
-    soft, reports = pipeline.stage2_mask_search(
-        model, pairs, pipeline.train_config(cfg), loss_weights(cfg),
-        cfg.pruning_ratio, cfg.noise_magnitude, cfg.init_percentile, cfg.seed)
+    soft, reports = pipeline.stage2_mask_search(model, pairs, cfg)
     save_checkpoint(out / "mask_searched.ckpt", model, "mask_searched",
                     soft_mask=soft, seed=cfg.seed)
     _write_stage2_log(out / "stage2_log.csv", reports)
@@ -196,8 +192,7 @@ def _cmd_finetune(cfg: ExperimentConfig, args, out: Path) -> dict:
     if extras["soft_mask"] is None:
         raise DatasetError("finetune needs a mask-search checkpoint carrying a soft mask")
     hard = binarize(extras["soft_mask"], cfg.pruning_ratio)
-    history = pipeline.stage3_finetune(model, hard, train_aug,
-                                       pipeline.train_config(cfg), cfg.seed)
+    history = pipeline.stage3_finetune(model, hard, train_aug, cfg)
     save_checkpoint(out / "finetuned.ckpt", model, "finetuned",
                     hard_mask=hard, seed=cfg.seed)
     _write_epoch_log(out / "stage3_log.csv", history)
@@ -221,18 +216,8 @@ def _cmd_certify(cfg: ExperimentConfig, args, out: Path) -> dict:
 
 def _cmd_run_all(cfg: ExperimentConfig, args, out: Path) -> dict:
     output = pipeline.run_experiment(cfg)
-    _save_method_artifacts(out, cfg, output)
-    _write_summary(out, output)
-    return {f"wall_time_{r.method}": r.wall_time for r in output.results}
-
-
-def _cmd_compare(cfg: ExperimentConfig, args, out: Path) -> dict:
-    output = pipeline.run_experiment(cfg)
-    for method, art in output.artifacts.items():
-        _write_cert_report(out, f"cert_report_{method}", cfg, art.cert,
-                           effective_ratio(art.hard, art.model))
-    _write_summary(out, output)
-    return {f"wall_time_{r.method}": r.wall_time for r in output.results}
+    _write_experiment(out, cfg, output)
+    return {f"wall_time_{m}": r.wall_time for m, r in output.results.items()}
 
 
 _COMMANDS = {
@@ -242,7 +227,6 @@ _COMMANDS = {
     "finetune": _cmd_finetune,
     "certify": _cmd_certify,
     "run-all": _cmd_run_all,
-    "compare": _cmd_compare,
 }
 
 

@@ -290,7 +290,10 @@ def load_checkpoint(path):
     specs, weights, biases = [], [], []
     for i, layer in enumerate(layers):
         try:
-            spec = LayerSpec(int(layer["in"]), int(layer["out"]), layer["activation"])
+            dims = (layer["in"], layer["out"])
+            if any(type(d) is not int for d in dims):  # bool is an int subclass
+                raise ValueError(f"in and out must be integers, got {dims}")
+            spec = LayerSpec(*dims, layer["activation"])
         except (KeyError, TypeError, ValueError) as exc:
             raise DatasetError(f"checkpoint {path}: bad layer {i} header ({exc})") from None
         specs.append(spec)
@@ -319,9 +322,12 @@ def load_checkpoint(path):
             out.append(arr)
         return out
 
+    seed = doc.get("seed")
+    if seed is not None and not (type(seed) is int and 0 <= seed < 2 ** 64):
+        raise DatasetError(f"checkpoint {path}: seed must be null or a u64, got {seed!r}")
     extras = {
         "stage": stage,
-        "seed": doc.get("seed"),
+        "seed": seed,
         "soft_mask": _validate_mask("soft_mask"),
         "hard_mask": _validate_mask("hard_mask"),
     }

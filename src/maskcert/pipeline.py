@@ -28,7 +28,7 @@ from .errors import ConfigError
 from .masks import (binarize, effective_ratio, hard_multipliers, init_percentile_scaled,
                     unit_magnitudes)
 from .model import MaskableModel
-from .objectives import LossWeights, StepReport, composite_step_loss
+from .objectives import StepReport, composite_step_loss
 from .transforms import augment_dataset
 
 # rng stream namespaces under the experiment root seed
@@ -39,33 +39,6 @@ STREAM_STAGE2_SHUFFLE = 4
 STREAM_STAGE2_NOISE = 5
 STREAM_STAGE3 = 6
 STREAM_EVAL = 8
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    stage1_epochs: int = 50
-    stage1_lr: float = 0.01
-    stage2_epochs: int = 100
-    stage2_lr: float = 1e-4
-    stage3_epochs: int = 50
-    stage3_lr: float = 0.001
-    batch_size: int = 64
-    momentum: float = 0.9
-
-    def __post_init__(self):
-        if min(self.stage1_epochs, self.stage2_epochs, self.stage3_epochs) < 1:
-            raise ConfigError("epochs must be >= 1 in every stage")
-        if min(self.stage1_lr, self.stage2_lr, self.stage3_lr) <= 0:
-            raise ConfigError("learning rates must be positive")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
-
-
-def train_config(cfg: ExperimentConfig) -> TrainConfig:
-    return TrainConfig(stage1_epochs=cfg.stage1_epochs, stage1_lr=cfg.stage1_lr,
-                       stage2_epochs=cfg.stage2_epochs, stage2_lr=cfg.stage2_lr,
-                       stage3_epochs=cfg.stage3_epochs, stage3_lr=cfg.stage3_lr,
-                       batch_size=cfg.batch_size, momentum=cfg.momentum)
 
 
 class MomentumSGD:
@@ -153,16 +126,14 @@ def _ce_epochs(model: MaskableModel, data: Dataset, epochs: int, lr: float,
     return history
 
 
-def stage1_pretrain(model: MaskableModel, train_aug: Dataset, tc: TrainConfig,
-                    seed: int) -> list[EpochStats]:
-    rng = np.random.default_rng([seed, STREAM_STAGE1])
-    return _ce_epochs(model, train_aug, tc.stage1_epochs, tc.stage1_lr,
-                      tc.momentum, tc.batch_size, rng)
+def stage1_pretrain(model: MaskableModel, train_aug: Dataset,
+                    cfg: ExperimentConfig) -> list[EpochStats]:
+    rng = np.random.default_rng([cfg.seed, STREAM_STAGE1])
+    return _ce_epochs(model, train_aug, cfg.stage1_epochs, cfg.stage1_lr,
+                      cfg.momentum, cfg.batch_size, rng)
 
 
-def stage2_mask_search(model: MaskableModel, pairs, tc: TrainConfig,
-                       weights: LossWeights, pr: float, mu: float, tau: float,
-                       seed: int):
+def stage2_mask_search(model: MaskableModel, pairs, cfg: ExperimentConfig):
     """Search the soft mask over the paired batches; weights stay frozen.
 
     Returns (soft_mask, step reports). The mask is clamped back into [0, 1]
@@ -176,19 +147,20 @@ def stage2_mask_search(model: MaskableModel, pairs, tc: TrainConfig,
                           "augment the dataset first")
     if sum(model.mask_dims()) == 0:
         raise ConfigError("model has no prunable units under this mask mode")
-    soft = init_percentile_scaled(model, tau)
-    opt = Adam(tc.stage2_lr)
-    shuffle_rng = np.random.default_rng([seed, STREAM_STAGE2_SHUFFLE])
+    weights = loss_weights(cfg)
+    soft = init_percentile_scaled(model, cfg.init_percentile)
+    opt = Adam(cfg.stage2_lr)
+    shuffle_rng = np.random.default_rng([cfg.seed, STREAM_STAGE2_SHUFFLE])
     reports: list[StepReport] = []
     step = 0
-    for _ in range(tc.stage2_epochs):
+    for _ in range(cfg.stage2_epochs):
         order = shuffle_rng.permutation(len(clean))
-        for start in range(0, len(clean), tc.batch_size):
-            idx = order[start:start + tc.batch_size]
-            noise_rng = np.random.default_rng([seed, STREAM_STAGE2_NOISE, step])
+        for start in range(0, len(clean), cfg.batch_size):
+            idx = order[start:start + cfg.batch_size]
+            noise_rng = np.random.default_rng([cfg.seed, STREAM_STAGE2_NOISE, step])
             result = composite_step_loss(
-                model, soft, clean[idx], transformed[idx], weights, pr, mu,
-                noise_rng, step=step)
+                model, soft, clean[idx], transformed[idx], weights, cfg.pruning_ratio,
+                cfg.noise_magnitude, noise_rng, step=step)
             opt.step(soft, result.grads)
             soft = [np.clip(c, 0.0, 1.0) for c in soft]
             reports.append(result.report)
@@ -197,12 +169,12 @@ def stage2_mask_search(model: MaskableModel, pairs, tc: TrainConfig,
 
 
 def stage3_finetune(model: MaskableModel, hard: list, train_aug: Dataset,
-                    tc: TrainConfig, seed: int) -> list[EpochStats]:
+                    cfg: ExperimentConfig) -> list[EpochStats]:
     """Fine-tune weights under the fixed binary mask (in place)."""
     multipliers = hard_multipliers(model, hard)
-    rng = np.random.default_rng([seed, STREAM_STAGE3])
-    return _ce_epochs(model, train_aug, tc.stage3_epochs, tc.stage3_lr,
-                      tc.momentum, tc.batch_size, rng, multipliers=multipliers)
+    rng = np.random.default_rng([cfg.seed, STREAM_STAGE3])
+    return _ce_epochs(model, train_aug, cfg.stage3_epochs, cfg.stage3_lr,
+                      cfg.momentum, cfg.batch_size, rng, multipliers=multipliers)
 
 
 def lmp_mask(model: MaskableModel, pr: float) -> list:
@@ -214,31 +186,22 @@ def lmp_mask(model: MaskableModel, pr: float) -> list:
 @dataclass
 class MethodResult:
     method: str
-    clean_accuracy: float
-    pca: float
-    ratio: float
-    wall_time: float
-    seed: int
-
-
-@dataclass
-class MethodArtifacts:
     model: MaskableModel
     hard: list | None
     soft: list | None
     cert: PcaResult
     stage_logs: dict
+    clean_accuracy: float
+    ratio: float
+    wall_time: float
 
 
 @dataclass
 class ExperimentOutput:
-    results: list[MethodResult]
-    artifacts: dict[str, MethodArtifacts]
+    results: dict[str, MethodResult]  # by method, in the config's order
     pretrained: MaskableModel
     stage1_log: list[EpochStats]
     eval_indices: np.ndarray
-    train_aug: Dataset
-    test: Dataset
 
 
 def build_data(cfg: ExperimentConfig):
@@ -282,51 +245,38 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentOutput:
     """Train every configured method from one shared pre-trained model and
     certify them on one shared evaluation subset."""
     train, test, spec, train_aug, pairs = build_data(cfg)
-    tc = train_config(cfg)
     ccfg = cert_config(cfg)
-    weights = loss_weights(cfg)
 
     base = fresh_model(cfg, train.x.shape[1])
-    stage1_log = stage1_pretrain(base, train_aug, tc, cfg.seed)
+    stage1_log = stage1_pretrain(base, train_aug, cfg)
 
     idx = eval_subset(cfg, test)
     x_eval, y_eval = test.x[idx], test.y[idx]
 
-    results, artifacts = [], {}
+    results = {}
     for method in cfg.methods:
         t0 = time.perf_counter()
         logs = {}
         soft = None
+        model = base.copy()
         if method == "vanilla":
-            model, hard = base.copy(), None
+            hard = None
         elif method == "lmp":
-            model = base.copy()
             hard = lmp_mask(model, cfg.pruning_ratio)
-            logs["stage3"] = stage3_finetune(model, hard, train_aug, tc, cfg.seed)
+            logs["stage3"] = stage3_finetune(model, hard, train_aug, cfg)
         elif method == "csam":
-            model = base.copy()
-            soft, reports = stage2_mask_search(
-                model, pairs, tc, weights, cfg.pruning_ratio,
-                cfg.noise_magnitude, cfg.init_percentile, cfg.seed)
-            logs["stage2"] = reports
+            soft, logs["stage2"] = stage2_mask_search(model, pairs, cfg)
             hard = binarize(soft, cfg.pruning_ratio)
-            logs["stage3"] = stage3_finetune(model, hard, train_aug, tc, cfg.seed)
+            logs["stage3"] = stage3_finetune(model, hard, train_aug, cfg)
         else:
             raise ConfigError(f"unknown method {method!r}")
 
         deployed = model.folded(hard_multipliers(model, hard))
-        cert = pca(deployed, x_eval, y_eval, spec, ccfg)
-        results.append(MethodResult(
-            method=method,
-            clean_accuracy=accuracy(deployed, test),
-            pca=cert.fraction,
-            ratio=effective_ratio(hard, model),
-            wall_time=time.perf_counter() - t0,
-            seed=cfg.seed,
-        ))
-        artifacts[method] = MethodArtifacts(model=model, hard=hard, soft=soft,
-                                            cert=cert, stage_logs=logs)
+        results[method] = MethodResult(
+            method=method, model=model, hard=hard, soft=soft,
+            cert=pca(deployed, x_eval, y_eval, spec, ccfg), stage_logs=logs,
+            clean_accuracy=accuracy(deployed, test), ratio=effective_ratio(hard, model),
+            wall_time=time.perf_counter() - t0)
 
-    return ExperimentOutput(results=results, artifacts=artifacts, pretrained=base,
-                            stage1_log=stage1_log, eval_indices=idx,
-                            train_aug=train_aug, test=test)
+    return ExperimentOutput(results=results, pretrained=base,
+                            stage1_log=stage1_log, eval_indices=idx)

@@ -53,8 +53,8 @@ def small_run_config_text() -> str:
 def default_experiment_record(output, cfg: ExperimentConfig) -> dict:
     """The `repr` of every method's accuracy, pca and ratio on the default run."""
     return {"config_seed": cfg.seed,
-            "results": {r.method: {"acc": repr(r.clean_accuracy), "pca": repr(r.pca),
-                                   "ratio": repr(r.ratio)} for r in output.results}}
+            "results": {method: {"acc": repr(r.clean_accuracy), "pca": repr(r.cert.fraction),
+                                 "ratio": repr(r.ratio)} for method, r in output.results.items()}}
 
 
 def trajectory_record() -> dict:
@@ -62,7 +62,7 @@ def trajectory_record() -> dict:
     step, the final soft-mask L1 sum and the csam per-sample eps_hat of the
     small run."""
     output = run_experiment(validate(ExperimentConfig(**SMALL_RUN)))
-    csam = output.artifacts["csam"]
+    csam = output.results["csam"]
     reports = csam.stage_logs["stage2"]
     return {
         "stage1_mean_loss": [h.mean_loss for h in output.stage1_log],

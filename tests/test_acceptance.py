@@ -236,8 +236,8 @@ def test_criterion_8_end_to_end_default_experiment():
     assert cfg == ExperimentConfig(), "shipped default config must equal the built-in defaults"
     out = run_experiment(cfg)
     elapsed = time.perf_counter() - start
-    rows = {r.method: r for r in out.results}
-    directional = rows["csam"].pca >= rows["lmp"].pca
+    rows = out.results
+    directional = rows["csam"].cert.fraction >= rows["lmp"].cert.fraction
     acc_close = rows["csam"].clean_accuracy >= rows["vanilla"].clean_accuracy - 0.05
 
     if not FIXTURE.exists():
@@ -249,7 +249,7 @@ def test_criterion_8_end_to_end_default_experiment():
     criterion(8, "default experiment meets the directional contract and "
                  "reproduces the recorded fixtures bit-exactly",
               directional and acc_close and elapsed < 600.0 and fixture_ok,
-              f"lmp pca={rows['lmp'].pca} csam pca={rows['csam'].pca} "
+              f"lmp pca={rows['lmp'].cert.fraction} csam pca={rows['csam'].cert.fraction} "
               f"acc gap={rows['vanilla'].clean_accuracy - rows['csam'].clean_accuracy:+.3f}, "
               f"{elapsed:.1f}s")
 

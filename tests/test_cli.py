@@ -90,10 +90,17 @@ class TestStageChain:
         assert "pruning_ratio = 0.0\n" in summary
 
 
-class TestRunAllCompare:
-    def test_run_all_emits_summary(self, tiny_config, tmp_path):
-        out = tmp_path / "all"
-        assert run("run-all", tiny_config, out) == EXIT_OK
+class TestRunAll:
+    @pytest.fixture(scope="class")
+    def run_all_out(self, tmp_path_factory):
+        cfg = tmp_path_factory.mktemp("cfg") / "exp.cfg"
+        cfg.write_text(TINY, encoding="utf-8")
+        out = tmp_path_factory.mktemp("all")
+        assert run("run-all", cfg, out) == EXIT_OK
+        return out
+
+    def test_run_all_emits_summary(self, run_all_out):
+        out = run_all_out
         rows = read_csv(out / "summary.csv")
         assert rows[0] == ["method", "acc", "pca", "ratio"]
         assert [r[0] for r in rows[1:]] == ["vanilla", "lmp", "csam"]
@@ -102,24 +109,33 @@ class TestRunAllCompare:
         assert (out / "finetuned_csam.ckpt").exists()
         assert (out / "finetuned_lmp.ckpt").exists()
 
-    def test_compare_row_per_method(self, tiny_config, tmp_path):
-        out = tmp_path / "cmp"
-        assert run("compare", tiny_config, out) == EXIT_OK
-        rows = read_csv(out / "summary.csv")
+    def test_run_all_row_per_method(self, run_all_out):
+        rows = read_csv(run_all_out / "summary.csv")
         assert len(rows) == 4  # header + 3 methods
+
+    def test_summary_ratio_matches_cert_summary(self, run_all_out):
+        for method, _, pca, ratio in read_csv(run_all_out / "summary.csv")[1:]:
+            text = (run_all_out / f"cert_report_{method}_summary.txt").read_text()
+            kv = dict(line.split(" = ", 1) for line in text.splitlines())
+            assert (kv["pruning_ratio"], kv["pca"]) == (ratio, pca)
 
     def test_vanilla_ratio_zero_in_summary(self, tmp_path):
         cfg = tmp_path / "v.cfg"
         cfg.write_text(TINY + "methods = vanilla\n", encoding="utf-8")
         out = tmp_path / "v"
-        assert run("compare", cfg, out) == EXIT_OK
+        assert run("run-all", cfg, out) == EXIT_OK
         rows = read_csv(out / "summary.csv")
         assert len(rows) == 2
         assert float(rows[1][3]) == 0.0
 
+    def test_compare_is_usage_error(self, tiny_config, tmp_path, capsys):
+        # run-all writes everything the former compare command wrote
+        assert run("compare", tiny_config, tmp_path / "cmp") == EXIT_CONFIG
+        assert "compare" in capsys.readouterr().err
+
 
 class TestIdxRoute:
-    def test_compare_on_idx_data_with_corruption(self, tmp_path):
+    def test_run_all_on_idx_data_with_corruption(self, tmp_path):
         import struct
 
         import numpy as np
@@ -162,7 +178,7 @@ cert_eval_size = 12
 seed = 5
 """, encoding="utf-8")
         out = tmp_path / "idx_run"
-        assert run("compare", cfg, out) == EXIT_OK
+        assert run("run-all", cfg, out) == EXIT_OK
         rows = read_csv(out / "summary.csv")
         assert [r[0] for r in rows[1:]] == ["vanilla", "lmp", "csam"]
         for r in rows[1:]:

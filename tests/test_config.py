@@ -44,9 +44,11 @@ batch_size = 16
         with pytest.raises(ConfigError, match=r"2: unknown key 'not_a_key'"):
             parse_config(path)
 
-    def test_range_error_names_key(self, tmp_path):
-        path = write(tmp_path, "pruning_ratio = 1.5\n")
-        with pytest.raises(ConfigError, match="pruning_ratio"):
+    @pytest.mark.parametrize("line", ["pruning_ratio = 1.5", "stage1_epochs = 0",
+                                      "stage2_lr = 0"])
+    def test_range_error_names_key(self, tmp_path, line):
+        path = write(tmp_path, line + "\n")
+        with pytest.raises(ConfigError, match=line.split(" = ")[0]):
             parse_config(path)
 
     @pytest.mark.parametrize("key,cap", [("cert_samples", CERT_SAMPLES_MAX),

@@ -220,6 +220,29 @@ class TestCheckpoint:
             load_checkpoint(path)
         assert str(path) in str(info.value)
 
+    @pytest.mark.parametrize("key, value, match", [
+        ("in", 3.9, "bad layer 1 header"),
+        ("out", "2", "bad layer 1 header"),
+        ("in", True, "bad layer 1 header"),
+        ("seed", {"x": [1]}, "seed"),
+        ("seed", -1, "seed"),
+        ("seed", 2 ** 64, "seed"),
+        ("seed", 7.0, "seed"),
+        ("seed", True, "seed"),
+    ])
+    def test_bad_header_rejected(self, tmp_path, key, value, match):
+        # header fields are taken as written, never coerced: a layer's in and
+        # out are JSON integers and the seed is null or a u64
+        m = two_layer(seed=13)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, m, "pretrained", seed=1)
+        doc = json.loads(path.read_text())
+        (doc if key == "seed" else doc["layers"][1])[key] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DatasetError, match=match) as info:
+            load_checkpoint(path)
+        assert str(path) in str(info.value)
+
     @pytest.mark.parametrize("field, entry, match", [
         ("W", "x", "layer 1 weight array"),
         ("W", None, "layer 1 weight array"),
@@ -296,7 +319,7 @@ def json_dump_bytes(model, stage, soft_mask=None, hard_mask=None, seed=None):
 class TestCheckpointBytes:
     @pytest.mark.parametrize("mode", ["unstructured", "structured"])
     @pytest.mark.parametrize("masks", ["soft", "hard", "none"])
-    @pytest.mark.parametrize("seed", [None, 1009])
+    @pytest.mark.parametrize("seed", [None, 0, 1009, 2 ** 64 - 1])
     def test_equals_json_dump(self, tmp_path, mode, masks, seed):
         rng = np.random.default_rng(12)
         model = MaskableModel.initialized(mlp_specs(5, [6, 4], 3), mode, rng)

@@ -12,7 +12,7 @@ from maskcert.errors import ConfigError
 from maskcert.masks import binarize, effective_ratio, hard_multipliers
 from maskcert.model import MaskableModel, mlp_specs
 from maskcert.objectives import LossWeights
-from maskcert.pipeline import (Adam, MomentumSGD, TrainConfig, lmp_mask,
+from maskcert.pipeline import (Adam, MomentumSGD, lmp_mask,
                                run_experiment, stage1_pretrain,
                                stage2_mask_search, stage3_finetune)
 
@@ -32,28 +32,18 @@ def tiny_setup(cfg):
     return train, test, spec, train_aug, pairs, model
 
 
-class TestTrainConfig:
-    def test_zero_epochs_rejected(self):
-        with pytest.raises(ConfigError, match="epochs"):
-            TrainConfig(stage1_epochs=0)
-
-    def test_bad_lr_rejected(self):
-        with pytest.raises(ConfigError, match="learning"):
-            TrainConfig(stage2_lr=0.0)
-
-
 class TestStage1:
     def test_default_task_reaches_high_train_accuracy(self):
         # default synthetic task, default 50-epoch schedule
         cfg = validate(ExperimentConfig())
         _, _, _, train_aug, _, model = tiny_setup(cfg)
-        history = stage1_pretrain(model, train_aug, pipeline.train_config(cfg), cfg.seed)
+        history = stage1_pretrain(model, train_aug, cfg)
         assert history[-1].accuracy >= 0.99
 
     def test_default_task_loss_mostly_non_increasing(self):
         cfg = validate(ExperimentConfig())
         _, _, _, train_aug, _, model = tiny_setup(cfg)
-        history = stage1_pretrain(model, train_aug, pipeline.train_config(cfg), cfg.seed)
+        history = stage1_pretrain(model, train_aug, cfg)
         losses = [h.mean_loss for h in history]
         drops = sum(b <= a for a, b in zip(losses, losses[1:]))
         assert drops / (len(losses) - 1) >= 0.9
@@ -61,19 +51,17 @@ class TestStage1:
     def test_divergence_aborts(self):
         cfg = tiny_cfg()
         _, _, _, train_aug, _, model = tiny_setup(cfg)
-        tc = dataclasses.replace(pipeline.train_config(cfg), stage1_lr=1e9)
         with pytest.raises(FloatingPointError, match="diverged"):
-            stage1_pretrain(model, train_aug, tc, cfg.seed)
+            stage1_pretrain(model, train_aug, dataclasses.replace(cfg, stage1_lr=1e9))
 
 
 class TestStage2:
     def test_weights_frozen(self):
         cfg = tiny_cfg()
         _, _, _, train_aug, pairs, model = tiny_setup(cfg)
-        stage1_pretrain(model, train_aug, pipeline.train_config(cfg), cfg.seed)
+        stage1_pretrain(model, train_aug, cfg)
         before = [w.copy() for w in model.weights]
-        soft, reports = stage2_mask_search(model, pairs, pipeline.train_config(cfg),
-                                           LossWeights(), 0.5, 0.5, 30.0, cfg.seed)
+        soft, reports = stage2_mask_search(model, pairs, cfg)
         for a, b in zip(before, model.weights):
             assert np.array_equal(a, b)
         assert len(reports) == cfg.stage2_epochs * int(np.ceil(len(pairs[0]) / cfg.batch_size))
@@ -83,14 +71,13 @@ class TestStage2:
     def test_l1_only_drives_mask_down(self):
         cfg = tiny_cfg(stage2_epochs=3)
         _, _, _, train_aug, pairs, model = tiny_setup(cfg)
-        stage1_pretrain(model, train_aug, pipeline.train_config(cfg), cfg.seed)
+        stage1_pretrain(model, train_aug, cfg)
         w = LossWeights(stab=0.0, ratio=0.0, consis=0.0, l1=1.0)
-        tc = dataclasses.replace(pipeline.train_config(cfg), stage2_lr=0.01)
         from maskcert.masks import init_percentile_scaled
         from maskcert.objectives import composite_step_loss
         from maskcert.pipeline import Adam
         soft = init_percentile_scaled(model, 30.0)
-        opt = Adam(tc.stage2_lr)
+        opt = Adam(0.01)
         means = [np.mean(np.concatenate(soft))]
         for step in range(12):
             res = composite_step_loss(model, soft, pairs[0][:8], pairs[1][:8], w,
@@ -108,25 +95,21 @@ class TestStage2:
                               [np.zeros(2)], "structured")
         pairs = (np.ones((4, 3)), np.ones((4, 3)))
         with pytest.raises(ConfigError, match="prunable"):
-            stage2_mask_search(model, pairs, TrainConfig(), LossWeights(),
-                               0.5, 0.5, 30.0, 0)
+            stage2_mask_search(model, pairs, ExperimentConfig(seed=0))
 
     def test_empty_pairs_rejected(self):
         cfg = tiny_cfg()
         _, _, _, _, _, model = tiny_setup(cfg)
         empty = (np.empty((0, 16)), np.empty((0, 16)))
         with pytest.raises(ConfigError, match="paired"):
-            stage2_mask_search(model, empty, pipeline.train_config(cfg),
-                               LossWeights(), 0.5, 0.5, 30.0, cfg.seed)
+            stage2_mask_search(model, empty, cfg)
 
     def test_step_reports_reproducible(self):
         cfg = tiny_cfg(stage2_epochs=2)
         _, _, _, train_aug, pairs, model = tiny_setup(cfg)
-        stage1_pretrain(model, train_aug, pipeline.train_config(cfg), cfg.seed)
-        s1, r1 = stage2_mask_search(model, pairs, pipeline.train_config(cfg),
-                                    LossWeights(), 0.5, 0.5, 30.0, cfg.seed)
-        s2, r2 = stage2_mask_search(model, pairs, pipeline.train_config(cfg),
-                                    LossWeights(), 0.5, 0.5, 30.0, cfg.seed)
+        stage1_pretrain(model, train_aug, cfg)
+        s1, r1 = stage2_mask_search(model, pairs, cfg)
+        s2, r2 = stage2_mask_search(model, pairs, cfg)
         for a, b in zip(s1, s2):
             assert np.array_equal(a, b)
         assert [r.composite for r in r1] == [r.composite for r in r2]
@@ -148,14 +131,12 @@ class TestStepLifetime:
         monkeypatch.setattr(ad, "primitive", tracked)
         cfg = tiny_cfg(stage1_epochs=1, stage2_epochs=1, stage3_epochs=1)
         _, _, _, train_aug, pairs, model = tiny_setup(cfg)
-        tc = pipeline.train_config(cfg)
         enabled = gc.isenabled()
         gc.disable()
         try:
-            stage1_pretrain(model, train_aug, tc, cfg.seed)
-            soft, _ = stage2_mask_search(model, pairs, tc, LossWeights(), 0.5, 0.5, 30.0,
-                                         cfg.seed)
-            stage3_finetune(model, binarize(soft, 0.5), train_aug, tc, cfg.seed)
+            stage1_pretrain(model, train_aug, cfg)
+            soft, _ = stage2_mask_search(model, pairs, cfg)
+            stage3_finetune(model, binarize(soft, 0.5), train_aug, cfg)
             alive = sum(ref() is not None for ref in refs)
         finally:
             if enabled:
@@ -167,7 +148,7 @@ class TestStage3:
     def setup_cfg(self):
         cfg = tiny_cfg()
         _, test, _, train_aug, _, model = tiny_setup(cfg)
-        stage1_pretrain(model, train_aug, pipeline.train_config(cfg), cfg.seed)
+        stage1_pretrain(model, train_aug, cfg)
         return cfg, test, train_aug, model
 
     def test_masked_weights_bit_identical(self):
@@ -175,7 +156,7 @@ class TestStage3:
         hard = lmp_mask(model, 0.5)
         mult = hard_multipliers(model, hard)
         before = [w.copy() for w in model.weights]
-        stage3_finetune(model, hard, train_aug, pipeline.train_config(cfg), cfg.seed)
+        stage3_finetune(model, hard, train_aug, cfg)
         for b, w, m in zip(before, model.weights, mult):
             dead = (m == 0)
             assert np.array_equal(b[dead], w[dead])
@@ -185,7 +166,7 @@ class TestStage3:
         cfg, _, train_aug, model = self.setup_cfg()
         twin = model.copy()
         hard = lmp_mask(model, 0.0)
-        stage3_finetune(model, hard, train_aug, pipeline.train_config(cfg), cfg.seed)
+        stage3_finetune(model, hard, train_aug, cfg)
         rng = np.random.default_rng([cfg.seed, pipeline.STREAM_STAGE3])
         pipeline._ce_epochs(twin, train_aug, cfg.stage3_epochs, cfg.stage3_lr,
                             cfg.momentum, cfg.batch_size, rng)
@@ -198,14 +179,14 @@ class TestStage3:
         soft = init_percentile_scaled(model, 30.0)
         hard = binarize(soft, 0.5)
         realized = effective_ratio(hard, model)
-        stage3_finetune(model, hard, train_aug, pipeline.train_config(cfg), cfg.seed)
+        stage3_finetune(model, hard, train_aug, cfg)
         assert effective_ratio(hard, model) == realized
 
     def test_stage3_never_mutates_mask(self):
         cfg, _, train_aug, model = self.setup_cfg()
         hard = lmp_mask(model, 0.5)
         frozen = [m.copy() for m in hard]
-        stage3_finetune(model, hard, train_aug, pipeline.train_config(cfg), cfg.seed)
+        stage3_finetune(model, hard, train_aug, cfg)
         for a, b in zip(frozen, hard):
             assert np.array_equal(a, b)
 
@@ -253,28 +234,28 @@ class TestOptimizers:
 class TestRunExperiment:
     def test_vanilla_only_single_row_zero_ratio(self):
         out = run_experiment(tiny_cfg(methods=("vanilla",)))
-        assert len(out.results) == 1
-        row = out.results[0]
+        assert list(out.results) == ["vanilla"]
+        row = out.results["vanilla"]
         assert row.method == "vanilla" and row.ratio == 0.0
 
     def test_deterministic(self):
         cfg = tiny_cfg(methods=("vanilla", "lmp"))
         o1 = run_experiment(cfg)
         o2 = run_experiment(cfg)
-        for a, b in zip(o1.results, o2.results):
-            assert (a.method, a.clean_accuracy, a.pca, a.ratio) == \
-                   (b.method, b.clean_accuracy, b.pca, b.ratio)
+        for a, b in zip(o1.results.values(), o2.results.values()):
+            assert (a.method, a.clean_accuracy, a.cert.fraction, a.ratio) == \
+                   (b.method, b.clean_accuracy, b.cert.fraction, b.ratio)
         assert np.array_equal(o1.eval_indices, o2.eval_indices)
 
     def test_methods_share_pretrained_weights(self):
         cfg = tiny_cfg(methods=("vanilla", "lmp", "csam"))
         out = run_experiment(cfg)
-        vanilla = out.artifacts["vanilla"].model
+        vanilla = out.results["vanilla"].model
         for a, b in zip(vanilla.weights, out.pretrained.weights):
             assert np.array_equal(a, b)
         # pruned methods keep masked weights at their pretrained values
         for name in ("lmp", "csam"):
-            art = out.artifacts[name]
+            art = out.results[name]
             mult = hard_multipliers(art.model, art.hard)
             for pre, w, m in zip(out.pretrained.weights, art.model.weights, mult):
                 assert np.array_equal(pre[m == 0], w[m == 0])
@@ -282,25 +263,25 @@ class TestRunExperiment:
     def test_three_class_experiment(self):
         cfg = tiny_cfg(synthetic_classes=3, methods=("vanilla", "csam"))
         out = run_experiment(cfg)
-        assert out.artifacts["csam"].model.class_count == 3
-        for r in out.results:
-            assert 0.0 <= r.pca <= 1.0 and 0.0 <= r.clean_accuracy <= 1.0
+        assert out.results["csam"].model.class_count == 3
+        for r in out.results.values():
+            assert 0.0 <= r.cert.fraction <= 1.0 and 0.0 <= r.clean_accuracy <= 1.0
 
     def test_structured_mode_end_to_end(self):
         cfg = tiny_cfg(mask_mode="structured", methods=("vanilla", "lmp", "csam"))
         out = run_experiment(cfg)
-        rows = {r.method: r for r in out.results}
+        rows = out.results
         # classifier layer is exempt, so the realized ratio undershoots pr by
         # exactly the final layer's dense weight share
-        model = out.artifacts["csam"].model
-        hard = out.artifacts["csam"].hard
+        model = out.results["csam"].model
+        hard = out.results["csam"].hard
         final_dense = model.specs[-1].out_dim * model.specs[-1].in_dim
         assert hard[-1].size == 0
         assert rows["csam"].ratio <= cfg.pruning_ratio
         assert rows["csam"].ratio > cfg.pruning_ratio * (
             1 - 2 * final_dense / model.weight_count())
-        for r in out.results:
-            assert 0.0 <= r.pca <= 1.0
+        for r in out.results.values():
+            assert 0.0 <= r.cert.fraction <= 1.0
 
     def test_eval_size_validated(self):
         cfg = tiny_cfg(cert_eval_size=10_000, methods=("vanilla",))
