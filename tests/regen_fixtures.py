@@ -5,6 +5,8 @@
 Each named fixture is recomputed from the current code and overwritten. The
 tests never write fixtures: a missing file fails them. Re-record one only
 for a deliberate change of results, and say so in the change description.
+The step fixture is computed in a child process with one BLAS thread (see
+one_thread_stage2_step_record).
 """
 
 from __future__ import annotations
@@ -12,6 +14,9 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +35,8 @@ DEFAULT_FIXTURE = FIXTURES / "default_experiment.json"
 TRAJECTORY_FIXTURE = FIXTURES / "trajectory.json"
 STEP_FIXTURE = FIXTURES / "stage2_step.json"
 REGEN_HINT = "PYTHONPATH=src python tests/regen_fixtures.py"
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+               "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 
 # The small run that criterion 9 repeats and the trajectory fixture pins.
 SMALL_RUN = {
@@ -149,6 +156,25 @@ def stage2_step_record() -> dict:
     return {"composite_step_loss": steps, "ce_epochs": ce}
 
 
+def one_thread_stage2_step_record() -> dict:
+    """stage2_step_record() computed in a child process with every BLAS
+    thread count set to 1, as perfbench runs maskcert. A multithreaded GEMM
+    may split the products of the 784-wide model differently and so move
+    their bits; the thread count is fixed when BLAS loads, so only a fresh
+    process can set it."""
+    here = Path(__file__).resolve().parent
+    env = {**os.environ, **dict.fromkeys(THREAD_VARS, "1"),
+           "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), str(here),
+                                          os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import json, regen_fixtures; print(json.dumps(regen_fixtures.stage2_step_record()))"],
+        env=env, capture_output=True, text=True)
+    if proc.returncode:
+        raise RuntimeError(f"stage2_step_record child failed:\n{proc.stderr}")
+    return json.loads(proc.stdout)
+
+
 def _write(path: Path, doc: dict) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
@@ -165,7 +191,7 @@ def main() -> None:
         elif name == "trajectory":
             _write(TRAJECTORY_FIXTURE, trajectory_record())
         else:
-            _write(STEP_FIXTURE, stage2_step_record())
+            _write(STEP_FIXTURE, one_thread_stage2_step_record())
 
 
 if __name__ == "__main__":

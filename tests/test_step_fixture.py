@@ -1,12 +1,13 @@
 """Seeded stage-2 steps and cross-entropy epochs must reproduce the pinned
 gradient and weight hashes and report floats exactly, so a rewrite of the
-differentiation code shows any moved bit."""
+differentiation code shows any moved bit. The record is computed with one
+BLAS thread, whatever the test process itself runs with."""
 
 import json
 
 import pytest
 
-from regen_fixtures import REGEN_HINT, STEP_FIXTURE, stage2_step_record
+from regen_fixtures import REGEN_HINT, STEP_FIXTURE, one_thread_stage2_step_record
 
 
 @pytest.fixture(scope="module")
@@ -14,7 +15,8 @@ def records():
     if not STEP_FIXTURE.exists():
         pytest.fail(f"missing {STEP_FIXTURE}; regenerate it with "
                     f"`{REGEN_HINT} stage2_step`")
-    return json.loads(STEP_FIXTURE.read_text(encoding="utf-8")), stage2_step_record()
+    return (json.loads(STEP_FIXTURE.read_text(encoding="utf-8")),
+            one_thread_stage2_step_record())
 
 
 @pytest.mark.parametrize("part", ["composite_step_loss", "ce_epochs"])
