@@ -37,6 +37,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .config import ExperimentConfig
 from .model import MaskableModel
 from .transforms import TransformSpec, sample_set
 
@@ -51,36 +52,10 @@ STACK_FLOATS = 1 << 15
 GRID_FLOATS = 48 << 10
 
 
-@dataclass(frozen=True)
-class CertConfig:
-    samples_per_rep: int = 100   # n
-    repetitions: int = 10        # l
-    alpha: float = 0.9
-    error_bound: float = 1e-3
-    t_count: int = 500
-    t_lo: float = 1e-4
-    t_hi: float = 1e4
-    c_v: float = 1.0
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.samples_per_rep < 1 or self.repetitions < 1:
-            raise ValueError("samples_per_rep and repetitions must be >= 1")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
-        if not 0.0 < self.error_bound < 1.0:
-            raise ValueError(f"error_bound must be in (0, 1), got {self.error_bound}")
-        if not self.t_lo < self.t_hi:
-            raise ValueError("temperature grid needs t_lo < t_hi")
-        if self.t_count < 2:
-            raise ValueError("temperature grid needs at least 2 points")
-        if self.c_v <= 0:
-            raise ValueError("c_v must be positive")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
-
-    def t_grid(self) -> np.ndarray:
-        return np.logspace(math.log10(self.t_lo), math.log10(self.t_hi), self.t_count)
+def t_grid(cfg: ExperimentConfig) -> np.ndarray:
+    """The log-spaced temperature grid of cert_t_count points on
+    [cert_t_lo, cert_t_hi]."""
+    return np.logspace(math.log10(cfg.cert_t_lo), math.log10(cfg.cert_t_hi), cfg.cert_t_count)
 
 
 def clean_margin(p: np.ndarray) -> float:
@@ -200,12 +175,12 @@ class PcaResult:
 
 
 def pca(deployed: MaskableModel, x_eval, y_eval, spec: TransformSpec,
-        config: CertConfig) -> PcaResult:
+        cfg: ExperimentConfig) -> PcaResult:
     """Certified fraction of the deployed model (its hard mask already
     folded into the weights, MaskableModel.folded) over an evaluation set,
     with the full per-sample table. Sample i is certified <=> its clean
     prediction is correct and its flip-probability bound is at or below the
-    configured error bound; a zero margin is trivially uncertifiable
+    error bound cert_error_bound; a zero margin is trivially uncertifiable
     (eps_hat = 1, best_t = nan), not an error.
 
     Sample i draws from a stream derived as (seed, namespace, i), so
@@ -222,8 +197,8 @@ def pca(deployed: MaskableModel, x_eval, y_eval, spec: TransformSpec,
     y_eval = np.asarray(y_eval)
     if len(x_eval) == 0:
         raise ValueError("pca: empty evaluation set")
-    m, l, n = len(x_eval), config.repetitions, config.samples_per_rep
-    grid = config.t_grid()
+    m, l, n = len(x_eval), cfg.cert_repetitions, cfg.cert_samples
+    grid = t_grid(cfg)
 
     # work buffers: each layer's output for `reps` repetitions at a time (or
     # as many clean inputs), a grid-search block of `block` samples
@@ -249,7 +224,7 @@ def pca(deployed: MaskableModel, x_eval, y_eval, spec: TransformSpec,
     for start in range(0, m, block):
         ids = range(start, min(start + block, m))
         for b, i in enumerate(ids):
-            rng = np.random.default_rng([config.seed, CERT_SAMPLE_STREAM, i])
+            rng = np.random.default_rng([cfg.seed, CERT_SAMPLE_STREAM, i])
             for j in range(0, l, reps):
                 r = min(reps, l - j)
                 pt = forward(sample_set(spec, x_eval[i], (r, n), rng, out=xt[:r],
@@ -270,14 +245,14 @@ def pca(deployed: MaskableModel, x_eval, y_eval, spec: TransformSpec,
             rows.append(SampleCert(
                 sample_id=i, label=int(y_eval[i]), predicted=predicted,
                 margin=float(d[b]), eps_hat=eps_hat, best_t=best_t,
-                certified=predicted == int(y_eval[i]) and eps_hat <= config.error_bound,
+                certified=predicted == int(y_eval[i]) and eps_hat <= cfg.cert_error_bound,
                 rep_z_max=rep_z[b].max(axis=1)))
     frac = float(np.mean([r.certified for r in rows]))
     best_t = np.array([r.best_t for r in rows])
     # the median by hand: np.median imports numpy.ma (about 14 ms, 0.7 MB)
     logs = sorted(log_bounds) or [math.nan]
     half = len(logs) // 2
-    return PcaResult(fraction=frac, rows=rows, paley=paley_confidence(config),
+    return PcaResult(fraction=frac, rows=rows, paley=paley_confidence(cfg),
                      best_t_at_t_lo=int(np.sum(best_t == grid[0])),
                      best_t_at_t_hi=int(np.sum(best_t == grid[-1])),
                      eps_hat_zero=sum(r.eps_hat == 0.0 for r in rows),
@@ -286,16 +261,17 @@ def pca(deployed: MaskableModel, x_eval, y_eval, spec: TransformSpec,
                      log_eps_hat_max=logs[-1])
 
 
-def paley_confidence(config: CertConfig) -> float:
+def paley_confidence(cfg: ExperimentConfig) -> float:
     """Closed-form bound on the probability that the max-of-l estimator still
-    underestimates: (1 / (1 + n (1-alpha)^2 / C_v^2))^l.
+    underestimates: (1 / (1 + n (1-alpha)^2 / C_v^2))^l, with n, l, alpha
+    and C_v the cert_samples, cert_repetitions, cert_alpha and cert_cv.
 
     Evaluated in exact rational arithmetic from the decimal forms of the
     inputs with a single rounding at the end, so e.g. alpha = 0.9, n = 100,
     l = 10, C_v = 1 gives exactly 2**-10.
     """
-    cv = Fraction(str(config.c_v))
-    alpha = Fraction(str(config.alpha))
-    n = config.samples_per_rep
-    val = (Fraction(1) / (1 + n * (1 - alpha) ** 2 / cv ** 2)) ** config.repetitions
+    cv = Fraction(str(cfg.cert_cv))
+    alpha = Fraction(str(cfg.cert_alpha))
+    n = cfg.cert_samples
+    val = (Fraction(1) / (1 + n * (1 - alpha) ** 2 / cv ** 2)) ** cfg.cert_repetitions
     return float(val)

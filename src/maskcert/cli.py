@@ -24,8 +24,7 @@ import numpy as np
 
 from . import pipeline
 from .certify import PcaResult, pca
-from .config import (ExperimentConfig, cert_config, model_layer_specs, parse_config,
-                     serialize, synthetic_spec, validate)
+from .config import ExperimentConfig, model_layer_specs, parse_config, serialize, validate
 from .datasets import accuracy, gen_synthetic, write_dataset_csv
 from .errors import ConfigError, DatasetError
 from .masks import binarize, effective_ratio, hard_multipliers
@@ -160,7 +159,7 @@ def _cmd_gen_data(cfg: ExperimentConfig, args, out: Path) -> dict:
     if cfg.dataset_kind != "synthetic":
         raise ConfigError("gen-data only generates synthetic datasets; "
                           "idx datasets are provided as files")
-    train, test, _ = gen_synthetic(synthetic_spec(cfg))
+    train, test, _ = gen_synthetic(cfg)
     write_dataset_csv(out / "train.csv", train)
     write_dataset_csv(out / "test.csv", test)
     return {"train_size": len(train), "test_size": len(test)}
@@ -207,7 +206,7 @@ def _cmd_certify(cfg: ExperimentConfig, args, out: Path) -> dict:
     hard = extras["hard_mask"]
     idx = pipeline.eval_subset(cfg, test)
     deployed = model.folded(hard_multipliers(model, hard))
-    result = pca(deployed, test.x[idx], test.y[idx], spec, cert_config(cfg))
+    result = pca(deployed, test.x[idx], test.y[idx], spec, cfg)
     ratio = effective_ratio(hard, model)
     _write_cert_report(out, "cert_report", cfg, result, ratio)
     return {"pca": result.fraction, "pruning_ratio": ratio,

@@ -13,11 +13,8 @@ import os
 from dataclasses import dataclass, fields
 from typing import Any
 
-from .certify import CertConfig
-from .datasets import SyntheticDatasetSpec
 from .errors import ConfigError
 from .model import mlp_specs
-from .objectives import LossWeights
 from .transforms import CorruptionTag, TransformSpec
 
 METHODS = ("vanilla", "lmp", "csam")
@@ -204,6 +201,13 @@ def validate(cfg: ExperimentConfig, where: str = "config") -> ExperimentConfig:
         raise ConfigError(f"{where}: key 'corruption_severity': {exc}") from None
     if cfg.cert_t_lo >= cfg.cert_t_hi:
         raise ConfigError(f"{where}: cert_t_lo must be < cert_t_hi")
+    # room for the class means and an orthogonal semantic direction
+    # (datasets.gen_synthetic)
+    min_dim = 2 if cfg.synthetic_classes == 2 else cfg.synthetic_classes + 1
+    if cfg.synthetic_dim < min_dim:
+        raise ConfigError(
+            f"{where}: key 'synthetic_dim' must be >= {min_dim} for "
+            f"{cfg.synthetic_classes} classes, got {cfg.synthetic_dim}")
     if cfg.dataset_kind == "idx":
         for key in ("idx_train_images", "idx_train_labels",
                     "idx_test_images", "idx_test_labels"):
@@ -228,7 +232,7 @@ def parse_config(path) -> ExperimentConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     values: dict[str, Any] = {}
     seen: dict[str, int] = {}
@@ -266,32 +270,6 @@ def serialize(cfg: ExperimentConfig) -> str:
 
 # ---------------------------------------------------------------------------
 # views onto the domain objects
-
-
-def loss_weights(cfg: ExperimentConfig) -> LossWeights:
-    return LossWeights(stab=cfg.lambda_stab, ratio=cfg.lambda_ratio,
-                       consis=cfg.lambda_consis, l1=cfg.lambda_l1,
-                       eta=cfg.safety_threshold, margin_eps=cfg.margin_epsilon)
-
-
-def cert_config(cfg: ExperimentConfig) -> CertConfig:
-    return CertConfig(samples_per_rep=cfg.cert_samples,
-                      repetitions=cfg.cert_repetitions,
-                      alpha=cfg.cert_alpha,
-                      error_bound=cfg.cert_error_bound,
-                      t_count=cfg.cert_t_count,
-                      t_lo=cfg.cert_t_lo, t_hi=cfg.cert_t_hi,
-                      c_v=cfg.cert_cv, seed=cfg.seed)
-
-
-def synthetic_spec(cfg: ExperimentConfig) -> SyntheticDatasetSpec:
-    return SyntheticDatasetSpec(dim=cfg.synthetic_dim, classes=cfg.synthetic_classes,
-                                train_per_class=cfg.synthetic_train_per_class,
-                                test_per_class=cfg.synthetic_test_per_class,
-                                separation=cfg.synthetic_separation,
-                                noise=cfg.synthetic_noise,
-                                semantic_noise_scale=cfg.synthetic_semantic_noise,
-                                seed=cfg.seed)
 
 
 def transform_spec(cfg: ExperimentConfig, direction=None) -> TransformSpec:

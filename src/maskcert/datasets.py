@@ -3,6 +3,9 @@
 Synthetic data: isotropic Gaussian clusters with a designated semantic
 direction v that is orthogonal to every between-class mean difference, so
 the Bayes-optimal label is invariant under x + delta * v for any delta.
+Two class means sit at -separation and +separation on the first axis and v
+is the second; K > 2 class means sit at separation on the first K axes and
+v is axis K + 1, so config.validate asks for synthetic_dim >= 2 or >= K + 1.
 
 IDX data: the classic big-endian ubyte image/label pair format, pixels
 scaled to [0, 1] and flattened.
@@ -11,11 +14,11 @@ scaled to [0, 1] and flattened.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
+from .config import ExperimentConfig
 from .errors import DatasetError
 
 IDX_IMAGE_MAGIC = 0x00000803
@@ -30,78 +33,50 @@ class Dataset(NamedTuple):
         return len(self.x)
 
 
-@dataclass(frozen=True)
-class SyntheticDatasetSpec:
-    dim: int = 16
-    classes: int = 2
-    train_per_class: int = 200
-    test_per_class: int = 100
-    separation: float = 1.0
-    noise: float = 0.35
-    semantic_noise_scale: float = 1.0  # stretches the covariance along v
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.classes < 2:
-            raise ValueError("need at least 2 classes")
-        if self.dim < self.min_dim():
-            raise ValueError(
-                f"dim {self.dim} too small; need >= {self.min_dim()} so a unit "
-                f"direction orthogonal to all class-mean differences exists")
-        if self.train_per_class < 1 or self.test_per_class < 1:
-            raise ValueError("per-class sample counts must be positive")
-        if self.noise <= 0 or self.separation <= 0:
-            raise ValueError("noise and separation must be positive")
-        if self.semantic_noise_scale <= 0:
-            raise ValueError("semantic_noise_scale must be positive")
-
-    def min_dim(self) -> int:
-        return 2 if self.classes == 2 else self.classes + 1
-
-    def class_means(self) -> np.ndarray:
-        means = np.zeros((self.classes, self.dim))
-        if self.classes == 2:
-            means[0, 0] = -self.separation
-            means[1, 0] = +self.separation
-        else:
-            for c in range(self.classes):
-                means[c, c] = self.separation
-        return means
-
-    def semantic_direction(self) -> np.ndarray:
-        v = np.zeros(self.dim)
-        v[1 if self.classes == 2 else self.classes] = 1.0
-        return v
+def _class_means(cfg: ExperimentConfig) -> np.ndarray:
+    means = np.zeros((cfg.synthetic_classes, cfg.synthetic_dim))
+    if cfg.synthetic_classes == 2:
+        means[0, 0] = -cfg.synthetic_separation
+        means[1, 0] = +cfg.synthetic_separation
+    else:
+        for c in range(cfg.synthetic_classes):
+            means[c, c] = cfg.synthetic_separation
+    return means
 
 
-def gen_synthetic(spec: SyntheticDatasetSpec):
-    """Deterministic per-class Gaussian clusters; returns (train, test, v).
+def _semantic_direction(cfg: ExperimentConfig) -> np.ndarray:
+    v = np.zeros(cfg.synthetic_dim)
+    v[1 if cfg.synthetic_classes == 2 else cfg.synthetic_classes] = 1.0
+    return v
+
+
+def gen_synthetic(cfg: ExperimentConfig):
+    """Deterministic per-class Gaussian clusters from the synthetic_*
+    settings and seed; returns (train, test, v).
 
     The (diagonal) covariance is shared by all classes and may be stretched
-    along the semantic direction; the Bayes boundary then still depends only
-    on the mean-difference directions, so the optimal label stays invariant
-    under shifts along v.
+    by synthetic_semantic_noise along the semantic direction; the Bayes
+    boundary then still depends only on the mean-difference directions, so
+    the optimal label stays invariant under shifts along v.
     """
-    means = spec.class_means()
-    v = spec.semantic_direction()
-    diffs = means[None, :, :] - means[:, None, :]
-    if np.abs(diffs @ v).max() > 1e-9:
-        raise ValueError("semantic direction is not orthogonal to class-mean differences")
-    scale = np.full(spec.dim, spec.noise)
-    scale[np.argmax(v)] *= spec.semantic_noise_scale
+    means = _class_means(cfg)
+    v = _semantic_direction(cfg)
+    scale = np.full(cfg.synthetic_dim, cfg.synthetic_noise)
+    scale[np.argmax(v)] *= cfg.synthetic_semantic_noise
 
     def _split(count, stream):
-        rng = np.random.default_rng([spec.seed, stream])
+        rng = np.random.default_rng([cfg.seed, stream])
         xs, ys = [], []
-        for c in range(spec.classes):
-            xs.append(means[c] + scale * rng.standard_normal((count, spec.dim)))
+        for c in range(cfg.synthetic_classes):
+            xs.append(means[c] + scale * rng.standard_normal((count, cfg.synthetic_dim)))
             ys.append(np.full(count, c, dtype=np.int64))
         x = np.concatenate(xs)
         y = np.concatenate(ys)
         perm = rng.permutation(len(x))
         return Dataset(x[perm], y[perm])
 
-    return _split(spec.train_per_class, 0), _split(spec.test_per_class, 1), v
+    train = _split(cfg.synthetic_train_per_class, 0)
+    return train, _split(cfg.synthetic_test_per_class, 1), v
 
 
 def _read_exact(fh, count, path, what):

@@ -41,7 +41,8 @@ def _keep_count(fraction: Fraction, n: int) -> int:
 def init_percentile_scaled(model: MaskableModel, tau: float) -> list[np.ndarray]:
     """Soft mask C = clip(|w| / Q, 0, 1) per layer, where Q is the
     ceil(tau% * N)-th largest magnitude, so exactly the top tau% of units
-    start at the clip ceiling (nearest-rank convention)."""
+    start at the clip ceiling (nearest-rank convention). A zero Q (a layer
+    whose top tau% of magnitudes are all zero) raises FloatingPointError."""
     if not 0.0 < tau < 100.0:
         raise ValueError(f"tau must be in (0, 100), got {tau}")
     frac = Fraction(str(tau)) / 100
@@ -53,8 +54,8 @@ def init_percentile_scaled(model: MaskableModel, tau: float) -> list[np.ndarray]
             continue
         kappa = _keep_count(frac, n)
         q = np.partition(mags, n - kappa)[n - kappa]
-        if q <= 0.0:
-            raise ValueError(
+        if q <= 0.0:  # the divisor below
+            raise FloatingPointError(
                 f"layer {i}: percentile threshold is zero; re-initialize the "
                 f"weights before building a mask")
         soft.append(np.clip(mags / q, 0.0, 1.0))

@@ -271,6 +271,8 @@ def load_checkpoint(path):
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise DatasetError(f"checkpoint {path}: not valid JSON ({exc})") from None
+    except UnicodeDecodeError as exc:
+        raise DatasetError(f"checkpoint {path}: not UTF-8 text ({exc})") from None
 
     if not isinstance(doc, dict):
         raise DatasetError(f"checkpoint {path}: not a JSON object")

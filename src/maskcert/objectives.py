@@ -16,26 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from .config import ExperimentConfig
 from .masks import binarize, sample_noisy
 from .model import MaskableModel, mask_shape
-
-
-@dataclass(frozen=True)
-class LossWeights:
-    stab: float = 5.0
-    ratio: float = 1.0
-    consis: float = 1.0
-    l1: float = 1e-4
-    eta: float = 1.0          # safety threshold on the robustness ratio
-    margin_eps: float = 1e-6  # keeps the ratio finite at zero margin
-
-    def __post_init__(self):
-        if min(self.stab, self.ratio, self.consis, self.l1) < 0:
-            raise ValueError("loss weights must be non-negative")
-        if not 0.0 < self.eta <= 1.0:
-            raise ValueError(f"eta must be in (0, 1], got {self.eta}")
-        if self.margin_eps <= 0:
-            raise ValueError(f"margin_eps must be positive, got {self.margin_eps}")
 
 
 @dataclass
@@ -55,16 +38,18 @@ class CompositeResult:
     grads: list[np.ndarray]      # per layer, flattened to mask-vector shape
 
 
-def composite_step_loss(model: MaskableModel, soft_mask, x, x_t,
-                        weights: LossWeights, pr: float, mu: float,
+def composite_step_loss(model: MaskableModel, soft_mask, x, x_t, cfg: ExperimentConfig,
                         rng: np.random.Generator, step: int = 0) -> CompositeResult:
     """One evaluation of the objective and its gradient on the soft mask.
 
-    The noise draws come from `rng` in the order m, n, s, each over every
-    maskable layer. Each layer's four masks form one (4, out, in) stack (or
-    (4, out, 1) structured) in copy order [clip(C + xi_m), clip(C + xi_n),
-    clip(C + xi_s), hard + (C - c0)] with c0 = C, so the noisy copies are one
-    block. The stack runs on stack([x, x, x_t, x]) in one forward, and one
+    The objective weighs its terms by cfg's lambda_* settings, the ratio
+    term takes safety_threshold and margin_epsilon, the noise is
+    U(-noise_magnitude, noise_magnitude) and the hard mask binarizes at
+    pruning_ratio. The noise draws come from `rng` in the order m, n, s,
+    each over every maskable layer. Each layer's four masks form one
+    (4, out, in) stack (or (4, out, 1) structured) in copy order
+    [clip(C + xi_m), clip(C + xi_n), clip(C + xi_s), hard + (C - c0)] with
+    c0 = C, so the noisy copies are one block. The stack runs on stack([x, x, x_t, x]) in one forward, and one
     backward chains the term VJPs. Gradients add up in a fixed order: on p_m
     ratio, then consistency, then stability; on C the L1 term, then the
     straight-through, s, n and m copies. Weights are frozen and get no
@@ -86,8 +71,8 @@ def composite_step_loss(model: MaskableModel, soft_mask, x, x_t,
     cs = [soft_mask[i].reshape(mask_shape(model.specs[i], model.mask_mode))
           for i in masked]
     stacks = [np.empty((4, *c.shape)) for c in cs]
-    noisy = sample_noisy(cs, mu, rng, draws=3, out=[m[:3] for m in stacks])
-    hard = binarize(soft_mask, pr)
+    noisy = sample_noisy(cs, cfg.noise_magnitude, rng, draws=3, out=[m[:3] for m in stacks])
+    hard = binarize(soft_mask, cfg.pruning_ratio)
     ste = [ad.primitive("ste", [c], hard=hard[i].reshape(c.shape), c0=c, out=m[3])
            for i, c, m in zip(masked, cs, stacks)]
     # The weights each copy runs with, W * mask, formed in the mask stack
@@ -104,11 +89,11 @@ def composite_step_loss(model: MaskableModel, soft_mask, x, x_t,
     l_stab, stab_vjp = ad.primitive("stability", [p_m, p_n])
     l_consis, consis_vjp = ad.primitive("consistency", [p_m, p_h])
     l_ratio, ratio_vjp = ad.primitive("ratio_penalty", [p_m, p_s],
-                                      eta=weights.eta, eps=weights.margin_eps)
+                                      eta=cfg.safety_threshold, eps=cfg.margin_epsilon)
     l1_norm, l1_vjp = ad.primitive("l1_mean", cs)
     total, sum_vjp = ad.primitive("weighted_sum", [l_stab, l_ratio, l_consis, l1_norm],
-                                  weights=(weights.stab, weights.ratio, weights.consis,
-                                           weights.l1))
+                                  weights=(cfg.lambda_stab, cfg.lambda_ratio,
+                                           cfg.lambda_consis, cfg.lambda_l1))
     if not np.isfinite(total):
         raise FloatingPointError("composite_step_loss: non-finite objective")
 

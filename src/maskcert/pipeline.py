@@ -21,8 +21,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .certify import PcaResult, pca
-from .config import (ExperimentConfig, augment_count, cert_config, loss_weights,
-                     model_layer_specs, synthetic_spec, transform_spec)
+from .config import ExperimentConfig, augment_count, model_layer_specs, transform_spec
 from .datasets import Dataset, accuracy, gen_synthetic, load_idx
 from .errors import ConfigError
 from .masks import (binarize, effective_ratio, hard_multipliers, init_percentile_scaled,
@@ -147,7 +146,6 @@ def stage2_mask_search(model: MaskableModel, pairs, cfg: ExperimentConfig):
                           "augment the dataset first")
     if sum(model.mask_dims()) == 0:
         raise ConfigError("model has no prunable units under this mask mode")
-    weights = loss_weights(cfg)
     soft = init_percentile_scaled(model, cfg.init_percentile)
     opt = Adam(cfg.stage2_lr)
     shuffle_rng = np.random.default_rng([cfg.seed, STREAM_STAGE2_SHUFFLE])
@@ -158,9 +156,8 @@ def stage2_mask_search(model: MaskableModel, pairs, cfg: ExperimentConfig):
         for start in range(0, len(clean), cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
             noise_rng = np.random.default_rng([cfg.seed, STREAM_STAGE2_NOISE, step])
-            result = composite_step_loss(
-                model, soft, clean[idx], transformed[idx], weights, cfg.pruning_ratio,
-                cfg.noise_magnitude, noise_rng, step=step)
+            result = composite_step_loss(model, soft, clean[idx], transformed[idx], cfg,
+                                         noise_rng, step=step)
             opt.step(soft, result.grads)
             soft = [np.clip(c, 0.0, 1.0) for c in soft]
             reports.append(result.report)
@@ -208,7 +205,7 @@ def build_data(cfg: ExperimentConfig):
     """Dataset + transformation space + augmented set + pairs, all derived
     deterministically from the config."""
     if cfg.dataset_kind == "synthetic":
-        train, test, direction = gen_synthetic(synthetic_spec(cfg))
+        train, test, direction = gen_synthetic(cfg)
         spec = transform_spec(cfg, direction)
     else:
         train = load_idx(cfg.idx_train_images, cfg.idx_train_labels, cfg.idx_classes)
@@ -245,7 +242,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentOutput:
     """Train every configured method from one shared pre-trained model and
     certify them on one shared evaluation subset."""
     train, test, spec, train_aug, pairs = build_data(cfg)
-    ccfg = cert_config(cfg)
 
     base = fresh_model(cfg, train.x.shape[1])
     stage1_log = stage1_pretrain(base, train_aug, cfg)
@@ -274,7 +270,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentOutput:
         deployed = model.folded(hard_multipliers(model, hard))
         results[method] = MethodResult(
             method=method, model=model, hard=hard, soft=soft,
-            cert=pca(deployed, x_eval, y_eval, spec, ccfg), stage_logs=logs,
+            cert=pca(deployed, x_eval, y_eval, spec, cfg), stage_logs=logs,
             clean_accuracy=accuracy(deployed, test), ratio=effective_ratio(hard, model),
             wall_time=time.perf_counter() - t0)
 

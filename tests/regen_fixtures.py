@@ -25,8 +25,9 @@ from maskcert.config import ExperimentConfig, parse_config, validate
 from maskcert.datasets import Dataset
 from maskcert.masks import binarize, hard_multipliers, init_percentile_scaled, unit_magnitudes
 from maskcert.model import MaskableModel, mlp_specs
-from maskcert.objectives import LossWeights, composite_step_loss
+from maskcert.objectives import composite_step_loss
 from maskcert.pipeline import _ce_epochs, run_experiment
+from util import make_cfg
 
 ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_CONFIG = ROOT / "configs" / "default.cfg"
@@ -115,10 +116,12 @@ def _step_case(in_dim, hidden, classes, mode, k):
         soft = [rng.uniform(size=n) for n in model.mask_dims()]
     x = _inputs(rng, in_dim, STEP_BATCH[k])
     x_t = x + 0.3 * rng.standard_normal(x.shape)
-    weights = (LossWeights() if k != 5 else
-               LossWeights(stab=1.0, ratio=2.0, consis=0.5, l1=1e-3, eta=0.5))
-    res = composite_step_loss(model, soft, x, x_t, weights, STEP_PR[k], STEP_MU[k],
-                              np.random.default_rng([32, k]), step=k)
+    weights = ({} if k != 5 else
+               dict(lambda_stab=1.0, lambda_ratio=2.0, lambda_consis=0.5, lambda_l1=1e-3,
+                    safety_threshold=0.5))
+    cfg = make_cfg(pruning_ratio=STEP_PR[k], noise_magnitude=STEP_MU[k], **weights)
+    res = composite_step_loss(model, soft, x, x_t, cfg, np.random.default_rng([32, k]),
+                              step=k)
     return {"grads": [_sha256([g]) for g in res.grads],
             "grad_shapes": [list(g.shape) for g in res.grads],
             "report": {"step": res.report.step,

@@ -13,19 +13,19 @@ from fractions import Fraction
 import numpy as np
 
 from maskcert import autodiff as ad
-from maskcert.certify import CertConfig, log_y_grid, paley_confidence, pca
+from maskcert.certify import log_y_grid, paley_confidence, pca, t_grid
 from maskcert.cli import EXIT_OK, main
 from maskcert.config import ExperimentConfig, parse_config
 from maskcert.masks import (binarize, effective_ratio, hard_multipliers,
                             init_percentile_scaled)
 from maskcert.model import LayerSpec, MaskableModel, mlp_specs
-from maskcert.objectives import LossWeights, composite_step_loss
+from maskcert.objectives import composite_step_loss
 from maskcert.pipeline import run_experiment
 from maskcert.transforms import TransformSpec
 from regen_fixtures import (DEFAULT_CONFIG, DEFAULT_FIXTURE as FIXTURE,
                             REGEN_HINT, default_experiment_record,
                             small_run_config_text)
-from util import (PRIMITIVE_CASES, composite_fd, log_y, noisy_mask_values,
+from util import (PRIMITIVE_CASES, composite_fd, log_y, make_cfg, noisy_mask_values,
                   run_primitive_fd_suite, triangle_bound_check)
 
 # The seeds whose composite instance clears every kink by 1e-3, pinned so
@@ -52,6 +52,7 @@ def test_criterion_1_gradient_correctness():
 
     # full composite objective on a 2-layer toy model; instances are admitted
     # only when clear of every kink by construction
+    cfg = make_cfg()
     admitted = []
     seed = 0
     while len(admitted) < 20 and seed < 200:
@@ -62,9 +63,8 @@ def test_criterion_1_gradient_correctness():
         soft = init_percentile_scaled(model, 30.0)
         x = rng.standard_normal((4, 5))
         x_t = x + 0.3 * rng.standard_normal((4, 5))
-        res = composite_step_loss(model, soft, x, x_t, LossWeights(), 0.5, 0.5,
-                                  np.random.default_rng([9, seed]))
-        err = composite_fd(model, soft, x, x_t, LossWeights(), 0.5, 0.5, [9, seed], res)
+        res = composite_step_loss(model, soft, x, x_t, cfg, np.random.default_rng([9, seed]))
+        err = composite_fd(model, soft, x, x_t, cfg, [9, seed], res)
         if err is None:
             continue
         worst = max(worst, err)
@@ -156,7 +156,7 @@ def test_criterion_4_label_invariance():
 
 def test_criterion_5_chernoff_soundness():
     start = time.perf_counter()
-    grid = CertConfig().t_grid()
+    grid = t_grid(make_cfg())
     cases = [
         (np.array([0.0, 0.0, 0.0, 0.5]), 0.4),
         (np.array([0.1, 0.2, 0.3, 0.4, 0.5]), 0.35),
@@ -194,7 +194,7 @@ def test_criterion_5_chernoff_soundness():
 
 def test_criterion_6_paley_value():
     start = time.perf_counter()
-    cfg = CertConfig(samples_per_rep=100, repetitions=10, alpha=0.9, c_v=1.0)
+    cfg = make_cfg(cert_samples=100, cert_repetitions=10, cert_alpha=0.9, cert_cv=1.0)
     value = paley_confidence(cfg)
     rel = abs(value - 2.0 ** -10) / 2.0 ** -10
     elapsed = time.perf_counter() - start
@@ -271,7 +271,7 @@ def test_criterion_9_determinism(tmp_path):
 
 def test_criterion_10_certification_anchors():
     start = time.perf_counter()
-    cfg = CertConfig(seed=5)
+    cfg = make_cfg(seed=5)
     v = np.zeros(4)
     v[1] = 1.0
     spec = TransformSpec(kind="direction_shift", direction=v)

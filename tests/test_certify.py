@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from maskcert import certify
-from maskcert.certify import (CertConfig, clean_margin, grid_min, log_y_grid,
-                              paley_confidence, pca)
+from maskcert.certify import clean_margin, grid_min, log_y_grid, paley_confidence, pca, t_grid
+from maskcert.config import ExperimentConfig
 from maskcert.masks import binarize, hard_multipliers
 from maskcert.model import LayerSpec, MaskableModel, masked_forward, mlp_specs, softmax
 from maskcert.transforms import CorruptionTag, TransformSpec, sample_set
-from util import log_y
+from util import log_y, make_cfg
 
 
 def constant_model(bias=(2.0, 0.0), in_dim=4):
@@ -41,9 +41,8 @@ def clean_probs(model, x):
 
 
 def small_cfg(**kw):
-    defaults = dict(samples_per_rep=20, repetitions=3, t_count=60, seed=0)
-    defaults.update(kw)
-    return CertConfig(**defaults)
+    return make_cfg(**{"cert_samples": 20, "cert_repetitions": 3, "cert_t_count": 60,
+                       "seed": 0, **kw})
 
 
 def certify_one(model, x, y, spec, cfg):
@@ -67,14 +66,14 @@ def per_sample_oracle(model, multipliers, x_eval, y_eval, spec, config):
         return softmax(masked_forward(x, model.weights, model.biases, model.specs,
                                       multipliers)[0][-1])
 
-    grid = config.t_grid()
+    grid = t_grid(config)
     rows, logs = [], []
     for i, (x, y) in enumerate(zip(x_eval, y_eval)):
         rng = np.random.default_rng([config.seed, certify.CERT_SAMPLE_STREAM, i])
         p = forward(x[None, :])[0]
         rep_z = np.stack([
-            np.abs(forward(sample_set(spec, x, config.samples_per_rep, rng)) - p).max(axis=1)
-            for _ in range(config.repetitions)])
+            np.abs(forward(sample_set(spec, x, config.cert_samples, rng)) - p).max(axis=1)
+            for _ in range(config.cert_repetitions)])
         d = clean_margin(p)
         eps_hat, best_t = 1.0, math.nan
         if d > 0.0:
@@ -83,7 +82,7 @@ def per_sample_oracle(model, multipliers, x_eval, y_eval, spec, config):
             logs.append(log_min)
         predicted = int(np.argmax(p))
         rows.append(dict(margin=d, eps_hat=eps_hat, best_t=best_t, predicted=predicted,
-                         certified=predicted == int(y) and eps_hat <= config.error_bound,
+                         certified=predicted == int(y) and eps_hat <= config.cert_error_bound,
                          rep_z=rep_z))
     return rows, logs
 
@@ -144,14 +143,14 @@ class TestLogY:
     def test_grid_matches_scalar(self):
         rng = np.random.default_rng(1)
         z = rng.uniform(0, 1, 12)
-        grid = CertConfig().t_grid()[::50]
+        grid = t_grid(make_cfg())[::50]
         vals = log_y_grid(z, 0.3, grid)
         for got, t in zip(vals, grid):
             assert abs(got - log_y(z, 0.3, float(t))) < 1e-12
 
     def test_repetition_rows_equal_per_repetition_calls(self):
         rng = np.random.default_rng(2)
-        grid = CertConfig().t_grid()
+        grid = t_grid(make_cfg())
         for l, n in ((1, 1), (3, 17), (10, 100)):
             rep_z = rng.uniform(0, 1, (l, n))
             batched = log_y_grid(rep_z, 0.2, grid)
@@ -161,7 +160,7 @@ class TestLogY:
 
     def test_block_rows_equal_per_sample_calls(self):
         rng = np.random.default_rng(4)
-        grid = CertConfig().t_grid()
+        grid = t_grid(make_cfg())
         rep_z = rng.uniform(0, 1, (5, 3, 40))
         d = rng.uniform(0, 0.5, 5)
         idx = rng.integers(0, len(grid), (5, 3))
@@ -174,7 +173,7 @@ class TestLogY:
         # the search evaluates a few points at a time; each must be the value
         # the whole grid would give there
         rng = np.random.default_rng(3)
-        grid = CertConfig().t_grid()
+        grid = t_grid(make_cfg())
         rep_z = rng.uniform(0, 1, (10, 100))
         full = log_y_grid(rep_z, 0.3, grid)
         for idx in ([0], [166, 333], [497, 498, 499]):
@@ -192,7 +191,7 @@ class TestZSamples:
 
     def test_constant_classifier_all_zero(self):
         row = certify_one(constant_model(), np.zeros(4), 0, direction_spec(),
-                          small_cfg(samples_per_rep=50))
+                          small_cfg(cert_samples=50))
         assert np.array_equal(row.rep_z_max, np.zeros(3))
 
     def test_collapsed_range_all_zero(self):
@@ -207,7 +206,7 @@ class TestZSamples:
         rng = np.random.default_rng(5)
         model = MaskableModel.initialized(mlp_specs(4, [6], 3), "unstructured", rng)
         row = certify_one(model, rng.standard_normal(4), 0, direction_spec(),
-                          small_cfg(samples_per_rep=40))
+                          small_cfg(cert_samples=40))
         assert np.all((row.rep_z_max >= 0) & (row.rep_z_max <= 1))
 
 
@@ -246,7 +245,7 @@ class TestBoundEstimate:
 
     def test_monotone_conservative_in_repetitions(self):
         rng = np.random.default_rng(11)
-        grid = small_cfg().t_grid()
+        grid = t_grid(small_cfg())
         logs = [log_y_grid(rng.uniform(0, 1, 20), 0.3, grid) for _ in range(6)]
         prefix = None
         prev_eps = -np.inf
@@ -270,9 +269,10 @@ def eps_of(log_value):
 
 def random_grid(rng):
     if rng.uniform() < 0.5:
-        return CertConfig().t_grid()
-    return CertConfig(t_count=int(rng.integers(2, 601)),
-                      t_lo=10 ** rng.uniform(-5, -1), t_hi=10 ** rng.uniform(0, 4)).t_grid()
+        return t_grid(make_cfg())
+    return t_grid(make_cfg(cert_t_count=int(rng.integers(2, 601)),
+                           cert_t_lo=10 ** rng.uniform(-5, -1),
+                           cert_t_hi=10 ** rng.uniform(0, 4)))
 
 
 def random_rep_z(rng, family, l, n):
@@ -316,7 +316,7 @@ def check_against_oracle(rep_z, d, grid, family=""):
         assert abs(value - o_value) <= 8 * np.spacing(d * grid[-1])
     else:
         assert eps == o_eps and best == o_best
-    error_bound = CertConfig().error_bound
+    error_bound = make_cfg().cert_error_bound
     assert (eps <= error_bound) == (o_eps <= error_bound)
 
 
@@ -361,7 +361,7 @@ class TestGridSearch:
         rng = np.random.default_rng(31)
         model = MaskableModel.initialized(mlp_specs(4, [8], 2), "unstructured", rng)
         pca(model, rng.standard_normal((40, 4)), rng.integers(0, 2, 40),
-            direction_spec(), CertConfig(seed=5))
+            direction_spec(), make_cfg(seed=5))
         assert sum(len(d) for _, d, _, _ in calls) > 60
         assert max(len(d) for _, d, _, _ in calls) > 1
         for rep_z, d, grid, result in calls:
@@ -384,13 +384,13 @@ class TestGridSearch:
         limit = 2 * math.ceil(math.log(t_count, 1.5)) + 3
         for i in range(5):
             points.clear()
-            cfg = small_cfg(samples_per_rep=10, t_count=t_count, seed=i)
+            cfg = small_cfg(cert_samples=10, cert_t_count=t_count, seed=i)
             certify_one(model, rng.standard_normal(4), 0, direction_spec(), cfg)
             assert 0 < len(points) <= limit
             assert len(set(points)) == len(points)  # no point evaluated twice
 
     def test_flat_sequence_takes_first_point(self):
-        grid = CertConfig().t_grid()
+        grid = t_grid(make_cfg())
         assert grid_min_one(np.zeros((2, 3)), 0.0, grid) == (0, 0.0)
 
     def test_one_log_y_grid_call_per_step(self, monkeypatch):
@@ -403,7 +403,7 @@ class TestGridSearch:
 
         monkeypatch.setattr(certify, "log_y_grid", spy)
         rng = np.random.default_rng(34)
-        grid = CertConfig().t_grid()
+        grid = t_grid(make_cfg())
         rep_z = rng.uniform(0, 0.05, (16, 3, 20))
         rep_z[rng.uniform(size=rep_z.shape) < 0.1] = 0.5
         d = rng.uniform(0.01, 0.3, 16)
@@ -468,7 +468,7 @@ class TestCertifySampleAndPca:
         x = np.zeros((5, 4))
         pca(constant_model(), x, np.zeros(5), direction_spec(), cfg)
         # the (m, 1, d) clean stack, then one (l, n, d) stack per sample
-        assert shapes == [(5, 1, 4)] + [(cfg.repetitions, cfg.samples_per_rep, 4)] * 5
+        assert shapes == [(5, 1, 4)] + [(cfg.cert_repetitions, cfg.cert_samples, 4)] * 5
 
     def test_pca_empty_rejected(self):
         model = constant_model()
@@ -521,9 +521,9 @@ def set_budgets(monkeypatch, reps, block, model, cfg):
     """Budgets that stack `reps` repetitions per forward and `block` samples
     per grid search; returns the block size pca will use."""
     widest = max(model.in_dim, *(s.out_dim for s in model.specs))
-    monkeypatch.setattr(certify, "STACK_FLOATS", reps * cfg.samples_per_rep * widest)
+    monkeypatch.setattr(certify, "STACK_FLOATS", reps * cfg.cert_samples * widest)
     monkeypatch.setattr(certify, "GRID_FLOATS",
-                        block * 3 * cfg.repetitions * cfg.samples_per_rep)
+                        block * 3 * cfg.cert_repetitions * cfg.cert_samples)
     return block
 
 
@@ -554,10 +554,10 @@ class TestStackedPass:
     def test_rows_equal_per_sample_oracle(self, monkeypatch, budget, kind, mode, where):
         model, mult, rng = live_model(mode, seed=40)
         if budget == "default":  # the default l and n: one forward per sample
-            cfg = CertConfig(seed=3)
-            block = certify.GRID_FLOATS // (3 * cfg.repetitions * cfg.samples_per_rep)
+            cfg = make_cfg(seed=3)
+            block = certify.GRID_FLOATS // (3 * cfg.cert_repetitions * cfg.cert_samples)
         else:  # repetitions stacked 2 + 1, blocks of 4
-            cfg = small_cfg(samples_per_rep=7, seed=3)
+            cfg = small_cfg(cert_samples=7, seed=3)
             block = set_budgets(monkeypatch, 2, 4, model, cfg)
         m = {"m=1": 1, "m=block-1": block - 1, "m=block+1": block + 1}[where]
         self.check(model, mult, rng.uniform(size=(m, 6)), rng.integers(0, 10, m), kind, cfg)
@@ -566,9 +566,9 @@ class TestStackedPass:
     @pytest.mark.parametrize("shape", ["T=2", "T=3", "l=1", "n=1"])
     def test_small_shapes(self, monkeypatch, kind, shape):
         model, mult, rng = live_model("unstructured", seed=41)
-        sizes = {"T=2": dict(t_count=2), "T=3": dict(t_count=3),
-                 "l=1": dict(repetitions=1), "n=1": dict(samples_per_rep=1)}[shape]
-        cfg = small_cfg(**{"samples_per_rep": 5, "seed": 4, **sizes})
+        sizes = {"T=2": dict(cert_t_count=2), "T=3": dict(cert_t_count=3),
+                 "l=1": dict(cert_repetitions=1), "n=1": dict(cert_samples=1)}[shape]
+        cfg = small_cfg(**{"cert_samples": 5, "seed": 4, **sizes})
         block = set_budgets(monkeypatch, 2, 3, model, cfg)
         self.check(model, mult, rng.uniform(size=(block + 1, 6)),
                    rng.integers(0, 10, block + 1), kind, cfg)
@@ -576,7 +576,7 @@ class TestStackedPass:
     def test_clean_forward_in_chunks(self, monkeypatch):
         # 30 samples, 14 rows per clean forward: three chunks
         model, mult, rng = live_model("structured", seed=42)
-        cfg = small_cfg(samples_per_rep=7, seed=5)
+        cfg = small_cfg(cert_samples=7, seed=5)
         set_budgets(monkeypatch, 2, 4, model, cfg)
         self.check(model, mult, rng.uniform(size=(30, 6)), rng.integers(0, 10, 30),
                    "haze", cfg)
@@ -587,7 +587,7 @@ class TestStackedPass:
         w = np.zeros((2, 6))
         w[0, 0], w[1, 0] = 3.0, -3.0
         model = MaskableModel([LayerSpec(6, 2, "none")], [w], [np.zeros(2)], "unstructured")
-        cfg = small_cfg(samples_per_rep=7, seed=6)
+        cfg = small_cfg(cert_samples=7, seed=6)
         if budget == "tight":
             set_budgets(monkeypatch, 2, 4, model, cfg)
         rng = np.random.default_rng(43)
@@ -619,7 +619,7 @@ class TestChernoffSoundness:
 
     @pytest.mark.parametrize("atoms,d", CASES, ids=[str(i) for i in range(5)])
     def test_bound_dominates_tail(self, atoms, d):
-        grid = CertConfig().t_grid()
+        grid = t_grid(make_cfg())
         tail = np.mean(atoms >= d)
         logs = log_y_grid(atoms, d, grid)
         # compare in log space; exp(logs) can overflow where the bound is huge
@@ -637,40 +637,31 @@ class TestChernoffSoundness:
         empirical = float(np.mean(draws >= d))
         sigma = np.sqrt(empirical * (1 - empirical) / n)
         z_exact = np.repeat(atoms, (weights * 20).astype(int))  # exact pmf atoms
-        grid = CertConfig().t_grid()
+        grid = t_grid(make_cfg())
         bounds = np.exp(np.minimum(log_y_grid(z_exact, d, grid), 0.0))
         assert np.all(empirical <= bounds + 3 * sigma)
 
 
 class TestPaley:
     def test_exact_value(self):
-        cfg = CertConfig(samples_per_rep=100, repetitions=10, alpha=0.9, c_v=1.0)
+        cfg = make_cfg(cert_samples=100, cert_repetitions=10, cert_alpha=0.9, cert_cv=1.0)
         val = paley_confidence(cfg)
         assert val == 2.0 ** -10
 
     def test_large_n_limit(self):
-        cfg = CertConfig(samples_per_rep=10 ** 12, repetitions=1, alpha=0.9)
+        # far above the config's cap on cert_samples: the formula's limit
+        cfg = ExperimentConfig(cert_samples=10 ** 12, cert_repetitions=1, cert_alpha=0.9)
         assert paley_confidence(cfg) < 1e-9
 
     def test_alpha_near_one_no_confidence(self):
-        cfg = CertConfig(alpha=0.999999999)
+        cfg = make_cfg(cert_alpha=0.999999999)
         assert paley_confidence(cfg) > 0.999
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError, match="alpha"):
-            CertConfig(alpha=1.0)
-        with pytest.raises(ValueError, match="error_bound"):
-            CertConfig(error_bound=0.0)
-        with pytest.raises(ValueError, match="t_lo"):
-            CertConfig(t_lo=5.0, t_hi=1.0)
-        with pytest.raises(ValueError, match="seed"):
-            CertConfig(seed=-1)
 
     def test_margin_needs_two_classes(self):
         with pytest.raises(ValueError, match="margin"):
             clean_margin(np.array([1.0]))
 
     def test_grid_shape(self):
-        grid = CertConfig().t_grid()
+        grid = t_grid(make_cfg())
         assert len(grid) == 500
         assert grid[0] == pytest.approx(1e-4) and grid[-1] == pytest.approx(1e4)

@@ -4,10 +4,11 @@ import json
 import numpy as np
 import pytest
 
-from maskcert.certify import CertConfig
-from maskcert.cli import (EXIT_CONFIG, EXIT_IO, EXIT_OK, main)
+from maskcert.certify import t_grid
+from maskcert.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main
 from maskcert.config import CERT_REPETITIONS_MAX, CERT_SAMPLES_MAX, CERT_T_COUNT_MAX
 from maskcert.model import MaskableModel, mlp_specs, save_checkpoint
+from util import make_cfg
 
 TINY = """
 synthetic_train_per_class = 30
@@ -59,7 +60,7 @@ class TestStageChain:
         summary = (out / "cert_report_summary.txt").read_text()
         assert "pca = " in summary and "paley_confidence = " in summary
         kv = dict(line.split(" = ", 1) for line in summary.splitlines())
-        grid = CertConfig(t_count=60).t_grid()
+        grid = t_grid(make_cfg(cert_t_count=60))
         best_t = [float(r[5]) for r in rows[1:]]
         assert kv["best_t_at_t_lo"] == str(best_t.count(grid[0]))
         assert kv["best_t_at_t_hi"] == str(best_t.count(grid[-1]))
@@ -247,11 +248,15 @@ class TestCheckpointStage:
 
 
 class TestErrorsAndProvenance:
-    def test_bad_config_exit_code(self, tmp_path, capsys):
+    @pytest.mark.parametrize("text,named", [
+        (b"pruning_ratio = 1.5\n", "pruning_ratio"),
+        (b"synthetic_classes = 5\nsynthetic_dim = 4\n", "synthetic_dim"),
+        (b"seed = 1\xff\n", "bad.cfg")], ids=["range", "synthetic_dim", "not UTF-8"])
+    def test_bad_config_exit_code(self, tmp_path, capsys, text, named):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text("pruning_ratio = 1.5\n", encoding="utf-8")
+        cfg.write_bytes(text)
         assert run("gen-data", cfg, tmp_path / "o") == EXIT_CONFIG
-        assert "pruning_ratio" in capsys.readouterr().err
+        assert named in capsys.readouterr().err
 
     @pytest.mark.parametrize("line", ["cert_t_hi = inf", "lambda_stab = nan"])
     def test_non_finite_float_rejected(self, tmp_path, capsys, line):
@@ -292,7 +297,7 @@ class TestErrorsAndProvenance:
         assert "hard_mask" in capsys.readouterr().err
 
     @pytest.mark.parametrize("defect", ["array document", "string in hard_mask",
-                                        "1e999 in W"])
+                                        "1e999 in W", "not UTF-8"])
     def test_certify_malformed_checkpoint_is_io_error(self, tiny_config, tmp_path,
                                                       capsys, defect):
         model = MaskableModel.initialized(mlp_specs(16, [64, 64], 2), "unstructured",
@@ -306,13 +311,28 @@ class TestErrorsAndProvenance:
         elif defect == "string in hard_mask":
             doc["hard_mask"][0][0] = "1"
             text = json.dumps(doc)
-        else:
+        elif defect == "1e999 in W":
             doc["layers"][0]["W"][0][0] = "@"
             text = json.dumps(doc).replace('"@"', "1e999")
-        ckpt.write_text(text)
+        else:
+            text = "\xff" + json.dumps(doc)
+        # json.dumps writes ASCII, so latin-1 keeps its bytes and makes \xff
+        # the one byte that is not UTF-8
+        ckpt.write_bytes(text.encode("latin-1"))
         assert run("certify", tiny_config, tmp_path / "o", "--stage-checkpoint",
                    str(ckpt)) == EXIT_IO
         assert str(ckpt) in capsys.readouterr().err
+
+    def test_search_on_zero_layer_is_numeric_error(self, tiny_config, tmp_path, capsys):
+        # an all-zero layer has a zero percentile threshold, the soft mask's divisor
+        model = MaskableModel.initialized(mlp_specs(16, [64, 64], 2), "unstructured",
+                                          np.random.default_rng(0))
+        model.weights[1][:] = 0.0
+        ckpt = tmp_path / "zero.ckpt"
+        save_checkpoint(ckpt, model, "pretrained")
+        assert run("search", tiny_config, tmp_path / "o", "--stage-checkpoint",
+                   str(ckpt)) == EXIT_NUMERIC
+        assert "layer 1" in capsys.readouterr().err
 
     def test_unknown_command_is_config_error(self, tiny_config, tmp_path):
         assert main(["frobnicate", "--config", str(tiny_config)]) == EXIT_CONFIG

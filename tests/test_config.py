@@ -3,9 +3,8 @@ import dataclasses
 import pytest
 
 from maskcert.config import (CERT_REPETITIONS_MAX, CERT_SAMPLES_MAX, CERT_T_COUNT_MAX,
-                             ExperimentConfig, augment_count, cert_config,
-                             loss_weights, parse_config, serialize,
-                             synthetic_spec, transform_spec, validate)
+                             ExperimentConfig, augment_count, parse_config, serialize,
+                             transform_spec, validate)
 from maskcert.errors import ConfigError
 
 
@@ -44,11 +43,15 @@ batch_size = 16
         with pytest.raises(ConfigError, match=r"2: unknown key 'not_a_key'"):
             parse_config(path)
 
-    @pytest.mark.parametrize("line", ["pruning_ratio = 1.5", "stage1_epochs = 0",
-                                      "stage2_lr = 0"])
+    @pytest.mark.parametrize("line", [
+        "pruning_ratio = 1.5", "stage1_epochs = 0", "stage2_lr = 0", "cert_alpha = 1.0",
+        "cert_error_bound = 0", "safety_threshold = 1.5", "lambda_stab = -1",
+        # K > 2 classes need K + 1 dimensions (datasets.gen_synthetic)
+        "synthetic_classes = 5\nsynthetic_dim = 4"])
     def test_range_error_names_key(self, tmp_path, line):
+        # the error names the key set last
         path = write(tmp_path, line + "\n")
-        with pytest.raises(ConfigError, match=line.split(" = ")[0]):
+        with pytest.raises(ConfigError, match=line.splitlines()[-1].split(" = ")[0]):
             parse_config(path)
 
     @pytest.mark.parametrize("key,cap", [("cert_samples", CERT_SAMPLES_MAX),
@@ -128,6 +131,15 @@ class TestCrossField:
         validate(dataclasses.replace(ExperimentConfig(), corruption="gaussian_blur3",
                                      corruption_severity=5.0))
 
+    def test_synthetic_dim_lower_bound(self):
+        # two classes need 2 dimensions, K > 2 classes K + 1
+        for classes, dim in ((2, 2), (3, 4), (5, 6)):
+            cfg = dataclasses.replace(ExperimentConfig(), synthetic_classes=classes,
+                                      synthetic_dim=dim)
+            validate(cfg)
+            with pytest.raises(ConfigError, match="synthetic_dim"):
+                validate(dataclasses.replace(cfg, synthetic_dim=dim - 1))
+
     def test_negative_seed_rejected(self, tmp_path):
         path = tmp_path / "s.cfg"
         path.write_text("seed = -3\n", encoding="utf-8")
@@ -136,23 +148,10 @@ class TestCrossField:
 
 
 class TestViews:
-    def test_loss_weights_mapping(self):
-        cfg = ExperimentConfig(lambda_stab=2.0, safety_threshold=0.95)
-        w = loss_weights(cfg)
-        assert w.stab == 2.0 and w.eta == 0.95
-
-    def test_cert_config_carries_seed(self):
-        cfg = ExperimentConfig(seed=42)
-        assert cert_config(cfg).seed == 42
-
     def test_transform_spec_direction_required(self):
         cfg = ExperimentConfig()
         with pytest.raises(ConfigError, match="direction"):
             transform_spec(cfg)
-
-    def test_synthetic_spec_mapping(self):
-        spec = synthetic_spec(ExperimentConfig(synthetic_dim=8, seed=5))
-        assert spec.dim == 8 and spec.seed == 5
 
     def test_blur_corruption_through_config(self):
         cfg = ExperimentConfig(transform_kind="interp_corrupt",

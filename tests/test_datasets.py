@@ -3,9 +3,10 @@ import struct
 import numpy as np
 import pytest
 
-from maskcert.datasets import (Dataset, SyntheticDatasetSpec, gen_synthetic,
+from maskcert.datasets import (Dataset, _class_means, _semantic_direction, gen_synthetic,
                                load_idx, write_dataset_csv)
 from maskcert.errors import DatasetError
+from util import make_cfg
 
 
 def write_idx_pair(tmp_path, images, labels, image_magic=0x803, label_magic=0x801,
@@ -25,23 +26,23 @@ def write_idx_pair(tmp_path, images, labels, image_magic=0x803, label_magic=0x80
 
 class TestSynthetic:
     def test_deterministic(self):
-        spec = SyntheticDatasetSpec(seed=3)
-        t1, e1, v1 = gen_synthetic(spec)
-        t2, e2, v2 = gen_synthetic(spec)
+        cfg = make_cfg(seed=3)
+        t1, e1, v1 = gen_synthetic(cfg)
+        t2, e2, v2 = gen_synthetic(cfg)
         assert np.array_equal(t1.x, t2.x) and np.array_equal(t1.y, t2.y)
         assert np.array_equal(e1.x, e2.x) and np.array_equal(v1, v2)
 
     def test_exact_class_balance(self):
-        spec = SyntheticDatasetSpec(train_per_class=17, test_per_class=9, seed=4)
-        train, test, _ = gen_synthetic(spec)
+        cfg = make_cfg(synthetic_train_per_class=17, synthetic_test_per_class=9, seed=4)
+        train, test, _ = gen_synthetic(cfg)
         assert np.array_equal(np.bincount(train.y), [17, 17])
         assert np.array_equal(np.bincount(test.y), [9, 9])
 
     def test_direction_orthogonal_to_mean_gaps(self):
         for k in (2, 3, 5):
-            spec = SyntheticDatasetSpec(dim=8, classes=k, seed=5)
-            v = spec.semantic_direction()
-            means = spec.class_means()
+            cfg = make_cfg(synthetic_dim=8, synthetic_classes=k, seed=5)
+            v = _semantic_direction(cfg)
+            means = _class_means(cfg)
             diffs = means[None] - means[:, None]
             assert np.abs(diffs @ v).max() == 0.0
             assert abs(np.linalg.norm(v) - 1.0) < 1e-12
@@ -49,19 +50,14 @@ class TestSynthetic:
     def test_shift_invariance_of_separating_classifier(self):
         # K=2, means +-e1, v=e2: the sign-of-first-coordinate rule never
         # changes along the semantic direction
-        spec = SyntheticDatasetSpec(seed=6)
-        train, _, v = gen_synthetic(spec)
+        train, _, v = gen_synthetic(make_cfg(seed=6))
         for delta in (0.25, 1.0):
             shifted = train.x + delta * v
             assert np.array_equal(np.sign(train.x[:, 0]), np.sign(shifted[:, 0]))
 
-    def test_dim_too_small(self):
-        with pytest.raises(ValueError, match="dim"):
-            SyntheticDatasetSpec(dim=3, classes=4)
-
     def test_csv_roundtrip_values(self, tmp_path):
-        spec = SyntheticDatasetSpec(train_per_class=3, test_per_class=2, seed=7)
-        train, _, _ = gen_synthetic(spec)
+        cfg = make_cfg(synthetic_train_per_class=3, synthetic_test_per_class=2, seed=7)
+        train, _, _ = gen_synthetic(cfg)
         path = tmp_path / "train.csv"
         write_dataset_csv(path, train)
         lines = path.read_text().strip().splitlines()

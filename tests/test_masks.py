@@ -51,7 +51,7 @@ class TestPercentileInit:
 
     def test_zero_threshold_rejected(self):
         model = single_layer_model(np.zeros((2, 2)))
-        with pytest.raises(ValueError, match="re-initialize"):
+        with pytest.raises(FloatingPointError, match="layer 0.*re-initialize"):
             init_percentile_scaled(model, 30.0)
 
     def test_tau_range_validated(self):

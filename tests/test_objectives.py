@@ -6,8 +6,10 @@ import pytest
 from maskcert import autodiff as ad
 from maskcert.masks import binarize, hard_multipliers, init_percentile_scaled
 from maskcert.model import MaskableModel, mlp_specs
-from maskcert.objectives import LossWeights, composite_step_loss
-from util import composite_fd, noisy_mask_values, triangle_bound_check
+from maskcert.objectives import composite_step_loss
+from util import composite_fd, make_cfg, noisy_mask_values, triangle_bound_check
+
+CFG = make_cfg()
 
 
 def term(kind, *arrays, **attrs):
@@ -15,13 +17,13 @@ def term(kind, *arrays, **attrs):
                                      for a in arrays], **attrs)[0])
 
 
-def ratio(p, p_t, w=LossWeights()):
-    return term("ratio_penalty", p, p_t, eta=w.eta, eps=w.margin_eps)
+def ratio(p, p_t):
+    return term("ratio_penalty", p, p_t, eta=CFG.safety_threshold, eps=CFG.margin_epsilon)
 
 
-def softplus_ratio(z, d, w=LossWeights()):
+def softplus_ratio(z, d):
     """softplus(Z / (d + eps) - eta) for one sample."""
-    s = z / (d + w.margin_eps) - w.eta
+    s = z / (d + CFG.margin_epsilon) - CFG.safety_threshold
     return max(s, 0.0) + math.log1p(math.exp(-abs(s)))
 
 
@@ -68,10 +70,9 @@ class TestStability:
 
 class TestRatioLoss:
     def test_closed_forms(self):
-        w = LossWeights()
         p = np.array([1.0, 0.0])  # margin 0.5
         assert abs(ratio(p, p) - math.log1p(math.exp(-1.0))) < 1e-9
-        val2 = ratio(p, p - [0.5 + w.margin_eps, 0.0])
+        val2 = ratio(p, p - [0.5 + CFG.margin_epsilon, 0.0])
         assert abs(val2 - math.log(2.0)) < 1e-12
 
     def test_monotone_in_z_and_d(self):
@@ -81,12 +82,6 @@ class TestRatioLoss:
         vals_d = [ratio([0.5 + d, 0.5 - d], [d, 0.5 - d])  # Z = 0.5
                   for d in np.linspace(0.01, 0.5, 21)]
         assert all(b < a for a, b in zip(vals_d, vals_d[1:]))
-
-    def test_weights_validation(self):
-        with pytest.raises(ValueError, match="eta"):
-            LossWeights(eta=1.5)
-        with pytest.raises(ValueError, match="non-negative"):
-            LossWeights(stab=-1.0)
 
 
 class TestConsistency:
@@ -112,15 +107,15 @@ class TestCompositeStep:
         soft = init_percentile_scaled(model, 30.0)
         x = rng.standard_normal((6, 5))
         x_t = x + 0.2 * rng.standard_normal((6, 5))
-        return composite_step_loss(model, soft, x, x_t, LossWeights(), pr, mu,
+        return composite_step_loss(model, soft, x, x_t,
+                                   make_cfg(pruning_ratio=pr, noise_magnitude=mu),
                                    np.random.default_rng([seed, 1]), step=0)
 
     def test_report_reconstructs_composite(self):
         res = self.run_step()
         r = res.report
-        w = LossWeights()
-        recon = (w.stab * r.l_stab + w.ratio * r.l_ratio
-                 + w.consis * r.l_consis + w.l1 * r.l1_normalized)
+        recon = (CFG.lambda_stab * r.l_stab + CFG.lambda_ratio * r.l_ratio
+                 + CFG.lambda_consis * r.l_consis + CFG.lambda_l1 * r.l1_normalized)
         assert abs(recon - r.composite) < 1e-10
 
     def test_weights_never_get_gradients(self):
@@ -131,8 +126,7 @@ class TestCompositeStep:
         soft = init_percentile_scaled(model, 30.0)
         rng = np.random.default_rng(2)
         x = rng.standard_normal((6, 5))
-        res = composite_step_loss(model, soft, x, x + 0.1, LossWeights(), 0.5, 0.5,
-                                  np.random.default_rng(3))
+        res = composite_step_loss(model, soft, x, x + 0.1, CFG, np.random.default_rng(3))
         after = model.weights + model.biases
         assert all(np.array_equal(a, b) for a, b in zip(before, after))
         assert [g.shape for g in res.grads] == [c.shape for c in soft]
@@ -143,7 +137,8 @@ class TestCompositeStep:
         model = toy_model(seed=3)
         soft = [np.ones(n) for n in model.mask_dims()]
         x = rng.standard_normal((4, 5))
-        res = composite_step_loss(model, soft, x, x, LossWeights(), 0.0, 0.0,
+        res = composite_step_loss(model, soft, x, x,
+                                  make_cfg(pruning_ratio=0.0, noise_magnitude=0.0),
                                   np.random.default_rng(4))
         assert res.report.l_stab == 0.0
         assert abs(res.report.l_consis) < 1e-13
@@ -168,8 +163,8 @@ class TestCompositeStep:
         model = toy_model(seed=5)
         soft = init_percentile_scaled(model, 30.0)
         with pytest.raises(ValueError, match="empty"):
-            composite_step_loss(model, soft, np.empty((0, 5)), np.empty((0, 5)),
-                                LossWeights(), 0.5, 0.5, np.random.default_rng(0))
+            composite_step_loss(model, soft, np.empty((0, 5)), np.empty((0, 5)), CFG,
+                                np.random.default_rng(0))
 
     @pytest.mark.parametrize("mode", ["unstructured", "structured"])
     def test_gradient_matches_finite_differences(self, mode):
@@ -189,9 +184,8 @@ class TestCompositeStep:
             soft = init_percentile_scaled(model, 30.0)
             x = rng.standard_normal((6, 5))
             x_t = x + 0.2 * rng.standard_normal((6, 5))
-            res = composite_step_loss(model, soft, x, x_t, LossWeights(), 0.5, 0.5,
-                                      np.random.default_rng([seed, 1]))
-            worst = composite_fd(model, soft, x, x_t, LossWeights(), 0.5, 0.5, [seed, 1], res)
+            res = composite_step_loss(model, soft, x, x_t, CFG, np.random.default_rng([seed, 1]))
+            worst = composite_fd(model, soft, x, x_t, CFG, [seed, 1], res)
             if worst is None:
                 continue
             assert worst < 1e-4

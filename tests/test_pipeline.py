@@ -11,10 +11,10 @@ from maskcert.config import ExperimentConfig, validate
 from maskcert.errors import ConfigError
 from maskcert.masks import binarize, effective_ratio, hard_multipliers
 from maskcert.model import MaskableModel, mlp_specs
-from maskcert.objectives import LossWeights
 from maskcert.pipeline import (Adam, MomentumSGD, lmp_mask,
                                run_experiment, stage1_pretrain,
                                stage2_mask_search, stage3_finetune)
+from util import make_cfg
 
 
 def tiny_cfg(**kw):
@@ -72,7 +72,8 @@ class TestStage2:
         cfg = tiny_cfg(stage2_epochs=3)
         _, _, _, train_aug, pairs, model = tiny_setup(cfg)
         stage1_pretrain(model, train_aug, cfg)
-        w = LossWeights(stab=0.0, ratio=0.0, consis=0.0, l1=1.0)
+        l1_only = make_cfg(lambda_stab=0.0, lambda_ratio=0.0, lambda_consis=0.0,
+                           lambda_l1=1.0, noise_magnitude=0.0)
         from maskcert.masks import init_percentile_scaled
         from maskcert.objectives import composite_step_loss
         from maskcert.pipeline import Adam
@@ -80,8 +81,8 @@ class TestStage2:
         opt = Adam(0.01)
         means = [np.mean(np.concatenate(soft))]
         for step in range(12):
-            res = composite_step_loss(model, soft, pairs[0][:8], pairs[1][:8], w,
-                                      0.5, 0.0, np.random.default_rng([1, step]))
+            res = composite_step_loss(model, soft, pairs[0][:8], pairs[1][:8], l1_only,
+                                      np.random.default_rng([1, step]))
             opt.step(soft, res.grads)
             soft = [np.clip(c, 0, 1) for c in soft]
             means.append(np.mean(np.concatenate(soft)))

@@ -1,9 +1,10 @@
-"""Shared oracles for the test suite: finite differences of every registered
-autodiff kind and of the composite stage-2 objective, kink-free random
-instance construction, and reference forms of helpers the program itself no
-longer needs (the scalar log Y, value-level noisy masks and the triangle
-bound check)."""
+"""Shared oracles for the test suite: a validated config with overrides,
+finite differences of every registered autodiff kind and of the composite
+stage-2 objective, kink-free random instance construction, and reference
+forms of helpers the program itself no longer needs (the scalar log Y,
+value-level noisy masks and the triangle bound check)."""
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -11,6 +12,7 @@ import numpy as np
 
 from maskcert import autodiff as ad
 from maskcert.certify import _logsumexp
+from maskcert.config import ExperimentConfig, validate
 from maskcert.masks import binarize, hard_multipliers
 from maskcert.model import LayerSpec, mask_shape, masked_forward, mlp_specs
 
@@ -20,6 +22,12 @@ FD_TOL = 1e-4
 
 class InvariantError(RuntimeError):
     """An internal consistency check failed."""
+
+
+def make_cfg(**overrides) -> ExperimentConfig:
+    """The default ExperimentConfig with `overrides`, validated as a parsed
+    config is."""
+    return validate(dataclasses.replace(ExperimentConfig(), **overrides))
 
 
 def rel_err(analytic, numeric) -> float:
@@ -94,7 +102,7 @@ def _value(kind, *inputs, **attrs):
     return ad.primitive(kind, list(inputs), **attrs)[0]
 
 
-def composite_objective(model, cs, x, x_t, weights, xis, hard, c0):
+def composite_objective(model, cs, x, x_t, cfg, xis, hard, c0):
     """The stage-2 objective as a pure function of the per-layer soft masks
     cs (maskable layers only, in mask shape), with the noise draws
     xis = (xi_m, xi_n, xi_s) (each one array per layer), the hard masks and
@@ -123,11 +131,13 @@ def composite_objective(model, cs, x, x_t, weights, xis, hard, c0):
         margin = min(margin, relu_margin(inp, model.weights, model.biases, model.specs, masks))
     p_m, p_n, p_h, p_s = probs
     terms = [_value("stability", p_m, p_n),
-             _value("ratio_penalty", p_m, p_s, eta=weights.eta, eps=weights.margin_eps),
+             _value("ratio_penalty", p_m, p_s, eta=cfg.safety_threshold,
+                    eps=cfg.margin_epsilon),
              _value("consistency", p_m, p_h),
              _value("l1_mean", *cs)]
     total = _value("weighted_sum", *terms,
-                   weights=(weights.stab, weights.ratio, weights.consis, weights.l1))
+                   weights=(cfg.lambda_stab, cfg.lambda_ratio, cfg.lambda_consis,
+                            cfg.lambda_l1))
     shifted = [c + xi for draw in xis for c, xi in zip(cs, draw)]
     margin = min(margin, ratio_margin(p_m, p_s),
                  *(float(np.abs(s).min()) for s in shifted),
@@ -136,7 +146,7 @@ def composite_objective(model, cs, x, x_t, weights, xis, hard, c0):
     return float(total), margin
 
 
-def composite_fd(model, soft, x, x_t, weights, pr, mu, seed, result, min_margin=1e-3):
+def composite_fd(model, soft, x, x_t, cfg, seed, result, min_margin=1e-3):
     """Finite-difference check of one composite_step_loss result, computed
     with rng default_rng(seed): the same draws are taken again in the step's
     order, and every entry of each layer's soft mask is perturbed in
@@ -145,11 +155,12 @@ def composite_fd(model, soft, x, x_t, weights, pr, mu, seed, result, min_margin=
     rng = np.random.default_rng(seed)
     masked = [i for i, c in enumerate(soft) if c.size]
     cs = [soft[i].reshape(mask_shape(model.specs[i], model.mask_mode)) for i in masked]
+    mu = cfg.noise_magnitude
     xis = [[rng.uniform(-mu, mu, size=c.shape) for c in cs] for _ in range(3)]
-    hard = [binarize(soft, pr)[i].reshape(c.shape) for i, c in zip(masked, cs)]
+    hard = [binarize(soft, cfg.pruning_ratio)[i].reshape(c.shape) for i, c in zip(masked, cs)]
 
     def objective(layer_masks):
-        return composite_objective(model, layer_masks, x, x_t, weights, xis, hard, cs)
+        return composite_objective(model, layer_masks, x, x_t, cfg, xis, hard, cs)
 
     total, margin = objective(cs)
     assert total == result.report.composite, "stacked step and per-copy oracle disagree"
