@@ -24,7 +24,7 @@ import numpy as np
 
 from .model import masked_forward, softmax as softmax_values
 
-__all__ = ["primitive", "KL_SMOOTHING"]
+__all__ = ["primitive", "buffer", "KL_SMOOTHING"]
 
 # Both arguments of the consistency term are mixed with the uniform
 # distribution at this weight before taking logs, so exact zeros in a
@@ -56,10 +56,26 @@ def _unstack(g, ndim):
 # kinds: (input values, **attrs) -> (value, vjp(g, needs) -> input gradients)
 
 
-def _masked_mlp(v, specs, masks=None):
+def buffer(work, key, shape):
+    """An array of `shape` kept under `key` in the dict `work` across calls,
+    or a fresh one when work is None."""
+    if work is None:
+        return np.empty(shape)
+    buf = work.get(key)
+    if buf is None or buf.shape != shape:
+        buf = work[key] = np.empty(shape)
+    return buf
+
+
+def _masked_mlp(v, specs, masks=None, work=None):
     """Logits of the layer stack on inputs [x, *weights, *biases], each weight
     multiplied by its fixed mask: the weight's shape or a structured (out, 1)
-    shape; a None entry, or masks=None, leaves that layer dense."""
+    shape; a None entry, or masks=None, leaves that layer dense.
+
+    Each layer's pre-activation and output and each gradient of the VJP go
+    into arrays from `work` (see buffer), so a loop of calls that keeps one
+    dict allocates them once; the logits and the weight and input gradients
+    returned are then those arrays, valid until the next call."""
     n = len(specs)
     x, ws, bs = v[0], v[1:n + 1], v[n + 1:]
     masks = masks or [None] * n
@@ -72,7 +88,16 @@ def _masked_mlp(v, specs, masks=None):
             raise ValueError(
                 f"masked_mlp: mask shape {m.shape} does not broadcast to weight "
                 f"{w.shape} in layer {i}")
-    hs, zs, effective = masked_forward(x, ws, bs, specs, masks)
+    out = pre = None
+    if work is not None:
+        out, pre, lead = [], [], x.shape[:-1]
+        for i, (spec, m, w) in enumerate(zip(specs, masks, ws)):
+            w_shape = w.shape if m is None else np.broadcast_shapes(m.shape, w.shape)
+            lead = np.broadcast_shapes(lead[:-1], w_shape[:-2]) + lead[-1:]
+            shape = lead + w_shape[-2:-1]
+            out.append(buffer(work, ("h", i), shape))
+            pre.append(buffer(work, ("z", i), shape) if spec.activation == "relu" else None)
+    hs, zs, effective = masked_forward(x, ws, bs, specs, masks, out=out, pre=pre)
     for i, z in enumerate(zs):
         if not np.isfinite(z).all():
             raise FloatingPointError(f"masked_mlp: non-finite pre-activation in layer {i}")
@@ -81,15 +106,19 @@ def _masked_mlp(v, specs, masks=None):
         grads = [None] * len(v)
         for i in reversed(range(n)):
             if specs[i].activation == "relu":
-                g = g * (zs[i] > 0)
+                g = np.multiply(g, zs[i] > 0, out=buffer(work, ("dz", i), g.shape))
             if needs[n + 1 + i]:
                 grads[n + 1 + i] = _unstack(g, 1)
             if needs[1 + i]:
-                gw = np.matmul(g.mT, hs[i])
-                grads[1 + i] = _unstack(gw if masks[i] is None else gw * masks[i],
-                                        ws[i].ndim)
+                # g carries every stack axis of hs[i] and of the weight
+                gw = np.matmul(g.mT, hs[i], out=buffer(
+                    work, ("dw", i), g.shape[:-2] + effective[i].shape[-2:]))
+                if masks[i] is not None:
+                    gw *= masks[i]
+                grads[1 + i] = _unstack(gw, ws[i].ndim)
             if i > 0 or needs[0]:
-                g = np.matmul(g, effective[i])
+                g = np.matmul(g, effective[i], out=buffer(
+                    work, ("dx", i), g.shape[:-1] + effective[i].shape[-1:]))
         if needs[0]:
             grads[0] = g
         return grads

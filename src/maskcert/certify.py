@@ -16,17 +16,22 @@ f(t_j) <= max(f(t_i), f(t_k)). A discrete ternary search therefore finds
 its first minimizing grid point with O(log T) evaluations; the tests check
 it against the brute-force grid.
 
+Every deployed model of one architecture is certified in one pass
+(pca_models; pca is the pass over a list of one). Each sample's transformed
+inputs are drawn once and go through all k models as one stacked forward,
+each layer's weights stacked as (k, 1, out, in) and biases as (k, 1, 1, out).
 The clean predictions of the evaluation set come from stacked forwards of
 the (m, 1, d) input, and each sample's is shared by its margin, its pass
 decision and every repetition's discrepancies. The pass decision uses
 max{Y} itself; the alpha-scaled value max{Y}/alpha of the underestimation-
 confidence bound is not computed. The work is done in stacked passes over
 buffers allocated once per evaluation set: one forward of all of a sample's
-transformed inputs (whole repetitions, up to a float budget), and a grid
-search that steps a block of samples in lockstep. Inputs are stacked, never
+transformed inputs through every model (whole repetitions, up to a float
+budget per model), and a grid search that steps a block of samples, every
+model's rows of them, in lockstep. Inputs and weights are stacked, never
 flattened into one matrix, because matmul runs one GEMM per trailing 2-D
-block and so gives each repetition the bits of its own call, which one
-larger GEMM does not.
+block and so gives each model and repetition the bits of its own call,
+which one larger GEMM does not.
 """
 
 from __future__ import annotations
@@ -38,16 +43,18 @@ from fractions import Fraction
 import numpy as np
 
 from .config import ExperimentConfig
-from .model import MaskableModel
+from .model import MaskableModel, forward_probs
 from .transforms import TransformSpec, sample_set
 
 CERT_SAMPLE_STREAM = 77  # rng namespace for per-sample certification streams
 
-# Work-buffer budgets in float64 entries. A stacked forward takes whole
-# repetitions while its widest layer buffer stays within STACK_FLOATS; a
-# grid-search block takes samples while its (B, l, 3, n) products stay within
+# Work-buffer budgets in float64 entries, shared by the k models of a pass.
+# A stacked forward takes whole repetitions while its widest layer buffer,
+# (k, reps, n, width), stays within STACK_FLOATS; a grid-search block takes
+# samples while the (B, k, l, 3, n) products of its k models stay within
 # GRID_FLOATS. Each takes at least one repetition or sample, which at the
-# certification caps is as much as one per-repetition call would allocate.
+# certification caps is as much as one per-model, per-repetition call would
+# allocate.
 STACK_FLOATS = 1 << 15
 GRID_FLOATS = 48 << 10
 
@@ -176,51 +183,72 @@ class PcaResult:
 
 def pca(deployed: MaskableModel, x_eval, y_eval, spec: TransformSpec,
         cfg: ExperimentConfig) -> PcaResult:
-    """Certified fraction of the deployed model (its hard mask already
-    folded into the weights, MaskableModel.folded) over an evaluation set,
-    with the full per-sample table. Sample i is certified <=> its clean
+    """Certified fraction of one deployed model over an evaluation set, with
+    the full per-sample table: pca_models on a list of one."""
+    return pca_models([deployed], x_eval, y_eval, spec, cfg)[0]
+
+
+def pca_models(deployed: list[MaskableModel], x_eval, y_eval, spec: TransformSpec,
+               cfg: ExperimentConfig) -> list[PcaResult]:
+    """Certified fraction of each deployed model (its hard mask already
+    folded into the weights, MaskableModel.folded) over one evaluation set,
+    with the full per-sample table, in the order of `deployed`. The models
+    must share their layer specs. Sample i is certified <=> its clean
     prediction is correct and its flip-probability bound is at or below the
     error bound cert_error_bound; a zero margin is trivially uncertifiable
     (eps_hat = 1, best_t = nan), not an error.
 
-    Sample i draws from a stream derived as (seed, namespace, i), so
-    different models certified against the same config see identical
-    transform draws. The clean predictions come from forwards of the
-    (m, 1, d) stack, as many samples at a time as the layer buffers hold;
-    each sample's l·n transformed inputs go through stacked forwards of
-    whole repetitions into buffers allocated once per call; and blocks of
-    samples share each grid-search step. Every forward, transform and bound
-    has the bits of a per-sample, per-repetition evaluation: stacked matmul
-    runs one GEMM per trailing 2-D block.
+    Sample i draws from a stream derived as (seed, namespace, i), so every
+    model, in this call or another, sees identical transform draws; they are
+    drawn once per call for all models. The k models run as one stack, each
+    layer's weights as (k, 1, out, in): the clean predictions come from
+    forwards of the (m, 1, d) stack, as many samples at a time as the layer
+    buffers hold; each sample's l·n transformed inputs go through stacked
+    forwards of whole repetitions into buffers allocated once per call; and
+    blocks of samples, every model's rows of them, share each grid-search
+    step. Every forward, transform and bound has the bits of a per-model,
+    per-sample, per-repetition evaluation: stacked matmul runs one GEMM per
+    trailing 2-D block.
     """
     x_eval = np.asarray(x_eval, dtype=np.float64)
     y_eval = np.asarray(y_eval)
     if len(x_eval) == 0:
         raise ValueError("pca: empty evaluation set")
-    m, l, n = len(x_eval), cfg.cert_repetitions, cfg.cert_samples
+    if not deployed:
+        raise ValueError("pca: no models to certify")
+    specs = deployed[0].specs
+    if any(model.specs != specs for model in deployed[1:]):
+        raise ValueError("pca: the models to certify differ in their layer specs")
+    k, m, l, n = len(deployed), len(x_eval), cfg.cert_repetitions, cfg.cert_samples
     grid = t_grid(cfg)
+    weights = [np.stack(ws)[:, None] for ws in zip(*(model.weights for model in deployed))]
+    biases = [np.stack(bs)[:, None, None] for bs in zip(*(model.biases for model in deployed))]
 
-    # work buffers: each layer's output for `reps` repetitions at a time (or
-    # as many clean inputs), a grid-search block of `block` samples
-    widest = max(deployed.in_dim, *(s.out_dim for s in deployed.specs))
-    reps = min(l, max(1, STACK_FLOATS // (n * widest)))
-    block = min(m, max(1, GRID_FLOATS // (3 * l * n)))
-    layer_buf = [np.empty(reps * n * s.out_dim) for s in deployed.specs]
-    xt, xt_work = np.empty((2, reps, n, deployed.in_dim))
-    rep_z = np.empty((block, l, n))
-    grid_work = np.empty(3 * block * l * n)
+    # work buffers: each layer's output of every model for `reps` repetitions
+    # at a time (or as many clean inputs), a grid-search block of `block`
+    # samples of every model
+    widest = max(specs[0].in_dim, *(s.out_dim for s in specs))
+    reps = min(l, max(1, STACK_FLOATS // (k * n * widest)))
+    block = min(m, max(1, GRID_FLOATS // (3 * k * l * n)))
+    layer_buf = [np.empty(k * reps * n * s.out_dim) for s in specs]
+    xt, xt_work = np.empty((2, reps, n, specs[0].in_dim))
+    rep_z = np.empty((block, k, l, n))
+    grid_work = np.empty(3 * block * k * l * n)
 
     def forward(xs):
-        """Probabilities of a (a, b, in_dim) stack, computed in the buffers."""
+        """Every model's probabilities of a (a, b, in_dim) stack, shape
+        (k, a, b, K), computed in the buffers."""
         a, b = xs.shape[:2]
-        return deployed.forward(xs, out=[buf[:a * b * s.out_dim].reshape(a, b, s.out_dim)
-                                         for buf, s in zip(layer_buf, deployed.specs)])
+        return forward_probs(xs, weights, biases, specs,
+                             out=[buf[:k * a * b * s.out_dim].reshape(k, a, b, s.out_dim)
+                                  for buf, s in zip(layer_buf, specs)])
 
-    p_clean = np.empty((m, deployed.class_count))
+    p_clean = np.empty((k, m, specs[-1].out_dim))
     for start in range(0, m, reps * n):
-        p_clean[start:start + reps * n] = forward(x_eval[start:start + reps * n, None])[:, 0]
+        p_clean[:, start:start + reps * n] = forward(x_eval[start:start + reps * n, None])[:, :, 0]
 
-    rows, log_bounds = [], []
+    rows = [[] for _ in deployed]
+    log_bounds = [[] for _ in deployed]
     for start in range(0, m, block):
         ids = range(start, min(start + block, m))
         for b, i in enumerate(ids):
@@ -229,24 +257,35 @@ def pca(deployed: MaskableModel, x_eval, y_eval, spec: TransformSpec,
                 r = min(reps, l - j)
                 pt = forward(sample_set(spec, x_eval[i], (r, n), rng, out=xt[:r],
                                         work=xt_work[:r]))
-                pt -= p_clean[i]  # sup-norm discrepancies to the clean probabilities
+                # each model's sup-norm discrepancies to its clean probabilities
+                pt -= p_clean[:, i, None, None]
                 np.abs(pt, out=pt)
-                pt.max(axis=-1, out=rep_z[b, j:j + r])
-        d = np.array([clean_margin(p_clean[i]) for i in ids])
+                pt.max(axis=-1, out=rep_z[b, :, j:j + r])
+        d = np.array([[clean_margin(p) for p in p_clean[:, i]] for i in ids])
         # a zero-margin sample is searched too, but its result is not used
-        best, log_min = grid_min(rep_z[:len(ids)], d, grid, grid_work)
+        best, log_min = grid_min(rep_z[:len(ids)].reshape(-1, l, n), d.ravel(), grid,
+                                 grid_work)
+        best, log_min = best.reshape(d.shape), log_min.reshape(d.shape)
         for b, i in enumerate(ids):
-            eps_hat, best_t = 1.0, float("nan")
-            if d[b] > 0.0:
-                log_bounds.append(float(log_min[b]))
-                eps_hat = min(1.0, float(np.exp(log_min[b])))
-                best_t = float(grid[best[b]])
-            predicted = int(np.argmax(p_clean[i]))
-            rows.append(SampleCert(
-                sample_id=i, label=int(y_eval[i]), predicted=predicted,
-                margin=float(d[b]), eps_hat=eps_hat, best_t=best_t,
-                certified=predicted == int(y_eval[i]) and eps_hat <= cfg.cert_error_bound,
-                rep_z_max=rep_z[b].max(axis=1)))
+            for q in range(k):
+                eps_hat, best_t = 1.0, float("nan")
+                if d[b, q] > 0.0:
+                    log_bounds[q].append(float(log_min[b, q]))
+                    eps_hat = min(1.0, float(np.exp(log_min[b, q])))
+                    best_t = float(grid[best[b, q]])
+                predicted = int(np.argmax(p_clean[q, i]))
+                rows[q].append(SampleCert(
+                    sample_id=i, label=int(y_eval[i]), predicted=predicted,
+                    margin=float(d[b, q]), eps_hat=eps_hat, best_t=best_t,
+                    certified=predicted == int(y_eval[i]) and eps_hat <= cfg.cert_error_bound,
+                    rep_z_max=rep_z[b, q].max(axis=1)))
+    return [_pca_result(r, logs, grid, cfg) for r, logs in zip(rows, log_bounds)]
+
+
+def _pca_result(rows: list[SampleCert], log_bounds: list[float], grid: np.ndarray,
+                cfg: ExperimentConfig) -> PcaResult:
+    """One model's PcaResult from its rows and the logs of its nonzero-margin
+    bounds."""
     frac = float(np.mean([r.certified for r in rows]))
     best_t = np.array([r.best_t for r in rows])
     # the median by hand: np.median imports numpy.ma (about 14 ms, 0.7 MB)

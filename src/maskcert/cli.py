@@ -216,7 +216,8 @@ def _cmd_certify(cfg: ExperimentConfig, args, out: Path) -> dict:
 def _cmd_run_all(cfg: ExperimentConfig, args, out: Path) -> dict:
     output = pipeline.run_experiment(cfg)
     _write_experiment(out, cfg, output)
-    return {f"wall_time_{m}": r.wall_time for m, r in output.results.items()}
+    return {**{f"wall_time_{m}": r.wall_time for m, r in output.results.items()},
+            "wall_time_certify": output.certify_wall_time}
 
 
 _COMMANDS = {

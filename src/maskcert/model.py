@@ -113,23 +113,17 @@ class MaskableModel:
         return MaskableModel(self.specs, [w.copy() for w in self.weights],
                              [b.copy() for b in self.biases], self.mask_mode)
 
-    def forward(self, x: np.ndarray, out=None) -> np.ndarray:
+    def forward(self, x: np.ndarray) -> np.ndarray:
         """Softmax class probabilities, shape (..., batch, K).
 
         Inputs may be stacked, (..., batch, in_dim); each trailing
-        (batch, in_dim) block gives the bits it would give alone. `out` is as
-        for masked_forward, and the probabilities are then written into its
-        last array. Never mutates the model, so concurrent evaluations are
-        safe.
+        (batch, in_dim) block gives the bits it would give alone. Never
+        mutates the model, so concurrent evaluations are safe.
         """
         x = np.asarray(x, dtype=np.float64)
         if x.ndim < 2 or x.shape[-1] != self.in_dim:
             raise ValueError(f"forward: expected input (batch, {self.in_dim}), got {x.shape}")
-        hs, _, _ = masked_forward(x, self.weights, self.biases, self.specs, out=out)
-        p = softmax(hs[-1], out=None if out is None else hs[-1])
-        if not np.isfinite(p).all():
-            raise FloatingPointError("forward: non-finite output probabilities")
-        return p
+        return forward_probs(x, self.weights, self.biases, self.specs)
 
     def folded(self, multipliers) -> "MaskableModel":
         """The deployed model: dense, with weights m * w for each layer's
@@ -146,7 +140,7 @@ class MaskableModel:
                              self.biases, self.mask_mode)
 
 
-def masked_forward(x, weights, biases, specs, multipliers=None, out=None):
+def masked_forward(x, weights, biases, specs, multipliers=None, out=None, pre=None):
     """Run the layer stack with each weight multiplied by its multiplier, of
     the weight's shape or its mask_shape (None entries, or multipliers=None,
     leave a layer dense).
@@ -162,22 +156,42 @@ def masked_forward(x, weights, biases, specs, multipliers=None, out=None):
     which one GEMM over the flattened rows does not promise. With `out`, one array
     per layer shaped like that layer's output, layer i is computed into
     out[i] by the same ufuncs and its activation applied there in place, so
-    nothing is allocated; zs then holds the activated outputs.
+    nothing is allocated; zs then holds the activated outputs. With `pre` as
+    well, one array per relu layer (None for the others), a relu layer's
+    pre-activation is computed into pre[i] and kept in zs, and its output
+    written into out[i].
     """
     hs, zs, ws = [x], [], []
     for i, spec in enumerate(specs):
         w = weights[i]
         if multipliers is not None and multipliers[i] is not None:
             w = multipliers[i] * w
-        z = np.matmul(hs[-1], w.mT, out=None if out is None else out[i])
+        buf = None if out is None else out[i]
+        z = np.matmul(hs[-1], w.mT, out=buf if pre is None or pre[i] is None else pre[i])
         z += biases[i]
         h = z
         if spec.activation == "relu":
-            h = np.maximum(z, 0.0, out=None if out is None else z)
+            h = np.maximum(z, 0.0, out=buf)
         hs.append(h)
         zs.append(z)
         ws.append(w)
     return hs, zs, ws
+
+
+def forward_probs(x, weights, biases, specs, out=None) -> np.ndarray:
+    """Softmax class probabilities of the layer stack, checked finite.
+
+    x, weights and biases may be stacked as for masked_forward: weights of
+    shape (k, 1, out, in) and biases (k, 1, 1, out) run k models on one
+    (a, b, in) stack and give (k, a, b, K), each model's block with the bits
+    of its own forward. `out` is as for masked_forward, and the
+    probabilities are then written into its last array.
+    """
+    hs, _, _ = masked_forward(x, weights, biases, specs, out=out)
+    p = softmax(hs[-1], out=None if out is None else hs[-1])
+    if not np.isfinite(p).all():
+        raise FloatingPointError("forward: non-finite output probabilities")
+    return p
 
 
 def softmax(h: np.ndarray, out=None) -> np.ndarray:

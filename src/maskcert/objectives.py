@@ -39,7 +39,8 @@ class CompositeResult:
 
 
 def composite_step_loss(model: MaskableModel, soft_mask, x, x_t, cfg: ExperimentConfig,
-                        rng: np.random.Generator, step: int = 0) -> CompositeResult:
+                        rng: np.random.Generator, step: int = 0,
+                        work: dict | None = None) -> CompositeResult:
     """One evaluation of the objective and its gradient on the soft mask.
 
     The objective weighs its terms by cfg's lambda_* settings, the ratio
@@ -54,6 +55,11 @@ def composite_step_loss(model: MaskableModel, soft_mask, x, x_t, cfg: Experiment
     ratio, then consistency, then stability; on C the L1 term, then the
     straight-through, s, n and m copies. Weights are frozen and get no
     gradient. Returns a StepReport and the per-layer mask gradients.
+
+    A caller that steps in a loop passes one `work` dict to every call: the
+    mask stacks and the stacked forward's layer and gradient arrays are then
+    kept there and allocated once, so the step's cost does not depend on how
+    the allocator sized its heap before the loop.
     """
     x = np.asarray(x, dtype=np.float64)
     x_t = np.asarray(x_t, dtype=np.float64)
@@ -70,7 +76,7 @@ def composite_step_loss(model: MaskableModel, soft_mask, x, x_t, cfg: Experiment
     masked = [i for i, c in enumerate(soft_mask) if c.size]
     cs = [soft_mask[i].reshape(mask_shape(model.specs[i], model.mask_mode))
           for i in masked]
-    stacks = [np.empty((4, *c.shape)) for c in cs]
+    stacks = [ad.buffer(work, ("mask", i), (4, *c.shape)) for i, c in zip(masked, cs)]
     noisy = sample_noisy(cs, cfg.noise_magnitude, rng, draws=3, out=[m[:3] for m in stacks])
     hard = binarize(soft_mask, cfg.pruning_ratio)
     ste = [ad.primitive("ste", [c], hard=hard[i].reshape(c.shape), c0=c, out=m[3])
@@ -83,7 +89,7 @@ def composite_step_loss(model: MaskableModel, soft_mask, x, x_t, cfg: Experiment
         ws[i] = np.multiply(m, ws[i], out=m if unstructured else None)
 
     logits, mlp_vjp = ad.primitive("masked_mlp", [np.stack([x, x, x_t, x]), *ws, *model.biases],
-                                   specs=tuple(model.specs))
+                                   specs=tuple(model.specs), work=work)
     probs, softmax_vjp = ad.primitive("softmax", [logits])
     p_m, p_n, p_s, p_h = probs
     l_stab, stab_vjp = ad.primitive("stability", [p_m, p_n])

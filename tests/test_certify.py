@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from maskcert import certify
-from maskcert.certify import clean_margin, grid_min, log_y_grid, paley_confidence, pca, t_grid
+from maskcert.certify import (clean_margin, grid_min, log_y_grid, paley_confidence, pca,
+                              pca_models, t_grid)
 from maskcert.config import ExperimentConfig
 from maskcert.masks import binarize, hard_multipliers
 from maskcert.model import LayerSpec, MaskableModel, masked_forward, mlp_specs, softmax
@@ -457,13 +458,13 @@ class TestCertifySampleAndPca:
 
     def test_one_clean_forward_per_set(self, monkeypatch):
         shapes = []
-        real = MaskableModel.forward
+        real = certify.forward_probs
 
-        def spy(self, x, out=None):
+        def spy(x, weights, biases, specs, out=None):
             shapes.append(x.shape)
-            return real(self, x, out)
+            return real(x, weights, biases, specs, out)
 
-        monkeypatch.setattr(MaskableModel, "forward", spy)
+        monkeypatch.setattr(certify, "forward_probs", spy)
         cfg = small_cfg()
         x = np.zeros((5, 4))
         pca(constant_model(), x, np.zeros(5), direction_spec(), cfg)
@@ -517,13 +518,14 @@ def stacked_spec(kind, in_dim):
     return TransformSpec(kind="interp_corrupt", corrupt=CorruptionTag(kind, severity))
 
 
-def set_budgets(monkeypatch, reps, block, model, cfg):
+def set_budgets(monkeypatch, reps, block, model, cfg, k=1):
     """Budgets that stack `reps` repetitions per forward and `block` samples
-    per grid search; returns the block size pca will use."""
+    per grid search when certifying k models; returns the block size pca
+    will use."""
     widest = max(model.in_dim, *(s.out_dim for s in model.specs))
-    monkeypatch.setattr(certify, "STACK_FLOATS", reps * cfg.cert_samples * widest)
+    monkeypatch.setattr(certify, "STACK_FLOATS", reps * k * cfg.cert_samples * widest)
     monkeypatch.setattr(certify, "GRID_FLOATS",
-                        block * 3 * cfg.cert_repetitions * cfg.cert_samples)
+                        block * 3 * k * cfg.cert_repetitions * cfg.cert_samples)
     return block
 
 
@@ -604,6 +606,113 @@ class TestStackedPass:
                      direction_spec(), small_cfg())
         assert all(math.isnan(v) for v in (result.log_eps_hat_min, result.log_eps_hat_median,
                                            result.log_eps_hat_max))
+
+
+def masked_copies(model, rng, ratios=(0.3, 0.5, 0.7)):
+    """Multipliers of differently pruned hard masks of one model."""
+    return [hard_multipliers(model, binarize([rng.uniform(size=n) for n in model.mask_dims()],
+                                             ratio))
+            for ratio in ratios]
+
+
+class TestMultiModelPass:
+    """pca_models gives each model the rows of its own per-sample
+    certification, bit for bit, from one draw of each sample's transforms."""
+
+    def check(self, model, mults, x, y, kind, cfg):
+        spec = stacked_spec(kind, model.in_dim)
+        results = pca_models([model.folded(mult) for mult in mults], x, y, spec, cfg)
+        assert len(results) == len(mults)
+        for result, mult in zip(results, mults):
+            assert_rows_equal_oracle(result, per_sample_oracle(model, mult, x, y, spec, cfg))
+        return results
+
+    @pytest.mark.parametrize("where", ["m=1", "m=block-1", "m=block+1"])
+    @pytest.mark.parametrize("mode", ["unstructured", "structured"])
+    @pytest.mark.parametrize("kind", ["direction_shift", "haze"])
+    @pytest.mark.parametrize("budget", ["default", "tight"])
+    def test_rows_equal_per_sample_oracle(self, monkeypatch, budget, kind, mode, where):
+        model, _, rng = live_model(mode, seed=50)
+        mults = masked_copies(model, rng)
+        if budget == "default":  # the default l and n: one forward per sample
+            cfg = make_cfg(seed=3)
+            block = certify.GRID_FLOATS // (3 * 3 * cfg.cert_repetitions * cfg.cert_samples)
+        else:  # repetitions stacked 2 + 1, blocks of 4 samples of 3 models
+            cfg = small_cfg(cert_samples=7, seed=3)
+            block = set_budgets(monkeypatch, 2, 4, model, cfg, k=3)
+        assert block > 2
+        m = {"m=1": 1, "m=block-1": block - 1, "m=block+1": block + 1}[where]
+        self.check(model, mults, rng.uniform(size=(m, 6)), rng.integers(0, 10, m), kind, cfg)
+
+    @pytest.mark.parametrize("budget", ["default", "tight"])
+    def test_zero_margin_rows(self, monkeypatch, budget):
+        # masked to column q, model q has logits (s x_q, -s x_q): a zero margin
+        # exactly where x_q = 0, so each model has its own zero-margin samples
+        # inside the same blocks
+        w = np.zeros((2, 6))
+        w[0, :3], w[1, :3] = 3.0, -3.0
+        model = MaskableModel([LayerSpec(6, 2, "none")], [w], [np.zeros(2)], "unstructured")
+        mults = [np.zeros((2, 6)) for _ in range(3)]
+        for q, mult in enumerate(mults):
+            mult[:, q] = 1.0
+        cfg = small_cfg(cert_samples=7, seed=6)
+        if budget == "tight":
+            set_budgets(monkeypatch, 2, 4, model, cfg, k=3)
+        rng = np.random.default_rng(51)
+        x = rng.uniform(-1, 1, (10, 6))
+        zeros = ([1, 3], [3, 5, 9], [4])
+        for q, ids in enumerate(zeros):
+            x[ids, q] = 0.0
+        results = self.check(model, mults, x, rng.integers(0, 2, 10), "direction_shift", cfg)
+        for result, ids in zip(results, zeros):
+            assert [r.sample_id for r in result.rows if r.margin == 0.0] == ids
+            assert all(math.isnan(result.rows[i].best_t) for i in ids)
+
+    def test_other_layer_specs_rejected(self):
+        rng = np.random.default_rng(52)
+        a = MaskableModel.initialized(mlp_specs(4, [5], 2), "unstructured", rng)
+        b = MaskableModel.initialized(mlp_specs(4, [6], 2), "unstructured", rng)
+        x, y = np.zeros((2, 4)), np.zeros(2)
+        with pytest.raises(ValueError, match="layer specs"):
+            pca_models([a, a, b], x, y, direction_spec(), small_cfg())
+        with pytest.raises(ValueError, match="no models"):
+            pca_models([], x, y, direction_spec(), small_cfg())
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_one_sample_set_per_sample_and_chunk(self, monkeypatch, k):
+        calls = []
+        real = certify.sample_set
+
+        def spy(spec, x, n, rng, out=None, work=None):
+            calls.append(n)
+            return real(spec, x, n, rng, out, work)
+
+        monkeypatch.setattr(certify, "sample_set", spy)
+        model, mult, rng = live_model("unstructured", seed=53)
+        cfg = small_cfg(cert_samples=7, seed=7)
+        set_budgets(monkeypatch, 2, 4, model, cfg, k=k)
+        pca_models([model.folded(mult)] * k, rng.uniform(size=(9, 6)),
+                   rng.integers(0, 10, 9), stacked_spec("haze", 6), cfg)
+        # l = 3 repetitions in chunks of 2 + 1, for all k models at once
+        assert calls == [(2, 7), (1, 7)] * 9
+
+    def test_grid_block_divided_by_model_count(self, monkeypatch):
+        # every model's rows of a block share one grid search, and the block
+        # shrinks with k so that the search's work stays within GRID_FLOATS
+        rows = []
+        real = certify.grid_min
+
+        def spy(rep_z, d, grid, work=None):
+            rows.append(len(d))
+            return real(rep_z, d, grid, work)
+
+        monkeypatch.setattr(certify, "grid_min", spy)
+        model, mult, rng = live_model("unstructured", seed=54)
+        cfg = small_cfg(cert_samples=7, seed=8)
+        set_budgets(monkeypatch, 2, 4, model, cfg, k=3)
+        pca_models([model.folded(mult)] * 3, rng.uniform(size=(9, 6)),
+                   rng.integers(0, 10, 9), stacked_spec("haze", 6), cfg)
+        assert rows == [12, 12, 3]
 
 
 class TestChernoffSoundness:

@@ -120,6 +120,26 @@ class TestRunAll:
             kv = dict(line.split(" = ", 1) for line in text.splitlines())
             assert (kv["pruning_ratio"], kv["pca"]) == (ratio, pca)
 
+    @pytest.mark.parametrize("method, ckpt", [("vanilla", "pretrained.ckpt"),
+                                              ("lmp", "finetuned_lmp.ckpt"),
+                                              ("csam", "finetuned_csam.ckpt")])
+    def test_certify_checkpoint_equals_run_all_report(self, run_all_out, tmp_path,
+                                                      method, ckpt):
+        # run-all certifies every method in one pass, certify one model alone
+        out = tmp_path / method
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(TINY, encoding="utf-8")
+        assert run("certify", cfg, out, "--stage-checkpoint", str(run_all_out / ckpt)) == EXIT_OK
+        for suffix in (".csv", "_summary.txt"):
+            assert (out / f"cert_report{suffix}").read_bytes() == \
+                   (run_all_out / f"cert_report_{method}{suffix}").read_bytes()
+
+    def test_status_times_each_method_and_certification(self, run_all_out):
+        text = (run_all_out / "status.txt").read_text()
+        keys = [line.split(" = ", 1)[0] for line in text.splitlines()]
+        assert [k for k in keys if k.startswith("wall_time_") and k != "wall_time_s"] == \
+               ["wall_time_vanilla", "wall_time_lmp", "wall_time_csam", "wall_time_certify"]
+
     def test_vanilla_ratio_zero_in_summary(self, tmp_path):
         cfg = tmp_path / "v.cfg"
         cfg.write_text(TINY + "methods = vanilla\n", encoding="utf-8")

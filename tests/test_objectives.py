@@ -167,6 +167,27 @@ class TestCompositeStep:
                                 np.random.default_rng(0))
 
     @pytest.mark.parametrize("mode", ["unstructured", "structured"])
+    def test_work_dict_reuse_equals_fresh_arrays(self, mode):
+        # steps that share one work dict, with batch sizes that make it
+        # reallocate, give the bits of steps without one, and a step's
+        # gradients do not change when a later step reuses the arrays
+        rng = np.random.default_rng(6)
+        model = toy_model(seed=6, hidden=(7, 4), mode=mode)
+        soft = init_percentile_scaled(model, 30.0)
+        work, kept = {}, []
+        for step, batch in enumerate((6, 6, 3, 6)):
+            x = rng.standard_normal((batch, 5))
+            x_t = x + 0.2 * rng.standard_normal((batch, 5))
+            fresh = composite_step_loss(model, soft, x, x_t, CFG,
+                                        np.random.default_rng([6, step]), step=step)
+            reused = composite_step_loss(model, soft, x, x_t, CFG,
+                                         np.random.default_rng([6, step]), step=step, work=work)
+            assert reused.report == fresh.report
+            kept.append(([g.copy() for g in fresh.grads], reused.grads))
+        for want, got in kept:
+            assert all(np.array_equal(a, b) for a, b in zip(want, got))
+
+    @pytest.mark.parametrize("mode", ["unstructured", "structured"])
     def test_gradient_matches_finite_differences(self, mode):
         # kink-free seeded instances; the objective is differentiated as a
         # pure function of the soft mask with the draws, the hard mask and

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from maskcert import autodiff as ad
+from maskcert import certify
 from maskcert import pipeline
 from maskcert.config import ExperimentConfig, validate
 from maskcert.errors import ConfigError
@@ -283,6 +284,23 @@ class TestRunExperiment:
             1 - 2 * final_dense / model.weight_count())
         for r in out.results.values():
             assert 0.0 <= r.cert.fraction <= 1.0
+
+    def test_one_sample_set_per_sample_for_all_methods(self, monkeypatch):
+        # every method is certified in one pass, which draws each evaluation
+        # sample's transformed inputs once (one repetition chunk at these sizes)
+        calls = []
+        real = certify.sample_set
+
+        def spy(*args, **kwargs):
+            calls.append(args[2])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(certify, "sample_set", spy)
+        cfg = tiny_cfg(methods=("vanilla", "lmp", "csam"))
+        out = run_experiment(cfg)
+        assert calls == [(cfg.cert_repetitions, cfg.cert_samples)] * cfg.cert_eval_size
+        assert all(len(r.cert.rows) == cfg.cert_eval_size for r in out.results.values())
+        assert out.certify_wall_time > 0
 
     def test_eval_size_validated(self):
         cfg = tiny_cfg(cert_eval_size=10_000, methods=("vanilla",))
