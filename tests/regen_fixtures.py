@@ -1,12 +1,13 @@
 """Record the regression fixtures in tests/fixtures/.
 
-    PYTHONPATH=src python tests/regen_fixtures.py default_experiment trajectory stage2_step
+    PYTHONPATH=src python tests/regen_fixtures.py default_experiment trajectory stage2_step \
+        small_run_outputs
 
 Each named fixture is recomputed from the current code and overwritten. The
 tests never write fixtures: a missing file fails them. Re-record one only
 for a deliberate change of results, and say so in the change description.
-The step fixture is computed in a child process with one BLAS thread (see
-one_thread_stage2_step_record).
+The step and output-bytes fixtures are computed in a child process with one
+BLAS thread (see one_thread_record).
 """
 
 from __future__ import annotations
@@ -17,10 +18,12 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 
+from maskcert.cli import EXIT_OK, main as cli_main
 from maskcert.config import ExperimentConfig, parse_config, validate
 from maskcert.datasets import Dataset
 from maskcert.masks import binarize, hard_multipliers, init_percentile_scaled, unit_magnitudes
@@ -35,6 +38,7 @@ FIXTURES = Path(__file__).resolve().parent / "fixtures"
 DEFAULT_FIXTURE = FIXTURES / "default_experiment.json"
 TRAJECTORY_FIXTURE = FIXTURES / "trajectory.json"
 STEP_FIXTURE = FIXTURES / "stage2_step.json"
+OUTPUTS_FIXTURE = FIXTURES / "small_run_outputs.json"
 REGEN_HINT = "PYTHONPATH=src python tests/regen_fixtures.py"
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
@@ -159,22 +163,39 @@ def stage2_step_record() -> dict:
     return {"composite_step_loss": steps, "ce_epochs": ce}
 
 
-def one_thread_stage2_step_record() -> dict:
-    """stage2_step_record() computed in a child process with every BLAS
-    thread count set to 1, as perfbench runs maskcert. A multithreaded GEMM
-    may split the products of the 784-wide model differently and so move
-    their bits; the thread count is fixed when BLAS loads, so only a fresh
-    process can set it."""
+def small_run_outputs_record() -> dict:
+    """sha256 of every file `run-all` writes on the small run, status.txt
+    (timestamps and wall times) aside, in both mask modes."""
+    record = {}
+    for mode in ("unstructured", "structured"):
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg_path, out = Path(tmp) / "exp.cfg", Path(tmp) / "out"
+            cfg_path.write_text(small_run_config_text() + f"mask_mode = {mode}\n",
+                                encoding="utf-8")
+            code = cli_main(["run-all", "--config", str(cfg_path), "--out", str(out)])
+            if code != EXIT_OK:
+                raise RuntimeError(f"run-all ({mode}) exited {code}")
+            record[mode] = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                            for p in sorted(out.iterdir()) if p.name != "status.txt"}
+    return record
+
+
+def one_thread_record(name: str) -> dict:
+    """The record function `name` of this module computed in a child process
+    with every BLAS thread count set to 1, as perfbench runs maskcert. A
+    multithreaded GEMM may split the products of the 784-wide model
+    differently and so move their bits; the thread count is fixed when BLAS
+    loads, so only a fresh process can set it."""
     here = Path(__file__).resolve().parent
     env = {**os.environ, **dict.fromkeys(THREAD_VARS, "1"),
            "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), str(here),
                                           os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import json, regen_fixtures; print(json.dumps(regen_fixtures.stage2_step_record()))"],
+         f"import json, regen_fixtures; print(json.dumps(regen_fixtures.{name}()))"],
         env=env, capture_output=True, text=True)
     if proc.returncode:
-        raise RuntimeError(f"stage2_step_record child failed:\n{proc.stderr}")
+        raise RuntimeError(f"{name} child failed:\n{proc.stderr}")
     return json.loads(proc.stdout)
 
 
@@ -186,15 +207,17 @@ def _write(path: Path, doc: dict) -> None:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("fixtures", nargs="+", choices=("default_experiment", "trajectory",
-                                                       "stage2_step"))
+                                                       "stage2_step", "small_run_outputs"))
     for name in parser.parse_args().fixtures:
         if name == "default_experiment":
             cfg = parse_config(DEFAULT_CONFIG)
             _write(DEFAULT_FIXTURE, default_experiment_record(run_experiment(cfg), cfg))
         elif name == "trajectory":
             _write(TRAJECTORY_FIXTURE, trajectory_record())
+        elif name == "stage2_step":
+            _write(STEP_FIXTURE, one_thread_record("stage2_step_record"))
         else:
-            _write(STEP_FIXTURE, one_thread_stage2_step_record())
+            _write(OUTPUTS_FIXTURE, one_thread_record("small_run_outputs_record"))
 
 
 if __name__ == "__main__":

@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from regen_fixtures import REGEN_HINT, STEP_FIXTURE, one_thread_stage2_step_record
+from regen_fixtures import REGEN_HINT, STEP_FIXTURE, one_thread_record
 
 
 @pytest.fixture(scope="module")
@@ -16,7 +16,7 @@ def records():
         pytest.fail(f"missing {STEP_FIXTURE}; regenerate it with "
                     f"`{REGEN_HINT} stage2_step`")
     return (json.loads(STEP_FIXTURE.read_text(encoding="utf-8")),
-            one_thread_stage2_step_record())
+            one_thread_record("stage2_step_record"))
 
 
 @pytest.mark.parametrize("part", ["composite_step_loss", "ce_epochs"])
