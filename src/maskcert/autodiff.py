@@ -6,7 +6,8 @@ computes its value eagerly and returns it with a vector-Jacobian product over
 the residuals of that forward pass: vjp(g, needs) gives one gradient per
 input, None where `needs` is False. The kinds are the masked MLP logits, a
 softmax, the batch-mean cross-entropy of stages 1 and 3, and for the stage-2
-mask search the noisy mask draw, the straight-through mask, the stability,
+mask search the noisy mask draws (one noise array shaped like the stacked
+copies of the flat soft mask), the straight-through mask, the stability,
 ratio and consistency terms, the L1 mean and the weighted sum that joins
 them. `primitive` dispatches to them; the stage-2 step
 (`objectives.composite_step_loss`) and the cross-entropy step
@@ -162,15 +163,13 @@ def _cross_entropy(v, labels):
 
 
 def _noisy(v, xi, out=None):
-    """clip(c[k] + xi[k], 0, 1) for copies c of a soft mask stacked on the
-    first axis and one fixed noise draw per copy, written into `out` when
-    given."""
+    """clip(c + xi, 0, 1) for copies c of a soft mask stacked on the first
+    axis and a fixed noise array xi of the same shape, one draw per copy,
+    written into `out` when given."""
     c = v[0]
-    if len(xi) != len(c) or any(np.shape(d) != c.shape[1:] for d in xi):
-        raise ValueError(f"noisy: one noise array of shape {c.shape[1:]} per copy of c required")
-    shifted = np.empty(c.shape) if out is None else out
-    for k, d in enumerate(xi):
-        np.add(c[k], d, out=shifted[k])
+    if np.shape(xi) != c.shape:
+        raise ValueError(f"noisy: noise of shape {c.shape} required, got {np.shape(xi)}")
+    shifted = np.add(c, xi, out=out)
     # Gradient passes on the closed interval [0, 1]; it flows at exact
     # saturation boundaries.
     passed = (shifted >= 0.0) & (shifted <= 1.0)

@@ -93,6 +93,8 @@ def load_idx(images_path, labels_path, expected_classes: int | None = None) -> D
         magic, count, rows, cols = struct.unpack(">IIII", _read_exact(fh, 16, images_path, "header"))
         if magic != IDX_IMAGE_MAGIC:
             raise DatasetError(f"{images_path}: bad image magic 0x{magic:08x}")
+        if rows == 0 or cols == 0:
+            raise DatasetError(f"{images_path}: images of {rows}x{cols} pixels have no pixels")
         payload = _read_exact(fh, count * rows * cols, images_path, "pixel payload")
         if fh.read(1):
             raise DatasetError(f"{images_path}: trailing bytes after pixel payload")

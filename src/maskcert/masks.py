@@ -3,10 +3,12 @@ layer-wise top-k binarization.
 
 A soft mask is a list of per-layer float vectors in [0, 1] whose lengths are
 the model's prunable-unit counts (mask_dims); exempt layers carry empty
-vectors. A hard mask is the same list with 0/1 entries, as binarize returns
-it and checkpoints store it; hard_multipliers shapes it to apply to the
-weights. Keep counts use exact rational arithmetic so that e.g. a 0.7
-pruning ratio on 10 units keeps ceil(3) = 3 units, not 4.
+vectors. Stage 2 holds it as one flat vector C, every prunable unit in layer
+order, and the list as views of C (layer_views). A hard mask is the same
+list with 0/1 entries, as binarize returns it and checkpoints store it;
+hard_multipliers shapes it to apply to the weights. Keep counts use exact
+rational arithmetic so that e.g. a 0.7 pruning ratio on 10 units keeps
+ceil(3) = 3 units, not 4.
 """
 
 from __future__ import annotations
@@ -23,19 +25,16 @@ from .model import MaskableModel, mask_shape
 def unit_magnitudes(model: MaskableModel) -> list[np.ndarray]:
     """Per-unit weight magnitude per layer: |w| flattened in unstructured
     mode, row L2 norms in structured mode. Exempt layers give empty arrays."""
-    out = []
-    for w, n in zip(model.weights, model.mask_dims()):
-        if n == 0:
-            out.append(np.empty(0))
-        elif model.mask_mode == "unstructured":
-            out.append(np.abs(w).ravel().copy())
-        else:
-            out.append(np.sqrt((w * w).sum(axis=1)))
-    return out
+    if model.mask_mode == "unstructured":  # no layer is exempt
+        return [np.abs(w).ravel() for w in model.weights]
+    return [np.sqrt((w * w).sum(axis=1)) if n else np.empty(0)
+            for w, n in zip(model.weights, model.mask_dims())]
 
 
-def _keep_count(fraction: Fraction, n: int) -> int:
-    return math.ceil(fraction * n) if n > 0 else 0
+def layer_views(c: np.ndarray, dims) -> list[np.ndarray]:
+    """Per-layer views of a flat soft mask c: its last axis split into the
+    lengths dims (a model's mask_dims), any leading axes kept."""
+    return np.split(c, np.cumsum(dims)[:-1], axis=-1)
 
 
 def init_percentile_scaled(model: MaskableModel, tau: float) -> list[np.ndarray]:
@@ -46,37 +45,33 @@ def init_percentile_scaled(model: MaskableModel, tau: float) -> list[np.ndarray]
     if not 0.0 < tau < 100.0:
         raise ValueError(f"tau must be in (0, 100), got {tau}")
     frac = Fraction(str(tau)) / 100
-    soft = []
-    for i, mags in enumerate(unit_magnitudes(model)):
+    soft = layer_views(np.concatenate(unit_magnitudes(model)), model.mask_dims())
+    for i, mags in enumerate(soft):
         n = mags.size
         if n == 0:
-            soft.append(np.empty(0))
             continue
-        kappa = _keep_count(frac, n)
+        kappa = math.ceil(frac * n)
         q = np.partition(mags, n - kappa)[n - kappa]
         if q <= 0.0:  # the divisor below
             raise FloatingPointError(
                 f"layer {i}: percentile threshold is zero; re-initialize the "
                 f"weights before building a mask")
-        soft.append(np.clip(mags / q, 0.0, 1.0))
+        np.clip(mags / q, 0.0, 1.0, out=mags)
     return soft
 
 
-def sample_noisy(c_layers: list, mu: float, rng: np.random.Generator,
-                 draws: int = 1, out: list | None = None) -> list:
+def sample_noisy(c: np.ndarray, mu: float, rng: np.random.Generator,
+                 draws: int = 1, out: np.ndarray | None = None):
     """`draws` independent draws of clip(C + xi, 0, 1), xi ~ U(-mu, mu) i.i.d.
-    per entry, fresh per call, taken draw by draw over every layer. Returns
-    one (value, vjp) pair of the noisy kind per layer, the value stacked as
-    (draws, *C.shape) and written into that layer's `out` array when given.
+    per entry, fresh per call, in one call, so a flat soft mask is drawn
+    draw by draw over every layer. Returns the noisy kind's (value, vjp), the
+    value stacked as (draws, *C.shape) and written into `out` when given.
     The VJP gives each draw's gradient on C, which passes where C + xi lies
     in [0, 1]."""
     if mu < 0:
         raise ValueError(f"mu must be non-negative, got {mu}")
-    xis = [[rng.uniform(-mu, mu, size=c.shape) for c in c_layers] for _ in range(draws)]
-    return [ad.primitive("noisy", [np.broadcast_to(c, (draws, *c.shape))],
-                         xi=[layer_xis[i] for layer_xis in xis],
-                         out=None if out is None else out[i])
-            for i, c in enumerate(c_layers)]
+    xi = rng.uniform(-mu, mu, size=(draws, *c.shape))
+    return ad.primitive("noisy", [np.broadcast_to(c, xi.shape)], xi=xi, out=out)
 
 
 def _top_k(c: np.ndarray, kappa: int) -> np.ndarray:
@@ -101,7 +96,7 @@ def binarize(soft_mask: list[np.ndarray], pr: float) -> list[np.ndarray]:
     if not 0.0 <= pr < 1.0:
         raise ValueError(f"pruning ratio must be in [0, 1), got {pr}")
     keep_frac = 1 - Fraction(str(pr))
-    return [_top_k(c, _keep_count(keep_frac, c.size)) if c.size else np.empty(0)
+    return [_top_k(c, math.ceil(keep_frac * c.size)) if c.size else np.empty(0)
             for c in soft_mask]
 
 

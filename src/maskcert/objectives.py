@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .config import ExperimentConfig
-from .masks import binarize, sample_noisy
+from .masks import binarize, layer_views, sample_noisy
 from .model import MaskableModel, mask_shape
 
 
@@ -35,57 +35,59 @@ class StepReport:
 @dataclass
 class CompositeResult:
     report: StepReport
-    grads: list[np.ndarray]      # per layer, flattened to mask-vector shape
+    grad: np.ndarray             # on the flat soft mask (see masks.layer_views)
 
 
 def composite_step_loss(model: MaskableModel, soft_mask, x, x_t, cfg: ExperimentConfig,
                         rng: np.random.Generator, step: int = 0,
                         work: dict | None = None) -> CompositeResult:
-    """One evaluation of the objective and its gradient on the soft mask.
+    """One evaluation of the objective and its gradient on the flat soft
+    mask C, every prunable unit of the model in layer order (layer_views).
 
     The objective weighs its terms by cfg's lambda_* settings, the ratio
     term takes safety_threshold and margin_epsilon, the noise is
     U(-noise_magnitude, noise_magnitude) and the hard mask binarizes at
-    pruning_ratio. The noise draws come from `rng` in the order m, n, s,
-    each over every maskable layer. Each layer's four masks form one
-    (4, out, in) stack (or (4, out, 1) structured) in copy order
+    pruning_ratio. The noise comes from `rng` in one (3, C.size) draw, in the
+    order m, n, s. The four masks form one (4, C.size) stack in copy order
     [clip(C + xi_m), clip(C + xi_n), clip(C + xi_s), hard + (C - c0)] with
-    c0 = C, so the noisy copies are one block. The stack runs on stack([x, x, x_t, x]) in one forward, and one
-    backward chains the term VJPs. Gradients add up in a fixed order: on p_m
-    ratio, then consistency, then stability; on C the L1 term, then the
-    straight-through, s, n and m copies. Weights are frozen and get no
-    gradient. Returns a StepReport and the per-layer mask gradients.
+    c0 = C, each layer running its slice of it in mask shape. The copies run
+    on stack([x, x, x_t, x]) in one forward, and one backward chains the
+    term VJPs. Gradients add up in a fixed order: on p_m ratio, then
+    consistency, then stability; on C the L1 term, then the straight-through,
+    s, n and m copies. Weights are frozen and get no gradient. Returns a
+    StepReport and the flat gradient on C.
 
-    A caller that steps in a loop passes one `work` dict to every call: the
-    mask stacks and the stacked forward's layer and gradient arrays are then
-    kept there and allocated once, so the step's cost does not depend on how
-    the allocator sized its heap before the loop.
+    A caller that steps in a loop passes one `work` dict to every call, which
+    keeps the mask stack and the stacked forward's arrays allocated once, so
+    the step's cost does not depend on how the allocator sized its heap.
     """
     x = np.asarray(x, dtype=np.float64)
     x_t = np.asarray(x_t, dtype=np.float64)
+    c = np.asarray(soft_mask, dtype=np.float64)
+    dims = model.mask_dims()
     if x.ndim != 2:
         raise ValueError(f"composite_step_loss: expected (batch, features) inputs, got {x.shape}")
     if len(x) == 0:
         raise ValueError("composite_step_loss: empty batch")
     if x.shape != x_t.shape:
         raise ValueError(f"batch pair shapes differ: {x.shape} vs {x_t.shape}")
-    if sum(c.size for c in soft_mask) == 0:
-        raise ValueError("model has no prunable units to search over")
+    if c.shape != (sum(dims),) or c.size == 0:
+        raise ValueError(f"composite_step_loss: expected a flat soft mask of the model's "
+                         f"{sum(dims)} prunable units (at least one), got shape {c.shape}")
 
-    n = len(model.specs)
-    masked = [i for i, c in enumerate(soft_mask) if c.size]
-    cs = [soft_mask[i].reshape(mask_shape(model.specs[i], model.mask_mode))
-          for i in masked]
-    stacks = [ad.buffer(work, ("mask", i), (4, *c.shape)) for i, c in zip(masked, cs)]
-    noisy = sample_noisy(cs, cfg.noise_magnitude, rng, draws=3, out=[m[:3] for m in stacks])
-    hard = binarize(soft_mask, cfg.pruning_ratio)
-    ste = [ad.primitive("ste", [c], hard=hard[i].reshape(c.shape), c0=c, out=m[3])
-           for i, c, m in zip(masked, cs, stacks)]
+    views = layer_views(c, dims)
+    stack = ad.buffer(work, "mask", (4, c.size))
+    # each masked layer's slice of the stack, in mask shape
+    layers = [(i, v.reshape(4, *mask_shape(model.specs[i], model.mask_mode)))
+              for i, v in enumerate(layer_views(stack, dims)) if dims[i]]
+    _, noisy_vjp = sample_noisy(c, cfg.noise_magnitude, rng, draws=3, out=stack[:3])
+    _, ste_vjp = ad.primitive("ste", [c], hard=np.concatenate(binarize(views, cfg.pruning_ratio)),
+                              c0=c, out=stack[3])
     # The weights each copy runs with, W * mask, formed in the mask stack
     # itself where the shapes allow.
     unstructured = model.mask_mode == "unstructured"
     ws = list(model.weights)
-    for i, m in zip(masked, stacks):
+    for i, m in layers:
         ws[i] = np.multiply(m, ws[i], out=m if unstructured else None)
 
     logits, mlp_vjp = ad.primitive("masked_mlp", [np.stack([x, x, x_t, x]), *ws, *model.biases],
@@ -96,7 +98,7 @@ def composite_step_loss(model: MaskableModel, soft_mask, x, x_t, cfg: Experiment
     l_consis, consis_vjp = ad.primitive("consistency", [p_m, p_h])
     l_ratio, ratio_vjp = ad.primitive("ratio_penalty", [p_m, p_s],
                                       eta=cfg.safety_threshold, eps=cfg.margin_epsilon)
-    l1_norm, l1_vjp = ad.primitive("l1_mean", cs)
+    l1_norm, l1_vjp = ad.primitive("l1_mean", [v for v in views if v.size])
     total, sum_vjp = ad.primitive("weighted_sum", [l_stab, l_ratio, l_consis, l1_norm],
                                   weights=(cfg.lambda_stab, cfg.lambda_ratio,
                                            cfg.lambda_consis, cfg.lambda_l1))
@@ -111,21 +113,22 @@ def composite_step_loss(model: MaskableModel, soft_mask, x, x_t, cfg: Experiment
     stab_m, g_probs[1] = stab_vjp(g_stab, both)
     np.add(ratio_m + consis_m, stab_m, out=g_probs[0])
     g_logits = softmax_vjp(g_probs, (True,))[0]
-    g_ws = mlp_vjp(g_logits, [False] + [i in masked for i in range(n)] + [False] * n)
-    g_l1 = l1_vjp(g_l1, (True,) * len(cs))
+    g_ws = mlp_vjp(g_logits, [False] + [d > 0 for d in dims] + [False] * len(dims))
 
-    grads = [np.empty(0) for _ in soft_mask]
-    for k, i in enumerate(masked):
+    # The backward is done with the mask stack, so it takes the gradient on
+    # each copy's mask.
+    for i, g_m in layers:
         g_w, w = g_ws[1 + i], model.weights[i]
-        # a structured (out, 1) mask collects its row's gradient
-        g_mask = (np.multiply(g_w, w, out=g_w) if unstructured
-                  else (g_w * w).sum(axis=-1, keepdims=True))
-        g_noisy = noisy[k][1](g_mask[:3], (True,))[0]
-        g = g_l1[k] + ste[k][1](g_mask[3], (True,))[0]
-        g += g_noisy[2]
-        g += g_noisy[1]
-        g += g_noisy[0]
-        grads[i] = g.reshape(soft_mask[i].shape)
+        if unstructured:
+            np.multiply(g_w, w, out=g_m)
+        else:  # a structured (out, 1) mask collects its row's gradient
+            g_m[...] = (g_w * w).sum(axis=-1, keepdims=True)
+    grad = np.concatenate(l1_vjp(g_l1, (True,) * len(layers)))
+    grad += ste_vjp(stack[3], (True,))[0]
+    g_noisy = noisy_vjp(stack[:3], (True,))[0]
+    grad += g_noisy[2]
+    grad += g_noisy[1]
+    grad += g_noisy[0]
     report = StepReport(
         step=step,
         l_stab=float(l_stab),
@@ -133,6 +136,6 @@ def composite_step_loss(model: MaskableModel, soft_mask, x, x_t, cfg: Experiment
         l_consis=float(l_consis),
         l1_normalized=float(l1_norm),
         composite=float(total),
-        grad_norm=float(np.sqrt(sum(float((g * g).sum()) for g in grads))),
+        grad_norm=float(np.sqrt(sum(float((g * g).sum()) for g in layer_views(grad, dims)))),
     )
-    return CompositeResult(report=report, grads=grads)
+    return CompositeResult(report=report, grad=grad)

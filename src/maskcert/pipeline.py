@@ -23,9 +23,9 @@ from . import autodiff as ad
 from .certify import PcaResult, pca_models
 from .config import ExperimentConfig, augment_count, model_layer_specs, transform_spec
 from .datasets import Dataset, accuracy, gen_synthetic, load_idx
-from .errors import ConfigError
+from .errors import ConfigError, DatasetError
 from .masks import (binarize, effective_ratio, hard_multipliers, init_percentile_scaled,
-                    unit_magnitudes)
+                    layer_views, unit_magnitudes)
 from .model import MaskableModel
 from .objectives import StepReport, composite_step_loss
 from .transforms import augment_dataset
@@ -55,32 +55,29 @@ class MomentumSGD:
 
 
 class Adam:
-    """Per-coordinate first/second-moment update with bias correction."""
+    """Per-coordinate first/second-moment update with bias correction, on
+    one flat parameter vector."""
 
     BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
     def __init__(self, lr: float):
         self.lr = lr
-        self.m: dict[int, np.ndarray] = {}
-        self.v: dict[int, np.ndarray] = {}
+        self.m = self.v = None  # flat moments, shaped at the first step
         self.t = 0
 
-    def step(self, params: list[np.ndarray], grads: list[np.ndarray]):
+    def step(self, param: np.ndarray, grad: np.ndarray):
+        """Update param in place by its gradient grad, of the same shape."""
+        if self.m is None:
+            self.m, self.v = np.zeros_like(grad), np.zeros_like(grad)
         self.t += 1
         b1, b2 = self.BETA1, self.BETA2
-        for i, (p, g) in enumerate(zip(params, grads)):
-            if g.size == 0:
-                continue
-            m = self.m.get(i)
-            v = self.v.get(i)
-            if m is None:
-                m, v = np.zeros_like(g), np.zeros_like(g)
-            m = b1 * m + (1 - b1) * g
-            v = b2 * v + (1 - b2) * g * g
-            self.m[i], self.v[i] = m, v
-            mhat = m / (1 - b1 ** self.t)
-            vhat = v / (1 - b2 ** self.t)
-            p -= self.lr * mhat / (np.sqrt(vhat) + self.EPS)
+        self.m *= b1
+        self.m += (1 - b1) * grad
+        self.v *= b2
+        self.v += (1 - b2) * grad * grad
+        update = self.lr * (self.m / (1 - b1 ** self.t))
+        update /= np.sqrt(self.v / (1 - b2 ** self.t)) + self.EPS
+        param -= update
 
 
 @dataclass
@@ -146,7 +143,7 @@ def stage2_mask_search(model: MaskableModel, pairs, cfg: ExperimentConfig):
                           "augment the dataset first")
     if sum(model.mask_dims()) == 0:
         raise ConfigError("model has no prunable units under this mask mode")
-    soft = init_percentile_scaled(model, cfg.init_percentile)
+    c = np.concatenate(init_percentile_scaled(model, cfg.init_percentile))
     opt = Adam(cfg.stage2_lr)
     shuffle_rng = np.random.default_rng([cfg.seed, STREAM_STAGE2_SHUFFLE])
     reports: list[StepReport] = []
@@ -157,13 +154,13 @@ def stage2_mask_search(model: MaskableModel, pairs, cfg: ExperimentConfig):
         for start in range(0, len(clean), cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
             noise_rng = np.random.default_rng([cfg.seed, STREAM_STAGE2_NOISE, step])
-            result = composite_step_loss(model, soft, clean[idx], transformed[idx], cfg,
+            result = composite_step_loss(model, c, clean[idx], transformed[idx], cfg,
                                          noise_rng, step=step, work=work)
-            opt.step(soft, result.grads)
-            soft = [np.clip(c, 0.0, 1.0) for c in soft]
+            opt.step(c, result.grad)
+            np.clip(c, 0.0, 1.0, out=c)
             reports.append(result.report)
             step += 1
-    return soft, reports
+    return layer_views(c, model.mask_dims()), reports
 
 
 def stage3_finetune(model: MaskableModel, hard: list, train_aug: Dataset,
@@ -216,6 +213,9 @@ def build_data(cfg: ExperimentConfig):
         test = load_idx(cfg.idx_test_images, cfg.idx_test_labels, cfg.idx_classes)
         if len(train) == 0 or len(test) == 0:
             raise ConfigError("idx dataset is empty")
+        if train.x.shape[1] != test.x.shape[1]:
+            raise DatasetError(f"{cfg.idx_train_images} has {train.x.shape[1]} pixels per "
+                               f"image but {cfg.idx_test_images} has {test.x.shape[1]}")
         spec = transform_spec(cfg)
     rng = np.random.default_rng([cfg.seed, STREAM_AUGMENT])
     count = augment_count(cfg, len(train))

@@ -26,7 +26,8 @@ import numpy as np
 from maskcert.cli import EXIT_OK, main as cli_main
 from maskcert.config import ExperimentConfig, parse_config, validate
 from maskcert.datasets import Dataset
-from maskcert.masks import binarize, hard_multipliers, init_percentile_scaled, unit_magnitudes
+from maskcert.masks import (binarize, hard_multipliers, init_percentile_scaled, layer_views,
+                            unit_magnitudes)
 from maskcert.model import MaskableModel, mlp_specs
 from maskcert.objectives import composite_step_loss
 from maskcert.pipeline import _ce_epochs, run_experiment
@@ -115,9 +116,9 @@ def _step_case(in_dim, hidden, classes, mode, k):
     rng = np.random.default_rng([31, in_dim, len(hidden), k, mode == "structured"])
     model = MaskableModel.initialized(mlp_specs(in_dim, hidden, classes), mode, rng)
     if k % 2 == 0:
-        soft = init_percentile_scaled(model, 30.0)
+        soft = np.concatenate(init_percentile_scaled(model, 30.0))
     else:
-        soft = [rng.uniform(size=n) for n in model.mask_dims()]
+        soft = np.concatenate([rng.uniform(size=n) for n in model.mask_dims()])
     x = _inputs(rng, in_dim, STEP_BATCH[k])
     x_t = x + 0.3 * rng.standard_normal(x.shape)
     weights = ({} if k != 5 else
@@ -126,8 +127,9 @@ def _step_case(in_dim, hidden, classes, mode, k):
     cfg = make_cfg(pruning_ratio=STEP_PR[k], noise_magnitude=STEP_MU[k], **weights)
     res = composite_step_loss(model, soft, x, x_t, cfg, np.random.default_rng([32, k]),
                               step=k)
-    return {"grads": [_sha256([g]) for g in res.grads],
-            "grad_shapes": [list(g.shape) for g in res.grads],
+    grads = layer_views(res.grad, model.mask_dims())
+    return {"grads": [_sha256([g]) for g in grads],
+            "grad_shapes": [list(g.shape) for g in grads],
             "report": {"step": res.report.step,
                        **{f: repr(getattr(res.report, f)) for f in REPORT_FLOATS}}}
 

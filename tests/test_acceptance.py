@@ -60,7 +60,7 @@ def test_criterion_1_gradient_correctness():
         rng = np.random.default_rng([7, seed])
         model = MaskableModel.initialized(mlp_specs(5, [6], 3), "unstructured",
                                           np.random.default_rng([8, seed]))
-        soft = init_percentile_scaled(model, 30.0)
+        soft = np.concatenate(init_percentile_scaled(model, 30.0))
         x = rng.standard_normal((4, 5))
         x_t = x + 0.3 * rng.standard_normal((4, 5))
         res = composite_step_loss(model, soft, x, x_t, cfg, np.random.default_rng([9, seed]))

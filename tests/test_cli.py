@@ -1,5 +1,6 @@
 import csv
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -156,27 +157,23 @@ class TestRunAll:
 
 
 class TestIdxRoute:
-    def test_run_all_on_idx_data_with_corruption(self, tmp_path):
-        import struct
+    @staticmethod
+    def write_pair(tmp_path, rng, stem, count, side=4):
+        # two classes separated by overall brightness, side x side images
+        labels = (rng.uniform(size=count) < 0.5).astype(np.uint8)
+        base = np.where(labels[:, None, None] == 0, 60, 180)
+        pix = np.clip(base + rng.integers(-40, 40, size=(count, side, side)), 0, 255)
+        images = pix.astype(np.uint8)
+        ip = tmp_path / f"{stem}-images.idx"
+        lp = tmp_path / f"{stem}-labels.idx"
+        ip.write_bytes(struct.pack(">IIII", 0x803, count, side, side) + images.tobytes())
+        lp.write_bytes(struct.pack(">II", 0x801, count) + labels.tobytes())
+        return ip, lp
 
-        import numpy as np
-
+    def write_config(self, tmp_path, test_side=4):
         rng = np.random.default_rng(33)
-
-        def write_pair(stem, count):
-            # two classes separated by overall brightness, 4x4 images
-            labels = (rng.uniform(size=count) < 0.5).astype(np.uint8)
-            base = np.where(labels[:, None, None] == 0, 60, 180)
-            pix = np.clip(base + rng.integers(-40, 40, size=(count, 4, 4)), 0, 255)
-            images = pix.astype(np.uint8)
-            ip = tmp_path / f"{stem}-images.idx"
-            lp = tmp_path / f"{stem}-labels.idx"
-            ip.write_bytes(struct.pack(">IIII", 0x803, count, 4, 4) + images.tobytes())
-            lp.write_bytes(struct.pack(">II", 0x801, count) + labels.tobytes())
-            return ip, lp
-
-        ti, tl = write_pair("train", 60)
-        ei, el = write_pair("test", 40)
+        ti, tl = self.write_pair(tmp_path, rng, "train", 60)
+        ei, el = self.write_pair(tmp_path, rng, "test", 40, side=test_side)
         cfg = tmp_path / "idx.cfg"
         cfg.write_text(f"""
 dataset_kind = idx
@@ -198,12 +195,23 @@ cert_t_count = 60
 cert_eval_size = 12
 seed = 5
 """, encoding="utf-8")
+        return cfg
+
+    def test_run_all_on_idx_data_with_corruption(self, tmp_path):
+        cfg = self.write_config(tmp_path)
         out = tmp_path / "idx_run"
         assert run("run-all", cfg, out) == EXIT_OK
         rows = read_csv(out / "summary.csv")
         assert [r[0] for r in rows[1:]] == ["vanilla", "lmp", "csam"]
         for r in rows[1:]:
             assert 0.0 <= float(r[2]) <= 1.0
+
+    def test_train_and_test_image_sizes_differ(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path, test_side=2)
+        assert run("run-all", cfg, tmp_path / "o") == EXIT_IO
+        err = capsys.readouterr().err
+        assert "train-images.idx has 16 pixels per image" in err
+        assert "test-images.idx has 4" in err
 
 
 class TestCheckpointArchitecture:

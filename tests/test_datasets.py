@@ -84,6 +84,13 @@ class TestIdx:
         ds = load_idx(img, lab)
         assert len(ds) == 0
 
+    @pytest.mark.parametrize("rows, cols", [(0, 8), (8, 0)])
+    def test_image_without_pixels_rejected(self, tmp_path, rows, cols):
+        img, lab = write_idx_pair(tmp_path, np.empty((1, rows, cols), dtype=np.uint8),
+                                  np.zeros(1, dtype=np.uint8))
+        with pytest.raises(DatasetError, match=f"images.idx: images of {rows}x{cols}"):
+            load_idx(img, lab)
+
     def test_count_mismatch(self, tmp_path):
         images = np.zeros((3, 2, 2), dtype=np.uint8)
         img, lab = write_idx_pair(tmp_path, images, np.zeros(2, dtype=np.uint8))

@@ -6,7 +6,8 @@ import pytest
 
 from maskcert import autodiff as ad
 from maskcert.masks import (binarize, effective_ratio, hard_multipliers,
-                            init_percentile_scaled, sample_noisy, unit_magnitudes)
+                            init_percentile_scaled, layer_views, sample_noisy,
+                            unit_magnitudes)
 from maskcert.model import LayerSpec, MaskableModel, mlp_specs
 from util import noisy_mask_values, rel_err
 
@@ -73,7 +74,7 @@ class TestPercentileInit:
 class TestSampleNoisy:
     def test_mu_zero_identity(self):
         c_val = np.array([0.1, 0.5, 0.9])
-        out, _ = sample_noisy([c_val], 0.0, np.random.default_rng(0))[0]
+        out, _ = sample_noisy(c_val, 0.0, np.random.default_rng(0))
         assert np.array_equal(out, [c_val])
 
     def test_clipping_saturation(self):
@@ -85,31 +86,35 @@ class TestSampleNoisy:
     def test_gradient_through_pass_region(self):
         rng = np.random.default_rng(1)
         # noise <= 0.2 keeps both interior
-        _, noisy_vjp = sample_noisy([np.array([0.5, 0.5])], 0.2, rng)[0]
+        _, noisy_vjp = sample_noisy(np.array([0.5, 0.5]), 0.2, rng)
         assert np.array_equal(noisy_vjp(np.ones((1, 2)), [True])[0], np.ones((1, 2)))
 
     def test_fresh_noise_per_call(self):
         c = np.full(64, 0.5)
         rng = np.random.default_rng(2)
-        a, _ = sample_noisy([c], 0.4, rng)[0]
-        b, _ = sample_noisy([c], 0.4, rng)[0]
+        a, _ = sample_noisy(c, 0.4, rng)
+        b, _ = sample_noisy(c, 0.4, rng)
         assert not np.array_equal(a, b)
 
     def test_draws_taken_draw_by_draw_over_layers(self):
-        # with three draws, layer i's copy k uses the k-th noise array drawn
-        # for that layer, drawing every layer once per draw
-        cs = [np.full(3, 0.5), np.full((2, 2), 0.5)]
-        out = [np.empty((3, *c.shape)) for c in cs]
-        values = sample_noisy(cs, 0.3, np.random.default_rng(5), draws=3, out=out)
+        # the one-call slab over a flat mask of an empty exempt layer and
+        # two others takes the bits of the per-draw, per-layer draws: copy k
+        # of layer i uses the k-th noise array drawn for that layer, drawing
+        # every layer once per draw
+        dims = [0, 3, 4]
+        c = np.linspace(0.1, 0.9, sum(dims))
+        out = np.empty((3, c.size))
+        v, _ = sample_noisy(c, 0.3, np.random.default_rng(5), draws=3, out=out)
+        assert v is out
         rng = np.random.default_rng(5)
-        xis = [[rng.uniform(-0.3, 0.3, size=c.shape) for c in cs] for _ in range(3)]
-        for i, (c, (v, _)) in enumerate(zip(cs, values)):
-            assert v is out[i]
-            assert np.array_equal(v, [np.clip(c + xis[k][i], 0, 1) for k in range(3)])
+        cs = layer_views(c, dims)
+        xis = [[rng.uniform(-0.3, 0.3, size=c_i.shape) for c_i in cs] for _ in range(3)]
+        for i, v_i in enumerate(layer_views(v, dims)):
+            assert np.array_equal(v_i, [np.clip(cs[i] + xis[k][i], 0, 1) for k in range(3)])
 
     def test_negative_mu_rejected(self):
         with pytest.raises(ValueError, match="mu"):
-            sample_noisy([np.ones(2)], -0.1, np.random.default_rng(0))
+            sample_noisy(np.ones(2), -0.1, np.random.default_rng(0))
 
     def test_empirical_mean_matches_analytic(self):
         # E[clip(c + U(-mu, mu), 0, 1)] via the piecewise integral

@@ -104,7 +104,7 @@ class TestCompositeStep:
     def run_step(self, seed=0, mode="unstructured", mu=0.5, pr=0.5):
         rng = np.random.default_rng(seed)
         model = toy_model(seed=seed, mode=mode)
-        soft = init_percentile_scaled(model, 30.0)
+        soft = np.concatenate(init_percentile_scaled(model, 30.0))
         x = rng.standard_normal((6, 5))
         x_t = x + 0.2 * rng.standard_normal((6, 5))
         return composite_step_loss(model, soft, x, x_t,
@@ -126,16 +126,17 @@ class TestCompositeStep:
         soft = init_percentile_scaled(model, 30.0)
         rng = np.random.default_rng(2)
         x = rng.standard_normal((6, 5))
-        res = composite_step_loss(model, soft, x, x + 0.1, CFG, np.random.default_rng(3))
+        res = composite_step_loss(model, np.concatenate(soft), x, x + 0.1, CFG,
+                                  np.random.default_rng(3))
         after = model.weights + model.biases
         assert all(np.array_equal(a, b) for a, b in zip(before, after))
-        assert [g.shape for g in res.grads] == [c.shape for c in soft]
+        assert res.grad.shape == (sum(c.size for c in soft),)
 
     def test_degenerate_collapse(self):
         # mu=0, x_t=x, pr=0 with an all-ones mask: only the ratio term remains
         rng = np.random.default_rng(3)
         model = toy_model(seed=3)
-        soft = [np.ones(n) for n in model.mask_dims()]
+        soft = np.ones(sum(model.mask_dims()))
         x = rng.standard_normal((4, 5))
         res = composite_step_loss(model, soft, x, x,
                                   make_cfg(pruning_ratio=0.0, noise_magnitude=0.0),
@@ -149,7 +150,9 @@ class TestCompositeStep:
     def test_structured_mode_runs(self):
         res = self.run_step(seed=4, mode="structured")
         assert np.isfinite(res.report.composite)
-        assert res.grads[-1].size == 0  # exempt classifier layer
+        # one unit per hidden row; the classifier layer is exempt
+        specs = toy_model(seed=4, mode="structured").specs
+        assert res.grad.shape == (sum(s.out_dim for s in specs[:-1]),)
 
     def test_composite_non_negative(self):
         # every term is non-negative, so the weighted sum is too
@@ -161,7 +164,7 @@ class TestCompositeStep:
 
     def test_empty_batch_rejected(self):
         model = toy_model(seed=5)
-        soft = init_percentile_scaled(model, 30.0)
+        soft = np.concatenate(init_percentile_scaled(model, 30.0))
         with pytest.raises(ValueError, match="empty"):
             composite_step_loss(model, soft, np.empty((0, 5)), np.empty((0, 5)), CFG,
                                 np.random.default_rng(0))
@@ -173,7 +176,7 @@ class TestCompositeStep:
         # gradients do not change when a later step reuses the arrays
         rng = np.random.default_rng(6)
         model = toy_model(seed=6, hidden=(7, 4), mode=mode)
-        soft = init_percentile_scaled(model, 30.0)
+        soft = np.concatenate(init_percentile_scaled(model, 30.0))
         work, kept = {}, []
         for step, batch in enumerate((6, 6, 3, 6)):
             x = rng.standard_normal((batch, 5))
@@ -183,9 +186,9 @@ class TestCompositeStep:
             reused = composite_step_loss(model, soft, x, x_t, CFG,
                                          np.random.default_rng([6, step]), step=step, work=work)
             assert reused.report == fresh.report
-            kept.append(([g.copy() for g in fresh.grads], reused.grads))
+            kept.append((fresh.grad.copy(), reused.grad))
         for want, got in kept:
-            assert all(np.array_equal(a, b) for a, b in zip(want, got))
+            assert np.array_equal(want, got)
 
     @pytest.mark.parametrize("mode", ["unstructured", "structured"])
     def test_gradient_matches_finite_differences(self, mode):
@@ -202,7 +205,7 @@ class TestCompositeStep:
             # then the bias: keep it off the relu kink
             for b in model.biases:
                 b += rng.uniform(0.1, 0.3, size=b.shape)
-            soft = init_percentile_scaled(model, 30.0)
+            soft = np.concatenate(init_percentile_scaled(model, 30.0))
             x = rng.standard_normal((6, 5))
             x_t = x + 0.2 * rng.standard_normal((6, 5))
             res = composite_step_loss(model, soft, x, x_t, CFG, np.random.default_rng([seed, 1]))

@@ -10,12 +10,12 @@ from maskcert import certify
 from maskcert import pipeline
 from maskcert.config import ExperimentConfig, validate
 from maskcert.errors import ConfigError
-from maskcert.masks import binarize, effective_ratio, hard_multipliers
+from maskcert.masks import binarize, effective_ratio, hard_multipliers, layer_views
 from maskcert.model import MaskableModel, mlp_specs
 from maskcert.pipeline import (Adam, MomentumSGD, lmp_mask,
                                run_experiment, stage1_pretrain,
                                stage2_mask_search, stage3_finetune)
-from util import make_cfg
+from util import PerLayerAdam, make_cfg
 
 
 def tiny_cfg(**kw):
@@ -78,15 +78,15 @@ class TestStage2:
         from maskcert.masks import init_percentile_scaled
         from maskcert.objectives import composite_step_loss
         from maskcert.pipeline import Adam
-        soft = init_percentile_scaled(model, 30.0)
+        soft = np.concatenate(init_percentile_scaled(model, 30.0))
         opt = Adam(0.01)
-        means = [np.mean(np.concatenate(soft))]
+        means = [np.mean(soft)]
         for step in range(12):
             res = composite_step_loss(model, soft, pairs[0][:8], pairs[1][:8], l1_only,
                                       np.random.default_rng([1, step]))
-            opt.step(soft, res.grads)
-            soft = [np.clip(c, 0, 1) for c in soft]
-            means.append(np.mean(np.concatenate(soft)))
+            opt.step(soft, res.grad)
+            np.clip(soft, 0, 1, out=soft)
+            means.append(np.mean(soft))
         floor = 0.0
         for a, b in zip(means, means[1:]):
             assert b < a or np.isclose(a, floor)
@@ -228,9 +228,25 @@ class TestOptimizers:
 
     def test_adam_first_step_is_lr_sized(self):
         opt = Adam(lr=0.01)
-        p = [np.array([1.0])]
-        opt.step(p, [np.array([123.0])])
-        assert p[0][0] == pytest.approx(1.0 - 0.01, abs=1e-6)
+        p = np.array([1.0])
+        opt.step(p, np.array([123.0]))
+        assert p[0] == pytest.approx(1.0 - 0.01, abs=1e-6)
+
+    def test_flat_adam_and_clamp_match_per_layer_oracle(self):
+        # 50 steps on uneven layers with an empty exempt one: the flat update
+        # and the one clamp give the per-layer form's bits
+        dims = [7, 0, 130, 1, 33]
+        rng = np.random.default_rng(21)
+        flat = rng.uniform(size=sum(dims))
+        layers = [c.copy() for c in layer_views(flat, dims)]
+        opt, oracle = Adam(0.05), PerLayerAdam(0.05)
+        for _ in range(50):
+            grad = rng.standard_normal(flat.size) * rng.choice([1e-6, 1.0, 30.0], flat.size)
+            opt.step(flat, grad)
+            np.clip(flat, 0.0, 1.0, out=flat)
+            oracle.step(layers, layer_views(grad, dims))
+            layers = [np.clip(c, 0.0, 1.0) for c in layers]
+            assert np.array_equal(flat, np.concatenate(layers))
 
 
 class TestRunExperiment:

@@ -1,8 +1,8 @@
 """Shared oracles for the test suite: a validated config with overrides,
 finite differences of every registered autodiff kind and of the composite
 stage-2 objective, kink-free random instance construction, and reference
-forms of helpers the program itself no longer needs (the scalar log Y,
-value-level noisy masks and the triangle bound check)."""
+forms of helpers the program itself no longer needs (per-layer Adam, the
+scalar log Y, value-level noisy masks and the triangle bound check)."""
 
 import dataclasses
 import math
@@ -13,7 +13,7 @@ import numpy as np
 from maskcert import autodiff as ad
 from maskcert.certify import _logsumexp
 from maskcert.config import ExperimentConfig, validate
-from maskcert.masks import binarize, hard_multipliers
+from maskcert.masks import binarize, hard_multipliers, layer_views
 from maskcert.model import LayerSpec, mask_shape, masked_forward, mlp_specs
 
 FD_H = 1e-5
@@ -119,7 +119,8 @@ def composite_objective(model, cs, x, x_t, cfg, xis, hard, c0):
             full[i] = m
         return full
 
-    noisy = [[_value("noisy", c[None], xi=[xi])[0] for c, xi in zip(cs, draw)] for draw in xis]
+    noisy = [[_value("noisy", c[None], xi=xi[None])[0] for c, xi in zip(cs, draw)]
+             for draw in xis]
     ste = [_value("ste", c, hard=h, c0=c_0) for c, h, c_0 in zip(cs, hard, c0)]
     copies = [(x, noisy[0]), (x, noisy[1]), (x, ste), (x_t, noisy[2])]
     probs, margin = [], np.inf
@@ -146,13 +147,16 @@ def composite_objective(model, cs, x, x_t, cfg, xis, hard, c0):
     return float(total), margin
 
 
-def composite_fd(model, soft, x, x_t, cfg, seed, result, min_margin=1e-3):
-    """Finite-difference check of one composite_step_loss result, computed
-    with rng default_rng(seed): the same draws are taken again in the step's
-    order, and every entry of each layer's soft mask is perturbed in
-    composite_objective. Returns the worst relative error, or None when the
-    instance lies within min_margin of a kink."""
+def composite_fd(model, flat_soft, x, x_t, cfg, seed, result, min_margin=1e-3):
+    """Finite-difference check of one composite_step_loss result on the flat
+    soft mask flat_soft, computed with rng default_rng(seed): the same draws
+    are taken again draw by draw over every layer, and every entry of each
+    layer's soft mask is perturbed in composite_objective. Returns the worst
+    relative error, or None when the instance lies within min_margin of a
+    kink."""
     rng = np.random.default_rng(seed)
+    soft = layer_views(flat_soft, model.mask_dims())
+    grads = layer_views(result.grad, model.mask_dims())
     masked = [i for i, c in enumerate(soft) if c.size]
     cs = [soft[i].reshape(mask_shape(model.specs[i], model.mask_mode)) for i in masked]
     mu = cfg.noise_magnitude
@@ -170,7 +174,7 @@ def composite_fd(model, soft, x, x_t, cfg, seed, result, min_margin=1e-3):
     for k, i in enumerate(masked):
         def f(arr, k=k):
             return objective(cs[:k] + [arr] + cs[k + 1:])[0]
-        worst = max(worst, rel_err(result.grads[i].reshape(cs[k].shape), fd_grad(f, cs[k])))
+        worst = max(worst, rel_err(grads[i].reshape(cs[k].shape), fd_grad(f, cs[k])))
     return worst
 
 
@@ -236,12 +240,12 @@ def _case_cross_entropy(rng):
 
 
 def _case_noisy(rng, shape, c_lo, c_hi):
-    """Copies c of shape (draws, ...) and one noise array per copy."""
+    """Copies c of shape (draws, ...) and a noise array of the same shape."""
     xi = rng.uniform(-0.5, 0.5, size=shape)
     c = rng.uniform(c_lo, c_hi, size=shape)
     for edge in (0.0, 1.0):
         c = np.where(np.abs(c + xi - edge) < 5e-3, c + 0.05, c)
-    return "noisy", [c], {"xi": list(xi)}, [0]
+    return "noisy", [c], {"xi": xi}, [0]
 
 
 def _case_ste(rng, shape):
@@ -340,6 +344,36 @@ def run_primitive_fd_suite(instances_per_case=20, seed_base=1000):
 
 # ---------------------------------------------------------------------------
 # reference forms of helpers the program no longer needs
+
+
+class PerLayerAdam:
+    """Adam over a list of per-layer arrays, one moment pair per non-empty
+    layer: the form stage 2 used before it held one flat mask vector."""
+
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, lr: float):
+        self.lr = lr
+        self.m: dict[int, np.ndarray] = {}
+        self.v: dict[int, np.ndarray] = {}
+        self.t = 0
+
+    def step(self, params: list[np.ndarray], grads: list[np.ndarray]):
+        self.t += 1
+        b1, b2 = self.BETA1, self.BETA2
+        for i, (p, g) in enumerate(zip(params, grads)):
+            if g.size == 0:
+                continue
+            m = self.m.get(i)
+            v = self.v.get(i)
+            if m is None:
+                m, v = np.zeros_like(g), np.zeros_like(g)
+            m = b1 * m + (1 - b1) * g
+            v = b2 * v + (1 - b2) * g * g
+            self.m[i], self.v[i] = m, v
+            mhat = m / (1 - b1 ** self.t)
+            vhat = v / (1 - b2 ** self.t)
+            p -= self.lr * mhat / (np.sqrt(vhat) + self.EPS)
 
 
 def log_y(z: np.ndarray, d: float, t: float) -> float:
