@@ -32,6 +32,21 @@ model's rows of them, in lockstep. Inputs and weights are stacked, never
 flattened into one matrix, because matmul runs one GEMM per trailing 2-D
 block and so gives each model and repetition the bits of its own call,
 which one larger GEMM does not.
+
+For interp_corrupt on an evaluation set inside [0, 1] the first layer of the
+transformed inputs takes a closed form. Haze and the 3-tap blur are convex
+combinations of [0, 1] values, so T(x, delta) = (1 - delta) x + delta c(x)
+stays in [0, 1] and its clip does nothing. A draw's first-layer
+pre-activation is then affine in delta: a + delta g, with a = Wx + b the
+clean forward's own pre-activation and g = W(c(x) - x), one matrix-vector
+product per sample and model. An outer product replaces the (reps, n, in)
+transformed inputs and their GEMM; layers 1.. run stacked as before. This
+path is not bit-exact: each Z moves by rounding only (the tests hold it to
+1e-12, and so log Y(t) to t 1e-12, since log Y is 1-Lipschitz in t times
+the largest change of Z). At delta = 0 a draw's pre-activation is a, the
+clean bits, exactly. direction_shift, and interp_corrupt with any
+evaluation input outside [0, 1], take the stacked path, which the
+bit-for-bit statements above describe.
 """
 
 from __future__ import annotations
@@ -44,7 +59,7 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .model import MaskableModel, forward_probs
-from .transforms import TransformSpec, sample_set
+from .transforms import TransformSpec, corrupt_input, sample_set
 
 CERT_SAMPLE_STREAM = 77  # rng namespace for per-sample certification streams
 
@@ -179,6 +194,8 @@ class PcaResult:
     log_eps_hat_min: float
     log_eps_hat_median: float
     log_eps_hat_max: float
+    # how the transformed inputs' first layer ran: "closed_form" or "stacked"
+    first_layer: str
 
 
 def pca(deployed: MaskableModel, x_eval, y_eval, spec: TransformSpec,
@@ -206,9 +223,17 @@ def pca_models(deployed: list[MaskableModel], x_eval, y_eval, spec: TransformSpe
     buffers hold; each sample's l·n transformed inputs go through stacked
     forwards of whole repetitions into buffers allocated once per call; and
     blocks of samples, every model's rows of them, share each grid-search
-    step. Every forward, transform and bound has the bits of a per-model,
-    per-sample, per-repetition evaluation: stacked matmul runs one GEMM per
-    trailing 2-D block.
+    step. On the stacked path every forward, transform and bound has the
+    bits of a per-model, per-sample, per-repetition evaluation: stacked
+    matmul runs one GEMM per trailing 2-D block.
+
+    When spec is interp_corrupt and every x_eval entry lies in [0, 1], the
+    clip of the transform does nothing and the transformed inputs' first
+    layer is computed in closed form instead (module docstring): the same
+    delta draws, each input's pre-activation a + delta g. The clean
+    predictions and margins keep their bits; each Z is within rounding of
+    the stacked path's (held to 1e-12 by the tests), so log eps_hat is
+    within cert_t_hi times that. Any other input takes the stacked path.
     """
     x_eval = np.asarray(x_eval, dtype=np.float64)
     y_eval = np.asarray(y_eval)
@@ -223,6 +248,8 @@ def pca_models(deployed: list[MaskableModel], x_eval, y_eval, spec: TransformSpe
     grid = t_grid(cfg)
     weights = [np.stack(ws)[:, None] for ws in zip(*(model.weights for model in deployed))]
     biases = [np.stack(bs)[:, None, None] for bs in zip(*(model.biases for model in deployed))]
+    # the one check: interp_corrupt keeps [0, 1] inputs in [0, 1], unclipped
+    closed = spec.kind == "interp_corrupt" and bool(((x_eval >= 0.0) & (x_eval <= 1.0)).all())
 
     # work buffers: each layer's output of every model for `reps` repetitions
     # at a time (or as many clean inputs), a grid-search block of `block`
@@ -231,21 +258,40 @@ def pca_models(deployed: list[MaskableModel], x_eval, y_eval, spec: TransformSpe
     reps = min(l, max(1, STACK_FLOATS // (k * n * widest)))
     block = min(m, max(1, GRID_FLOATS // (3 * k * l * n)))
     layer_buf = [np.empty(k * reps * n * s.out_dim) for s in specs]
-    xt, xt_work = np.empty((2, reps, n, specs[0].in_dim))
+    if closed:
+        a_clean = np.empty((k, m, specs[0].out_dim))  # clean first-layer pre-activations
+    else:
+        xt, xt_work = np.empty((2, reps, n, specs[0].in_dim))
     rep_z = np.empty((block, k, l, n))
     grid_work = np.empty(3 * block * k * l * n)
+
+    def outs(a, b):
+        """Every layer's buffer for every model on an (a, b) stack."""
+        return [buf[:k * a * b * s.out_dim].reshape(k, a, b, s.out_dim)
+                for buf, s in zip(layer_buf, specs)]
 
     def forward(xs):
         """Every model's probabilities of a (a, b, in_dim) stack, shape
         (k, a, b, K), computed in the buffers."""
-        a, b = xs.shape[:2]
-        return forward_probs(xs, weights, biases, specs,
-                             out=[buf[:k * a * b * s.out_dim].reshape(k, a, b, s.out_dim)
-                                  for buf, s in zip(layer_buf, specs)])
+        return forward_probs(xs, weights, biases, specs, out=outs(*xs.shape[:2]))
+
+    def forward_from_first(z):
+        """forward from first-layer pre-activations z held in that layer's
+        buffer: its activation is applied there, then layers 1.. run."""
+        if specs[0].activation == "relu":
+            np.maximum(z, 0.0, out=z)
+        return forward_probs(z, weights[1:], biases[1:], specs[1:], out=outs(*z.shape[1:3])[1:])
 
     p_clean = np.empty((k, m, specs[-1].out_dim))
     for start in range(0, m, reps * n):
-        p_clean[:, start:start + reps * n] = forward(x_eval[start:start + reps * n, None])[:, :, 0]
+        xs = x_eval[start:start + reps * n, None]
+        if closed:  # masked_forward's first layer, keeping its pre-activation
+            z = np.matmul(xs, weights[0].mT, out=outs(len(xs), 1)[0])
+            z += biases[0]
+            a_clean[:, start:start + len(xs)] = z[:, :, 0]
+            p_clean[:, start:start + len(xs)] = forward_from_first(z)[:, :, 0]
+        else:
+            p_clean[:, start:start + len(xs)] = forward(xs)[:, :, 0]
 
     rows = [[] for _ in deployed]
     log_bounds = [[] for _ in deployed]
@@ -253,10 +299,18 @@ def pca_models(deployed: list[MaskableModel], x_eval, y_eval, spec: TransformSpe
         ids = range(start, min(start + block, m))
         for b, i in enumerate(ids):
             rng = np.random.default_rng([cfg.seed, CERT_SAMPLE_STREAM, i])
+            if closed:  # every model's first-layer slope in delta, W(c(x) - x)
+                g = np.matmul(weights[0][:, 0], corrupt_input(spec.corrupt, x_eval[i]) - x_eval[i])
             for j in range(0, l, reps):
                 r = min(reps, l - j)
-                pt = forward(sample_set(spec, x_eval[i], (r, n), rng, out=xt[:r],
-                                        work=xt_work[:r]))
+                if closed:  # sample_set's delta draws, then a + delta g
+                    delta = rng.uniform(*spec.delta_range, size=(r, n))
+                    z = np.multiply(delta[:, :, None], g[:, None, None], out=outs(r, n)[0])
+                    z += a_clean[:, i, None, None]
+                    pt = forward_from_first(z)
+                else:
+                    pt = forward(sample_set(spec, x_eval[i], (r, n), rng, out=xt[:r],
+                                            work=xt_work[:r]))
                 # each model's sup-norm discrepancies to its clean probabilities
                 pt -= p_clean[:, i, None, None]
                 np.abs(pt, out=pt)
@@ -279,11 +333,12 @@ def pca_models(deployed: list[MaskableModel], x_eval, y_eval, spec: TransformSpe
                     margin=float(d[b, q]), eps_hat=eps_hat, best_t=best_t,
                     certified=predicted == int(y_eval[i]) and eps_hat <= cfg.cert_error_bound,
                     rep_z_max=rep_z[b, q].max(axis=1)))
-    return [_pca_result(r, logs, grid, cfg) for r, logs in zip(rows, log_bounds)]
+    first_layer = "closed_form" if closed else "stacked"
+    return [_pca_result(r, logs, grid, cfg, first_layer) for r, logs in zip(rows, log_bounds)]
 
 
 def _pca_result(rows: list[SampleCert], log_bounds: list[float], grid: np.ndarray,
-                cfg: ExperimentConfig) -> PcaResult:
+                cfg: ExperimentConfig, first_layer: str) -> PcaResult:
     """One model's PcaResult from its rows and the logs of its nonzero-margin
     bounds."""
     frac = float(np.mean([r.certified for r in rows]))
@@ -297,7 +352,7 @@ def _pca_result(rows: list[SampleCert], log_bounds: list[float], grid: np.ndarra
                      eps_hat_zero=sum(r.eps_hat == 0.0 for r in rows),
                      log_eps_hat_min=logs[0],
                      log_eps_hat_median=(logs[half] + logs[~half]) / 2,
-                     log_eps_hat_max=logs[-1])
+                     log_eps_hat_max=logs[-1], first_layer=first_layer)
 
 
 def paley_confidence(cfg: ExperimentConfig) -> float:

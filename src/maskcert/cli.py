@@ -210,14 +210,17 @@ def _cmd_certify(cfg: ExperimentConfig, args, out: Path) -> dict:
     ratio = effective_ratio(hard, model)
     _write_cert_report(out, "cert_report", cfg, result, ratio)
     return {"pca": result.fraction, "pruning_ratio": ratio,
-            "clean_accuracy": accuracy(deployed, test)}
+            "clean_accuracy": accuracy(deployed, test),
+            "cert_first_layer": result.first_layer}
 
 
 def _cmd_run_all(cfg: ExperimentConfig, args, out: Path) -> dict:
     output = pipeline.run_experiment(cfg)
     _write_experiment(out, cfg, output)
+    first = next(iter(output.results.values()))
     return {**{f"wall_time_{m}": r.wall_time for m, r in output.results.items()},
-            "wall_time_certify": output.certify_wall_time}
+            "wall_time_certify": output.certify_wall_time,
+            "cert_first_layer": first.cert.first_layer}
 
 
 _COMMANDS = {

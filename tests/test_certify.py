@@ -509,6 +509,60 @@ class TestFoldedCertification:
                                  per_sample_oracle(model, mult, x, y, direction_spec(), cfg))
 
 
+# the closed-form first layer's tolerance against the stacked path: each
+# repetition's largest Z within Z_TOL, so log Y(t), which is 1-Lipschitz in
+# t times the largest change of Z, within cert_t_hi * Z_TOL
+Z_TOL = 1e-12
+
+
+def assert_rows_close_to_oracle(result, oracle, cfg):
+    """pca rows == the oracle's on predicted, margin and certified, and
+    within the closed form's tolerance on rep_z_max and log eps_hat."""
+    rows, logs = oracle
+    tol = cfg.cert_t_hi * Z_TOL
+    assert len(result.rows) == len(rows)
+    for row, want in zip(result.rows, rows):
+        assert (row.margin, row.predicted, row.certified) == \
+               (want["margin"], want["predicted"], want["certified"])
+        assert np.abs(row.rep_z_max - want["rep_z"].max(axis=1)).max() <= Z_TOL
+        got, expected = (math.log(e) if e > 0.0 else -math.inf
+                         for e in (row.eps_hat, want["eps_hat"]))
+        assert got == expected or abs(got - expected) <= tol
+    if logs:
+        for got, expected in zip((result.log_eps_hat_min, result.log_eps_hat_median,
+                                  result.log_eps_hat_max),
+                                 (min(logs), float(np.median(logs)), max(logs))):
+            assert abs(got - expected) <= tol
+    else:
+        assert all(math.isnan(v) for v in (result.log_eps_hat_min, result.log_eps_hat_median,
+                                           result.log_eps_hat_max))
+
+
+def check_models(model, mults, x, y, spec, cfg):
+    """pca_models on `model` folded by each of `mults` against each one's
+    per_sample_oracle: bit for bit on the stacked path. interp_corrupt on
+    these [0, 1] inputs takes the closed-form first layer and is held to its
+    tolerance; the same inputs with one entry set to 1.5 then take the
+    stacked path, bit for bit. Returns the stacked path's results."""
+    def run(x):
+        results = pca_models([model.folded(mult) for mult in mults], x, y, spec, cfg)
+        assert len(results) == len(mults)
+        return results, [per_sample_oracle(model, mult, x, y, spec, cfg) for mult in mults]
+
+    if spec.kind == "interp_corrupt":
+        assert ((x >= 0.0) & (x <= 1.0)).all()
+        for result, oracle in zip(*run(x)):
+            assert result.first_layer == "closed_form"
+            assert_rows_close_to_oracle(result, oracle, cfg)
+        x = x.copy()
+        x[0, 0] = 1.5
+    results, oracles = run(x)
+    for result, oracle in zip(results, oracles):
+        assert result.first_layer == "stacked"
+        assert_rows_equal_oracle(result, oracle)
+    return results
+
+
 def stacked_spec(kind, in_dim):
     if kind == "direction_shift":
         v = np.zeros(in_dim)
@@ -539,15 +593,13 @@ def live_model(mode, seed, in_dim=6, classes=10):
 
 
 class TestStackedPass:
-    """pca equals the per-sample algorithm it replaced, bit for bit."""
+    """pca equals the per-sample algorithm it replaced, bit for bit on the
+    stacked path and within the stated tolerance on the closed form."""
 
     KINDS = ("direction_shift", "haze", "gaussian_blur3")
 
     def check(self, model, mult, x, y, kind, cfg):
-        spec = stacked_spec(kind, model.in_dim)
-        result = pca(model.folded(mult), x, y, spec, cfg)
-        assert_rows_equal_oracle(result, per_sample_oracle(model, mult, x, y, spec, cfg))
-        return result
+        return check_models(model, [mult], x, y, stacked_spec(kind, model.in_dim), cfg)[0]
 
     @pytest.mark.parametrize("where", ["m=1", "m=block-1", "m=block+1"])
     @pytest.mark.parametrize("mode", ["unstructured", "structured"])
@@ -617,15 +669,11 @@ def masked_copies(model, rng, ratios=(0.3, 0.5, 0.7)):
 
 class TestMultiModelPass:
     """pca_models gives each model the rows of its own per-sample
-    certification, bit for bit, from one draw of each sample's transforms."""
+    certification from one draw of each sample's transforms: bit for bit on
+    the stacked path, within the stated tolerance on the closed form."""
 
     def check(self, model, mults, x, y, kind, cfg):
-        spec = stacked_spec(kind, model.in_dim)
-        results = pca_models([model.folded(mult) for mult in mults], x, y, spec, cfg)
-        assert len(results) == len(mults)
-        for result, mult in zip(results, mults):
-            assert_rows_equal_oracle(result, per_sample_oracle(model, mult, x, y, spec, cfg))
-        return results
+        return check_models(model, mults, x, y, stacked_spec(kind, model.in_dim), cfg)
 
     @pytest.mark.parametrize("where", ["m=1", "m=block-1", "m=block+1"])
     @pytest.mark.parametrize("mode", ["unstructured", "structured"])
@@ -691,9 +739,14 @@ class TestMultiModelPass:
         model, mult, rng = live_model("unstructured", seed=53)
         cfg = small_cfg(cert_samples=7, seed=7)
         set_budgets(monkeypatch, 2, 4, model, cfg, k=k)
-        pca_models([model.folded(mult)] * k, rng.uniform(size=(9, 6)),
-                   rng.integers(0, 10, 9), stacked_spec("haze", 6), cfg)
-        # l = 3 repetitions in chunks of 2 + 1, for all k models at once
+        x, y = rng.uniform(size=(9, 6)), rng.integers(0, 10, 9)
+        # [0, 1] inputs: the closed-form first layer draws its deltas itself
+        pca_models([model.folded(mult)] * k, x, y, stacked_spec("haze", 6), cfg)
+        assert calls == []
+        # an input outside [0, 1]: l = 3 repetitions in chunks of 2 + 1, for
+        # all k models at once
+        x[4, 2] = 1.5
+        pca_models([model.folded(mult)] * k, x, y, stacked_spec("haze", 6), cfg)
         assert calls == [(2, 7), (1, 7)] * 9
 
     def test_grid_block_divided_by_model_count(self, monkeypatch):
@@ -713,6 +766,72 @@ class TestMultiModelPass:
         pca_models([model.folded(mult)] * 3, rng.uniform(size=(9, 6)),
                    rng.integers(0, 10, 9), stacked_spec("haze", 6), cfg)
         assert rows == [12, 12, 3]
+
+
+class TestClosedFormFirstLayer:
+    """interp_corrupt on [0, 1] inputs: the first layer of every draw is
+    a + delta g, within rounding of the stacked path."""
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("kind", ["haze", "gaussian_blur3"])
+    def test_zero_delta_gives_clean_first_layer_bits(self, monkeypatch, kind, k):
+        # a is the clean forward's own pre-activation, so a + 0 g is exact: at
+        # delta = 0 every draw enters layer 1 with its sample's clean bits.
+        # Z is still not exactly 0: layers 1.. run the clean rows one at a
+        # time (a matrix-vector product) and the draws n at a time (a matrix
+        # product), which round differently, on the stacked path too
+        entries = []
+        real = certify.forward_probs
+
+        def spy(x, weights, biases, specs, out=None):
+            entries.append(x.copy())
+            return real(x, weights, biases, specs, out)
+
+        monkeypatch.setattr(certify, "forward_probs", spy)
+        model, _, rng = live_model("unstructured", seed=55)
+        spec = TransformSpec(kind="interp_corrupt", corrupt=stacked_spec(kind, 6).corrupt,
+                             delta_range=(0.0, 0.0))
+        cfg = small_cfg(seed=9)
+        results = pca_models([model.folded(m) for m in masked_copies(model, rng)[:k]],
+                             rng.uniform(size=(7, 6)), rng.integers(0, 10, 7), spec, cfg)
+        # one clean forward of the 7 samples, then one of each sample's l
+        # repetitions of n draws
+        (clean, *draws) = entries
+        assert clean.shape == (k, 7, 1, 8) and len(draws) == 7
+        for i, h in enumerate(draws):
+            assert h.shape == (k, 3, cfg.cert_samples, 8)
+            assert np.array_equal(h, np.broadcast_to(clean[:, i, None], h.shape))
+        for result in results:
+            assert result.first_layer == "closed_form"
+            assert all(np.all(row.rep_z_max <= Z_TOL) for row in result.rows)
+
+    @pytest.mark.parametrize("kind", ["haze", "gaussian_blur3"])
+    def test_logits_first_layer(self, kind):
+        # a one-layer model: the closed form gives the logits themselves
+        rng = np.random.default_rng(57)
+        model = MaskableModel([LayerSpec(6, 3, "none")], [rng.standard_normal((3, 6))],
+                              [rng.standard_normal(3)], "unstructured")
+        check_models(model, [None, None], rng.uniform(size=(5, 6)), rng.integers(0, 3, 5),
+                     stacked_spec(kind, 6), small_cfg(seed=11))
+
+    @pytest.mark.parametrize("kind", ["haze", "gaussian_blur3"])
+    def test_idx_wide_shape_within_tolerance(self, kind):
+        # 784-128-64-10 with three masks, the default l and n, labels of one
+        # model's clean predictions so that some samples certify
+        rng = np.random.default_rng(56)
+        model = MaskableModel.initialized(mlp_specs(784, [128, 64], 10), "unstructured", rng)
+        for b in model.biases[:-1]:
+            b[:] = rng.uniform(0.0, 0.1, b.size)
+        mults = masked_copies(model, rng)
+        x = rng.uniform(size=(8, 784))
+        y = model.folded(mults[1]).forward(x).argmax(axis=1)
+        spec, cfg = stacked_spec(kind, 784), make_cfg(seed=10)
+        results = pca_models([model.folded(m) for m in mults], x, y, spec, cfg)
+        assert any(row.certified for result in results for row in result.rows)
+        for result, mult in zip(results, mults):
+            assert result.first_layer == "closed_form"
+            assert_rows_close_to_oracle(result, per_sample_oracle(model, mult, x, y, spec, cfg),
+                                        cfg)
 
 
 class TestChernoffSoundness:

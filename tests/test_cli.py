@@ -141,6 +141,10 @@ class TestRunAll:
         assert [k for k in keys if k.startswith("wall_time_") and k != "wall_time_s"] == \
                ["wall_time_vanilla", "wall_time_lmp", "wall_time_csam", "wall_time_certify"]
 
+    def test_status_names_the_stacked_first_layer(self, run_all_out):
+        # direction_shift always certifies through the stacked forward
+        assert "cert_first_layer = stacked\n" in (run_all_out / "status.txt").read_text()
+
     def test_vanilla_ratio_zero_in_summary(self, tmp_path):
         cfg = tmp_path / "v.cfg"
         cfg.write_text(TINY + "methods = vanilla\n", encoding="utf-8")
@@ -205,6 +209,20 @@ seed = 5
         assert [r[0] for r in rows[1:]] == ["vanilla", "lmp", "csam"]
         for r in rows[1:]:
             assert 0.0 <= float(r[2]) <= 1.0
+
+    def test_certify_checkpoint_equals_run_all_report(self, tmp_path):
+        # haze on [0, 1] pixels takes the closed-form first layer, and one
+        # model alone (certify) gets the bytes of its row of three (run-all)
+        cfg = self.write_config(tmp_path)
+        assert run("run-all", cfg, tmp_path / "all") == EXIT_OK
+        assert run("certify", cfg, tmp_path / "one", "--stage-checkpoint",
+                   str(tmp_path / "all" / "finetuned_csam.ckpt")) == EXIT_OK
+        for suffix in (".csv", "_summary.txt"):
+            assert (tmp_path / "one" / f"cert_report{suffix}").read_bytes() == \
+                   (tmp_path / "all" / f"cert_report_csam{suffix}").read_bytes()
+        for out in ("all", "one"):
+            status = (tmp_path / out / "status.txt").read_text()
+            assert "cert_first_layer = closed_form\n" in status
 
     def test_train_and_test_image_sizes_differ(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path, test_side=2)
