@@ -7,11 +7,11 @@ the residuals of that forward pass: vjp(g, needs) gives one gradient per
 input, None where `needs` is False. The kinds are the masked MLP logits, a
 softmax, the batch-mean cross-entropy of stages 1 and 3, and for the stage-2
 mask search the noisy mask draws (one noise array shaped like the stacked
-copies of the flat soft mask), the straight-through mask, the stability,
-ratio and consistency terms, the L1 mean and the weighted sum that joins
-them. `primitive` dispatches to them; the stage-2 step
-(`objectives.composite_step_loss`) and the cross-entropy step
-(`pipeline._ce_epochs`) chain the VJPs by hand in straight-line code.
+copies of the flat soft mask), the stability, ratio and consistency terms,
+the L1 mean and the weighted sum that joins them. `primitive` dispatches to
+them; the stage-2 step (`objectives.composite_step_loss`) and the
+cross-entropy step (`pipeline._ce_epochs`) chain the VJPs by hand in
+straight-line code.
 
 The masked MLP and the softmax accept stacked copies: an input of shape
 (..., batch, features) with weights and masks stacked the same way. numpy's
@@ -76,7 +76,12 @@ def _masked_mlp(v, specs, masks=None, work=None):
     Each layer's pre-activation and output and each gradient of the VJP go
     into arrays from `work` (see buffer), so a loop of calls that keeps one
     dict allocates them once; the logits and the weight and input gradients
-    returned are then those arrays, valid until the next call."""
+    returned are then those arrays, valid until the next call.
+
+    The VJP takes an optional `out`, a dict from layer index to the array
+    that layer's weight gradient is written into. Each layer's input
+    gradient is taken before its weight gradient, so that array may be the
+    layer's own weight input when the caller no longer needs it."""
     n = len(specs)
     x, ws, bs = v[0], v[1:n + 1], v[n + 1:]
     masks = masks or [None] * n
@@ -103,23 +108,27 @@ def _masked_mlp(v, specs, masks=None, work=None):
         if not np.isfinite(z).all():
             raise FloatingPointError(f"masked_mlp: non-finite pre-activation in layer {i}")
 
-    def vjp(g, needs):
+    def vjp(g, needs, out=None):
         grads = [None] * len(v)
         for i in reversed(range(n)):
             if specs[i].activation == "relu":
                 g = np.multiply(g, zs[i] > 0, out=buffer(work, ("dz", i), g.shape))
             if needs[n + 1 + i]:
                 grads[n + 1 + i] = _unstack(g, 1)
+            g_in = None
+            if i > 0 or needs[0]:
+                g_in = np.matmul(g, effective[i], out=buffer(
+                    work, ("dx", i), g.shape[:-1] + effective[i].shape[-1:]))
             if needs[1 + i]:
                 # g carries every stack axis of hs[i] and of the weight
-                gw = np.matmul(g.mT, hs[i], out=buffer(
-                    work, ("dw", i), g.shape[:-2] + effective[i].shape[-2:]))
+                target = (out or {}).get(i)
+                if target is None:
+                    target = buffer(work, ("dw", i), g.shape[:-2] + effective[i].shape[-2:])
+                gw = np.matmul(g.mT, hs[i], out=target)
                 if masks[i] is not None:
                     gw *= masks[i]
                 grads[1 + i] = _unstack(gw, ws[i].ndim)
-            if i > 0 or needs[0]:
-                g = np.matmul(g, effective[i], out=buffer(
-                    work, ("dx", i), g.shape[:-1] + effective[i].shape[-1:]))
+            g = g_in
         if needs[0]:
             grads[0] = g
         return grads
@@ -165,7 +174,8 @@ def _cross_entropy(v, labels):
 def _noisy(v, xi, out=None):
     """clip(c + xi, 0, 1) for copies c of a soft mask stacked on the first
     axis and a fixed noise array xi of the same shape, one draw per copy,
-    written into `out` when given."""
+    written into `out` when given (which may be xi itself). The VJP takes an
+    optional `out` too, which may be its gradient g."""
     c = v[0]
     if np.shape(xi) != c.shape:
         raise ValueError(f"noisy: noise of shape {c.shape} required, got {np.shape(xi)}")
@@ -173,16 +183,8 @@ def _noisy(v, xi, out=None):
     # Gradient passes on the closed interval [0, 1]; it flows at exact
     # saturation boundaries.
     passed = (shifted >= 0.0) & (shifted <= 1.0)
-    return np.clip(shifted, 0.0, 1.0, out=shifted), lambda g, needs: [g * passed]
-
-
-def _ste(v, hard, c0, out=None):
-    """Straight-through mask hard + (c - c0), written into `out` when given."""
-    if hard.shape != v[0].shape:
-        raise ValueError(f"ste: hard mask shape {hard.shape} does not match {v[0].shape}")
-    # Value equals the binary mask exactly at the point c0 and shifts
-    # linearly with the soft mask, so it differentiates to the identity.
-    return np.add(hard, v[0] - c0, out=out), lambda g, needs: [g]
+    return (np.clip(shifted, 0.0, 1.0, out=shifted),
+            lambda g, needs, out=None: [np.multiply(g, passed, out=out)])
 
 
 def _check_pair(kind, p, q):
@@ -294,7 +296,6 @@ _OPS = {
     "softmax": _softmax,
     "cross_entropy": _cross_entropy,
     "noisy": _noisy,
-    "ste": _ste,
     "stability": _stability,
     "ratio_penalty": _ratio_penalty,
     "consistency": _consistency,

@@ -120,11 +120,16 @@ def grid_min(rep_z: np.ndarray, d: np.ndarray, grid: np.ndarray,
     by discrete ternary search (the function is convex in t); rep_z has
     shape (B, l, n) and d shape (B,).
 
-    If f(m1) <= f(m2) then every point past m2 is at least f(m1) and the first
-    minimizer is at or before m2; otherwise every point up to m1 is above f(m2).
-    The last (at most three) points are scanned. The samples step in lockstep:
-    each step evaluates every sample's new points in one log_y_grid call (into
-    `work`, see log_y_grid), and each point of a sample is evaluated once.
+    The first step evaluates the last two points, T-2 and T-1: where
+    f(T-2) > f(T-1), convexity makes T-1 the first minimizer and the search
+    ends there (a bound still falling at the top of the grid, as it does for
+    samples that no draw moves). Otherwise, if f(m1) <= f(m2) then every point
+    past m2 is at least f(m1) and the first minimizer is at or before m2;
+    otherwise every point up to m1 is above f(m2). The last (at most three)
+    points are scanned. The samples step in lockstep: each step evaluates
+    every sample's new points in one log_y_grid call (into `work`, see
+    log_y_grid), and each point of a sample is evaluated once; a point's
+    value has the same bits whatever else is in the call.
     """
     rep_z = np.asarray(rep_z, dtype=np.float64)
     d = np.asarray(d, dtype=np.float64)
@@ -147,7 +152,12 @@ def grid_min(rep_z: np.ndarray, d: np.ndarray, grid: np.ndarray,
                 known[rows[k]].update(zip(todo[k], v))
         return [[known[r][i] for i in pts] for r, pts in zip(rows, points)]
 
-    lo, hi = [0] * count, [len(grid) - 1] * count
+    last = len(grid) - 1
+    lo, hi = [0] * count, [last] * count
+    if last > 0:
+        for b, (f2, f1) in enumerate(at(range(count), [(last - 1, last)] * count)):
+            if f2 > f1:
+                lo[b] = last
     while True:
         rows = [b for b in range(count) if hi[b] - lo[b] > 2]
         if not rows:

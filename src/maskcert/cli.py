@@ -175,10 +175,10 @@ def _cmd_pretrain(cfg: ExperimentConfig, args, out: Path) -> dict:
 
 
 def _cmd_search(cfg: ExperimentConfig, args, out: Path) -> dict:
-    train, _, _, _, pairs = pipeline.build_data(cfg)
+    train, _, _, train_aug, rows = pipeline.build_data(cfg)
     model, _ = _load_ckpt_arg(args, "pretrained.ckpt", cfg, train.x.shape[1],
                               ("pretrained",))
-    soft, reports = pipeline.stage2_mask_search(model, pairs, cfg)
+    soft, reports = pipeline.stage2_mask_search(model, train_aug.x, rows, cfg)
     save_checkpoint(out / "mask_searched.ckpt", model, "mask_searched",
                     soft_mask=soft, seed=cfg.seed)
     _write_stage2_log(out / "stage2_log.csv", reports)

@@ -108,7 +108,8 @@ def load_idx(images_path, labels_path, expected_classes: int | None = None) -> D
     if label_count != count:
         raise DatasetError(
             f"image/label count mismatch: {count} images vs {label_count} labels")
-    x = np.frombuffer(payload, dtype=np.uint8).astype(np.float64).reshape(count, rows * cols) / 255.0
+    x = np.frombuffer(payload, dtype=np.uint8).astype(np.float64).reshape(count, rows * cols)
+    x /= 255.0  # in place: the float copy is the only pixel array
     y = np.frombuffer(label_bytes, dtype=np.uint8).astype(np.int64)
     if expected_classes is not None and count and y.max() >= expected_classes:
         raise DatasetError(

@@ -13,6 +13,7 @@ ceil(3) = 3 units, not 4.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -67,37 +68,57 @@ def sample_noisy(c: np.ndarray, mu: float, rng: np.random.Generator,
     draw by draw over every layer. Returns the noisy kind's (value, vjp), the
     value stacked as (draws, *C.shape) and written into `out` when given.
     The VJP gives each draw's gradient on C, which passes where C + xi lies
-    in [0, 1]."""
+    in [0, 1].
+
+    The noise is drawn straight into the value's array as lo + (hi - lo)·u
+    from rng.random, the bits rng.uniform(lo, hi) gives, and C is added in
+    place."""
     if mu < 0:
         raise ValueError(f"mu must be non-negative, got {mu}")
-    xi = rng.uniform(-mu, mu, size=(draws, *c.shape))
-    return ad.primitive("noisy", [np.broadcast_to(c, xi.shape)], xi=xi, out=out)
+    lo, hi = -mu, mu
+    xi = rng.random(out=np.empty((draws, *c.shape)) if out is None else out)
+    xi *= hi - lo
+    xi += lo
+    return ad.primitive("noisy", [np.broadcast_to(c, xi.shape)], xi=xi, out=xi)
 
 
-def _top_k(c: np.ndarray, kappa: int) -> np.ndarray:
-    """0/1 float indicator of the kappa largest entries of c, ties at the
-    threshold kept by lower index first: the set argsort(-c, kind="stable")
-    [:kappa] keeps. Selection, not sorting, so O(n): with v the kappa-th
-    largest value, every entry > v is kept (at most kappa - 1 of them) and
-    the lowest-index entries == v fill the rest."""
+def _top_k(c: np.ndarray, kappa: int, out: np.ndarray) -> np.ndarray:
+    """0/1 float indicator of the kappa largest entries of c, written into
+    `out`, ties at the threshold kept by lower index first: the set
+    argsort(-c, kind="stable")[:kappa] keeps. Selection, not sorting, so
+    O(n): with v the kappa-th largest value, every entry > v is kept (at most
+    kappa - 1 of them) and the lowest-index entries == v fill the rest."""
     n = c.size
     if np.isnan(c).any():
         raise FloatingPointError("top-k projection of a mask with NaN entries")
     v = np.partition(c, n - kappa)[n - kappa]
-    keep = c > v
+    np.greater(c, v, out=out)
     ties = np.flatnonzero(c == v)
-    keep[ties[:kappa - np.count_nonzero(keep)]] = True
-    return keep.astype(np.float64)
+    out[ties[:kappa - np.count_nonzero(out)]] = 1.0
+    return out
 
 
-def binarize(soft_mask: list[np.ndarray], pr: float) -> list[np.ndarray]:
-    """Hard mask by layer-wise top-k projection: keep ceil((1-pr) * N_i)
-    units per layer, ties broken by lower index kept first (see _top_k)."""
+@functools.lru_cache(maxsize=32)
+def keep_counts(sizes: tuple[int, ...], pr: float) -> tuple[int, ...]:
+    """ceil((1-pr) * N_i) for each layer size N_i, in exact rational
+    arithmetic. Results are remembered, so a mask search that binarizes at
+    every step computes them once."""
     if not 0.0 <= pr < 1.0:
         raise ValueError(f"pruning ratio must be in [0, 1), got {pr}")
     keep_frac = 1 - Fraction(str(pr))
-    return [_top_k(c, math.ceil(keep_frac * c.size)) if c.size else np.empty(0)
-            for c in soft_mask]
+    return tuple(math.ceil(keep_frac * n) for n in sizes)
+
+
+def binarize(soft_mask: list[np.ndarray], pr: float,
+             out: list[np.ndarray] | None = None) -> list[np.ndarray]:
+    """Hard mask by layer-wise top-k projection: keep keep_counts units per
+    layer, ties broken by lower index kept first (see _top_k). With `out`,
+    one array per layer shaped like its soft mask, each layer is written
+    there."""
+    kappas = keep_counts(tuple(c.size for c in soft_mask), pr)
+    out = out or [np.empty(c.shape) for c in soft_mask]
+    return [_top_k(c, k, o) if c.size else np.empty(0)
+            for c, k, o in zip(soft_mask, kappas, out)]
 
 
 def hard_multipliers(model: MaskableModel, hard: list | None) -> list | None:

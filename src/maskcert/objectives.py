@@ -49,17 +49,22 @@ def composite_step_loss(model: MaskableModel, soft_mask, x, x_t, cfg: Experiment
     U(-noise_magnitude, noise_magnitude) and the hard mask binarizes at
     pruning_ratio. The noise comes from `rng` in one (3, C.size) draw, in the
     order m, n, s. The four masks form one (4, C.size) stack in copy order
-    [clip(C + xi_m), clip(C + xi_n), clip(C + xi_s), hard + (C - c0)] with
-    c0 = C, each layer running its slice of it in mask shape. The copies run
-    on stack([x, x, x_t, x]) in one forward, and one backward chains the
-    term VJPs. Gradients add up in a fixed order: on p_m ratio, then
-    consistency, then stability; on C the L1 term, then the straight-through,
-    s, n and m copies. Weights are frozen and get no gradient. Returns a
-    StepReport and the flat gradient on C.
+    [clip(C + xi_m), clip(C + xi_n), clip(C + xi_s), hard], each layer
+    running its slice of it in mask shape. The hard copy is the
+    straight-through mask hard + (C - c0) at its point c0 = C, which is hard
+    bit for bit; its gradient passes to C unchanged. The copies run on
+    stack([x, x, x_t, x]) in one forward, and one backward chains the term
+    VJPs. Gradients add up in a fixed order: on p_m ratio, then consistency,
+    then stability; on C the L1 term, then the straight-through, s, n and m
+    copies. Weights are frozen and get no gradient. Returns a StepReport and
+    the flat gradient on C.
 
     A caller that steps in a loop passes one `work` dict to every call, which
     keeps the mask stack and the stacked forward's arrays allocated once, so
-    the step's cost does not depend on how the allocator sized its heap.
+    the step's cost does not depend on how the allocator sized its heap. The
+    mask-sized arrays of a step all live in the stack: the noise is drawn
+    into it, the hard mask is written into it, and in unstructured mode each
+    layer's masked weight and then its gradient take its slice of it.
     """
     x = np.asarray(x, dtype=np.float64)
     x_t = np.asarray(x_t, dtype=np.float64)
@@ -81,8 +86,7 @@ def composite_step_loss(model: MaskableModel, soft_mask, x, x_t, cfg: Experiment
     layers = [(i, v.reshape(4, *mask_shape(model.specs[i], model.mask_mode)))
               for i, v in enumerate(layer_views(stack, dims)) if dims[i]]
     _, noisy_vjp = sample_noisy(c, cfg.noise_magnitude, rng, draws=3, out=stack[:3])
-    _, ste_vjp = ad.primitive("ste", [c], hard=np.concatenate(binarize(views, cfg.pruning_ratio)),
-                              c0=c, out=stack[3])
+    binarize(views, cfg.pruning_ratio, out=layer_views(stack[3], dims))
     # The weights each copy runs with, W * mask, formed in the mask stack
     # itself where the shapes allow.
     unstructured = model.mask_mode == "unstructured"
@@ -90,7 +94,8 @@ def composite_step_loss(model: MaskableModel, soft_mask, x, x_t, cfg: Experiment
     for i, m in layers:
         ws[i] = np.multiply(m, ws[i], out=m if unstructured else None)
 
-    logits, mlp_vjp = ad.primitive("masked_mlp", [np.stack([x, x, x_t, x]), *ws, *model.biases],
+    x4 = np.stack([x, x, x_t, x], out=ad.buffer(work, "x", (4, *x.shape)))
+    logits, mlp_vjp = ad.primitive("masked_mlp", [x4, *ws, *model.biases],
                                    specs=tuple(model.specs), work=work)
     probs, softmax_vjp = ad.primitive("softmax", [logits])
     p_m, p_n, p_s, p_h = probs
@@ -113,22 +118,24 @@ def composite_step_loss(model: MaskableModel, soft_mask, x, x_t, cfg: Experiment
     stab_m, g_probs[1] = stab_vjp(g_stab, both)
     np.add(ratio_m + consis_m, stab_m, out=g_probs[0])
     g_logits = softmax_vjp(g_probs, (True,))[0]
-    g_ws = mlp_vjp(g_logits, [False] + [d > 0 for d in dims] + [False] * len(dims))
+    # In unstructured mode each weight gradient goes straight into its layer's
+    # slice of the stack, which held the masked weight until then.
+    g_ws = mlp_vjp(g_logits, [False] + [d > 0 for d in dims] + [False] * len(dims),
+                   out=dict(layers) if unstructured else None)
 
-    # The backward is done with the mask stack, so it takes the gradient on
-    # each copy's mask.
+    # The stack now takes the gradient on each copy's mask.
     for i, g_m in layers:
-        g_w, w = g_ws[1 + i], model.weights[i]
+        w = model.weights[i]
         if unstructured:
-            np.multiply(g_w, w, out=g_m)
+            g_m *= w
         else:  # a structured (out, 1) mask collects its row's gradient
-            g_m[...] = (g_w * w).sum(axis=-1, keepdims=True)
+            g_m[...] = (g_ws[1 + i] * w).sum(axis=-1, keepdims=True)
     grad = np.concatenate(l1_vjp(g_l1, (True,) * len(layers)))
-    grad += ste_vjp(stack[3], (True,))[0]
-    g_noisy = noisy_vjp(stack[:3], (True,))[0]
-    grad += g_noisy[2]
-    grad += g_noisy[1]
-    grad += g_noisy[0]
+    grad += stack[3]  # the straight-through copy's gradient
+    noisy_vjp(stack[:3], (True,), out=stack[:3])
+    grad += stack[2]
+    grad += stack[1]
+    grad += stack[0]
     report = StepReport(
         step=step,
         l_stab=float(l_stab),

@@ -47,10 +47,16 @@ class MomentumSGD:
         self.velocity: dict[int, np.ndarray] = {}
 
     def step(self, params: list[np.ndarray], grads: list[np.ndarray]):
+        """Update params in place. The velocities are the optimizer's own
+        arrays (the first step copies each gradient), so a caller may reuse
+        its gradient arrays across steps."""
         for i, (p, g) in enumerate(zip(params, grads)):
             v = self.velocity.get(i)
-            v = g if v is None else self.momentum * v + g
-            self.velocity[i] = v
+            if v is None:
+                v = self.velocity[i] = g.copy()
+            else:  # momentum * v + g, in place
+                v *= self.momentum
+                v += g
             p -= self.lr * v
 
 
@@ -97,6 +103,7 @@ def _ce_epochs(model: MaskableModel, data: Dataset, epochs: int, lr: float,
     n = len(data)
     n_layers = len(model.specs)
     needs = (False,) + (True,) * (2 * n_layers)  # weights and biases
+    work: dict = {}  # the step's arrays, kept across steps
     for epoch in range(epochs):
         order = rng.permutation(n)
         loss_sum = 0.0
@@ -106,7 +113,7 @@ def _ce_epochs(model: MaskableModel, data: Dataset, epochs: int, lr: float,
             try:
                 logits, mlp_vjp = ad.primitive(
                     "masked_mlp", [xb, *model.weights, *model.biases],
-                    specs=tuple(model.specs), masks=multipliers)
+                    specs=tuple(model.specs), masks=multipliers, work=work)
                 loss, ce_vjp = ad.primitive("cross_entropy", [logits], labels=yb)
             except FloatingPointError as exc:
                 raise FloatingPointError(
@@ -129,16 +136,21 @@ def stage1_pretrain(model: MaskableModel, train_aug: Dataset,
                       cfg.momentum, cfg.batch_size, rng)
 
 
-def stage2_mask_search(model: MaskableModel, pairs, cfg: ExperimentConfig):
+def stage2_mask_search(model: MaskableModel, x_aug: np.ndarray, rows: np.ndarray,
+                       cfg: ExperimentConfig):
     """Search the soft mask over the paired batches; weights stay frozen.
 
-    Returns (soft_mask, step reports). The mask is clamped back into [0, 1]
-    after every update. Each step's noise draws come from a stream derived
-    from (seed, noise namespace, step), so any step is reproducible in
-    isolation.
+    The pairs are row indices into the augmented inputs x_aug, as
+    augment_dataset lays them out: pair j is clean row x_aug[rows[j]] and
+    transformed row x_aug[len(x_aug) - len(rows) + j]. Each batch gathers
+    its rows from x_aug. Returns (soft_mask, step reports). The mask is
+    clamped back into [0, 1] after every update. Each step's noise draws come
+    from a stream derived from (seed, noise namespace, step), so any step is
+    reproducible in isolation.
     """
-    clean, transformed = pairs
-    if len(clean) == 0:
+    rows = np.asarray(rows, dtype=np.int64)
+    first = len(x_aug) - len(rows)  # the first transformed row
+    if len(rows) == 0:
         raise ConfigError("mask search needs a non-empty paired set; "
                           "augment the dataset first")
     if sum(model.mask_dims()) == 0:
@@ -150,11 +162,11 @@ def stage2_mask_search(model: MaskableModel, pairs, cfg: ExperimentConfig):
     work: dict = {}  # the step's arrays, kept across steps
     step = 0
     for _ in range(cfg.stage2_epochs):
-        order = shuffle_rng.permutation(len(clean))
-        for start in range(0, len(clean), cfg.batch_size):
+        order = shuffle_rng.permutation(len(rows))
+        for start in range(0, len(rows), cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
             noise_rng = np.random.default_rng([cfg.seed, STREAM_STAGE2_NOISE, step])
-            result = composite_step_loss(model, c, clean[idx], transformed[idx], cfg,
+            result = composite_step_loss(model, c, x_aug[rows[idx]], x_aug[first + idx], cfg,
                                          noise_rng, step=step, work=work)
             opt.step(c, result.grad)
             np.clip(c, 0.0, 1.0, out=c)
@@ -203,8 +215,13 @@ class ExperimentOutput:
 
 
 def build_data(cfg: ExperimentConfig):
-    """Dataset + transformation space + augmented set + pairs, all derived
-    deterministically from the config."""
+    """(train, test, spec, train_aug, rows), all derived deterministically
+    from the config: the datasets, the transformation space, the augmented
+    training set and the stage-2 pairs as row indices into it (see
+    augment_dataset and stage2_mask_search).
+
+    The training inputs are held once: train is a view of the head of
+    train_aug, whose tail holds the transformed rows."""
     if cfg.dataset_kind == "synthetic":
         train, test, direction = gen_synthetic(cfg)
         spec = transform_spec(cfg, direction)
@@ -219,8 +236,9 @@ def build_data(cfg: ExperimentConfig):
         spec = transform_spec(cfg)
     rng = np.random.default_rng([cfg.seed, STREAM_AUGMENT])
     count = augment_count(cfg, len(train))
-    x_aug, y_aug, pairs = augment_dataset(train.x, train.y, spec, count, 1.0, rng)
-    return train, test, spec, Dataset(x_aug, y_aug), pairs
+    x_aug, y_aug, rows = augment_dataset(train.x, train.y, spec, count, 1.0, rng)
+    n = len(train)
+    return Dataset(x_aug[:n], y_aug[:n]), test, spec, Dataset(x_aug, y_aug), rows
 
 
 def class_count(cfg: ExperimentConfig) -> int:
@@ -246,7 +264,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentOutput:
     """Train every configured method from one shared pre-trained model, in
     config order, then certify them all in one pass on one shared evaluation
     subset."""
-    train, test, spec, train_aug, pairs = build_data(cfg)
+    train, test, spec, train_aug, rows = build_data(cfg)
 
     base = fresh_model(cfg, train.x.shape[1])
     stage1_log = stage1_pretrain(base, train_aug, cfg)
@@ -266,7 +284,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentOutput:
             hard = lmp_mask(model, cfg.pruning_ratio)
             logs["stage3"] = stage3_finetune(model, hard, train_aug, cfg)
         elif method == "csam":
-            soft, logs["stage2"] = stage2_mask_search(model, pairs, cfg)
+            soft, logs["stage2"] = stage2_mask_search(model, train_aug.x, rows, cfg)
             hard = binarize(soft, cfg.pruning_ratio)
             logs["stage3"] = stage3_finetune(model, hard, train_aug, cfg)
         else:

@@ -57,30 +57,49 @@ class TransformSpec:
 
 
 def corrupt_input(tag: CorruptionTag, x: np.ndarray) -> np.ndarray:
-    """Fully corrupted endpoint corrupt(x); x may be a vector or a batch."""
+    """Fully corrupted endpoint corrupt(x); x may be a vector or a batch.
+    Haze allocates the result alone, the blur one temporary besides."""
     x = np.asarray(x, dtype=np.float64)
+    s = tag.severity
     if tag.name == "haze":
         # Monotone brightening toward white with one intensity parameter.
-        return (1.0 - tag.severity) * x + tag.severity
+        out = np.multiply(x, 1.0 - s)
+        out += s
+        return out
     # 3-tap normalized kernel [s, 1, s] / (1 + 2s) along the last axis with
     # edge replication; a convex combination, so [0, 1] inputs stay there.
-    s = tag.severity
-    padded = np.concatenate([x[..., :1], x, x[..., -1:]], axis=-1)
-    return (s * padded[..., :-2] + padded[..., 1:-1] + s * padded[..., 2:]) / (1.0 + 2.0 * s)
+    # Each entry adds (s * left + centre) + s * right, then divides.
+    out = np.empty_like(x)
+    np.multiply(x[..., :-1], s, out=out[..., 1:])
+    np.multiply(x[..., :1], s, out=out[..., :1])
+    out += x
+    out[..., :-1] += np.multiply(x[..., 1:], s)
+    out[..., -1:] += np.multiply(x[..., -1:], s)
+    out /= 1.0 + 2.0 * s
+    return out
 
 
-def apply(spec: TransformSpec, x: np.ndarray, delta: float) -> np.ndarray:
-    """T(x, delta); delta must lie inside the transform's delta range."""
+def apply(spec: TransformSpec, x: np.ndarray, delta: float, out=None) -> np.ndarray:
+    """T(x, delta); delta must lie inside the transform's delta range.
+
+    With `out` the result is written there, and `out` may be x itself: the
+    rows are then transformed in place."""
     lo, hi = spec.delta_range
     if not lo <= delta <= hi:
         raise ValueError(f"delta {delta} outside range [{lo}, {hi}]")
     x = np.asarray(x, dtype=np.float64)
+    if out is None:
+        out = np.empty_like(x)
     if delta == 0.0:
-        return x.copy()
+        np.copyto(out, x)
+        return out
     if spec.kind == "direction_shift":
-        return x + delta * spec.direction
-    cx = corrupt_input(spec.corrupt, x)
-    return np.clip((1.0 - delta) * x + delta * cx, 0.0, 1.0)
+        return np.add(x, delta * spec.direction, out=out)
+    cx = corrupt_input(spec.corrupt, x)  # taken before out overwrites x
+    np.multiply(x, 1.0 - delta, out=out)
+    cx *= delta
+    out += cx
+    return np.clip(out, 0.0, 1.0, out=out)
 
 
 def sample_set(spec: TransformSpec, x: np.ndarray, n, rng: np.random.Generator,
@@ -113,9 +132,13 @@ def augment_dataset(x: np.ndarray, y: np.ndarray, spec: TransformSpec, count: in
     """Append `count` transformed samples at a fixed magnitude.
 
     Originals are drawn by cycling seeded permutations, so count == len(x)
-    selects every sample exactly once. Returns (x_aug, y_aug, pairs) where
-    pairs = (clean, transformed) row-aligned arrays for the selected
-    originals; labels are carried over unchanged.
+    selects every sample exactly once. Returns (x_aug, y_aug, rows): x_aug
+    holds x in its first len(x) rows and T(x[rows[j]], delta_fixed) in row
+    len(x) + j, and labels are carried over unchanged. The pairs are row
+    indices, not copies: pair j is clean row x_aug[rows[j]] and transformed
+    row x_aug[len(x) + j]. x_aug is the one array of the data's size this
+    allocates; the selected rows are gathered into its tail and transformed
+    there.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y)
@@ -123,17 +146,16 @@ def augment_dataset(x: np.ndarray, y: np.ndarray, spec: TransformSpec, count: in
         raise ValueError("cannot augment an empty dataset")
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
-    if count == 0:
-        empty = np.empty((0, x.shape[1]))
-        return x.copy(), y.copy(), (empty, empty.copy())
     if rng is None:
         rng = np.random.default_rng(0)
     picks = []
     while len(picks) < count:
         picks.extend(rng.permutation(len(x)).tolist())
-    idx = np.asarray(picks[:count], dtype=np.int64)
-    clean = x[idx]
-    transformed = apply(spec, clean, delta_fixed)
-    x_aug = np.concatenate([x, transformed])
-    y_aug = np.concatenate([y, y[idx]])
-    return x_aug, y_aug, (clean, transformed)
+    rows = np.asarray(picks[:count], dtype=np.int64)
+    x_aug = np.empty((len(x) + count, *x.shape[1:]))
+    x_aug[:len(x)] = x
+    # mode="clip" gathers straight into the tail (rows are all in range);
+    # the default mode would buffer a copy of it
+    tail = np.take(x, rows, axis=0, out=x_aug[len(x):], mode="clip")
+    apply(spec, tail, delta_fixed, out=tail)
+    return x_aug, np.concatenate([y, y[rows]]), rows

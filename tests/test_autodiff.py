@@ -172,23 +172,6 @@ class TestMaskedMlp:
             assert all(np.array_equal(a[k], b) for a, b in zip(grads[:3], vjp_k(g[k], needs)))
 
 
-class TestSte:
-    def test_forward_bitwise(self):
-        c = np.array([0.3, 0.7, 0.123456])
-        hard = np.array([1.0, 0.0, 1.0])
-        assert np.array_equal(value("ste", c, hard=hard, c0=c), hard)
-
-    def test_identity_gradient(self):
-        c = np.array([0.2, 0.9])
-        grads = vjp("ste", [c], g=np.ones(2), hard=np.array([0.0, 1.0]), c0=c)
-        assert np.array_equal(grads[0], np.ones(2))
-
-    def test_shifts_linearly_from_fixed_point(self):
-        c0 = np.array([0.2, 0.9])
-        moved = value("ste", [0.25, 0.8], hard=np.array([0.0, 1.0]), c0=c0)
-        assert np.allclose(moved, [0.05, 0.9], atol=1e-15)
-
-
 class TestErrors:
     def test_shape_mismatch_names_kind(self):
         with pytest.raises(ValueError, match="stability"):

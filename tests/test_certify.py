@@ -328,6 +328,64 @@ def check_block_equals_single(rep_z, d, grid, result=None):
         assert (int(best[b]), float(value[b])) == grid_min_one(rep_z[b], d[b], grid)
 
 
+def search_tables(monkeypatch, tables):
+    """grid_min over one block whose sample b has f(t_k) = tables[b][k] on
+    the grid t_k = k, through a stand-in for log_y_grid. Returns the result
+    and each sample's set of evaluated points."""
+    tables = np.asarray(tables, dtype=np.float64)
+    seen = [set() for _ in tables]
+
+    def fake(z, d, t, work=None):
+        ids = z[:, 0, 0].astype(np.int64)
+        points = np.asarray(t, dtype=np.int64)  # (B, 1, width)
+        for b, pts in zip(ids, points[:, 0]):
+            seen[b].update(pts.tolist())
+        return tables[ids[:, None, None], points]
+
+    monkeypatch.setattr(certify, "log_y_grid", fake)
+    ids = np.arange(len(tables), dtype=np.float64).reshape(-1, 1, 1)
+    result = grid_min(ids, np.zeros(len(tables)), np.arange(tables.shape[1], dtype=np.float64))
+    return result, seen
+
+
+CONVEX_ROWS = {
+    "descending": [9, 7, 5, 4, 3, 2.5, 2.25],
+    "ascending": [1, 2, 4, 7, 11, 16, 22],
+    "v_shaped": [6, 3, 1, 0, 1, 3, 6],
+    "flat_plateau": [5, 3, 1, 1, 1, 2, 4],
+    "plateau_at_the_top": [5, 3, 2, 1.5, 1, 1, 1],
+    "flat": [2, 2, 2, 2, 2, 2, 2],
+}
+
+
+class TestGridSearchShapes:
+    """The search on convex rows of known shape against a brute-force argmin
+    (the first minimizer), through a stand-in bound."""
+
+    @pytest.mark.parametrize("shape", sorted(CONVEX_ROWS))
+    def test_first_minimizer(self, monkeypatch, shape):
+        row = CONVEX_ROWS[shape]
+        (best, value), _ = search_tables(monkeypatch, [row])
+        assert (int(best[0]), float(value[0])) == (int(np.argmin(row)), float(min(row)))
+
+    def test_strictly_descending_row_takes_two_evaluations(self, monkeypatch):
+        _, seen = search_tables(monkeypatch, [np.arange(500, 0, -1)])
+        assert seen == [{498, 499}]
+
+    def test_random_convex_blocks(self, monkeypatch):
+        # integer-valued rows with nondecreasing differences, so ties are
+        # exact: plateaus anywhere, rows still falling at the top, blocks
+        # whose samples leave the search at different steps
+        rng = np.random.default_rng(35)
+        for _ in range(200):
+            length, count = int(rng.integers(1, 40)), int(rng.integers(1, 9))
+            diffs = np.sort(rng.integers(-4, 5, size=(count, length - 1)), axis=1)
+            tables = np.concatenate([np.zeros((count, 1)), np.cumsum(diffs, axis=1)], axis=1)
+            (best, value), _ = search_tables(monkeypatch, tables)
+            assert np.array_equal(best, np.argmin(tables, axis=1))
+            assert np.array_equal(value, tables.min(axis=1))
+
+
 class TestGridSearch:
     def test_matches_brute_force_grid(self):
         # 6,000 cases in 1,000 blocks, one shape and grid per block and every

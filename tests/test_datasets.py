@@ -78,6 +78,12 @@ class TestIdx:
         assert np.array_equal(ds.y, labels)
         assert np.array_equal(ds.x, images.reshape(5, 12) / 255.0)
 
+    def test_in_place_scaling_bits(self, tmp_path):
+        # every byte value scales in place to the bits of astype(float64) / 255.0
+        images = np.arange(256, dtype=np.uint8).reshape(4, 8, 8)
+        ds = load_idx(*write_idx_pair(tmp_path, images, np.zeros(4)))
+        assert np.array_equal(ds.x, images.reshape(4, 64).astype(np.float64) / 255.0)
+
     def test_zero_item_pair_valid(self, tmp_path):
         img, lab = write_idx_pair(tmp_path, np.empty((0, 2, 2), dtype=np.uint8),
                                   np.empty(0, dtype=np.uint8))

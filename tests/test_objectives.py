@@ -169,6 +169,28 @@ class TestCompositeStep:
             composite_step_loss(model, soft, np.empty((0, 5)), np.empty((0, 5)), CFG,
                                 np.random.default_rng(0))
 
+    def test_step_arrays_live_in_the_mask_stack(self):
+        # unstructured: the noise is drawn straight into the mask stack, and
+        # each weight gradient is written into the stack too, so the work
+        # dict keeps no ("dw", i) buffer
+        class SpyRng:
+            def __init__(self, seed):
+                self.rng, self.outs = np.random.default_rng(seed), []
+
+            def random(self, *args, out=None, **kwargs):
+                self.outs.append(out)
+                return self.rng.random(*args, out=out, **kwargs)
+
+        model = toy_model(seed=7, hidden=(7, 4))
+        soft = np.concatenate(init_percentile_scaled(model, 30.0))
+        x = np.random.default_rng(7).standard_normal((6, 5))
+        work, rng = {}, SpyRng(8)
+        res = composite_step_loss(model, soft, x, x + 0.1, CFG, rng, work=work)
+        assert len(rng.outs) == 1 and np.shares_memory(rng.outs[0], work["mask"])
+        assert not [key for key in work if isinstance(key, tuple) and key[0] == "dw"]
+        fresh = composite_step_loss(model, soft, x, x + 0.1, CFG, np.random.default_rng(8))
+        assert res.report == fresh.report and np.array_equal(res.grad, fresh.grad)
+
     @pytest.mark.parametrize("mode", ["unstructured", "structured"])
     def test_work_dict_reuse_equals_fresh_arrays(self, mode):
         # steps that share one work dict, with batch sizes that make it

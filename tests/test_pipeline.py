@@ -1,5 +1,7 @@
 import dataclasses
 import gc
+import struct
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -15,6 +17,7 @@ from maskcert.model import MaskableModel, mlp_specs
 from maskcert.pipeline import (Adam, MomentumSGD, lmp_mask,
                                run_experiment, stage1_pretrain,
                                stage2_mask_search, stage3_finetune)
+from maskcert.transforms import apply
 from util import PerLayerAdam, make_cfg
 
 
@@ -28,9 +31,67 @@ def tiny_cfg(**kw):
 
 
 def tiny_setup(cfg):
-    train, test, spec, train_aug, pairs = pipeline.build_data(cfg)
+    train, test, spec, train_aug, rows = pipeline.build_data(cfg)
     model = pipeline.fresh_model(cfg, train.x.shape[1])
-    return train, test, spec, train_aug, pairs, model
+    return train, test, spec, train_aug, rows, model
+
+
+def idx_cfg(tmp_path, train_count=100, test_count=20, side=28, **kw):
+    """A validated config over seeded 10-class IDX files of side x side
+    pixels, hazed."""
+    rng = np.random.default_rng(41)
+    paths = {}
+    for split, count in (("train", train_count), ("test", test_count)):
+        images = rng.integers(0, 256, size=(count, side, side), dtype=np.uint8)
+        labels = (np.arange(count) % 10).astype(np.uint8)
+        img, lab = tmp_path / f"{split}-images.idx", tmp_path / f"{split}-labels.idx"
+        img.write_bytes(struct.pack(">IIII", 0x803, count, side, side) + images.tobytes())
+        lab.write_bytes(struct.pack(">II", 0x801, count) + labels.tobytes())
+        paths[f"idx_{split}_images"], paths[f"idx_{split}_labels"] = str(img), str(lab)
+    return make_cfg(dataset_kind="idx", idx_classes=10, transform_kind="interp_corrupt",
+                    corruption="haze", hidden_dims=(8,), **paths, **kw)
+
+
+def copied_pairs(train, spec, rows):
+    """The stage-2 pairs as row-aligned copies: clean rows gathered from the
+    training inputs and their transformed copies."""
+    clean = train.x[rows]
+    return clean, apply(spec, clean, 1.0)
+
+
+class TestBuildData:
+    def test_train_is_the_head_of_the_augmented_set(self):
+        cfg = tiny_cfg()
+        train, _, _, train_aug, rows, _ = tiny_setup(cfg)
+        assert train.x.base is train_aug.x and train.y.base is train_aug.y
+        assert np.array_equal(train_aug.x[:len(train)], train.x)
+        assert len(train_aug) == len(train) + len(rows)
+
+    @pytest.mark.parametrize("level", ["L1", "L2"])
+    def test_tail_rows_are_the_copied_transformed_pairs(self, tmp_path, level):
+        cfg = idx_cfg(tmp_path, augment_level=level)
+        train, _, spec, train_aug, rows, _ = tiny_setup(cfg)
+        clean, transformed = copied_pairs(train, spec, rows)
+        assert np.array_equal(train_aug.x[rows], clean)
+        assert np.array_equal(train_aug.x[len(train):], transformed)
+        assert np.array_equal(train_aug.y[len(train):], train.y[rows])
+
+    def test_build_holds_the_training_inputs_once(self, tmp_path):
+        # tracemalloc sees numpy's array data, so these bounds do not depend
+        # on the allocator: after the build the augmented set and the test
+        # inputs are all that is held, and the build's peak is the training
+        # inputs as loaded, the augmented set (twice their size) and the
+        # one temporary of the transform
+        cfg = idx_cfg(tmp_path)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            train, test, _, train_aug, rows = pipeline.build_data(cfg)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held - before <= 1.05 * (train_aug.x.nbytes + test.x.nbytes)
+        assert peak - before <= 4.05 * train.x.nbytes + test.x.nbytes
 
 
 class TestStage1:
@@ -59,20 +120,21 @@ class TestStage1:
 class TestStage2:
     def test_weights_frozen(self):
         cfg = tiny_cfg()
-        _, _, _, train_aug, pairs, model = tiny_setup(cfg)
+        _, _, _, train_aug, rows, model = tiny_setup(cfg)
         stage1_pretrain(model, train_aug, cfg)
         before = [w.copy() for w in model.weights]
-        soft, reports = stage2_mask_search(model, pairs, cfg)
+        soft, reports = stage2_mask_search(model, train_aug.x, rows, cfg)
         for a, b in zip(before, model.weights):
             assert np.array_equal(a, b)
-        assert len(reports) == cfg.stage2_epochs * int(np.ceil(len(pairs[0]) / cfg.batch_size))
+        assert len(reports) == cfg.stage2_epochs * int(np.ceil(len(rows) / cfg.batch_size))
         for c in soft:
             assert np.all((c >= 0) & (c <= 1))
 
     def test_l1_only_drives_mask_down(self):
         cfg = tiny_cfg(stage2_epochs=3)
-        _, _, _, train_aug, pairs, model = tiny_setup(cfg)
+        _, _, _, train_aug, rows, model = tiny_setup(cfg)
         stage1_pretrain(model, train_aug, cfg)
+        clean, transformed = train_aug.x[rows], train_aug.x[len(train_aug) - len(rows):]
         l1_only = make_cfg(lambda_stab=0.0, lambda_ratio=0.0, lambda_consis=0.0,
                            lambda_l1=1.0, noise_magnitude=0.0)
         from maskcert.masks import init_percentile_scaled
@@ -82,7 +144,7 @@ class TestStage2:
         opt = Adam(0.01)
         means = [np.mean(soft)]
         for step in range(12):
-            res = composite_step_loss(model, soft, pairs[0][:8], pairs[1][:8], l1_only,
+            res = composite_step_loss(model, soft, clean[:8], transformed[:8], l1_only,
                                       np.random.default_rng([1, step]))
             opt.step(soft, res.grad)
             np.clip(soft, 0, 1, out=soft)
@@ -95,23 +157,46 @@ class TestStage2:
         from maskcert.model import LayerSpec
         model = MaskableModel([LayerSpec(3, 2, "none")], [np.ones((2, 3))],
                               [np.zeros(2)], "structured")
-        pairs = (np.ones((4, 3)), np.ones((4, 3)))
         with pytest.raises(ConfigError, match="prunable"):
-            stage2_mask_search(model, pairs, ExperimentConfig(seed=0))
+            stage2_mask_search(model, np.ones((8, 3)), np.arange(4), ExperimentConfig(seed=0))
 
     def test_empty_pairs_rejected(self):
         cfg = tiny_cfg()
         _, _, _, _, _, model = tiny_setup(cfg)
-        empty = (np.empty((0, 16)), np.empty((0, 16)))
         with pytest.raises(ConfigError, match="paired"):
-            stage2_mask_search(model, empty, cfg)
+            stage2_mask_search(model, np.ones((4, 16)), np.empty(0, dtype=np.int64), cfg)
+
+    @pytest.mark.parametrize("level", ["L1", "L2"])
+    def test_batches_are_the_copied_pairs_rows(self, tmp_path, monkeypatch, level):
+        # every batch gathered from the augmented set has the bits of the
+        # same batch taken from row-aligned copies of the pairs
+        cfg = idx_cfg(tmp_path, augment_level=level, stage2_epochs=2, batch_size=24)
+        train, _, spec, train_aug, rows, model = tiny_setup(cfg)
+        clean, transformed = copied_pairs(train, spec, rows)
+        seen = []
+        real = pipeline.composite_step_loss
+
+        def spy(model, c, x, x_t, *args, **kwargs):
+            seen.append((x.copy(), x_t.copy()))
+            return real(model, c, x, x_t, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "composite_step_loss", spy)
+        stage2_mask_search(model, train_aug.x, rows, cfg)
+        shuffle = np.random.default_rng([cfg.seed, pipeline.STREAM_STAGE2_SHUFFLE])
+        want = []
+        for _ in range(cfg.stage2_epochs):
+            order = shuffle.permutation(len(rows))
+            want += [order[s:s + cfg.batch_size] for s in range(0, len(rows), cfg.batch_size)]
+        assert len(seen) == len(want) > cfg.stage2_epochs
+        for (x, x_t), idx in zip(seen, want):
+            assert np.array_equal(x, clean[idx]) and np.array_equal(x_t, transformed[idx])
 
     def test_step_reports_reproducible(self):
         cfg = tiny_cfg(stage2_epochs=2)
-        _, _, _, train_aug, pairs, model = tiny_setup(cfg)
+        _, _, _, train_aug, rows, model = tiny_setup(cfg)
         stage1_pretrain(model, train_aug, cfg)
-        s1, r1 = stage2_mask_search(model, pairs, cfg)
-        s2, r2 = stage2_mask_search(model, pairs, cfg)
+        s1, r1 = stage2_mask_search(model, train_aug.x, rows, cfg)
+        s2, r2 = stage2_mask_search(model, train_aug.x, rows, cfg)
         for a, b in zip(s1, s2):
             assert np.array_equal(a, b)
         assert [r.composite for r in r1] == [r.composite for r in r2]
@@ -132,12 +217,12 @@ class TestStepLifetime:
 
         monkeypatch.setattr(ad, "primitive", tracked)
         cfg = tiny_cfg(stage1_epochs=1, stage2_epochs=1, stage3_epochs=1)
-        _, _, _, train_aug, pairs, model = tiny_setup(cfg)
+        _, _, _, train_aug, rows, model = tiny_setup(cfg)
         enabled = gc.isenabled()
         gc.disable()
         try:
             stage1_pretrain(model, train_aug, cfg)
-            soft, _ = stage2_mask_search(model, pairs, cfg)
+            soft, _ = stage2_mask_search(model, train_aug.x, rows, cfg)
             stage3_finetune(model, binarize(soft, 0.5), train_aug, cfg)
             alive = sum(ref() is not None for ref in refs)
         finally:
@@ -225,6 +310,25 @@ class TestOptimizers:
         assert p[0][0] == pytest.approx(0.9)
         opt.step(p, [np.array([1.0])])  # velocity 1.5
         assert p[0][0] == pytest.approx(0.75)
+
+    def test_sgd_velocity_is_its_own_array(self):
+        # a caller that reuses its gradient arrays (as _ce_epochs does with
+        # its work dict) must not find them aliased as the velocity, and the
+        # in-place update has the bits of momentum * v + g
+        rng = np.random.default_rng(22)
+        opt = MomentumSGD(lr=0.1, momentum=0.9)
+        p, g = [np.zeros((3, 4)), np.zeros(3)], [np.empty((3, 4)), np.empty(3)]
+        want_p, want_v = [a.copy() for a in p], [None, None]
+        for _ in range(20):
+            for a in g:
+                a[...] = rng.standard_normal(a.shape)  # overwritten in place
+            opt.step(p, g)
+            for i, a in enumerate(g):
+                want_v[i] = a.copy() if want_v[i] is None else 0.9 * want_v[i] + a
+                want_p[i] -= 0.1 * want_v[i]
+                assert not np.shares_memory(opt.velocity[i], a)
+                assert np.array_equal(opt.velocity[i], want_v[i])
+                assert np.array_equal(p[i], want_p[i])
 
     def test_adam_first_step_is_lr_sized(self):
         opt = Adam(lr=0.01)

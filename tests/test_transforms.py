@@ -151,10 +151,10 @@ class TestAugmentDataset:
         self.y = rng.integers(0, 2, size=10)
 
     def test_count_zero_noop(self):
-        xa, ya, (clean, trans) = augment_dataset(self.x, self.y, shift_spec(), 0)
+        xa, ya, rows = augment_dataset(self.x, self.y, shift_spec(), 0)
         assert np.array_equal(xa, self.x)
         assert np.array_equal(ya, self.y)
-        assert clean.shape == (0, 4) and trans.shape == (0, 4)
+        assert rows.shape == (0,) and rows.dtype == np.int64
 
     def test_full_count_delta_zero_duplicates(self):
         xa, ya, _ = augment_dataset(self.x, self.y, shift_spec(), len(self.x),
@@ -165,22 +165,18 @@ class TestAugmentDataset:
 
     def test_labels_preserved(self):
         rng = np.random.default_rng(9)
-        xa, ya, (clean, trans) = augment_dataset(self.x, self.y, shift_spec(), 7,
-                                                 rng=rng)
-        for c, label in zip(clean, ya[len(self.x):]):
-            src = np.where((self.x == c).all(axis=1))[0][0]
-            assert self.y[src] == label
+        xa, ya, rows = augment_dataset(self.x, self.y, shift_spec(), 7, rng=rng)
+        assert len(rows) == 7
+        for r, label in zip(rows, ya[len(self.x):]):
+            assert np.array_equal(xa[r], self.x[r])
+            assert self.y[r] == label
 
     def test_count_beyond_size_cycles(self):
-        xa, ya, (clean, _) = augment_dataset(self.x, self.y, shift_spec(), 25,
-                                             rng=np.random.default_rng(10))
-        assert len(xa) == 35
+        xa, ya, rows = augment_dataset(self.x, self.y, shift_spec(), 25,
+                                       rng=np.random.default_rng(10))
+        assert len(xa) == 35 and len(rows) == 25
         # first two full cycles pick every original exactly twice
-        counts = {i: 0 for i in range(10)}
-        for c in clean[:20]:
-            src = np.where((self.x == c).all(axis=1))[0][0]
-            counts[src] += 1
-        assert all(v == 2 for v in counts.values())
+        assert np.array_equal(np.bincount(rows[:20], minlength=10), np.full(10, 2))
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError, match="empty"):
@@ -188,8 +184,61 @@ class TestAugmentDataset:
 
     def test_pairs_align_with_transform(self):
         rng = np.random.default_rng(11)
-        xa, ya, (clean, trans) = augment_dataset(self.x, self.y, haze_spec(), 5,
-                                                 delta_fixed=1.0, rng=rng)
-        for c, t in zip(clean, trans):
-            assert np.array_equal(t, apply(haze_spec(), c, 1.0))
-        assert np.array_equal(xa[len(self.x):], trans)
+        xa, ya, rows = augment_dataset(self.x, self.y, haze_spec(), 5,
+                                       delta_fixed=1.0, rng=rng)
+        assert np.array_equal(xa[:len(self.x)], self.x)
+        for j, r in enumerate(rows):
+            assert np.array_equal(xa[len(self.x) + j], apply(haze_spec(), xa[r], 1.0))
+
+    @pytest.mark.parametrize("spec", [shift_spec(), haze_spec(),
+                                      TransformSpec(kind="interp_corrupt",
+                                                    corrupt=CorruptionTag("gaussian_blur3", 0.8))],
+                             ids=["shift", "haze", "blur"])
+    @pytest.mark.parametrize("delta", [0.0, 0.35, 1.0])
+    def test_tail_rows_equal_apply_of_gathered_rows(self, spec, delta):
+        # the rows transformed in place in x_aug's tail have the bits of
+        # apply on a gathered copy of the same rows
+        xa, _, rows = augment_dataset(self.x, self.y, spec, 13, delta_fixed=delta,
+                                      rng=np.random.default_rng(12))
+        assert np.array_equal(xa[len(self.x):], apply(spec, self.x[rows], delta))
+
+
+def out_of_place_corrupt(tag, x):
+    """corrupt_input as one expression over an edge-padded copy."""
+    s = tag.severity
+    if tag.name == "haze":
+        return (1.0 - s) * x + s
+    padded = np.concatenate([x[..., :1], x, x[..., -1:]], axis=-1)
+    return (s * padded[..., :-2] + padded[..., 1:-1] + s * padded[..., 2:]) / (1.0 + 2.0 * s)
+
+
+class TestInPlaceBits:
+    """The in-place transforms against their one-expression forms, bit for
+    bit, so that a numpy change that breaks an equivalence names it."""
+
+    @pytest.mark.parametrize("tag", [CorruptionTag("haze", 0.6), CorruptionTag("haze", 1.0),
+                                     CorruptionTag("gaussian_blur3", 0.8),
+                                     CorruptionTag("gaussian_blur3", 3.0)])
+    @pytest.mark.parametrize("shape", [(7, 9), (9,), (5, 1), (2, 3, 4)])
+    def test_corrupt_input(self, tag, shape):
+        x = np.random.default_rng(13).uniform(size=shape)
+        assert np.array_equal(corrupt_input(tag, x), out_of_place_corrupt(tag, x))
+
+    @pytest.mark.parametrize("spec", [shift_spec(9), haze_spec(),
+                                      TransformSpec(kind="interp_corrupt",
+                                                    corrupt=CorruptionTag("gaussian_blur3", 0.8))],
+                             ids=["shift", "haze", "blur"])
+    @pytest.mark.parametrize("delta", [0.0, 0.35, 1.0])
+    def test_apply_in_place(self, spec, delta):
+        x = np.random.default_rng(14).uniform(size=(6, 9))
+        if delta == 0.0:
+            want = x.copy()
+        elif spec.kind == "direction_shift":
+            want = x + delta * spec.direction
+        else:
+            want = np.clip((1.0 - delta) * x + delta * out_of_place_corrupt(spec.corrupt, x),
+                           0.0, 1.0)
+        assert np.array_equal(apply(spec, x, delta), want)
+        rows = x.copy()
+        assert apply(spec, rows, delta, out=rows) is rows
+        assert np.array_equal(rows, want)

@@ -107,7 +107,8 @@ def composite_objective(model, cs, x, x_t, cfg, xis, hard, c0):
     cs (maskable layers only, in mask shape), with the noise draws
     xis = (xi_m, xi_n, xi_s) (each one array per layer), the hard masks and
     the straight-through point c0 held fixed. It is assembled from the
-    registered kinds one masked copy at a time.
+    registered kinds, and the straight-through mask written out, one masked
+    copy at a time.
     Returns the total and the distance of this evaluation from the nearest
     kink: relu pre-activations, clip edges of the noisy masks, the sup-norm
     and top-2 gaps of the ratio term, and zeros of the L1 term."""
@@ -121,7 +122,8 @@ def composite_objective(model, cs, x, x_t, cfg, xis, hard, c0):
 
     noisy = [[_value("noisy", c[None], xi=xi[None])[0] for c, xi in zip(cs, draw)]
              for draw in xis]
-    ste = [_value("ste", c, hard=h, c0=c_0) for c, h, c_0 in zip(cs, hard, c0)]
+    # straight-through masks: hard at the point c0, shifting linearly with c
+    ste = [h + (c - c_0) for c, h, c_0 in zip(cs, hard, c0)]
     copies = [(x, noisy[0]), (x, noisy[1]), (x, ste), (x_t, noisy[2])]
     probs, margin = [], np.inf
     for inp, layer_masks in copies:
@@ -248,12 +250,6 @@ def _case_noisy(rng, shape, c_lo, c_hi):
     return "noisy", [c], {"xi": xi}, [0]
 
 
-def _case_ste(rng, shape):
-    c = rng.uniform(0.05, 0.95, size=shape)
-    hard = (rng.uniform(size=shape) < 0.5).astype(float)
-    return "ste", [c], {"hard": hard, "c0": c.copy()}, [0]
-
-
 def _case_stability(rng, shape):
     return "stability", [rng.standard_normal(shape), rng.standard_normal(shape)], {}, [0, 1]
 
@@ -305,7 +301,6 @@ PRIMITIVE_CASES = {
         ("add", [lambda r: _case_noisy(r, (3, 5), 0.5, 0.5)]),  # C + xi stays inside [0, 1]
         ("clip", [lambda r: _case_noisy(r, (1, 8), 0.0, 1.0),  # some entries saturate
                   lambda r: _case_noisy(r, (3, 5), 0.0, 1.0)])],
-    "ste": [("ste", [lambda r: _case_ste(r, (6,)), lambda r: _case_ste(r, (3, 4))])],
     "stability": [("l2_norm_sq", [lambda r: _case_stability(r, (3, 4))])],
     "ratio_penalty": [
         ("topk_margin", [lambda r: _case_ratio(r, (4, 2)), lambda r: _case_ratio(r, (4, 4))]),
