@@ -4,19 +4,20 @@ maskcert trains.
 Each kind is one function of its input values (and fixed attributes) that
 computes its value eagerly and returns it with a vector-Jacobian product over
 the residuals of that forward pass: vjp(g, needs) gives one gradient per
-input, None where `needs` is False. The kinds are the masked MLP logits, a
-softmax, the batch-mean cross-entropy of stages 1 and 3, and for the stage-2
-mask search the noisy mask draws (one noise array shaped like the stacked
-copies of the flat soft mask), the stability, ratio and consistency terms,
-the L1 mean and the weighted sum that joins them. `primitive` dispatches to
-them; the stage-2 step (`objectives.composite_step_loss`) and the
-cross-entropy step (`pipeline._ce_epochs`) chain the VJPs by hand in
-straight-line code.
+input, None where `needs` is False. There are eight kinds: the masked MLP
+logits, on weights with their masks folded in; a softmax; the batch-mean
+cross-entropy of stages 1 and 3; and for the stage-2 mask search the noisy
+mask draws (one noise array shaped like the stacked copies of the flat soft
+mask), the stability, ratio and consistency terms and the L1 mean.
+`primitive` dispatches to them; the stage-2 step
+(`objectives.composite_step_loss`) and the cross-entropy step
+(`pipeline._ce_epochs`) chain the VJPs by hand in straight-line code, each
+applying its masks to the weights and to their gradients itself.
 
 The masked MLP and the softmax accept stacked copies: an input of shape
-(..., batch, features) with weights and masks stacked the same way. numpy's
-matmul runs one GEMM per trailing 2-D block, so each copy gets the bits it
-would get alone.
+(..., batch, features) with weights stacked the same way. numpy's matmul
+runs one GEMM per trailing 2-D block, so each copy gets the bits it would
+get alone.
 """
 
 from __future__ import annotations
@@ -68,10 +69,10 @@ def buffer(work, key, shape):
     return buf
 
 
-def _masked_mlp(v, specs, masks=None, work=None):
-    """Logits of the layer stack on inputs [x, *weights, *biases], each weight
-    multiplied by its fixed mask: the weight's shape or a structured (out, 1)
-    shape; a None entry, or masks=None, leaves that layer dense.
+def _masked_mlp(v, specs, work=None):
+    """Logits of the layer stack on inputs [x, *weights, *biases], each
+    weight with its mask already folded in (MaskableModel.folded); the
+    caller masks the weight gradients it gets back.
 
     Each layer's pre-activation and output and each gradient of the VJP go
     into arrays from `work` (see buffer), so a loop of calls that keeps one
@@ -84,26 +85,19 @@ def _masked_mlp(v, specs, masks=None, work=None):
     layer's own weight input when the caller no longer needs it."""
     n = len(specs)
     x, ws, bs = v[0], v[1:n + 1], v[n + 1:]
-    masks = masks or [None] * n
-    if len(ws) != n or len(bs) != n or len(masks) != n:
-        raise ValueError("masked_mlp: one weight, bias and mask entry per layer required")
+    if len(ws) != n or len(bs) != n:
+        raise ValueError("masked_mlp: one weight and bias per layer required")
     if x.ndim < 2 or x.shape[-1] != ws[0].shape[-1]:
         raise ValueError(f"masked_mlp: input shape {x.shape} does not match weight {ws[0].shape}")
-    for i, (m, w) in enumerate(zip(masks, ws)):
-        if m is not None and m.shape[-2:] not in (w.shape[-2:], (w.shape[-2], 1)):
-            raise ValueError(
-                f"masked_mlp: mask shape {m.shape} does not broadcast to weight "
-                f"{w.shape} in layer {i}")
     out = pre = None
     if work is not None:
         out, pre, lead = [], [], x.shape[:-1]
-        for i, (spec, m, w) in enumerate(zip(specs, masks, ws)):
-            w_shape = w.shape if m is None else np.broadcast_shapes(m.shape, w.shape)
-            lead = np.broadcast_shapes(lead[:-1], w_shape[:-2]) + lead[-1:]
-            shape = lead + w_shape[-2:-1]
+        for i, (spec, w) in enumerate(zip(specs, ws)):
+            lead = np.broadcast_shapes(lead[:-1], w.shape[:-2]) + lead[-1:]
+            shape = lead + w.shape[-2:-1]
             out.append(buffer(work, ("h", i), shape))
             pre.append(buffer(work, ("z", i), shape) if spec.activation == "relu" else None)
-    hs, zs, effective = masked_forward(x, ws, bs, specs, masks, out=out, pre=pre)
+    hs, zs = masked_forward(x, ws, bs, specs, out=out, pre=pre)
     for i, z in enumerate(zs):
         if not np.isfinite(z).all():
             raise FloatingPointError(f"masked_mlp: non-finite pre-activation in layer {i}")
@@ -117,17 +111,14 @@ def _masked_mlp(v, specs, masks=None, work=None):
                 grads[n + 1 + i] = _unstack(g, 1)
             g_in = None
             if i > 0 or needs[0]:
-                g_in = np.matmul(g, effective[i], out=buffer(
-                    work, ("dx", i), g.shape[:-1] + effective[i].shape[-1:]))
+                g_in = np.matmul(g, ws[i], out=buffer(
+                    work, ("dx", i), g.shape[:-1] + ws[i].shape[-1:]))
             if needs[1 + i]:
                 # g carries every stack axis of hs[i] and of the weight
                 target = (out or {}).get(i)
                 if target is None:
-                    target = buffer(work, ("dw", i), g.shape[:-2] + effective[i].shape[-2:])
-                gw = np.matmul(g.mT, hs[i], out=target)
-                if masks[i] is not None:
-                    gw *= masks[i]
-                grads[1 + i] = _unstack(gw, ws[i].ndim)
+                    target = buffer(work, ("dw", i), g.shape[:-2] + ws[i].shape[-2:])
+                grads[1 + i] = _unstack(np.matmul(g.mT, hs[i], out=target), ws[i].ndim)
             g = g_in
         if needs[0]:
             grads[0] = g
@@ -275,22 +266,6 @@ def _l1_mean(v):
     return value, lambda g, needs: [g * scale * np.sign(x) for x in v]
 
 
-def _pairwise_sum(terms):
-    """Sum with the halves added first: four terms add as (t0 + t1) + (t2 + t3)."""
-    if len(terms) == 1:
-        return terms[0]
-    half = len(terms) // 2
-    return _pairwise_sum(terms[:half]) + _pairwise_sum(terms[half:])
-
-
-def _weighted_sum(v, weights):
-    """Sum over inputs of sum(weight * x), each weight shaped like its input."""
-    if len(weights) != len(v) or any(np.shape(w) != np.shape(x) for w, x in zip(weights, v)):
-        raise ValueError("weighted_sum: one weight of each input's shape required")
-    value = _pairwise_sum([(w * x).sum() for w, x in zip(weights, v)])
-    return value, lambda g, needs: [g * w for w in weights]
-
-
 _OPS = {
     "masked_mlp": _masked_mlp,
     "softmax": _softmax,
@@ -300,5 +275,4 @@ _OPS = {
     "ratio_penalty": _ratio_penalty,
     "consistency": _consistency,
     "l1_mean": _l1_mean,
-    "weighted_sum": _weighted_sum,
 }

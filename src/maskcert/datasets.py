@@ -13,6 +13,8 @@ scaled to [0, 1] and flattened.
 
 from __future__ import annotations
 
+import os
+import stat
 import struct
 from typing import NamedTuple
 
@@ -80,7 +82,11 @@ def gen_synthetic(cfg: ExperimentConfig):
 
 
 def _read_exact(fh, count, path, what):
-    data = fh.read(count)
+    """`count` bytes of fh, else DatasetError naming `path`. A regular file
+    is never read past its end, so a header's claimed size allocates nothing."""
+    st = os.fstat(fh.fileno())
+    held = st.st_size - fh.tell() if stat.S_ISREG(st.st_mode) else count
+    data = fh.read(min(count, held))
     if len(data) != count:
         raise DatasetError(f"{path}: truncated {what} (wanted {count} bytes, got {len(data)})")
     return data

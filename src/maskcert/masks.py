@@ -122,10 +122,10 @@ def binarize(soft_mask: list[np.ndarray], pr: float,
 
 
 def hard_multipliers(model: MaskableModel, hard: list | None) -> list | None:
-    """Per-layer multipliers of a hard mask for MaskableModel.folded and
-    masked_forward: each vector reshaped to its layer's mask_shape, None for
-    an empty vector (a dense layer); None for no mask. A vector of the wrong
-    length raises ValueError naming its layer."""
+    """Per-layer multipliers of a hard mask for MaskableModel.folded (and
+    stage 3's weight gradients): each vector reshaped to its layer's
+    mask_shape, None for an empty vector (a dense layer); None for no mask.
+    A vector of the wrong length raises ValueError naming its layer."""
     if hard is None:
         return None
     if len(hard) != len(model.specs):

@@ -1,12 +1,12 @@
 """Dense feed-forward classifiers with per-layer mask slots and checkpoints.
 
 A model is a stack of affine layers with relu activations, ending in a
-logits layer. Masks multiply the weight matrices elementwise, shaped by
-mask_shape to broadcast against them: in unstructured mode a mask entry
-covers one weight, in structured mode one mask entry scales an entire output
-row. Biases are never masked. In structured mode the final classifier layer
-is exempt (pruning its outputs would delete classes), so its prunable-unit
-count is zero.
+logits layer. A mask is folded into the weights (MaskableModel.folded),
+multiplying each weight matrix elementwise in the shape mask_shape gives it:
+in unstructured mode a mask entry covers one weight, in structured mode one
+mask entry scales an entire output row. Biases are never masked. In
+structured mode the final classifier layer is exempt (pruning its outputs
+would delete classes), so its prunable-unit count is zero.
 """
 
 from __future__ import annotations
@@ -128,10 +128,8 @@ class MaskableModel:
     def folded(self, multipliers) -> "MaskableModel":
         """The deployed model: dense, with weights m * w for each layer's
         multiplier m (see masks.hard_multipliers), and w where the entry, or
-        `multipliers` itself, is None. Its forward equals masked_forward under
-        the same multipliers bit for bit, since that forms the same product,
-        but pays for the product once instead of per call. Unmasked weights
-        and the biases are shared, not copied."""
+        `multipliers` itself, is None; every hard mask is applied this way,
+        stage 3 included. Unmasked weights and the biases are shared."""
         if multipliers is None:
             return self
         return MaskableModel(self.specs,
@@ -140,42 +138,33 @@ class MaskableModel:
                              self.biases, self.mask_mode)
 
 
-def masked_forward(x, weights, biases, specs, multipliers=None, out=None, pre=None):
-    """Run the layer stack with each weight multiplied by its multiplier, of
-    the weight's shape or its mask_shape (None entries, or multipliers=None,
-    leave a layer dense).
+def masked_forward(x, weights, biases, specs, out=None, pre=None):
+    """Run the layer stack on weights with any mask already folded in
+    (MaskableModel.folded). Returns (hs, zs): hs[0] is x and hs[i + 1] the
+    output of layer i after its activation, so hs[-1] holds the logits;
+    zs[i] is layer i's pre-activation. The masked-MLP VJP reuses both.
 
-    Returns (hs, zs, ws): hs[0] is x and hs[i + 1] the output of layer i
-    after its activation, so hs[-1] holds the logits; zs[i] is layer i's
-    pre-activation and ws[i] the weight it applied. The masked-MLP VJP in
-    autodiff reuses all three.
-
-    x may be stacked, (..., batch, in), and so may the weights and the
-    multipliers, one per stacked copy: matmul runs one GEMM
-    per trailing 2-D block, so every block gets the bits of its own call,
-    which one GEMM over the flattened rows does not promise. With `out`, one array
-    per layer shaped like that layer's output, layer i is computed into
-    out[i] by the same ufuncs and its activation applied there in place, so
-    nothing is allocated; zs then holds the activated outputs. With `pre` as
-    well, one array per relu layer (None for the others), a relu layer's
-    pre-activation is computed into pre[i] and kept in zs, and its output
-    written into out[i].
+    x may be stacked, (..., batch, in), and so may the weights, one per
+    stacked copy: matmul runs one GEMM per trailing 2-D block, so every
+    block gets the bits of its own call, which one GEMM over the flattened
+    rows does not promise. With `out`, one array per layer shaped like that
+    layer's output, layer i is computed into out[i] by the same ufuncs and
+    its activation applied there in place, so nothing is allocated; zs then
+    holds the activated outputs. With `pre` as well, one array per relu
+    layer (None for the others), a relu layer's pre-activation is computed
+    into pre[i] and kept in zs, and its output written into out[i].
     """
-    hs, zs, ws = [x], [], []
+    hs, zs = [x], []
     for i, spec in enumerate(specs):
-        w = weights[i]
-        if multipliers is not None and multipliers[i] is not None:
-            w = multipliers[i] * w
         buf = None if out is None else out[i]
-        z = np.matmul(hs[-1], w.mT, out=buf if pre is None or pre[i] is None else pre[i])
+        z = np.matmul(hs[-1], weights[i].mT, out=buf if pre is None or pre[i] is None else pre[i])
         z += biases[i]
         h = z
         if spec.activation == "relu":
             h = np.maximum(z, 0.0, out=buf)
         hs.append(h)
         zs.append(z)
-        ws.append(w)
-    return hs, zs, ws
+    return hs, zs
 
 
 def forward_probs(x, weights, biases, specs, out=None) -> np.ndarray:
@@ -187,7 +176,7 @@ def forward_probs(x, weights, biases, specs, out=None) -> np.ndarray:
     of its own forward. `out` is as for masked_forward, and the
     probabilities are then written into its last array.
     """
-    hs, _, _ = masked_forward(x, weights, biases, specs, out=out)
+    hs, _ = masked_forward(x, weights, biases, specs, out=out)
     p = softmax(hs[-1], out=None if out is None else hs[-1])
     if not np.isfinite(p).all():
         raise FloatingPointError("forward: non-finite output probabilities")

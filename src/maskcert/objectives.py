@@ -104,18 +104,18 @@ def composite_step_loss(model: MaskableModel, soft_mask, x, x_t, cfg: Experiment
     l_ratio, ratio_vjp = ad.primitive("ratio_penalty", [p_m, p_s],
                                       eta=cfg.safety_threshold, eps=cfg.margin_epsilon)
     l1_norm, l1_vjp = ad.primitive("l1_mean", [v for v in views if v.size])
-    total, sum_vjp = ad.primitive("weighted_sum", [l_stab, l_ratio, l_consis, l1_norm],
-                                  weights=(cfg.lambda_stab, cfg.lambda_ratio,
-                                           cfg.lambda_consis, cfg.lambda_l1))
+    l_stab, l_ratio, l_consis, l1_norm = map(float, (l_stab, l_ratio, l_consis, l1_norm))
+    total = ((cfg.lambda_stab * l_stab + cfg.lambda_ratio * l_ratio)
+             + (cfg.lambda_consis * l_consis + cfg.lambda_l1 * l1_norm))
     if not np.isfinite(total):
         raise FloatingPointError("composite_step_loss: non-finite objective")
 
+    # each term's upstream gradient is its weight
     both = (True, True)
-    g_stab, g_ratio, g_consis, g_l1 = sum_vjp(1.0, (True,) * 4)
     g_probs = np.empty_like(probs)
-    ratio_m, g_probs[2] = ratio_vjp(g_ratio, both)
-    consis_m, g_probs[3] = consis_vjp(g_consis, both)
-    stab_m, g_probs[1] = stab_vjp(g_stab, both)
+    ratio_m, g_probs[2] = ratio_vjp(cfg.lambda_ratio, both)
+    consis_m, g_probs[3] = consis_vjp(cfg.lambda_consis, both)
+    stab_m, g_probs[1] = stab_vjp(cfg.lambda_stab, both)
     np.add(ratio_m + consis_m, stab_m, out=g_probs[0])
     g_logits = softmax_vjp(g_probs, (True,))[0]
     # In unstructured mode each weight gradient goes straight into its layer's
@@ -130,7 +130,7 @@ def composite_step_loss(model: MaskableModel, soft_mask, x, x_t, cfg: Experiment
             g_m *= w
         else:  # a structured (out, 1) mask collects its row's gradient
             g_m[...] = (g_ws[1 + i] * w).sum(axis=-1, keepdims=True)
-    grad = np.concatenate(l1_vjp(g_l1, (True,) * len(layers)))
+    grad = np.concatenate(l1_vjp(cfg.lambda_l1, (True,) * len(layers)))
     grad += stack[3]  # the straight-through copy's gradient
     noisy_vjp(stack[:3], (True,), out=stack[:3])
     grad += stack[2]
@@ -138,11 +138,11 @@ def composite_step_loss(model: MaskableModel, soft_mask, x, x_t, cfg: Experiment
     grad += stack[0]
     report = StepReport(
         step=step,
-        l_stab=float(l_stab),
-        l_ratio=float(l_ratio),
-        l_consis=float(l_consis),
-        l1_normalized=float(l1_norm),
-        composite=float(total),
+        l_stab=l_stab,
+        l_ratio=l_ratio,
+        l_consis=l_consis,
+        l1_normalized=l1_norm,
+        composite=total,
         grad_norm=float(np.sqrt(sum(float((g * g).sum()) for g in layer_views(grad, dims)))),
     )
     return CompositeResult(report=report, grad=grad)

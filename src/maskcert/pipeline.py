@@ -3,9 +3,9 @@
 Stage 1 pre-trains the dense model with cross-entropy on the augmented set.
 Stage 2 freezes the weights and searches a soft pruning mask with the
 composite objective, clamping the mask into [0, 1] after every update.
-Stage 3 binarizes the mask and fine-tunes the surviving weights under the
-fixed hard mask; pruned weights receive exactly zero update because the
-gradient arrives multiplied by the mask.
+Stage 3 binarizes the mask and fine-tunes the model with the fixed hard mask
+folded into its weights; pruned weights receive exactly zero update because
+their gradient is multiplied by the mask.
 
 Baselines share everything they can with the main method: identical
 pre-trained weights, augmented data, schedules, and certification streams
@@ -96,8 +96,9 @@ class EpochStats:
 def _ce_epochs(model: MaskableModel, data: Dataset, epochs: int, lr: float,
                momentum: float, batch_size: int, rng: np.random.Generator,
                multipliers=None) -> list[EpochStats]:
-    """Mini-batch cross-entropy training, optionally under fixed multipliers
-    (hard_multipliers). Updates model weights in place."""
+    """Mini-batch cross-entropy training of the model folded under fixed
+    multipliers (hard_multipliers), if any, with each masked layer's weight
+    gradient multiplied by its multiplier. Updates model weights in place."""
     opt = MomentumSGD(lr, momentum)
     history = []
     n = len(data)
@@ -112,8 +113,8 @@ def _ce_epochs(model: MaskableModel, data: Dataset, epochs: int, lr: float,
             xb, yb = data.x[idx], data.y[idx]
             try:
                 logits, mlp_vjp = ad.primitive(
-                    "masked_mlp", [xb, *model.weights, *model.biases],
-                    specs=tuple(model.specs), masks=multipliers, work=work)
+                    "masked_mlp", [xb, *model.folded(multipliers).weights, *model.biases],
+                    specs=tuple(model.specs), work=work)
                 loss, ce_vjp = ad.primitive("cross_entropy", [logits], labels=yb)
             except FloatingPointError as exc:
                 raise FloatingPointError(
@@ -122,6 +123,9 @@ def _ce_epochs(model: MaskableModel, data: Dataset, epochs: int, lr: float,
                 raise FloatingPointError(
                     f"training diverged at epoch {epoch}: non-finite loss")
             grads = mlp_vjp(ce_vjp(1.0, (True,))[0], needs)[1:]
+            for g, m in zip(grads, multipliers or ()):
+                if m is not None:
+                    g *= m
             opt.step(model.weights + model.biases, grads)
             loss_sum += float(loss) * len(idx)
         history.append(EpochStats(epoch, loss_sum / n,

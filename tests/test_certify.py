@@ -10,7 +10,7 @@ from maskcert.config import ExperimentConfig
 from maskcert.masks import binarize, hard_multipliers
 from maskcert.model import LayerSpec, MaskableModel, masked_forward, mlp_specs, softmax
 from maskcert.transforms import CorruptionTag, TransformSpec, sample_set
-from util import log_y, make_cfg
+from util import fold, log_y, make_cfg
 
 
 def constant_model(bias=(2.0, 0.0), in_dim=4):
@@ -64,8 +64,8 @@ def per_sample_oracle(model, multipliers, x_eval, y_eval, spec, config):
     masks into the weights itself. One dict per sample, plus the log of the
     grid-minimum bound of each sample with a nonzero margin."""
     def forward(x):
-        return softmax(masked_forward(x, model.weights, model.biases, model.specs,
-                                      multipliers)[0][-1])
+        ws = model.weights if multipliers is None else fold(multipliers, model.weights)
+        return softmax(masked_forward(x, ws, model.biases, model.specs)[0][-1])
 
     grid = t_grid(config)
     rows, logs = [], []

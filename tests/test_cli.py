@@ -231,6 +231,21 @@ seed = 5
         assert "train-images.idx has 16 pixels per image" in err
         assert "test-images.idx has 4" in err
 
+    @pytest.mark.parametrize("stem, header, what", [
+        ("train-images", struct.pack(">IIII", 0x803, 2 ** 32 - 1, 65535, 65535), "pixel"),
+        ("train-images", struct.pack(">IIII", 0x803, 2 ** 32 - 1, 28, 28), "pixel"),
+        ("train-labels", struct.pack(">II", 0x801, 2 ** 32 - 1), "label"),
+    ], ids=["images-65535x65535", "images-28x28", "labels"])
+    def test_header_declaring_more_than_the_file_exits_2(self, tmp_path, capsys,
+                                                         stem, header, what):
+        # a count of 2^32 - 1 claims more data than the file holds; the file
+        # size is checked first, so nothing is allocated for the claim
+        cfg = self.write_config(tmp_path)
+        path = tmp_path / f"{stem}.idx"
+        path.write_bytes(header + bytes(16))
+        assert run("run-all", cfg, tmp_path / "o") == EXIT_IO
+        assert f"{path}: truncated {what} payload" in capsys.readouterr().err
+
 
 class TestCheckpointArchitecture:
     @pytest.fixture

@@ -8,6 +8,7 @@ from maskcert.errors import DatasetError
 from maskcert.masks import hard_multipliers
 from maskcert.model import (LayerSpec, MaskableModel, forward_probs, load_checkpoint,
                             mask_shape, masked_forward, mlp_specs, save_checkpoint, softmax)
+from util import fold
 
 
 def two_layer(mask_mode="unstructured", seed=0):
@@ -97,7 +98,7 @@ class TestForward:
         x = rng.standard_normal((9, 5))
         mult = hard_multipliers(m, [(rng.uniform(size=n) < 0.5).astype(float)
                                     for n in m.mask_dims()])
-        hs, _, _ = masked_forward(x, m.weights, m.biases, m.specs, mult)
+        hs, _ = masked_forward(x, fold(mult, m.weights), m.biases, m.specs)
         assert np.array_equal(m.folded(mult).forward(x), softmax(hs[-1]))
         assert m.folded(None) is m
 

@@ -242,7 +242,7 @@ class TestCompositeStep:
 class TestGraphForwardParity:
     def test_training_probs_match_numpy_forward_bitwise(self):
         # certification scores the folded model's forward; training
-        # differentiates the masked_mlp kind under the same multipliers; both
+        # differentiates the masked_mlp kind on the same folded weights; both
         # must compute the identical function
         for mode in ("unstructured", "structured"):
             for seed in range(5):
@@ -252,8 +252,9 @@ class TestGraphForwardParity:
                 hard = binarize(init_percentile_scaled(model, 30.0), 0.5)
                 mult = hard_multipliers(model, hard)
                 p_np = model.folded(mult).forward(x)
-                logits = ad.primitive("masked_mlp", [x, *model.weights, *model.biases],
-                                      specs=tuple(model.specs), masks=mult)[0]
+                logits = ad.primitive("masked_mlp",
+                                      [x, *model.folded(mult).weights, *model.biases],
+                                      specs=tuple(model.specs))[0]
                 assert np.array_equal(p_np, ad.primitive("softmax", [logits])[0])
 
 

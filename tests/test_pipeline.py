@@ -231,21 +231,41 @@ class TestStepLifetime:
         assert len(refs) > 3 and alive == 0
 
 
+def test_every_registered_kind_is_used(monkeypatch):
+    # a kind that nothing in a run-all dispatches is dead code
+    kinds = set()
+    primitive = ad.primitive
+
+    def recorded(kind, values, **attrs):
+        kinds.add(kind)
+        return primitive(kind, values, **attrs)
+
+    monkeypatch.setattr(ad, "primitive", recorded)
+    run_experiment(tiny_cfg(stage1_epochs=1, stage2_epochs=1, stage3_epochs=1))
+    assert kinds == set(ad._OPS)
+
+
 class TestStage3:
-    def setup_cfg(self):
-        cfg = tiny_cfg()
+    def setup_cfg(self, **kw):
+        cfg = tiny_cfg(**kw)
         _, test, _, train_aug, _, model = tiny_setup(cfg)
         stage1_pretrain(model, train_aug, cfg)
         return cfg, test, train_aug, model
 
-    def test_masked_weights_bit_identical(self):
-        cfg, _, train_aug, model = self.setup_cfg()
+    @pytest.mark.parametrize("mode", ["unstructured", "structured"])
+    def test_masked_weights_bit_identical(self, mode):
+        # pruned weights (in structured mode every weight of a pruned row)
+        # keep their pretrained bits; the rest, and structured mode's exempt
+        # last layer, move
+        cfg, _, train_aug, model = self.setup_cfg(mask_mode=mode)
         hard = lmp_mask(model, 0.5)
         mult = hard_multipliers(model, hard)
         before = [w.copy() for w in model.weights]
         stage3_finetune(model, hard, train_aug, cfg)
+        assert (mult[-1] is None) == (mode == "structured")
         for b, w, m in zip(before, model.weights, mult):
-            dead = (m == 0)
+            dead = np.zeros(w.shape, bool) if m is None else np.broadcast_to(m == 0, w.shape)
+            assert m is None or dead.any()
             assert np.array_equal(b[dead], w[dead])
             assert np.any(b[~dead] != w[~dead])  # live weights actually moved
 

@@ -75,10 +75,16 @@ def _row_gap(x):
     return s[..., -1] - s[..., -2]
 
 
-def relu_margin(x, weights, biases, specs, masks=None) -> float:
+def fold(masks, weights):
+    """Each weight times its mask (None leaves a weight dense), as
+    MaskableModel.folded forms it."""
+    return [w if m is None else m * w for m, w in zip(masks, weights)]
+
+
+def relu_margin(x, weights, biases, specs) -> float:
     """Smallest |pre-activation| of any relu layer, read from the
     pre-activations masked_forward returns."""
-    _, zs, _ = masked_forward(x, weights, biases, specs, masks)
+    _, zs = masked_forward(x, weights, biases, specs)
     return min((float(np.abs(z).min()) for z, s in zip(zs, specs) if s.activation == "relu"),
                default=np.inf)
 
@@ -108,7 +114,7 @@ def composite_objective(model, cs, x, x_t, cfg, xis, hard, c0):
     xis = (xi_m, xi_n, xi_s) (each one array per layer), the hard masks and
     the straight-through point c0 held fixed. It is assembled from the
     registered kinds, and the straight-through mask written out, one masked
-    copy at a time.
+    copy at a time, each copy's masks folded into the weights.
     Returns the total and the distance of this evaluation from the nearest
     kink: relu pre-activations, clip edges of the noisy masks, the sup-norm
     and top-2 gaps of the ratio term, and zeros of the L1 term."""
@@ -127,20 +133,18 @@ def composite_objective(model, cs, x, x_t, cfg, xis, hard, c0):
     copies = [(x, noisy[0]), (x, noisy[1]), (x, ste), (x_t, noisy[2])]
     probs, margin = [], np.inf
     for inp, layer_masks in copies:
-        masks = masks_of(layer_masks)
-        logits = _value("masked_mlp", inp, *model.weights, *model.biases,
-                        specs=tuple(model.specs), masks=masks)
+        ws = fold(masks_of(layer_masks), model.weights)
+        logits = _value("masked_mlp", inp, *ws, *model.biases, specs=tuple(model.specs))
         probs.append(_value("softmax", logits))
-        margin = min(margin, relu_margin(inp, model.weights, model.biases, model.specs, masks))
+        margin = min(margin, relu_margin(inp, ws, model.biases, model.specs))
     p_m, p_n, p_h, p_s = probs
-    terms = [_value("stability", p_m, p_n),
-             _value("ratio_penalty", p_m, p_s, eta=cfg.safety_threshold,
-                    eps=cfg.margin_epsilon),
-             _value("consistency", p_m, p_h),
-             _value("l1_mean", *cs)]
-    total = _value("weighted_sum", *terms,
-                   weights=(cfg.lambda_stab, cfg.lambda_ratio, cfg.lambda_consis,
-                            cfg.lambda_l1))
+    stab, ratio, consis, l1 = map(float, (
+        _value("stability", p_m, p_n),
+        _value("ratio_penalty", p_m, p_s, eta=cfg.safety_threshold, eps=cfg.margin_epsilon),
+        _value("consistency", p_m, p_h),
+        _value("l1_mean", *cs)))
+    total = ((cfg.lambda_stab * stab + cfg.lambda_ratio * ratio)
+             + (cfg.lambda_consis * consis + cfg.lambda_l1 * l1))
     shifted = [c + xi for draw in xis for c, xi in zip(cs, draw)]
     margin = min(margin, ratio_margin(p_m, p_s),
                  *(float(np.abs(s).min()) for s in shifted),
@@ -216,9 +220,10 @@ def _probs(rng, shape, alpha=2.0, floor=1e-3):
 
 
 def _case_masked_mlp(rng, specs, mask_shapes, stack=()):
-    """Input, weights and biases checked, masks fixed; redrawn until each
-    relu pre-activation is clear of the kink. `stack` prepends copy axes to
-    the input, the weights and the masks."""
+    """Input, weights and biases checked, each weight with a mask of the
+    given shape (None for none) folded in; redrawn until each relu
+    pre-activation is clear of the kink. `stack` prepends copy axes to the
+    input, the weights and the masks."""
     n = len(specs)
     while True:
         x = rng.standard_normal((*stack, 5, specs[0].in_dim))
@@ -226,9 +231,9 @@ def _case_masked_mlp(rng, specs, mask_shapes, stack=()):
         bs = [rng.standard_normal(s.out_dim) for s in specs]
         masks = [None if m is None else rng.uniform(0.2, 1.0, size=(*stack, *m))
                  for m in mask_shapes]
-        if relu_margin(x, ws, bs, specs, masks) > 1e-2:
-            return ("masked_mlp", [x, *ws, *bs], {"specs": tuple(specs), "masks": masks},
-                    range(2 * n + 1))
+        ws = fold(masks, ws)
+        if relu_margin(x, ws, bs, specs) > 1e-2:
+            return "masked_mlp", [x, *ws, *bs], {"specs": tuple(specs)}, range(2 * n + 1)
 
 
 def _case_softmax(rng, shape):
@@ -272,13 +277,6 @@ def _case_l1_mean(rng):
     return "l1_mean", xs, {}, range(3)
 
 
-def _case_weighted_sum(rng):
-    shapes = [(3, 4), (), (5,), (2, 2)]
-    xs = [np.asarray(rng.standard_normal(s)) for s in shapes]
-    weights = tuple(rng.uniform(-1.5, 1.5, size=s) for s in shapes)
-    return "weighted_sum", xs, {"weights": weights}, range(4)
-
-
 _MLP = mlp_specs(3, [4], 2)
 
 # kind -> list of (label, builders); each builder(rng) -> (kind, inputs,
@@ -312,7 +310,6 @@ PRIMITIVE_CASES = {
         ("kl_div", [lambda r: _case_consistency(r, (4, 3))]),
         ("log", [lambda r: _case_consistency(r, (3, 6), 0.3, 1e-2)])],  # many entries near 0
     "l1_mean": [("l1_sum", [_case_l1_mean])],
-    "weighted_sum": [("sum", [_case_weighted_sum])],
 }
 
 CASE_LABELS = {label: builders for cases in PRIMITIVE_CASES.values()
