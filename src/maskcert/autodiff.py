@@ -1,18 +1,15 @@
-"""Values and vector-Jacobian products of the pieces of the two objectives
-maskcert trains.
+"""Values and vector-Jacobian products of the network maskcert trains.
 
 Each kind is one function of its input values (and fixed attributes) that
 computes its value eagerly and returns it with a vector-Jacobian product over
 the residuals of that forward pass: vjp(g, needs) gives one gradient per
-input, None where `needs` is False. There are eight kinds: the masked MLP
-logits, on weights with their masks folded in; a softmax; the batch-mean
-cross-entropy of stages 1 and 3; and for the stage-2 mask search the noisy
-mask draws (one noise array shaped like the stacked copies of the flat soft
-mask), the stability, ratio and consistency terms and the L1 mean.
-`primitive` dispatches to them; the stage-2 step
-(`objectives.composite_step_loss`) and the cross-entropy step
-(`pipeline._ce_epochs`) chain the VJPs by hand in straight-line code, each
-applying its masks to the weights and to their gradients itself.
+input, None where `needs` is False. There are three kinds: the masked MLP
+logits, on weights with their masks folded in; a softmax; and the batch-mean
+cross-entropy of stages 1 and 3. `primitive` dispatches to them; the stage-2
+step (`objectives.composite_step_loss`, whose loss terms are plain functions
+of `objectives`) and the cross-entropy step (`pipeline._ce_epochs`) chain the
+VJPs by hand in straight-line code, each applying its masks to the weights
+and to their gradients itself.
 
 The masked MLP and the softmax accept stacked copies: an input of shape
 (..., batch, features) with weights stacked the same way. numpy's matmul
@@ -26,12 +23,7 @@ import numpy as np
 
 from .model import masked_forward, softmax as softmax_values
 
-__all__ = ["primitive", "buffer", "KL_SMOOTHING"]
-
-# Both arguments of the consistency term are mixed with the uniform
-# distribution at this weight before taking logs, so exact zeros in a
-# probability vector cannot produce log(0).
-KL_SMOOTHING = 1e-8
+__all__ = ["primitive", "buffer"]
 
 
 def primitive(kind: str, values: list, **attrs):
@@ -162,117 +154,8 @@ def _cross_entropy(v, labels):
     return nll.mean(), vjp
 
 
-def _noisy(v, xi, out=None):
-    """clip(c + xi, 0, 1) for copies c of a soft mask stacked on the first
-    axis and a fixed noise array xi of the same shape, one draw per copy,
-    written into `out` when given (which may be xi itself). The VJP takes an
-    optional `out` too, which may be its gradient g."""
-    c = v[0]
-    if np.shape(xi) != c.shape:
-        raise ValueError(f"noisy: noise of shape {c.shape} required, got {np.shape(xi)}")
-    shifted = np.add(c, xi, out=out)
-    # Gradient passes on the closed interval [0, 1]; it flows at exact
-    # saturation boundaries.
-    passed = (shifted >= 0.0) & (shifted <= 1.0)
-    return (np.clip(shifted, 0.0, 1.0, out=shifted),
-            lambda g, needs, out=None: [np.multiply(g, passed, out=out)])
-
-
-def _check_pair(kind, p, q):
-    if p.shape != q.shape or p.ndim != 2:
-        raise ValueError(f"{kind}: expected matching (batch, classes) inputs, "
-                         f"got {p.shape} and {q.shape}")
-
-
-def _row_mean_grad(g, rows):
-    """Gradient of the batch mean on each row, as a column."""
-    return np.expand_dims(np.ones_like(rows) * (g / rows.size), -1)
-
-
-def _stability(v):
-    """Batch mean of the squared L2 distance between the probability rows of
-    two independent mask draws."""
-    p, q = v
-    _check_pair("stability", p, q)
-    diff = p - q
-    rows = (diff * diff).sum(axis=-1)
-
-    def vjp(g, needs):
-        g_diff = _row_mean_grad(g, rows) * 2.0 * diff
-        return [g_diff, -g_diff]
-
-    return rows.mean(), vjp
-
-
-def _ratio_penalty(v, eta, eps):
-    """Batch mean of softplus(Z / (d + eps) - eta), with Z the sup-norm
-    distance between the clean and transformed rows and d half the gap
-    between the clean row's top two entries: a smooth penalty on the
-    robustness ratio exceeding the safety threshold."""
-    p, q = v
-    _check_pair("ratio_penalty", p, q)
-    if p.shape[1] < 2:
-        raise ValueError(f"ratio_penalty: need at least 2 classes, got shape {p.shape}")
-    rows = np.arange(p.shape[0])
-    diff = p - q
-    # Sup-norm and top-2 subgradients are supported at the first attaining
-    # index alone (np.argmax order).
-    abs_diff = np.abs(diff)
-    top = np.argmax(abs_diff, axis=1)
-    z = abs_diff.max(axis=1)
-    i1 = np.argmax(p, axis=1)
-    rest = p.copy()
-    rest[rows, i1] = -np.inf
-    i2 = np.argmax(rest, axis=1)
-    den = (p[rows, i1] - p[rows, i2]) / 2.0 + eps
-    s = z / den - eta
-    softplus = np.maximum(s, 0.0) + np.log1p(np.exp(-np.abs(s)))  # never overflows
-
-    def vjp(g, needs):
-        g_s = np.ones_like(s) * (g / s.size) * np.exp(-np.logaddexp(0.0, -s))
-        g_den = -g_s * z / (den * den)
-        g_top2 = np.zeros_like(p)
-        g_top2[rows, i1] += g_den / 2.0
-        g_top2[rows, i2] -= g_den / 2.0
-        g_diff = np.zeros_like(diff)
-        g_diff[rows, top] = np.sign(diff[rows, top]) * (g_s / den)
-        return [g_top2 + g_diff, -g_diff]
-
-    return softplus.mean(), vjp
-
-
-def _consistency(v):
-    """Batch mean KL(p || q) with uniform smoothing of both arguments."""
-    p, q = v
-    _check_pair("consistency", p, q)
-    k = p.shape[-1]
-    ps = (1.0 - KL_SMOOTHING) * p + KL_SMOOTHING / k
-    qs = (1.0 - KL_SMOOTHING) * q + KL_SMOOTHING / k
-    log_ratio = np.log(ps) - np.log(qs)
-    rows = (ps * log_ratio).sum(axis=-1)
-
-    def vjp(g, needs):
-        g_rows = _row_mean_grad(g, rows)
-        return [g_rows * (1.0 - KL_SMOOTHING) * (log_ratio + 1.0),
-                g_rows * (1.0 - KL_SMOOTHING) * (-ps / qs)]
-
-    return rows.mean(), vjp
-
-
-def _l1_mean(v):
-    """Sum of |x| over every entry of the inputs, divided by their entry count."""
-    scale = 1.0 / sum(x.size for x in v)
-    value = sum(np.abs(x).sum() for x in v) * scale
-    return value, lambda g, needs: [g * scale * np.sign(x) for x in v]
-
-
 _OPS = {
     "masked_mlp": _masked_mlp,
     "softmax": _softmax,
     "cross_entropy": _cross_entropy,
-    "noisy": _noisy,
-    "stability": _stability,
-    "ratio_penalty": _ratio_penalty,
-    "consistency": _consistency,
-    "l1_mean": _l1_mean,
 }

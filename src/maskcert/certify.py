@@ -249,6 +249,9 @@ def pca_models(deployed: list[MaskableModel], x_eval, y_eval, spec: TransformSpe
     y_eval = np.asarray(y_eval)
     if len(x_eval) == 0:
         raise ValueError("pca: empty evaluation set")
+    if y_eval.shape != (len(x_eval),):
+        raise ValueError(f"pca: expected one label per sample ({len(x_eval)}), "
+                         f"got labels of shape {y_eval.shape}")
     if not deployed:
         raise ValueError("pca: no models to certify")
     specs = deployed[0].specs

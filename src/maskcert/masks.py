@@ -1,4 +1,5 @@
-"""Soft-mask lifecycle: percentile-scaled init, noise injection, and
+"""Soft-mask lifecycle: percentile-scaled init, noise injection (the noisy
+draws with the indicator through which their gradient passes), and
 layer-wise top-k binarization.
 
 A soft mask is a list of per-layer float vectors in [0, 1] whose lengths are
@@ -19,7 +20,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import autodiff as ad
 from .model import MaskableModel, mask_shape
 
 
@@ -65,12 +65,12 @@ def sample_noisy(c: np.ndarray, mu: float, rng: np.random.Generator,
                  draws: int = 1, out: np.ndarray | None = None):
     """`draws` independent draws of clip(C + xi, 0, 1), xi ~ U(-mu, mu) i.i.d.
     per entry, fresh per call, in one call, so a flat soft mask is drawn
-    draw by draw over every layer. Returns the noisy kind's (value, vjp), the
-    value stacked as (draws, *C.shape) and written into `out` when given.
-    The VJP gives each draw's gradient on C, which passes where C + xi lies
-    in [0, 1].
+    draw by draw over every layer. Returns the draws, stacked as
+    (draws, *C.shape) and written into `out` when given, and `passed`, the
+    indicator of C + xi in the closed interval [0, 1], through which each
+    draw's gradient on C passes (at exact saturation too).
 
-    The noise is drawn straight into the value's array as lo + (hi - lo)·u
+    The noise is drawn straight into the draws' array as lo + (hi - lo)·u
     from rng.random, the bits rng.uniform(lo, hi) gives, and C is added in
     place."""
     if mu < 0:
@@ -79,7 +79,9 @@ def sample_noisy(c: np.ndarray, mu: float, rng: np.random.Generator,
     xi = rng.random(out=np.empty((draws, *c.shape)) if out is None else out)
     xi *= hi - lo
     xi += lo
-    return ad.primitive("noisy", [np.broadcast_to(c, xi.shape)], xi=xi, out=xi)
+    xi += c
+    passed = (xi >= 0.0) & (xi <= 1.0)
+    return np.clip(xi, 0.0, 1.0, out=xi), passed
 
 
 def _top_k(c: np.ndarray, kappa: int, out: np.ndarray) -> np.ndarray:

@@ -279,9 +279,9 @@ def load_checkpoint(path):
 
     if not isinstance(doc, dict):
         raise DatasetError(f"checkpoint {path}: not a JSON object")
-    if doc.get("version") != CHECKPOINT_VERSION:
-        raise DatasetError(
-            f"checkpoint {path}: unrecognized version {doc.get('version')!r}")
+    version = doc.get("version")
+    if type(version) is not int or version != CHECKPOINT_VERSION:  # true and 1.0 equal 1
+        raise DatasetError(f"checkpoint {path}: unrecognized version {version!r}")
     stage = doc.get("stage")
     if stage not in STAGE_TAGS:
         raise DatasetError(f"checkpoint {path}: unknown stage tag {stage!r}")

@@ -4,9 +4,12 @@ One training step draws three independent noisy soft masks, compares the
 resulting predictions for structural stability, aligns the soft-mask
 predictions with the binarized mask through a straight-through mask, and
 penalizes the prediction discrepancy between clean and transformed inputs
-relative to the classification margin. The four masked copies of the network
-run as one stacked forward, and one backward pass chains the VJPs of the
-terms by hand, so the frozen weights never receive gradients.
+relative to the classification margin. Each term is a plain function that
+takes its upstream gradient g last and returns its value and the gradients
+of g times it on its inputs. The four masked copies run as one stacked
+forward, and one backward pass chains the terms' gradients by hand through
+`autodiff`'s softmax and masked MLP kinds, so the frozen weights never
+receive gradients.
 """
 
 from __future__ import annotations
@@ -19,6 +22,86 @@ from . import autodiff as ad
 from .config import ExperimentConfig
 from .masks import binarize, layer_views, sample_noisy
 from .model import MaskableModel, mask_shape
+
+# Both arguments of the consistency term are mixed with the uniform
+# distribution at this weight before taking logs, so exact zeros in a
+# probability vector cannot produce log(0).
+KL_SMOOTHING = 1e-8
+
+
+def _check_pair(kind, p, q):
+    if p.shape != q.shape or p.ndim != 2:
+        raise ValueError(f"{kind}: expected matching (batch, classes) inputs, "
+                         f"got {p.shape} and {q.shape}")
+
+
+def _row_mean_grad(g, rows):
+    """Gradient of the batch mean on each row, as a column."""
+    return np.expand_dims(np.ones_like(rows) * (g / rows.size), -1)
+
+
+def stability(p, q, g):
+    """Batch mean of the squared L2 distance between the probability rows of
+    two independent mask draws."""
+    _check_pair("stability", p, q)
+    diff = p - q
+    rows = (diff * diff).sum(axis=-1)
+    g_diff = _row_mean_grad(g, rows) * 2.0 * diff
+    return rows.mean(), g_diff, -g_diff
+
+
+def ratio_penalty(p, q, eta, eps, g):
+    """Batch mean of softplus(Z / (d + eps) - eta), with Z the sup-norm
+    distance between the clean and transformed rows and d half the gap
+    between the clean row's top two entries: a smooth penalty on the
+    robustness ratio exceeding the safety threshold."""
+    _check_pair("ratio_penalty", p, q)
+    if p.shape[1] < 2:
+        raise ValueError(f"ratio_penalty: need at least 2 classes, got shape {p.shape}")
+    rows = np.arange(p.shape[0])
+    diff = p - q
+    # Sup-norm and top-2 subgradients are supported at the first attaining
+    # index alone (np.argmax order).
+    abs_diff = np.abs(diff)
+    top = np.argmax(abs_diff, axis=1)
+    z = abs_diff.max(axis=1)
+    i1 = np.argmax(p, axis=1)
+    rest = p.copy()
+    rest[rows, i1] = -np.inf
+    i2 = np.argmax(rest, axis=1)
+    den = (p[rows, i1] - p[rows, i2]) / 2.0 + eps
+    s = z / den - eta
+    softplus = np.maximum(s, 0.0) + np.log1p(np.exp(-np.abs(s)))  # never overflows
+    g_s = np.ones_like(s) * (g / s.size) * np.exp(-np.logaddexp(0.0, -s))
+    g_den = -g_s * z / (den * den)
+    g_top2 = np.zeros_like(p)
+    g_top2[rows, i1] += g_den / 2.0
+    g_top2[rows, i2] -= g_den / 2.0
+    g_diff = np.zeros_like(diff)
+    g_diff[rows, top] = np.sign(diff[rows, top]) * (g_s / den)
+    return softplus.mean(), g_top2 + g_diff, -g_diff
+
+
+def consistency(p, q, g):
+    """Batch mean KL(p || q) with uniform smoothing of both arguments."""
+    _check_pair("consistency", p, q)
+    k = p.shape[-1]
+    ps = (1.0 - KL_SMOOTHING) * p + KL_SMOOTHING / k
+    qs = (1.0 - KL_SMOOTHING) * q + KL_SMOOTHING / k
+    log_ratio = np.log(ps) - np.log(qs)
+    rows = (ps * log_ratio).sum(axis=-1)
+    g_rows = _row_mean_grad(g, rows)
+    return (rows.mean(), g_rows * (1.0 - KL_SMOOTHING) * (log_ratio + 1.0),
+            g_rows * (1.0 - KL_SMOOTHING) * (-ps / qs))
+
+
+def l1_mean(c, dims, g):
+    """Mean of |C| over the flat soft mask c, summed layer by layer (its
+    layer_views at dims), and the gradient g * sign(C) / C.size."""
+    scale = 1.0 / c.size
+    grad = np.sign(c)
+    grad *= g * scale
+    return sum(np.abs(v).sum() for v in layer_views(c, dims) if v.size) * scale, grad
 
 
 @dataclass
@@ -53,11 +136,12 @@ def composite_step_loss(model: MaskableModel, soft_mask, x, x_t, cfg: Experiment
     running its slice of it in mask shape. The hard copy is the
     straight-through mask hard + (C - c0) at its point c0 = C, which is hard
     bit for bit; its gradient passes to C unchanged. The copies run on
-    stack([x, x, x_t, x]) in one forward, and one backward chains the term
-    VJPs. Gradients add up in a fixed order: on p_m ratio, then consistency,
-    then stability; on C the L1 term, then the straight-through, s, n and m
-    copies. Weights are frozen and get no gradient. Returns a StepReport and
-    the flat gradient on C.
+    stack([x, x, x_t, x]) in one forward, and one backward chains the terms'
+    gradients. Gradients add up in a fixed order: on p_m ratio, then
+    consistency, then stability; on C the L1 term, then the straight-through,
+    s, n and m copies, each noisy copy's gradient passing where C + xi lies
+    in [0, 1]. Weights are frozen and get no gradient. Returns a StepReport
+    and the flat gradient on C.
 
     A caller that steps in a loop passes one `work` dict to every call, which
     keeps the mask stack and the stacked forward's arrays allocated once, so
@@ -80,13 +164,12 @@ def composite_step_loss(model: MaskableModel, soft_mask, x, x_t, cfg: Experiment
         raise ValueError(f"composite_step_loss: expected a flat soft mask of the model's "
                          f"{sum(dims)} prunable units (at least one), got shape {c.shape}")
 
-    views = layer_views(c, dims)
     stack = ad.buffer(work, "mask", (4, c.size))
     # each masked layer's slice of the stack, in mask shape
     layers = [(i, v.reshape(4, *mask_shape(model.specs[i], model.mask_mode)))
               for i, v in enumerate(layer_views(stack, dims)) if dims[i]]
-    _, noisy_vjp = sample_noisy(c, cfg.noise_magnitude, rng, draws=3, out=stack[:3])
-    binarize(views, cfg.pruning_ratio, out=layer_views(stack[3], dims))
+    _, passed = sample_noisy(c, cfg.noise_magnitude, rng, draws=3, out=stack[:3])
+    binarize(layer_views(c, dims), cfg.pruning_ratio, out=layer_views(stack[3], dims))
     # The weights each copy runs with, W * mask, formed in the mask stack
     # itself where the shapes allow.
     unstructured = model.mask_mode == "unstructured"
@@ -99,23 +182,20 @@ def composite_step_loss(model: MaskableModel, soft_mask, x, x_t, cfg: Experiment
                                    specs=tuple(model.specs), work=work)
     probs, softmax_vjp = ad.primitive("softmax", [logits])
     p_m, p_n, p_s, p_h = probs
-    l_stab, stab_vjp = ad.primitive("stability", [p_m, p_n])
-    l_consis, consis_vjp = ad.primitive("consistency", [p_m, p_h])
-    l_ratio, ratio_vjp = ad.primitive("ratio_penalty", [p_m, p_s],
-                                      eta=cfg.safety_threshold, eps=cfg.margin_epsilon)
-    l1_norm, l1_vjp = ad.primitive("l1_mean", [v for v in views if v.size])
+    # each term's upstream gradient is its weight
+    g_probs = np.empty_like(probs)
+    with np.errstate(all="ignore"):
+        l_stab, stab_m, g_probs[1] = stability(p_m, p_n, cfg.lambda_stab)
+        l_consis, consis_m, g_probs[3] = consistency(p_m, p_h, cfg.lambda_consis)
+        l_ratio, ratio_m, g_probs[2] = ratio_penalty(
+            p_m, p_s, cfg.safety_threshold, cfg.margin_epsilon, cfg.lambda_ratio)
+        l1_norm, grad = l1_mean(c, dims, cfg.lambda_l1)
     l_stab, l_ratio, l_consis, l1_norm = map(float, (l_stab, l_ratio, l_consis, l1_norm))
     total = ((cfg.lambda_stab * l_stab + cfg.lambda_ratio * l_ratio)
              + (cfg.lambda_consis * l_consis + cfg.lambda_l1 * l1_norm))
     if not np.isfinite(total):
         raise FloatingPointError("composite_step_loss: non-finite objective")
 
-    # each term's upstream gradient is its weight
-    both = (True, True)
-    g_probs = np.empty_like(probs)
-    ratio_m, g_probs[2] = ratio_vjp(cfg.lambda_ratio, both)
-    consis_m, g_probs[3] = consis_vjp(cfg.lambda_consis, both)
-    stab_m, g_probs[1] = stab_vjp(cfg.lambda_stab, both)
     np.add(ratio_m + consis_m, stab_m, out=g_probs[0])
     g_logits = softmax_vjp(g_probs, (True,))[0]
     # In unstructured mode each weight gradient goes straight into its layer's
@@ -130,9 +210,8 @@ def composite_step_loss(model: MaskableModel, soft_mask, x, x_t, cfg: Experiment
             g_m *= w
         else:  # a structured (out, 1) mask collects its row's gradient
             g_m[...] = (g_ws[1 + i] * w).sum(axis=-1, keepdims=True)
-    grad = np.concatenate(l1_vjp(cfg.lambda_l1, (True,) * len(layers)))
     grad += stack[3]  # the straight-through copy's gradient
-    noisy_vjp(stack[:3], (True,), out=stack[:3])
+    stack[:3] *= passed
     grad += stack[2]
     grad += stack[1]
     grad += stack[0]

@@ -25,8 +25,8 @@ from maskcert.transforms import TransformSpec
 from regen_fixtures import (DEFAULT_CONFIG, DEFAULT_FIXTURE as FIXTURE,
                             REGEN_HINT, default_experiment_record,
                             small_run_config_text)
-from util import (PRIMITIVE_CASES, composite_fd, log_y, make_cfg, noisy_mask_values,
-                  run_primitive_fd_suite, triangle_bound_check)
+from util import (PRIMITIVE_CASES, TERM_CASES, composite_fd, log_y, make_cfg,
+                  noisy_mask_values, run_primitive_fd_suite, triangle_bound_check)
 
 # The seeds whose composite instance clears every kink by 1e-3, pinned so
 # that a change to the draws or to the kink margin cannot silently change
@@ -47,7 +47,8 @@ def budget(number, seconds, limit):
 
 def test_criterion_1_gradient_correctness():
     start = time.perf_counter()
-    covered = set(PRIMITIVE_CASES) == set(ad._OPS)
+    covered = (set(PRIMITIVE_CASES) == set(ad._OPS) and set(TERM_CASES)
+               == {"stability", "ratio_penalty", "consistency", "l1_mean", "noisy"})
     worst = run_primitive_fd_suite(instances_per_case=20)
 
     # full composite objective on a 2-layer toy model; instances are admitted
@@ -71,7 +72,7 @@ def test_criterion_1_gradient_correctness():
         admitted.append(seed)
     elapsed = time.perf_counter() - start
     budget(1, elapsed, 30.0)
-    criterion(1, "all primitives and the composite objective match finite "
+    criterion(1, "all kinds, loss terms and the composite objective match finite "
                  "differences at 1e-4", covered and admitted == ADMITTED_SEEDS and worst < 1e-4,
               f"worst rel err {worst:.2e}, {elapsed:.1f}s")
 

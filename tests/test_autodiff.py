@@ -4,18 +4,14 @@ import numpy as np
 import pytest
 
 from maskcert import autodiff as ad
+from maskcert.masks import sample_noisy
 from maskcert.model import LayerSpec
-from util import CASE_LABELS, PRIMITIVE_CASES, rel_err, run_case_fd
+from maskcert.objectives import consistency, l1_mean, ratio_penalty, stability
+from util import CASE_LABELS, PRIMITIVE_CASES, TERM_CASES, rel_err, run_case_fd
 
 
 def value(kind, *inputs, **attrs):
     return ad.primitive(kind, [np.asarray(x, dtype=float) for x in inputs], **attrs)[0]
-
-
-def vjp(kind, inputs, g=1.0, **attrs):
-    """Gradients of sum(g * kind(inputs)) on every input."""
-    inputs = [np.asarray(x, dtype=float) for x in inputs]
-    return ad.primitive(kind, inputs, **attrs)[1](g, [True] * len(inputs))
 
 
 def one_layer(w, activation="relu"):
@@ -25,7 +21,13 @@ def one_layer(w, activation="relu"):
 
 
 def ratio_value(p, q, eta=1.0, eps=1e-6):
-    return float(value("ratio_penalty", np.atleast_2d(p), np.atleast_2d(q), eta=eta, eps=eps))
+    p, q = (np.atleast_2d(np.asarray(a, dtype=float)) for a in (p, q))
+    return float(ratio_penalty(p, q, eta, eps, 1.0)[0])
+
+
+def ratio_grad_q(p, q):
+    """Gradient of the ratio penalty (eta 1, eps 1e-6) on its second argument."""
+    return ratio_penalty(p, q, 1.0, 1e-6, 1.0)[2]
 
 
 def softplus(s):
@@ -71,45 +73,48 @@ class TestForwardExamples:
 
     def test_kl_identical_is_zero(self):
         p = np.array([[0.2, 0.3, 0.5]])
-        assert abs(float(value("consistency", p, p.copy()))) < 1e-15
+        assert abs(float(consistency(p, p.copy(), 1.0)[0])) < 1e-15
 
 
 class TestVjpExamples:
     def test_sum_gradient(self):
-        # the L1 mean over 4 entries: each input's gradient is g * sign(x) / 4
-        grads = vjp("l1_mean", [np.array([1.0, -5.0, 2.0]), np.array([-0.5])], g=2.0)
-        assert np.array_equal(grads[0], [0.5, -0.5, 0.5])
-        assert np.array_equal(grads[1], [-0.5])
+        # the L1 mean over 4 entries in two layers: each entry's gradient is
+        # g * sign(c) / 4
+        _, grad = l1_mean(np.array([1.0, -5.0, 2.0, -0.5]), (3, 1), 2.0)
+        assert np.array_equal(grad, [0.5, -0.5, 0.5, -0.5])
 
     def test_l2_norm_sq_gradient(self):
-        grads = vjp("stability", [np.array([[1.0, 2.0]]), np.zeros((1, 2))])
-        assert np.array_equal(grads[0], [[2.0, 4.0]])
-        assert np.array_equal(grads[1], [[-2.0, -4.0]])
+        _, g_p, g_q = stability(np.array([[1.0, 2.0]]), np.zeros((1, 2)), 1.0)
+        assert np.array_equal(g_p, [[2.0, 4.0]])
+        assert np.array_equal(g_q, [[-2.0, -4.0]])
 
     def test_gradient_accumulates_over_paths(self):
         # p reaches (p - 0)^2 through the stability term and 3 |p| through
         # the L1 term; the caller adds the two paths
         p = np.array([[1.5]])
-        _, stab_vjp = ad.primitive("stability", [p, np.zeros((1, 1))])
-        _, l1_vjp = ad.primitive("l1_mean", [p])
-        assert (stab_vjp(1.0, [True, False])[0] + l1_vjp(3.0, [True])[0])[0, 0] == 6.0
+        g_stab = stability(p, np.zeros((1, 1)), 1.0)[1]
+        g_l1 = l1_mean(p.ravel(), (1,), 3.0)[1]
+        assert (g_stab + g_l1)[0, 0] == 6.0
 
     def test_frozen_input_gradient_unaffected(self):
-        # the gradient on p does not depend on whether q is differentiated
-        _, stab_vjp = ad.primitive("stability", [np.array([[1.0, 2.0]]), np.array([[3.0, 4.0]])])
-        assert np.array_equal(stab_vjp(1.0, [True, False])[0], [[-4.0, -4.0]])
+        # the gradient on p is 2 (p - q) whatever q is: q enters as a value
+        g_p = stability(np.array([[1.0, 2.0]]), np.array([[3.0, 4.0]]), 1.0)[1]
+        assert np.array_equal(g_p, [[-4.0, -4.0]])
 
     def test_clip_gradient_mask_is_closed_interval_indicator(self):
-        grads = vjp("noisy", [[[-0.5, 0.0, 0.5, 1.0, 1.5]]], g=np.ones((1, 5)),
-                    xi=[np.zeros(5)])
-        assert np.array_equal(grads[0], [[0.0, 1.0, 1.0, 1.0, 0.0]])
+        # mu = 0 draws no shift, so C + xi is C itself
+        _, passed = sample_noisy(np.array([-0.5, 0.0, 0.5, 1.0, 1.5]), 0.0,
+                                 np.random.default_rng(0))
+        assert np.array_equal(passed, [[False, True, True, True, False]])
 
     def test_noisy_copies_get_their_own_gradient(self):
-        c = np.full((2, 3), 0.5)
-        xi = [np.array([0.6, 0.0, -0.6]), np.array([0.0, 0.6, 0.0])]
-        out, noisy_vjp = ad.primitive("noisy", [c], xi=xi)
-        assert np.array_equal(out, [[1.0, 0.5, 0.0], [0.5, 1.0, 0.5]])
-        assert np.array_equal(noisy_vjp(np.ones((2, 3)), [True])[0], [[0, 1, 0], [1, 0, 1]])
+        # each draw's gradient passes where its own C + xi lies in [0, 1]
+        c = np.full(4, 0.5)
+        out, passed = sample_noisy(c, 0.8, np.random.default_rng(0), draws=2)
+        shifted = c + np.random.default_rng(0).uniform(-0.8, 0.8, size=(2, 4))
+        assert np.array_equal(out, np.clip(shifted, 0.0, 1.0))
+        assert np.array_equal(passed, [[True, True, False, False], [False, False, True, True]])
+        assert np.array_equal(passed, (shifted >= 0.0) & (shifted <= 1.0))
 
     def test_inf_norm_subgradient_single_index(self):
         # the sup-norm part reaches p_t at the first attaining index of
@@ -118,7 +123,7 @@ class TestVjpExamples:
         for _ in range(20):
             p = rng.standard_normal((1, 8))
             q = rng.standard_normal((1, 8))
-            g = vjp("ratio_penalty", [p, q], eta=1.0, eps=1e-6)[1][0]
+            g = ratio_grad_q(p, q)[0]
             assert np.count_nonzero(g) == 1
             idx = int(np.argmax(np.abs(p - q)))
             assert np.sign(g[idx]) == np.sign(q[0, idx] - p[0, idx])
@@ -126,7 +131,7 @@ class TestVjpExamples:
     def test_inf_norm_tie_routes_to_first_index(self):
         p = np.array([[3.0, 0.0, 1.0]])
         # |p - p_t| ties at 0 and 1
-        g = vjp("ratio_penalty", [p, p - [[-2.0, 2.0, 1.0]]], eta=1.0, eps=1e-6)[1]
+        g = ratio_grad_q(p, p - [[-2.0, 2.0, 1.0]])
         assert g[0, 0] > 0 and g[0, 1] == 0.0 and g[0, 2] == 0.0
 
 
@@ -159,7 +164,7 @@ class TestMaskedMlp:
 class TestErrors:
     def test_shape_mismatch_names_kind(self):
         with pytest.raises(ValueError, match="stability"):
-            value("stability", np.ones((2, 3)), np.ones((4, 5)))
+            stability(np.ones((2, 3)), np.ones((4, 5)), 1.0)
 
     def test_affine_shape_error(self):
         with pytest.raises(ValueError, match="masked_mlp"):
@@ -173,11 +178,7 @@ class TestErrors:
 
     def test_topk_needs_two_classes(self):
         with pytest.raises(ValueError, match="ratio_penalty"):
-            value("ratio_penalty", np.ones((2, 1)), np.ones((2, 1)), eta=1.0, eps=1e-6)
-
-    def test_noise_shape_error(self):
-        with pytest.raises(ValueError, match="noisy"):
-            value("noisy", np.ones((2, 3)), xi=[np.zeros(3)])
+            ratio_penalty(np.ones((2, 1)), np.ones((2, 1)), 1.0, 1e-6, 1.0)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown primitive"):
@@ -187,16 +188,18 @@ class TestErrors:
 def test_identical_inputs_identical_values():
     def build(seed):
         x = np.random.default_rng(seed).standard_normal((3, 4))
-        return value("l1_mean", value("softmax", x))
+        return l1_mean(value("softmax", x).ravel(), (12,), 1.0)[0]
     assert np.array_equal(build(9), build(9))
 
 
 def test_cases_cover_exactly_the_registered_kinds():
     assert set(PRIMITIVE_CASES) == set(ad._OPS)
+    assert set(TERM_CASES) == {"stability", "ratio_penalty", "consistency", "l1_mean", "noisy"}
 
 
 @pytest.mark.parametrize("label", sorted(CASE_LABELS))
 def test_finite_differences(label):
-    """Every case's VJP matches central finite differences of the kind's
-    value within 1e-4 relative error on 20 seeded instances per shape class."""
+    """Every case's gradient, from a kind's VJP or a term's own return,
+    matches central finite differences of its value within 1e-4 relative
+    error on 20 seeded instances per shape class."""
     assert run_case_fd(label, instances_per_case=20) < 1e-4

@@ -535,6 +535,14 @@ class TestCertifySampleAndPca:
             pca(model, np.empty((0, 4)), np.empty(0), direction_spec(),
                 small_cfg())
 
+    @pytest.mark.parametrize("labels", [9, 3])
+    def test_pca_label_count_checked(self, labels):
+        # six samples: nine labels would certify with the extra three
+        # ignored, three would run out partway through the pass
+        with pytest.raises(ValueError, match="one label per sample"):
+            pca(constant_model(), np.zeros((6, 4)), np.zeros(labels), direction_spec(),
+                small_cfg())
+
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(15)
         model = MaskableModel.initialized(mlp_specs(4, [6], 2), "unstructured", rng)

@@ -384,6 +384,21 @@ class TestErrorsAndProvenance:
                    str(ckpt)) == EXIT_IO
         assert str(ckpt) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("version", [True, 1.0])
+    def test_certify_rejects_version_that_only_equals_1(self, tiny_config, tmp_path,
+                                                        capsys, version):
+        # true and 1.0 compare equal to 1 in Python; only the integer 1 loads
+        model = MaskableModel.initialized(mlp_specs(16, [64, 64], 2), "unstructured",
+                                          np.random.default_rng(0))
+        ckpt = tmp_path / "version.ckpt"
+        save_checkpoint(ckpt, model, "pretrained")
+        doc = json.loads(ckpt.read_text())
+        doc["version"] = version
+        ckpt.write_text(json.dumps(doc))
+        assert run("certify", tiny_config, tmp_path / "o", "--stage-checkpoint",
+                   str(ckpt)) == EXIT_IO
+        assert "version" in capsys.readouterr().err
+
     def test_search_on_zero_layer_is_numeric_error(self, tiny_config, tmp_path, capsys):
         # an all-zero layer has a zero percentile threshold, the soft mask's divisor
         model = MaskableModel.initialized(mlp_specs(16, [64, 64], 2), "unstructured",

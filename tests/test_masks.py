@@ -9,6 +9,7 @@ from maskcert.masks import (binarize, effective_ratio, hard_multipliers,
                             init_percentile_scaled, keep_counts, layer_views, sample_noisy,
                             unit_magnitudes)
 from maskcert.model import LayerSpec, MaskableModel, mlp_specs
+from maskcert.objectives import consistency
 from util import noisy_mask_values
 
 
@@ -78,16 +79,29 @@ class TestSampleNoisy:
         assert np.array_equal(out, [c_val])
 
     def test_clipping_saturation(self):
-        # forced noise of +-0.5 on [0.9, 0.1] saturates both ends
-        c_val = np.array([0.9, 0.1])
-        xi = np.array([0.5, -0.5])
-        assert np.array_equal(np.clip(c_val + xi, 0, 1), [1.0, 0.0])
+        # noise of up to 0.5 on entries near both ends saturates some draws;
+        # the gradient passes exactly where the same draws stay in [0, 1]
+        c = np.array([0.9, 0.1, 0.95, 0.05, 0.5, 0.7])
+        out, passed = sample_noisy(c, 0.5, np.random.default_rng(11), draws=3)
+        shifted = c + np.random.default_rng(11).uniform(-0.5, 0.5, size=(3, c.size))
+        outside = (shifted < 0.0) | (shifted > 1.0)
+        assert outside.any() and not outside.all()
+        assert np.array_equal(passed, ~outside)
+        assert np.array_equal(out, np.clip(shifted, 0.0, 1.0))
+        assert np.all(out[outside] == np.where(shifted[outside] > 1.0, 1.0, 0.0))
+
+    def test_closed_interval_passes_at_the_edges(self):
+        # mu = 0 adds no noise, and C's exact 0.0 and 1.0 entries pass
+        c = np.array([0.0, 1.0, 0.0, 0.5, 1.0])
+        out, passed = sample_noisy(c, 0.0, np.random.default_rng(12), draws=2)
+        assert np.array_equal(out, [c, c])
+        assert passed.all() and passed.shape == (2, c.size)
 
     def test_gradient_through_pass_region(self):
         rng = np.random.default_rng(1)
         # noise <= 0.2 keeps both interior
-        _, noisy_vjp = sample_noisy(np.array([0.5, 0.5]), 0.2, rng)
-        assert np.array_equal(noisy_vjp(np.ones((1, 2)), [True])[0], np.ones((1, 2)))
+        _, passed = sample_noisy(np.array([0.5, 0.5]), 0.2, rng)
+        assert np.array_equal(passed, np.ones((1, 2), dtype=bool))
 
     def test_fresh_noise_per_call(self):
         c = np.full(64, 0.5)
@@ -132,13 +146,15 @@ class TestSampleNoisy:
             v, _ = sample_noisy(c, mu, np.random.default_rng([1009, 5, step]), draws=3)
             assert np.array_equal(v, np.clip(c + want, 0.0, 1.0))
 
-    def test_vjp_in_place(self):
+    def test_passed_read_before_the_clip_in_place(self):
+        # drawing into `out` clips there; `passed` still marks the draws
+        # that left [0, 1] before the clip
         c = np.array([0.05, 0.5, 0.95, 0.5])
-        _, noisy_vjp = sample_noisy(c, 0.3, np.random.default_rng(3), draws=2)
-        g = np.random.default_rng(4).standard_normal((2, 4))
-        want = noisy_vjp(g, [True])[0]
-        assert np.array_equal(noisy_vjp(g, [True], out=g)[0], want)
-        assert np.array_equal(g, want)
+        want, want_passed = sample_noisy(c, 0.3, np.random.default_rng(3), draws=2)
+        out = np.empty((2, 4))
+        v, passed = sample_noisy(c, 0.3, np.random.default_rng(3), draws=2, out=out)
+        assert v is out and np.array_equal(v, want)
+        assert np.array_equal(passed, want_passed) and not passed.all()
 
     def test_empirical_mean_matches_analytic(self):
         # E[clip(c + U(-mu, mu), 0, 1)] via the piecewise integral
@@ -344,8 +360,7 @@ class TestSteThroughLoss:
             logits, mlp_vjp = ad.primitive("masked_mlp", [x, effective, np.zeros(2)],
                                            specs=(LayerSpec(1, 2, "none"),))
             p, softmax_vjp = ad.primitive("softmax", [logits])
-            _, consis_vjp = ad.primitive("consistency", [target, p])
-            g_p = consis_vjp(1.0, [False, True])[1]
+            g_p = consistency(target, p, 1.0)[2]
             g_w = mlp_vjp(softmax_vjp(g_p, [True])[0], [False, True, False])[1]
             return g_w * w
 

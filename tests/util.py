@@ -1,8 +1,9 @@
 """Shared oracles for the test suite: a validated config with overrides,
-finite differences of every registered autodiff kind and of the composite
-stage-2 objective, kink-free random instance construction, and reference
-forms of helpers the program itself no longer needs (per-layer Adam, the
-scalar log Y, value-level noisy masks and the triangle bound check)."""
+finite differences of every registered autodiff kind, of the stage-2 loss
+terms and noisy draws, and of the composite stage-2 objective, kink-free
+random instance construction, and reference forms of helpers the program
+itself no longer needs (per-layer Adam, the scalar log Y, value-level noisy
+masks and the triangle bound check)."""
 
 import dataclasses
 import math
@@ -13,8 +14,9 @@ import numpy as np
 from maskcert import autodiff as ad
 from maskcert.certify import _logsumexp
 from maskcert.config import ExperimentConfig, validate
-from maskcert.masks import binarize, hard_multipliers, layer_views
+from maskcert.masks import binarize, hard_multipliers, layer_views, sample_noisy
 from maskcert.model import LayerSpec, mask_shape, masked_forward, mlp_specs
+from maskcert.objectives import consistency, l1_mean, ratio_penalty, stability
 
 FD_H = 1e-5
 FD_TOL = 1e-4
@@ -51,20 +53,50 @@ def fd_grad(f, base, h=FD_H) -> np.ndarray:
     return g
 
 
+def _kind(kind):
+    """A registered autodiff kind as evaluate(inputs, g, **attrs) -> (value,
+    gradients of sum(g * value) on each input, or None when g is None)."""
+    def evaluate(inputs, g, **attrs):
+        value, vjp = ad.primitive(kind, inputs, **attrs)
+        return value, None if g is None else vjp(g, [True] * len(inputs))
+    return evaluate
+
+
+def _term(fn):
+    """A loss term of objectives, which takes its upstream gradient g as its
+    last argument, as evaluate(inputs, g, **attrs)."""
+    def evaluate(inputs, g, **attrs):
+        value, *grads = fn(*inputs, **attrs, g=1.0 if g is None else g)
+        return value, grads
+    return evaluate
+
+
+def _noisy(inputs, g, mu, seed, draws):
+    """sample_noisy's draws from default_rng(seed), so every evaluation takes
+    the same noise, and the gradient of sum(g * draws) on C."""
+    value, passed = sample_noisy(inputs[0], mu, np.random.default_rng(seed), draws)
+    return value, None if g is None else [(g * passed).sum(axis=0)]
+
+
+EVALUATE = {**{kind: _kind(kind) for kind in ad._OPS},
+            "stability": _term(stability), "ratio_penalty": _term(ratio_penalty),
+            "consistency": _term(consistency), "l1_mean": _term(l1_mean), "noisy": _noisy}
+
+
 def check_kind_fd(kind, inputs, attrs, checked, rng, tol=FD_TOL, h=FD_H) -> float:
-    """The VJP of one kind against central differences of its value, each
-    checked input perturbed on its own. The value is contracted against a
-    random weight so that the upstream gradient is non-uniform. Returns the
-    worst relative error."""
-    value, vjp = ad.primitive(kind, inputs, **attrs)
-    weight = rng.uniform(0.5, 1.5, size=np.shape(value))
-    grads = vjp(weight, [i in checked for i in range(len(inputs))])
+    """The gradients of one kind or term (EVALUATE) against central
+    differences of its value, each checked input perturbed on its own. The
+    value is contracted against a random weight, the upstream gradient g, so
+    that it is non-uniform. Returns the worst relative error."""
+    evaluate = EVALUATE[kind]
+    weight = rng.uniform(0.5, 1.5, size=np.shape(evaluate(inputs, None, **attrs)[0]))
+    grads = evaluate(inputs, weight, **attrs)[1]
     worst = 0.0
     for i in checked:
         def f(arr, i=i):
             vals = list(inputs)
             vals[i] = arr
-            return float((weight * ad.primitive(kind, vals, **attrs)[0]).sum())
+            return float((weight * evaluate(vals, None, **attrs)[0]).sum())
         worst = max(worst, rel_err(grads[i], fd_grad(f, inputs[i], h)))
     assert worst < tol, f"{kind}: gradient mismatch vs finite differences: {worst:.3e}"
     return worst
@@ -113,8 +145,9 @@ def composite_objective(model, cs, x, x_t, cfg, xis, hard, c0):
     cs (maskable layers only, in mask shape), with the noise draws
     xis = (xi_m, xi_n, xi_s) (each one array per layer), the hard masks and
     the straight-through point c0 held fixed. It is assembled from the
-    registered kinds, and the straight-through mask written out, one masked
-    copy at a time, each copy's masks folded into the weights.
+    registered kinds and the loss terms, with the noisy masks clip(c + xi)
+    and the straight-through mask written out, one masked copy at a time,
+    each copy's masks folded into the weights.
     Returns the total and the distance of this evaluation from the nearest
     kink: relu pre-activations, clip edges of the noisy masks, the sup-norm
     and top-2 gaps of the ratio term, and zeros of the L1 term."""
@@ -126,8 +159,7 @@ def composite_objective(model, cs, x, x_t, cfg, xis, hard, c0):
             full[i] = m
         return full
 
-    noisy = [[_value("noisy", c[None], xi=xi[None])[0] for c, xi in zip(cs, draw)]
-             for draw in xis]
+    noisy = [[np.clip(c + xi, 0.0, 1.0) for c, xi in zip(cs, draw)] for draw in xis]
     # straight-through masks: hard at the point c0, shifting linearly with c
     ste = [h + (c - c_0) for c, h, c_0 in zip(cs, hard, c0)]
     copies = [(x, noisy[0]), (x, noisy[1]), (x, ste), (x_t, noisy[2])]
@@ -138,11 +170,12 @@ def composite_objective(model, cs, x, x_t, cfg, xis, hard, c0):
         probs.append(_value("softmax", logits))
         margin = min(margin, relu_margin(inp, ws, model.biases, model.specs))
     p_m, p_n, p_h, p_s = probs
+    flat = np.concatenate([c.ravel() for c in cs])
     stab, ratio, consis, l1 = map(float, (
-        _value("stability", p_m, p_n),
-        _value("ratio_penalty", p_m, p_s, eta=cfg.safety_threshold, eps=cfg.margin_epsilon),
-        _value("consistency", p_m, p_h),
-        _value("l1_mean", *cs)))
+        stability(p_m, p_n, 1.0)[0],
+        ratio_penalty(p_m, p_s, cfg.safety_threshold, cfg.margin_epsilon, 1.0)[0],
+        consistency(p_m, p_h, 1.0)[0],
+        l1_mean(flat, [c.size for c in cs], 1.0)[0]))
     total = ((cfg.lambda_stab * stab + cfg.lambda_ratio * ratio)
              + (cfg.lambda_consis * consis + cfg.lambda_l1 * l1))
     shifted = [c + xi for draw in xis for c, xi in zip(cs, draw)]
@@ -246,13 +279,19 @@ def _case_cross_entropy(rng):
     return "cross_entropy", [logits], {"labels": labels}, [0]
 
 
-def _case_noisy(rng, shape, c_lo, c_hi):
-    """Copies c of shape (draws, ...) and a noise array of the same shape."""
-    xi = rng.uniform(-0.5, 0.5, size=shape)
-    c = rng.uniform(c_lo, c_hi, size=shape)
-    for edge in (0.0, 1.0):
-        c = np.where(np.abs(c + xi - edge) < 5e-3, c + 0.05, c)
-    return "noisy", [c], {"xi": xi}, [0]
+def _case_noisy(rng, draws, n, c_lo, c_hi, mu=0.5):
+    """A flat soft mask C of n entries and the seed of `draws` noise draws
+    through sample_noisy; each entry of C is moved up until no draw puts
+    C + xi within 5e-3 of a clip edge. xi is rebuilt from the seed as
+    rng.uniform(-mu, mu), whose bits sample_noisy's in-place draw has."""
+    seed = int(rng.integers(2 ** 32))
+    xi = np.random.default_rng(seed).uniform(-mu, mu, size=(draws, n))
+    c = rng.uniform(c_lo, c_hi, size=n)
+    while True:
+        near = ((np.abs(c + xi) < 5e-3) | (np.abs(c + xi - 1.0) < 5e-3)).any(axis=0)
+        if not near.any():
+            return "noisy", [c], {"mu": mu, "seed": seed, "draws": draws}, [0]
+        c = np.where(near, c + 0.05, c)
 
 
 def _case_stability(rng, shape):
@@ -273,8 +312,9 @@ def _case_consistency(rng, shape, alpha=2.0, floor=1e-3):
 
 
 def _case_l1_mean(rng):
-    xs = [_signed_away_from_zero(rng, s) for s in ((3, 4), (5,), (2, 1))]
-    return "l1_mean", xs, {}, range(3)
+    """A flat soft mask over layers of 12, 5 and 2 units, away from zero."""
+    dims = (12, 5, 2)
+    return "l1_mean", [_signed_away_from_zero(rng, sum(dims))], {"dims": dims}, [0]
 
 
 _MLP = mlp_specs(3, [4], 2)
@@ -282,7 +322,7 @@ _MLP = mlp_specs(3, [4], 2)
 # kind -> list of (label, builders); each builder(rng) -> (kind, inputs,
 # attrs, indices of the inputs to check). A label names the elementary
 # operation its cases stress inside the kind, and labels are unique across
-# kinds.
+# kinds and terms.
 PRIMITIVE_CASES = {
     "masked_mlp": [
         ("affine", [lambda r: _case_masked_mlp(r, [LayerSpec(3, 2, "none")], [None])]),
@@ -295,10 +335,14 @@ PRIMITIVE_CASES = {
                              lambda r: _case_softmax(r, (4, 3)),
                              lambda r: _case_softmax(r, (2, 4, 3))])],
     "cross_entropy": [("cross_entropy", [_case_cross_entropy])],
+}
+
+# The same for the stage-2 loss terms of objectives and sample_noisy's draws.
+TERM_CASES = {
     "noisy": [
-        ("add", [lambda r: _case_noisy(r, (3, 5), 0.5, 0.5)]),  # C + xi stays inside [0, 1]
-        ("clip", [lambda r: _case_noisy(r, (1, 8), 0.0, 1.0),  # some entries saturate
-                  lambda r: _case_noisy(r, (3, 5), 0.0, 1.0)])],
+        ("add", [lambda r: _case_noisy(r, 3, 5, 0.5, 0.5)]),  # C + xi stays inside [0, 1]
+        ("clip", [lambda r: _case_noisy(r, 1, 8, 0.0, 1.0),  # some entries saturate
+                  lambda r: _case_noisy(r, 3, 5, 0.0, 1.0)])],
     "stability": [("l2_norm_sq", [lambda r: _case_stability(r, (3, 4))])],
     "ratio_penalty": [
         ("topk_margin", [lambda r: _case_ratio(r, (4, 2)), lambda r: _case_ratio(r, (4, 4))]),
@@ -312,7 +356,7 @@ PRIMITIVE_CASES = {
     "l1_mean": [("l1_sum", [_case_l1_mean])],
 }
 
-CASE_LABELS = {label: builders for cases in PRIMITIVE_CASES.values()
+CASE_LABELS = {label: builders for cases in (*PRIMITIVE_CASES.values(), *TERM_CASES.values())
                for label, builders in cases}
 
 
@@ -329,7 +373,7 @@ def run_case_fd(label, instances_per_case=20, seed_base=1000) -> float:
 
 
 def run_primitive_fd_suite(instances_per_case=20, seed_base=1000):
-    """Finite-difference check of every primitive over all its cases.
+    """Finite-difference check of every kind and term over all its cases.
     Returns the worst relative error seen."""
     return max(run_case_fd(label, instances_per_case, seed_base) for label in CASE_LABELS)
 
