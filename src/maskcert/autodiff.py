@@ -3,13 +3,13 @@
 Each kind is one function of its input values (and fixed attributes) that
 computes its value eagerly and returns it with a vector-Jacobian product over
 the residuals of that forward pass: vjp(g, needs) gives one gradient per
-input, None where `needs` is False. There are three kinds: the masked MLP
-logits, on weights with their masks folded in; a softmax; and the batch-mean
-cross-entropy of stages 1 and 3. `primitive` dispatches to them; the stage-2
-step (`objectives.composite_step_loss`, whose loss terms are plain functions
-of `objectives`) and the cross-entropy step (`pipeline._ce_epochs`) chain the
-VJPs by hand in straight-line code, each applying its masks to the weights
-and to their gradients itself.
+input, None where `needs` is False. There are two kinds: the masked MLP
+logits, on weights with their masks folded in, and a softmax. `primitive`
+dispatches to them; the stage-2 step (`objectives.composite_step_loss`, whose
+loss terms are plain functions of `objectives`) and the cross-entropy step
+(`pipeline._ce_epochs`, whose loss is the plain `pipeline.cross_entropy`)
+chain the VJPs by hand in straight-line code, each applying its masks to the
+weights and to their gradients itself.
 
 The masked MLP and the softmax accept stacked copies: an input of shape
 (..., batch, features) with weights stacked the same way. numpy's matmul
@@ -128,34 +128,7 @@ def _softmax(v):
     return p, lambda g, needs: [p * (g - (g * p).sum(axis=-1, keepdims=True))]
 
 
-def _cross_entropy(v, labels):
-    """Batch mean negative log likelihood from 2-D logits (fused log-softmax)."""
-    logits = v[0]
-    labels = np.asarray(labels, dtype=np.int64)
-    if logits.ndim != 2:
-        raise ValueError(f"cross_entropy: expected 2-D logits, got shape {logits.shape}")
-    if labels.shape != (logits.shape[0],):
-        raise ValueError(
-            f"cross_entropy: labels shape {labels.shape} does not match batch {logits.shape[0]}")
-    if labels.min(initial=0) < 0 or labels.max(initial=-1) >= logits.shape[1]:
-        raise ValueError("cross_entropy: label out of range")
-    rows = np.arange(logits.shape[0])
-    z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    total = e.sum(axis=1, keepdims=True)
-    nll = -(z - np.log(total))[rows, labels]
-
-    def vjp(g, needs):
-        onehot = np.zeros_like(logits)
-        onehot[rows, labels] = 1.0
-        g_rows = np.ones_like(nll) * (g / nll.size)
-        return [g_rows[:, None] * (e / total - onehot)]
-
-    return nll.mean(), vjp
-
-
 _OPS = {
     "masked_mlp": _masked_mlp,
     "softmax": _softmax,
-    "cross_entropy": _cross_entropy,
 }

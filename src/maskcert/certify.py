@@ -17,9 +17,10 @@ its first minimizing grid point with O(log T) evaluations; the tests check
 it against the brute-force grid.
 
 Every deployed model of one architecture is certified in one pass
-(pca_models; pca is the pass over a list of one). Each sample's transformed
-inputs are drawn once and go through all k models as one stacked forward,
-each layer's weights stacked as (k, 1, out, in) and biases as (k, 1, 1, out).
+(pca_models; pca is the pass over a list of one). Each sample's deltas are
+drawn once, (r, n) for each chunk of r repetitions, and its transformed
+inputs go through all k models as one stacked forward, each layer's weights
+stacked as (k, 1, out, in) and biases as (k, 1, 1, out).
 The clean predictions of the evaluation set come from stacked forwards of
 the (m, 1, d) input, and each sample's is shared by its margin, its pass
 decision and every repetition's discrepancies. The pass decision uses
@@ -59,7 +60,7 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .model import MaskableModel, forward_probs
-from .transforms import TransformSpec, corrupt_input, sample_set
+from .transforms import TransformSpec, apply, corrupt_input
 
 CERT_SAMPLE_STREAM = 77  # rng namespace for per-sample certification streams
 
@@ -239,8 +240,8 @@ def pca_models(deployed: list[MaskableModel], x_eval, y_eval, spec: TransformSpe
 
     When spec is interp_corrupt and every x_eval entry lies in [0, 1], the
     clip of the transform does nothing and the transformed inputs' first
-    layer is computed in closed form instead (module docstring): the same
-    delta draws, each input's pre-activation a + delta g. The clean
+    layer is computed in closed form instead (module docstring): from the
+    same delta draws, each input's pre-activation is a + delta g. The clean
     predictions and margins keep their bits; each Z is within rounding of
     the stacked path's (held to 1e-12 by the tests), so log eps_hat is
     within cert_t_hi times that. Any other input takes the stacked path.
@@ -274,37 +275,37 @@ def pca_models(deployed: list[MaskableModel], x_eval, y_eval, spec: TransformSpe
     if closed:
         a_clean = np.empty((k, m, specs[0].out_dim))  # clean first-layer pre-activations
     else:
-        xt, xt_work = np.empty((2, reps, n, specs[0].in_dim))
+        xt, xt_work = np.empty((2, reps, n, specs[0].in_dim))  # draws and their delta term
     rep_z = np.empty((block, k, l, n))
     grid_work = np.empty(3 * block * k * l * n)
 
-    def outs(a, b):
-        """Every layer's buffer for every model on an (a, b) stack."""
-        return [buf[:k * a * b * s.out_dim].reshape(k, a, b, s.out_dim)
-                for buf, s in zip(layer_buf, specs)]
+    def layer_out(i, a, b):
+        """Layer i's buffer for every model on an (a, b) stack."""
+        return layer_buf[i][:k * a * b * specs[i].out_dim].reshape(k, a, b, specs[i].out_dim)
 
-    def forward(xs):
-        """Every model's probabilities of a (a, b, in_dim) stack, shape
-        (k, a, b, K), computed in the buffers."""
-        return forward_probs(xs, weights, biases, specs, out=outs(*xs.shape[:2]))
+    def first(xs):
+        """Every model's first-layer pre-activations, (k, a, b, out), of an
+        (a, b, in_dim) stack, in that layer's buffer, as masked_forward
+        computes them."""
+        z = np.matmul(xs, weights[0].mT, out=layer_out(0, *xs.shape[:2]))
+        z += biases[0]
+        return z
 
     def forward_from_first(z):
-        """forward from first-layer pre-activations z held in that layer's
-        buffer: its activation is applied there, then layers 1.. run."""
+        """Every model's probabilities, (k, a, b, K), from first-layer
+        pre-activations z in that layer's buffer: its activation is applied
+        there, then layers 1.. run."""
         if specs[0].activation == "relu":
             np.maximum(z, 0.0, out=z)
-        return forward_probs(z, weights[1:], biases[1:], specs[1:], out=outs(*z.shape[1:3])[1:])
+        return forward_probs(z, weights[1:], biases[1:], specs[1:],
+                             out=[layer_out(i, *z.shape[1:3]) for i in range(1, len(specs))])
 
     p_clean = np.empty((k, m, specs[-1].out_dim))
     for start in range(0, m, reps * n):
-        xs = x_eval[start:start + reps * n, None]
-        if closed:  # masked_forward's first layer, keeping its pre-activation
-            z = np.matmul(xs, weights[0].mT, out=outs(len(xs), 1)[0])
-            z += biases[0]
-            a_clean[:, start:start + len(xs)] = z[:, :, 0]
-            p_clean[:, start:start + len(xs)] = forward_from_first(z)[:, :, 0]
-        else:
-            p_clean[:, start:start + len(xs)] = forward(xs)[:, :, 0]
+        z = first(x_eval[start:start + reps * n, None])
+        if closed:
+            a_clean[:, start:start + z.shape[1]] = z[:, :, 0]
+        p_clean[:, start:start + z.shape[1]] = forward_from_first(z)[:, :, 0]
 
     rows = [[] for _ in deployed]
     log_bounds = [[] for _ in deployed]
@@ -316,14 +317,14 @@ def pca_models(deployed: list[MaskableModel], x_eval, y_eval, spec: TransformSpe
                 g = np.matmul(weights[0][:, 0], corrupt_input(spec.corrupt, x_eval[i]) - x_eval[i])
             for j in range(0, l, reps):
                 r = min(reps, l - j)
-                if closed:  # sample_set's delta draws, then a + delta g
-                    delta = rng.uniform(*spec.delta_range, size=(r, n))
-                    z = np.multiply(delta[:, :, None], g[:, None, None], out=outs(r, n)[0])
+                delta = rng.uniform(*spec.delta_range, size=(r, n))
+                if closed:  # a + delta g
+                    z = np.multiply(delta[:, :, None], g[:, None, None], out=layer_out(0, r, n))
                     z += a_clean[:, i, None, None]
-                    pt = forward_from_first(z)
                 else:
-                    pt = forward(sample_set(spec, x_eval[i], (r, n), rng, out=xt[:r],
-                                            work=xt_work[:r]))
+                    z = first(apply(spec, x_eval[i], delta[:, :, None], out=xt[:r],
+                                    work=xt_work[:r]))
+                pt = forward_from_first(z)
                 # each model's sup-norm discrepancies to its clean probabilities
                 pt -= p_clean[:, i, None, None]
                 np.abs(pt, out=pt)

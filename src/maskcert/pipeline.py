@@ -72,18 +72,44 @@ class Adam:
         self.t = 0
 
     def step(self, param: np.ndarray, grad: np.ndarray):
-        """Update param in place by its gradient grad, of the same shape."""
+        """Update param in place by its gradient grad, of the same shape.
+        The update is formed in two scratch vectors made with the moments,
+        by the operations, in the order, of lr (m / c1) / (sqrt(v / c2) +
+        eps) after m += (1 - b1) g and v += ((1 - b2) g) g."""
         if self.m is None:
-            self.m, self.v = np.zeros_like(grad), np.zeros_like(grad)
+            self.m, self.v, self._s, self._u = np.zeros((4, *grad.shape))
+        m, v, s, u = self.m, self.v, self._s, self._u
         self.t += 1
         b1, b2 = self.BETA1, self.BETA2
-        self.m *= b1
-        self.m += (1 - b1) * grad
-        self.v *= b2
-        self.v += (1 - b2) * grad * grad
-        update = self.lr * (self.m / (1 - b1 ** self.t))
-        update /= np.sqrt(self.v / (1 - b2 ** self.t)) + self.EPS
-        param -= update
+        m *= b1
+        m += np.multiply(grad, 1 - b1, out=s)
+        v *= b2
+        v += np.multiply(np.multiply(grad, 1 - b2, out=s), grad, out=s)
+        np.divide(m, 1 - b1 ** self.t, out=u)
+        u *= self.lr
+        np.sqrt(np.divide(v, 1 - b2 ** self.t, out=s), out=s)
+        s += self.EPS
+        param -= np.divide(u, s, out=u)
+
+
+def cross_entropy(logits: np.ndarray, labels) -> tuple:
+    """Batch mean negative log likelihood of 2-D logits (fused log-softmax),
+    and its gradient on the logits."""
+    labels = np.asarray(labels, dtype=np.int64)
+    if logits.ndim != 2 or labels.shape != logits.shape[:1]:
+        raise ValueError(f"cross_entropy: logits of shape {logits.shape} and labels of "
+                         f"shape {labels.shape} are not one batch")
+    if labels.min(initial=0) < 0 or labels.max(initial=-1) >= logits.shape[1]:
+        raise ValueError("cross_entropy: label out of range")
+    rows = np.arange(logits.shape[0])
+    z = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    total = e.sum(axis=1, keepdims=True)
+    nll = -(z - np.log(total))[rows, labels]
+    grad = e / total
+    grad[rows, labels] -= 1.0  # minus the one-hot labels
+    grad *= 1.0 / nll.size
+    return nll.mean(), grad
 
 
 @dataclass
@@ -112,17 +138,16 @@ def _ce_epochs(model: MaskableModel, data: Dataset, epochs: int, lr: float,
             idx = order[start:start + batch_size]
             xb, yb = data.x[idx], data.y[idx]
             try:
-                logits, mlp_vjp = ad.primitive(
-                    "masked_mlp", [xb, *model.folded(multipliers).weights, *model.biases],
-                    specs=tuple(model.specs), work=work)
-                loss, ce_vjp = ad.primitive("cross_entropy", [logits], labels=yb)
+                with np.errstate(all="ignore"):  # finiteness is checked instead
+                    logits, mlp_vjp = ad.primitive(
+                        "masked_mlp", [xb, *model.folded(multipliers).weights, *model.biases],
+                        specs=tuple(model.specs), work=work)
+                    loss, g_logits = cross_entropy(logits, yb)
+                    if not np.isfinite(loss):
+                        raise FloatingPointError("non-finite loss")
+                    grads = mlp_vjp(g_logits, needs)[1:]
             except FloatingPointError as exc:
-                raise FloatingPointError(
-                    f"training diverged at epoch {epoch}: {exc}") from None
-            if not np.isfinite(loss):
-                raise FloatingPointError(
-                    f"training diverged at epoch {epoch}: non-finite loss")
-            grads = mlp_vjp(ce_vjp(1.0, (True,))[0], needs)[1:]
+                raise FloatingPointError(f"training diverged at epoch {epoch}: {exc}") from None
             for g, m in zip(grads, multipliers or ()):
                 if m is not None:
                     g *= m
@@ -232,8 +257,9 @@ def build_data(cfg: ExperimentConfig):
     else:
         train = load_idx(cfg.idx_train_images, cfg.idx_train_labels, cfg.idx_classes)
         test = load_idx(cfg.idx_test_images, cfg.idx_test_labels, cfg.idx_classes)
-        if len(train) == 0 or len(test) == 0:
-            raise ConfigError("idx dataset is empty")
+        for data, path in ((train, cfg.idx_train_images), (test, cfg.idx_test_images)):
+            if len(data) == 0:
+                raise DatasetError(f"{path} holds no images")
         if train.x.shape[1] != test.x.shape[1]:
             raise DatasetError(f"{cfg.idx_train_images} has {train.x.shape[1]} pixels per "
                                f"image but {cfg.idx_test_images} has {test.x.shape[1]}")

@@ -3,8 +3,10 @@
 Two families stand in for generative-model mutations: additive shifts along
 a fixed unit direction (synthetic feature vectors), and pixel-level linear
 interpolation toward a corrupted copy of the input (image vectors in
-[0, 1]). Magnitude delta lives in [0, 1]; delta = 0 returns the input
-exactly.
+[0, 1]). Magnitude delta lives in [0, 1]. `apply` is the one definition of
+T(x, delta), for one delta or an array of them; delta = 0 returns the input
+for a shift (a -0.0 entry may come back as +0.0) and its clip to [0, 1] for
+an interpolation, which is the input itself on [0, 1] data.
 """
 
 from __future__ import annotations
@@ -79,51 +81,27 @@ def corrupt_input(tag: CorruptionTag, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def apply(spec: TransformSpec, x: np.ndarray, delta: float, out=None) -> np.ndarray:
-    """T(x, delta); delta must lie inside the transform's delta range.
-
-    With `out` the result is written there, and `out` may be x itself: the
-    rows are then transformed in place."""
-    lo, hi = spec.delta_range
-    if not lo <= delta <= hi:
-        raise ValueError(f"delta {delta} outside range [{lo}, {hi}]")
-    x = np.asarray(x, dtype=np.float64)
-    if out is None:
-        out = np.empty_like(x)
-    if delta == 0.0:
-        np.copyto(out, x)
-        return out
-    if spec.kind == "direction_shift":
-        return np.add(x, delta * spec.direction, out=out)
-    cx = corrupt_input(spec.corrupt, x)  # taken before out overwrites x
-    np.multiply(x, 1.0 - delta, out=out)
-    cx *= delta
-    out += cx
-    return np.clip(out, 0.0, 1.0, out=out)
-
-
-def sample_set(spec: TransformSpec, x: np.ndarray, n, rng: np.random.Generator,
-               out=None, work=None) -> np.ndarray:
-    """Transformed copies of x with delta ~ U(delta_range): n an int gives
-    shape (n, *x.shape), a shape tuple (l, n) gives (l, n, *x.shape), whose
-    deltas are the l·n draws of l successive calls with n in order, so every
-    row has the bits of those calls. Deterministic given the generator state.
-
-    With `out` the copies are written there; interp_corrupt then also needs
-    `work`, an array of the same shape, for its second term.
+def apply(spec: TransformSpec, x: np.ndarray, delta, out=None, work=None) -> np.ndarray:
+    """T(x, delta): x + delta v for a shift, clip(x (1 - delta) + delta c(x),
+    0, 1) for an interpolation. delta is a number or an array that broadcasts
+    against x, each entry inside the delta range; (l, n, 1) deltas against a
+    vector x give l·n copies, each with the bits of the call on its own
+    delta. With `out` the result is written there, and `out` may be x
+    itself. The delta term is formed in `work`, shaped like the result, when
+    the result outgrows x (in a fresh array without it), and otherwise in a
+    temporary no larger than x, for an interpolation c(x) itself.
     """
-    shape = (n,) if isinstance(n, (int, np.integer)) else tuple(n)
-    if min(shape) < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    x = np.asarray(x, dtype=np.float64)
     lo, hi = spec.delta_range
-    d = rng.uniform(lo, hi, size=shape).reshape(shape + (1,) * x.ndim)
+    d = np.asarray(delta, dtype=np.float64)
+    if not lo <= d.min() <= d.max() <= hi:
+        raise ValueError(f"delta outside range [{lo}, {hi}]: min {d.min()}, max {d.max()}")
+    x = np.asarray(x, dtype=np.float64)
+    wide = np.broadcast(d, x).shape != x.shape  # the result outgrows x
     if spec.kind == "direction_shift":
-        out = np.multiply(d, spec.direction, out=out)
-        return np.add(x, out, out=out)
-    cx = corrupt_input(spec.corrupt, x)
-    out = np.multiply(1.0 - d, x, out=out)
-    out += np.multiply(d, cx, out=work)
+        return np.add(x, np.multiply(d, spec.direction, out=work if wide else None), out=out)
+    cx = corrupt_input(spec.corrupt, x)  # taken before out overwrites x
+    out = np.multiply(x, 1.0 - d, out=out)
+    out += np.multiply(cx, d, out=work if wide else cx)
     return np.clip(out, 0.0, 1.0, out=out)
 
 

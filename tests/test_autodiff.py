@@ -193,8 +193,9 @@ def test_identical_inputs_identical_values():
 
 
 def test_cases_cover_exactly_the_registered_kinds():
-    assert set(PRIMITIVE_CASES) == set(ad._OPS)
-    assert set(TERM_CASES) == {"stability", "ratio_penalty", "consistency", "l1_mean", "noisy"}
+    assert set(PRIMITIVE_CASES) == set(ad._OPS) == {"masked_mlp", "softmax"}
+    assert set(TERM_CASES) == {"stability", "ratio_penalty", "consistency", "l1_mean", "noisy",
+                               "cross_entropy"}
 
 
 @pytest.mark.parametrize("label", sorted(CASE_LABELS))

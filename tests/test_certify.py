@@ -9,7 +9,7 @@ from maskcert.certify import (clean_margin, grid_min, log_y_grid, paley_confiden
 from maskcert.config import ExperimentConfig
 from maskcert.masks import binarize, hard_multipliers
 from maskcert.model import LayerSpec, MaskableModel, masked_forward, mlp_specs, softmax
-from maskcert.transforms import CorruptionTag, TransformSpec, sample_set
+from maskcert.transforms import CorruptionTag, TransformSpec, apply
 from util import fold, log_y, make_cfg
 
 
@@ -59,10 +59,11 @@ def grid_min_one(rep_z, d, grid):
 
 def per_sample_oracle(model, multipliers, x_eval, y_eval, spec, config):
     """The per-sample certification pca replaces: a 1-row clean forward,
-    then one forward per repetition of n `sample_set` draws from the sample's
-    stream, then one grid search per sample, every forward multiplying the
-    masks into the weights itself. One dict per sample, plus the log of the
-    grid-minimum bound of each sample with a nonzero margin."""
+    then one forward per repetition of n transformed inputs, `apply` at n
+    deltas drawn from the sample's stream, then one grid search per sample,
+    every forward multiplying the masks into the weights itself. One dict
+    per sample, plus the log of the grid-minimum bound of each sample with a
+    nonzero margin."""
     def forward(x):
         ws = model.weights if multipliers is None else fold(multipliers, model.weights)
         return softmax(masked_forward(x, ws, model.biases, model.specs)[0][-1])
@@ -72,8 +73,10 @@ def per_sample_oracle(model, multipliers, x_eval, y_eval, spec, config):
     for i, (x, y) in enumerate(zip(x_eval, y_eval)):
         rng = np.random.default_rng([config.seed, certify.CERT_SAMPLE_STREAM, i])
         p = forward(x[None, :])[0]
+        lo, hi = spec.delta_range
         rep_z = np.stack([
-            np.abs(forward(sample_set(spec, x, config.cert_samples, rng)) - p).max(axis=1)
+            np.abs(forward(apply(spec, x, rng.uniform(lo, hi, (config.cert_samples, 1))))
+                   - p).max(axis=1)
             for _ in range(config.cert_repetitions)])
         d = clean_margin(p)
         eps_hat, best_t = 1.0, math.nan
@@ -515,19 +518,28 @@ class TestCertifySampleAndPca:
         assert (res.best_t_at_t_lo, res.best_t_at_t_hi, res.eps_hat_zero) == (0, 0, 0)
 
     def test_one_clean_forward_per_set(self, monkeypatch):
-        shapes = []
-        real = certify.forward_probs
+        shapes, transformed = [], []
+        real_forward, real_apply = certify.forward_probs, certify.apply
 
-        def spy(x, weights, biases, specs, out=None):
+        def forward_spy(x, weights, biases, specs, out=None):
             shapes.append(x.shape)
-            return real(x, weights, biases, specs, out)
+            return real_forward(x, weights, biases, specs, out)
 
-        monkeypatch.setattr(certify, "forward_probs", spy)
+        def apply_spy(spec, x, delta, out=None, work=None):
+            transformed.append((x.shape, delta.shape))
+            return real_apply(spec, x, delta, out, work)
+
+        monkeypatch.setattr(certify, "forward_probs", forward_spy)
+        monkeypatch.setattr(certify, "apply", apply_spy)
         cfg = small_cfg()
+        l, n = cfg.cert_repetitions, cfg.cert_samples
         x = np.zeros((5, 4))
         pca(constant_model(), x, np.zeros(5), direction_spec(), cfg)
-        # the (m, 1, d) clean stack, then one (l, n, d) stack per sample
-        assert shapes == [(5, 1, 4)] + [(cfg.cert_repetitions, cfg.cert_samples, 4)] * 5
+        # forwards enter past the first layer (the model's 2 logits here):
+        # the (1, m, 1) clean stack, then one (1, l, n) stack per sample,
+        # each of one transform of the sample at (l, n, 1) deltas
+        assert shapes == [(1, 5, 1, 2)] + [(1, l, n, 2)] * 5
+        assert transformed == [((4,), (l, n, 1))] * 5
 
     def test_pca_empty_rejected(self):
         model = constant_model()
@@ -793,15 +805,15 @@ class TestMultiModelPass:
             pca_models([], x, y, direction_spec(), small_cfg())
 
     @pytest.mark.parametrize("k", [1, 3])
-    def test_one_sample_set_per_sample_and_chunk(self, monkeypatch, k):
+    def test_one_apply_per_sample_and_chunk(self, monkeypatch, k):
         calls = []
-        real = certify.sample_set
+        real = certify.apply
 
-        def spy(spec, x, n, rng, out=None, work=None):
-            calls.append(n)
-            return real(spec, x, n, rng, out, work)
+        def spy(spec, x, delta, out=None, work=None):
+            calls.append(delta.shape)
+            return real(spec, x, delta, out, work)
 
-        monkeypatch.setattr(certify, "sample_set", spy)
+        monkeypatch.setattr(certify, "apply", spy)
         model, mult, rng = live_model("unstructured", seed=53)
         cfg = small_cfg(cert_samples=7, seed=7)
         set_budgets(monkeypatch, 2, 4, model, cfg, k=k)
@@ -813,7 +825,7 @@ class TestMultiModelPass:
         # all k models at once
         x[4, 2] = 1.5
         pca_models([model.folded(mult)] * k, x, y, stacked_spec("haze", 6), cfg)
-        assert calls == [(2, 7), (1, 7)] * 9
+        assert calls == [(2, 7, 1), (1, 7, 1)] * 9
 
     def test_grid_block_divided_by_model_count(self, monkeypatch):
         # every model's rows of a block share one grid search, and the block

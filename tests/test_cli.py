@@ -231,6 +231,13 @@ seed = 5
         assert "train-images.idx has 16 pixels per image" in err
         assert "test-images.idx has 4" in err
 
+    @pytest.mark.parametrize("stem", ["train", "test"])
+    def test_empty_pair_exits_2_naming_the_file(self, tmp_path, capsys, stem):
+        cfg = self.write_config(tmp_path)
+        path, _ = self.write_pair(tmp_path, np.random.default_rng(34), stem, 0)
+        assert run("run-all", cfg, tmp_path / "o") == EXIT_IO
+        assert f"{path} holds no images" in capsys.readouterr().err
+
     @pytest.mark.parametrize("stem, header, what", [
         ("train-images", struct.pack(">IIII", 0x803, 2 ** 32 - 1, 65535, 65535), "pixel"),
         ("train-images", struct.pack(">IIII", 0x803, 2 ** 32 - 1, 28, 28), "pixel"),

@@ -14,7 +14,7 @@ from maskcert.config import ExperimentConfig, validate
 from maskcert.errors import ConfigError
 from maskcert.masks import binarize, effective_ratio, hard_multipliers, layer_views
 from maskcert.model import MaskableModel, mlp_specs
-from maskcert.pipeline import (Adam, MomentumSGD, lmp_mask,
+from maskcert.pipeline import (Adam, MomentumSGD, cross_entropy, lmp_mask,
                                run_experiment, stage1_pretrain,
                                stage2_mask_search, stage3_finetune)
 from maskcert.transforms import apply
@@ -242,7 +242,16 @@ def test_every_registered_kind_is_used(monkeypatch):
 
     monkeypatch.setattr(ad, "primitive", recorded)
     run_experiment(tiny_cfg(stage1_epochs=1, stage2_epochs=1, stage3_epochs=1))
-    assert kinds == set(ad._OPS)
+    assert kinds == set(ad._OPS) == {"masked_mlp", "softmax"}
+
+
+@pytest.mark.parametrize("logits, labels", [
+    (np.zeros((3, 2)), [0, 1]), (np.zeros(3), [0, 0, 0]),
+    (np.zeros((3, 2)), [0, 2, 1]), (np.zeros((3, 2)), [0, -1, 1])],
+    ids=["label-count", "1-d-logits", "label-too-large", "label-negative"])
+def test_cross_entropy_checks_its_batch(logits, labels):
+    with pytest.raises(ValueError, match="cross_entropy"):
+        cross_entropy(logits, labels)
 
 
 class TestStage3:
@@ -356,6 +365,22 @@ class TestOptimizers:
         opt.step(p, np.array([123.0]))
         assert p[0] == pytest.approx(1.0 - 0.01, abs=1e-6)
 
+    def test_adam_step_allocates_no_mask_sized_array(self):
+        # after the first step, which makes the moments and the scratch
+        # vectors, a step forms its update in place
+        rng = np.random.default_rng(22)
+        param, grad = rng.uniform(size=100_000), rng.standard_normal(100_000)
+        opt = Adam(0.01)
+        opt.step(param, grad)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            opt.step(param, grad)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before < grad.nbytes
+
     def test_flat_adam_and_clamp_match_per_layer_oracle(self):
         # 50 steps on uneven layers with an empty exempt one: the flat update
         # and the one clamp give the per-layer form's bits
@@ -425,20 +450,20 @@ class TestRunExperiment:
         for r in out.results.values():
             assert 0.0 <= r.cert.fraction <= 1.0
 
-    def test_one_sample_set_per_sample_for_all_methods(self, monkeypatch):
-        # every method is certified in one pass, which draws each evaluation
-        # sample's transformed inputs once (one repetition chunk at these sizes)
+    def test_one_apply_per_sample_for_all_methods(self, monkeypatch):
+        # every method is certified in one pass, which transforms each
+        # evaluation sample once (one repetition chunk at these sizes)
         calls = []
-        real = certify.sample_set
+        real = certify.apply
 
         def spy(*args, **kwargs):
-            calls.append(args[2])
+            calls.append(args[2].shape)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(certify, "sample_set", spy)
+        monkeypatch.setattr(certify, "apply", spy)
         cfg = tiny_cfg(methods=("vanilla", "lmp", "csam"))
         out = run_experiment(cfg)
-        assert calls == [(cfg.cert_repetitions, cfg.cert_samples)] * cfg.cert_eval_size
+        assert calls == [(cfg.cert_repetitions, cfg.cert_samples, 1)] * cfg.cert_eval_size
         assert all(len(r.cert.rows) == cfg.cert_eval_size for r in out.results.values())
         assert out.certify_wall_time > 0
 

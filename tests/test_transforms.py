@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from maskcert.transforms import (CorruptionTag, TransformSpec, apply,
-                                 augment_dataset, corrupt_input, sample_set)
+                                 augment_dataset, corrupt_input)
 
 
 def e(i, n=4):
@@ -87,42 +87,50 @@ class TestApply:
                 assert diff <= lip * (grid[i + 1] - grid[i]) + 1e-12
 
 
-class TestSampleSet:
+def draws(spec, rng, shape):
+    """Deltas of `shape` from the transform's range, as certification draws
+    them."""
+    return rng.uniform(*spec.delta_range, size=shape)
+
+
+class TestArrayDelta:
+    """apply on an array of deltas: the transformed copies certification
+    draws, one per delta."""
+
     def test_collapsed_range_returns_input(self):
         spec = TransformSpec(kind="direction_shift", direction=e(0),
                              delta_range=(0.0, 0.0))
         x = np.array([0.1, 0.2, 0.3, 0.4])
-        out = sample_set(spec, x, 3, np.random.default_rng(0))
+        out = apply(spec, x, draws(spec, np.random.default_rng(0), (3, 1)))
         assert np.array_equal(out, np.tile(x, (3, 1)))
 
     def test_rows_match_scalar_apply(self):
         spec = haze_spec()
         x = np.random.default_rng(2).uniform(size=5)
-        rng = np.random.default_rng(3)
-        out = sample_set(spec, x, 4, rng)
+        out = apply(spec, x, draws(spec, np.random.default_rng(3), (4, 1)))
         deltas = np.random.default_rng(3).uniform(0, 1, 4)
         for row, d in zip(out, deltas):
             assert np.array_equal(row, apply(spec, x, float(d)))
 
     def test_uniform_mean_oracle(self):
         spec = shift_spec(2)
-        rng = np.random.default_rng(4)
         n = 100_000
-        out = sample_set(spec, np.zeros(2), n, rng)
+        out = apply(spec, np.zeros(2), draws(spec, np.random.default_rng(4), (n, 1)))
         assert abs(out[:, 0].mean() - 0.5) < 0.01  # shift equals the drawn delta
 
     def test_same_seed_identical(self):
         spec = haze_spec()
         x = np.random.default_rng(5).uniform(size=6)
-        a = sample_set(spec, x, 10, np.random.default_rng(6))
-        b = sample_set(spec, x, 10, np.random.default_rng(6))
+        a = apply(spec, x, draws(spec, np.random.default_rng(6), (10, 1)))
+        b = apply(spec, x, draws(spec, np.random.default_rng(6), (10, 1)))
         assert np.array_equal(a, b)
 
-    def test_n_validated(self):
-        with pytest.raises(ValueError, match="n"):
-            sample_set(shift_spec(), np.zeros(4), 0, np.random.default_rng(0))
-        with pytest.raises(ValueError, match="n"):
-            sample_set(shift_spec(), np.zeros(4), (3, 0), np.random.default_rng(0))
+    def test_every_delta_range_checked(self):
+        spec = TransformSpec(kind="direction_shift", direction=e(0), delta_range=(0.2, 0.9))
+        for bad in ([[0.5], [0.95]], [[0.1], [0.5]], [[0.5], [np.nan]]):
+            with pytest.raises(ValueError, match="delta"):
+                apply(spec, np.zeros(4), np.array(bad))
+        assert apply(spec, np.zeros(4), np.array([[0.2], [0.9]])).shape == (2, 4)
 
     @pytest.mark.parametrize("spec", [
         TransformSpec(kind="direction_shift", direction=np.array([0.6, 0.0, 0.8, 0.0, 0.0])),
@@ -130,18 +138,26 @@ class TestSampleSet:
         TransformSpec(kind="interp_corrupt", corrupt=CorruptionTag("gaussian_blur3", 0.8),
                       delta_range=(0.2, 0.9)),
     ], ids=["direction_shift", "haze", "gaussian_blur3"])
-    def test_stacked_equals_successive_calls(self, spec):
+    def test_stacked_equals_scalar_calls(self, spec):
+        # (l, n, 1) deltas give every copy the bits of the l·n scalar calls,
+        # and of l successive calls on (n, 1) deltas from one stream
         x = np.random.default_rng(8).uniform(size=5)
         rng = np.random.default_rng(9)
-        calls = np.stack([sample_set(spec, x, 7, rng) for _ in range(3)])
-        assert np.array_equal(sample_set(spec, x, (3, 7), np.random.default_rng(9)), calls)
-        # into buffers, continuing the stream where one call of 2 x 7 stopped
+        calls = np.stack([apply(spec, x, draws(spec, rng, (7, 1))) for _ in range(3)])
+        deltas = draws(spec, np.random.default_rng(9), (3, 7, 1))
+        assert np.array_equal(apply(spec, x, deltas), calls)
+        scalar = [[apply(spec, x, float(d)) for d in row.ravel()] for row in deltas]
+        assert np.array_equal(np.array(scalar), calls)
+        # into buffers, the stream continuing where a draw of 2 x 7 stopped;
+        # the delta term is formed in `work`
         out, work = np.empty((4, 7, 5)), np.empty((4, 7, 5))
         rng = np.random.default_rng(9)
-        first = sample_set(spec, x, (2, 7), rng, out=out[:2], work=work[:2])
+        first = apply(spec, x, draws(spec, rng, (2, 7, 1)), out=out[:2], work=work[:2])
         assert first.base is out and np.array_equal(first, calls[:2])
-        assert np.array_equal(sample_set(spec, x, (1, 7), rng, out=out[:1], work=work[:1]),
-                              calls[2:])
+        d = draws(spec, rng, (1, 7, 1))
+        assert np.array_equal(apply(spec, x, d, out=out[:1], work=work[:1]), calls[2:])
+        c = spec.direction if spec.kind == "direction_shift" else corrupt_input(spec.corrupt, x)
+        assert np.array_equal(work[:1], d * c)
 
 
 class TestAugmentDataset:

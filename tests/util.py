@@ -1,9 +1,9 @@
 """Shared oracles for the test suite: a validated config with overrides,
 finite differences of every registered autodiff kind, of the stage-2 loss
-terms and noisy draws, and of the composite stage-2 objective, kink-free
-random instance construction, and reference forms of helpers the program
-itself no longer needs (per-layer Adam, the scalar log Y, value-level noisy
-masks and the triangle bound check)."""
+terms, noisy draws and cross-entropy, and of the composite stage-2
+objective, kink-free random instance construction, and reference forms of
+helpers the program itself no longer needs (per-layer Adam, the scalar
+log Y, value-level noisy masks and the triangle bound check)."""
 
 import dataclasses
 import math
@@ -17,6 +17,7 @@ from maskcert.config import ExperimentConfig, validate
 from maskcert.masks import binarize, hard_multipliers, layer_views, sample_noisy
 from maskcert.model import LayerSpec, mask_shape, masked_forward, mlp_specs
 from maskcert.objectives import consistency, l1_mean, ratio_penalty, stability
+from maskcert.pipeline import cross_entropy
 
 FD_H = 1e-5
 FD_TOL = 1e-4
@@ -78,9 +79,16 @@ def _noisy(inputs, g, mu, seed, draws):
     return value, None if g is None else [(g * passed).sum(axis=0)]
 
 
+def _cross_entropy(inputs, g, labels):
+    """pipeline.cross_entropy's loss and g times its gradient on the logits."""
+    value, grad = cross_entropy(inputs[0], labels)
+    return value, None if g is None else [g * grad]
+
+
 EVALUATE = {**{kind: _kind(kind) for kind in ad._OPS},
             "stability": _term(stability), "ratio_penalty": _term(ratio_penalty),
-            "consistency": _term(consistency), "l1_mean": _term(l1_mean), "noisy": _noisy}
+            "consistency": _term(consistency), "l1_mean": _term(l1_mean), "noisy": _noisy,
+            "cross_entropy": _cross_entropy}
 
 
 def check_kind_fd(kind, inputs, attrs, checked, rng, tol=FD_TOL, h=FD_H) -> float:
@@ -334,10 +342,10 @@ PRIMITIVE_CASES = {
     "softmax": [("softmax", [lambda r: _case_softmax(r, (5,)),
                              lambda r: _case_softmax(r, (4, 3)),
                              lambda r: _case_softmax(r, (2, 4, 3))])],
-    "cross_entropy": [("cross_entropy", [_case_cross_entropy])],
 }
 
-# The same for the stage-2 loss terms of objectives and sample_noisy's draws.
+# The same for the stage-2 loss terms of objectives, sample_noisy's draws
+# and pipeline.cross_entropy.
 TERM_CASES = {
     "noisy": [
         ("add", [lambda r: _case_noisy(r, 3, 5, 0.5, 0.5)]),  # C + xi stays inside [0, 1]
@@ -354,6 +362,7 @@ TERM_CASES = {
         ("kl_div", [lambda r: _case_consistency(r, (4, 3))]),
         ("log", [lambda r: _case_consistency(r, (3, 6), 0.3, 1e-2)])],  # many entries near 0
     "l1_mean": [("l1_sum", [_case_l1_mean])],
+    "cross_entropy": [("cross_entropy", [_case_cross_entropy])],
 }
 
 CASE_LABELS = {label: builders for cases in (*PRIMITIVE_CASES.values(), *TERM_CASES.values())
