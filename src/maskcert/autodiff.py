@@ -14,16 +14,18 @@ weights and to their gradients itself.
 The masked MLP and the softmax accept stacked copies: an input of shape
 (..., batch, features) with weights stacked the same way. numpy's matmul
 runs one GEMM per trailing 2-D block, so each copy gets the bits it would
-get alone.
+get alone. The masked MLP keeps its forward and VJP arrays in the caller's
+work dict, the one way every forward of the package keeps them
+(model._buffer).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .model import masked_forward, softmax as softmax_values
+from .model import _buffer, masked_forward, softmax as softmax_values
 
-__all__ = ["primitive", "buffer"]
+__all__ = ["primitive"]
 
 
 def primitive(kind: str, values: list, **attrs):
@@ -50,26 +52,16 @@ def _unstack(g, ndim):
 # kinds: (input values, **attrs) -> (value, vjp(g, needs) -> input gradients)
 
 
-def buffer(work, key, shape):
-    """An array of `shape` kept under `key` in the dict `work` across calls,
-    or a fresh one when work is None."""
-    if work is None:
-        return np.empty(shape)
-    buf = work.get(key)
-    if buf is None or buf.shape != shape:
-        buf = work[key] = np.empty(shape)
-    return buf
-
-
 def _masked_mlp(v, specs, work=None):
     """Logits of the layer stack on inputs [x, *weights, *biases], each
     weight with its mask already folded in (MaskableModel.folded); the
     caller masks the weight gradients it gets back.
 
-    Each layer's pre-activation and output and each gradient of the VJP go
-    into arrays from `work` (see buffer), so a loop of calls that keeps one
-    dict allocates them once; the logits and the weight and input gradients
-    returned are then those arrays, valid until the next call.
+    Each layer's pre-activation and output (see masked_forward) and each
+    gradient of the VJP go into arrays from `work` (see model._buffer), so a
+    loop of calls that keeps one dict allocates them once; the logits and
+    the weight and input gradients returned are then those arrays, valid
+    until the next call.
 
     The VJP takes an optional `out`, a dict from layer index to the array
     that layer's weight gradient is written into. Each layer's input
@@ -81,15 +73,7 @@ def _masked_mlp(v, specs, work=None):
         raise ValueError("masked_mlp: one weight and bias per layer required")
     if x.ndim < 2 or x.shape[-1] != ws[0].shape[-1]:
         raise ValueError(f"masked_mlp: input shape {x.shape} does not match weight {ws[0].shape}")
-    out = pre = None
-    if work is not None:
-        out, pre, lead = [], [], x.shape[:-1]
-        for i, (spec, w) in enumerate(zip(specs, ws)):
-            lead = np.broadcast_shapes(lead[:-1], w.shape[:-2]) + lead[-1:]
-            shape = lead + w.shape[-2:-1]
-            out.append(buffer(work, ("h", i), shape))
-            pre.append(buffer(work, ("z", i), shape) if spec.activation == "relu" else None)
-    hs, zs = masked_forward(x, ws, bs, specs, out=out, pre=pre)
+    hs, zs = masked_forward(x, ws, bs, specs, work)
     for i, z in enumerate(zs):
         if not np.isfinite(z).all():
             raise FloatingPointError(f"masked_mlp: non-finite pre-activation in layer {i}")
@@ -98,18 +82,18 @@ def _masked_mlp(v, specs, work=None):
         grads = [None] * len(v)
         for i in reversed(range(n)):
             if specs[i].activation == "relu":
-                g = np.multiply(g, zs[i] > 0, out=buffer(work, ("dz", i), g.shape))
+                g = np.multiply(g, zs[i] > 0, out=_buffer(work, ("dz", i), g.shape))
             if needs[n + 1 + i]:
                 grads[n + 1 + i] = _unstack(g, 1)
             g_in = None
             if i > 0 or needs[0]:
-                g_in = np.matmul(g, ws[i], out=buffer(
+                g_in = np.matmul(g, ws[i], out=_buffer(
                     work, ("dx", i), g.shape[:-1] + ws[i].shape[-1:]))
             if needs[1 + i]:
                 # g carries every stack axis of hs[i] and of the weight
                 target = (out or {}).get(i)
                 if target is None:
-                    target = buffer(work, ("dw", i), g.shape[:-2] + ws[i].shape[-2:])
+                    target = _buffer(work, ("dw", i), g.shape[:-2] + ws[i].shape[-2:])
                 grads[1 + i] = _unstack(np.matmul(g.mT, hs[i], out=target), ws[i].ndim)
             g = g_in
         if needs[0]:

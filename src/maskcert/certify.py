@@ -25,14 +25,14 @@ The clean predictions of the evaluation set come from stacked forwards of
 the (m, 1, d) input, and each sample's is shared by its margin, its pass
 decision and every repetition's discrepancies. The pass decision uses
 max{Y} itself; the alpha-scaled value max{Y}/alpha of the underestimation-
-confidence bound is not computed. The work is done in stacked passes over
-buffers allocated once per evaluation set: one forward of all of a sample's
-transformed inputs through every model (whole repetitions, up to a float
-budget per model), and a grid search that steps a block of samples, every
-model's rows of them, in lockstep. Inputs and weights are stacked, never
-flattened into one matrix, because matmul runs one GEMM per trailing 2-D
-block and so gives each model and repetition the bits of its own call,
-which one larger GEMM does not.
+confidence bound is not computed. The work is done in stacked passes whose
+arrays live in one work dict per call (model._buffer): one forward of all
+of a sample's transformed inputs through every model (whole repetitions, up
+to a float budget per model), and a grid search that steps a block of
+samples, every model's rows of them, in lockstep. Inputs and weights are
+stacked, never flattened into one matrix, because matmul runs one GEMM per
+trailing 2-D block and so gives each model and repetition the bits of its
+own call, which one larger GEMM does not.
 
 For interp_corrupt on an evaluation set inside [0, 1] the first layer of the
 transformed inputs takes a closed form. Haze and the 3-tap blur are convex
@@ -59,7 +59,7 @@ from fractions import Fraction
 import numpy as np
 
 from .config import ExperimentConfig
-from .model import MaskableModel, forward_probs
+from .model import MaskableModel, _buffer, forward_probs, masked_forward, softmax
 from .transforms import TransformSpec, apply, corrupt_input
 
 CERT_SAMPLE_STREAM = 77  # rng namespace for per-sample certification streams
@@ -104,13 +104,12 @@ def log_y_grid(z: np.ndarray, d, t_grid: np.ndarray, work=None) -> np.ndarray:
     z of shape (l, n) gives (l, k), row j equal to the call on z[j]. A block
     of samples passes z of shape (B, l, n), t_grid of shape (B, 1, k) and d
     of shape (B, 1, 1), and gets (B, l, k), each sample's rows equal to its
-    own call. With `work`, a flat float64 buffer at least as long as the
-    (..., k, n) products, they are formed there."""
+    own call. The (..., k, n) products are formed in the array under "grid"
+    of the dict `work` (model._buffer)."""
     z = np.asarray(z, dtype=np.float64)
     t = np.asarray(t_grid, dtype=np.float64)
     shape = np.broadcast_shapes(t.shape + (1,), z.shape[:-1] + (1, z.shape[-1]))
-    out = None if work is None else work[:math.prod(shape)].reshape(shape)
-    a = np.multiply(t[..., :, None], z[..., None, :], out=out)
+    a = np.multiply(t[..., :, None], z[..., None, :], out=_buffer(work, "grid", shape))
     return _logsumexp(a) - math.log(z.shape[-1]) - d * t
 
 
@@ -230,21 +229,23 @@ def pca_models(deployed: list[MaskableModel], x_eval, y_eval, spec: TransformSpe
     model, in this call or another, sees identical transform draws; they are
     drawn once per call for all models. The k models run as one stack, each
     layer's weights as (k, 1, out, in): the clean predictions come from
-    forwards of the (m, 1, d) stack, as many samples at a time as the layer
-    buffers hold; each sample's l·n transformed inputs go through stacked
-    forwards of whole repetitions into buffers allocated once per call; and
-    blocks of samples, every model's rows of them, share each grid-search
-    step. On the stacked path every forward, transform and bound has the
-    bits of a per-model, per-sample, per-repetition evaluation: stacked
-    matmul runs one GEMM per trailing 2-D block.
+    masked_forward on the (m, 1, d) stack, as many samples at a time as a
+    chunk of repetitions holds; each sample's l·n transformed inputs go
+    through stacked forwards of whole repetitions; and blocks of samples,
+    every model's rows of them, share each grid-search step. All of them
+    keep their arrays in one work dict (model._buffer), so each is
+    allocated once per call. On the stacked path every forward, transform
+    and bound has the bits of a per-model, per-sample, per-repetition
+    evaluation: stacked matmul runs one GEMM per trailing 2-D block.
 
     When spec is interp_corrupt and every x_eval entry lies in [0, 1], the
     clip of the transform does nothing and the transformed inputs' first
     layer is computed in closed form instead (module docstring): from the
-    same delta draws, each input's pre-activation is a + delta g. The clean
-    predictions and margins keep their bits; each Z is within rounding of
-    the stacked path's (held to 1e-12 by the tests), so log eps_hat is
-    within cert_t_hi times that. Any other input takes the stacked path.
+    same delta draws, each input's pre-activation is a + delta g, a being
+    the clean forward's zs[0]. The clean predictions and margins keep their
+    bits; each Z is within rounding of the stacked path's (held to 1e-12 by
+    the tests), so log eps_hat is within cert_t_hi times that. Any other
+    input takes the stacked path.
     """
     x_eval = np.asarray(x_eval, dtype=np.float64)
     y_eval = np.asarray(y_eval)
@@ -265,47 +266,24 @@ def pca_models(deployed: list[MaskableModel], x_eval, y_eval, spec: TransformSpe
     # the one check: interp_corrupt keeps [0, 1] inputs in [0, 1], unclipped
     closed = spec.kind == "interp_corrupt" and bool(((x_eval >= 0.0) & (x_eval <= 1.0)).all())
 
-    # work buffers: each layer's output of every model for `reps` repetitions
-    # at a time (or as many clean inputs), a grid-search block of `block`
-    # samples of every model
+    # `reps` repetitions of every model's forward (or as many clean inputs)
+    # at a time, grid-search blocks of `block` samples of every model
     widest = max(specs[0].in_dim, *(s.out_dim for s in specs))
     reps = min(l, max(1, STACK_FLOATS // (k * n * widest)))
     block = min(m, max(1, GRID_FLOATS // (3 * k * l * n)))
-    layer_buf = [np.empty(k * reps * n * s.out_dim) for s in specs]
+    work: dict = {}
+    rep_z = np.empty((block, k, l, n))
+    p_clean = np.empty((k, m, specs[-1].out_dim))
     if closed:
         a_clean = np.empty((k, m, specs[0].out_dim))  # clean first-layer pre-activations
-    else:
-        xt, xt_work = np.empty((2, reps, n, specs[0].in_dim))  # draws and their delta term
-    rep_z = np.empty((block, k, l, n))
-    grid_work = np.empty(3 * block * k * l * n)
-
-    def layer_out(i, a, b):
-        """Layer i's buffer for every model on an (a, b) stack."""
-        return layer_buf[i][:k * a * b * specs[i].out_dim].reshape(k, a, b, specs[i].out_dim)
-
-    def first(xs):
-        """Every model's first-layer pre-activations, (k, a, b, out), of an
-        (a, b, in_dim) stack, in that layer's buffer, as masked_forward
-        computes them."""
-        z = np.matmul(xs, weights[0].mT, out=layer_out(0, *xs.shape[:2]))
-        z += biases[0]
-        return z
-
-    def forward_from_first(z):
-        """Every model's probabilities, (k, a, b, K), from first-layer
-        pre-activations z in that layer's buffer: its activation is applied
-        there, then layers 1.. run."""
-        if specs[0].activation == "relu":
-            np.maximum(z, 0.0, out=z)
-        return forward_probs(z, weights[1:], biases[1:], specs[1:],
-                             out=[layer_out(i, *z.shape[1:3]) for i in range(1, len(specs))])
-
-    p_clean = np.empty((k, m, specs[-1].out_dim))
     for start in range(0, m, reps * n):
-        z = first(x_eval[start:start + reps * n, None])
+        chunk = slice(start, start + reps * n)
+        hs, zs = masked_forward(x_eval[chunk, None], weights, biases, specs, work)
         if closed:
-            a_clean[:, start:start + z.shape[1]] = z[:, :, 0]
-        p_clean[:, start:start + z.shape[1]] = forward_from_first(z)[:, :, 0]
+            a_clean[:, chunk] = zs[0][:, :, 0]
+        p_clean[:, chunk] = softmax(hs[-1], out=hs[-1])[:, :, 0]
+    if not np.isfinite(p_clean).all():
+        raise FloatingPointError("forward: non-finite output probabilities")
 
     rows = [[] for _ in deployed]
     log_bounds = [[] for _ in deployed]
@@ -318,21 +296,26 @@ def pca_models(deployed: list[MaskableModel], x_eval, y_eval, spec: TransformSpe
             for j in range(0, l, reps):
                 r = min(reps, l - j)
                 delta = rng.uniform(*spec.delta_range, size=(r, n))
-                if closed:  # a + delta g
-                    z = np.multiply(delta[:, :, None], g[:, None, None], out=layer_out(0, r, n))
-                    z += a_clean[:, i, None, None]
+                if closed:  # relu(a + delta g), then layers 1..
+                    h = np.multiply(delta[:, :, None], g[:, None, None],
+                                    out=_buffer(work, "a", (k, r, n, g.shape[-1])))
+                    h += a_clean[:, i, None, None]
+                    if specs[0].activation == "relu":
+                        np.maximum(h, 0.0, out=h)
+                    pt = forward_probs(h, weights[1:], biases[1:], specs[1:], work)
                 else:
-                    z = first(apply(spec, x_eval[i], delta[:, :, None], out=xt[:r],
-                                    work=xt_work[:r]))
-                pt = forward_from_first(z)
+                    shape = (r, n, specs[0].in_dim)
+                    pt = forward_probs(apply(spec, x_eval[i], delta[:, :, None],
+                                             out=_buffer(work, "xt", shape),
+                                             work=_buffer(work, "dt", shape)),
+                                       weights, biases, specs, work)
                 # each model's sup-norm discrepancies to its clean probabilities
                 pt -= p_clean[:, i, None, None]
                 np.abs(pt, out=pt)
                 pt.max(axis=-1, out=rep_z[b, :, j:j + r])
         d = np.array([[clean_margin(p) for p in p_clean[:, i]] for i in ids])
         # a zero-margin sample is searched too, but its result is not used
-        best, log_min = grid_min(rep_z[:len(ids)].reshape(-1, l, n), d.ravel(), grid,
-                                 grid_work)
+        best, log_min = grid_min(rep_z[:len(ids)].reshape(-1, l, n), d.ravel(), grid, work)
         best, log_min = best.reshape(d.shape), log_min.reshape(d.shape)
         for b, i in enumerate(ids):
             for q in range(k):

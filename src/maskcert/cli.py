@@ -243,8 +243,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--seed", type=int, default=None,
                        help="override the config root seed")
-        p.add_argument("--stage-checkpoint", default=None,
-                       help="input checkpoint for search/finetune/certify")
+        if name in ("search", "finetune", "certify"):
+            p.add_argument("--stage-checkpoint", default=None,
+                           help="input checkpoint (default: the previous stage's in --out)")
     return parser
 
 

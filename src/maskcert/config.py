@@ -121,6 +121,11 @@ _RANGES = {
     "synthetic_separation": (lambda v: v > 0, "> 0"),
     "synthetic_noise": (lambda v: v > 0, "> 0"),
     "synthetic_semantic_noise": (lambda v: v > 0, "> 0"),
+    # a path the file format holds: parse_config cuts a line at "#" and strips it
+    **dict.fromkeys(("idx_train_images", "idx_train_labels", "idx_test_images",
+                     "idx_test_labels"),
+                    (lambda v: not {"#", "\n", "\r"} & set(v) and v == v.strip(),
+                     "a path without '#', line breaks or leading or trailing whitespace")),
     "idx_classes": (lambda v: v >= 2, ">= 2"),
     "transform_kind": (lambda v: v in ("direction_shift", "interp_corrupt"),
                        "one of direction_shift, interp_corrupt"),
@@ -254,7 +259,9 @@ def parse_config(path) -> ExperimentConfig:
 
 
 def serialize(cfg: ExperimentConfig) -> str:
-    """Canonical text form; parse(serialize(cfg)) reproduces cfg exactly."""
+    """Canonical text form; parse_config(serialize(cfg)) reproduces a
+    validated cfg exactly (validate keeps the idx paths to text the format
+    holds)."""
     out = []
     for f in fields(ExperimentConfig):
         value = getattr(cfg, f.name)

@@ -132,8 +132,9 @@ def write_dataset_csv(path, ds: Dataset) -> None:
             fh.write(",".join(repr(float(v)) for v in row) + f",{int(label)}\n")
 
 
-def accuracy(model, ds: Dataset) -> float:
+def accuracy(model, ds: Dataset, work: dict | None = None) -> float:
+    """Share of ds classified correctly, forwarded in `work` if given."""
     if len(ds) == 0:
         raise ValueError("cannot score an empty dataset")
-    probs = model.forward(ds.x)
+    probs = model.forward(ds.x, work)
     return float(np.mean(np.argmax(probs, axis=1) == ds.y))

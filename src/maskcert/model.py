@@ -6,7 +6,9 @@ multiplying each weight matrix elementwise in the shape mask_shape gives it:
 in unstructured mode a mask entry covers one weight, in structured mode one
 mask entry scales an entire output row. Biases are never masked. In
 structured mode the final classifier layer is exempt (pruning its outputs
-would delete classes), so its prunable-unit count is zero.
+would delete classes), so its prunable-unit count is zero. Every forward
+runs through masked_forward, and a loop keeps its arrays in one `work` dict
+(_buffer), the one way the package keeps a loop's arrays.
 """
 
 from __future__ import annotations
@@ -113,17 +115,18 @@ class MaskableModel:
         return MaskableModel(self.specs, [w.copy() for w in self.weights],
                              [b.copy() for b in self.biases], self.mask_mode)
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, work: dict | None = None) -> np.ndarray:
         """Softmax class probabilities, shape (..., batch, K).
 
         Inputs may be stacked, (..., batch, in_dim); each trailing
-        (batch, in_dim) block gives the bits it would give alone. Never
-        mutates the model, so concurrent evaluations are safe.
+        (batch, in_dim) block gives the bits it would give alone. `work` is
+        as for forward_probs. Never mutates the model, so evaluations that
+        share no work dict may run concurrently.
         """
         x = np.asarray(x, dtype=np.float64)
         if x.ndim < 2 or x.shape[-1] != self.in_dim:
             raise ValueError(f"forward: expected input (batch, {self.in_dim}), got {x.shape}")
-        return forward_probs(x, self.weights, self.biases, self.specs)
+        return forward_probs(x, self.weights, self.biases, self.specs, work)
 
     def folded(self, multipliers) -> "MaskableModel":
         """The deployed model: dense, with weights m * w for each layer's
@@ -138,46 +141,60 @@ class MaskableModel:
                              self.biases, self.mask_mode)
 
 
-def masked_forward(x, weights, biases, specs, out=None, pre=None):
+def _buffer(work, key, shape) -> np.ndarray:
+    """A float64 array of `shape` kept under `key` in the dict `work`, or a
+    fresh one when work is None. A key holds one flat array and a request
+    gets a C-contiguous view of its head, reallocated only when a larger
+    size is asked for, so shapes that shrink and grow back (a short last
+    batch) allocate nothing. Private, so perfbench's tracer, which wraps
+    every public function, adds no span to its many calls per step."""
+    if work is None:
+        return np.empty(shape)
+    size = math.prod(shape)
+    flat = work.get(key)
+    if flat is None or flat.size < size:
+        flat = work[key] = np.empty(size)
+    return flat[:size].reshape(shape)
+
+
+def masked_forward(x, weights, biases, specs, work=None):
     """Run the layer stack on weights with any mask already folded in
     (MaskableModel.folded). Returns (hs, zs): hs[0] is x and hs[i + 1] the
     output of layer i after its activation, so hs[-1] holds the logits;
-    zs[i] is layer i's pre-activation. The masked-MLP VJP reuses both.
+    zs[i] is layer i's pre-activation. The masked-MLP VJP and certification's
+    closed-form first layer reuse both.
 
     x may be stacked, (..., batch, in), and so may the weights, one per
     stacked copy: matmul runs one GEMM per trailing 2-D block, so every
     block gets the bits of its own call, which one GEMM over the flattened
-    rows does not promise. With `out`, one array per layer shaped like that
-    layer's output, layer i is computed into out[i] by the same ufuncs and
-    its activation applied there in place, so nothing is allocated; zs then
-    holds the activated outputs. With `pre` as well, one array per relu
-    layer (None for the others), a relu layer's pre-activation is computed
-    into pre[i] and kept in zs, and its output written into out[i].
+    rows does not promise. Layer i's output is formed under ("h", i) of
+    `work` (_buffer) and a relu layer's pre-activation under ("z", i), by
+    the same ufuncs with or without a dict.
     """
     hs, zs = [x], []
-    for i, spec in enumerate(specs):
-        buf = None if out is None else out[i]
-        z = np.matmul(hs[-1], weights[i].mT, out=buf if pre is None or pre[i] is None else pre[i])
-        z += biases[i]
-        h = z
-        if spec.activation == "relu":
-            h = np.maximum(z, 0.0, out=buf)
-        hs.append(h)
+    for i, (spec, w, b) in enumerate(zip(specs, weights, biases)):
+        h = hs[-1]
+        shape = np.broadcast_shapes(h.shape[:-2], w.shape[:-2]) + (h.shape[-2], w.shape[-2])
+        relu = spec.activation == "relu"
+        z = np.matmul(h, w.mT, out=_buffer(work, ("z" if relu else "h", i), shape))
+        z += b
+        hs.append(np.maximum(z, 0.0, out=_buffer(work, ("h", i), shape)) if relu else z)
         zs.append(z)
     return hs, zs
 
 
-def forward_probs(x, weights, biases, specs, out=None) -> np.ndarray:
+def forward_probs(x, weights, biases, specs, work=None) -> np.ndarray:
     """Softmax class probabilities of the layer stack, checked finite.
 
     x, weights and biases may be stacked as for masked_forward: weights of
     shape (k, 1, out, in) and biases (k, 1, 1, out) run k models on one
     (a, b, in) stack and give (k, a, b, K), each model's block with the bits
-    of its own forward. `out` is as for masked_forward, and the
-    probabilities are then written into its last array.
+    of its own forward. With `work` the layers run in its arrays as for
+    masked_forward and the probabilities are written over the logits, so
+    the result is valid until the next call on that dict.
     """
-    hs, _ = masked_forward(x, weights, biases, specs, out=out)
-    p = softmax(hs[-1], out=None if out is None else hs[-1])
+    hs, _ = masked_forward(x, weights, biases, specs, work)
+    p = softmax(hs[-1], out=None if work is None else hs[-1])
     if not np.isfinite(p).all():
         raise FloatingPointError("forward: non-finite output probabilities")
     return p

@@ -21,7 +21,7 @@ import numpy as np
 from . import autodiff as ad
 from .config import ExperimentConfig
 from .masks import binarize, layer_views, sample_noisy
-from .model import MaskableModel, mask_shape
+from .model import MaskableModel, _buffer, mask_shape
 
 # Both arguments of the consistency term are mixed with the uniform
 # distribution at this weight before taking logs, so exact zeros in a
@@ -164,7 +164,7 @@ def composite_step_loss(model: MaskableModel, soft_mask, x, x_t, cfg: Experiment
         raise ValueError(f"composite_step_loss: expected a flat soft mask of the model's "
                          f"{sum(dims)} prunable units (at least one), got shape {c.shape}")
 
-    stack = ad.buffer(work, "mask", (4, c.size))
+    stack = _buffer(work, "mask", (4, c.size))
     # each masked layer's slice of the stack, in mask shape
     layers = [(i, v.reshape(4, *mask_shape(model.specs[i], model.mask_mode)))
               for i, v in enumerate(layer_views(stack, dims)) if dims[i]]
@@ -177,7 +177,7 @@ def composite_step_loss(model: MaskableModel, soft_mask, x, x_t, cfg: Experiment
     for i, m in layers:
         ws[i] = np.multiply(m, ws[i], out=m if unstructured else None)
 
-    x4 = np.stack([x, x, x_t, x], out=ad.buffer(work, "x", (4, *x.shape)))
+    x4 = np.stack([x, x, x_t, x], out=_buffer(work, "x", (4, *x.shape)))
     logits, mlp_vjp = ad.primitive("masked_mlp", [x4, *ws, *model.biases],
                                    specs=tuple(model.specs), work=work)
     probs, softmax_vjp = ad.primitive("softmax", [logits])

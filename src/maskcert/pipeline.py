@@ -26,7 +26,7 @@ from .datasets import Dataset, accuracy, gen_synthetic, load_idx
 from .errors import ConfigError, DatasetError
 from .masks import (binarize, effective_ratio, hard_multipliers, init_percentile_scaled,
                     layer_views, unit_magnitudes)
-from .model import MaskableModel
+from .model import MaskableModel, _buffer
 from .objectives import StepReport, composite_step_loss
 from .transforms import augment_dataset
 
@@ -130,13 +130,17 @@ def _ce_epochs(model: MaskableModel, data: Dataset, epochs: int, lr: float,
     n = len(data)
     n_layers = len(model.specs)
     needs = (False,) + (True,) * (2 * n_layers)  # weights and biases
-    work: dict = {}  # the step's arrays, kept across steps
+    # the step's arrays and the accuracy forward's, each kept across epochs
+    work, eval_work = {}, {}
     for epoch in range(epochs):
         order = rng.permutation(n)
         loss_sum = 0.0
         for start in range(0, n, batch_size):
             idx = order[start:start + batch_size]
-            xb, yb = data.x[idx], data.y[idx]
+            # mode="clip" gathers straight into `out` (idx is in range)
+            xb = np.take(data.x, idx, axis=0, out=_buffer(work, "x", (len(idx), data.x.shape[1])),
+                         mode="clip")
+            yb = data.y[idx]
             try:
                 with np.errstate(all="ignore"):  # finiteness is checked instead
                     logits, mlp_vjp = ad.primitive(
@@ -154,7 +158,7 @@ def _ce_epochs(model: MaskableModel, data: Dataset, epochs: int, lr: float,
             opt.step(model.weights + model.biases, grads)
             loss_sum += float(loss) * len(idx)
         history.append(EpochStats(epoch, loss_sum / n,
-                                  accuracy(model.folded(multipliers), data)))
+                                  accuracy(model.folded(multipliers), data, eval_work)))
     return history
 
 

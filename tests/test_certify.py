@@ -170,7 +170,7 @@ class TestLogY:
         idx = rng.integers(0, len(grid), (5, 3))
         t = grid[idx][:, None, :]
         want = np.stack([log_y_grid(z, dd, grid[ix]) for z, dd, ix in zip(rep_z, d, idx)])
-        for work in (None, np.empty(5 * 3 * 3 * 40 + 7)):
+        for work in (None, {"grid": np.empty(5 * 3 * 3 * 40 + 7)}):
             assert np.array_equal(log_y_grid(rep_z, d[:, None, None], t, work), want)
 
     def test_grid_subset_equals_full_grid_columns(self):
@@ -518,27 +518,33 @@ class TestCertifySampleAndPca:
         assert (res.best_t_at_t_lo, res.best_t_at_t_hi, res.eps_hat_zero) == (0, 0, 0)
 
     def test_one_clean_forward_per_set(self, monkeypatch):
-        shapes, transformed = [], []
-        real_forward, real_apply = certify.forward_probs, certify.apply
+        clean, draws, transformed = [], [], []
+        real_masked, real_forward, real_apply = (certify.masked_forward, certify.forward_probs,
+                                                 certify.apply)
 
-        def forward_spy(x, weights, biases, specs, out=None):
-            shapes.append(x.shape)
-            return real_forward(x, weights, biases, specs, out)
+        def masked_spy(x, weights, biases, specs, work=None):
+            clean.append(x.shape)
+            return real_masked(x, weights, biases, specs, work)
+
+        def forward_spy(x, weights, biases, specs, work=None):
+            draws.append(x.shape)
+            return real_forward(x, weights, biases, specs, work)
 
         def apply_spy(spec, x, delta, out=None, work=None):
             transformed.append((x.shape, delta.shape))
             return real_apply(spec, x, delta, out, work)
 
+        monkeypatch.setattr(certify, "masked_forward", masked_spy)
         monkeypatch.setattr(certify, "forward_probs", forward_spy)
         monkeypatch.setattr(certify, "apply", apply_spy)
         cfg = small_cfg()
         l, n = cfg.cert_repetitions, cfg.cert_samples
         x = np.zeros((5, 4))
         pca(constant_model(), x, np.zeros(5), direction_spec(), cfg)
-        # forwards enter past the first layer (the model's 2 logits here):
-        # the (1, m, 1) clean stack, then one (1, l, n) stack per sample,
-        # each of one transform of the sample at (l, n, 1) deltas
-        assert shapes == [(1, 5, 1, 2)] + [(1, l, n, 2)] * 5
+        # one forward of the (m, 1) clean stack, then one of an (l, n) stack
+        # per sample, each of one transform of the sample at (l, n, 1) deltas
+        assert clean == [(5, 1, 4)]
+        assert draws == [(l, n, 4)] * 5
         assert transformed == [((4,), (l, n, 1))] * 5
 
     def test_pca_empty_rejected(self):
@@ -859,13 +865,19 @@ class TestClosedFormFirstLayer:
         # time (a matrix-vector product) and the draws n at a time (a matrix
         # product), which round differently, on the stacked path too
         entries = []
-        real = certify.forward_probs
+        real_masked, real_forward = certify.masked_forward, certify.forward_probs
 
-        def spy(x, weights, biases, specs, out=None):
+        def masked_spy(x, weights, biases, specs, work=None):
+            hs, zs = real_masked(x, weights, biases, specs, work)
+            entries.append(hs[1].copy())  # the clean stack's layer-1 input
+            return hs, zs
+
+        def forward_spy(x, weights, biases, specs, work=None):
             entries.append(x.copy())
-            return real(x, weights, biases, specs, out)
+            return real_forward(x, weights, biases, specs, work)
 
-        monkeypatch.setattr(certify, "forward_probs", spy)
+        monkeypatch.setattr(certify, "masked_forward", masked_spy)
+        monkeypatch.setattr(certify, "forward_probs", forward_spy)
         model, _, rng = live_model("unstructured", seed=55)
         spec = TransformSpec(kind="interp_corrupt", corrupt=stacked_spec(kind, 6).corrupt,
                              delta_range=(0.0, 0.0))

@@ -316,6 +316,14 @@ class TestCheckpointStage:
 
 
 class TestErrorsAndProvenance:
+    @pytest.mark.parametrize("command", ["gen-data", "pretrain", "run-all"])
+    def test_stage_checkpoint_is_usage_error_where_unread(self, tiny_config, tmp_path,
+                                                          capsys, command):
+        # only search, finetune and certify read an input checkpoint
+        assert run(command, tiny_config, tmp_path / "o", "--stage-checkpoint",
+                   str(tmp_path / "nonexistent" / "x.ckpt")) == EXIT_CONFIG
+        assert "--stage-checkpoint" in capsys.readouterr().err
+
     @pytest.mark.parametrize("text,named", [
         (b"pruning_ratio = 1.5\n", "pruning_ratio"),
         (b"synthetic_classes = 5\nsynthetic_dim = 4\n", "synthetic_dim"),

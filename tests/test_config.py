@@ -140,6 +140,20 @@ class TestCrossField:
             with pytest.raises(ConfigError, match="synthetic_dim"):
                 validate(dataclasses.replace(cfg, synthetic_dim=dim - 1))
 
+    @pytest.mark.parametrize("key", ["idx_train_images", "idx_train_labels",
+                                     "idx_test_images", "idx_test_labels"])
+    @pytest.mark.parametrize("path", ["/data/hash#dir/x.idx", "/data/x.idx\n", "/da\rta/x",
+                                      " /data/x.idx", "/data/x.idx\t"])
+    def test_idx_path_the_format_cannot_hold_rejected(self, key, path):
+        # the parser cuts a line at "#" and strips it, so such a path would
+        # not survive serialize and parse_config
+        with pytest.raises(ConfigError, match=key):
+            validate(dataclasses.replace(ExperimentConfig(), **{key: path}))
+
+    def test_idx_path_with_inner_space_round_trips(self, tmp_path):
+        cfg = validate(dataclasses.replace(ExperimentConfig(), idx_test_labels="/my data/x.idx"))
+        assert parse_config(write(tmp_path, serialize(cfg))) == cfg
+
     def test_negative_seed_rejected(self, tmp_path):
         path = tmp_path / "s.cfg"
         path.write_text("seed = -3\n", encoding="utf-8")

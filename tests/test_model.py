@@ -6,7 +6,7 @@ import pytest
 
 from maskcert.errors import DatasetError
 from maskcert.masks import hard_multipliers
-from maskcert.model import (LayerSpec, MaskableModel, forward_probs, load_checkpoint,
+from maskcert.model import (LayerSpec, MaskableModel, _buffer, forward_probs, load_checkpoint,
                             mask_shape, masked_forward, mlp_specs, save_checkpoint, softmax)
 from util import fold
 
@@ -111,15 +111,54 @@ class TestForward:
         x = rng.standard_normal((4, 25, 16))
         calls = np.stack([m.forward(block) for block in x])
         assert np.array_equal(m.forward(x), calls)
-        out = [np.empty((4, 25, s.out_dim)) for s in m.specs]
-        p = forward_probs(x, m.weights, m.biases, m.specs, out)
-        assert p is out[-1] and np.array_equal(p, calls)
+        work = {}
+        p = forward_probs(x, m.weights, m.biases, m.specs, work)
+        assert np.shares_memory(p, work[("h", len(m.specs) - 1)]) and np.array_equal(p, calls)
         rows = np.stack([m.forward(row[None, :]) for row in x[0]])
         assert np.array_equal(m.forward(x[0][:, None, :]), rows)
 
     def test_forward_rejects_vector_input(self):
         with pytest.raises(ValueError, match="forward"):
             two_layer().forward(np.ones(3))
+
+
+class TestBuffer:
+    def test_smaller_request_shares_storage_and_larger_grows_it(self):
+        work = {}
+        first = _buffer(work, "k", (4, 6))
+        flat = work["k"]
+        assert first.shape == (4, 6) and first.base is flat
+        # a smaller request is a C-contiguous view of the head of that storage
+        small = _buffer(work, "k", (3, 5))
+        assert work["k"] is flat and small.flags.c_contiguous
+        assert small.shape == (3, 5) and small.ctypes.data == flat.ctypes.data
+        # a larger one grows it; the next request at the old size shares the
+        # new storage
+        large = _buffer(work, "k", (5, 6))
+        grown = work["k"]
+        assert grown is not flat and grown.size == 30 and large.base is grown
+        assert _buffer(work, "k", (4, 6)).ctypes.data == grown.ctypes.data
+        # keys hold separate arrays, and no dict gives a fresh one each time
+        assert not np.shares_memory(_buffer(work, "j", (4, 6)), grown)
+        fresh = _buffer(None, "k", (4, 6))
+        assert fresh.shape == (4, 6) and not np.shares_memory(fresh, grown)
+        assert not np.shares_memory(fresh, _buffer(None, "k", (4, 6)))
+
+    def test_forward_keys_each_layer(self):
+        # each layer's output under ("h", i), a relu layer's pre-activation
+        # under ("z", i); the bits are those of a forward without a dict
+        rng = np.random.default_rng(8)
+        m = MaskableModel.initialized(mlp_specs(5, [7, 6], 3), "unstructured", rng)
+        x = rng.standard_normal((9, 5))
+        work = {}
+        hs, zs = masked_forward(x, m.weights, m.biases, m.specs, work)
+        assert sorted(work) == [("h", 0), ("h", 1), ("h", 2), ("z", 0), ("z", 1)]
+        for i in range(3):
+            assert hs[i + 1].base is work[("h", i)]
+            assert zs[i].base is work[("z", i) if i < 2 else ("h", i)]
+        want_hs, want_zs = masked_forward(x, m.weights, m.biases, m.specs)
+        for got, want in zip(hs + zs, want_hs + want_zs):
+            assert np.array_equal(got, want)
 
 
 

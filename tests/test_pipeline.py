@@ -11,6 +11,7 @@ from maskcert import autodiff as ad
 from maskcert import certify
 from maskcert import pipeline
 from maskcert.config import ExperimentConfig, validate
+from maskcert.datasets import Dataset
 from maskcert.errors import ConfigError
 from maskcert.masks import binarize, effective_ratio, hard_multipliers, layer_views
 from maskcert.model import MaskableModel, mlp_specs
@@ -229,6 +230,73 @@ class TestStepLifetime:
             if enabled:
                 gc.enable()
         assert len(refs) > 3 and alive == 0
+
+
+class TestWorkArrays:
+    """Each training loop keeps its arrays in one work dict, grown to the
+    largest shape asked of it, so an epoch's short last batch and the
+    per-epoch accuracy forward allocate nothing after the first epoch."""
+
+    @pytest.mark.parametrize("masked", [False, True], ids=["stage1", "stage3"])
+    def test_ce_epochs_allocate_no_layer_array_after_the_first_epoch(self, monkeypatch,
+                                                                     masked):
+        # 90 rows in batches of 32 end every epoch on a batch of 26. After the
+        # first epoch's accuracy forward, tracemalloc's peak may not rise by
+        # an array of the hidden layer at the short batch, the smallest of the
+        # step's and the accuracy forward's layer arrays; a step's other
+        # arrays (its batch, the loss and the optimizer's temporaries, the
+        # folded weights) are each far smaller, and Python's own allocations
+        # come to a fixed few tens of kB
+        rng = np.random.default_rng(23)
+        width = 1024
+        model = MaskableModel.initialized(mlp_specs(2, [width], 2), "unstructured", rng)
+        data = Dataset(rng.standard_normal((90, 2)), rng.integers(0, 2, 90))
+        multipliers = None
+        if masked:
+            multipliers = hard_multipliers(model, binarize(
+                [rng.uniform(size=n) for n in model.mask_dims()], 0.5))
+        base = []
+        real = pipeline.accuracy
+
+        def accuracy(*args):
+            value = real(*args)
+            if not base:  # the end of the first epoch
+                tracemalloc.reset_peak()
+                base.append(tracemalloc.get_traced_memory()[0])
+            return value
+
+        monkeypatch.setattr(pipeline, "accuracy", accuracy)
+        tracemalloc.start()
+        try:
+            history = pipeline._ce_epochs(model, data, 3, 0.01, 0.9, 32,
+                                          np.random.default_rng(24), multipliers)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(history) == 3
+        assert peak - base[0] < 26 * width * 8
+
+    def test_stage2_keeps_every_work_array_across_a_short_batch(self, monkeypatch):
+        # every array of the step's work dict is the one the first step made,
+        # through each epoch's short last batch and the next epoch's first
+        cfg = tiny_cfg(stage2_epochs=3, batch_size=32)
+        _, _, _, train_aug, rows, model = tiny_setup(cfg)
+        assert len(rows) % cfg.batch_size
+        held = []
+        real = pipeline.composite_step_loss
+
+        def step(*args, work=None, **kwargs):
+            result = real(*args, work=work, **kwargs)
+            held.append(dict(work))  # keeps the arrays alive, so identity is meaningful
+            return result
+
+        monkeypatch.setattr(pipeline, "composite_step_loss", step)
+        stage2_mask_search(model, train_aug.x, rows, cfg)
+        assert len(held) == cfg.stage2_epochs * -(-len(rows) // cfg.batch_size)
+        first = held[0]
+        for arrays in held[1:]:
+            assert arrays.keys() == first.keys()
+            assert all(arrays[key] is first[key] for key in first)
 
 
 def test_every_registered_kind_is_used(monkeypatch):
