@@ -249,8 +249,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_status(out: Path, command: str, code: int, started: float,
+def _write_status(out: Path | None, command: str, code: int, started: float,
                   extra: dict | None = None, message: str = "") -> None:
+    """Write status.txt under `out`; nothing when the arguments did not parse
+    (out is None), so a usage error never touches another run's directory."""
+    if out is None:
+        return
     items = {
         "command": command,
         "status": "ok" if code == EXIT_OK else "error",
@@ -269,7 +273,7 @@ def _write_status(out: Path, command: str, code: int, started: float,
 
 def main(argv=None) -> int:
     started = time.perf_counter()
-    out = Path("out")
+    out = None
     command = "?"
     try:
         args = build_parser().parse_args(argv)

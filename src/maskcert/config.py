@@ -94,18 +94,14 @@ def _parse_float(raw):
         raise ValueError(f"expected a number, got {raw!r}") from None
 
 
-def _parse_int_tuple(raw):
-    parts = [p.strip() for p in str(raw).split(",") if p.strip()]
-    if not parts:
-        raise ValueError("expected a comma-separated list of integers")
-    return tuple(_parse_int(p) for p in parts)
-
-
-def _parse_str_tuple(raw):
-    parts = tuple(p.strip() for p in str(raw).split(",") if p.strip())
-    if not parts:
-        raise ValueError("expected a comma-separated list of names")
-    return parts
+def _parse_tuple(raw, parse, what):
+    """A comma-separated list, each entry stripped and parsed; an empty entry
+    (as in "64,,32" or a trailing comma) is an error, not a shorter list."""
+    parts = [p.strip() for p in str(raw).split(",")]
+    if not all(parts):
+        raise ValueError(f"expected a comma-separated list of {what} without empty "
+                         f"entries, got {raw!r}")
+    return tuple(parse(p) for p in parts)
 
 
 # dataclass field annotations are strings under `from __future__ import annotations`
@@ -184,9 +180,9 @@ def _check(key: str, value, where: str) -> None:
 def _convert(key: str, raw: str, where: str):
     try:
         if key == "hidden_dims":
-            value = _parse_int_tuple(raw)
+            value = _parse_tuple(raw, _parse_int, "integers")
         elif key == "methods":
-            value = _parse_str_tuple(raw)
+            value = _parse_tuple(raw, str, "names")
         else:
             value = _PARSERS[_FIELD_TYPES[key]](raw)
     except ValueError as exc:

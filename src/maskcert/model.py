@@ -7,8 +7,9 @@ in unstructured mode a mask entry covers one weight, in structured mode one
 mask entry scales an entire output row. Biases are never masked. In
 structured mode the final classifier layer is exempt (pruning its outputs
 would delete classes), so its prunable-unit count is zero. Every forward
-runs through masked_forward, and a loop keeps its arrays in one `work` dict
-(_buffer), the one way the package keeps a loop's arrays.
+runs through masked_forward, and the training steps differentiate it with
+masked_backward; a loop keeps their arrays in one `work` dict (_buffer), the
+one way the package keeps a loop's arrays.
 """
 
 from __future__ import annotations
@@ -161,26 +162,75 @@ def masked_forward(x, weights, biases, specs, work=None):
     """Run the layer stack on weights with any mask already folded in
     (MaskableModel.folded). Returns (hs, zs): hs[0] is x and hs[i + 1] the
     output of layer i after its activation, so hs[-1] holds the logits;
-    zs[i] is layer i's pre-activation. The masked-MLP VJP and certification's
+    zs[i] is layer i's pre-activation. masked_backward and certification's
     closed-form first layer reuse both.
 
     x may be stacked, (..., batch, in), and so may the weights, one per
     stacked copy: matmul runs one GEMM per trailing 2-D block, so every
     block gets the bits of its own call, which one GEMM over the flattened
-    rows does not promise. Layer i's output is formed under ("h", i) of
-    `work` (_buffer) and a relu layer's pre-activation under ("z", i), by
-    the same ufuncs with or without a dict.
+    rows does not promise. The stack axes are those of x and the first
+    weight broadcast together; a later weight is stacked the same way or
+    not at all. Layer i's output is formed under ("h", i) of `work`
+    (_buffer) and a relu layer's pre-activation under ("z", i), by the same
+    ufuncs with or without a dict.
     """
+    if len(weights) != len(specs) or len(biases) != len(specs):
+        raise ValueError("masked_forward: one weight and one bias per layer required")
     hs, zs = [x], []
+    if not specs:  # what certification's closed form leaves of a one-layer model
+        return hs, zs
+    if x.ndim < 2 or x.shape[-1] != weights[0].shape[-1]:
+        raise ValueError(f"masked_forward: input shape {x.shape} does not match "
+                         f"weight {weights[0].shape}")
+    lead = np.broadcast_shapes(x.shape[:-2], weights[0].shape[:-2]) + x.shape[-2:-1]
     for i, (spec, w, b) in enumerate(zip(specs, weights, biases)):
-        h = hs[-1]
-        shape = np.broadcast_shapes(h.shape[:-2], w.shape[:-2]) + (h.shape[-2], w.shape[-2])
+        shape = lead + w.shape[-2:-1]
         relu = spec.activation == "relu"
-        z = np.matmul(h, w.mT, out=_buffer(work, ("z" if relu else "h", i), shape))
+        z = np.matmul(hs[-1], w.mT, out=_buffer(work, ("z" if relu else "h", i), shape))
         z += b
         hs.append(np.maximum(z, 0.0, out=_buffer(work, ("h", i), shape)) if relu else z)
         zs.append(z)
     return hs, zs
+
+
+def masked_backward(hs, zs, weights, specs, g, work=None, layers=None, out=None,
+                    biases=False):
+    """Gradients of sum(g * logits) through one masked_forward call that
+    returned (hs, zs) on the folded `weights`, layer by layer in reverse; the
+    caller masks the weight gradients. The input's gradient is never formed.
+
+    Returns (gw, gb). gw[i] is layer i's weight gradient for each i in
+    `layers` (every layer when None), else None. It carries g's stack axes
+    and goes into out[i] when `out` holds i, else into ("dw", i) of `work`;
+    layer i's input gradient is taken first, so out[i] may be that layer's
+    weight. gb[i] is layer i's bias gradient, g summed over its leading
+    axes, when `biases` is true; else gb is None. The gradients between
+    layers go into ("dz", i) and ("dx", i) of `work`.
+
+    First raises FloatingPointError if a pre-activation is not finite, so a
+    diverged step never reaches an update.
+    """
+    for i, z in enumerate(zs):
+        if not np.isfinite(z).all():
+            raise FloatingPointError(f"masked_backward: non-finite pre-activation in layer {i}")
+    gw = [None] * len(specs)
+    gb = [None] * len(specs) if biases else None
+    for i in reversed(range(len(specs))):
+        w = weights[i]
+        if specs[i].activation == "relu":
+            g = np.multiply(g, zs[i] > 0, out=_buffer(work, ("dz", i), g.shape))
+        if biases:
+            gb[i] = g.sum(axis=tuple(range(g.ndim - 1)))
+        g_in = None
+        if i > 0:
+            g_in = np.matmul(g, w, out=_buffer(work, ("dx", i), g.shape[:-1] + w.shape[-1:]))
+        if layers is None or i in layers:
+            target = out.get(i) if out else None
+            if target is None:
+                target = _buffer(work, ("dw", i), g.shape[:-2] + w.shape[-2:])
+            gw[i] = np.matmul(g.mT, hs[i], out=target)
+        g = g_in
+    return gw, gb
 
 
 def forward_probs(x, weights, biases, specs, work=None) -> np.ndarray:

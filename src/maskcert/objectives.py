@@ -7,9 +7,9 @@ penalizes the prediction discrepancy between clean and transformed inputs
 relative to the classification margin. Each term is a plain function that
 takes its upstream gradient g last and returns its value and the gradients
 of g times it on its inputs. The four masked copies run as one stacked
-forward, and one backward pass chains the terms' gradients by hand through
-`autodiff`'s softmax and masked MLP kinds, so the frozen weights never
-receive gradients.
+`model.masked_forward`, and one backward pass chains the terms' gradients by
+hand through `autodiff`'s softmax kind and `model.masked_backward`, which
+gives weight gradients only to the masked layers; the weights stay frozen.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 from . import autodiff as ad
 from .config import ExperimentConfig
 from .masks import binarize, layer_views, sample_noisy
-from .model import MaskableModel, _buffer, mask_shape
+from .model import MaskableModel, _buffer, mask_shape, masked_backward, masked_forward
 
 # Both arguments of the consistency term are mixed with the uniform
 # distribution at this weight before taking logs, so exact zeros in a
@@ -166,21 +166,21 @@ def composite_step_loss(model: MaskableModel, soft_mask, x, x_t, cfg: Experiment
 
     stack = _buffer(work, "mask", (4, c.size))
     # each masked layer's slice of the stack, in mask shape
-    layers = [(i, v.reshape(4, *mask_shape(model.specs[i], model.mask_mode)))
-              for i, v in enumerate(layer_views(stack, dims)) if dims[i]]
+    layers = {i: v.reshape(4, *mask_shape(model.specs[i], model.mask_mode))
+              for i, v in enumerate(layer_views(stack, dims)) if dims[i]}
     _, passed = sample_noisy(c, cfg.noise_magnitude, rng, draws=3, out=stack[:3])
     binarize(layer_views(c, dims), cfg.pruning_ratio, out=layer_views(stack[3], dims))
     # The weights each copy runs with, W * mask, formed in the mask stack
     # itself where the shapes allow.
     unstructured = model.mask_mode == "unstructured"
     ws = list(model.weights)
-    for i, m in layers:
+    for i, m in layers.items():
         ws[i] = np.multiply(m, ws[i], out=m if unstructured else None)
 
     x4 = np.stack([x, x, x_t, x], out=_buffer(work, "x", (4, *x.shape)))
-    logits, mlp_vjp = ad.primitive("masked_mlp", [x4, *ws, *model.biases],
-                                   specs=tuple(model.specs), work=work)
-    probs, softmax_vjp = ad.primitive("softmax", [logits])
+    with np.errstate(all="ignore"):  # masked_backward checks the pre-activations
+        hs, zs = masked_forward(x4, ws, model.biases, model.specs, work)
+    probs, softmax_vjp = ad.primitive("softmax", [hs[-1]])
     p_m, p_n, p_s, p_h = probs
     # each term's upstream gradient is its weight
     g_probs = np.empty_like(probs)
@@ -197,19 +197,19 @@ def composite_step_loss(model: MaskableModel, soft_mask, x, x_t, cfg: Experiment
         raise FloatingPointError("composite_step_loss: non-finite objective")
 
     np.add(ratio_m + consis_m, stab_m, out=g_probs[0])
-    g_logits = softmax_vjp(g_probs, (True,))[0]
+    g_logits = softmax_vjp(g_probs)[0]
     # In unstructured mode each weight gradient goes straight into its layer's
     # slice of the stack, which held the masked weight until then.
-    g_ws = mlp_vjp(g_logits, [False] + [d > 0 for d in dims] + [False] * len(dims),
-                   out=dict(layers) if unstructured else None)
+    g_ws, _ = masked_backward(hs, zs, ws, model.specs, g_logits, work, layers=layers,
+                              out=layers if unstructured else None)
 
     # The stack now takes the gradient on each copy's mask.
-    for i, g_m in layers:
+    for i, g_m in layers.items():
         w = model.weights[i]
         if unstructured:
             g_m *= w
         else:  # a structured (out, 1) mask collects its row's gradient
-            g_m[...] = (g_ws[1 + i] * w).sum(axis=-1, keepdims=True)
+            g_m[...] = (g_ws[i] * w).sum(axis=-1, keepdims=True)
     grad += stack[3]  # the straight-through copy's gradient
     stack[:3] *= passed
     grad += stack[2]

@@ -19,14 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
 from .certify import PcaResult, pca_models
 from .config import ExperimentConfig, augment_count, model_layer_specs, transform_spec
 from .datasets import Dataset, accuracy, gen_synthetic, load_idx
 from .errors import ConfigError, DatasetError
 from .masks import (binarize, effective_ratio, hard_multipliers, init_percentile_scaled,
                     layer_views, unit_magnitudes)
-from .model import MaskableModel, _buffer
+from .model import MaskableModel, _buffer, masked_backward, masked_forward
 from .objectives import StepReport, composite_step_loss
 from .transforms import augment_dataset
 
@@ -124,12 +123,12 @@ def _ce_epochs(model: MaskableModel, data: Dataset, epochs: int, lr: float,
                multipliers=None) -> list[EpochStats]:
     """Mini-batch cross-entropy training of the model folded under fixed
     multipliers (hard_multipliers), if any, with each masked layer's weight
-    gradient multiplied by its multiplier. Updates model weights in place."""
+    gradient multiplied by its multiplier. Each step is masked_forward,
+    cross_entropy and masked_backward (weights and biases) in one errstate
+    block. Updates model weights in place."""
     opt = MomentumSGD(lr, momentum)
     history = []
     n = len(data)
-    n_layers = len(model.specs)
-    needs = (False,) + (True,) * (2 * n_layers)  # weights and biases
     # the step's arrays and the accuracy forward's, each kept across epochs
     work, eval_work = {}, {}
     for epoch in range(epochs):
@@ -143,19 +142,19 @@ def _ce_epochs(model: MaskableModel, data: Dataset, epochs: int, lr: float,
             yb = data.y[idx]
             try:
                 with np.errstate(all="ignore"):  # finiteness is checked instead
-                    logits, mlp_vjp = ad.primitive(
-                        "masked_mlp", [xb, *model.folded(multipliers).weights, *model.biases],
-                        specs=tuple(model.specs), work=work)
-                    loss, g_logits = cross_entropy(logits, yb)
+                    ws = model.folded(multipliers).weights
+                    hs, zs = masked_forward(xb, ws, model.biases, model.specs, work)
+                    loss, g_logits = cross_entropy(hs[-1], yb)
                     if not np.isfinite(loss):
                         raise FloatingPointError("non-finite loss")
-                    grads = mlp_vjp(g_logits, needs)[1:]
+                    g_ws, g_bs = masked_backward(hs, zs, ws, model.specs, g_logits, work,
+                                                 biases=True)
             except FloatingPointError as exc:
                 raise FloatingPointError(f"training diverged at epoch {epoch}: {exc}") from None
-            for g, m in zip(grads, multipliers or ()):
+            for g, m in zip(g_ws, multipliers or ()):
                 if m is not None:
                     g *= m
-            opt.step(model.weights + model.biases, grads)
+            opt.step(model.weights + model.biases, g_ws + g_bs)
             loss_sum += float(loss) * len(idx)
         history.append(EpochStats(epoch, loss_sum / n,
                                   accuracy(model.folded(multipliers), data, eval_work)))

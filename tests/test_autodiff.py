@@ -5,7 +5,7 @@ import pytest
 
 from maskcert import autodiff as ad
 from maskcert.masks import sample_noisy
-from maskcert.model import LayerSpec
+from maskcert.model import LayerSpec, masked_backward, masked_forward
 from maskcert.objectives import consistency, l1_mean, ratio_penalty, stability
 from util import CASE_LABELS, PRIMITIVE_CASES, TERM_CASES, rel_err, run_case_fd
 
@@ -14,10 +14,9 @@ def value(kind, *inputs, **attrs):
     return ad.primitive(kind, [np.asarray(x, dtype=float) for x in inputs], **attrs)[0]
 
 
-def one_layer(w, activation="relu"):
-    """masked_mlp inputs and attributes for a single bias-free layer."""
-    spec = LayerSpec(w.shape[1], w.shape[0], activation)
-    return lambda x: ([x, w, np.zeros(w.shape[0])], {"specs": (spec,)})
+def logits(x, ws, bs, specs):
+    """The masked MLP's logits, masked_forward's last output."""
+    return masked_forward(np.asarray(x, dtype=float), ws, bs, specs)[0][-1]
 
 
 def ratio_value(p, q, eta=1.0, eps=1e-6):
@@ -36,8 +35,9 @@ def softplus(s):
 
 class TestForwardExamples:
     def test_relu(self):
-        inputs, attrs = one_layer(np.eye(3))(np.array([[-1.0, 0.0, 2.0]]))
-        assert np.array_equal(value("masked_mlp", *inputs, **attrs), [[0.0, 0.0, 2.0]])
+        # a single bias-free relu layer
+        out = logits([[-1.0, 0.0, 2.0]], [np.eye(3)], [np.zeros(3)], [LayerSpec(3, 3, "relu")])
+        assert np.array_equal(out, [[0.0, 0.0, 2.0]])
 
     def test_softmax_symmetry(self):
         assert np.array_equal(value("softmax", [0.0, 0.0]), [0.5, 0.5])
@@ -137,11 +137,15 @@ class TestVjpExamples:
 
 class TestMaskedMlp:
     def test_frozen_inputs_get_no_gradient(self):
+        # only the named layers get a weight gradient, and biases only when asked
         rng = np.random.default_rng(7)
-        inputs = [rng.standard_normal((2, 3)), rng.standard_normal((2, 3)), np.zeros(2)]
-        _, mlp_vjp = ad.primitive("masked_mlp", inputs, specs=(LayerSpec(3, 2, "none"),))
-        grads = mlp_vjp(np.ones((2, 2)), [False, True, False])
-        assert grads[0] is None and grads[2] is None and grads[1].shape == (2, 3)
+        ws, bs = [rng.standard_normal((2, 3))], [np.zeros(2)]
+        specs = (LayerSpec(3, 2, "none"),)
+        hs, zs = masked_forward(rng.standard_normal((2, 3)), ws, bs, specs)
+        g_ws, g_bs = masked_backward(hs, zs, ws, specs, np.ones((2, 2)), layers=[0])
+        assert g_bs is None and g_ws[0].shape == (2, 3)
+        g_ws, g_bs = masked_backward(hs, zs, ws, specs, np.ones((2, 2)), layers=[], biases=True)
+        assert g_ws == [None] and g_bs[0].shape == (2,)
 
     def test_stacked_copies_equal_separate_calls(self):
         # one stacked forward and backward keeps each copy's bits
@@ -151,14 +155,14 @@ class TestMaskedMlp:
         ws = [rng.standard_normal((4, 6, 5)), rng.standard_normal((4, 3, 6))]
         bs = [rng.standard_normal(6), rng.standard_normal(3)]
         g = rng.standard_normal((4, 7, 3))
-        needs = [True, True, True, False, False]
-        out, stack_vjp = ad.primitive("masked_mlp", [x, *ws, *bs], specs=specs)
-        grads = stack_vjp(g, needs)
+        hs, zs = masked_forward(x, ws, bs, specs)
+        grads, _ = masked_backward(hs, zs, ws, specs, g)
         for k in range(4):
-            out_k, vjp_k = ad.primitive("masked_mlp", [x[k], ws[0][k], ws[1][k], *bs],
-                                        specs=specs)
-            assert np.array_equal(out[k], out_k)
-            assert all(np.array_equal(a[k], b) for a, b in zip(grads[:3], vjp_k(g[k], needs)))
+            ws_k = [ws[0][k], ws[1][k]]
+            hs_k, zs_k = masked_forward(x[k], ws_k, bs, specs)
+            assert np.array_equal(hs[-1][k], hs_k[-1])
+            grads_k, _ = masked_backward(hs_k, zs_k, ws_k, specs, g[k])
+            assert all(np.array_equal(a[k], b) for a, b in zip(grads, grads_k))
 
 
 class TestErrors:
@@ -167,14 +171,24 @@ class TestErrors:
             stability(np.ones((2, 3)), np.ones((4, 5)), 1.0)
 
     def test_affine_shape_error(self):
-        with pytest.raises(ValueError, match="masked_mlp"):
-            value("masked_mlp", np.ones((2, 3)), np.ones((4, 9)), np.ones(4),
-                  specs=(LayerSpec(9, 4, "none"),))
+        with pytest.raises(ValueError, match="masked_forward: input shape"):
+            masked_forward(np.ones((2, 3)), [np.ones((4, 9))], [np.ones(4)],
+                           (LayerSpec(9, 4, "none"),))
+
+    def test_one_weight_and_bias_per_layer(self):
+        # a missing layer is an error, not a shorter network
+        with pytest.raises(ValueError, match="one weight and one bias per layer"):
+            masked_forward(np.ones((2, 3)), [np.ones((4, 3))], [np.ones(4)],
+                           (LayerSpec(3, 4), LayerSpec(4, 2, "none")))
 
     def test_non_finite_forward(self):
-        with pytest.raises(FloatingPointError, match="masked_mlp"):
-            value("masked_mlp", np.full((1, 2), 1e200), np.full((1, 2), 1e200), np.zeros(1),
-                  specs=(LayerSpec(2, 1, "none"),))
+        # the backward checks the pre-activations before any gradient
+        ws, bs = [np.full((1, 2), 1e200)], [np.zeros(1)]
+        specs = (LayerSpec(2, 1, "none"),)
+        with np.errstate(over="ignore"):
+            hs, zs = masked_forward(np.full((1, 2), 1e200), ws, bs, specs)
+        with pytest.raises(FloatingPointError, match="non-finite pre-activation in layer 0"):
+            masked_backward(hs, zs, ws, specs, np.ones((1, 1)))
 
     def test_topk_needs_two_classes(self):
         with pytest.raises(ValueError, match="ratio_penalty"):
@@ -193,9 +207,9 @@ def test_identical_inputs_identical_values():
 
 
 def test_cases_cover_exactly_the_registered_kinds():
-    assert set(PRIMITIVE_CASES) == set(ad._OPS) == {"masked_mlp", "softmax"}
-    assert set(TERM_CASES) == {"stability", "ratio_penalty", "consistency", "l1_mean", "noisy",
-                               "cross_entropy"}
+    assert set(PRIMITIVE_CASES) == set(ad._OPS) == {"softmax"}
+    assert set(TERM_CASES) == {"masked_mlp", "stability", "ratio_penalty", "consistency",
+                               "l1_mean", "noisy", "cross_entropy"}
 
 
 @pytest.mark.parametrize("label", sorted(CASE_LABELS))

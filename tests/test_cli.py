@@ -324,6 +324,19 @@ class TestErrorsAndProvenance:
                    str(tmp_path / "nonexistent" / "x.ckpt")) == EXIT_CONFIG
         assert "--stage-checkpoint" in capsys.readouterr().err
 
+    def test_usage_error_writes_no_status(self, tiny_config, tmp_path, monkeypatch, capsys):
+        # arguments that do not parse name no output directory, so neither the
+        # default ./out of another run nor the --out given is written to
+        monkeypatch.chdir(tmp_path)
+        status = tmp_path / "out" / "status.txt"
+        status.parent.mkdir()
+        status.write_text("command = run-all\nstatus = ok\n", encoding="utf-8")
+        assert main(["run-all", "--config", str(tiny_config), "--out", "other",
+                     "--bogus"]) == EXIT_CONFIG
+        assert "--bogus" in capsys.readouterr().err
+        assert status.read_text(encoding="utf-8") == "command = run-all\nstatus = ok\n"
+        assert not (tmp_path / "other").exists()
+
     @pytest.mark.parametrize("text,named", [
         (b"pruning_ratio = 1.5\n", "pruning_ratio"),
         (b"synthetic_classes = 5\nsynthetic_dim = 4\n", "synthetic_dim"),

@@ -77,6 +77,17 @@ batch_size = 16
         assert cfg.hidden_dims == (32, 16)
         assert cfg.methods == ("vanilla", "csam")
 
+    @pytest.mark.parametrize("line", [
+        "hidden_dims = 64,,32", "hidden_dims = 64,32,", "hidden_dims = ,64",
+        "methods = vanilla,,lmp", "methods = vanilla,lmp,"])
+    def test_empty_list_entry_names_key_and_line(self, tmp_path, line):
+        # an empty entry is an error, not a shorter list (a different
+        # architecture or method set)
+        key = line.split(" ", 1)[0]
+        path = write(tmp_path, "seed = 1\n" + line + "\n")
+        with pytest.raises(ConfigError, match=rf"cfg:2: key '{key}': .*empty entries"):
+            parse_config(path)
+
     def test_roundtrip(self, tmp_path):
         original = parse_config(write(tmp_path, "seed = 13\nstage2_lr = 3e-5\n"))
         echoed = write(tmp_path, serialize(original), name="echo.cfg")

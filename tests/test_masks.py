@@ -8,7 +8,7 @@ from maskcert import autodiff as ad
 from maskcert.masks import (binarize, effective_ratio, hard_multipliers,
                             init_percentile_scaled, keep_counts, layer_views, sample_noisy,
                             unit_magnitudes)
-from maskcert.model import LayerSpec, MaskableModel, mlp_specs
+from maskcert.model import LayerSpec, MaskableModel, masked_backward, masked_forward, mlp_specs
 from maskcert.objectives import consistency
 from util import noisy_mask_values
 
@@ -356,12 +356,12 @@ class TestSteThroughLoss:
 
         def mask_grad(mask):
             """d consistency(target, softmax(x (mask * w)^T)) / d mask."""
-            effective = mask * w
-            logits, mlp_vjp = ad.primitive("masked_mlp", [x, effective, np.zeros(2)],
-                                           specs=(LayerSpec(1, 2, "none"),))
-            p, softmax_vjp = ad.primitive("softmax", [logits])
+            effective = [mask * w]
+            specs = (LayerSpec(1, 2, "none"),)
+            hs, zs = masked_forward(x, effective, [np.zeros(2)], specs)
+            p, softmax_vjp = ad.primitive("softmax", [hs[-1]])
             g_p = consistency(target, p, 1.0)[2]
-            g_w = mlp_vjp(softmax_vjp(g_p, [True])[0], [False, True, False])[1]
+            g_w = masked_backward(hs, zs, effective, specs, softmax_vjp(g_p)[0])[0][0]
             return g_w * w
 
         m = hard + (c_val - c_val)

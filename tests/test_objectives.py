@@ -5,7 +5,7 @@ import pytest
 
 from maskcert import autodiff as ad
 from maskcert.masks import binarize, hard_multipliers, init_percentile_scaled
-from maskcert.model import MaskableModel, mlp_specs
+from maskcert.model import MaskableModel, masked_forward, mlp_specs
 from maskcert.objectives import (composite_step_loss, consistency, ratio_penalty,
                                  stability)
 from util import composite_fd, make_cfg, noisy_mask_values, triangle_bound_check
@@ -242,8 +242,8 @@ class TestCompositeStep:
 class TestGraphForwardParity:
     def test_training_probs_match_numpy_forward_bitwise(self):
         # certification scores the folded model's forward; training
-        # differentiates the masked_mlp kind on the same folded weights; both
-        # must compute the identical function
+        # differentiates masked_forward on the same folded weights; both must
+        # compute the identical function
         for mode in ("unstructured", "structured"):
             for seed in range(5):
                 rng = np.random.default_rng(seed)
@@ -252,9 +252,8 @@ class TestGraphForwardParity:
                 hard = binarize(init_percentile_scaled(model, 30.0), 0.5)
                 mult = hard_multipliers(model, hard)
                 p_np = model.folded(mult).forward(x)
-                logits = ad.primitive("masked_mlp",
-                                      [x, *model.folded(mult).weights, *model.biases],
-                                      specs=tuple(model.specs))[0]
+                logits = masked_forward(x, model.folded(mult).weights, model.biases,
+                                        model.specs)[0][-1]
                 assert np.array_equal(p_np, ad.primitive("softmax", [logits])[0])
 
 

@@ -8,13 +8,12 @@ import numpy as np
 import pytest
 
 from maskcert import autodiff as ad
-from maskcert import certify
-from maskcert import pipeline
+from maskcert import certify, objectives, pipeline
 from maskcert.config import ExperimentConfig, validate
 from maskcert.datasets import Dataset
 from maskcert.errors import ConfigError
 from maskcert.masks import binarize, effective_ratio, hard_multipliers, layer_views
-from maskcert.model import MaskableModel, mlp_specs
+from maskcert.model import MaskableModel, masked_backward, masked_forward, mlp_specs
 from maskcert.pipeline import (Adam, MomentumSGD, cross_entropy, lmp_mask,
                                run_experiment, stage1_pretrain,
                                stage2_mask_search, stage3_finetune)
@@ -205,18 +204,34 @@ class TestStage2:
 
 class TestStepLifetime:
     def test_step_values_freed_without_cyclic_gc(self, monkeypatch):
-        # each training step's values are freed by reference counting; with
-        # the cyclic collector off, none may outlive the stages
+        # each training step's values (logits, softmax and gradients) are
+        # freed by reference counting; with the cyclic collector off, none
+        # may outlive the stages
         refs = []
-        primitive = ad.primitive
+        primitive, forward, backward = ad.primitive, masked_forward, masked_backward
+
+        def track(*arrays):
+            refs.extend(weakref.ref(a) for a in arrays if a is not None and np.ndim(a))
 
         def tracked(kind, values, **attrs):
             value, vjp = primitive(kind, values, **attrs)
-            if np.ndim(value):
-                refs.append(weakref.ref(value))
+            track(value)
             return value, vjp
 
+        def tracked_forward(*args, **kwargs):
+            hs, zs = forward(*args, **kwargs)
+            track(hs[-1])
+            return hs, zs
+
+        def tracked_backward(*args, **kwargs):
+            g_ws, g_bs = backward(*args, **kwargs)
+            track(*g_ws, *(g_bs or ()))
+            return g_ws, g_bs
+
         monkeypatch.setattr(ad, "primitive", tracked)
+        for module in (pipeline, objectives):
+            monkeypatch.setattr(module, "masked_forward", tracked_forward)
+            monkeypatch.setattr(module, "masked_backward", tracked_backward)
         cfg = tiny_cfg(stage1_epochs=1, stage2_epochs=1, stage3_epochs=1)
         _, _, _, train_aug, rows, model = tiny_setup(cfg)
         enabled = gc.isenabled()
@@ -310,7 +325,7 @@ def test_every_registered_kind_is_used(monkeypatch):
 
     monkeypatch.setattr(ad, "primitive", recorded)
     run_experiment(tiny_cfg(stage1_epochs=1, stage2_epochs=1, stage3_epochs=1))
-    assert kinds == set(ad._OPS) == {"masked_mlp", "softmax"}
+    assert kinds == set(ad._OPS) == {"softmax"}
 
 
 @pytest.mark.parametrize("logits, labels", [

@@ -6,6 +6,7 @@ were traced. run-all certifies through `certify.pca_models`, so only the
 certify command reaches the tracer's `certify.pca` hook, and it gets a traced
 run of its own."""
 
+import csv
 import json
 import os
 import subprocess
@@ -47,6 +48,13 @@ def test_tracer_runs_run_all(tmp_path):
     assert metrics["autodiff.primitive_ms.softmax"] > 0
     assert metrics["datasets.accuracy_ms"] > 0
     assert metrics["model.forward_ms"] > 0
+    # the step's backward is a span of its own inside the step, so its time
+    # is not folded into objectives.self_ms
+    with open(tmp_path / "spans.tsv", encoding="utf-8") as fh:
+        spans = {row["id"]: row for row in csv.DictReader(fh, delimiter="\t")}
+    parents = [spans[row["parent"]]["name"] for row in spans.values()
+               if row["name"] == "model.masked_backward"]
+    assert "objectives.composite_step_loss" in parents
 
 
 def test_tracer_runs_certify(tmp_path):

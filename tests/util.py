@@ -1,7 +1,7 @@
 """Shared oracles for the test suite: a validated config with overrides,
-finite differences of every registered autodiff kind, of the stage-2 loss
-terms, noisy draws and cross-entropy, and of the composite stage-2
-objective, kink-free random instance construction, and reference forms of
+finite differences of the registered autodiff kind (the softmax), of the
+masked MLP's forward/backward pair, of the stage-2 loss terms, noisy draws
+and cross-entropy, and of the composite stage-2 objective, kink-free random instance construction, and reference forms of
 helpers the program itself no longer needs (per-layer Adam, the scalar
 log Y, value-level noisy masks and the triangle bound check)."""
 
@@ -15,7 +15,7 @@ from maskcert import autodiff as ad
 from maskcert.certify import _logsumexp
 from maskcert.config import ExperimentConfig, validate
 from maskcert.masks import binarize, hard_multipliers, layer_views, sample_noisy
-from maskcert.model import LayerSpec, mask_shape, masked_forward, mlp_specs
+from maskcert.model import LayerSpec, mask_shape, masked_backward, masked_forward, mlp_specs
 from maskcert.objectives import consistency, l1_mean, ratio_penalty, stability
 from maskcert.pipeline import cross_entropy
 
@@ -59,7 +59,7 @@ def _kind(kind):
     gradients of sum(g * value) on each input, or None when g is None)."""
     def evaluate(inputs, g, **attrs):
         value, vjp = ad.primitive(kind, inputs, **attrs)
-        return value, None if g is None else vjp(g, [True] * len(inputs))
+        return value, None if g is None else vjp(g)
     return evaluate
 
 
@@ -79,6 +79,19 @@ def _noisy(inputs, g, mu, seed, draws):
     return value, None if g is None else [(g * passed).sum(axis=0)]
 
 
+def _masked_mlp(inputs, g, specs):
+    """masked_forward's logits on the inputs [x, *weights, *biases], and the
+    gradients of sum(g * logits) that masked_backward gives on every weight
+    and bias (None on x, whose gradient it does not compute)."""
+    n = len(specs)
+    ws, bs = inputs[1:n + 1], inputs[n + 1:]
+    hs, zs = masked_forward(inputs[0], ws, bs, specs)
+    if g is None:
+        return hs[-1], None
+    g_ws, g_bs = masked_backward(hs, zs, ws, specs, g, biases=True)
+    return hs[-1], [None, *g_ws, *g_bs]
+
+
 def _cross_entropy(inputs, g, labels):
     """pipeline.cross_entropy's loss and g times its gradient on the logits."""
     value, grad = cross_entropy(inputs[0], labels)
@@ -88,7 +101,7 @@ def _cross_entropy(inputs, g, labels):
 EVALUATE = {**{kind: _kind(kind) for kind in ad._OPS},
             "stability": _term(stability), "ratio_penalty": _term(ratio_penalty),
             "consistency": _term(consistency), "l1_mean": _term(l1_mean), "noisy": _noisy,
-            "cross_entropy": _cross_entropy}
+            "cross_entropy": _cross_entropy, "masked_mlp": _masked_mlp}
 
 
 def check_kind_fd(kind, inputs, attrs, checked, rng, tol=FD_TOL, h=FD_H) -> float:
@@ -152,8 +165,8 @@ def composite_objective(model, cs, x, x_t, cfg, xis, hard, c0):
     """The stage-2 objective as a pure function of the per-layer soft masks
     cs (maskable layers only, in mask shape), with the noise draws
     xis = (xi_m, xi_n, xi_s) (each one array per layer), the hard masks and
-    the straight-through point c0 held fixed. It is assembled from the
-    registered kinds and the loss terms, with the noisy masks clip(c + xi)
+    the straight-through point c0 held fixed. It is assembled from
+    masked_forward, the softmax kind and the loss terms, with the noisy masks clip(c + xi)
     and the straight-through mask written out, one masked copy at a time,
     each copy's masks folded into the weights.
     Returns the total and the distance of this evaluation from the nearest
@@ -174,7 +187,7 @@ def composite_objective(model, cs, x, x_t, cfg, xis, hard, c0):
     probs, margin = [], np.inf
     for inp, layer_masks in copies:
         ws = fold(masks_of(layer_masks), model.weights)
-        logits = _value("masked_mlp", inp, *ws, *model.biases, specs=tuple(model.specs))
+        logits = masked_forward(inp, ws, model.biases, model.specs)[0][-1]
         probs.append(_value("softmax", logits))
         margin = min(margin, relu_margin(inp, ws, model.biases, model.specs))
     p_m, p_n, p_h, p_s = probs
@@ -261,10 +274,10 @@ def _probs(rng, shape, alpha=2.0, floor=1e-3):
 
 
 def _case_masked_mlp(rng, specs, mask_shapes, stack=()):
-    """Input, weights and biases checked, each weight with a mask of the
-    given shape (None for none) folded in; redrawn until each relu
-    pre-activation is clear of the kink. `stack` prepends copy axes to the
-    input, the weights and the masks."""
+    """Input, weights and biases, each weight with a mask of the given shape
+    (None for none) folded in, and the weights and biases checked; redrawn
+    until each relu pre-activation is clear of the kink. `stack` prepends
+    copy axes to the input, the weights and the masks."""
     n = len(specs)
     while True:
         x = rng.standard_normal((*stack, 5, specs[0].in_dim))
@@ -274,7 +287,7 @@ def _case_masked_mlp(rng, specs, mask_shapes, stack=()):
                  for m in mask_shapes]
         ws = fold(masks, ws)
         if relu_margin(x, ws, bs, specs) > 1e-2:
-            return "masked_mlp", [x, *ws, *bs], {"specs": tuple(specs)}, range(2 * n + 1)
+            return "masked_mlp", [x, *ws, *bs], {"specs": tuple(specs)}, range(1, 2 * n + 1)
 
 
 def _case_softmax(rng, shape):
@@ -332,6 +345,15 @@ _MLP = mlp_specs(3, [4], 2)
 # operation its cases stress inside the kind, and labels are unique across
 # kinds and terms.
 PRIMITIVE_CASES = {
+    "softmax": [("softmax", [lambda r: _case_softmax(r, (5,)),
+                             lambda r: _case_softmax(r, (4, 3)),
+                             lambda r: _case_softmax(r, (2, 4, 3))])],
+}
+
+# The same for the plain functions: the masked MLP's forward/backward pair,
+# the stage-2 loss terms of objectives, sample_noisy's draws and
+# pipeline.cross_entropy.
+TERM_CASES = {
     "masked_mlp": [
         ("affine", [lambda r: _case_masked_mlp(r, [LayerSpec(3, 2, "none")], [None])]),
         ("relu", [lambda r: _case_masked_mlp(r, _MLP, [None, None])]),
@@ -339,14 +361,6 @@ PRIMITIVE_CASES = {
                  lambda r: _case_masked_mlp(r, _MLP, [(4, 1), None])]),  # structured
         ("stack", [lambda r: _case_masked_mlp(r, _MLP, [None, None], stack=(3,)),
                    lambda r: _case_masked_mlp(r, _MLP, [(4, 1), (2, 4)], stack=(2,))])],
-    "softmax": [("softmax", [lambda r: _case_softmax(r, (5,)),
-                             lambda r: _case_softmax(r, (4, 3)),
-                             lambda r: _case_softmax(r, (2, 4, 3))])],
-}
-
-# The same for the stage-2 loss terms of objectives, sample_noisy's draws
-# and pipeline.cross_entropy.
-TERM_CASES = {
     "noisy": [
         ("add", [lambda r: _case_noisy(r, 3, 5, 0.5, 0.5)]),  # C + xi stays inside [0, 1]
         ("clip", [lambda r: _case_noisy(r, 1, 8, 0.0, 1.0),  # some entries saturate
