@@ -17,22 +17,22 @@ its first minimizing grid point with O(log T) evaluations; the tests check
 it against the brute-force grid.
 
 Every deployed model of one architecture is certified in one pass
-(pca_models; pca is the pass over a list of one). Each sample's deltas are
-drawn once, (r, n) for each chunk of r repetitions, and its transformed
-inputs go through all k models as one stacked forward, each layer's weights
-stacked as (k, 1, out, in) and biases as (k, 1, 1, out).
-The clean predictions of the evaluation set come from stacked forwards of
-the (m, 1, d) input, and each sample's is shared by its margin, its pass
-decision and every repetition's discrepancies. The pass decision uses
-max{Y} itself; the alpha-scaled value max{Y}/alpha of the underestimation-
-confidence bound is not computed. The work is done in stacked passes whose
-arrays live in one work dict per call (model._buffer): one forward of all
-of a sample's transformed inputs through every model (whole repetitions, up
-to a float budget per model), and a grid search that steps a block of
-samples, every model's rows of them, in lockstep. Inputs and weights are
-stacked, never flattened into one matrix, because matmul runs one GEMM per
-trailing 2-D block and so gives each model and repetition the bits of its
-own call, which one larger GEMM does not.
+(pca_models; pca is the pass over a list of one), one loop over blocks of
+samples. A block's clean predictions come from one stacked forward of its
+(B, 1, d) inputs through all k models, each layer's weights stacked as
+(k, 1, out, in) and biases as (k, 1, 1, out); each sample's is shared by
+its margin, its pass decision and every repetition's discrepancies. Each
+sample's deltas are drawn once, (r, n) for each chunk of r repetitions, and
+its transformed inputs go through all k models as stacked forwards of whole
+repetitions, up to a float budget per model. A grid search then steps the
+block's samples, every model's rows of them, in lockstep. The pass decision
+uses max{Y} itself; the alpha-scaled value max{Y}/alpha of the
+underestimation-confidence bound is not computed. The arrays live in work
+dicts allocated once per call (model._buffer), and none spans the
+evaluation set. Inputs and weights are stacked, never flattened into one
+matrix, because matmul runs one GEMM per trailing 2-D block and so gives
+each model and repetition the bits of its own call, which one larger GEMM
+does not.
 
 For interp_corrupt on an evaluation set inside [0, 1] the first layer of the
 transformed inputs takes a closed form. Haze and the 3-tap blur are convex
@@ -65,12 +65,13 @@ from .transforms import TransformSpec, apply, corrupt_input
 CERT_SAMPLE_STREAM = 77  # rng namespace for per-sample certification streams
 
 # Work-buffer budgets in float64 entries, shared by the k models of a pass.
-# A stacked forward takes whole repetitions while its widest layer buffer,
-# (k, reps, n, width), stays within STACK_FLOATS; a grid-search block takes
-# samples while the (B, k, l, 3, n) products of its k models stay within
-# GRID_FLOATS. Each takes at least one repetition or sample, which at the
-# certification caps is as much as one per-model, per-repetition call would
-# allocate.
+# A stacked forward of a sample's transformed inputs takes whole repetitions
+# while its widest layer buffer, (k, reps, n, width), stays within
+# STACK_FLOATS; a grid-search block takes samples while the (B, k, l, 3, n)
+# products of its k models stay within GRID_FLOATS, and its clean forward
+# takes those B samples. Each takes at least one repetition or sample, which
+# at the certification caps is as much as one per-model, per-repetition call
+# would allocate.
 STACK_FLOATS = 1 << 15
 GRID_FLOATS = 48 << 10
 
@@ -228,13 +229,13 @@ def pca_models(deployed: list[MaskableModel], x_eval, y_eval, spec: TransformSpe
     Sample i draws from a stream derived as (seed, namespace, i), so every
     model, in this call or another, sees identical transform draws; they are
     drawn once per call for all models. The k models run as one stack, each
-    layer's weights as (k, 1, out, in): the clean predictions come from
-    masked_forward on the (m, 1, d) stack, as many samples at a time as a
-    chunk of repetitions holds; each sample's l·n transformed inputs go
-    through stacked forwards of whole repetitions; and blocks of samples,
-    every model's rows of them, share each grid-search step. All of them
-    keep their arrays in one work dict (model._buffer), so each is
-    allocated once per call. On the stacked path every forward, transform
+    layer's weights as (k, 1, out, in), in one loop over grid-search blocks
+    of samples: a block's clean predictions come from masked_forward on its
+    (B, 1, d) stack; each of its samples' l·n transformed inputs go through
+    stacked forwards of whole repetitions; and its samples, every model's
+    rows of them, share each grid-search step. The clean forward keeps its
+    arrays in one work dict and the rest in another (model._buffer), so each
+    is allocated once per call. On the stacked path every forward, transform
     and bound has the bits of a per-model, per-sample, per-repetition
     evaluation: stacked matmul runs one GEMM per trailing 2-D block.
 
@@ -242,10 +243,13 @@ def pca_models(deployed: list[MaskableModel], x_eval, y_eval, spec: TransformSpe
     clip of the transform does nothing and the transformed inputs' first
     layer is computed in closed form instead (module docstring): from the
     same delta draws, each input's pre-activation is a + delta g, a being
-    the clean forward's zs[0]. The clean predictions and margins keep their
-    bits; each Z is within rounding of the stacked path's (held to 1e-12 by
-    the tests), so log eps_hat is within cert_t_hi times that. Any other
-    input takes the stacked path.
+    the block's clean forward's zs[0]. The clean predictions and margins
+    keep their bits; each Z is within rounding of the stacked path's (held
+    to 1e-12 by the tests), so log eps_hat is within cert_t_hi times that.
+    Any other input takes the stacked path.
+
+    Labels must be class indices of the models, integral and in
+    [0, classes), in any numeric dtype; else ValueError.
     """
     x_eval = np.asarray(x_eval, dtype=np.float64)
     y_eval = np.asarray(y_eval)
@@ -259,6 +263,13 @@ def pca_models(deployed: list[MaskableModel], x_eval, y_eval, spec: TransformSpe
     specs = deployed[0].specs
     if any(model.specs != specs for model in deployed[1:]):
         raise ValueError("pca: the models to certify differ in their layer specs")
+    classes = specs[-1].out_dim
+    bad = (np.ones(len(y_eval), dtype=bool) if y_eval.dtype.kind not in "iuf"
+           else ~((y_eval >= 0) & (y_eval < classes) & (y_eval % 1 == 0)))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"pca: label {y_eval[i].item()!r} of sample {i} is not a class index "
+                         f"in [0, {classes})")
     k, m, l, n = len(deployed), len(x_eval), cfg.cert_repetitions, cfg.cert_samples
     grid = t_grid(cfg)
     weights = [np.stack(ws)[:, None] for ws in zip(*(model.weights for model in deployed))]
@@ -266,29 +277,24 @@ def pca_models(deployed: list[MaskableModel], x_eval, y_eval, spec: TransformSpe
     # the one check: interp_corrupt keeps [0, 1] inputs in [0, 1], unclipped
     closed = spec.kind == "interp_corrupt" and bool(((x_eval >= 0.0) & (x_eval <= 1.0)).all())
 
-    # `reps` repetitions of every model's forward (or as many clean inputs)
-    # at a time, grid-search blocks of `block` samples of every model
+    # `reps` repetitions of every model's forward at a time, grid-search
+    # blocks of `block` samples of every model
     widest = max(specs[0].in_dim, *(s.out_dim for s in specs))
     reps = min(l, max(1, STACK_FLOATS // (k * n * widest)))
     block = min(m, max(1, GRID_FLOATS // (3 * k * l * n)))
-    work: dict = {}
+    # the clean forward has a dict of its own: the closed path's layers 1..
+    # write ("z", 0) and ("h", 0) of `work`, which would overwrite its zs[0]
+    work, clean_work = {}, {}
     rep_z = np.empty((block, k, l, n))
-    p_clean = np.empty((k, m, specs[-1].out_dim))
-    if closed:
-        a_clean = np.empty((k, m, specs[0].out_dim))  # clean first-layer pre-activations
-    for start in range(0, m, reps * n):
-        chunk = slice(start, start + reps * n)
-        hs, zs = masked_forward(x_eval[chunk, None], weights, biases, specs, work)
-        if closed:
-            a_clean[:, chunk] = zs[0][:, :, 0]
-        p_clean[:, chunk] = softmax(hs[-1], out=hs[-1])[:, :, 0]
-    if not np.isfinite(p_clean).all():
-        raise FloatingPointError("forward: non-finite output probabilities")
-
     rows = [[] for _ in deployed]
     log_bounds = [[] for _ in deployed]
     for start in range(0, m, block):
         ids = range(start, min(start + block, m))
+        hs, zs = masked_forward(x_eval[start:ids.stop, None], weights, biases, specs, clean_work)
+        # not in place: on one layer hs[-1] is zs[0], the closed path's a
+        p_clean = softmax(hs[-1])[:, :, 0]
+        if not np.isfinite(p_clean).all():
+            raise FloatingPointError("forward: non-finite output probabilities")
         for b, i in enumerate(ids):
             rng = np.random.default_rng([cfg.seed, CERT_SAMPLE_STREAM, i])
             if closed:  # every model's first-layer slope in delta, W(c(x) - x)
@@ -299,7 +305,7 @@ def pca_models(deployed: list[MaskableModel], x_eval, y_eval, spec: TransformSpe
                 if closed:  # relu(a + delta g), then layers 1..
                     h = np.multiply(delta[:, :, None], g[:, None, None],
                                     out=_buffer(work, "a", (k, r, n, g.shape[-1])))
-                    h += a_clean[:, i, None, None]
+                    h += zs[0][:, b, None]
                     if specs[0].activation == "relu":
                         np.maximum(h, 0.0, out=h)
                     pt = forward_probs(h, weights[1:], biases[1:], specs[1:], work)
@@ -310,10 +316,10 @@ def pca_models(deployed: list[MaskableModel], x_eval, y_eval, spec: TransformSpe
                                              work=_buffer(work, "dt", shape)),
                                        weights, biases, specs, work)
                 # each model's sup-norm discrepancies to its clean probabilities
-                pt -= p_clean[:, i, None, None]
+                pt -= p_clean[:, b, None, None]
                 np.abs(pt, out=pt)
                 pt.max(axis=-1, out=rep_z[b, :, j:j + r])
-        d = np.array([[clean_margin(p) for p in p_clean[:, i]] for i in ids])
+        d = np.array([[clean_margin(p) for p in p_clean[:, b]] for b in range(len(ids))])
         # a zero-margin sample is searched too, but its result is not used
         best, log_min = grid_min(rep_z[:len(ids)].reshape(-1, l, n), d.ravel(), grid, work)
         best, log_min = best.reshape(d.shape), log_min.reshape(d.shape)
@@ -324,7 +330,7 @@ def pca_models(deployed: list[MaskableModel], x_eval, y_eval, spec: TransformSpe
                     log_bounds[q].append(float(log_min[b, q]))
                     eps_hat = min(1.0, float(np.exp(log_min[b, q])))
                     best_t = float(grid[best[b, q]])
-                predicted = int(np.argmax(p_clean[q, i]))
+                predicted = int(np.argmax(p_clean[q, b]))
                 rows[q].append(SampleCert(
                     sample_id=i, label=int(y_eval[i]), predicted=predicted,
                     margin=float(d[b, q]), eps_hat=eps_hat, best_t=best_t,

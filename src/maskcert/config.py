@@ -167,6 +167,23 @@ _RANGES = {
 
 _FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
 
+# the built-in types whose text serialize writes and parse_config reads back
+# to the same value: not bool (an int subclass) and not numpy scalars
+_TYPES = {"int": ((int,), "a built-in int"), "float": ((int, float), "a built-in int or float"),
+          "str": ((str,), "a str"), "hidden_dims": ((int,), "a tuple of built-in ints"),
+          "methods": ((str,), "a tuple of str")}
+
+
+def _check_type(key: str, value, where: str) -> None:
+    types, what = _TYPES.get(key) or _TYPES[_FIELD_TYPES[key]]
+    if key in ("hidden_dims", "methods"):
+        ok = type(value) is tuple and all(type(v) in types for v in value)
+    else:
+        ok = type(value) in types
+    if not ok:
+        raise ConfigError(f"{where}: key {key!r} must be {what}, got {value!r} "
+                          f"of type {type(value).__name__}")
+
 
 def _check(key: str, value, where: str) -> None:
     if _FIELD_TYPES[key] == "float" and not math.isfinite(value):
@@ -193,8 +210,10 @@ def _convert(key: str, raw: str, where: str):
 
 def validate(cfg: ExperimentConfig, where: str = "config") -> ExperimentConfig:
     """Cross-field checks; per-key ranges are re-applied for configs built in
-    code rather than parsed."""
+    code rather than parsed, after a check that each value has a type the
+    config file can hold."""
     for key in _FIELD_TYPES:
+        _check_type(key, getattr(cfg, key), where)
         _check(key, getattr(cfg, key), where)
     try:
         CorruptionTag(cfg.corruption, cfg.corruption_severity)

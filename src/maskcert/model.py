@@ -78,6 +78,9 @@ class MaskableModel:
         self.weights = [np.asarray(w, dtype=np.float64) for w in weights]
         self.biases = [np.asarray(b, dtype=np.float64) for b in biases]
         self.mask_mode = mask_mode
+        if len(self.weights) != len(specs) or len(self.biases) != len(specs):
+            raise ValueError(f"{len(specs)} layer specs need as many weights and biases, "
+                             f"got {len(self.weights)} and {len(self.biases)}")
         for spec, w, b in zip(specs, self.weights, self.biases):
             if w.shape != (spec.out_dim, spec.in_dim) or b.shape != (spec.out_dim,):
                 raise ValueError(
@@ -129,16 +132,20 @@ class MaskableModel:
             raise ValueError(f"forward: expected input (batch, {self.in_dim}), got {x.shape}")
         return forward_probs(x, self.weights, self.biases, self.specs, work)
 
-    def folded(self, multipliers) -> "MaskableModel":
+    def folded(self, multipliers, work: dict | None = None) -> "MaskableModel":
         """The deployed model: dense, with weights m * w for each layer's
         multiplier m (see masks.hard_multipliers), and w where the entry, or
         `multipliers` itself, is None; every hard mask is applied this way,
-        stage 3 included. Unmasked weights and the biases are shared."""
+        stage 3 included. Unmasked weights and the biases are shared. Layer
+        i's product is formed under ("fold", i) of `work` (_buffer), so a
+        loop that folds every step allocates it once; it is then valid until
+        the next fold into that dict."""
         if multipliers is None:
             return self
         return MaskableModel(self.specs,
-                             [w if m is None else m * w
-                              for m, w in zip(multipliers, self.weights)],
+                             [w if m is None else
+                              np.multiply(m, w, out=_buffer(work, ("fold", i), w.shape))
+                              for i, (m, w) in enumerate(zip(multipliers, self.weights))],
                              self.biases, self.mask_mode)
 
 

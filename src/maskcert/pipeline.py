@@ -44,11 +44,13 @@ class MomentumSGD:
         self.lr = lr
         self.momentum = momentum
         self.velocity: dict[int, np.ndarray] = {}
+        self.work: dict = {}  # each param's lr * v
 
     def step(self, params: list[np.ndarray], grads: list[np.ndarray]):
         """Update params in place. The velocities are the optimizer's own
         arrays (the first step copies each gradient), so a caller may reuse
-        its gradient arrays across steps."""
+        its gradient arrays across steps; lr * v is formed in an array of
+        its own work dict, so a step after the first allocates nothing."""
         for i, (p, g) in enumerate(zip(params, grads)):
             v = self.velocity.get(i)
             if v is None:
@@ -56,7 +58,7 @@ class MomentumSGD:
             else:  # momentum * v + g, in place
                 v *= self.momentum
                 v += g
-            p -= self.lr * v
+            p -= np.multiply(v, self.lr, out=_buffer(self.work, i, v.shape))
 
 
 class Adam:
@@ -123,9 +125,11 @@ def _ce_epochs(model: MaskableModel, data: Dataset, epochs: int, lr: float,
                multipliers=None) -> list[EpochStats]:
     """Mini-batch cross-entropy training of the model folded under fixed
     multipliers (hard_multipliers), if any, with each masked layer's weight
-    gradient multiplied by its multiplier. Each step is masked_forward,
+    gradient multiplied by its multiplier. Each step folds the weights into
+    its work dict (MaskableModel.folded), then runs masked_forward,
     cross_entropy and masked_backward (weights and biases) in one errstate
-    block. Updates model weights in place."""
+    block; the per-epoch accuracy folds into the same dict. Updates model
+    weights in place."""
     opt = MomentumSGD(lr, momentum)
     history = []
     n = len(data)
@@ -142,7 +146,7 @@ def _ce_epochs(model: MaskableModel, data: Dataset, epochs: int, lr: float,
             yb = data.y[idx]
             try:
                 with np.errstate(all="ignore"):  # finiteness is checked instead
-                    ws = model.folded(multipliers).weights
+                    ws = model.folded(multipliers, work).weights
                     hs, zs = masked_forward(xb, ws, model.biases, model.specs, work)
                     loss, g_logits = cross_entropy(hs[-1], yb)
                     if not np.isfinite(loss):
@@ -157,7 +161,7 @@ def _ce_epochs(model: MaskableModel, data: Dataset, epochs: int, lr: float,
             opt.step(model.weights + model.biases, g_ws + g_bs)
             loss_sum += float(loss) * len(idx)
         history.append(EpochStats(epoch, loss_sum / n,
-                                  accuracy(model.folded(multipliers), data, eval_work)))
+                                  accuracy(model.folded(multipliers, work), data, eval_work)))
     return history
 
 

@@ -541,11 +541,51 @@ class TestCertifySampleAndPca:
         l, n = cfg.cert_repetitions, cfg.cert_samples
         x = np.zeros((5, 4))
         pca(constant_model(), x, np.zeros(5), direction_spec(), cfg)
-        # one forward of the (m, 1) clean stack, then one of an (l, n) stack
-        # per sample, each of one transform of the sample at (l, n, 1) deltas
+        # the five samples fit one grid-search block: one forward of its
+        # (5, 1) clean stack, then one of an (l, n) stack per sample, each of
+        # one transform of the sample at (l, n, 1) deltas
         assert clean == [(5, 1, 4)]
         assert draws == [(l, n, 4)] * 5
         assert transformed == [((4,), (l, n, 1))] * 5
+
+    def test_one_clean_forward_per_block(self, monkeypatch):
+        # blocks of 2: each block's clean forward takes its own samples only,
+        # beside its draws, and none spans the evaluation set
+        calls = []
+        real_masked, real_forward = certify.masked_forward, certify.forward_probs
+
+        def masked_spy(x, weights, biases, specs, work=None):
+            calls.append(("clean", x.shape))
+            return real_masked(x, weights, biases, specs, work)
+
+        def forward_spy(x, weights, biases, specs, work=None):
+            calls.append(("draws", x.shape[:-1]))
+            return real_forward(x, weights, biases, specs, work)
+
+        monkeypatch.setattr(certify, "masked_forward", masked_spy)
+        monkeypatch.setattr(certify, "forward_probs", forward_spy)
+        model, cfg = constant_model(), small_cfg()
+        set_budgets(monkeypatch, cfg.cert_repetitions, 2, model, cfg)
+        pca(model, np.zeros((5, 4)), np.zeros(5), direction_spec(), cfg)
+        draws = ("draws", (cfg.cert_repetitions, cfg.cert_samples))
+        assert calls == [("clean", (2, 1, 4)), draws, draws,
+                         ("clean", (2, 1, 4)), draws, draws,
+                         ("clean", (1, 1, 4)), draws]
+
+    @pytest.mark.parametrize("labels", [[0.7, 1.7, 0.0], [5, 6, 0], [-1, 0, 1],
+                                        [0.0, np.nan, 1.0], ["0", "1", "0"]])
+    def test_pca_labels_must_be_class_indices(self, labels):
+        # a 2-class model: a fractional, out-of-range or non-numeric label is
+        # an error, not a truncated or never-matching one in the CSV
+        with pytest.raises(ValueError, match="class index in \\[0, 2\\)"):
+            pca(constant_model(), np.zeros((3, 4)), np.array(labels), direction_spec(),
+                small_cfg())
+
+    @pytest.mark.parametrize("labels", [np.zeros(3), np.array([1.0, 0.0, 1.0]),
+                                        np.array([1, 0, 1], dtype=np.uint8)])
+    def test_pca_integral_labels_of_any_numeric_dtype(self, labels):
+        res = pca(constant_model(), np.zeros((3, 4)), labels, direction_spec(), small_cfg())
+        assert [r.label for r in res.rows] == [int(v) for v in labels]
 
     def test_pca_empty_rejected(self):
         model = constant_model()
@@ -711,8 +751,9 @@ class TestStackedPass:
         self.check(model, mult, rng.uniform(size=(block + 1, 6)),
                    rng.integers(0, 10, block + 1), kind, cfg)
 
-    def test_clean_forward_in_chunks(self, monkeypatch):
-        # 30 samples, 14 rows per clean forward: three chunks
+    def test_clean_forward_per_block_over_many_blocks(self, monkeypatch):
+        # 30 samples in grid-search blocks of 4: eight clean forwards, the
+        # last of two samples
         model, mult, rng = live_model("structured", seed=42)
         cfg = small_cfg(cert_samples=7, seed=5)
         set_budgets(monkeypatch, 2, 4, model, cfg)

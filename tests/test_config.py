@@ -1,5 +1,6 @@
 import dataclasses
 
+import numpy as np
 import pytest
 
 from maskcert.config import (CERT_REPETITIONS_MAX, CERT_SAMPLES_MAX, CERT_T_COUNT_MAX,
@@ -163,6 +164,21 @@ class TestCrossField:
 
     def test_idx_path_with_inner_space_round_trips(self, tmp_path):
         cfg = validate(dataclasses.replace(ExperimentConfig(), idx_test_labels="/my data/x.idx"))
+        assert parse_config(write(tmp_path, serialize(cfg))) == cfg
+
+    @pytest.mark.parametrize("key, value", [
+        ("seed", True), ("hidden_dims", [8]), ("hidden_dims", (8, False)),
+        ("cert_samples", 10.0), ("stage1_epochs", 2.5), ("stage1_lr", np.float64(0.02)),
+        ("batch_size", np.int64(32)), ("methods", ["csam"]), ("methods", ("csam", 1)),
+        ("corruption", 5)])
+    def test_type_serialize_cannot_write_back_rejected(self, key, value):
+        # each would echo as text that does not parse, or parses to another value
+        with pytest.raises(ConfigError, match=f"key '{key}' must be"):
+            validate(dataclasses.replace(ExperimentConfig(), **{key: value}))
+
+    def test_int_for_a_float_key_round_trips(self, tmp_path):
+        cfg = validate(dataclasses.replace(ExperimentConfig(), stage1_lr=1,
+                                           hidden_dims=(8, 4), methods=("lmp",)))
         assert parse_config(write(tmp_path, serialize(cfg))) == cfg
 
     def test_negative_seed_rejected(self, tmp_path):

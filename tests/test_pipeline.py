@@ -252,35 +252,22 @@ class TestWorkArrays:
     largest shape asked of it, so an epoch's short last batch and the
     per-epoch accuracy forward allocate nothing after the first epoch."""
 
-    @pytest.mark.parametrize("masked", [False, True], ids=["stage1", "stage3"])
-    def test_ce_epochs_allocate_no_layer_array_after_the_first_epoch(self, monkeypatch,
-                                                                     masked):
-        # 90 rows in batches of 32 end every epoch on a batch of 26. After the
-        # first epoch's accuracy forward, tracemalloc's peak may not rise by
-        # an array of the hidden layer at the short batch, the smallest of the
-        # step's and the accuracy forward's layer arrays; a step's other
-        # arrays (its batch, the loss and the optimizer's temporaries, the
-        # folded weights) are each far smaller, and Python's own allocations
-        # come to a fixed few tens of kB
-        rng = np.random.default_rng(23)
-        width = 1024
-        model = MaskableModel.initialized(mlp_specs(2, [width], 2), "unstructured", rng)
-        data = Dataset(rng.standard_normal((90, 2)), rng.integers(0, 2, 90))
-        multipliers = None
-        if masked:
-            multipliers = hard_multipliers(model, binarize(
-                [rng.uniform(size=n) for n in model.mask_dims()], 0.5))
-        base = []
-        real = pipeline.accuracy
+    @staticmethod
+    def peak_rise_after_first_epoch(monkeypatch, model, data, multipliers):
+        """How far tracemalloc's peak rises, over 3 epochs in batches of 32,
+        above the memory held at the start of the second epoch's first step
+        (its forward), after the first epoch's steps and accuracy forward."""
+        base, calls = [], []
+        real = pipeline.masked_forward
 
-        def accuracy(*args):
-            value = real(*args)
-            if not base:  # the end of the first epoch
+        def masked_forward(*args):
+            calls.append(None)
+            if len(calls) == -(-len(data) // 32) + 1:
                 tracemalloc.reset_peak()
                 base.append(tracemalloc.get_traced_memory()[0])
-            return value
+            return real(*args)
 
-        monkeypatch.setattr(pipeline, "accuracy", accuracy)
+        monkeypatch.setattr(pipeline, "masked_forward", masked_forward)
         tracemalloc.start()
         try:
             history = pipeline._ce_epochs(model, data, 3, 0.01, 0.9, 32,
@@ -289,7 +276,42 @@ class TestWorkArrays:
         finally:
             tracemalloc.stop()
         assert len(history) == 3
-        assert peak - base[0] < 26 * width * 8
+        return peak - base[0]
+
+    @pytest.mark.parametrize("masked", [False, True], ids=["stage1", "stage3"])
+    def test_ce_epochs_allocate_no_layer_array_after_the_first_epoch(self, monkeypatch,
+                                                                     masked):
+        # 90 rows in batches of 32 end every epoch on a batch of 26. After the
+        # first epoch's accuracy forward, tracemalloc's peak may not rise by
+        # an array of the hidden layer at the short batch, the smallest of the
+        # step's and the accuracy forward's layer arrays; a step's other
+        # arrays (its batch and the loss) are each far smaller, the folded
+        # weights are kept in the step's dict and the optimizer's lr * v in
+        # its own, and Python's own allocations come to a fixed few tens of kB
+        rng = np.random.default_rng(23)
+        width = 1024
+        model = MaskableModel.initialized(mlp_specs(2, [width], 2), "unstructured", rng)
+        data = Dataset(rng.standard_normal((90, 2)), rng.integers(0, 2, 90))
+        multipliers = None
+        if masked:
+            multipliers = hard_multipliers(model, binarize(
+                [rng.uniform(size=n) for n in model.mask_dims()], 0.5))
+        rise = self.peak_rise_after_first_epoch(monkeypatch, model, data, multipliers)
+        assert rise < 26 * width * 8
+
+    def test_masked_ce_epochs_fold_no_weight_array_after_the_first_epoch(self, monkeypatch):
+        # a 512-256-2 model: its first weight (1 MB) outweighs the rest of a
+        # step, the batch's layer arrays included. Every step and every
+        # accuracy forward folds the mask into the weights, into arrays of
+        # the step's dict, and the optimizer forms lr * v in arrays of its
+        # own, so after the first epoch nothing weight-sized is allocated
+        rng = np.random.default_rng(25)
+        model = MaskableModel.initialized(mlp_specs(512, [256], 2), "unstructured", rng)
+        data = Dataset(rng.standard_normal((90, 512)), rng.integers(0, 2, 90))
+        multipliers = hard_multipliers(model, binarize(
+            [rng.uniform(size=n) for n in model.mask_dims()], 0.5))
+        rise = self.peak_rise_after_first_epoch(monkeypatch, model, data, multipliers)
+        assert rise < model.weights[0].nbytes // 2
 
     def test_stage2_keeps_every_work_array_across_a_short_batch(self, monkeypatch):
         # every array of the step's work dict is the one the first step made,
