@@ -4,8 +4,8 @@
 with a VJP over the residuals of that forward pass: vjp(g) gives one
 gradient per input. The one kind left is the softmax of the stage-2 step
 (`objectives.composite_step_loss`), which accepts stacked copies, an input of
-shape (..., batch, classes). The masked MLP is the plain pair
-`model.masked_forward` / `model.masked_backward`. This module stays only
+shape (..., batch, classes). The masked MLP is `model.masked_forward` and
+its chain rule `model.masked_backward`. This module stays only
 because the benchmark's tracer reads `primitive` and reports the softmax
 kind's time under its name; it goes once the tracer hooks functions by name.
 """

@@ -82,13 +82,14 @@ def t_grid(cfg: ExperimentConfig) -> np.ndarray:
     return np.logspace(math.log10(cfg.cert_t_lo), math.log10(cfg.cert_t_hi), cfg.cert_t_count)
 
 
-def clean_margin(p: np.ndarray) -> float:
-    """(p_(1) - p_(2)) / 2 of one probability vector."""
+def clean_margin(p: np.ndarray):
+    """(p_(1) - p_(2)) / 2 of each probability vector along the last axis of
+    p; a float for one vector."""
     p = np.asarray(p)
-    if p.ndim != 1 or p.size < 2:
+    if p.ndim < 1 or p.shape[-1] < 2:
         raise ValueError(f"margin needs at least 2 class probabilities, got shape {p.shape}")
-    top2 = np.sort(p)[-2:]
-    return float((top2[1] - top2[0]) / 2.0)
+    top2 = np.sort(p, axis=-1)[..., -2:]
+    return (top2[..., 1] - top2[..., 0]) / 2.0
 
 
 def _logsumexp(a: np.ndarray, axis=-1) -> np.ndarray:
@@ -319,7 +320,7 @@ def pca_models(deployed: list[MaskableModel], x_eval, y_eval, spec: TransformSpe
                 pt -= p_clean[:, b, None, None]
                 np.abs(pt, out=pt)
                 pt.max(axis=-1, out=rep_z[b, :, j:j + r])
-        d = np.array([[clean_margin(p) for p in p_clean[:, b]] for b in range(len(ids))])
+        d = clean_margin(p_clean).T
         # a zero-margin sample is searched too, but its result is not used
         best, log_min = grid_min(rep_z[:len(ids)].reshape(-1, l, n), d.ravel(), grid, work)
         best, log_min = best.reshape(d.shape), log_min.reshape(d.shape)

@@ -15,6 +15,7 @@ ceil(3) = 3 units, not 4.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from fractions import Fraction
 
@@ -35,7 +36,7 @@ def unit_magnitudes(model: MaskableModel) -> list[np.ndarray]:
 def layer_views(c: np.ndarray, dims) -> list[np.ndarray]:
     """Per-layer views of a flat soft mask c: its last axis split into the
     lengths dims (a model's mask_dims), any leading axes kept."""
-    return np.split(c, np.cumsum(dims)[:-1], axis=-1)
+    return [c[..., end - n:end] for n, end in zip(dims, itertools.accumulate(dims))]
 
 
 def init_percentile_scaled(model: MaskableModel, tau: float) -> list[np.ndarray]:

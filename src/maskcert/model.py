@@ -7,9 +7,11 @@ in unstructured mode a mask entry covers one weight, in structured mode one
 mask entry scales an entire output row. Biases are never masked. In
 structured mode the final classifier layer is exempt (pruning its outputs
 would delete classes), so its prunable-unit count is zero. Every forward
-runs through masked_forward, and the training steps differentiate it with
-masked_backward; a loop keeps their arrays in one `work` dict (_buffer), the
-one way the package keeps a loop's arrays.
+runs through masked_forward. The training steps differentiate it with
+masked_backward, the chain rule down to each layer's pre-activation, and
+form the parameter gradients they need themselves. A loop keeps their
+arrays in one `work` dict (_buffer), the one way the package keeps a loop's
+arrays.
 """
 
 from __future__ import annotations
@@ -169,8 +171,8 @@ def masked_forward(x, weights, biases, specs, work=None):
     """Run the layer stack on weights with any mask already folded in
     (MaskableModel.folded). Returns (hs, zs): hs[0] is x and hs[i + 1] the
     output of layer i after its activation, so hs[-1] holds the logits;
-    zs[i] is layer i's pre-activation. masked_backward and certification's
-    closed-form first layer reuse both.
+    zs[i] is layer i's pre-activation. The training steps' gradients and
+    certification's closed-form first layer reuse both.
 
     x may be stacked, (..., batch, in), and so may the weights, one per
     stacked copy: matmul runs one GEMM per trailing 2-D block, so every
@@ -200,19 +202,15 @@ def masked_forward(x, weights, biases, specs, work=None):
     return hs, zs
 
 
-def masked_backward(hs, zs, weights, specs, g, work=None, layers=None, out=None,
-                    biases=False):
-    """Gradients of sum(g * logits) through one masked_forward call that
-    returned (hs, zs) on the folded `weights`, layer by layer in reverse; the
-    caller masks the weight gradients. The input's gradient is never formed.
-
-    Returns (gw, gb). gw[i] is layer i's weight gradient for each i in
-    `layers` (every layer when None), else None. It carries g's stack axes
-    and goes into out[i] when `out` holds i, else into ("dw", i) of `work`;
-    layer i's input gradient is taken first, so out[i] may be that layer's
-    weight. gb[i] is layer i's bias gradient, g summed over its leading
-    axes, when `biases` is true; else gb is None. The gradients between
-    layers go into ("dz", i) and ("dx", i) of `work`.
+def masked_backward(zs, weights, specs, g, work=None):
+    """The chain rule for sum(g * logits) back through a masked_forward call
+    that returned zs on the folded `weights`: returns gz, the gradient on
+    each layer's pre-activation, with g's stack axes. gz[-1] is g itself and
+    a relu layer's is formed under ("dz", i) of `work`; layer i's input
+    gradient goes into ("dx", i), and the network input's is never formed.
+    The caller forms the parameter gradients it needs: layer i's weight
+    gradient is gz[i].mT @ hs[i], its bias gradient gz[i] summed over the
+    leading axes.
 
     First raises FloatingPointError if a pre-activation is not finite, so a
     diverged step never reaches an update.
@@ -220,24 +218,15 @@ def masked_backward(hs, zs, weights, specs, g, work=None, layers=None, out=None,
     for i, z in enumerate(zs):
         if not np.isfinite(z).all():
             raise FloatingPointError(f"masked_backward: non-finite pre-activation in layer {i}")
-    gw = [None] * len(specs)
-    gb = [None] * len(specs) if biases else None
+    gz = [None] * len(specs)
     for i in reversed(range(len(specs))):
-        w = weights[i]
         if specs[i].activation == "relu":
             g = np.multiply(g, zs[i] > 0, out=_buffer(work, ("dz", i), g.shape))
-        if biases:
-            gb[i] = g.sum(axis=tuple(range(g.ndim - 1)))
-        g_in = None
+        gz[i] = g
         if i > 0:
-            g_in = np.matmul(g, w, out=_buffer(work, ("dx", i), g.shape[:-1] + w.shape[-1:]))
-        if layers is None or i in layers:
-            target = out.get(i) if out else None
-            if target is None:
-                target = _buffer(work, ("dw", i), g.shape[:-2] + w.shape[-2:])
-            gw[i] = np.matmul(g.mT, hs[i], out=target)
-        g = g_in
-    return gw, gb
+            w = weights[i]
+            g = np.matmul(g, w, out=_buffer(work, ("dx", i), g.shape[:-1] + w.shape[-1:]))
+    return gz
 
 
 def forward_probs(x, weights, biases, specs, work=None) -> np.ndarray:

@@ -8,8 +8,8 @@ relative to the classification margin. Each term is a plain function that
 takes its upstream gradient g last and returns its value and the gradients
 of g times it on its inputs. The four masked copies run as one stacked
 `model.masked_forward`, and one backward pass chains the terms' gradients by
-hand through `autodiff`'s softmax kind and `model.masked_backward`, which
-gives weight gradients only to the masked layers; the weights stay frozen.
+hand through `autodiff`'s softmax kind and `model.masked_backward`, then
+forms weight gradients for the masked layers alone; the weights stay frozen.
 """
 
 from __future__ import annotations
@@ -197,19 +197,19 @@ def composite_step_loss(model: MaskableModel, soft_mask, x, x_t, cfg: Experiment
         raise FloatingPointError("composite_step_loss: non-finite objective")
 
     np.add(ratio_m + consis_m, stab_m, out=g_probs[0])
-    g_logits = softmax_vjp(g_probs)[0]
-    # In unstructured mode each weight gradient goes straight into its layer's
-    # slice of the stack, which held the masked weight until then.
-    g_ws, _ = masked_backward(hs, zs, ws, model.specs, g_logits, work, layers=layers,
-                              out=layers if unstructured else None)
+    gz = masked_backward(zs, ws, model.specs, softmax_vjp(g_probs)[0], work)
 
-    # The stack now takes the gradient on each copy's mask.
+    # The stack now takes the gradient on each copy's mask. In unstructured
+    # mode each weight gradient goes straight into its layer's slice, which
+    # held the masked weight until the backward returned.
     for i, g_m in layers.items():
         w = model.weights[i]
         if unstructured:
+            np.matmul(gz[i].mT, hs[i], out=g_m)
             g_m *= w
         else:  # a structured (out, 1) mask collects its row's gradient
-            g_m[...] = (g_ws[i] * w).sum(axis=-1, keepdims=True)
+            g_w = np.matmul(gz[i].mT, hs[i], out=_buffer(work, ("dw", i), (4, *w.shape)))
+            g_m[...] = (g_w * w).sum(axis=-1, keepdims=True)
     grad += stack[3]  # the straight-through copy's gradient
     stack[:3] *= passed
     grad += stack[2]

@@ -127,9 +127,9 @@ def _ce_epochs(model: MaskableModel, data: Dataset, epochs: int, lr: float,
     multipliers (hard_multipliers), if any, with each masked layer's weight
     gradient multiplied by its multiplier. Each step folds the weights into
     its work dict (MaskableModel.folded), then runs masked_forward,
-    cross_entropy and masked_backward (weights and biases) in one errstate
-    block; the per-epoch accuracy folds into the same dict. Updates model
-    weights in place."""
+    cross_entropy, masked_backward and the weight and bias gradients in one
+    errstate block; the per-epoch accuracy folds into the same dict. Updates
+    model weights in place."""
     opt = MomentumSGD(lr, momentum)
     history = []
     n = len(data)
@@ -151,8 +151,10 @@ def _ce_epochs(model: MaskableModel, data: Dataset, epochs: int, lr: float,
                     loss, g_logits = cross_entropy(hs[-1], yb)
                     if not np.isfinite(loss):
                         raise FloatingPointError("non-finite loss")
-                    g_ws, g_bs = masked_backward(hs, zs, ws, model.specs, g_logits, work,
-                                                 biases=True)
+                    gz = masked_backward(zs, ws, model.specs, g_logits, work)
+                    g_ws = [np.matmul(g.mT, h, out=_buffer(work, ("dw", i), w.shape))
+                            for i, (g, h, w) in enumerate(zip(gz, hs, ws))]
+                    g_bs = [g.sum(axis=0) for g in gz]
             except FloatingPointError as exc:
                 raise FloatingPointError(f"training diverged at epoch {epoch}: {exc}") from None
             for g, m in zip(g_ws, multipliers or ()):
@@ -187,8 +189,9 @@ def stage2_mask_search(model: MaskableModel, x_aug: np.ndarray, rows: np.ndarray
     rows = np.asarray(rows, dtype=np.int64)
     first = len(x_aug) - len(rows)  # the first transformed row
     if len(rows) == 0:
-        raise ConfigError("mask search needs a non-empty paired set; "
-                          "augment the dataset first")
+        raise ConfigError(f"mask search needs a non-empty paired set, but augment_level = "
+                          f"{cfg.augment_level} pairs none of the {first} training samples "
+                          f"(L1 pairs a quarter of them, L2 all)")
     if sum(model.mask_dims()) == 0:
         raise ConfigError("model has no prunable units under this mask mode")
     c = np.concatenate(init_percentile_scaled(model, cfg.init_percentile))

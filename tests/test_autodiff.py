@@ -136,16 +136,19 @@ class TestVjpExamples:
 
 
 class TestMaskedMlp:
-    def test_frozen_inputs_get_no_gradient(self):
-        # only the named layers get a weight gradient, and biases only when asked
+    def test_pre_activation_gradients(self):
+        # the logits layer's gradient is g itself, a relu layer's g @ W1 gated
+        # by z0 > 0, bit for bit
         rng = np.random.default_rng(7)
-        ws, bs = [rng.standard_normal((2, 3))], [np.zeros(2)]
-        specs = (LayerSpec(3, 2, "none"),)
-        hs, zs = masked_forward(rng.standard_normal((2, 3)), ws, bs, specs)
-        g_ws, g_bs = masked_backward(hs, zs, ws, specs, np.ones((2, 2)), layers=[0])
-        assert g_bs is None and g_ws[0].shape == (2, 3)
-        g_ws, g_bs = masked_backward(hs, zs, ws, specs, np.ones((2, 2)), layers=[], biases=True)
-        assert g_ws == [None] and g_bs[0].shape == (2,)
+        ws = [rng.standard_normal((4, 3)), rng.standard_normal((2, 4))]
+        bs = [rng.standard_normal(4), rng.standard_normal(2)]
+        specs = (LayerSpec(3, 4, "relu"), LayerSpec(4, 2, "none"))
+        hs, zs = masked_forward(rng.standard_normal((5, 3)), ws, bs, specs)
+        g = rng.standard_normal((5, 2))
+        gz = masked_backward(zs, ws, specs, g)
+        assert len(gz) == 2 and gz[-1] is g
+        assert 0 < (zs[0] > 0).sum() < zs[0].size  # the gate passes some, not all
+        assert np.array_equal(gz[0], (g @ ws[1]) * (zs[0] > 0))
 
     def test_stacked_copies_equal_separate_calls(self):
         # one stacked forward and backward keeps each copy's bits
@@ -156,12 +159,13 @@ class TestMaskedMlp:
         bs = [rng.standard_normal(6), rng.standard_normal(3)]
         g = rng.standard_normal((4, 7, 3))
         hs, zs = masked_forward(x, ws, bs, specs)
-        grads, _ = masked_backward(hs, zs, ws, specs, g)
+        grads = [g_i.mT @ h for g_i, h in zip(masked_backward(zs, ws, specs, g), hs)]
         for k in range(4):
             ws_k = [ws[0][k], ws[1][k]]
             hs_k, zs_k = masked_forward(x[k], ws_k, bs, specs)
             assert np.array_equal(hs[-1][k], hs_k[-1])
-            grads_k, _ = masked_backward(hs_k, zs_k, ws_k, specs, g[k])
+            grads_k = [g_i.mT @ h
+                       for g_i, h in zip(masked_backward(zs_k, ws_k, specs, g[k]), hs_k)]
             assert all(np.array_equal(a[k], b) for a, b in zip(grads, grads_k))
 
 
@@ -188,7 +192,7 @@ class TestErrors:
         with np.errstate(over="ignore"):
             hs, zs = masked_forward(np.full((1, 2), 1e200), ws, bs, specs)
         with pytest.raises(FloatingPointError, match="non-finite pre-activation in layer 0"):
-            masked_backward(hs, zs, ws, specs, np.ones((1, 1)))
+            masked_backward(zs, ws, specs, np.ones((1, 1)))
 
     def test_topk_needs_two_classes(self):
         with pytest.raises(ValueError, match="ratio_penalty"):

@@ -109,6 +109,22 @@ def assert_rows_equal_oracle(result, oracle):
                                            result.log_eps_hat_max))
 
 
+class TestCleanMargin:
+    def test_stack_equals_per_vector_calls(self):
+        # a (k, B, K) stack's margins are each vector's own, bit for bit, and
+        # a single vector's is half its top-two gap
+        rng = np.random.default_rng(12)
+        p = softmax(rng.standard_normal((3, 5, 4)))
+        p[0, 1, :2] = p[0, 1].max()  # a tie for the top
+        d = clean_margin(p)
+        assert d.shape == (3, 5) and d[0, 1] == 0.0
+        for q in range(3):
+            for b in range(5):
+                top2 = np.sort(p[q, b])[-2:]
+                assert d[q, b] == clean_margin(p[q, b]) == (top2[1] - top2[0]) / 2.0
+        assert isinstance(clean_margin(p[0, 0]), float)
+
+
 class TestLogY:
     def test_zero_z_closed_form(self):
         z = np.zeros(100)

@@ -438,6 +438,26 @@ class TestErrorsAndProvenance:
                    str(ckpt)) == EXIT_NUMERIC
         assert "layer 1" in capsys.readouterr().err
 
+    def test_run_all_with_no_pairs_names_augment_level(self, tmp_path, capsys):
+        # L1 pairs a quarter of the training set, which rounds to none of 2
+        cfg = tmp_path / "l1.cfg"
+        cfg.write_text(TINY.replace("synthetic_train_per_class = 30",
+                                    "synthetic_train_per_class = 1") + "augment_level = L1\n",
+                       encoding="utf-8")
+        assert run("run-all", cfg, tmp_path / "o") == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "augment_level = L1" in err and "none of the 2 training samples" in err
+
+    def test_search_without_augmentation_names_augment_level(self, tmp_path, capsys):
+        # augment_level = none is accepted when csam is not among the methods,
+        # but search still needs the pairs
+        cfg = tmp_path / "none.cfg"
+        cfg.write_text(TINY + "augment_level = none\nmethods = vanilla\n", encoding="utf-8")
+        assert run("pretrain", cfg, tmp_path / "o") == EXIT_OK
+        assert run("search", cfg, tmp_path / "o") == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "augment_level = none" in err and "none of the 60 training samples" in err
+
     def test_unknown_command_is_config_error(self, tiny_config, tmp_path):
         assert main(["frobnicate", "--config", str(tiny_config)]) == EXIT_CONFIG
 

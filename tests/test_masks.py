@@ -23,6 +23,22 @@ def keep_count(frac, n):
     return math.ceil(Fraction(str(frac)) * n)
 
 
+class TestLayerViews:
+    @pytest.mark.parametrize("shape", [(13,), (4, 13)])
+    def test_views_equal_split_and_write_through(self, shape):
+        # structured dims, with the exempt logits layer's zero-length view
+        dims = (8, 5, 0)
+        c = np.arange(math.prod(shape), dtype=float).reshape(shape)
+        views = layer_views(c, dims)
+        want = np.split(c, np.cumsum(dims)[:-1], axis=-1)
+        assert [v.shape[-1] for v in views] == list(dims)
+        for v, w in zip(views, want):
+            assert v.shape == w.shape and np.array_equal(v, w)
+            assert v.size == 0 or np.shares_memory(v, c)
+        views[1][...] = -1.0
+        assert (c[..., 8:] == -1.0).all() and (c[..., :8] >= 0.0).all()
+
+
 class TestPercentileInit:
     def test_four_element_oracle(self):
         # |w| = [1,2,3,4], tau=25: nearest-rank keep count is ceil(1) = 1,
@@ -361,7 +377,7 @@ class TestSteThroughLoss:
             hs, zs = masked_forward(x, effective, [np.zeros(2)], specs)
             p, softmax_vjp = ad.primitive("softmax", [hs[-1]])
             g_p = consistency(target, p, 1.0)[2]
-            g_w = masked_backward(hs, zs, effective, specs, softmax_vjp(g_p)[0])[0][0]
+            g_w = masked_backward(zs, effective, specs, softmax_vjp(g_p)[0])[0].T @ x
             return g_w * w
 
         m = hard + (c_val - c_val)

@@ -191,6 +191,19 @@ class TestCompositeStep:
         fresh = composite_step_loss(model, soft, x, x + 0.1, CFG, np.random.default_rng(8))
         assert res.report == fresh.report and np.array_equal(res.grad, fresh.grad)
 
+    @pytest.mark.parametrize("mode, want", [("unstructured", []),
+                                            ("structured", [("dw", 0), ("dw", 1)])])
+    def test_weight_gradients_only_where_a_mask_needs_one(self, mode, want):
+        # a structured step keeps one ("dw", i) per masked layer and none for
+        # the exempt logits layer; an unstructured one writes every weight
+        # gradient into the mask stack and keeps none
+        model = toy_model(seed=9, in_dim=6, hidden=(8, 5), mode=mode)
+        soft = np.concatenate(init_percentile_scaled(model, 30.0))
+        x = np.random.default_rng(9).standard_normal((4, 6))
+        work = {}
+        composite_step_loss(model, soft, x, x + 0.1, CFG, np.random.default_rng(1), work=work)
+        assert sorted(key for key in work if isinstance(key, tuple) and key[0] == "dw") == want
+
     @pytest.mark.parametrize("mode", ["unstructured", "structured"])
     def test_work_dict_reuse_equals_fresh_arrays(self, mode):
         # steps that share one work dict, with batch sizes that make it

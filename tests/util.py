@@ -81,15 +81,17 @@ def _noisy(inputs, g, mu, seed, draws):
 
 def _masked_mlp(inputs, g, specs):
     """masked_forward's logits on the inputs [x, *weights, *biases], and the
-    gradients of sum(g * logits) that masked_backward gives on every weight
-    and bias (None on x, whose gradient it does not compute)."""
+    gradients of sum(g * logits) on every weight and bias, formed from the
+    pre-activation gradients masked_backward gives (None on x, whose
+    gradient it does not compute)."""
     n = len(specs)
     ws, bs = inputs[1:n + 1], inputs[n + 1:]
     hs, zs = masked_forward(inputs[0], ws, bs, specs)
     if g is None:
         return hs[-1], None
-    g_ws, g_bs = masked_backward(hs, zs, ws, specs, g, biases=True)
-    return hs[-1], [None, *g_ws, *g_bs]
+    gz = masked_backward(zs, ws, specs, g)
+    return hs[-1], [None, *(g_i.mT @ h for g_i, h in zip(gz, hs)),
+                    *(g_i.sum(axis=tuple(range(g_i.ndim - 1))) for g_i in gz)]
 
 
 def _cross_entropy(inputs, g, labels):
