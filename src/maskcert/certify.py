@@ -67,11 +67,12 @@ CERT_SAMPLE_STREAM = 77  # rng namespace for per-sample certification streams
 # Work-buffer budgets in float64 entries, shared by the k models of a pass.
 # A stacked forward of a sample's transformed inputs takes whole repetitions
 # while its widest layer buffer, (k, reps, n, width), stays within
-# STACK_FLOATS; a grid-search block takes samples while the (B, k, l, 3, n)
-# products of its k models stay within GRID_FLOATS, and its clean forward
-# takes those B samples. Each takes at least one repetition or sample, which
-# at the certification caps is as much as one per-model, per-repetition call
-# would allocate.
+# STACK_FLOATS; it runs through forward_probs, which keeps one such buffer
+# per layer and no pre-activation. A grid-search block takes samples while
+# the (B, k, l, 3, n) products of its k models stay within GRID_FLOATS, and
+# its clean forward takes those B samples. Each takes at least one
+# repetition or sample, which at the certification caps is as much as one
+# per-model, per-repetition call would allocate.
 STACK_FLOATS = 1 << 15
 GRID_FLOATS = 48 << 10
 
@@ -284,7 +285,7 @@ def pca_models(deployed: list[MaskableModel], x_eval, y_eval, spec: TransformSpe
     reps = min(l, max(1, STACK_FLOATS // (k * n * widest)))
     block = min(m, max(1, GRID_FLOATS // (3 * k * l * n)))
     # the clean forward has a dict of its own: the closed path's layers 1..
-    # write ("z", 0) and ("h", 0) of `work`, which would overwrite its zs[0]
+    # write ("h", 0) of `work`, which holds zs[0] where layer 0 has no relu
     work, clean_work = {}, {}
     rep_z = np.empty((block, k, l, n))
     rows = [[] for _ in deployed]

@@ -171,8 +171,10 @@ def masked_forward(x, weights, biases, specs, work=None):
     """Run the layer stack on weights with any mask already folded in
     (MaskableModel.folded). Returns (hs, zs): hs[0] is x and hs[i + 1] the
     output of layer i after its activation, so hs[-1] holds the logits;
-    zs[i] is layer i's pre-activation. The training steps' gradients and
-    certification's closed-form first layer reuse both.
+    zs[i] is layer i's pre-activation. It is the forward of the training
+    steps, whose backward reads zs, and of certification's clean stack,
+    whose closed-form first layer reads zs[0]; a forward whose caller reads
+    only the output is forward_probs, which keeps no pre-activation.
 
     x may be stacked, (..., batch, in), and so may the weights, one per
     stacked copy: matmul runs one GEMM per trailing 2-D block, so every
@@ -183,15 +185,8 @@ def masked_forward(x, weights, biases, specs, work=None):
     (_buffer) and a relu layer's pre-activation under ("z", i), by the same
     ufuncs with or without a dict.
     """
-    if len(weights) != len(specs) or len(biases) != len(specs):
-        raise ValueError("masked_forward: one weight and one bias per layer required")
     hs, zs = [x], []
-    if not specs:  # what certification's closed form leaves of a one-layer model
-        return hs, zs
-    if x.ndim < 2 or x.shape[-1] != weights[0].shape[-1]:
-        raise ValueError(f"masked_forward: input shape {x.shape} does not match "
-                         f"weight {weights[0].shape}")
-    lead = np.broadcast_shapes(x.shape[:-2], weights[0].shape[:-2]) + x.shape[-2:-1]
+    lead = _stack_lead(x, weights, biases, specs)
     for i, (spec, w, b) in enumerate(zip(specs, weights, biases)):
         shape = lead + w.shape[-2:-1]
         relu = spec.activation == "relu"
@@ -200,6 +195,19 @@ def masked_forward(x, weights, biases, specs, work=None):
         hs.append(np.maximum(z, 0.0, out=_buffer(work, ("h", i), shape)) if relu else z)
         zs.append(z)
     return hs, zs
+
+
+def _stack_lead(x, weights, biases, specs):
+    """The leading shape, stack axes and batch, of every layer's output on
+    input x, after checking the arguments (see masked_forward)."""
+    if len(weights) != len(specs) or len(biases) != len(specs):
+        raise ValueError("masked_forward: one weight and one bias per layer required")
+    if not specs:  # what certification's closed form leaves of a one-layer model
+        return None
+    if x.ndim < 2 or x.shape[-1] != weights[0].shape[-1]:
+        raise ValueError(f"masked_forward: input shape {x.shape} does not match "
+                         f"weight {weights[0].shape}")
+    return np.broadcast_shapes(x.shape[:-2], weights[0].shape[:-2]) + x.shape[-2:-1]
 
 
 def masked_backward(zs, weights, specs, g, work=None):
@@ -235,12 +243,18 @@ def forward_probs(x, weights, biases, specs, work=None) -> np.ndarray:
     x, weights and biases may be stacked as for masked_forward: weights of
     shape (k, 1, out, in) and biases (k, 1, 1, out) run k models on one
     (a, b, in) stack and give (k, a, b, K), each model's block with the bits
-    of its own forward. With `work` the layers run in its arrays as for
-    masked_forward and the probabilities are written over the logits, so
-    the result is valid until the next call on that dict.
+    of its own forward. The layers run by masked_forward's ufuncs, but each
+    applies its relu in place and keeps no pre-activation: with `work` layer
+    i runs in ("h", i) alone, and the probabilities are written over the
+    logits, so the result is valid until the next call on that dict.
     """
-    hs, _ = masked_forward(x, weights, biases, specs, work)
-    p = softmax(hs[-1], out=None if work is None else hs[-1])
+    h, lead = x, _stack_lead(x, weights, biases, specs)
+    for i, (spec, w, b) in enumerate(zip(specs, weights, biases)):
+        h = np.matmul(h, w.mT, out=_buffer(work, ("h", i), lead + w.shape[-2:-1]))
+        h += b
+        if spec.activation == "relu":
+            np.maximum(h, 0.0, out=h)
+    p = softmax(h, out=None if work is None else h)
     if not np.isfinite(p).all():
         raise FloatingPointError("forward: non-finite output probabilities")
     return p

@@ -146,9 +146,13 @@ def composite_step_loss(model: MaskableModel, soft_mask, x, x_t, cfg: Experiment
     A caller that steps in a loop passes one `work` dict to every call, which
     keeps the mask stack and the stacked forward's arrays allocated once, so
     the step's cost does not depend on how the allocator sized its heap. The
-    mask-sized arrays of a step all live in the stack: the noise is drawn
-    into it, the hard mask is written into it, and in unstructured mode each
-    layer's masked weight and then its gradient take its slice of it.
+    mask-sized arrays of a step all live in the stack, under "mask" of
+    `work`: the noise is drawn into it, the hard mask is written into it,
+    and in unstructured mode each layer's masked weight and then its
+    gradient take its slice of it, multiplied copy by copy in place. The
+    stack is dead once the call returns, until the next call overwrites
+    all of it, so the loop may use it as scratch in between: stage 2's
+    Adam step forms its update in its first two rows.
     """
     x = np.asarray(x, dtype=np.float64)
     x_t = np.asarray(x_t, dtype=np.float64)
@@ -171,11 +175,18 @@ def composite_step_loss(model: MaskableModel, soft_mask, x, x_t, cfg: Experiment
     _, passed = sample_noisy(c, cfg.noise_magnitude, rng, draws=3, out=stack[:3])
     binarize(layer_views(c, dims), cfg.pruning_ratio, out=layer_views(stack[3], dims))
     # The weights each copy runs with, W * mask, formed in the mask stack
-    # itself where the shapes allow.
+    # itself where the shapes allow, one copy at a time: each copy's slice
+    # is C-contiguous, while numpy would buffer a whole strided (4, out, in)
+    # layer view multiplied in place by a broadcast weight.
     unstructured = model.mask_mode == "unstructured"
     ws = list(model.weights)
     for i, m in layers.items():
-        ws[i] = np.multiply(m, ws[i], out=m if unstructured else None)
+        if unstructured:
+            for m_j in m:
+                m_j *= ws[i]
+            ws[i] = m
+        else:
+            ws[i] = m * ws[i]
 
     x4 = np.stack([x, x, x_t, x], out=_buffer(work, "x", (4, *x.shape)))
     with np.errstate(all="ignore"):  # masked_backward checks the pre-activations
@@ -206,7 +217,8 @@ def composite_step_loss(model: MaskableModel, soft_mask, x, x_t, cfg: Experiment
         w = model.weights[i]
         if unstructured:
             np.matmul(gz[i].mT, hs[i], out=g_m)
-            g_m *= w
+            for g_j in g_m:
+                g_j *= w
         else:  # a structured (out, 1) mask collects its row's gradient
             g_w = np.matmul(gz[i].mT, hs[i], out=_buffer(work, ("dw", i), (4, *w.shape)))
             g_m[...] = (g_w * w).sum(axis=-1, keepdims=True)

@@ -1,10 +1,12 @@
 import csv
 import json
 import struct
+import time
 
 import numpy as np
 import pytest
 
+from maskcert import pipeline
 from maskcert.certify import t_grid
 from maskcert.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main
 from maskcert.config import CERT_REPETITIONS_MAX, CERT_SAMPLES_MAX, CERT_T_COUNT_MAX
@@ -140,6 +142,22 @@ class TestRunAll:
         keys = [line.split(" = ", 1)[0] for line in text.splitlines()]
         assert [k for k in keys if k.startswith("wall_time_") and k != "wall_time_s"] == \
                ["wall_time_vanilla", "wall_time_lmp", "wall_time_csam", "wall_time_certify"]
+
+    def test_status_csam_time_counts_its_search(self, tiny_config, tmp_path, monkeypatch):
+        # the mask search runs before any method trains, yet its time is
+        # csam's wall_time_csam
+        real = pipeline.stage2_mask_search
+
+        def slow(*args):
+            time.sleep(0.3)
+            return real(*args)
+
+        monkeypatch.setattr(pipeline, "stage2_mask_search", slow)
+        out = tmp_path / "run"
+        assert run("run-all", tiny_config, out) == EXIT_OK
+        text = (out / "status.txt").read_text()
+        status = dict(line.split(" = ", 1) for line in text.splitlines())
+        assert float(status["wall_time_csam"]) >= 0.3
 
     def test_status_names_the_stacked_first_layer(self, run_all_out):
         # direction_shift always certifies through the stacked forward

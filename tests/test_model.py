@@ -130,6 +130,32 @@ class TestForward:
         rows = np.stack([m.forward(row[None, :]) for row in x[0]])
         assert np.array_equal(m.forward(x[0][:, None, :]), rows)
 
+    @pytest.mark.parametrize("case", ["plain", "stacked", "one-layer", "closed-tail"])
+    def test_forward_probs_equals_softmax_of_masked_forward(self, case):
+        # forward_probs applies each relu in place and keeps no
+        # pre-activation, with the bits of the softmax of masked_forward's
+        # logits: on plain weights, on k models stacked as certification
+        # stacks them, on a one-layer model, and on the closed path's layers
+        # 1.. of relu(a + delta g) shaped (k, reps, n, out0)
+        rng = np.random.default_rng(11)
+        hidden = [] if case == "one-layer" else [7, 6]
+        models = [MaskableModel.initialized(mlp_specs(5, hidden, 3), "unstructured", rng)
+                  for _ in range(3)]
+        ws, bs, specs = models[0].weights, models[0].biases, models[0].specs
+        x = rng.standard_normal((9, 5))
+        if case in ("stacked", "closed-tail"):
+            ws = [np.stack(w)[:, None] for w in zip(*(m.weights for m in models))]
+            bs = [np.stack(b)[:, None, None] for b in zip(*(m.biases for m in models))]
+            x = rng.standard_normal((4, 9, 5))
+        if case == "closed-tail":
+            x = np.maximum(rng.standard_normal((3, 4, 9, 7)), 0.0)
+            ws, bs, specs = ws[1:], bs[1:], specs[1:]
+        want = softmax(masked_forward(x, ws, bs, specs)[0][-1])
+        work = {}
+        assert np.array_equal(forward_probs(x, ws, bs, specs, work), want)
+        assert sorted(work) == [("h", i) for i in range(len(specs))]
+        assert np.array_equal(forward_probs(x, ws, bs, specs), want)
+
     def test_forward_rejects_vector_input(self):
         with pytest.raises(ValueError, match="forward"):
             two_layer().forward(np.ones(3))

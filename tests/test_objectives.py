@@ -8,7 +8,8 @@ from maskcert.masks import binarize, hard_multipliers, init_percentile_scaled
 from maskcert.model import MaskableModel, masked_forward, mlp_specs
 from maskcert.objectives import (composite_step_loss, consistency, ratio_penalty,
                                  stability)
-from util import composite_fd, make_cfg, noisy_mask_values, triangle_bound_check
+from util import (TracedPeak, composite_fd, make_cfg, noisy_mask_values,
+                  triangle_bound_check)
 
 CFG = make_cfg()
 
@@ -190,6 +191,24 @@ class TestCompositeStep:
         assert not [key for key in work if isinstance(key, tuple) and key[0] == "dw"]
         fresh = composite_step_loss(model, soft, x, x + 0.1, CFG, np.random.default_rng(8))
         assert res.report == fresh.report and np.array_equal(res.grad, fresh.grad)
+
+    def test_a_step_allocates_less_than_one_stacked_layer(self):
+        # after step 0, which makes the work dict's arrays, a step on a
+        # 784x128 first layer allocates less than one (4, out, in) block of
+        # that layer: each copy's masked weight and weight gradient is
+        # multiplied in place in its own C-contiguous slice of the mask
+        # stack, where the whole strided block multiplied in place by the
+        # broadcast weight would be buffered in a copy
+        rng = np.random.default_rng(10)
+        model = MaskableModel.initialized(mlp_specs(784, [128], 10), "unstructured", rng)
+        soft = np.concatenate(init_percentile_scaled(model, 30.0))
+        x = rng.uniform(size=(16, 784))
+        work = {}
+        for step in range(2):  # the rise of step 1 is asserted
+            with TracedPeak() as traced:
+                composite_step_loss(model, soft, x, 0.9 * x, CFG,
+                                    np.random.default_rng([10, step]), step=step, work=work)
+        assert traced.rise < 4 * model.weights[0].nbytes
 
     @pytest.mark.parametrize("mode, want", [("unstructured", []),
                                             ("structured", [("dw", 0), ("dw", 1)])])

@@ -1,7 +1,7 @@
 import dataclasses
 import gc
 import struct
-import tracemalloc
+import time
 import weakref
 
 import numpy as np
@@ -18,7 +18,7 @@ from maskcert.pipeline import (Adam, MomentumSGD, cross_entropy, lmp_mask,
                                run_experiment, stage1_pretrain,
                                stage2_mask_search, stage3_finetune)
 from maskcert.transforms import apply
-from util import PerLayerAdam, make_cfg
+from util import PerLayerAdam, TracedPeak, make_cfg
 
 
 def tiny_cfg(**kw):
@@ -83,15 +83,10 @@ class TestBuildData:
         # inputs as loaded, the augmented set (twice their size) and the
         # one temporary of the transform
         cfg = idx_cfg(tmp_path)
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
+        with TracedPeak() as traced:
             train, test, _, train_aug, rows = pipeline.build_data(cfg)
-            held, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert held - before <= 1.05 * (train_aug.x.nbytes + test.x.nbytes)
-        assert peak - before <= 4.05 * train.x.nbytes + test.x.nbytes
+        assert traced.held <= 1.05 * (train_aug.x.nbytes + test.x.nbytes)
+        assert traced.rise <= 4.05 * train.x.nbytes + test.x.nbytes
 
 
 class TestStage1:
@@ -122,9 +117,9 @@ class TestStage2:
         cfg = tiny_cfg()
         _, _, _, train_aug, rows, model = tiny_setup(cfg)
         stage1_pretrain(model, train_aug, cfg)
-        before = [w.copy() for w in model.weights]
+        before = [a.copy() for a in model.weights + model.biases]
         soft, reports = stage2_mask_search(model, train_aug.x, rows, cfg)
-        for a, b in zip(before, model.weights):
+        for a, b in zip(before, model.weights + model.biases, strict=True):
             assert np.array_equal(a, b)
         assert len(reports) == cfg.stage2_epochs * int(np.ceil(len(rows) / cfg.batch_size))
         for c in soft:
@@ -141,12 +136,12 @@ class TestStage2:
         from maskcert.objectives import composite_step_loss
         from maskcert.pipeline import Adam
         soft = np.concatenate(init_percentile_scaled(model, 30.0))
-        opt = Adam(0.01)
+        opt, scratch = Adam(0.01), np.empty((2, soft.size))
         means = [np.mean(soft)]
         for step in range(12):
             res = composite_step_loss(model, soft, clean[:8], transformed[:8], l1_only,
                                       np.random.default_rng([1, step]))
-            opt.step(soft, res.grad)
+            opt.step(soft, res.grad, scratch)
             np.clip(soft, 0, 1, out=soft)
             means.append(np.mean(soft))
         floor = 0.0
@@ -257,26 +252,21 @@ class TestWorkArrays:
         """How far tracemalloc's peak rises, over 3 epochs in batches of 32,
         above the memory held at the start of the second epoch's first step
         (its forward), after the first epoch's steps and accuracy forward."""
-        base, calls = [], []
+        calls, traced = [], TracedPeak()
         real = pipeline.masked_forward
 
         def masked_forward(*args):
             calls.append(None)
             if len(calls) == -(-len(data) // 32) + 1:
-                tracemalloc.reset_peak()
-                base.append(tracemalloc.get_traced_memory()[0])
+                traced.reset()
             return real(*args)
 
         monkeypatch.setattr(pipeline, "masked_forward", masked_forward)
-        tracemalloc.start()
-        try:
+        with traced:
             history = pipeline._ce_epochs(model, data, 3, 0.01, 0.9, 32,
                                           np.random.default_rng(24), multipliers)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert len(history) == 3
-        return peak - base[0]
+        assert len(history) == 3 and len(calls) > -(-len(data) // 32)
+        return traced.rise
 
     @pytest.mark.parametrize("masked", [False, True], ids=["stage1", "stage3"])
     def test_ce_epochs_allocate_no_layer_array_after_the_first_epoch(self, monkeypatch,
@@ -467,36 +457,34 @@ class TestOptimizers:
     def test_adam_first_step_is_lr_sized(self):
         opt = Adam(lr=0.01)
         p = np.array([1.0])
-        opt.step(p, np.array([123.0]))
+        opt.step(p, np.array([123.0]), np.empty((2, 1)))
         assert p[0] == pytest.approx(1.0 - 0.01, abs=1e-6)
 
     def test_adam_step_allocates_no_mask_sized_array(self):
-        # after the first step, which makes the moments and the scratch
-        # vectors, a step forms its update in place
+        # after the first step, which makes the moments, a step forms its
+        # update in place in the scratch it is lent
         rng = np.random.default_rng(22)
         param, grad = rng.uniform(size=100_000), rng.standard_normal(100_000)
-        opt = Adam(0.01)
-        opt.step(param, grad)
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            opt.step(param, grad)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak - before < grad.nbytes
+        opt, scratch = Adam(0.01), np.empty((2, grad.size))
+        opt.step(param, grad, scratch)
+        with TracedPeak() as traced:
+            opt.step(param, grad, scratch)
+        assert traced.rise < grad.nbytes
 
     def test_flat_adam_and_clamp_match_per_layer_oracle(self):
         # 50 steps on uneven layers with an empty exempt one: the flat update
-        # and the one clamp give the per-layer form's bits
+        # and the one clamp give the per-layer form's bits, with scratch that
+        # holds other values at every step, as stage 2's mask stack does
         dims = [7, 0, 130, 1, 33]
         rng = np.random.default_rng(21)
         flat = rng.uniform(size=sum(dims))
         layers = [c.copy() for c in layer_views(flat, dims)]
         opt, oracle = Adam(0.05), PerLayerAdam(0.05)
+        scratch = np.full((2, flat.size), np.nan)
         for _ in range(50):
             grad = rng.standard_normal(flat.size) * rng.choice([1e-6, 1.0, 30.0], flat.size)
-            opt.step(flat, grad)
+            opt.step(flat, grad, scratch)
+            scratch[...] = rng.standard_normal(scratch.shape)
             np.clip(flat, 0.0, 1.0, out=flat)
             oracle.step(layers, layer_views(grad, dims))
             layers = [np.clip(c, 0.0, 1.0) for c in layers]
@@ -571,6 +559,59 @@ class TestRunExperiment:
         assert calls == [(cfg.cert_repetitions, cfg.cert_samples, 1)] * cfg.cert_eval_size
         assert all(len(r.cert.rows) == cfg.cert_eval_size for r in out.results.values())
         assert out.certify_wall_time > 0
+
+    def test_search_leaves_the_shared_pretrained_model_unchanged(self, monkeypatch):
+        # csam searches on the shared pre-trained model itself, whose weights
+        # and biases keep the bits they had when the search began
+        seen = []
+        real = pipeline.stage2_mask_search
+
+        def spy(model, *args):
+            seen.append((model, [a.copy() for a in model.weights + model.biases]))
+            return real(model, *args)
+
+        monkeypatch.setattr(pipeline, "stage2_mask_search", spy)
+        out = run_experiment(tiny_cfg(methods=("vanilla", "lmp", "csam")))
+        [(model, before)] = seen
+        assert model is out.pretrained
+        for a, b in zip(before, out.pretrained.weights + out.pretrained.biases, strict=True):
+            assert np.array_equal(a, b)
+
+    def test_method_order_changes_no_result(self, monkeypatch):
+        # the search runs first, whatever the config's order, and each
+        # method's results keep their bits; results keep the config's order,
+        # and csam's wall time counts its search
+        searched = []
+        real = pipeline.stage2_mask_search
+
+        def slow(*args):
+            t0 = time.perf_counter()
+            time.sleep(0.2)
+            result = real(*args)
+            searched.append(time.perf_counter() - t0)
+            return result
+
+        monkeypatch.setattr(pipeline, "stage2_mask_search", slow)
+        orders = [("csam", "lmp", "vanilla"), ("vanilla", "lmp", "csam")]
+        outs = [run_experiment(tiny_cfg(methods=order)) for order in orders]
+        for order, out, seconds in zip(orders, outs, searched, strict=True):
+            assert tuple(out.results) == order
+            assert out.results["csam"].wall_time >= seconds > 0.2
+        for method in orders[0]:
+            a, b = (out.results[method] for out in outs)
+            assert a.clean_accuracy == b.clean_accuracy and a.ratio == b.ratio
+            assert (a.hard is None) == (b.hard is None) == (method == "vanilla")
+            for x, y in zip(a.hard or (), b.hard or (), strict=True):
+                assert np.array_equal(x, y)
+            for x, y in zip(a.model.weights + a.model.biases, b.model.weights + b.model.biases,
+                            strict=True):
+                assert np.array_equal(x, y)
+            assert len(a.cert.rows) == len(b.cert.rows) > 0
+            for x, y in zip(a.cert.rows, b.cert.rows):
+                assert np.array_equal(x.rep_z_max, y.rep_z_max)
+                # repr: exact for floats, and a nan best_t reads the same
+                assert repr(dataclasses.replace(x, rep_z_max=None)) == \
+                       repr(dataclasses.replace(y, rep_z_max=None))
 
     def test_eval_size_validated(self):
         cfg = tiny_cfg(cert_eval_size=10_000, methods=("vanilla",))

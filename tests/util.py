@@ -3,10 +3,12 @@ finite differences of the registered autodiff kind (the softmax), of the
 masked MLP's forward/backward pair, of the stage-2 loss terms, noisy draws
 and cross-entropy, and of the composite stage-2 objective, kink-free random instance construction, and reference forms of
 helpers the program itself no longer needs (per-layer Adam, the scalar
-log Y, value-level noisy masks and the triangle bound check)."""
+log Y, value-level noisy masks and the triangle bound check), and a
+tracemalloc measure of a call's allocations (TracedPeak)."""
 
 import dataclasses
 import math
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +33,28 @@ def make_cfg(**overrides) -> ExperimentConfig:
     """The default ExperimentConfig with `overrides`, validated as a parsed
     config is."""
     return validate(dataclasses.replace(ExperimentConfig(), **overrides))
+
+
+class TracedPeak:
+    """tracemalloc over a with block. On exit, `rise` is how far the traced
+    peak rose above the memory held at the block's start, or at the last
+    reset() inside it, and `held` how much more is held than there.
+    tracemalloc sees numpy's array data, so neither depends on the
+    allocator."""
+
+    def __enter__(self):
+        tracemalloc.start()
+        self.reset()
+        return self
+
+    def reset(self):
+        tracemalloc.reset_peak()
+        self.base = tracemalloc.get_traced_memory()[0]
+
+    def __exit__(self, *exc):
+        held, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        self.held, self.rise = held - self.base, peak - self.base
 
 
 def rel_err(analytic, numeric) -> float:
