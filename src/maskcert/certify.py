@@ -266,8 +266,9 @@ def pca_models(deployed: list[MaskableModel], x_eval, y_eval, spec: TransformSpe
     if any(model.specs != specs for model in deployed[1:]):
         raise ValueError("pca: the models to certify differ in their layer specs")
     classes = specs[-1].out_dim
-    bad = (np.ones(len(y_eval), dtype=bool) if y_eval.dtype.kind not in "iuf"
-           else ~((y_eval >= 0) & (y_eval < classes) & (y_eval % 1 == 0)))
+    with np.errstate(invalid="ignore"):  # inf % 1 is nan: an infinite label is bad
+        bad = (np.ones(len(y_eval), dtype=bool) if y_eval.dtype.kind not in "iuf"
+               else ~((y_eval >= 0) & (y_eval < classes) & (y_eval % 1 == 0)))
     if bad.any():
         i = int(np.argmax(bad))
         raise ValueError(f"pca: label {y_eval[i].item()!r} of sample {i} is not a class index "

@@ -36,6 +36,14 @@ EXIT_IO = 2
 EXIT_NUMERIC = 3
 EXIT_INTERNAL = 4
 
+# exception family -> exit code and stderr label; the first family that
+# matches wins, so anything else is an internal invariant breach
+_FAILURES = ((ConfigError, EXIT_CONFIG, "config error"),
+             ((DatasetError, OSError), EXIT_IO, "i/o error"),
+             ((FloatingPointError, ZeroDivisionError, OverflowError), EXIT_NUMERIC,
+              "numeric failure"),
+             (Exception, EXIT_INTERNAL, "internal error"))
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # route usage errors through the config category
@@ -288,22 +296,12 @@ def main(argv=None) -> int:
         extra = _COMMANDS[command](cfg, args, out)
         _write_status(out, command, EXIT_OK, started, extra)
         return EXIT_OK
-    except ConfigError as exc:
-        print(f"maskcert: config error: {exc}", file=sys.stderr)
-        _write_status(out, command, EXIT_CONFIG, started, message=str(exc))
-        return EXIT_CONFIG
-    except (DatasetError, OSError) as exc:
-        print(f"maskcert: i/o error: {exc}", file=sys.stderr)
-        _write_status(out, command, EXIT_IO, started, message=str(exc))
-        return EXIT_IO
-    except (FloatingPointError, ZeroDivisionError, OverflowError) as exc:
-        print(f"maskcert: numeric failure: {exc}", file=sys.stderr)
-        _write_status(out, command, EXIT_NUMERIC, started, message=str(exc))
-        return EXIT_NUMERIC
     except Exception as exc:  # noqa: BLE001 - category 4 is the contract
-        print(f"maskcert: internal error: {exc}", file=sys.stderr)
-        _write_status(out, command, EXIT_INTERNAL, started, message=str(exc))
-        return EXIT_INTERNAL
+        code, label = next((code, label) for family, code, label in _FAILURES
+                           if isinstance(exc, family))
+        print(f"maskcert: {label}: {exc}", file=sys.stderr)
+        _write_status(out, command, code, started, message=str(exc))
+        return code
 
 
 if __name__ == "__main__":

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import Any
 
 from .errors import ConfigError
-from .model import mlp_specs
-from .transforms import CorruptionTag, TransformSpec
+from .model import MASK_MODES, mlp_specs
+from .transforms import CORRUPTIONS, KINDS, CorruptionTag, TransformSpec
 
 METHODS = ("vanilla", "lmp", "csam")
 AUGMENT_LEVELS = ("none", "L1", "L2")
@@ -29,55 +29,89 @@ CERT_REPETITIONS_MAX = 100
 CERT_T_COUNT_MAX = 1_000_000
 
 
+def _key(default, check):
+    """A config field: its default and its range check, a (predicate,
+    human-readable constraint) pair that parse_config and validate apply."""
+    return field(default=default, metadata={"check": check})
+
+
+def _above(x):
+    return (lambda v: v > x, f"> {x}")
+
+
+def _at_least(x):
+    return (lambda v: v >= x, f">= {x}")
+
+
+def _within(lo, hi, ends="[]"):
+    """lo <= v <= hi, an end strict where `ends` has "(" or ")" for it."""
+    return (lambda v: (lo <= v if ends[0] == "[" else lo < v)
+            and (v <= hi if ends[1] == "]" else v < hi),
+            f"in {ends[0]}{lo}, {hi}{ends[1]}")
+
+
+def _one_of(values):
+    return (lambda v: v in values, "one of " + ", ".join(values))
+
+
+# a path the file format holds: parse_config cuts a line at "#" and strips it
+_PATH = (lambda v: not {"#", "\n", "\r"} & set(v) and v == v.strip(),
+         "a path without '#', line breaks or leading or trailing whitespace")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    dataset_kind: str = "synthetic"
-    synthetic_dim: int = 16
-    synthetic_classes: int = 2
-    synthetic_train_per_class: int = 200
-    synthetic_test_per_class: int = 100
-    synthetic_separation: float = 1.0
-    synthetic_noise: float = 0.35
-    synthetic_semantic_noise: float = 1.0
-    idx_train_images: str = ""
-    idx_train_labels: str = ""
-    idx_test_images: str = ""
-    idx_test_labels: str = ""
-    idx_classes: int = 10
-    transform_kind: str = "direction_shift"
-    corruption: str = "haze"
-    corruption_severity: float = 0.6
-    hidden_dims: tuple = (64, 64)
-    mask_mode: str = "unstructured"
-    pruning_ratio: float = 0.5
-    init_percentile: float = 30.0
-    noise_magnitude: float = 0.5
-    safety_threshold: float = 1.0
-    margin_epsilon: float = 1e-6
-    lambda_stab: float = 5.0
-    lambda_ratio: float = 1.0
-    lambda_consis: float = 1.0
-    lambda_l1: float = 1e-4
-    stage1_epochs: int = 50
-    stage1_lr: float = 0.01
-    stage2_epochs: int = 100
-    stage2_lr: float = 1e-4
-    stage3_epochs: int = 50
-    stage3_lr: float = 0.001
-    batch_size: int = 64
-    momentum: float = 0.9
-    augment_level: str = "L2"
-    methods: tuple = ("vanilla", "lmp", "csam")
-    cert_samples: int = 100
-    cert_repetitions: int = 10
-    cert_alpha: float = 0.9
-    cert_error_bound: float = 1e-3
-    cert_t_count: int = 500
-    cert_t_lo: float = 1e-4
-    cert_t_hi: float = 1e4
-    cert_eval_size: int = 100
-    cert_cv: float = 1.0
-    seed: int = 1009
+    dataset_kind: str = _key("synthetic", _one_of(("synthetic", "idx")))
+    synthetic_dim: int = _key(16, _at_least(2))
+    synthetic_classes: int = _key(2, _at_least(2))
+    synthetic_train_per_class: int = _key(200, _at_least(1))
+    synthetic_test_per_class: int = _key(100, _at_least(1))
+    synthetic_separation: float = _key(1.0, _above(0))
+    synthetic_noise: float = _key(0.35, _above(0))
+    synthetic_semantic_noise: float = _key(1.0, _above(0))
+    idx_train_images: str = _key("", _PATH)
+    idx_train_labels: str = _key("", _PATH)
+    idx_test_images: str = _key("", _PATH)
+    idx_test_labels: str = _key("", _PATH)
+    idx_classes: int = _key(10, _at_least(2))
+    transform_kind: str = _key("direction_shift", _one_of(KINDS))
+    corruption: str = _key("haze", _one_of(CORRUPTIONS))
+    corruption_severity: float = 0.6  # checked against its corruption in validate
+    hidden_dims: tuple = _key((64, 64), (lambda v: len(v) >= 1 and all(d >= 1 for d in v),
+                                         "positive layer widths"))
+    mask_mode: str = _key("unstructured", _one_of(MASK_MODES))
+    pruning_ratio: float = _key(0.5, _within(0, 1, "[)"))
+    init_percentile: float = _key(30.0, _within(0, 100, "()"))
+    noise_magnitude: float = _key(0.5, _at_least(0))
+    safety_threshold: float = _key(1.0, _within(0, 1, "(]"))
+    margin_epsilon: float = _key(1e-6, _above(0))
+    lambda_stab: float = _key(5.0, _at_least(0))
+    lambda_ratio: float = _key(1.0, _at_least(0))
+    lambda_consis: float = _key(1.0, _at_least(0))
+    lambda_l1: float = _key(1e-4, _at_least(0))
+    stage1_epochs: int = _key(50, _at_least(1))
+    stage1_lr: float = _key(0.01, _above(0))
+    stage2_epochs: int = _key(100, _at_least(1))
+    stage2_lr: float = _key(1e-4, _above(0))
+    stage3_epochs: int = _key(50, _at_least(1))
+    stage3_lr: float = _key(0.001, _above(0))
+    batch_size: int = _key(64, _at_least(1))
+    momentum: float = _key(0.9, _within(0, 1, "[)"))
+    augment_level: str = _key("L2", _one_of(AUGMENT_LEVELS))
+    methods: tuple = _key(("vanilla", "lmp", "csam"),
+                          (lambda v: len(v) >= 1 and len(set(v)) == len(v)
+                           and all(m in METHODS for m in v),
+                           "distinct names from " + ", ".join(METHODS)))
+    cert_samples: int = _key(100, _within(1, CERT_SAMPLES_MAX))
+    cert_repetitions: int = _key(10, _within(1, CERT_REPETITIONS_MAX))
+    cert_alpha: float = _key(0.9, _within(0, 1, "()"))
+    cert_error_bound: float = _key(1e-3, _within(0, 1, "()"))
+    cert_t_count: int = _key(500, _within(2, CERT_T_COUNT_MAX))
+    cert_t_lo: float = _key(1e-4, _above(0))
+    cert_t_hi: float = _key(1e4, _above(0))
+    cert_eval_size: int = _key(100, _at_least(1))
+    cert_cv: float = _key(1.0, _above(0))
+    seed: int = _key(1009, (lambda v: 0 <= v < 2 ** 64, "a u64"))
 
 
 def _parse_int(raw):
@@ -94,6 +128,10 @@ def _parse_float(raw):
         raise ValueError(f"expected a number, got {raw!r}") from None
 
 
+def _parse_str(raw):
+    return str(raw).strip()
+
+
 def _parse_tuple(raw, parse, what):
     """A comma-separated list, each entry stripped and parsed; an empty entry
     (as in "64,,32" or a trailing comma) is an error, not a shorter list."""
@@ -104,107 +142,48 @@ def _parse_tuple(raw, parse, what):
     return tuple(parse(p) for p in parts)
 
 
-# dataclass field annotations are strings under `from __future__ import annotations`
-_PARSERS = {"int": _parse_int, "float": _parse_float, "str": lambda raw: str(raw).strip()}
+# the type of a field's default, or (entry type,) for a tuple -> the parser
+# of the field's text, and the name of the values it takes (_has_type)
+_KINDS = {int: (_parse_int, "a built-in int"),
+          float: (_parse_float, "a built-in int or float"),
+          str: (_parse_str, "a str"),
+          (int,): (lambda raw: _parse_tuple(raw, _parse_int, "integers"),
+                   "a tuple of built-in ints"),
+          (str,): (lambda raw: _parse_tuple(raw, _parse_str, "names"), "a tuple of str")}
 
-# key -> (predicate, human-readable constraint)
-_RANGES = {
-    "dataset_kind": (lambda v: v in ("synthetic", "idx"), "one of synthetic, idx"),
-    "synthetic_dim": (lambda v: v >= 2, ">= 2"),
-    "synthetic_classes": (lambda v: v >= 2, ">= 2"),
-    "synthetic_train_per_class": (lambda v: v >= 1, ">= 1"),
-    "synthetic_test_per_class": (lambda v: v >= 1, ">= 1"),
-    "synthetic_separation": (lambda v: v > 0, "> 0"),
-    "synthetic_noise": (lambda v: v > 0, "> 0"),
-    "synthetic_semantic_noise": (lambda v: v > 0, "> 0"),
-    # a path the file format holds: parse_config cuts a line at "#" and strips it
-    **dict.fromkeys(("idx_train_images", "idx_train_labels", "idx_test_images",
-                     "idx_test_labels"),
-                    (lambda v: not {"#", "\n", "\r"} & set(v) and v == v.strip(),
-                     "a path without '#', line breaks or leading or trailing whitespace")),
-    "idx_classes": (lambda v: v >= 2, ">= 2"),
-    "transform_kind": (lambda v: v in ("direction_shift", "interp_corrupt"),
-                       "one of direction_shift, interp_corrupt"),
-    "corruption": (lambda v: v in ("haze", "gaussian_blur3"),
-                   "one of haze, gaussian_blur3"),
-    "hidden_dims": (lambda v: len(v) >= 1 and all(d >= 1 for d in v),
-                    "positive layer widths"),
-    "mask_mode": (lambda v: v in ("unstructured", "structured"),
-                  "one of unstructured, structured"),
-    "pruning_ratio": (lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
-    "init_percentile": (lambda v: 0.0 < v < 100.0, "in (0, 100)"),
-    "noise_magnitude": (lambda v: v >= 0.0, ">= 0"),
-    "safety_threshold": (lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
-    "margin_epsilon": (lambda v: v > 0.0, "> 0"),
-    "lambda_stab": (lambda v: v >= 0.0, ">= 0"),
-    "lambda_ratio": (lambda v: v >= 0.0, ">= 0"),
-    "lambda_consis": (lambda v: v >= 0.0, ">= 0"),
-    "lambda_l1": (lambda v: v >= 0.0, ">= 0"),
-    "stage1_epochs": (lambda v: v >= 1, ">= 1"),
-    "stage2_epochs": (lambda v: v >= 1, ">= 1"),
-    "stage3_epochs": (lambda v: v >= 1, ">= 1"),
-    "stage1_lr": (lambda v: v > 0, "> 0"),
-    "stage2_lr": (lambda v: v > 0, "> 0"),
-    "stage3_lr": (lambda v: v > 0, "> 0"),
-    "batch_size": (lambda v: v >= 1, ">= 1"),
-    "momentum": (lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
-    "augment_level": (lambda v: v in AUGMENT_LEVELS, "one of none, L1, L2"),
-    "methods": (lambda v: len(v) >= 1 and len(set(v)) == len(v)
-                and all(m in METHODS for m in v),
-                "distinct names from vanilla, lmp, csam"),
-    "cert_samples": (lambda v: 1 <= v <= CERT_SAMPLES_MAX, f"in [1, {CERT_SAMPLES_MAX}]"),
-    "cert_repetitions": (lambda v: 1 <= v <= CERT_REPETITIONS_MAX,
-                         f"in [1, {CERT_REPETITIONS_MAX}]"),
-    "cert_alpha": (lambda v: 0.0 < v < 1.0, "in (0, 1)"),
-    "cert_error_bound": (lambda v: 0.0 < v < 1.0, "in (0, 1)"),
-    "cert_t_count": (lambda v: 2 <= v <= CERT_T_COUNT_MAX, f"in [2, {CERT_T_COUNT_MAX}]"),
-    "cert_t_lo": (lambda v: v > 0, "> 0"),
-    "cert_t_hi": (lambda v: v > 0, "> 0"),
-    "cert_eval_size": (lambda v: v >= 1, ">= 1"),
-    "cert_cv": (lambda v: v > 0, "> 0"),
-    "seed": (lambda v: 0 <= v < 2 ** 64, "a u64"),
-}
-
-_FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
-
-# the built-in types whose text serialize writes and parse_config reads back
-# to the same value: not bool (an int subclass) and not numpy scalars
-_TYPES = {"int": ((int,), "a built-in int"), "float": ((int, float), "a built-in int or float"),
-          "str": ((str,), "a str"), "hidden_dims": ((int,), "a tuple of built-in ints"),
-          "methods": ((str,), "a tuple of str")}
+_FIELDS = {f.name: f for f in fields(ExperimentConfig)}
 
 
-def _check_type(key: str, value, where: str) -> None:
-    types, what = _TYPES.get(key) or _TYPES[_FIELD_TYPES[key]]
-    if key in ("hidden_dims", "methods"):
-        ok = type(value) is tuple and all(type(v) in types for v in value)
-    else:
-        ok = type(value) in types
-    if not ok:
-        raise ConfigError(f"{where}: key {key!r} must be {what}, got {value!r} "
-                          f"of type {type(value).__name__}")
+def _kind(f):
+    d = f.default
+    return _KINDS[(type(d[0]),) if isinstance(d, tuple) else type(d)]
 
 
-def _check(key: str, value, where: str) -> None:
-    if _FIELD_TYPES[key] == "float" and not math.isfinite(value):
-        raise ConfigError(f"{where}: key {key!r} must be a finite number, got {value!r}")
-    if key in _RANGES:
-        ok, constraint = _RANGES[key]
+def _has_type(value, default) -> bool:
+    """Whether value has the built-in type of `default`, one whose text
+    serialize writes and parse_config reads back to the same value: not bool
+    (an int subclass) and not numpy scalars. An int passes for a float, and
+    a tuple's entries must each pass for its first."""
+    if isinstance(default, tuple):
+        return type(value) is tuple and all(_has_type(v, default[0]) for v in value)
+    return type(value) is type(default) or (type(default) is float and type(value) is int)
+
+
+def _check(f, value, where: str) -> None:
+    if type(f.default) is float and not math.isfinite(value):
+        raise ConfigError(f"{where}: key {f.name!r} must be a finite number, got {value!r}")
+    if "check" in f.metadata:
+        ok, constraint = f.metadata["check"]
         if not ok(value):
-            raise ConfigError(f"{where}: key {key!r} must be {constraint}, got {value!r}")
+            raise ConfigError(f"{where}: key {f.name!r} must be {constraint}, got {value!r}")
 
 
-def _convert(key: str, raw: str, where: str):
+def _convert(f, raw: str, where: str):
     try:
-        if key == "hidden_dims":
-            value = _parse_tuple(raw, _parse_int, "integers")
-        elif key == "methods":
-            value = _parse_tuple(raw, str, "names")
-        else:
-            value = _PARSERS[_FIELD_TYPES[key]](raw)
+        value = _kind(f)[0](raw)
     except ValueError as exc:
-        raise ConfigError(f"{where}: key {key!r}: {exc}") from None
-    _check(key, value, where)
+        raise ConfigError(f"{where}: key {f.name!r}: {exc}") from None
+    _check(f, value, where)
     return value
 
 
@@ -212,9 +191,12 @@ def validate(cfg: ExperimentConfig, where: str = "config") -> ExperimentConfig:
     """Cross-field checks; per-key ranges are re-applied for configs built in
     code rather than parsed, after a check that each value has a type the
     config file can hold."""
-    for key in _FIELD_TYPES:
-        _check_type(key, getattr(cfg, key), where)
-        _check(key, getattr(cfg, key), where)
+    for f in _FIELDS.values():
+        value = getattr(cfg, f.name)
+        if not _has_type(value, f.default):
+            raise ConfigError(f"{where}: key {f.name!r} must be {_kind(f)[1]}, "
+                              f"got {value!r} of type {type(value).__name__}")
+        _check(f, value, where)
     try:
         CorruptionTag(cfg.corruption, cfg.corruption_severity)
     except ValueError as exc:
@@ -264,12 +246,12 @@ def parse_config(path) -> ExperimentConfig:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line.rstrip()!r}")
         key, raw = (part.strip() for part in text.split("=", 1))
         where = f"{path}:{lineno}"
-        if key not in _FIELD_TYPES:
+        if key not in _FIELDS:
             raise ConfigError(f"{where}: unknown key {key!r}")
         if key in seen:
             raise ConfigError(f"{where}: duplicate key {key!r} (first set on line {seen[key]})")
         seen[key] = lineno
-        values[key] = _convert(key, raw, where)
+        values[key] = _convert(_FIELDS[key], raw, where)
     return validate(ExperimentConfig(**values), where=str(path))
 
 

@@ -74,7 +74,7 @@ def sample_noisy(c: np.ndarray, mu: float, rng: np.random.Generator,
     The noise is drawn straight into the draws' array as lo + (hi - lo)·u
     from rng.random, the bits rng.uniform(lo, hi) gives, and C is added in
     place."""
-    if mu < 0:
+    if not mu >= 0:
         raise ValueError(f"mu must be non-negative, got {mu}")
     lo, hi = -mu, mu
     xi = rng.random(out=np.empty((draws, *c.shape)) if out is None else out)

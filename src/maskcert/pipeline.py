@@ -29,7 +29,10 @@ from .model import MaskableModel, _buffer, masked_backward, masked_forward
 from .objectives import StepReport, composite_step_loss
 from .transforms import augment_dataset
 
-# rng stream namespaces under the experiment root seed
+# rng stream namespaces under the experiment root seed. STREAM_INIT shares
+# [seed, 1] with the synthetic test split (datasets.gen_synthetic), so model
+# init and the test features start from one generator state; moving either
+# changes every recorded output, so it waits for a change that re-records them.
 STREAM_INIT = 1
 STREAM_AUGMENT = 2
 STREAM_STAGE1 = 3
@@ -307,10 +310,10 @@ def eval_subset(cfg: ExperimentConfig, test: Dataset) -> np.ndarray:
 def run_experiment(cfg: ExperimentConfig) -> ExperimentOutput:
     """Train every configured method from one shared pre-trained model, then
     certify them all in one pass on one shared evaluation subset; results
-    keeps the config's order. csam's mask is searched first, on the shared
-    model itself, which stage 2 never writes, so no other method's model,
-    fold or mask is live at the search's memory peak; csam's wall_time
-    still counts the search."""
+    keeps the config's order. Nothing writes the shared model: vanilla
+    deploys it as it is, and csam's mask is searched first, on it, so no
+    other method's model, fold or mask is live at the search's memory peak;
+    csam's wall_time still counts the search. lmp and csam fine-tune copies."""
     train, test, spec, train_aug, rows = build_data(cfg)
 
     base = fresh_model(cfg, train.x.shape[1])
@@ -328,7 +331,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentOutput:
         t0 = time.perf_counter()
         logs = {}
         soft = None
-        model = base.copy()
+        model = base if method == "vanilla" else base.copy()
         if method == "vanilla":
             hard = None
         elif method == "lmp":

@@ -589,7 +589,8 @@ class TestCertifySampleAndPca:
                          ("clean", (1, 1, 4)), draws]
 
     @pytest.mark.parametrize("labels", [[0.7, 1.7, 0.0], [5, 6, 0], [-1, 0, 1],
-                                        [0.0, np.nan, 1.0], ["0", "1", "0"]])
+                                        [0.0, np.nan, 1.0], [0.0, np.inf, 1.0],
+                                        [0.0, -np.inf, 1.0], ["0", "1", "0"]])
     def test_pca_labels_must_be_class_indices(self, labels):
         # a 2-class model: a fractional, out-of-range or non-numeric label is
         # an error, not a truncated or never-matching one in the CSV

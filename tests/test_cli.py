@@ -6,10 +6,11 @@ import time
 import numpy as np
 import pytest
 
-from maskcert import pipeline
+from maskcert import cli, pipeline
 from maskcert.certify import t_grid
-from maskcert.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main
+from maskcert.cli import EXIT_CONFIG, EXIT_INTERNAL, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main
 from maskcert.config import CERT_REPETITIONS_MAX, CERT_SAMPLES_MAX, CERT_T_COUNT_MAX
+from maskcert.errors import ConfigError, DatasetError
 from maskcert.model import MaskableModel, mlp_specs, save_checkpoint
 from util import make_cfg
 
@@ -341,6 +342,24 @@ class TestErrorsAndProvenance:
         assert run(command, tiny_config, tmp_path / "o", "--stage-checkpoint",
                    str(tmp_path / "nonexistent" / "x.ckpt")) == EXIT_CONFIG
         assert "--stage-checkpoint" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("family,code,label", [
+        (ConfigError, EXIT_CONFIG, "config error"),
+        (DatasetError, EXIT_IO, "i/o error"),
+        (OSError, EXIT_IO, "i/o error"),
+        (FloatingPointError, EXIT_NUMERIC, "numeric failure"),
+        (RuntimeError, EXIT_INTERNAL, "internal error")])
+    def test_exception_family_sets_exit_code_and_label(self, tiny_config, tmp_path,
+                                                       monkeypatch, capsys, family, code,
+                                                       label):
+        def fail(cfg, args, out):
+            raise family("boom")
+        monkeypatch.setitem(cli._COMMANDS, "gen-data", fail)
+        assert run("gen-data", tiny_config, tmp_path / "o") == code
+        assert capsys.readouterr().err == f"maskcert: {label}: boom\n"
+        status = (tmp_path / "o" / "status.txt").read_text(encoding="utf-8")
+        assert "status = error\n" in status and f"exit_code = {code}\n" in status
+        assert "message = boom\n" in status
 
     def test_usage_error_writes_no_status(self, tiny_config, tmp_path, monkeypatch, capsys):
         # arguments that do not parse name no output directory, so neither the

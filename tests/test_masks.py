@@ -142,9 +142,10 @@ class TestSampleNoisy:
         for i, v_i in enumerate(layer_views(v, dims)):
             assert np.array_equal(v_i, [np.clip(cs[i] + xis[k][i], 0, 1) for k in range(3)])
 
-    def test_negative_mu_rejected(self):
+    @pytest.mark.parametrize("mu", [-0.1, np.nan])
+    def test_negative_mu_rejected(self, mu):
         with pytest.raises(ValueError, match="mu"):
-            sample_noisy(np.ones(2), -0.1, np.random.default_rng(0))
+            sample_noisy(np.ones(2), mu, np.random.default_rng(0))
 
     @pytest.mark.parametrize("size", [5248, 109184])  # default and idx-wide mask units
     @pytest.mark.parametrize("mu", [0.5, 0.1, 0.0])

@@ -510,9 +510,8 @@ class TestRunExperiment:
     def test_methods_share_pretrained_weights(self):
         cfg = tiny_cfg(methods=("vanilla", "lmp", "csam"))
         out = run_experiment(cfg)
-        vanilla = out.results["vanilla"].model
-        for a, b in zip(vanilla.weights, out.pretrained.weights):
-            assert np.array_equal(a, b)
+        # vanilla deploys the shared model itself, which nothing writes
+        assert out.results["vanilla"].model is out.pretrained
         # pruned methods keep masked weights at their pretrained values
         for name in ("lmp", "csam"):
             art = out.results[name]
