@@ -311,9 +311,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentOutput:
     """Train every configured method from one shared pre-trained model, then
     certify them all in one pass on one shared evaluation subset; results
     keeps the config's order. Nothing writes the shared model: vanilla
-    deploys it as it is, and csam's mask is searched first, on it, so no
-    other method's model, fold or mask is live at the search's memory peak;
-    csam's wall_time still counts the search. lmp and csam fine-tune copies."""
+    deploys it as it is, lmp and csam fine-tune copies of it, and csam's
+    mask is searched first, on it, so no other method's model, fold or mask
+    is live at the search's memory peak; csam's wall_time still counts the
+    search."""
     train, test, spec, train_aug, rows = build_data(cfg)
 
     base = fresh_model(cfg, train.x.shape[1])
