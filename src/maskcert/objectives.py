@@ -121,6 +121,14 @@ class CompositeResult:
     grad: np.ndarray             # on the flat soft mask (see masks.layer_views)
 
 
+def _batch_slots(work: dict, shape) -> tuple:
+    """The clean and transformed slots, each of `shape`, of the stacked
+    input that composite_step_loss runs in `work`. A batch gathered into
+    them is not copied again."""
+    x4 = _buffer(work, "x", (4, *shape))
+    return x4[0], x4[2]
+
+
 def composite_step_loss(model: MaskableModel, soft_mask, x, x_t, cfg: ExperimentConfig,
                         rng: np.random.Generator, step: int = 0,
                         work: dict | None = None) -> CompositeResult:
@@ -152,7 +160,10 @@ def composite_step_loss(model: MaskableModel, soft_mask, x, x_t, cfg: Experiment
     gradient take its slice of it, multiplied copy by copy in place. The
     stack is dead once the call returns, until the next call overwrites
     all of it, so the loop may use it as scratch in between: stage 2's
-    Adam step forms its update in its first two rows.
+    Adam step forms its update in its first two rows. The stacked input
+    also lives in `work`; x and x_t may already be its clean and transformed
+    slots (_batch_slots), as stage 2 gathers each batch there, and then only
+    the other two copies are made.
     """
     x = np.asarray(x, dtype=np.float64)
     x_t = np.asarray(x_t, dtype=np.float64)
@@ -188,7 +199,9 @@ def composite_step_loss(model: MaskableModel, soft_mask, x, x_t, cfg: Experiment
         else:
             ws[i] = m * ws[i]
 
-    x4 = np.stack([x, x, x_t, x], out=_buffer(work, "x", (4, *x.shape)))
+    x4 = _buffer(work, "x", (4, *x.shape))
+    for j, x_j in enumerate((x, x, x_t, x)):
+        x4[j] = x_j  # a copy, or nothing where x_j is already slot j
     with np.errstate(all="ignore"):  # masked_backward checks the pre-activations
         hs, zs = masked_forward(x4, ws, model.biases, model.specs, work)
     probs, softmax_vjp = ad.primitive("softmax", [hs[-1]])

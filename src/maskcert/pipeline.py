@@ -26,7 +26,7 @@ from .errors import ConfigError, DatasetError
 from .masks import (binarize, effective_ratio, hard_multipliers, init_percentile_scaled,
                     layer_views, unit_magnitudes)
 from .model import MaskableModel, _buffer, masked_backward, masked_forward
-from .objectives import StepReport, composite_step_loss
+from .objectives import StepReport, _batch_slots, composite_step_loss
 from .transforms import augment_dataset
 
 # rng stream namespaces under the experiment root seed. STREAM_INIT shares
@@ -47,13 +47,15 @@ class MomentumSGD:
         self.lr = lr
         self.momentum = momentum
         self.velocity: dict[int, np.ndarray] = {}
-        self.work: dict = {}  # each param's lr * v
 
-    def step(self, params: list[np.ndarray], grads: list[np.ndarray]):
+    def step(self, params: list[np.ndarray], grads: list[np.ndarray], scratch=None):
         """Update params in place. The velocities are the optimizer's own
         arrays (the first step copies each gradient), so a caller may reuse
-        its gradient arrays across steps; lr * v is formed in an array of
-        its own work dict, so a step after the first allocates nothing."""
+        its gradient arrays across steps. lr * v is formed in scratch[i],
+        shaped like params[i], whose contents the step overwrites once the
+        velocity holds the gradient: a caller may lend the gradients
+        themselves (stage 1 and 3 do), and then a step allocates nothing
+        after the first. Without scratch it is formed in a fresh array."""
         for i, (p, g) in enumerate(zip(params, grads)):
             v = self.velocity.get(i)
             if v is None:
@@ -61,7 +63,7 @@ class MomentumSGD:
             else:  # momentum * v + g, in place
                 v *= self.momentum
                 v += g
-            p -= np.multiply(v, self.lr, out=_buffer(self.work, i, v.shape))
+            p -= np.multiply(v, self.lr, out=None if scratch is None else scratch[i])
 
 
 class Adam:
@@ -134,8 +136,9 @@ def _ce_epochs(model: MaskableModel, data: Dataset, epochs: int, lr: float,
     gradient multiplied by its multiplier. Each step folds the weights into
     its work dict (MaskableModel.folded), then runs masked_forward,
     cross_entropy, masked_backward and the weight and bias gradients in one
-    errstate block; the per-epoch accuracy folds into the same dict. Updates
-    model weights in place."""
+    errstate block; the per-epoch accuracy folds into the same dict. The
+    gradients are dead once the velocities hold them, so the step lends them
+    to MomentumSGD as its scratch. Updates model weights in place."""
     opt = MomentumSGD(lr, momentum)
     history = []
     n = len(data)
@@ -166,7 +169,8 @@ def _ce_epochs(model: MaskableModel, data: Dataset, epochs: int, lr: float,
             for g, m in zip(g_ws, multipliers or ()):
                 if m is not None:
                     g *= m
-            opt.step(model.weights + model.biases, g_ws + g_bs)
+            grads = g_ws + g_bs
+            opt.step(model.weights + model.biases, grads, scratch=grads)
             loss_sum += float(loss) * len(idx)
         history.append(EpochStats(epoch, loss_sum / n,
                                   accuracy(model.folded(multipliers, work), data, eval_work)))
@@ -187,10 +191,12 @@ def stage2_mask_search(model: MaskableModel, x_aug: np.ndarray, rows: np.ndarray
     The pairs are row indices into the augmented inputs x_aug, as
     augment_dataset lays them out: pair j is clean row x_aug[rows[j]] and
     transformed row x_aug[len(x_aug) - len(rows) + j]. Each batch gathers
-    its rows from x_aug. Returns (soft_mask, step reports). The mask is
-    clamped back into [0, 1] after every update. Each step's noise draws come
-    from a stream derived from (seed, noise namespace, step), so any step is
-    reproducible in isolation.
+    its rows from x_aug straight into the step's stacked input
+    (objectives._batch_slots), and each step's result is dropped before the
+    next step, so one mask-sized gradient is live at a time. Returns
+    (soft_mask, step reports). The mask is clamped back into [0, 1] after
+    every update. Each step's noise draws come from a stream derived from
+    (seed, noise namespace, step), so any step is reproducible in isolation.
     """
     rows = np.asarray(rows, dtype=np.int64)
     first = len(x_aug) - len(rows)  # the first transformed row
@@ -211,12 +217,17 @@ def stage2_mask_search(model: MaskableModel, x_aug: np.ndarray, rows: np.ndarray
         for start in range(0, len(rows), cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
             noise_rng = np.random.default_rng([cfg.seed, STREAM_STAGE2_NOISE, step])
-            result = composite_step_loss(model, c, x_aug[rows[idx]], x_aug[first + idx], cfg,
-                                         noise_rng, step=step, work=work)
+            # gathered straight into the step's stacked input (mode="clip":
+            # the rows are in range)
+            x, x_t = _batch_slots(work, (len(idx), x_aug.shape[1]))
+            np.take(x_aug, rows[idx], axis=0, out=x, mode="clip")
+            np.take(x_aug, first + idx, axis=0, out=x_t, mode="clip")
+            result = composite_step_loss(model, c, x, x_t, cfg, noise_rng, step=step, work=work)
             # the mask stack is dead until the next step: Adam's scratch
             opt.step(c, result.grad, _buffer(work, "mask", (2, c.size)))
             np.clip(c, 0.0, 1.0, out=c)
             reports.append(result.report)
+            del result  # its gradient dies before the next step forms one
             step += 1
     return layer_views(c, model.mask_dims()), reports
 
@@ -314,20 +325,21 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentOutput:
     deploys it as it is, lmp and csam fine-tune copies of it, and csam's
     mask is searched first, on it, so no other method's model, fold or mask
     is live at the search's memory peak; csam's wall_time still counts the
-    search."""
+    search. Each large array dies with its last reader: a method's clean
+    accuracy runs on a fold of its own, the augmented training set goes
+    once the last method is trained, and only then are the deployed models
+    folded and the evaluation inputs gathered for certification."""
     train, test, spec, train_aug, rows = build_data(cfg)
 
     base = fresh_model(cfg, train.x.shape[1])
     stage1_log = stage1_pretrain(base, train_aug, cfg)
-
-    idx = eval_subset(cfg, test)
-    x_eval, y_eval = test.x[idx], test.y[idx]
+    idx = eval_subset(cfg, test)  # checked here, gathered at certification
 
     if "csam" in cfg.methods:
         t0 = time.perf_counter()
         search = (*stage2_mask_search(base, train_aug.x, rows, cfg), time.perf_counter() - t0)
 
-    results, deployed = {}, []
+    results = {}
     for method in cfg.methods:
         t0 = time.perf_counter()
         logs = {}
@@ -346,14 +358,16 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentOutput:
         else:
             raise ConfigError(f"unknown method {method!r}")
 
-        deployed.append(model.folded(hard_multipliers(model, hard)))
         results[method] = MethodResult(
             method=method, model=model, hard=hard, soft=soft, cert=None, stage_logs=logs,
-            clean_accuracy=accuracy(deployed[-1], test), ratio=effective_ratio(hard, model),
-            wall_time=time.perf_counter() - t0)
+            clean_accuracy=accuracy(model.folded(hard_multipliers(model, hard)), test),
+            ratio=effective_ratio(hard, model), wall_time=time.perf_counter() - t0)
+    del train, train_aug  # train is a view of train_aug's head
 
     t0 = time.perf_counter()
-    for r, cert in zip(results.values(), pca_models(deployed, x_eval, y_eval, spec, cfg)):
+    deployed = [r.model.folded(hard_multipliers(r.model, r.hard)) for r in results.values()]
+    certs = pca_models(deployed, test.x[idx], test.y[idx], spec, cfg)
+    for r, cert in zip(results.values(), certs):
         r.cert = cert
     return ExperimentOutput(results=results, pretrained=base, stage1_log=stage1_log,
                             eval_indices=idx, certify_wall_time=time.perf_counter() - t0)

@@ -17,6 +17,7 @@ import numpy as np
 
 KINDS = ("direction_shift", "interp_corrupt")
 CORRUPTIONS = ("haze", "gaussian_blur3")
+BLOCK_FLOATS = 2 ** 15  # the most entries augment_dataset transforms at a time
 
 
 @dataclass(frozen=True)
@@ -115,8 +116,10 @@ def augment_dataset(x: np.ndarray, y: np.ndarray, spec: TransformSpec, count: in
     len(x) + j, and labels are carried over unchanged. The pairs are row
     indices, not copies: pair j is clean row x_aug[rows[j]] and transformed
     row x_aug[len(x) + j]. x_aug is the one array of the data's size this
-    allocates; the selected rows are gathered into its tail and transformed
-    there.
+    allocates: the selected rows are gathered into its tail and transformed
+    there in blocks of at most BLOCK_FLOATS entries (one row at least), so
+    the transform's temporary, c(x) for an interpolation, is one block's.
+    Each row's transform has the bits of a whole-tail call.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y)
@@ -135,5 +138,8 @@ def augment_dataset(x: np.ndarray, y: np.ndarray, spec: TransformSpec, count: in
     # mode="clip" gathers straight into the tail (rows are all in range);
     # the default mode would buffer a copy of it
     tail = np.take(x, rows, axis=0, out=x_aug[len(x):], mode="clip")
-    apply(spec, tail, delta_fixed, out=tail)
+    step = max(1, BLOCK_FLOATS // max(1, x[0].size))
+    for start in range(0, count, step):
+        block = tail[start:start + step]
+        apply(spec, block, delta_fixed, out=block)
     return x_aug, np.concatenate([y, y[rows]]), rows

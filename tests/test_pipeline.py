@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from maskcert import autodiff as ad
-from maskcert import certify, objectives, pipeline
+from maskcert import certify, objectives, pipeline, transforms
 from maskcert.config import ExperimentConfig, validate
 from maskcert.datasets import Dataset
 from maskcert.errors import ConfigError
@@ -80,13 +80,16 @@ class TestBuildData:
         # tracemalloc sees numpy's array data, so these bounds do not depend
         # on the allocator: after the build the augmented set and the test
         # inputs are all that is held, and the build's peak is the training
-        # inputs as loaded, the augmented set (twice their size) and the
-        # one temporary of the transform
+        # inputs as loaded, the augmented set (twice their size), the test
+        # inputs, one block's temporary of the transform (41 of the 100 rows)
+        # and a few kB of Python's own (the labels and the row picks)
         cfg = idx_cfg(tmp_path)
         with TracedPeak() as traced:
             train, test, _, train_aug, rows = pipeline.build_data(cfg)
+        block = transforms.BLOCK_FLOATS // train.x.shape[1] * train.x[0].nbytes
+        assert block < train.x.nbytes // 2
         assert traced.held <= 1.05 * (train_aug.x.nbytes + test.x.nbytes)
-        assert traced.rise <= 4.05 * train.x.nbytes + test.x.nbytes
+        assert traced.rise <= 3 * train.x.nbytes + block + test.x.nbytes + 2 ** 14
 
 
 class TestStage1:
@@ -241,6 +244,24 @@ class TestStepLifetime:
                 gc.enable()
         assert len(refs) > 3 and alive == 0
 
+    def test_stage2_holds_one_gradient_at_a_time(self, monkeypatch):
+        # each step's mask-sized gradient dies before the next step forms
+        # its own, so a step never runs beside the last one's gradient
+        grads = []
+        real = pipeline.composite_step_loss
+
+        def step(*args, **kwargs):
+            assert all(ref() is None for ref in grads)
+            result = real(*args, **kwargs)
+            grads.append(weakref.ref(result.grad))
+            return result
+
+        monkeypatch.setattr(pipeline, "composite_step_loss", step)
+        cfg = tiny_cfg(stage2_epochs=2)
+        _, _, _, train_aug, rows, model = tiny_setup(cfg)
+        stage2_mask_search(model, train_aug.x, rows, cfg)
+        assert len(grads) > cfg.stage2_epochs
+
 
 class TestWorkArrays:
     """Each training loop keeps its arrays in one work dict, grown to the
@@ -277,7 +298,8 @@ class TestWorkArrays:
         # step's and the accuracy forward's layer arrays; a step's other
         # arrays (its batch and the loss) are each far smaller, the folded
         # weights are kept in the step's dict and the optimizer's lr * v in
-        # its own, and Python's own allocations come to a fixed few tens of kB
+        # the gradients the step lends it, and Python's own allocations come
+        # to a fixed few tens of kB
         rng = np.random.default_rng(23)
         width = 1024
         model = MaskableModel.initialized(mlp_specs(2, [width], 2), "unstructured", rng)
@@ -293,8 +315,9 @@ class TestWorkArrays:
         # a 512-256-2 model: its first weight (1 MB) outweighs the rest of a
         # step, the batch's layer arrays included. Every step and every
         # accuracy forward folds the mask into the weights, into arrays of
-        # the step's dict, and the optimizer forms lr * v in arrays of its
-        # own, so after the first epoch nothing weight-sized is allocated
+        # the step's dict, and the optimizer forms lr * v in the gradients
+        # the step lends it, so after the first epoch nothing weight-sized is
+        # allocated
         rng = np.random.default_rng(25)
         model = MaskableModel.initialized(mlp_specs(512, [256], 2), "unstructured", rng)
         data = Dataset(rng.standard_normal((90, 512)), rng.integers(0, 2, 90))
@@ -454,6 +477,28 @@ class TestOptimizers:
                 assert np.array_equal(opt.velocity[i], want_v[i])
                 assert np.array_equal(p[i], want_p[i])
 
+    @pytest.mark.parametrize("lend", ["gradients", "own"])
+    def test_sgd_lent_scratch_keeps_the_bits(self, lend):
+        # lr * v formed in lent scratch, the gradients themselves (as
+        # _ce_epochs lends them) or arrays of the caller's, gives the
+        # parameters and velocities of a step without scratch, bit for bit
+        rng = np.random.default_rng(26)
+        shapes = [(3, 4), (3,)]
+        lent, plain = MomentumSGD(lr=0.1, momentum=0.9), MomentumSGD(lr=0.1, momentum=0.9)
+        p_lent, p_plain = [np.zeros(s) for s in shapes], [np.zeros(s) for s in shapes]
+        g = [np.empty(s) for s in shapes]
+        own = [np.empty(s) for s in shapes]
+        for _ in range(20):
+            for a in g:
+                a[...] = rng.standard_normal(a.shape)
+            plain.step(p_plain, [a.copy() for a in g])
+            lent.step(p_lent, g, scratch=g if lend == "gradients" else own)
+            for i in range(len(shapes)):
+                v = lent.velocity[i]
+                assert not np.shares_memory(v, g[i]) and not np.shares_memory(v, own[i])
+                assert np.array_equal(v, plain.velocity[i])
+                assert np.array_equal(p_lent[i], p_plain[i])
+
     def test_adam_first_step_is_lr_sized(self):
         opt = Adam(lr=0.01)
         p = np.array([1.0])
@@ -489,6 +534,24 @@ class TestOptimizers:
             oracle.step(layers, layer_views(grad, dims))
             layers = [np.clip(c, 0.0, 1.0) for c in layers]
             assert np.array_equal(flat, np.concatenate(layers))
+
+
+def assert_same_result(a, b):
+    """Two runs' results of one method hold the same bits."""
+    assert a.method == b.method
+    assert a.clean_accuracy == b.clean_accuracy and a.ratio == b.ratio
+    assert (a.hard is None) == (b.hard is None)
+    for x, y in zip(a.hard or (), b.hard or (), strict=True):
+        assert np.array_equal(x, y)
+    for x, y in zip(a.model.weights + a.model.biases, b.model.weights + b.model.biases,
+                    strict=True):
+        assert np.array_equal(x, y)
+    assert len(a.cert.rows) == len(b.cert.rows) > 0
+    for x, y in zip(a.cert.rows, b.cert.rows):
+        assert np.array_equal(x.rep_z_max, y.rep_z_max)
+        # repr: exact for floats, and a nan best_t reads the same
+        assert repr(dataclasses.replace(x, rep_z_max=None)) == \
+               repr(dataclasses.replace(y, rep_z_max=None))
 
 
 class TestRunExperiment:
@@ -598,19 +661,32 @@ class TestRunExperiment:
             assert out.results["csam"].wall_time >= seconds > 0.2
         for method in orders[0]:
             a, b = (out.results[method] for out in outs)
-            assert a.clean_accuracy == b.clean_accuracy and a.ratio == b.ratio
-            assert (a.hard is None) == (b.hard is None) == (method == "vanilla")
-            for x, y in zip(a.hard or (), b.hard or (), strict=True):
-                assert np.array_equal(x, y)
-            for x, y in zip(a.model.weights + a.model.biases, b.model.weights + b.model.biases,
-                            strict=True):
-                assert np.array_equal(x, y)
-            assert len(a.cert.rows) == len(b.cert.rows) > 0
-            for x, y in zip(a.cert.rows, b.cert.rows):
-                assert np.array_equal(x.rep_z_max, y.rep_z_max)
-                # repr: exact for floats, and a nan best_t reads the same
-                assert repr(dataclasses.replace(x, rep_z_max=None)) == \
-                       repr(dataclasses.replace(y, rep_z_max=None))
+            assert (a.hard is None) == (method == "vanilla")
+            assert_same_result(a, b)
+
+    def test_certification_runs_without_the_training_set(self, monkeypatch):
+        # the augmented training set dies with the last method's training,
+        # before certification, and letting it go changes no result
+        cfg = tiny_cfg(methods=("vanilla", "lmp", "csam"))
+        want = run_experiment(cfg)
+        refs = []
+        build, certify_all = pipeline.build_data, pipeline.pca_models
+
+        def built(*args):
+            data = build(*args)
+            refs.append(weakref.ref(data[3].x))
+            return data
+
+        def certified(*args):
+            assert len(refs) == 1 and refs[0]() is None
+            return certify_all(*args)
+
+        monkeypatch.setattr(pipeline, "build_data", built)
+        monkeypatch.setattr(pipeline, "pca_models", certified)
+        got = run_experiment(cfg)
+        assert np.array_equal(got.eval_indices, want.eval_indices)
+        for a, b in zip(got.results.values(), want.results.values(), strict=True):
+            assert_same_result(a, b)
 
     def test_eval_size_validated(self):
         cfg = tiny_cfg(cert_eval_size=10_000, methods=("vanilla",))
