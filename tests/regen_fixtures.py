@@ -1,7 +1,7 @@
 """Record the regression fixtures in tests/fixtures/.
 
     PYTHONPATH=src python tests/regen_fixtures.py default_experiment trajectory stage2_step \
-        small_run_outputs
+        small_run_outputs small_idx_outputs
 
 Each named fixture is recomputed from the current code and overwritten. The
 tests never write fixtures: a missing file fails them. Re-record one only
@@ -31,6 +31,7 @@ from maskcert.masks import (binarize, hard_multipliers, init_percentile_scaled, 
 from maskcert.model import MaskableModel, mlp_specs
 from maskcert.objectives import composite_step_loss
 from maskcert.pipeline import _ce_epochs, run_experiment
+from test_datasets import write_idx_pair
 from util import make_cfg
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -40,6 +41,7 @@ DEFAULT_FIXTURE = FIXTURES / "default_experiment.json"
 TRAJECTORY_FIXTURE = FIXTURES / "trajectory.json"
 STEP_FIXTURE = FIXTURES / "stage2_step.json"
 OUTPUTS_FIXTURE = FIXTURES / "small_run_outputs.json"
+IDX_OUTPUTS_FIXTURE = FIXTURES / "small_idx_outputs.json"
 REGEN_HINT = "PYTHONPATH=src python tests/regen_fixtures.py"
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
@@ -61,6 +63,38 @@ SMALL_RUN = {
 
 def small_run_config_text() -> str:
     return "".join(f"{key} = {value}\n" for key, value in SMALL_RUN.items())
+
+
+# The small IDX run the IDX output-bytes fixture pins: 6x6 images of 3
+# classes told apart by brightness, 50 to train on and 30 to test, with a
+# corruption and augment level per variant. Batches of 16 mix clean and
+# transformed rows and end each epoch on a short batch, and the mask search
+# steps far enough that csam's mask is not lmp's.
+SMALL_IDX_RUN = {
+    "dataset_kind": "idx",
+    "idx_train_images": "train/images.idx",
+    "idx_train_labels": "train/labels.idx",
+    "idx_test_images": "test/images.idx",
+    "idx_test_labels": "test/labels.idx",
+    "idx_classes": 3,
+    "transform_kind": "interp_corrupt",
+    "hidden_dims": 8,
+    "batch_size": 16,
+    "stage1_epochs": 4,
+    "stage2_epochs": 3,
+    "stage2_lr": 0.05,
+    "stage3_epochs": 3,
+    "cert_samples": 10,
+    "cert_repetitions": 2,
+    "cert_t_count": 60,
+    "cert_eval_size": 12,
+    "seed": 5,
+}
+SMALL_IDX_VARIANTS = {
+    "haze-L2": {"corruption": "haze", "corruption_severity": 0.4, "augment_level": "L2"},
+    "blur-L1": {"corruption": "gaussian_blur3", "corruption_severity": 0.8,
+                "augment_level": "L1"},
+}
 
 
 def default_experiment_record(output, cfg: ExperimentConfig) -> dict:
@@ -182,6 +216,42 @@ def small_run_outputs_record() -> dict:
     return record
 
 
+def _write_small_idx_files(root: Path) -> None:
+    """The small IDX run's image/label pairs under root/train and root/test."""
+    rng = np.random.default_rng(53)
+    for split, count in (("train", 50), ("test", 30)):
+        labels = np.arange(count) % 3
+        pix = (40 + 85 * labels[:, None, None]
+               + rng.integers(-40, 41, size=(count, 6, 6)))
+        (root / split).mkdir()
+        write_idx_pair(root / split, np.clip(pix, 0, 255), labels)
+
+
+def small_idx_outputs_record() -> dict:
+    """sha256 of every file `run-all` writes on the small IDX run, status.txt
+    aside, per variant. The run reads its IDX files by paths relative to its
+    own directory, which the config echo and the reports quote."""
+    record, cwd = {}, os.getcwd()
+    for name, variant in SMALL_IDX_VARIANTS.items():
+        with tempfile.TemporaryDirectory() as tmp:
+            os.chdir(tmp)
+            try:
+                _write_small_idx_files(Path(tmp))
+                Path("exp.cfg").write_text(
+                    "".join(f"{key} = {value}\n"
+                            for key, value in {**SMALL_IDX_RUN, **variant}.items()),
+                    encoding="utf-8")
+                code = cli_main(["run-all", "--config", "exp.cfg", "--out", "out"])
+                if code != EXIT_OK:
+                    raise RuntimeError(f"run-all ({name}) exited {code}")
+                record[name] = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                                for p in sorted(Path("out").iterdir())
+                                if p.name != "status.txt"}
+            finally:
+                os.chdir(cwd)
+    return record
+
+
 def one_thread_record(name: str) -> dict:
     """The record function `name` of this module computed in a child process
     with every BLAS thread count set to 1, as perfbench runs maskcert. A
@@ -209,7 +279,8 @@ def _write(path: Path, doc: dict) -> None:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("fixtures", nargs="+", choices=("default_experiment", "trajectory",
-                                                       "stage2_step", "small_run_outputs"))
+                                                       "stage2_step", "small_run_outputs",
+                                                       "small_idx_outputs"))
     for name in parser.parse_args().fixtures:
         if name == "default_experiment":
             cfg = parse_config(DEFAULT_CONFIG)
@@ -218,8 +289,10 @@ def main() -> None:
             _write(TRAJECTORY_FIXTURE, trajectory_record())
         elif name == "stage2_step":
             _write(STEP_FIXTURE, one_thread_record("stage2_step_record"))
-        else:
+        elif name == "small_run_outputs":
             _write(OUTPUTS_FIXTURE, one_thread_record("small_run_outputs_record"))
+        else:
+            _write(IDX_OUTPUTS_FIXTURE, one_thread_record("small_idx_outputs_record"))
 
 
 if __name__ == "__main__":
