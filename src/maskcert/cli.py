@@ -174,19 +174,19 @@ def _cmd_gen_data(cfg: ExperimentConfig, args, out: Path) -> dict:
 
 
 def _cmd_pretrain(cfg: ExperimentConfig, args, out: Path) -> dict:
-    _, _, _, train_aug, _ = pipeline.build_data(cfg)
-    model = pipeline.fresh_model(cfg, train_aug.x.shape[1])
-    history = pipeline.stage1_pretrain(model, train_aug, cfg)
+    train, _, _ = pipeline.build_data(cfg)
+    model = pipeline.fresh_model(cfg, train.x.shape[1])
+    history = pipeline.stage1_pretrain(model, train, cfg)
     save_checkpoint(out / "pretrained.ckpt", model, "pretrained", seed=cfg.seed)
     _write_epoch_log(out / "stage1_log.csv", history)
     return {"final_loss": history[-1].mean_loss, "train_accuracy": history[-1].accuracy}
 
 
 def _cmd_search(cfg: ExperimentConfig, args, out: Path) -> dict:
-    train, _, _, train_aug, rows = pipeline.build_data(cfg)
+    train, _, _ = pipeline.build_data(cfg)
     model, _ = _load_ckpt_arg(args, "pretrained.ckpt", cfg, train.x.shape[1],
                               ("pretrained",))
-    soft, reports = pipeline.stage2_mask_search(model, train_aug.x, rows, cfg)
+    soft, reports = pipeline.stage2_mask_search(model, train, cfg)
     save_checkpoint(out / "mask_searched.ckpt", model, "mask_searched",
                     soft_mask=soft, seed=cfg.seed)
     _write_stage2_log(out / "stage2_log.csv", reports)
@@ -194,12 +194,12 @@ def _cmd_search(cfg: ExperimentConfig, args, out: Path) -> dict:
 
 
 def _cmd_finetune(cfg: ExperimentConfig, args, out: Path) -> dict:
-    train, _, _, train_aug, _ = pipeline.build_data(cfg)
+    train, _, _ = pipeline.build_data(cfg)
     model, extras = _load_ckpt_arg(args, "mask_searched.ckpt", cfg, train.x.shape[1])
     if extras["soft_mask"] is None:
         raise DatasetError("finetune needs a mask-search checkpoint carrying a soft mask")
     hard = binarize(extras["soft_mask"], cfg.pruning_ratio)
-    history = pipeline.stage3_finetune(model, hard, train_aug, cfg)
+    history = pipeline.stage3_finetune(model, hard, train, cfg)
     save_checkpoint(out / "finetuned.ckpt", model, "finetuned",
                     hard_mask=hard, seed=cfg.seed)
     _write_epoch_log(out / "stage3_log.csv", history)
@@ -208,8 +208,10 @@ def _cmd_finetune(cfg: ExperimentConfig, args, out: Path) -> dict:
 
 
 def _cmd_certify(cfg: ExperimentConfig, args, out: Path) -> dict:
-    train, test, spec, _, _ = pipeline.build_data(cfg)
-    model, extras = _load_ckpt_arg(args, "finetuned.ckpt", cfg, train.x.shape[1],
+    train, test, spec = pipeline.build_data(cfg)
+    in_dim = train.x.shape[1]
+    del train  # only its width is read, so it does not outlive the build
+    model, extras = _load_ckpt_arg(args, "finetuned.ckpt", cfg, in_dim,
                                    ("pretrained", "finetuned"))
     hard = extras["hard_mask"]
     idx = pipeline.eval_subset(cfg, test)

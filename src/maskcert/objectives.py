@@ -97,11 +97,14 @@ def consistency(p, q, g):
 
 def l1_mean(c, dims, g):
     """Mean of |C| over the flat soft mask c, summed layer by layer (its
-    layer_views at dims), and the gradient g * sign(C) / C.size."""
+    layer_views at dims), and the gradient g * sign(C) / C.size. |C| is
+    formed in the gradient's array, which then takes sign(C)."""
     scale = 1.0 / c.size
-    grad = np.sign(c)
+    grad = np.abs(c)
+    total = sum(v.sum() for v in layer_views(grad, dims) if v.size) * scale
+    np.sign(c, out=grad)
     grad *= g * scale
-    return sum(np.abs(v).sum() for v in layer_views(c, dims) if v.size) * scale, grad
+    return total, grad
 
 
 @dataclass
@@ -157,13 +160,15 @@ def composite_step_loss(model: MaskableModel, soft_mask, x, x_t, cfg: Experiment
     mask-sized arrays of a step all live in the stack, under "mask" of
     `work`: the noise is drawn into it, the hard mask is written into it,
     and in unstructured mode each layer's masked weight and then its
-    gradient take its slice of it, multiplied copy by copy in place. The
-    stack is dead once the call returns, until the next call overwrites
+    gradient take its slice of it, multiplied copy by copy in place, and
+    the squares that grad_norm sums take its first row. The stack is
+    dead once the call returns, until the next call overwrites
     all of it, so the loop may use it as scratch in between: stage 2's
     Adam step forms its update in its first two rows. The stacked input
     also lives in `work`; x and x_t may already be its clean and transformed
-    slots (_batch_slots), as stage 2 gathers each batch there, and then only
-    the other two copies are made.
+    slots (_batch_slots), as stage 2 gathers each clean batch into the one
+    and transforms it into the other, and then only the other two copies
+    are made.
     """
     x = np.asarray(x, dtype=np.float64)
     x_t = np.asarray(x_t, dtype=np.float64)
@@ -240,6 +245,7 @@ def composite_step_loss(model: MaskableModel, soft_mask, x, x_t, cfg: Experiment
     grad += stack[2]
     grad += stack[1]
     grad += stack[0]
+    sq = np.multiply(grad, grad, out=stack[0])  # the stack is dead from here on
     report = StepReport(
         step=step,
         l_stab=l_stab,
@@ -247,6 +253,6 @@ def composite_step_loss(model: MaskableModel, soft_mask, x, x_t, cfg: Experiment
         l_consis=l_consis,
         l1_normalized=l1_norm,
         composite=total,
-        grad_norm=float(np.sqrt(sum(float((g * g).sum()) for g in layer_views(grad, dims)))),
+        grad_norm=float(np.sqrt(sum(float(v.sum()) for v in layer_views(sq, dims)))),
     )
     return CompositeResult(report=report, grad=grad)

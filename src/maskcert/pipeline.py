@@ -5,7 +5,10 @@ Stage 2 freezes the weights and searches a soft pruning mask with the
 composite objective, clamping the mask into [0, 1] after every update.
 Stage 3 binarizes the mask and fine-tunes the model with the fixed hard mask
 folded into its weights; pruned weights receive exactly zero update because
-their gradient is multiplied by the mask.
+their gradient is multiplied by the mask. Every stage reads the augmented
+set as transforms.AugmentedSet holds it, clean rows plus picked row
+indices: a transformed row is formed when a batch or an accuracy block
+gathers it, and the stage-2 pairs are the picks.
 
 Baselines share everything they can with the main method: identical
 pre-trained weights, augmented data, schedules, and certification streams
@@ -27,7 +30,7 @@ from .masks import (binarize, effective_ratio, hard_multipliers, init_percentile
                     layer_views, unit_magnitudes)
 from .model import MaskableModel, _buffer, masked_backward, masked_forward
 from .objectives import StepReport, _batch_slots, composite_step_loss
-from .transforms import augment_dataset
+from .transforms import AugmentedSet, apply, augment_dataset
 
 # rng stream namespaces under the experiment root seed. STREAM_INIT shares
 # [seed, 1] with the synthetic test split (datasets.gen_synthetic), so model
@@ -128,31 +131,29 @@ class EpochStats:
     accuracy: float
 
 
-def _ce_epochs(model: MaskableModel, data: Dataset, epochs: int, lr: float,
+def _ce_epochs(model: MaskableModel, data: AugmentedSet, epochs: int, lr: float,
                momentum: float, batch_size: int, rng: np.random.Generator,
                multipliers=None) -> list[EpochStats]:
     """Mini-batch cross-entropy training of the model folded under fixed
     multipliers (hard_multipliers), if any, with each masked layer's weight
-    gradient multiplied by its multiplier. Each step folds the weights into
-    its work dict (MaskableModel.folded), then runs masked_forward,
-    cross_entropy, masked_backward and the weight and bias gradients in one
-    errstate block; the per-epoch accuracy folds into the same dict. The
-    gradients are dead once the velocities hold them, so the step lends them
-    to MomentumSGD as its scratch. Updates model weights in place."""
+    gradient multiplied by its multiplier. Each step gathers its batch
+    (AugmentedSet.gather) and folds the weights into its work dict
+    (MaskableModel.folded), then runs masked_forward, cross_entropy,
+    masked_backward and the weight and bias gradients in one errstate
+    block. The gradients are dead once the velocities hold them, so the
+    step lends them to MomentumSGD as its scratch. The per-epoch accuracy
+    forwards the set in blocks of batch_size rows in the same dict
+    (_accuracy). Updates model weights in place."""
     opt = MomentumSGD(lr, momentum)
     history = []
     n = len(data)
-    # the step's arrays and the accuracy forward's, each kept across epochs
-    work, eval_work = {}, {}
+    work = {}  # the step's arrays and the accuracy's, kept across epochs
     for epoch in range(epochs):
         order = rng.permutation(n)
         loss_sum = 0.0
         for start in range(0, n, batch_size):
             idx = order[start:start + batch_size]
-            # mode="clip" gathers straight into `out` (idx is in range)
-            xb = np.take(data.x, idx, axis=0, out=_buffer(work, "x", (len(idx), data.x.shape[1])),
-                         mode="clip")
-            yb = data.y[idx]
+            xb, yb = data.gather(idx, _buffer(work, "x", (len(idx), data.x.shape[1])))
             try:
                 with np.errstate(all="ignore"):  # finiteness is checked instead
                     ws = model.folded(multipliers, work).weights
@@ -172,38 +173,46 @@ def _ce_epochs(model: MaskableModel, data: Dataset, epochs: int, lr: float,
             grads = g_ws + g_bs
             opt.step(model.weights + model.biases, grads, scratch=grads)
             loss_sum += float(loss) * len(idx)
-        history.append(EpochStats(epoch, loss_sum / n,
-                                  accuracy(model.folded(multipliers, work), data, eval_work)))
+        history.append(EpochStats(epoch, loss_sum / n, _accuracy(
+            model.folded(multipliers, work), data, batch_size, work)))
     return history
 
 
-def stage1_pretrain(model: MaskableModel, train_aug: Dataset,
+def _accuracy(model: MaskableModel, data: AugmentedSet, size: int, work: dict) -> float:
+    """Share of every row of data classified correctly, forwarded in blocks
+    of `size` rows (AugmentedSet.blocks) in `work`, the transformed rows
+    formed under its "x". It is datasets.accuracy's share: the argmax hits
+    over the row count."""
+    hits = 0
+    for xb, yb in data.blocks(size, _buffer(work, "x", (size, data.x.shape[1]))):
+        hits += int(np.count_nonzero(np.argmax(model.forward(xb, work), axis=1) == yb))
+    return hits / len(data)
+
+
+def stage1_pretrain(model: MaskableModel, train: AugmentedSet,
                     cfg: ExperimentConfig) -> list[EpochStats]:
     rng = np.random.default_rng([cfg.seed, STREAM_STAGE1])
-    return _ce_epochs(model, train_aug, cfg.stage1_epochs, cfg.stage1_lr,
+    return _ce_epochs(model, train, cfg.stage1_epochs, cfg.stage1_lr,
                       cfg.momentum, cfg.batch_size, rng)
 
 
-def stage2_mask_search(model: MaskableModel, x_aug: np.ndarray, rows: np.ndarray,
-                       cfg: ExperimentConfig):
+def stage2_mask_search(model: MaskableModel, train: AugmentedSet, cfg: ExperimentConfig):
     """Search the soft mask over the paired batches; weights stay frozen.
 
-    The pairs are row indices into the augmented inputs x_aug, as
-    augment_dataset lays them out: pair j is clean row x_aug[rows[j]] and
-    transformed row x_aug[len(x_aug) - len(rows) + j]. Each batch gathers
-    its rows from x_aug straight into the step's stacked input
-    (objectives._batch_slots), and each step's result is dropped before the
-    next step, so one mask-sized gradient is live at a time. Returns
-    (soft_mask, step reports). The mask is clamped back into [0, 1] after
-    every update. Each step's noise draws come from a stream derived from
-    (seed, noise namespace, step), so any step is reproducible in isolation.
+    Pair j is clean row train.x[train.rows[j]] and its transform. Each batch
+    gathers its clean rows straight into the clean slot of the step's
+    stacked input (objectives._batch_slots) and transforms that slot into
+    the transformed one, and each step's result is dropped before the next
+    step, so one mask-sized gradient is live at a time. Returns (soft_mask,
+    step reports). The mask is clamped back into [0, 1] after every update.
+    Each step's noise draws come from a stream derived from (seed, noise
+    namespace, step), so any step is reproducible in isolation.
     """
-    rows = np.asarray(rows, dtype=np.int64)
-    first = len(x_aug) - len(rows)  # the first transformed row
+    rows = train.rows
     if len(rows) == 0:
         raise ConfigError(f"mask search needs a non-empty paired set, but augment_level = "
-                          f"{cfg.augment_level} pairs none of the {first} training samples "
-                          f"(L1 pairs a quarter of them, L2 all)")
+                          f"{cfg.augment_level} pairs none of the {len(train.x)} training "
+                          f"samples (L1 pairs a quarter of them, L2 all)")
     if sum(model.mask_dims()) == 0:
         raise ConfigError("model has no prunable units under this mask mode")
     c = np.concatenate(init_percentile_scaled(model, cfg.init_percentile))
@@ -219,9 +228,9 @@ def stage2_mask_search(model: MaskableModel, x_aug: np.ndarray, rows: np.ndarray
             noise_rng = np.random.default_rng([cfg.seed, STREAM_STAGE2_NOISE, step])
             # gathered straight into the step's stacked input (mode="clip":
             # the rows are in range)
-            x, x_t = _batch_slots(work, (len(idx), x_aug.shape[1]))
-            np.take(x_aug, rows[idx], axis=0, out=x, mode="clip")
-            np.take(x_aug, first + idx, axis=0, out=x_t, mode="clip")
+            x, x_t = _batch_slots(work, (len(idx), train.x.shape[1]))
+            np.take(train.x, rows[idx], axis=0, out=x, mode="clip")
+            apply(train.spec, x, train.delta, out=x_t)
             result = composite_step_loss(model, c, x, x_t, cfg, noise_rng, step=step, work=work)
             # the mask stack is dead until the next step: Adam's scratch
             opt.step(c, result.grad, _buffer(work, "mask", (2, c.size)))
@@ -232,12 +241,12 @@ def stage2_mask_search(model: MaskableModel, x_aug: np.ndarray, rows: np.ndarray
     return layer_views(c, model.mask_dims()), reports
 
 
-def stage3_finetune(model: MaskableModel, hard: list, train_aug: Dataset,
+def stage3_finetune(model: MaskableModel, hard: list, train: AugmentedSet,
                     cfg: ExperimentConfig) -> list[EpochStats]:
     """Fine-tune weights under the fixed binary mask (in place)."""
     multipliers = hard_multipliers(model, hard)
     rng = np.random.default_rng([cfg.seed, STREAM_STAGE3])
-    return _ce_epochs(model, train_aug, cfg.stage3_epochs, cfg.stage3_lr,
+    return _ce_epochs(model, train, cfg.stage3_epochs, cfg.stage3_lr,
                       cfg.momentum, cfg.batch_size, rng, multipliers=multipliers)
 
 
@@ -272,13 +281,9 @@ class ExperimentOutput:
 
 
 def build_data(cfg: ExperimentConfig):
-    """(train, test, spec, train_aug, rows), all derived deterministically
-    from the config: the datasets, the transformation space, the augmented
-    training set and the stage-2 pairs as row indices into it (see
-    augment_dataset and stage2_mask_search).
-
-    The training inputs are held once: train is a view of the head of
-    train_aug, whose tail holds the transformed rows."""
+    """(train, test, spec), all derived deterministically from the config:
+    the augmented training set (transforms.augment_dataset), whose rows are
+    also the stage-2 pairs, the test set and the transformation space."""
     if cfg.dataset_kind == "synthetic":
         train, test, direction = gen_synthetic(cfg)
         spec = transform_spec(cfg, direction)
@@ -294,9 +299,7 @@ def build_data(cfg: ExperimentConfig):
         spec = transform_spec(cfg)
     rng = np.random.default_rng([cfg.seed, STREAM_AUGMENT])
     count = augment_count(cfg, len(train))
-    x_aug, y_aug, rows = augment_dataset(train.x, train.y, spec, count, 1.0, rng)
-    n = len(train)
-    return Dataset(x_aug[:n], y_aug[:n]), test, spec, Dataset(x_aug, y_aug), rows
+    return augment_dataset(train.x, train.y, spec, count, 1.0, rng), test, spec
 
 
 def class_count(cfg: ExperimentConfig) -> int:
@@ -329,15 +332,15 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentOutput:
     accuracy runs on a fold of its own, the augmented training set goes
     once the last method is trained, and only then are the deployed models
     folded and the evaluation inputs gathered for certification."""
-    train, test, spec, train_aug, rows = build_data(cfg)
+    train, test, spec = build_data(cfg)
 
     base = fresh_model(cfg, train.x.shape[1])
-    stage1_log = stage1_pretrain(base, train_aug, cfg)
+    stage1_log = stage1_pretrain(base, train, cfg)
     idx = eval_subset(cfg, test)  # checked here, gathered at certification
 
     if "csam" in cfg.methods:
         t0 = time.perf_counter()
-        search = (*stage2_mask_search(base, train_aug.x, rows, cfg), time.perf_counter() - t0)
+        search = (*stage2_mask_search(base, train, cfg), time.perf_counter() - t0)
 
     results = {}
     for method in cfg.methods:
@@ -349,12 +352,12 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentOutput:
             hard = None
         elif method == "lmp":
             hard = lmp_mask(model, cfg.pruning_ratio)
-            logs["stage3"] = stage3_finetune(model, hard, train_aug, cfg)
+            logs["stage3"] = stage3_finetune(model, hard, train, cfg)
         elif method == "csam":
             soft, logs["stage2"], search_s = search
             t0 -= search_s  # the search counts toward csam's wall time
             hard = binarize(soft, cfg.pruning_ratio)
-            logs["stage3"] = stage3_finetune(model, hard, train_aug, cfg)
+            logs["stage3"] = stage3_finetune(model, hard, train, cfg)
         else:
             raise ConfigError(f"unknown method {method!r}")
 
@@ -362,7 +365,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentOutput:
             method=method, model=model, hard=hard, soft=soft, cert=None, stage_logs=logs,
             clean_accuracy=accuracy(model.folded(hard_multipliers(model, hard)), test),
             ratio=effective_ratio(hard, model), wall_time=time.perf_counter() - t0)
-    del train, train_aug  # train is a view of train_aug's head
+    del train
 
     t0 = time.perf_counter()
     deployed = [r.model.folded(hard_multipliers(r.model, r.hard)) for r in results.values()]

@@ -7,17 +7,21 @@ interpolation toward a corrupted copy of the input (image vectors in
 T(x, delta), for one delta or an array of them; delta = 0 returns the input
 for a shift (a -0.0 entry may come back as +0.0) and its clip to [0, 1] for
 an interpolation, which is the input itself on [0, 1] data.
+
+An augmented training set is its clean rows plus the indices of the rows it
+transforms (AugmentedSet); a transformed row is formed only when a batch or
+an accuracy block reads it, so the set holds no array larger than the clean
+inputs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 KINDS = ("direction_shift", "interp_corrupt")
 CORRUPTIONS = ("haze", "gaussian_blur3")
-BLOCK_FLOATS = 2 ** 15  # the most entries augment_dataset transforms at a time
 
 
 @dataclass(frozen=True)
@@ -106,20 +110,61 @@ def apply(spec: TransformSpec, x: np.ndarray, delta, out=None, work=None) -> np.
     return np.clip(out, 0.0, 1.0, out=out)
 
 
+@dataclass(frozen=True, eq=False)
+class AugmentedSet:
+    """A training set of len(x) + len(rows) rows: row i < len(x) is x[i] and
+    row len(x) + j is T(x[rows[j]], delta) under spec, each with its source
+    row's label. Only x is held: a transformed row is formed when it is
+    read, with the bits of a transform of the whole tail, since T works
+    entry by entry (row by row for the blur). Without rows it is the clean
+    set alone."""
+    x: np.ndarray  # (n, features) float64
+    y: np.ndarray  # (n,) labels
+    rows: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
+    spec: TransformSpec | None = None
+    delta: float = 1.0
+
+    def __len__(self) -> int:
+        return len(self.x) + len(self.rows)
+
+    def gather(self, idx, out=None):
+        """(inputs, labels) of rows idx, in idx's order, the inputs gathered
+        into `out` if given: one take of the source rows, then the transform
+        of the positions that fall in the tail."""
+        idx = np.asarray(idx, dtype=np.int64)
+        at = np.flatnonzero(idx >= len(self.x))
+        src = idx.copy()
+        src[at] = self.rows[idx[at] - len(self.x)]
+        # mode="clip" gathers straight into `out` (every row is in range)
+        xb = np.take(self.x, src, axis=0, out=out, mode="clip")
+        if at.size:
+            tail = xb[at]
+            xb[at] = apply(self.spec, tail, self.delta, out=tail)
+        return xb, self.y[src]
+
+    def blocks(self, size: int, buf: np.ndarray):
+        """Every row in order, as (inputs, labels) blocks of at most `size`
+        rows: the clean rows as views of x, then the transformed rows,
+        formed in the head of `buf`, an array of at least `size` rows that
+        each such block overwrites."""
+        for start in range(0, len(self.x), size):
+            yield self.x[start:start + size], self.y[start:start + size]
+        for start in range(0, len(self.rows), size):
+            src = self.rows[start:start + size]
+            xb = np.take(self.x, src, axis=0, out=buf[:len(src)], mode="clip")
+            yield apply(self.spec, xb, self.delta, out=xb), self.y[src]
+
+
 def augment_dataset(x: np.ndarray, y: np.ndarray, spec: TransformSpec, count: int,
-                    delta_fixed: float = 1.0, rng: np.random.Generator | None = None):
-    """Append `count` transformed samples at a fixed magnitude.
+                    delta_fixed: float = 1.0,
+                    rng: np.random.Generator | None = None) -> AugmentedSet:
+    """The AugmentedSet of x and y with `count` transformed samples at a
+    fixed magnitude.
 
     Originals are drawn by cycling seeded permutations, so count == len(x)
-    selects every sample exactly once. Returns (x_aug, y_aug, rows): x_aug
-    holds x in its first len(x) rows and T(x[rows[j]], delta_fixed) in row
-    len(x) + j, and labels are carried over unchanged. The pairs are row
-    indices, not copies: pair j is clean row x_aug[rows[j]] and transformed
-    row x_aug[len(x) + j]. x_aug is the one array of the data's size this
-    allocates: the selected rows are gathered into its tail and transformed
-    there in blocks of at most BLOCK_FLOATS entries (one row at least), so
-    the transform's temporary, c(x) for an interpolation, is one block's.
-    Each row's transform has the bits of a whole-tail call.
+    selects every sample exactly once; the picks are the set's rows, so
+    pair j is clean row x[rows[j]] and transformed row len(x) + j. Nothing
+    is copied or transformed here.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y)
@@ -132,14 +177,4 @@ def augment_dataset(x: np.ndarray, y: np.ndarray, spec: TransformSpec, count: in
     picks = []
     while len(picks) < count:
         picks.extend(rng.permutation(len(x)).tolist())
-    rows = np.asarray(picks[:count], dtype=np.int64)
-    x_aug = np.empty((len(x) + count, *x.shape[1:]))
-    x_aug[:len(x)] = x
-    # mode="clip" gathers straight into the tail (rows are all in range);
-    # the default mode would buffer a copy of it
-    tail = np.take(x, rows, axis=0, out=x_aug[len(x):], mode="clip")
-    step = max(1, BLOCK_FLOATS // max(1, x[0].size))
-    for start in range(0, count, step):
-        block = tail[start:start + step]
-        apply(spec, block, delta_fixed, out=block)
-    return x_aug, np.concatenate([y, y[rows]]), rows
+    return AugmentedSet(x, y, np.asarray(picks[:count], dtype=np.int64), spec, delta_fixed)

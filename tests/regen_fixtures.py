@@ -25,12 +25,12 @@ import numpy as np
 
 from maskcert.cli import EXIT_OK, main as cli_main
 from maskcert.config import ExperimentConfig, parse_config, validate
-from maskcert.datasets import Dataset
 from maskcert.masks import (binarize, hard_multipliers, init_percentile_scaled, layer_views,
                             unit_magnitudes)
 from maskcert.model import MaskableModel, mlp_specs
 from maskcert.objectives import composite_step_loss
 from maskcert.pipeline import _ce_epochs, run_experiment
+from maskcert.transforms import AugmentedSet
 from test_datasets import write_idx_pair
 from util import make_cfg
 
@@ -174,7 +174,7 @@ def _ce_case(in_dim, hidden, classes, variant):
     mode = "structured" if variant == 3 else "unstructured"
     rng = np.random.default_rng([33, in_dim, len(hidden), variant])
     model = MaskableModel.initialized(mlp_specs(in_dim, hidden, classes), mode, rng)
-    data = Dataset(_inputs(rng, in_dim, 40), rng.integers(0, classes, size=40))
+    data = AugmentedSet(_inputs(rng, in_dim, 40), rng.integers(0, classes, size=40))
     multipliers = (None if variant < 2 else
                    hard_multipliers(model, binarize(unit_magnitudes(model), 0.6)))
     lr, momentum, batch = ((0.05, 0.9, 16), (0.01, 0.5, 7))[variant % 2]

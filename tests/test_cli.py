@@ -2,11 +2,12 @@ import csv
 import json
 import struct
 import time
+import weakref
 
 import numpy as np
 import pytest
 
-from maskcert import cli, pipeline
+from maskcert import certify, cli, pipeline
 from maskcert.certify import t_grid
 from maskcert.cli import EXIT_CONFIG, EXIT_INTERNAL, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main
 from maskcert.config import CERT_REPETITIONS_MAX, CERT_SAMPLES_MAX, CERT_T_COUNT_MAX
@@ -326,6 +327,32 @@ class TestCheckpointStage:
     def test_accepted_stage(self, tiny_config, tmp_path, chain, command, stage):
         assert run(command, tiny_config, tmp_path / "o", "--stage-checkpoint",
                    str(chain / f"{stage}.ckpt")) == EXIT_OK
+
+    def test_certify_runs_without_the_training_set(self, tiny_config, tmp_path, chain,
+                                                   monkeypatch):
+        # certify reads only the training inputs' width, so they are dead
+        # once certification starts, and letting them go moves no byte
+        ckpt = ("--stage-checkpoint", str(chain / "finetuned.ckpt"))
+        assert run("certify", tiny_config, tmp_path / "want", *ckpt) == EXIT_OK
+        refs, alive = [], []
+        build, certify_all = pipeline.build_data, certify.pca_models
+
+        def built(*args):
+            data = build(*args)
+            refs.append(weakref.ref(data[0].x))
+            return data
+
+        def certified(*args):
+            alive.append([ref() is not None for ref in refs])
+            return certify_all(*args)
+
+        monkeypatch.setattr(pipeline, "build_data", built)
+        monkeypatch.setattr(certify, "pca_models", certified)
+        assert run("certify", tiny_config, tmp_path / "got", *ckpt) == EXIT_OK
+        assert alive == [[False]]
+        for name in ("cert_report.csv", "cert_report_summary.txt"):
+            assert (tmp_path / "got" / name).read_bytes() == \
+                   (tmp_path / "want" / name).read_bytes()
 
     def test_architecture_checked_first(self, tmp_path, chain):
         cfg = tmp_path / "other.cfg"

@@ -210,6 +210,23 @@ class TestCompositeStep:
                                     np.random.default_rng([10, step]), step=step, work=work)
         assert traced.rise < 4 * model.weights[0].nbytes
 
+    def test_a_step_allocates_less_than_two_mask_vectors(self):
+        # after step 0, a step on a 784-128-10 model allocates, beside the
+        # work dict, its result's gradient (one mask vector: |C| and then
+        # sign(C) are formed in it, and the squares of its norm in the dead
+        # mask stack), the noise's `passed` booleans and binarize's partition
+        # copy, and no second float mask vector
+        rng = np.random.default_rng(10)
+        model = MaskableModel.initialized(mlp_specs(784, [128], 10), "unstructured", rng)
+        soft = np.concatenate(init_percentile_scaled(model, 30.0))
+        x = rng.uniform(size=(16, 784))
+        work = {}
+        for step in range(2):  # the rise of step 1 is asserted
+            with TracedPeak() as traced:
+                composite_step_loss(model, soft, x, 0.9 * x, CFG,
+                                    np.random.default_rng([10, step]), step=step, work=work)
+        assert traced.rise < 2 * soft.nbytes
+
     @pytest.mark.parametrize("mode, want", [("unstructured", []),
                                             ("structured", [("dw", 0), ("dw", 1)])])
     def test_weight_gradients_only_where_a_mask_needs_one(self, mode, want):

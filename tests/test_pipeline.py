@@ -10,14 +10,14 @@ import pytest
 from maskcert import autodiff as ad
 from maskcert import certify, objectives, pipeline, transforms
 from maskcert.config import ExperimentConfig, validate
-from maskcert.datasets import Dataset
+from maskcert.datasets import Dataset, accuracy
 from maskcert.errors import ConfigError
 from maskcert.masks import binarize, effective_ratio, hard_multipliers, layer_views
 from maskcert.model import MaskableModel, masked_backward, masked_forward, mlp_specs
 from maskcert.pipeline import (Adam, MomentumSGD, cross_entropy, lmp_mask,
                                run_experiment, stage1_pretrain,
                                stage2_mask_search, stage3_finetune)
-from maskcert.transforms import apply
+from maskcert.transforms import AugmentedSet, apply
 from util import PerLayerAdam, TracedPeak, make_cfg
 
 
@@ -31,9 +31,9 @@ def tiny_cfg(**kw):
 
 
 def tiny_setup(cfg):
-    train, test, spec, train_aug, rows = pipeline.build_data(cfg)
+    train, test, spec = pipeline.build_data(cfg)
     model = pipeline.fresh_model(cfg, train.x.shape[1])
-    return train, test, spec, train_aug, rows, model
+    return train, test, spec, model
 
 
 def idx_cfg(tmp_path, train_count=100, test_count=20, side=28, **kw):
@@ -52,87 +52,109 @@ def idx_cfg(tmp_path, train_count=100, test_count=20, side=28, **kw):
                     corruption="haze", hidden_dims=(8,), **paths, **kw)
 
 
-def copied_pairs(train, spec, rows):
+def copied_pairs(train):
     """The stage-2 pairs as row-aligned copies: clean rows gathered from the
     training inputs and their transformed copies."""
-    clean = train.x[rows]
-    return clean, apply(spec, clean, 1.0)
+    clean = train.x[train.rows]
+    return clean, apply(train.spec, clean, train.delta)
 
 
 class TestBuildData:
-    def test_train_is_the_head_of_the_augmented_set(self):
-        cfg = tiny_cfg()
-        train, _, _, train_aug, rows, _ = tiny_setup(cfg)
-        assert train.x.base is train_aug.x and train.y.base is train_aug.y
-        assert np.array_equal(train_aug.x[:len(train)], train.x)
-        assert len(train_aug) == len(train) + len(rows)
+    @pytest.mark.parametrize("level, count", [("L1", 25), ("L2", 100), ("none", 0)])
+    def test_the_training_set_is_the_clean_rows_and_the_picks(self, tmp_path, level, count):
+        methods = ("vanilla", "lmp") if level == "none" else ("vanilla", "lmp", "csam")
+        cfg = idx_cfg(tmp_path, augment_level=level, methods=methods)
+        train, _, spec, _ = tiny_setup(cfg)
+        assert len(train.x) == 100 and train.rows.shape == (count,)
+        assert len(train) == 100 + count
+        assert train.spec is spec and train.delta == 1.0
 
     @pytest.mark.parametrize("level", ["L1", "L2"])
     def test_tail_rows_are_the_copied_transformed_pairs(self, tmp_path, level):
         cfg = idx_cfg(tmp_path, augment_level=level)
-        train, _, spec, train_aug, rows, _ = tiny_setup(cfg)
-        clean, transformed = copied_pairs(train, spec, rows)
-        assert np.array_equal(train_aug.x[rows], clean)
-        assert np.array_equal(train_aug.x[len(train):], transformed)
-        assert np.array_equal(train_aug.y[len(train):], train.y[rows])
+        train, _, _, _ = tiny_setup(cfg)
+        _, transformed = copied_pairs(train)
+        n = len(train.x)
+        x, y = train.gather(np.arange(n, len(train)))
+        assert np.array_equal(x, transformed)
+        assert np.array_equal(y, train.y[train.rows])
 
     def test_build_holds_the_training_inputs_once(self, tmp_path):
         # tracemalloc sees numpy's array data, so these bounds do not depend
-        # on the allocator: after the build the augmented set and the test
-        # inputs are all that is held, and the build's peak is the training
-        # inputs as loaded, the augmented set (twice their size), the test
-        # inputs, one block's temporary of the transform (41 of the 100 rows)
-        # and a few kB of Python's own (the labels and the row picks)
+        # on the allocator: after the build the clean training inputs, the
+        # test inputs and the index arrays (labels and picks) are all that
+        # is held, and the build's peak adds to them only the raw bytes of
+        # the file being loaded (an eighth of its inputs) and a few kB of
+        # Python's own (the row picks as a list). Nothing is transformed.
         cfg = idx_cfg(tmp_path)
         with TracedPeak() as traced:
-            train, test, _, train_aug, rows = pipeline.build_data(cfg)
-        block = transforms.BLOCK_FLOATS // train.x.shape[1] * train.x[0].nbytes
-        assert block < train.x.nbytes // 2
-        assert traced.held <= 1.05 * (train_aug.x.nbytes + test.x.nbytes)
-        assert traced.rise <= 3 * train.x.nbytes + block + test.x.nbytes + 2 ** 14
+            train, test, _ = pipeline.build_data(cfg)
+        index = train.y.nbytes + train.rows.nbytes + test.y.nbytes
+        assert train.rows.size == len(train.x)
+        assert traced.held <= train.x.nbytes + test.x.nbytes + index + 2 ** 12
+        assert traced.rise <= (train.x.nbytes + test.x.nbytes + index
+                               + test.x.nbytes // 8 + 2 ** 14)
 
 
 class TestStage1:
+    @pytest.mark.parametrize("level", ["L1", "L2", "none"])
+    def test_blocked_accuracy_is_the_accuracy_of_the_materialized_set(self, tmp_path,
+                                                                      level):
+        # the per-epoch accuracy, forwarded block by block with the tail
+        # transformed per block, has the bits of datasets.accuracy on the
+        # whole set at once
+        methods = ("vanilla", "lmp") if level == "none" else ("vanilla", "lmp", "csam")
+        cfg = idx_cfg(tmp_path, augment_level=level, methods=methods, batch_size=16)
+        train, _, _, model = tiny_setup(cfg)
+        history = stage1_pretrain(model, train, cfg)
+        _, transformed = copied_pairs(train)
+        whole = Dataset(np.concatenate([train.x, transformed]),
+                        np.concatenate([train.y, train.y[train.rows]]))
+        got = pipeline._accuracy(model, train, cfg.batch_size, {})
+        assert got == history[-1].accuracy == accuracy(model, whole)
+        assert 0.0 < got < 1.0
+
+
     def test_default_task_reaches_high_train_accuracy(self):
         # default synthetic task, default 50-epoch schedule
         cfg = validate(ExperimentConfig())
-        _, _, _, train_aug, _, model = tiny_setup(cfg)
-        history = stage1_pretrain(model, train_aug, cfg)
+        train, _, _, model = tiny_setup(cfg)
+        history = stage1_pretrain(model, train, cfg)
         assert history[-1].accuracy >= 0.99
 
     def test_default_task_loss_mostly_non_increasing(self):
         cfg = validate(ExperimentConfig())
-        _, _, _, train_aug, _, model = tiny_setup(cfg)
-        history = stage1_pretrain(model, train_aug, cfg)
+        train, _, _, model = tiny_setup(cfg)
+        history = stage1_pretrain(model, train, cfg)
         losses = [h.mean_loss for h in history]
         drops = sum(b <= a for a, b in zip(losses, losses[1:]))
         assert drops / (len(losses) - 1) >= 0.9
 
     def test_divergence_aborts(self):
         cfg = tiny_cfg()
-        _, _, _, train_aug, _, model = tiny_setup(cfg)
+        train, _, _, model = tiny_setup(cfg)
         with pytest.raises(FloatingPointError, match="diverged"):
-            stage1_pretrain(model, train_aug, dataclasses.replace(cfg, stage1_lr=1e9))
+            stage1_pretrain(model, train, dataclasses.replace(cfg, stage1_lr=1e9))
 
 
 class TestStage2:
     def test_weights_frozen(self):
         cfg = tiny_cfg()
-        _, _, _, train_aug, rows, model = tiny_setup(cfg)
-        stage1_pretrain(model, train_aug, cfg)
+        train, _, _, model = tiny_setup(cfg)
+        stage1_pretrain(model, train, cfg)
         before = [a.copy() for a in model.weights + model.biases]
-        soft, reports = stage2_mask_search(model, train_aug.x, rows, cfg)
+        soft, reports = stage2_mask_search(model, train, cfg)
         for a, b in zip(before, model.weights + model.biases, strict=True):
             assert np.array_equal(a, b)
-        assert len(reports) == cfg.stage2_epochs * int(np.ceil(len(rows) / cfg.batch_size))
+        assert len(reports) == cfg.stage2_epochs * int(np.ceil(len(train.rows) / cfg.batch_size))
         for c in soft:
             assert np.all((c >= 0) & (c <= 1))
 
     def test_l1_only_drives_mask_down(self):
         cfg = tiny_cfg(stage2_epochs=3)
-        _, _, _, train_aug, rows, model = tiny_setup(cfg)
-        stage1_pretrain(model, train_aug, cfg)
-        clean, transformed = train_aug.x[rows], train_aug.x[len(train_aug) - len(rows):]
+        train, _, _, model = tiny_setup(cfg)
+        stage1_pretrain(model, train, cfg)
+        clean, transformed = copied_pairs(train)
         l1_only = make_cfg(lambda_stab=0.0, lambda_ratio=0.0, lambda_consis=0.0,
                            lambda_l1=1.0, noise_magnitude=0.0)
         from maskcert.masks import init_percentile_scaled
@@ -156,21 +178,25 @@ class TestStage2:
         model = MaskableModel([LayerSpec(3, 2, "none")], [np.ones((2, 3))],
                               [np.zeros(2)], "structured")
         with pytest.raises(ConfigError, match="prunable"):
-            stage2_mask_search(model, np.ones((8, 3)), np.arange(4), ExperimentConfig(seed=0))
+            stage2_mask_search(model, AugmentedSet(np.ones((8, 3)), np.zeros(8, dtype=np.int64),
+                                                   np.arange(4)), ExperimentConfig(seed=0))
 
     def test_empty_pairs_rejected(self):
         cfg = tiny_cfg()
-        _, _, _, _, _, model = tiny_setup(cfg)
+        _, _, _, model = tiny_setup(cfg)
         with pytest.raises(ConfigError, match="paired"):
-            stage2_mask_search(model, np.ones((4, 16)), np.empty(0, dtype=np.int64), cfg)
+            stage2_mask_search(model, AugmentedSet(np.ones((4, 16)),
+                                                   np.zeros(4, dtype=np.int64)), cfg)
 
     @pytest.mark.parametrize("level", ["L1", "L2"])
     def test_batches_are_the_copied_pairs_rows(self, tmp_path, monkeypatch, level):
-        # every batch gathered from the augmented set has the bits of the
-        # same batch taken from row-aligned copies of the pairs
+        # every batch gathered from the clean rows, and transformed from its
+        # gathered copy, has the bits of the same batch taken from
+        # row-aligned copies of the pairs
         cfg = idx_cfg(tmp_path, augment_level=level, stage2_epochs=2, batch_size=24)
-        train, _, spec, train_aug, rows, model = tiny_setup(cfg)
-        clean, transformed = copied_pairs(train, spec, rows)
+        train, _, _, model = tiny_setup(cfg)
+        rows = train.rows
+        clean, transformed = copied_pairs(train)
         seen = []
         real = pipeline.composite_step_loss
 
@@ -179,7 +205,7 @@ class TestStage2:
             return real(model, c, x, x_t, *args, **kwargs)
 
         monkeypatch.setattr(pipeline, "composite_step_loss", spy)
-        stage2_mask_search(model, train_aug.x, rows, cfg)
+        stage2_mask_search(model, train, cfg)
         shuffle = np.random.default_rng([cfg.seed, pipeline.STREAM_STAGE2_SHUFFLE])
         want = []
         for _ in range(cfg.stage2_epochs):
@@ -191,10 +217,10 @@ class TestStage2:
 
     def test_step_reports_reproducible(self):
         cfg = tiny_cfg(stage2_epochs=2)
-        _, _, _, train_aug, rows, model = tiny_setup(cfg)
-        stage1_pretrain(model, train_aug, cfg)
-        s1, r1 = stage2_mask_search(model, train_aug.x, rows, cfg)
-        s2, r2 = stage2_mask_search(model, train_aug.x, rows, cfg)
+        train, _, _, model = tiny_setup(cfg)
+        stage1_pretrain(model, train, cfg)
+        s1, r1 = stage2_mask_search(model, train, cfg)
+        s2, r2 = stage2_mask_search(model, train, cfg)
         for a, b in zip(s1, s2):
             assert np.array_equal(a, b)
         assert [r.composite for r in r1] == [r.composite for r in r2]
@@ -231,13 +257,13 @@ class TestStepLifetime:
             monkeypatch.setattr(module, "masked_forward", tracked_forward)
             monkeypatch.setattr(module, "masked_backward", tracked_backward)
         cfg = tiny_cfg(stage1_epochs=1, stage2_epochs=1, stage3_epochs=1)
-        _, _, _, train_aug, rows, model = tiny_setup(cfg)
+        train, _, _, model = tiny_setup(cfg)
         enabled = gc.isenabled()
         gc.disable()
         try:
-            stage1_pretrain(model, train_aug, cfg)
-            soft, _ = stage2_mask_search(model, train_aug.x, rows, cfg)
-            stage3_finetune(model, binarize(soft, 0.5), train_aug, cfg)
+            stage1_pretrain(model, train, cfg)
+            soft, _ = stage2_mask_search(model, train, cfg)
+            stage3_finetune(model, binarize(soft, 0.5), train, cfg)
             alive = sum(ref() is not None for ref in refs)
         finally:
             if enabled:
@@ -258,8 +284,8 @@ class TestStepLifetime:
 
         monkeypatch.setattr(pipeline, "composite_step_loss", step)
         cfg = tiny_cfg(stage2_epochs=2)
-        _, _, _, train_aug, rows, model = tiny_setup(cfg)
-        stage2_mask_search(model, train_aug.x, rows, cfg)
+        train, _, _, model = tiny_setup(cfg)
+        stage2_mask_search(model, train, cfg)
         assert len(grads) > cfg.stage2_epochs
 
 
@@ -303,7 +329,7 @@ class TestWorkArrays:
         rng = np.random.default_rng(23)
         width = 1024
         model = MaskableModel.initialized(mlp_specs(2, [width], 2), "unstructured", rng)
-        data = Dataset(rng.standard_normal((90, 2)), rng.integers(0, 2, 90))
+        data = AugmentedSet(rng.standard_normal((90, 2)), rng.integers(0, 2, 90))
         multipliers = None
         if masked:
             multipliers = hard_multipliers(model, binarize(
@@ -320,7 +346,7 @@ class TestWorkArrays:
         # allocated
         rng = np.random.default_rng(25)
         model = MaskableModel.initialized(mlp_specs(512, [256], 2), "unstructured", rng)
-        data = Dataset(rng.standard_normal((90, 512)), rng.integers(0, 2, 90))
+        data = AugmentedSet(rng.standard_normal((90, 512)), rng.integers(0, 2, 90))
         multipliers = hard_multipliers(model, binarize(
             [rng.uniform(size=n) for n in model.mask_dims()], 0.5))
         rise = self.peak_rise_after_first_epoch(monkeypatch, model, data, multipliers)
@@ -330,7 +356,8 @@ class TestWorkArrays:
         # every array of the step's work dict is the one the first step made,
         # through each epoch's short last batch and the next epoch's first
         cfg = tiny_cfg(stage2_epochs=3, batch_size=32)
-        _, _, _, train_aug, rows, model = tiny_setup(cfg)
+        train, _, _, model = tiny_setup(cfg)
+        rows = train.rows
         assert len(rows) % cfg.batch_size
         held = []
         real = pipeline.composite_step_loss
@@ -341,7 +368,7 @@ class TestWorkArrays:
             return result
 
         monkeypatch.setattr(pipeline, "composite_step_loss", step)
-        stage2_mask_search(model, train_aug.x, rows, cfg)
+        stage2_mask_search(model, train, cfg)
         assert len(held) == cfg.stage2_epochs * -(-len(rows) // cfg.batch_size)
         first = held[0]
         for arrays in held[1:]:
@@ -375,20 +402,20 @@ def test_cross_entropy_checks_its_batch(logits, labels):
 class TestStage3:
     def setup_cfg(self, **kw):
         cfg = tiny_cfg(**kw)
-        _, test, _, train_aug, _, model = tiny_setup(cfg)
-        stage1_pretrain(model, train_aug, cfg)
-        return cfg, test, train_aug, model
+        train, test, _, model = tiny_setup(cfg)
+        stage1_pretrain(model, train, cfg)
+        return cfg, test, train, model
 
     @pytest.mark.parametrize("mode", ["unstructured", "structured"])
     def test_masked_weights_bit_identical(self, mode):
         # pruned weights (in structured mode every weight of a pruned row)
         # keep their pretrained bits; the rest, and structured mode's exempt
         # last layer, move
-        cfg, _, train_aug, model = self.setup_cfg(mask_mode=mode)
+        cfg, _, train, model = self.setup_cfg(mask_mode=mode)
         hard = lmp_mask(model, 0.5)
         mult = hard_multipliers(model, hard)
         before = [w.copy() for w in model.weights]
-        stage3_finetune(model, hard, train_aug, cfg)
+        stage3_finetune(model, hard, train, cfg)
         assert (mult[-1] is None) == (mode == "structured")
         for b, w, m in zip(before, model.weights, mult):
             dead = np.zeros(w.shape, bool) if m is None else np.broadcast_to(m == 0, w.shape)
@@ -397,30 +424,30 @@ class TestStage3:
             assert np.any(b[~dead] != w[~dead])  # live weights actually moved
 
     def test_pr_zero_equals_dense_training(self):
-        cfg, _, train_aug, model = self.setup_cfg()
+        cfg, _, train, model = self.setup_cfg()
         twin = model.copy()
         hard = lmp_mask(model, 0.0)
-        stage3_finetune(model, hard, train_aug, cfg)
+        stage3_finetune(model, hard, train, cfg)
         rng = np.random.default_rng([cfg.seed, pipeline.STREAM_STAGE3])
-        pipeline._ce_epochs(twin, train_aug, cfg.stage3_epochs, cfg.stage3_lr,
+        pipeline._ce_epochs(twin, train, cfg.stage3_epochs, cfg.stage3_lr,
                             cfg.momentum, cfg.batch_size, rng)
         for a, b in zip(model.weights, twin.weights):
             assert np.array_equal(a, b)
 
     def test_effective_ratio_matches_mask(self):
-        cfg, _, train_aug, model = self.setup_cfg()
+        cfg, _, train, model = self.setup_cfg()
         from maskcert.masks import init_percentile_scaled
         soft = init_percentile_scaled(model, 30.0)
         hard = binarize(soft, 0.5)
         realized = effective_ratio(hard, model)
-        stage3_finetune(model, hard, train_aug, cfg)
+        stage3_finetune(model, hard, train, cfg)
         assert effective_ratio(hard, model) == realized
 
     def test_stage3_never_mutates_mask(self):
-        cfg, _, train_aug, model = self.setup_cfg()
+        cfg, _, train, model = self.setup_cfg()
         hard = lmp_mask(model, 0.5)
         frozen = [m.copy() for m in hard]
-        stage3_finetune(model, hard, train_aug, cfg)
+        stage3_finetune(model, hard, train, cfg)
         for a, b in zip(frozen, hard):
             assert np.array_equal(a, b)
 
@@ -674,7 +701,7 @@ class TestRunExperiment:
 
         def built(*args):
             data = build(*args)
-            refs.append(weakref.ref(data[3].x))
+            refs.append(weakref.ref(data[0].x))
             return data
 
         def certified(*args):

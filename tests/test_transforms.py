@@ -167,32 +167,31 @@ class TestAugmentDataset:
         self.y = rng.integers(0, 2, size=10)
 
     def test_count_zero_noop(self):
-        xa, ya, rows = augment_dataset(self.x, self.y, shift_spec(), 0)
-        assert np.array_equal(xa, self.x)
-        assert np.array_equal(ya, self.y)
-        assert rows.shape == (0,) and rows.dtype == np.int64
+        aug = augment_dataset(self.x, self.y, shift_spec(), 0)
+        assert aug.x is self.x and aug.y is self.y and len(aug) == len(self.x)
+        assert aug.rows.shape == (0,) and aug.rows.dtype == np.int64
+        xb, yb = aug.gather(np.arange(len(self.x)))
+        assert np.array_equal(xb, self.x) and np.array_equal(yb, self.y)
 
     def test_full_count_delta_zero_duplicates(self):
-        xa, ya, _ = augment_dataset(self.x, self.y, shift_spec(), len(self.x),
-                                    delta_fixed=0.0, rng=np.random.default_rng(8))
-        assert len(xa) == 2 * len(self.x)
-        appended = xa[len(self.x):]
+        aug = augment_dataset(self.x, self.y, shift_spec(), len(self.x),
+                              delta_fixed=0.0, rng=np.random.default_rng(8))
+        assert len(aug) == 2 * len(self.x)
+        appended, _ = aug.gather(np.arange(len(self.x), len(aug)))
         assert np.array_equal(np.sort(appended, axis=0), np.sort(self.x, axis=0))
 
     def test_labels_preserved(self):
         rng = np.random.default_rng(9)
-        xa, ya, rows = augment_dataset(self.x, self.y, shift_spec(), 7, rng=rng)
-        assert len(rows) == 7
-        for r, label in zip(rows, ya[len(self.x):]):
-            assert np.array_equal(xa[r], self.x[r])
-            assert self.y[r] == label
+        aug = augment_dataset(self.x, self.y, shift_spec(), 7, rng=rng)
+        assert len(aug.rows) == 7
+        _, labels = aug.gather(np.arange(len(self.x), len(aug)))
+        assert np.array_equal(labels, self.y[aug.rows])
 
     def test_count_beyond_size_cycles(self):
-        xa, ya, rows = augment_dataset(self.x, self.y, shift_spec(), 25,
-                                       rng=np.random.default_rng(10))
-        assert len(xa) == 35 and len(rows) == 25
+        aug = augment_dataset(self.x, self.y, shift_spec(), 25, rng=np.random.default_rng(10))
+        assert len(aug) == 35 and len(aug.rows) == 25
         # first two full cycles pick every original exactly twice
-        assert np.array_equal(np.bincount(rows[:20], minlength=10), np.full(10, 2))
+        assert np.array_equal(np.bincount(aug.rows[:20], minlength=10), np.full(10, 2))
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError, match="empty"):
@@ -200,11 +199,10 @@ class TestAugmentDataset:
 
     def test_pairs_align_with_transform(self):
         rng = np.random.default_rng(11)
-        xa, ya, rows = augment_dataset(self.x, self.y, haze_spec(), 5,
-                                       delta_fixed=1.0, rng=rng)
-        assert np.array_equal(xa[:len(self.x)], self.x)
-        for j, r in enumerate(rows):
-            assert np.array_equal(xa[len(self.x) + j], apply(haze_spec(), xa[r], 1.0))
+        aug = augment_dataset(self.x, self.y, haze_spec(), 5, delta_fixed=1.0, rng=rng)
+        for j, r in enumerate(aug.rows):
+            xb, _ = aug.gather([len(self.x) + j])
+            assert np.array_equal(xb[0], apply(haze_spec(), self.x[r], 1.0))
 
     @pytest.mark.parametrize("spec", [shift_spec(), haze_spec(),
                                       TransformSpec(kind="interp_corrupt",
@@ -212,11 +210,87 @@ class TestAugmentDataset:
                              ids=["shift", "haze", "blur"])
     @pytest.mark.parametrize("delta", [0.0, 0.35, 1.0])
     def test_tail_rows_equal_apply_of_gathered_rows(self, spec, delta):
-        # the rows transformed in place in x_aug's tail have the bits of
-        # apply on a gathered copy of the same rows
-        xa, _, rows = augment_dataset(self.x, self.y, spec, 13, delta_fixed=delta,
-                                      rng=np.random.default_rng(12))
-        assert np.array_equal(xa[len(self.x):], apply(spec, self.x[rows], delta))
+        # the transformed rows a gather forms have the bits of apply on a
+        # gathered copy of the same rows
+        aug = augment_dataset(self.x, self.y, spec, 13, delta_fixed=delta,
+                              rng=np.random.default_rng(12))
+        xb, _ = aug.gather(np.arange(len(self.x), len(aug)))
+        assert np.array_equal(xb, apply(spec, self.x[aug.rows], delta))
+
+
+def materialized(aug):
+    """The augmented set as one array, and its labels, the way it was built
+    before it was held as clean rows plus picks: the clean rows, then the
+    picked rows gathered behind them and transformed in place in blocks of
+    at most 2^15 entries."""
+    x_aug = np.empty((len(aug), aug.x.shape[1]))
+    x_aug[:len(aug.x)] = aug.x
+    tail = np.take(aug.x, aug.rows, axis=0, out=x_aug[len(aug.x):])
+    step = max(1, 2 ** 15 // aug.x.shape[1])
+    for start in range(0, len(tail), step):
+        block = tail[start:start + step]
+        apply(aug.spec, block, aug.delta, out=block)
+    return x_aug, np.concatenate([aug.y, aug.y[aug.rows]])
+
+
+WIDE_SPECS = {
+    "shift": TransformSpec(kind="direction_shift", direction=e(3, 784)),
+    "haze": haze_spec(0.4),
+    "blur": TransformSpec(kind="interp_corrupt", corrupt=CorruptionTag("gaussian_blur3", 0.8)),
+}
+
+
+class TestAugmentedSet:
+    """Every row an AugmentedSet reads out has the bits of the same row of
+    the materialized set, for 784-wide rows, whose materialized tail is
+    transformed 41 rows at a time."""
+
+    N = 100
+    COUNTS = {"L1": N // 4, "L2": N, "none": 0}  # config.augment_count's
+
+    def build(self, spec_name, level):
+        rng = np.random.default_rng(14)
+        x = rng.uniform(size=(self.N, 784))
+        y = rng.integers(0, 10, size=self.N)
+        return augment_dataset(x, y, WIDE_SPECS[spec_name], self.COUNTS[level], 1.0,
+                               np.random.default_rng(15))
+
+    @pytest.mark.parametrize("rows", ["mixed", "head", "tail"])
+    @pytest.mark.parametrize("level", ["L1", "L2", "none"])
+    @pytest.mark.parametrize("spec_name", sorted(WIDE_SPECS))
+    def test_gather_equals_the_materialized_rows(self, spec_name, level, rows):
+        # batches of 16 over a shuffled order, so head and tail positions
+        # fall anywhere in a batch, repeats included
+        aug = self.build(spec_name, level)
+        x_aug, y_aug = materialized(aug)
+        pool = {"mixed": np.arange(len(aug)), "head": np.arange(self.N),
+                "tail": np.arange(self.N, len(aug))}[rows]
+        rng = np.random.default_rng(16)
+        order = np.concatenate([rng.permutation(pool), rng.choice(pool, size=min(7, pool.size))])
+        if rows == "mixed" and level != "none":
+            assert (order[:16] < self.N).any() and (order[:16] >= self.N).any()
+        out = np.empty((16, 784))
+        for start in range(0, len(order), 16):
+            idx = order[start:start + 16]
+            xb, yb = aug.gather(idx, out[:len(idx)])
+            assert xb.base is out or xb is out
+            assert np.array_equal(xb, x_aug[idx]) and np.array_equal(yb, y_aug[idx])
+
+    @pytest.mark.parametrize("level", ["L1", "L2", "none"])
+    @pytest.mark.parametrize("spec_name", sorted(WIDE_SPECS))
+    def test_blocks_are_the_materialized_rows_in_order(self, spec_name, level):
+        # the clean rows come as views of x, the transformed ones in buf
+        aug = self.build(spec_name, level)
+        x_aug, y_aug = materialized(aug)
+        buf = np.empty((32, 784))
+        blocks = [(xb.copy(), yb, np.shares_memory(xb, aug.x), np.shares_memory(xb, buf))
+                  for xb, yb in aug.blocks(32, buf)]
+        assert [len(b[0]) for b in blocks] == ([32, 32, 32, 4] + [32] * (len(aug.rows) // 32)
+                                               + [len(aug.rows) % 32] * bool(len(aug.rows) % 32))
+        assert all(clean and not held for _, _, clean, held in blocks[:4])
+        assert all(held and not clean for _, _, clean, held in blocks[4:])
+        assert np.array_equal(np.concatenate([b[0] for b in blocks]), x_aug)
+        assert np.array_equal(np.concatenate([b[1] for b in blocks]), y_aug)
 
 
 def out_of_place_corrupt(tag, x):
