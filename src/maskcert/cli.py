@@ -209,13 +209,15 @@ def _cmd_finetune(cfg: ExperimentConfig, args, out: Path) -> dict:
 
 def _cmd_certify(cfg: ExperimentConfig, args, out: Path) -> dict:
     train, test, spec = pipeline.build_data(cfg)
-    in_dim = train.x.shape[1]
-    del train  # only its width is read, so it does not outlive the build
-    model, extras = _load_ckpt_arg(args, "finetuned.ckpt", cfg, in_dim,
+    model, extras = _load_ckpt_arg(args, "finetuned.ckpt", cfg, train.x.shape[1],
                                    ("pretrained", "finetuned"))
     hard = extras["hard_mask"]
     idx = pipeline.eval_subset(cfg, test)
     deployed = model.folded(hard_multipliers(model, hard))
+    # only the training inputs' width was read, so they go before
+    # certification; freed before the checkpoint loads, they raised the
+    # command's peak RSS in most runs instead
+    del train
     result = pca(deployed, test.x[idx], test.y[idx], spec, cfg)
     ratio = effective_ratio(hard, model)
     _write_cert_report(out, "cert_report", cfg, result, ratio)
