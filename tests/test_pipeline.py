@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from maskcert import autodiff as ad
-from maskcert import certify, objectives, pipeline, transforms
+from maskcert import certify, objectives, pipeline
 from maskcert.config import ExperimentConfig, validate
 from maskcert.datasets import Dataset, accuracy
 from maskcert.errors import ConfigError
@@ -113,7 +113,6 @@ class TestStage1:
         got = pipeline._accuracy(model, train, cfg.batch_size, {})
         assert got == history[-1].accuracy == accuracy(model, whole)
         assert 0.0 < got < 1.0
-
 
     def test_default_task_reaches_high_train_accuracy(self):
         # default synthetic task, default 50-epoch schedule
