@@ -114,16 +114,15 @@ def _write_experiment(out: Path, cfg: ExperimentConfig, output) -> None:
     save_checkpoint(out / "pretrained.ckpt", output.pretrained, "pretrained",
                     seed=cfg.seed)
     _write_epoch_log(out / "stage1_log.csv", output.stage1_log)
+    if output.soft is not None:
+        save_checkpoint(out / "mask_searched.ckpt", output.pretrained,
+                        "mask_searched", soft_mask=output.soft, seed=cfg.seed)
+        _write_stage2_log(out / "stage2_log.csv", output.stage2_log)
     for method, r in output.results.items():
-        if r.soft is not None:
-            save_checkpoint(out / "mask_searched.ckpt", output.pretrained,
-                            "mask_searched", soft_mask=r.soft, seed=cfg.seed)
-            _write_stage2_log(out / "stage2_log.csv", r.stage_logs["stage2"])
         if r.hard is not None:
             save_checkpoint(out / f"finetuned_{method}.ckpt", r.model,
                             "finetuned", hard_mask=r.hard, seed=cfg.seed)
-        if "stage3" in r.stage_logs:
-            _write_epoch_log(out / f"stage3_log_{method}.csv", r.stage_logs["stage3"])
+            _write_epoch_log(out / f"stage3_log_{method}.csv", r.stage3_log)
         _write_cert_report(out, f"cert_report_{method}", cfg, r.cert, r.ratio)
     _write_csv(out / "summary.csv", ["method", "acc", "pca", "ratio"],
                ((r.method, r.clean_accuracy, r.cert.fraction, r.ratio)
@@ -199,7 +198,7 @@ def _cmd_finetune(cfg: ExperimentConfig, args, out: Path) -> dict:
     if extras["soft_mask"] is None:
         raise DatasetError("finetune needs a mask-search checkpoint carrying a soft mask")
     hard = binarize(extras["soft_mask"], cfg.pruning_ratio)
-    history = pipeline.stage3_finetune(model, hard, train, cfg)
+    history = [stats for (stats,) in pipeline.stage3_finetune([model], [hard], train, cfg)]
     save_checkpoint(out / "finetuned.ckpt", model, "finetuned",
                     hard_mask=hard, seed=cfg.seed)
     _write_epoch_log(out / "stage3_log.csv", history)
@@ -230,8 +229,7 @@ def _cmd_run_all(cfg: ExperimentConfig, args, out: Path) -> dict:
     output = pipeline.run_experiment(cfg)
     _write_experiment(out, cfg, output)
     first = next(iter(output.results.values()))
-    return {**{f"wall_time_{m}": r.wall_time for m, r in output.results.items()},
-            "wall_time_certify": output.certify_wall_time,
+    return {**{f"wall_time_{stage}": s for stage, s in output.wall_times.items()},
             "cert_first_layer": first.cert.first_layer}
 
 

@@ -132,9 +132,9 @@ def write_dataset_csv(path, ds: Dataset) -> None:
             fh.write(",".join(repr(float(v)) for v in row) + f",{int(label)}\n")
 
 
-def accuracy(model, ds: Dataset, work: dict | None = None) -> float:
-    """Share of ds classified correctly, forwarded in `work` if given."""
+def accuracy(model, ds: Dataset) -> float:
+    """Share of ds classified correctly."""
     if len(ds) == 0:
         raise ValueError("cannot score an empty dataset")
-    probs = model.forward(ds.x, work)
+    probs = model.forward(ds.x)
     return float(np.mean(np.argmax(probs, axis=1) == ds.y))

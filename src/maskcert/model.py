@@ -121,33 +121,25 @@ class MaskableModel:
         return MaskableModel(self.specs, [w.copy() for w in self.weights],
                              [b.copy() for b in self.biases], self.mask_mode)
 
-    def forward(self, x: np.ndarray, work: dict | None = None) -> np.ndarray:
-        """Softmax class probabilities, shape (..., batch, K).
-
-        Inputs may be stacked, (..., batch, in_dim); each trailing
-        (batch, in_dim) block gives the bits it would give alone. `work` is
-        as for forward_probs. Never mutates the model, so evaluations that
-        share no work dict may run concurrently.
-        """
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        """Softmax class probabilities, shape (..., batch, K), in fresh
+        arrays. Inputs may be stacked, (..., batch, in_dim); each trailing
+        (batch, in_dim) block gives the bits it would give alone."""
         x = np.asarray(x, dtype=np.float64)
         if x.ndim < 2 or x.shape[-1] != self.in_dim:
             raise ValueError(f"forward: expected input (batch, {self.in_dim}), got {x.shape}")
-        return forward_probs(x, self.weights, self.biases, self.specs, work)
+        return forward_probs(x, self.weights, self.biases, self.specs)
 
-    def folded(self, multipliers, work: dict | None = None) -> "MaskableModel":
+    def folded(self, multipliers) -> "MaskableModel":
         """The deployed model: dense, with weights m * w for each layer's
         multiplier m (see masks.hard_multipliers), and w where the entry, or
-        `multipliers` itself, is None; every hard mask is applied this way,
-        stage 3 included. Unmasked weights and the biases are shared. Layer
-        i's product is formed under ("fold", i) of `work` (_buffer), so a
-        loop that folds every step allocates it once; it is then valid until
-        the next fold into that dict."""
+        `multipliers` itself, is None; every hard mask is applied this way
+        (stage 3's weight stacks by pipeline._fold). Unmasked weights and
+        the biases are shared."""
         if multipliers is None:
             return self
-        return MaskableModel(self.specs,
-                             [w if m is None else
-                              np.multiply(m, w, out=_buffer(work, ("fold", i), w.shape))
-                              for i, (m, w) in enumerate(zip(multipliers, self.weights))],
+        return MaskableModel(self.specs, [w if m is None else m * w
+                                          for m, w in zip(multipliers, self.weights)],
                              self.biases, self.mask_mode)
 
 

@@ -5,7 +5,9 @@ Stage 2 freezes the weights and searches a soft pruning mask with the
 composite objective, clamping the mask into [0, 1] after every update.
 Stage 3 binarizes the mask and fine-tunes the model with the fixed hard mask
 folded into its weights; pruned weights receive exactly zero update because
-their gradient is multiplied by the mask. Every stage reads the augmented
+their gradient is multiplied by the mask. It trains every masked method's
+model as one stack that shares each batch (_ce_epochs), each model with the
+bits of its training alone. Every stage reads the augmented
 set as transforms.AugmentedSet holds it, clean rows plus picked row
 indices: a transformed row is formed when a batch or an accuracy block
 gathers it, and the stage-2 pairs are the picks.
@@ -28,9 +30,9 @@ from .datasets import Dataset, accuracy, gen_synthetic, load_idx
 from .errors import ConfigError, DatasetError
 from .masks import (binarize, effective_ratio, hard_multipliers, init_percentile_scaled,
                     layer_views, unit_magnitudes)
-from .model import MaskableModel, _buffer, masked_backward, masked_forward
+from .model import MaskableModel, _buffer, forward_probs, masked_backward, masked_forward
 from .objectives import StepReport, _batch_slots, composite_step_loss
-from .transforms import AugmentedSet, apply, augment_dataset
+from .transforms import AUGMENT_DELTA, AugmentedSet, apply, augment_dataset
 
 # rng stream namespaces under the experiment root seed. STREAM_INIT shares
 # [seed, 1] with the synthetic test split (datasets.gen_synthetic), so model
@@ -131,69 +133,94 @@ class EpochStats:
     accuracy: float
 
 
-def _ce_epochs(model: MaskableModel, data: AugmentedSet, epochs: int, lr: float,
+def _ce_epochs(models: list[MaskableModel], data: AugmentedSet, epochs: int, lr: float,
                momentum: float, batch_size: int, rng: np.random.Generator,
-               multipliers=None) -> list[EpochStats]:
-    """Mini-batch cross-entropy training of the model folded under fixed
-    multipliers (hard_multipliers), if any, with each masked layer's weight
-    gradient multiplied by its multiplier. Each step gathers its batch
-    (AugmentedSet.gather) and folds the weights into its work dict
-    (MaskableModel.folded), then runs masked_forward, cross_entropy,
-    masked_backward and the weight and bias gradients in one errstate
-    block. The gradients are dead once the velocities hold them, so the
-    step lends them to MomentumSGD as its scratch. The per-epoch accuracy
-    forwards the set in blocks of batch_size rows in the same dict
-    (_accuracy). Updates model weights in place."""
+               multipliers=None) -> list[list[EpochStats]]:
+    """Mini-batch cross-entropy training of k models of one architecture as
+    one stack that shares each batch, model j folded under its fixed
+    multipliers[j] (hard_multipliers), if any, and each masked layer's
+    weight gradient multiplied by its own. Each layer's weights become one
+    (k, out, in) stack and its biases one (k, 1, out) stack, of which each
+    model keeps views, not a copy; stacked matmul runs one GEMM per model,
+    so each model gets the bits of its training alone. Each step gathers
+    its batch (AugmentedSet.gather), folds the weights (_fold) and runs
+    masked_forward, cross_entropy per model and masked_backward in one
+    errstate block, all in one work dict; it lends its gradients to
+    MomentumSGD as scratch. The per-epoch accuracy runs one stacked
+    forward_probs per AugmentedSet.blocks block. Returns, per epoch, every
+    model's EpochStats."""
+    specs, k = models[0].specs, len(models)
+    ws = [np.stack([m.weights[i] for m in models]) for i in range(len(specs))]
+    bs = [np.stack([m.biases[i][None] for m in models]) for i in range(len(specs))]
+    for j, m in enumerate(models):
+        for i, (w, b) in enumerate(zip(ws, bs)):
+            m.weights[i], m.biases[i] = w[j], b[j, 0]
     opt = MomentumSGD(lr, momentum)
     history = []
     n = len(data)
     work = {}  # the step's arrays and the accuracy's, kept across epochs
     for epoch in range(epochs):
         order = rng.permutation(n)
-        loss_sum = 0.0
+        loss_sums = [0.0] * k
         for start in range(0, n, batch_size):
             idx = order[start:start + batch_size]
             xb, yb = data.gather(idx, _buffer(work, "x", (len(idx), data.x.shape[1])))
             try:
                 with np.errstate(all="ignore"):  # finiteness is checked instead
-                    ws = model.folded(multipliers, work).weights
-                    hs, zs = masked_forward(xb, ws, model.biases, model.specs, work)
-                    loss, g_logits = cross_entropy(hs[-1], yb)
-                    if not np.isfinite(loss):
-                        raise FloatingPointError("non-finite loss")
-                    gz = masked_backward(zs, ws, model.specs, g_logits, work)
-                    g_ws = [np.matmul(g.mT, h, out=_buffer(work, ("dw", i), w.shape))
-                            for i, (g, h, w) in enumerate(zip(gz, hs, ws))]
-                    g_bs = [g.sum(axis=0) for g in gz]
+                    folded = _fold(ws, multipliers, work)
+                    hs, zs = masked_forward(xb, folded, bs, specs, work)
+                    g_logits = _buffer(work, "dlogits", hs[-1].shape)
+                    for j in range(k):
+                        loss, g_logits[j] = cross_entropy(hs[-1][j], yb)
+                        if not np.isfinite(loss):
+                            raise FloatingPointError("non-finite loss")
+                        loss_sums[j] += float(loss) * len(idx)
+                    gz = masked_backward(zs, folded, specs, g_logits, work)
+                    # a masked layer's fold is dead once the backward returns,
+                    # so its weight gradient is formed there
+                    g_ws = [np.matmul(g.mT, h, out=f if f is not w else
+                                      _buffer(work, ("dw", i), w.shape))
+                            for i, (g, h, w, f) in enumerate(zip(gz, hs, ws, folded))]
+                    g_bs = [g.sum(axis=-2, keepdims=True) for g in gz]
             except FloatingPointError as exc:
                 raise FloatingPointError(f"training diverged at epoch {epoch}: {exc}") from None
-            for g, m in zip(g_ws, multipliers or ()):
-                if m is not None:
-                    g *= m
+            for g_model, mult in zip(zip(*g_ws), multipliers or ()):  # each model's slice
+                for g, m in zip(g_model, mult):
+                    if m is not None:
+                        g *= m
             grads = g_ws + g_bs
-            opt.step(model.weights + model.biases, grads, scratch=grads)
-            loss_sum += float(loss) * len(idx)
-        history.append(EpochStats(epoch, loss_sum / n, _accuracy(
-            model.folded(multipliers, work), data, batch_size, work)))
+            opt.step(ws + bs, grads, scratch=grads)
+        folded = _fold(ws, multipliers, work)
+        hits = np.zeros(k, dtype=np.int64)
+        for xb, yb in data.blocks(batch_size, _buffer(work, "x", (batch_size, data.x.shape[1]))):
+            probs = forward_probs(xb, folded, bs, specs, work)
+            hits += np.count_nonzero(np.argmax(probs, axis=-1) == yb, axis=-1)
+        history.append([EpochStats(epoch, loss_sum / n, int(hit) / n)
+                        for loss_sum, hit in zip(loss_sums, hits)])
     return history
 
 
-def _accuracy(model: MaskableModel, data: AugmentedSet, size: int, work: dict) -> float:
-    """Share of every row of data classified correctly, forwarded in blocks
-    of `size` rows (AugmentedSet.blocks) in `work`, the transformed rows
-    formed under its "x". It is datasets.accuracy's share: the argmax hits
-    over the row count."""
-    hits = 0
-    for xb, yb in data.blocks(size, _buffer(work, "x", (size, data.x.shape[1]))):
-        hits += int(np.count_nonzero(np.argmax(model.forward(xb, work), axis=1) == yb))
-    return hits / len(data)
+def _fold(weights: list, multipliers, work: dict) -> list:
+    """The weight stacks with model j's multipliers[j] folded into slice j:
+    under ("fold", i) of `work` for a masked layer i, the stack itself for
+    an unmasked one. One architecture and one mask mode give every model
+    the same masked layers, so the first model's multipliers say which."""
+    if multipliers is None:
+        return weights
+    folded = list(weights)
+    for i, w in enumerate(weights):
+        if multipliers[0][i] is not None:
+            folded[i] = _buffer(work, ("fold", i), w.shape)
+            for fold, w_j, mult in zip(folded[i], w, multipliers):
+                np.multiply(mult[i], w_j, out=fold)
+    return folded
 
 
 def stage1_pretrain(model: MaskableModel, train: AugmentedSet,
                     cfg: ExperimentConfig) -> list[EpochStats]:
     rng = np.random.default_rng([cfg.seed, STREAM_STAGE1])
-    return _ce_epochs(model, train, cfg.stage1_epochs, cfg.stage1_lr,
-                      cfg.momentum, cfg.batch_size, rng)
+    return [stats for (stats,) in _ce_epochs([model], train, cfg.stage1_epochs,
+                                             cfg.stage1_lr, cfg.momentum, cfg.batch_size, rng)]
 
 
 def stage2_mask_search(model: MaskableModel, train: AugmentedSet, cfg: ExperimentConfig):
@@ -230,7 +257,7 @@ def stage2_mask_search(model: MaskableModel, train: AugmentedSet, cfg: Experimen
             # the rows are in range)
             x, x_t = _batch_slots(work, (len(idx), train.x.shape[1]))
             np.take(train.x, rows[idx], axis=0, out=x, mode="clip")
-            apply(train.spec, x, train.delta, out=x_t)
+            apply(train.spec, x, AUGMENT_DELTA, out=x_t)
             result = composite_step_loss(model, c, x, x_t, cfg, noise_rng, step=step, work=work)
             # the mask stack is dead until the next step: Adam's scratch
             opt.step(c, result.grad, _buffer(work, "mask", (2, c.size)))
@@ -241,13 +268,17 @@ def stage2_mask_search(model: MaskableModel, train: AugmentedSet, cfg: Experimen
     return layer_views(c, model.mask_dims()), reports
 
 
-def stage3_finetune(model: MaskableModel, hard: list, train: AugmentedSet,
-                    cfg: ExperimentConfig) -> list[EpochStats]:
-    """Fine-tune weights under the fixed binary mask (in place)."""
-    multipliers = hard_multipliers(model, hard)
+def stage3_finetune(models: list[MaskableModel], hards: list, train: AugmentedSet,
+                    cfg: ExperimentConfig) -> list[list[EpochStats]]:
+    """Fine-tune each model's weights in place under its fixed binary mask,
+    all as one stack (_ce_epochs). Returns, per epoch, every model's
+    EpochStats in the order of models; no epochs for no models."""
+    if not models:
+        return []
     rng = np.random.default_rng([cfg.seed, STREAM_STAGE3])
-    return _ce_epochs(model, train, cfg.stage3_epochs, cfg.stage3_lr,
-                      cfg.momentum, cfg.batch_size, rng, multipliers=multipliers)
+    return _ce_epochs(models, train, cfg.stage3_epochs, cfg.stage3_lr, cfg.momentum,
+                      cfg.batch_size, rng,
+                      [hard_multipliers(m, hard) for m, hard in zip(models, hards)])
 
 
 def lmp_mask(model: MaskableModel, pr: float) -> list:
@@ -256,19 +287,22 @@ def lmp_mask(model: MaskableModel, pr: float) -> list:
     return binarize(unit_magnitudes(model), pr)
 
 
+# each method's hard mask from the pre-trained model and csam's soft mask at
+# pruning ratio pr: none for vanilla, which deploys the pre-trained model
+HARD_MASKS = {"vanilla": lambda base, soft, pr: None,
+              "lmp": lambda base, soft, pr: lmp_mask(base, pr),
+              "csam": lambda base, soft, pr: binarize(soft, pr)}
+
+
 @dataclass
 class MethodResult:
     method: str
     model: MaskableModel
     hard: list | None
-    soft: list | None
     cert: PcaResult | None  # set once every method is trained (pca_models)
-    stage_logs: dict
+    stage3_log: list[EpochStats] | None  # None for an unmasked method
     clean_accuracy: float
     ratio: float
-    # seconds of this method's training and clean accuracy; the shared
-    # certification of all methods is ExperimentOutput.certify_wall_time
-    wall_time: float
 
 
 @dataclass
@@ -276,8 +310,10 @@ class ExperimentOutput:
     results: dict[str, MethodResult]  # by method, in the config's order
     pretrained: MaskableModel
     stage1_log: list[EpochStats]
+    soft: list | None  # csam's searched soft mask, None without csam
+    stage2_log: list[StepReport] | None
     eval_indices: np.ndarray
-    certify_wall_time: float  # seconds of the one certification pass
+    wall_times: dict[str, float]  # seconds of stage1, stage2, stage3, certify
 
 
 def build_data(cfg: ExperimentConfig):
@@ -299,7 +335,7 @@ def build_data(cfg: ExperimentConfig):
         spec = transform_spec(cfg)
     rng = np.random.default_rng([cfg.seed, STREAM_AUGMENT])
     count = augment_count(cfg, len(train))
-    return augment_dataset(train.x, train.y, spec, count, 1.0, rng), test, spec
+    return augment_dataset(train.x, train.y, spec, count, rng), test, spec
 
 
 def class_count(cfg: ExperimentConfig) -> int:
@@ -324,53 +360,45 @@ def eval_subset(cfg: ExperimentConfig, test: Dataset) -> np.ndarray:
 def run_experiment(cfg: ExperimentConfig) -> ExperimentOutput:
     """Train every configured method from one shared pre-trained model, then
     certify them all in one pass on one shared evaluation subset; results
-    keeps the config's order. Nothing writes the shared model: vanilla
-    deploys it as it is, lmp and csam fine-tune copies of it, and csam's
-    mask is searched first, on it, so no other method's model, fold or mask
-    is live at the search's memory peak; csam's wall_time still counts the
-    search. Each large array dies with its last reader: a method's clean
-    accuracy runs on a fold of its own, the augmented training set goes
-    once the last method is trained, and only then are the deployed models
-    folded and the evaluation inputs gathered for certification."""
+    keeps the config's order. csam's mask is searched first, on the shared
+    model, so no other method's model or mask is live at the search's peak.
+    Nothing writes that model: vanilla deploys it, and each masked method
+    fine-tunes a copy under its mask (HARD_MASKS), all in one stage-3
+    stack. Each large array dies with its last reader: the training set
+    once stage 3 is done, a method's fold once its clean accuracy is taken.
+    wall_times holds each stage's seconds, stage 1's with the data build
+    and stage 3's with the clean accuracies."""
+    marks = [time.perf_counter()]
     train, test, spec = build_data(cfg)
-
     base = fresh_model(cfg, train.x.shape[1])
     stage1_log = stage1_pretrain(base, train, cfg)
     idx = eval_subset(cfg, test)  # checked here, gathered at certification
+    marks.append(time.perf_counter())
 
-    if "csam" in cfg.methods:
-        t0 = time.perf_counter()
-        search = (*stage2_mask_search(base, train, cfg), time.perf_counter() - t0)
+    soft, stage2_log = (stage2_mask_search(base, train, cfg) if "csam" in cfg.methods
+                        else (None, None))
+    marks.append(time.perf_counter())
 
-    results = {}
-    for method in cfg.methods:
-        t0 = time.perf_counter()
-        logs = {}
-        soft = None
-        model = base if method == "vanilla" else base.copy()
-        if method == "vanilla":
-            hard = None
-        elif method == "lmp":
-            hard = lmp_mask(model, cfg.pruning_ratio)
-            logs["stage3"] = stage3_finetune(model, hard, train, cfg)
-        elif method == "csam":
-            soft, logs["stage2"], search_s = search
-            t0 -= search_s  # the search counts toward csam's wall time
-            hard = binarize(soft, cfg.pruning_ratio)
-            logs["stage3"] = stage3_finetune(model, hard, train, cfg)
-        else:
-            raise ConfigError(f"unknown method {method!r}")
-
-        results[method] = MethodResult(
-            method=method, model=model, hard=hard, soft=soft, cert=None, stage_logs=logs,
-            clean_accuracy=accuracy(model.folded(hard_multipliers(model, hard)), test),
-            ratio=effective_ratio(hard, model), wall_time=time.perf_counter() - t0)
+    hards = {m: HARD_MASKS[m](base, soft, cfg.pruning_ratio) for m in cfg.methods}
+    masked = [m for m in cfg.methods if hards[m] is not None]
+    models = {m: base if hards[m] is None else base.copy() for m in cfg.methods}
+    stage3 = stage3_finetune([models[m] for m in masked], [hards[m] for m in masked],
+                             train, cfg)
     del train
+    stage3_logs = {m: [epoch[j] for epoch in stage3] for j, m in enumerate(masked)}
+    results = {m: MethodResult(
+        method=m, model=models[m], hard=hards[m], cert=None, stage3_log=stage3_logs.get(m),
+        clean_accuracy=accuracy(models[m].folded(hard_multipliers(models[m], hards[m])), test),
+        ratio=effective_ratio(hards[m], models[m])) for m in cfg.methods}
+    marks.append(time.perf_counter())
 
-    t0 = time.perf_counter()
     deployed = [r.model.folded(hard_multipliers(r.model, r.hard)) for r in results.values()]
     certs = pca_models(deployed, test.x[idx], test.y[idx], spec, cfg)
     for r, cert in zip(results.values(), certs):
         r.cert = cert
-    return ExperimentOutput(results=results, pretrained=base, stage1_log=stage1_log,
-                            eval_indices=idx, certify_wall_time=time.perf_counter() - t0)
+    marks.append(time.perf_counter())
+    return ExperimentOutput(
+        results=results, pretrained=base, stage1_log=stage1_log, soft=soft,
+        stage2_log=stage2_log, eval_indices=idx,
+        wall_times={stage: b - a for stage, a, b in
+                    zip(("stage1", "stage2", "stage3", "certify"), marks, marks[1:])})

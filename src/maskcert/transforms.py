@@ -22,6 +22,7 @@ import numpy as np
 
 KINDS = ("direction_shift", "interp_corrupt")
 CORRUPTIONS = ("haze", "gaussian_blur3")
+AUGMENT_DELTA = 1.0  # the magnitude of every transformed training row
 
 
 @dataclass(frozen=True)
@@ -113,16 +114,15 @@ def apply(spec: TransformSpec, x: np.ndarray, delta, out=None, work=None) -> np.
 @dataclass(frozen=True, eq=False)
 class AugmentedSet:
     """A training set of len(x) + len(rows) rows: row i < len(x) is x[i] and
-    row len(x) + j is T(x[rows[j]], delta) under spec, each with its source
-    row's label. Only x is held: a transformed row is formed when it is
-    read, with the bits of a transform of the whole tail, since T works
+    row len(x) + j is T(x[rows[j]], AUGMENT_DELTA) under spec, each with its
+    source row's label. Only x is held: a transformed row is formed when it
+    is read, with the bits of a transform of the whole tail, since T works
     entry by entry (row by row for the blur). Without rows it is the clean
     set alone."""
     x: np.ndarray  # (n, features) float64
     y: np.ndarray  # (n,) labels
     rows: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
     spec: TransformSpec | None = None
-    delta: float = 1.0
 
     def __len__(self) -> int:
         return len(self.x) + len(self.rows)
@@ -139,7 +139,7 @@ class AugmentedSet:
         xb = np.take(self.x, src, axis=0, out=out, mode="clip")
         if at.size:
             tail = xb[at]
-            xb[at] = apply(self.spec, tail, self.delta, out=tail)
+            xb[at] = apply(self.spec, tail, AUGMENT_DELTA, out=tail)
         return xb, self.y[src]
 
     def blocks(self, size: int, buf: np.ndarray):
@@ -152,14 +152,13 @@ class AugmentedSet:
         for start in range(0, len(self.rows), size):
             src = self.rows[start:start + size]
             xb = np.take(self.x, src, axis=0, out=buf[:len(src)], mode="clip")
-            yield apply(self.spec, xb, self.delta, out=xb), self.y[src]
+            yield apply(self.spec, xb, AUGMENT_DELTA, out=xb), self.y[src]
 
 
 def augment_dataset(x: np.ndarray, y: np.ndarray, spec: TransformSpec, count: int,
-                    delta_fixed: float = 1.0,
                     rng: np.random.Generator | None = None) -> AugmentedSet:
-    """The AugmentedSet of x and y with `count` transformed samples at a
-    fixed magnitude.
+    """The AugmentedSet of x and y with `count` transformed samples, each at
+    magnitude AUGMENT_DELTA.
 
     Originals are drawn by cycling seeded permutations, so count == len(x)
     selects every sample exactly once; the picks are the set's rows, so
@@ -177,4 +176,4 @@ def augment_dataset(x: np.ndarray, y: np.ndarray, spec: TransformSpec, count: in
     picks = []
     while len(picks) < count:
         picks.extend(rng.permutation(len(x)).tolist())
-    return AugmentedSet(x, y, np.asarray(picks[:count], dtype=np.int64), spec, delta_fixed)
+    return AugmentedSet(x, y, np.asarray(picks[:count], dtype=np.int64), spec)

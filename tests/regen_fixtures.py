@@ -110,14 +110,14 @@ def trajectory_record() -> dict:
     small run."""
     output = run_experiment(validate(ExperimentConfig(**SMALL_RUN)))
     csam = output.results["csam"]
-    reports = csam.stage_logs["stage2"]
+    reports = output.stage2_log
     return {
         "stage1_mean_loss": [h.mean_loss for h in output.stage1_log],
         "stage2": {str(r.step): {"l_stab": r.l_stab, "l_ratio": r.l_ratio,
                                  "l_consis": r.l_consis, "l1_normalized": r.l1_normalized,
                                  "composite": r.composite, "grad_norm": r.grad_norm}
                    for r in (reports[0], reports[1], reports[-1])},
-        "soft_mask_l1": float(sum(np.abs(c).sum() for c in csam.soft)),
+        "soft_mask_l1": float(sum(np.abs(c).sum() for c in output.soft)),
         "csam_eps_hat": [row.eps_hat for row in csam.cert.rows],
     }
 
@@ -178,10 +178,11 @@ def _ce_case(in_dim, hidden, classes, variant):
     multipliers = (None if variant < 2 else
                    hard_multipliers(model, binarize(unit_magnitudes(model), 0.6)))
     lr, momentum, batch = ((0.05, 0.9, 16), (0.01, 0.5, 7))[variant % 2]
-    history = _ce_epochs(model, data, 2, lr, momentum, batch,
-                         np.random.default_rng([34, variant]), multipliers)
+    history = _ce_epochs([model], data, 2, lr, momentum, batch,
+                         np.random.default_rng([34, variant]),
+                         None if multipliers is None else [multipliers])
     return {"weights": _sha256(model.weights), "biases": _sha256(model.biases),
-            "history": [[repr(h.mean_loss), repr(h.accuracy)] for h in history]}
+            "history": [[repr(h.mean_loss), repr(h.accuracy)] for (h,) in history]}
 
 
 def stage2_step_record() -> dict:

@@ -139,15 +139,16 @@ class TestRunAll:
             assert (out / f"cert_report{suffix}").read_bytes() == \
                    (run_all_out / f"cert_report_{method}{suffix}").read_bytes()
 
-    def test_status_times_each_method_and_certification(self, run_all_out):
+    def test_status_times_each_stage(self, run_all_out):
+        # one key per stage, since one stage-3 stack fine-tunes every masked
+        # method at once
         text = (run_all_out / "status.txt").read_text()
         keys = [line.split(" = ", 1)[0] for line in text.splitlines()]
         assert [k for k in keys if k.startswith("wall_time_") and k != "wall_time_s"] == \
-               ["wall_time_vanilla", "wall_time_lmp", "wall_time_csam", "wall_time_certify"]
+               ["wall_time_stage1", "wall_time_stage2", "wall_time_stage3", "wall_time_certify"]
 
-    def test_status_csam_time_counts_its_search(self, tiny_config, tmp_path, monkeypatch):
-        # the mask search runs before any method trains, yet its time is
-        # csam's wall_time_csam
+    def test_status_stage2_time_counts_the_search(self, tiny_config, tmp_path, monkeypatch):
+        # a slowed mask search shows in wall_time_stage2
         real = pipeline.stage2_mask_search
 
         def slow(*args):
@@ -159,7 +160,7 @@ class TestRunAll:
         assert run("run-all", tiny_config, out) == EXIT_OK
         text = (out / "status.txt").read_text()
         status = dict(line.split(" = ", 1) for line in text.splitlines())
-        assert float(status["wall_time_csam"]) >= 0.3
+        assert float(status["wall_time_stage2"]) >= 0.3
 
     def test_status_names_the_stacked_first_layer(self, run_all_out):
         # direction_shift always certifies through the stacked forward

@@ -199,30 +199,6 @@ class TestBuffer:
         for got, want in zip(hs + zs, want_hs + want_zs):
             assert np.array_equal(got, want)
 
-    @pytest.mark.parametrize("mode", ["unstructured", "structured"])
-    def test_fold_keys_each_masked_layer(self, mode):
-        # layer i's product under ("fold", i), with the bits of m * w; an
-        # unmasked layer shares its weight, and a second fold reuses the arrays
-        rng = np.random.default_rng(9)
-        m = MaskableModel.initialized(mlp_specs(5, [7, 6], 3), mode, rng)
-        mult = hard_multipliers(m, [(rng.uniform(size=n) < 0.5).astype(float)
-                                    for n in m.mask_dims()])
-        mult[1] = None
-        work = {}
-        ws = m.folded(mult, work).weights
-        masked = [i for i, v in enumerate(mult) if v is not None]  # structured: no layer 2
-        assert sorted(work) == [("fold", i) for i in masked]
-        assert all(ws[i].base is work[("fold", i)] for i in masked) and ws[1] is m.weights[1]
-        want = fold(mult, m.weights)
-        for got, expected in zip(ws, want):
-            assert np.array_equal(got, expected)
-        held = dict(work)
-        again = m.folded(mult, work).weights
-        assert all(work[key] is held[key] for key in held)
-        for got, expected in zip(again, want):
-            assert np.array_equal(got, expected)
-
-
 
 class TestHardMultipliers:
     def single_layer(self, mode, seed=6):

@@ -17,7 +17,7 @@ from maskcert.model import MaskableModel, masked_backward, masked_forward, mlp_s
 from maskcert.pipeline import (Adam, MomentumSGD, cross_entropy, lmp_mask,
                                run_experiment, stage1_pretrain,
                                stage2_mask_search, stage3_finetune)
-from maskcert.transforms import AugmentedSet, apply
+from maskcert.transforms import AUGMENT_DELTA, AugmentedSet, TransformSpec, apply
 from util import PerLayerAdam, TracedPeak, make_cfg
 
 
@@ -56,7 +56,7 @@ def copied_pairs(train):
     """The stage-2 pairs as row-aligned copies: clean rows gathered from the
     training inputs and their transformed copies."""
     clean = train.x[train.rows]
-    return clean, apply(train.spec, clean, train.delta)
+    return clean, apply(train.spec, clean, AUGMENT_DELTA)
 
 
 class TestBuildData:
@@ -67,7 +67,7 @@ class TestBuildData:
         train, _, spec, _ = tiny_setup(cfg)
         assert len(train.x) == 100 and train.rows.shape == (count,)
         assert len(train) == 100 + count
-        assert train.spec is spec and train.delta == 1.0
+        assert train.spec is spec and AUGMENT_DELTA == 1.0
 
     @pytest.mark.parametrize("level", ["L1", "L2"])
     def test_tail_rows_are_the_copied_transformed_pairs(self, tmp_path, level):
@@ -110,8 +110,8 @@ class TestStage1:
         _, transformed = copied_pairs(train)
         whole = Dataset(np.concatenate([train.x, transformed]),
                         np.concatenate([train.y, train.y[train.rows]]))
-        got = pipeline._accuracy(model, train, cfg.batch_size, {})
-        assert got == history[-1].accuracy == accuracy(model, whole)
+        got = history[-1].accuracy
+        assert got == accuracy(model, whole)
         assert 0.0 < got < 1.0
 
     def test_default_task_reaches_high_train_accuracy(self):
@@ -262,7 +262,7 @@ class TestStepLifetime:
         try:
             stage1_pretrain(model, train, cfg)
             soft, _ = stage2_mask_search(model, train, cfg)
-            stage3_finetune(model, binarize(soft, 0.5), train, cfg)
+            stage3_finetune([model], [binarize(soft, 0.5)], train, cfg)
             alive = sum(ref() is not None for ref in refs)
         finally:
             if enabled:
@@ -288,13 +288,20 @@ class TestStepLifetime:
         assert len(grads) > cfg.stage2_epochs
 
 
+def random_multipliers(models, rng):
+    """Each model's multipliers of a random half-pruning hard mask."""
+    return [hard_multipliers(m, binarize([rng.uniform(size=n) for n in m.mask_dims()], 0.5))
+            for m in models]
+
+
 class TestWorkArrays:
     """Each training loop keeps its arrays in one work dict, grown to the
     largest shape asked of it, so an epoch's short last batch and the
-    per-epoch accuracy forward allocate nothing after the first epoch."""
+    per-epoch accuracy forward allocate nothing after the first epoch, with
+    one model or a stack of them."""
 
     @staticmethod
-    def peak_rise_after_first_epoch(monkeypatch, model, data, multipliers):
+    def peak_rise_after_first_epoch(monkeypatch, models, data, multipliers):
         """How far tracemalloc's peak rises, over 3 epochs in batches of 32,
         above the memory held at the start of the second epoch's first step
         (its forward), after the first epoch's steps and accuracy forward."""
@@ -309,47 +316,76 @@ class TestWorkArrays:
 
         monkeypatch.setattr(pipeline, "masked_forward", masked_forward)
         with traced:
-            history = pipeline._ce_epochs(model, data, 3, 0.01, 0.9, 32,
+            history = pipeline._ce_epochs(models, data, 3, 0.01, 0.9, 32,
                                           np.random.default_rng(24), multipliers)
         assert len(history) == 3 and len(calls) > -(-len(data) // 32)
+        assert all(len(epoch) == len(models) for epoch in history)
         return traced.rise
 
+    @pytest.mark.parametrize("k", [1, 2])
     @pytest.mark.parametrize("masked", [False, True], ids=["stage1", "stage3"])
     def test_ce_epochs_allocate_no_layer_array_after_the_first_epoch(self, monkeypatch,
-                                                                     masked):
+                                                                     masked, k):
         # 90 rows in batches of 32 end every epoch on a batch of 26. After the
         # first epoch's accuracy forward, tracemalloc's peak may not rise by
         # an array of the hidden layer at the short batch, the smallest of the
         # step's and the accuracy forward's layer arrays; a step's other
-        # arrays (its batch and the loss) are each far smaller, the folded
-        # weights are kept in the step's dict and the optimizer's lr * v in
-        # the gradients the step lends it, and Python's own allocations come
-        # to a fixed few tens of kB
+        # arrays (its batch, the loss and the bias gradients) are each far
+        # smaller, the folded weights are kept in the step's dict and the
+        # optimizer's lr * v in the gradients the step lends it, and Python's
+        # own allocations come to a fixed few tens of kB
         rng = np.random.default_rng(23)
         width = 1024
-        model = MaskableModel.initialized(mlp_specs(2, [width], 2), "unstructured", rng)
+        models = [MaskableModel.initialized(mlp_specs(2, [width], 2), "unstructured", rng)
+                  for _ in range(k)]
         data = AugmentedSet(rng.standard_normal((90, 2)), rng.integers(0, 2, 90))
-        multipliers = None
-        if masked:
-            multipliers = hard_multipliers(model, binarize(
-                [rng.uniform(size=n) for n in model.mask_dims()], 0.5))
-        rise = self.peak_rise_after_first_epoch(monkeypatch, model, data, multipliers)
+        multipliers = random_multipliers(models, rng) if masked else None
+        rise = self.peak_rise_after_first_epoch(monkeypatch, models, data, multipliers)
         assert rise < 26 * width * 8
 
-    def test_masked_ce_epochs_fold_no_weight_array_after_the_first_epoch(self, monkeypatch):
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_masked_ce_epochs_fold_no_weight_array_after_the_first_epoch(self, monkeypatch,
+                                                                         k):
         # a 512-256-2 model: its first weight (1 MB) outweighs the rest of a
         # step, the batch's layer arrays included. Every step and every
-        # accuracy forward folds the mask into the weights, into arrays of
-        # the step's dict, and the optimizer forms lr * v in the gradients
-        # the step lends it, so after the first epoch nothing weight-sized is
-        # allocated
+        # accuracy forward folds the masks into the weight stacks, into
+        # arrays of the step's dict, and the optimizer forms lr * v in the
+        # gradients the step lends it, so after the first epoch nothing
+        # weight-sized is allocated
         rng = np.random.default_rng(25)
-        model = MaskableModel.initialized(mlp_specs(512, [256], 2), "unstructured", rng)
+        models = [MaskableModel.initialized(mlp_specs(512, [256], 2), "unstructured", rng)
+                  for _ in range(k)]
         data = AugmentedSet(rng.standard_normal((90, 512)), rng.integers(0, 2, 90))
-        multipliers = hard_multipliers(model, binarize(
-            [rng.uniform(size=n) for n in model.mask_dims()], 0.5))
-        rise = self.peak_rise_after_first_epoch(monkeypatch, model, data, multipliers)
-        assert rise < model.weights[0].nbytes // 2
+        rise = self.peak_rise_after_first_epoch(monkeypatch, models, data,
+                                                random_multipliers(models, rng))
+        assert rise < models[0].weights[0].nbytes // 2
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_models_are_views_of_the_stacks_and_no_multiplier_is_stacked(self, k):
+        # each model's weights and biases become its slices of one
+        # (k, out, in) and one (k, 1, out) stack per layer. A 2048-256-2
+        # model's first weight (4 MB) outweighs the rest of a step, so the
+        # peak holds k of them three times (the weight stack, the fold,
+        # which then takes the weight gradient, and the velocities) and less
+        # than half of one besides: a stack of the k multipliers would add
+        # k more
+        rng = np.random.default_rng(26)
+        specs = mlp_specs(2048, [256], 2)
+        models = [MaskableModel.initialized(specs, "unstructured", rng) for _ in range(k)]
+        data = AugmentedSet(rng.standard_normal((90, 2048)), rng.integers(0, 2, 90))
+        multipliers = random_multipliers(models, rng)
+        with TracedPeak() as traced:
+            pipeline._ce_epochs(models, data, 2, 0.01, 0.9, 32, np.random.default_rng(27),
+                                multipliers)
+        for i, spec in enumerate(specs):
+            w_stack, b_stack = models[0].weights[i].base, models[0].biases[i].base
+            assert w_stack.shape == (k, spec.out_dim, spec.in_dim)
+            assert b_stack.shape == (k, 1, spec.out_dim)
+            for j, m in enumerate(models):
+                assert m.weights[i].base is w_stack and m.biases[i].base is b_stack
+                assert m.weights[i].ctypes.data == w_stack[j].ctypes.data
+                assert m.biases[i].ctypes.data == b_stack[j, 0].ctypes.data
+        assert traced.rise < (3 * k + 0.5) * models[0].weights[0].nbytes
 
     def test_stage2_keeps_every_work_array_across_a_short_batch(self, monkeypatch):
         # every array of the step's work dict is the one the first step made,
@@ -398,6 +434,67 @@ def test_cross_entropy_checks_its_batch(logits, labels):
         cross_entropy(logits, labels)
 
 
+class TestStackedTraining:
+    """_ce_epochs trains k models of one architecture as one stack that
+    shares each batch, and gives each model the bits of its run alone."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("mode", ["dense", "unstructured", "structured"])
+    def test_stack_equals_solo(self, mode, k):
+        # k models with weights of their own, each under a mask of its own,
+        # trained on 60 clean and 30 shifted rows in batches of 32, which end
+        # every epoch on a short batch of 26: each model's weights, biases
+        # and every epoch's stats have the bits of its k = 1 run
+        rng = np.random.default_rng(30)
+        specs = mlp_specs(6, [9, 7], 3)
+        models = [MaskableModel.initialized(specs, "unstructured" if mode == "dense" else mode,
+                                            rng) for _ in range(k)]
+        spec = TransformSpec(kind="direction_shift", direction=np.eye(6)[2])
+        data = AugmentedSet(rng.standard_normal((60, 6)), rng.integers(0, 3, 60),
+                            rng.integers(0, 60, 30), spec)
+        multipliers = None if mode == "dense" else random_multipliers(models, rng)
+        solos = [m.copy() for m in models]
+        stacked = pipeline._ce_epochs(models, data, 3, 0.05, 0.9, 32,
+                                      np.random.default_rng(31), multipliers)
+        assert len(stacked) == 3 and all(len(epoch) == k for epoch in stacked)
+        for j, solo in enumerate(solos):
+            alone = pipeline._ce_epochs([solo], data, 3, 0.05, 0.9, 32,
+                                        np.random.default_rng(31),
+                                        None if multipliers is None else [multipliers[j]])
+            assert [epoch[j] for epoch in stacked] == [stats for (stats,) in alone]
+            for a, b in zip(models[j].weights + models[j].biases,
+                            solo.weights + solo.biases, strict=True):
+                assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("mode", ["unstructured", "structured"])
+    def test_fold_keys_each_masked_layer(self, mode):
+        # layer i's stack under ("fold", i), model j's slice with the bits of
+        # its own MaskableModel.folded; an unmasked layer is its weight stack
+        # itself, and a second fold reuses the arrays
+        rng = np.random.default_rng(9)
+        models = [MaskableModel.initialized(mlp_specs(5, [7, 6], 3), mode, rng)
+                  for _ in range(2)]
+        ws = [np.stack(layer) for layer in zip(*(m.weights for m in models))]
+        multipliers = random_multipliers(models, rng)
+        for mult in multipliers:
+            mult[1] = None
+        masked = [i for i, v in enumerate(multipliers[0]) if v is not None]  # structured: no 2
+        work = {}
+        folded = pipeline._fold(ws, multipliers, work)
+        assert sorted(work) == [("fold", i) for i in masked]
+        assert all(folded[i].base is work[("fold", i)] for i in masked) and folded[1] is ws[1]
+        held = dict(work)
+        again = pipeline._fold(ws, multipliers, work)
+        assert all(work[key] is held[key] for key in held)
+        for j, m in enumerate(models):
+            want = m.folded(multipliers[j]).weights
+            for got, expected in zip(folded, want, strict=True):
+                assert np.array_equal(got[j], expected)
+            for got, expected in zip(again, want, strict=True):
+                assert np.array_equal(got[j], expected)
+        assert pipeline._fold(ws, None, work) is ws
+
+
 class TestStage3:
     def setup_cfg(self, **kw):
         cfg = tiny_cfg(**kw)
@@ -414,7 +511,7 @@ class TestStage3:
         hard = lmp_mask(model, 0.5)
         mult = hard_multipliers(model, hard)
         before = [w.copy() for w in model.weights]
-        stage3_finetune(model, hard, train, cfg)
+        stage3_finetune([model], [hard], train, cfg)
         assert (mult[-1] is None) == (mode == "structured")
         for b, w, m in zip(before, model.weights, mult):
             dead = np.zeros(w.shape, bool) if m is None else np.broadcast_to(m == 0, w.shape)
@@ -426,9 +523,9 @@ class TestStage3:
         cfg, _, train, model = self.setup_cfg()
         twin = model.copy()
         hard = lmp_mask(model, 0.0)
-        stage3_finetune(model, hard, train, cfg)
+        stage3_finetune([model], [hard], train, cfg)
         rng = np.random.default_rng([cfg.seed, pipeline.STREAM_STAGE3])
-        pipeline._ce_epochs(twin, train, cfg.stage3_epochs, cfg.stage3_lr,
+        pipeline._ce_epochs([twin], train, cfg.stage3_epochs, cfg.stage3_lr,
                             cfg.momentum, cfg.batch_size, rng)
         for a, b in zip(model.weights, twin.weights):
             assert np.array_equal(a, b)
@@ -439,14 +536,14 @@ class TestStage3:
         soft = init_percentile_scaled(model, 30.0)
         hard = binarize(soft, 0.5)
         realized = effective_ratio(hard, model)
-        stage3_finetune(model, hard, train, cfg)
+        stage3_finetune([model], [hard], train, cfg)
         assert effective_ratio(hard, model) == realized
 
     def test_stage3_never_mutates_mask(self):
         cfg, _, train, model = self.setup_cfg()
         hard = lmp_mask(model, 0.5)
         frozen = [m.copy() for m in hard]
-        stage3_finetune(model, hard, train, cfg)
+        stage3_finetune([model], [hard], train, cfg)
         for a, b in zip(frozen, hard):
             assert np.array_equal(a, b)
 
@@ -646,7 +743,7 @@ class TestRunExperiment:
         out = run_experiment(cfg)
         assert calls == [(cfg.cert_repetitions, cfg.cert_samples, 1)] * cfg.cert_eval_size
         assert all(len(r.cert.rows) == cfg.cert_eval_size for r in out.results.values())
-        assert out.certify_wall_time > 0
+        assert out.wall_times["certify"] > 0
 
     def test_search_leaves_the_shared_pretrained_model_unchanged(self, monkeypatch):
         # csam searches on the shared pre-trained model itself, whose weights
@@ -668,7 +765,7 @@ class TestRunExperiment:
     def test_method_order_changes_no_result(self, monkeypatch):
         # the search runs first, whatever the config's order, and each
         # method's results keep their bits; results keep the config's order,
-        # and csam's wall time counts its search
+        # and the stage-2 wall time counts the search
         searched = []
         real = pipeline.stage2_mask_search
 
@@ -684,11 +781,32 @@ class TestRunExperiment:
         outs = [run_experiment(tiny_cfg(methods=order)) for order in orders]
         for order, out, seconds in zip(orders, outs, searched, strict=True):
             assert tuple(out.results) == order
-            assert out.results["csam"].wall_time >= seconds > 0.2
+            assert list(out.wall_times) == ["stage1", "stage2", "stage3", "certify"]
+            assert out.wall_times["stage2"] >= seconds > 0.2
         for method in orders[0]:
             a, b = (out.results[method] for out in outs)
             assert (a.hard is None) == (method == "vanilla")
             assert_same_result(a, b)
+
+    @pytest.mark.parametrize("methods", [("csam", "vanilla", "lmp"), ("vanilla",)])
+    def test_one_stage3_call_fine_tunes_every_masked_method(self, monkeypatch, methods):
+        # one stage3_finetune call takes every masked method's model and
+        # hard mask, in config order; vanilla's shared model is not among them
+        calls = []
+        real = pipeline.stage3_finetune
+
+        def spy(models, hards, *args):
+            calls.append((list(models), list(hards)))
+            return real(models, hards, *args)
+
+        monkeypatch.setattr(pipeline, "stage3_finetune", spy)
+        out = run_experiment(tiny_cfg(methods=methods))
+        masked = [out.results[m] for m in methods if m != "vanilla"]
+        [(models, hards)] = calls
+        assert [id(m) for m in models] == [id(r.model) for r in masked]
+        assert all(h is r.hard for h, r in zip(hards, masked, strict=True))
+        assert all(r.stage3_log is None for r in out.results.values() if r.hard is None)
+        assert all(len(r.stage3_log) == 6 for r in masked)
 
     def test_certification_runs_without_the_training_set(self, monkeypatch):
         # the augmented training set dies with the last method's training,

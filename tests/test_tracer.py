@@ -12,8 +12,10 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from maskcert.cli import main
-from regen_fixtures import ROOT, small_run_config_text
+from regen_fixtures import ROOT, SMALL_RUN, small_run_config_text
 
 TRACER = ROOT / "perfbench" / "tracer.py"
 
@@ -55,6 +57,13 @@ def test_tracer_runs_run_all(tmp_path):
     parents = [spans[row["parent"]]["name"] for row in spans.values()
                if row["name"] == "model.masked_backward"]
     assert "objectives.composite_step_loss" in parents
+    # the tracer counts len() of each stage's result as its epochs: one entry
+    # per epoch, however many models the stage trains as one stack
+    for stage, fn in ((1, "pretrain"), (3, "finetune")):
+        total_ms = sum(int(row["end_ns"]) - int(row["start_ns"]) for row in spans.values()
+                       if row["name"] == f"pipeline.stage{stage}_{fn}") / 1e6
+        assert total_ms / metrics[f"pipeline.stage{stage}_epoch_ms"] == \
+               pytest.approx(SMALL_RUN[f"stage{stage}_epochs"])
 
 
 def test_tracer_runs_certify(tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from maskcert.transforms import (CorruptionTag, TransformSpec, apply,
+from maskcert.transforms import (AUGMENT_DELTA, CorruptionTag, TransformSpec, apply,
                                  augment_dataset, corrupt_input)
 
 
@@ -173,12 +173,13 @@ class TestAugmentDataset:
         xb, yb = aug.gather(np.arange(len(self.x)))
         assert np.array_equal(xb, self.x) and np.array_equal(yb, self.y)
 
-    def test_full_count_delta_zero_duplicates(self):
+    def test_full_count_transforms_every_row_once(self):
         aug = augment_dataset(self.x, self.y, shift_spec(), len(self.x),
-                              delta_fixed=0.0, rng=np.random.default_rng(8))
+                              rng=np.random.default_rng(8))
         assert len(aug) == 2 * len(self.x)
+        assert np.array_equal(np.sort(aug.rows), np.arange(len(self.x)))
         appended, _ = aug.gather(np.arange(len(self.x), len(aug)))
-        assert np.array_equal(np.sort(appended, axis=0), np.sort(self.x, axis=0))
+        assert np.array_equal(appended, apply(shift_spec(), self.x[aug.rows], 1.0))
 
     def test_labels_preserved(self):
         rng = np.random.default_rng(9)
@@ -199,7 +200,7 @@ class TestAugmentDataset:
 
     def test_pairs_align_with_transform(self):
         rng = np.random.default_rng(11)
-        aug = augment_dataset(self.x, self.y, haze_spec(), 5, delta_fixed=1.0, rng=rng)
+        aug = augment_dataset(self.x, self.y, haze_spec(), 5, rng=rng)
         for j, r in enumerate(aug.rows):
             xb, _ = aug.gather([len(self.x) + j])
             assert np.array_equal(xb[0], apply(haze_spec(), self.x[r], 1.0))
@@ -208,14 +209,13 @@ class TestAugmentDataset:
                                       TransformSpec(kind="interp_corrupt",
                                                     corrupt=CorruptionTag("gaussian_blur3", 0.8))],
                              ids=["shift", "haze", "blur"])
-    @pytest.mark.parametrize("delta", [0.0, 0.35, 1.0])
-    def test_tail_rows_equal_apply_of_gathered_rows(self, spec, delta):
-        # the transformed rows a gather forms have the bits of apply on a
-        # gathered copy of the same rows
-        aug = augment_dataset(self.x, self.y, spec, 13, delta_fixed=delta,
-                              rng=np.random.default_rng(12))
+    def test_tail_rows_equal_apply_of_gathered_rows(self, spec):
+        # the transformed rows a gather forms have the bits of apply at
+        # AUGMENT_DELTA = 1 on a gathered copy of the same rows
+        assert AUGMENT_DELTA == 1.0
+        aug = augment_dataset(self.x, self.y, spec, 13, rng=np.random.default_rng(12))
         xb, _ = aug.gather(np.arange(len(self.x), len(aug)))
-        assert np.array_equal(xb, apply(spec, self.x[aug.rows], delta))
+        assert np.array_equal(xb, apply(spec, self.x[aug.rows], 1.0))
 
 
 def materialized(aug):
@@ -229,7 +229,7 @@ def materialized(aug):
     step = max(1, 2 ** 15 // aug.x.shape[1])
     for start in range(0, len(tail), step):
         block = tail[start:start + step]
-        apply(aug.spec, block, aug.delta, out=block)
+        apply(aug.spec, block, AUGMENT_DELTA, out=block)
     return x_aug, np.concatenate([aug.y, aug.y[aug.rows]])
 
 
@@ -252,7 +252,7 @@ class TestAugmentedSet:
         rng = np.random.default_rng(14)
         x = rng.uniform(size=(self.N, 784))
         y = rng.integers(0, 10, size=self.N)
-        return augment_dataset(x, y, WIDE_SPECS[spec_name], self.COUNTS[level], 1.0,
+        return augment_dataset(x, y, WIDE_SPECS[spec_name], self.COUNTS[level],
                                np.random.default_rng(15))
 
     @pytest.mark.parametrize("rows", ["mixed", "head", "tail"])
