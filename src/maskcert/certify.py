@@ -58,11 +58,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .config import ExperimentConfig
+from .config import STREAM_CERT_SAMPLE, ExperimentConfig
 from .model import MaskableModel, _buffer, forward_probs, masked_forward, softmax
 from .transforms import TransformSpec, apply, corrupt_input
-
-CERT_SAMPLE_STREAM = 77  # rng namespace for per-sample certification streams
 
 # Work-buffer budgets in float64 entries, shared by the k models of a pass.
 # A stacked forward of a sample's transformed inputs takes whole repetitions
@@ -299,7 +297,7 @@ def pca_models(deployed: list[MaskableModel], x_eval, y_eval, spec: TransformSpe
         if not np.isfinite(p_clean).all():
             raise FloatingPointError("forward: non-finite output probabilities")
         for b, i in enumerate(ids):
-            rng = np.random.default_rng([cfg.seed, CERT_SAMPLE_STREAM, i])
+            rng = np.random.default_rng([cfg.seed, STREAM_CERT_SAMPLE, i])
             if closed:  # every model's first-layer slope in delta, W(c(x) - x)
                 g = np.matmul(weights[0][:, 0], corrupt_input(spec.corrupt, x_eval[i]) - x_eval[i])
             for j in range(0, l, reps):

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import pipeline
 from .certify import PcaResult, pca
-from .config import ExperimentConfig, model_layer_specs, parse_config, serialize, validate
+from .config import ExperimentConfig, parse_config, serialize, validate
 from .datasets import accuracy, gen_synthetic, write_dataset_csv
 from .errors import ConfigError, DatasetError
 from .masks import binarize, effective_ratio, hard_multipliers
@@ -141,7 +141,7 @@ def _load_ckpt_arg(args, default_name: str, cfg: ExperimentConfig, in_dim: int,
             f"missing prerequisite checkpoint {path}; run the earlier stage "
             f"or pass --stage-checkpoint")
     model, extras = load_checkpoint(path)
-    specs = model_layer_specs(cfg, in_dim, pipeline.class_count(cfg))
+    specs = pipeline.layer_specs(cfg, in_dim)
     if model.specs != specs or model.mask_mode != cfg.mask_mode:
         raise ConfigError(
             f"checkpoint {path} holds layers {_describe(model.specs, model.mask_mode)}, "

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, fields
 from typing import Any
 
 from .errors import ConfigError
-from .model import MASK_MODES, mlp_specs
+from .model import MASK_MODES
 from .transforms import CORRUPTIONS, KINDS, CorruptionTag, TransformSpec
 
 METHODS = ("vanilla", "lmp", "csam")
@@ -27,6 +27,20 @@ AUGMENT_LEVELS = ("none", "L1", "L2")
 CERT_SAMPLES_MAX = 10_000
 CERT_REPETITIONS_MAX = 100
 CERT_T_COUNT_MAX = 1_000_000
+
+# rng stream namespaces: each draw comes from default_rng([seed, namespace,
+# ...]). STREAM_INIT shares [seed, 1] with the synthetic test split; moving
+# either changes every recorded output, so it waits for a re-recording.
+STREAM_SYNTHETIC_TRAIN = 0
+STREAM_SYNTHETIC_TEST = 1
+STREAM_INIT = 1
+STREAM_AUGMENT = 2
+STREAM_STAGE1 = 3
+STREAM_STAGE2_SHUFFLE = 4
+STREAM_STAGE2_NOISE = 5  # one stream per step, [seed, namespace, step]
+STREAM_STAGE3 = 6
+STREAM_EVAL = 8
+STREAM_CERT_SAMPLE = 77  # one stream per evaluation sample, [seed, namespace, i]
 
 
 def _key(default, check):
@@ -283,10 +297,6 @@ def transform_spec(cfg: ExperimentConfig, direction=None) -> TransformSpec:
         return TransformSpec(kind="direction_shift", direction=direction)
     return TransformSpec(kind="interp_corrupt",
                          corrupt=CorruptionTag(cfg.corruption, cfg.corruption_severity))
-
-
-def model_layer_specs(cfg: ExperimentConfig, in_dim: int, classes: int):
-    return mlp_specs(in_dim, list(cfg.hidden_dims), classes)
 
 
 def augment_count(cfg: ExperimentConfig, train_size: int) -> int:

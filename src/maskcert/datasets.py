@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import ExperimentConfig
+from .config import STREAM_SYNTHETIC_TEST, STREAM_SYNTHETIC_TRAIN, ExperimentConfig
 from .errors import DatasetError
 
 IDX_IMAGE_MAGIC = 0x00000803
@@ -77,8 +77,8 @@ def gen_synthetic(cfg: ExperimentConfig):
         perm = rng.permutation(len(x))
         return Dataset(x[perm], y[perm])
 
-    train = _split(cfg.synthetic_train_per_class, 0)
-    return train, _split(cfg.synthetic_test_per_class, 1), v
+    train = _split(cfg.synthetic_train_per_class, STREAM_SYNTHETIC_TRAIN)
+    return train, _split(cfg.synthetic_test_per_class, STREAM_SYNTHETIC_TEST), v
 
 
 def _read_exact(fh, count, path, what):

@@ -159,10 +159,12 @@ def composite_step_loss(model: MaskableModel, soft_mask, x, x_t, cfg: Experiment
     the step's cost does not depend on how the allocator sized its heap. The
     mask-sized arrays of a step all live in the stack, under "mask" of
     `work`: the noise is drawn into it, the hard mask is written into it,
-    and in unstructured mode each layer's masked weight and then its
-    gradient take its slice of it, multiplied copy by copy in place, and
-    the squares that grad_norm sums take its first row. The stack is
-    dead once the call returns, until the next call overwrites
+    and the squares that grad_norm sums take its first row. Each masked
+    layer's W * mask, and once the backward returns its weight gradient,
+    take one (4, out, in) array, formed copy by copy: the layer's slice of
+    the stack where the mask has the weight's shape (unstructured), else
+    ("dw", i) of `work`, whose rows a structured mask then sums. The stack
+    is dead once the call returns, until the next call overwrites
     all of it, so the loop may use it as scratch in between: stage 2's
     Adam step forms its update in its first two rows. The stacked input
     also lives in `work`; x and x_t may already be its clean and transformed
@@ -190,19 +192,14 @@ def composite_step_loss(model: MaskableModel, soft_mask, x, x_t, cfg: Experiment
               for i, v in enumerate(layer_views(stack, dims)) if dims[i]}
     _, passed = sample_noisy(c, cfg.noise_magnitude, rng, draws=3, out=stack[:3])
     binarize(layer_views(c, dims), cfg.pruning_ratio, out=layer_views(stack[3], dims))
-    # The weights each copy runs with, W * mask, formed in the mask stack
-    # itself where the shapes allow, one copy at a time: each copy's slice
-    # is C-contiguous, while numpy would buffer a whole strided (4, out, in)
-    # layer view multiplied in place by a broadcast weight.
-    unstructured = model.mask_mode == "unstructured"
+    # W * mask one copy at a time: numpy would buffer a whole strided
+    # (4, out, in) layer view multiplied in place by a broadcast weight
     ws = list(model.weights)
     for i, m in layers.items():
-        if unstructured:
-            for m_j in m:
-                m_j *= ws[i]
-            ws[i] = m
-        else:
-            ws[i] = m * ws[i]
+        w = ws[i]
+        ws[i] = m if m.shape[1:] == w.shape else _buffer(work, ("dw", i), (4, *w.shape))
+        for m_j, w_j in zip(m, ws[i]):
+            np.multiply(m_j, w, out=w_j)
 
     x4 = _buffer(work, "x", (4, *x.shape))
     for j, x_j in enumerate((x, x, x_t, x)):
@@ -228,18 +225,14 @@ def composite_step_loss(model: MaskableModel, soft_mask, x, x_t, cfg: Experiment
     np.add(ratio_m + consis_m, stab_m, out=g_probs[0])
     gz = masked_backward(zs, ws, model.specs, softmax_vjp(g_probs)[0], work)
 
-    # The stack now takes the gradient on each copy's mask. In unstructured
-    # mode each weight gradient goes straight into its layer's slice, which
-    # held the masked weight until the backward returned.
-    for i, g_m in layers.items():
-        w = model.weights[i]
-        if unstructured:
-            np.matmul(gz[i].mT, hs[i], out=g_m)
-            for g_j in g_m:
-                g_j *= w
-        else:  # a structured (out, 1) mask collects its row's gradient
-            g_w = np.matmul(gz[i].mT, hs[i], out=_buffer(work, ("dw", i), (4, *w.shape)))
-            g_m[...] = (g_w * w).sum(axis=-1, keepdims=True)
+    # the stack now takes the gradient on each copy's mask, a structured
+    # (out, 1) mask its row's sum
+    for i, m in layers.items():
+        g_w = np.matmul(gz[i].mT, hs[i], out=ws[i])
+        for g_j in g_w:
+            g_j *= model.weights[i]
+        if g_w is not m:
+            np.sum(g_w, axis=-1, keepdims=True, out=m)
     grad += stack[3]  # the straight-through copy's gradient
     stack[:3] *= passed
     grad += stack[2]

@@ -25,26 +25,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certify import PcaResult, pca_models
-from .config import ExperimentConfig, augment_count, model_layer_specs, transform_spec
+from .config import (STREAM_AUGMENT, STREAM_EVAL, STREAM_INIT, STREAM_STAGE1,
+                     STREAM_STAGE2_NOISE, STREAM_STAGE2_SHUFFLE, STREAM_STAGE3,
+                     ExperimentConfig, augment_count, transform_spec)
 from .datasets import Dataset, accuracy, gen_synthetic, load_idx
 from .errors import ConfigError, DatasetError
 from .masks import (binarize, effective_ratio, hard_multipliers, init_percentile_scaled,
                     layer_views, unit_magnitudes)
-from .model import MaskableModel, _buffer, forward_probs, masked_backward, masked_forward
+from .model import MaskableModel, _buffer, forward_probs, masked_backward, masked_forward, mlp_specs
 from .objectives import StepReport, _batch_slots, composite_step_loss
 from .transforms import AUGMENT_DELTA, AugmentedSet, apply, augment_dataset
-
-# rng stream namespaces under the experiment root seed. STREAM_INIT shares
-# [seed, 1] with the synthetic test split (datasets.gen_synthetic), so model
-# init and the test features start from one generator state; moving either
-# changes every recorded output, so it waits for a change that re-records them.
-STREAM_INIT = 1
-STREAM_AUGMENT = 2
-STREAM_STAGE1 = 3
-STREAM_STAGE2_SHUFFLE = 4
-STREAM_STAGE2_NOISE = 5
-STREAM_STAGE3 = 6
-STREAM_EVAL = 8
 
 
 class MomentumSGD:
@@ -107,23 +97,26 @@ class Adam:
 
 
 def cross_entropy(logits: np.ndarray, labels) -> tuple:
-    """Batch mean negative log likelihood of 2-D logits (fused log-softmax),
-    and its gradient on the logits."""
+    """Batch mean negative log likelihood of logits (fused log-softmax), and
+    its gradient on the logits. Stacked logits (..., batch, classes) give
+    every copy's loss, each the mean of its own 1-D row, so it has the bits
+    of a call on that copy alone; 2-D logits give a 0-d loss."""
     labels = np.asarray(labels, dtype=np.int64)
-    if logits.ndim != 2 or labels.shape != logits.shape[:1]:
+    if logits.ndim < 2 or labels.shape != logits.shape[-2:-1]:
         raise ValueError(f"cross_entropy: logits of shape {logits.shape} and labels of "
                          f"shape {labels.shape} are not one batch")
-    if labels.min(initial=0) < 0 or labels.max(initial=-1) >= logits.shape[1]:
+    if labels.min(initial=0) < 0 or labels.max(initial=-1) >= logits.shape[-1]:
         raise ValueError("cross_entropy: label out of range")
-    rows = np.arange(logits.shape[0])
-    z = logits - logits.max(axis=1, keepdims=True)
+    rows = np.arange(len(labels))
+    z = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    total = e.sum(axis=1, keepdims=True)
-    nll = -(z - np.log(total))[rows, labels]
+    total = e.sum(axis=-1, keepdims=True)
+    nll = -(z - np.log(total))[..., rows, labels]
     grad = e / total
-    grad[rows, labels] -= 1.0  # minus the one-hot labels
-    grad *= 1.0 / nll.size
-    return nll.mean(), grad
+    grad[..., rows, labels] -= 1.0  # minus the one-hot labels
+    grad *= 1.0 / len(labels)
+    losses = [r.mean() for r in nll.reshape(-1, len(labels))]
+    return np.array(losses).reshape(logits.shape[:-2]), grad
 
 
 @dataclass
@@ -144,7 +137,7 @@ def _ce_epochs(models: list[MaskableModel], data: AugmentedSet, epochs: int, lr:
     model keeps views, not a copy; stacked matmul runs one GEMM per model,
     so each model gets the bits of its training alone. Each step gathers
     its batch (AugmentedSet.gather), folds the weights (_fold) and runs
-    masked_forward, cross_entropy per model and masked_backward in one
+    masked_forward, one stacked cross_entropy and masked_backward in one
     errstate block, all in one work dict; it lends its gradients to
     MomentumSGD as scratch. The per-epoch accuracy runs one stacked
     forward_probs per AugmentedSet.blocks block. Returns, per epoch, every
@@ -161,7 +154,7 @@ def _ce_epochs(models: list[MaskableModel], data: AugmentedSet, epochs: int, lr:
     work = {}  # the step's arrays and the accuracy's, kept across epochs
     for epoch in range(epochs):
         order = rng.permutation(n)
-        loss_sums = [0.0] * k
+        loss_sums = np.zeros(k)
         for start in range(0, n, batch_size):
             idx = order[start:start + batch_size]
             xb, yb = data.gather(idx, _buffer(work, "x", (len(idx), data.x.shape[1])))
@@ -169,12 +162,10 @@ def _ce_epochs(models: list[MaskableModel], data: AugmentedSet, epochs: int, lr:
                 with np.errstate(all="ignore"):  # finiteness is checked instead
                     folded = _fold(ws, multipliers, work)
                     hs, zs = masked_forward(xb, folded, bs, specs, work)
-                    g_logits = _buffer(work, "dlogits", hs[-1].shape)
-                    for j in range(k):
-                        loss, g_logits[j] = cross_entropy(hs[-1][j], yb)
-                        if not np.isfinite(loss):
-                            raise FloatingPointError("non-finite loss")
-                        loss_sums[j] += float(loss) * len(idx)
+                    losses, g_logits = cross_entropy(hs[-1], yb)
+                    if not np.isfinite(losses).all():
+                        raise FloatingPointError("non-finite loss")
+                    loss_sums += losses * len(idx)
                     gz = masked_backward(zs, folded, specs, g_logits, work)
                     # a masked layer's fold is dead once the backward returns,
                     # so its weight gradient is formed there
@@ -195,7 +186,7 @@ def _ce_epochs(models: list[MaskableModel], data: AugmentedSet, epochs: int, lr:
         for xb, yb in data.blocks(batch_size, _buffer(work, "x", (batch_size, data.x.shape[1]))):
             probs = forward_probs(xb, folded, bs, specs, work)
             hits += np.count_nonzero(np.argmax(probs, axis=-1) == yb, axis=-1)
-        history.append([EpochStats(epoch, loss_sum / n, int(hit) / n)
+        history.append([EpochStats(epoch, float(loss_sum) / n, int(hit) / n)
                         for loss_sum, hit in zip(loss_sums, hits)])
     return history
 
@@ -338,14 +329,15 @@ def build_data(cfg: ExperimentConfig):
     return augment_dataset(train.x, train.y, spec, count, rng), test, spec
 
 
-def class_count(cfg: ExperimentConfig) -> int:
-    return cfg.synthetic_classes if cfg.dataset_kind == "synthetic" else cfg.idx_classes
+def layer_specs(cfg: ExperimentConfig, in_dim: int) -> list:
+    """The layer specs of the MLP that cfg describes on in_dim features."""
+    classes = cfg.synthetic_classes if cfg.dataset_kind == "synthetic" else cfg.idx_classes
+    return mlp_specs(in_dim, list(cfg.hidden_dims), classes)
 
 
 def fresh_model(cfg: ExperimentConfig, in_dim: int) -> MaskableModel:
-    specs = model_layer_specs(cfg, in_dim, class_count(cfg))
     rng = np.random.default_rng([cfg.seed, STREAM_INIT])
-    return MaskableModel.initialized(specs, cfg.mask_mode, rng)
+    return MaskableModel.initialized(layer_specs(cfg, in_dim), cfg.mask_mode, rng)
 
 
 def eval_subset(cfg: ExperimentConfig, test: Dataset) -> np.ndarray:
@@ -386,6 +378,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentOutput:
                              train, cfg)
     del train
     stage3_logs = {m: [epoch[j] for epoch in stage3] for j, m in enumerate(masked)}
+    # a method's fold dies with its accuracy, so the accuracies hold one fold
+    # at a time, and certification folds again: keeping the fold would save
+    # one multiply per weight, and on idx-wide no peak RSS
     results = {m: MethodResult(
         method=m, model=models[m], hard=hards[m], cert=None, stage3_log=stage3_logs.get(m),
         clean_accuracy=accuracy(models[m].folded(hard_multipliers(models[m], hards[m])), test),

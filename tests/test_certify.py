@@ -71,7 +71,7 @@ def per_sample_oracle(model, multipliers, x_eval, y_eval, spec, config):
     grid = t_grid(config)
     rows, logs = [], []
     for i, (x, y) in enumerate(zip(x_eval, y_eval)):
-        rng = np.random.default_rng([config.seed, certify.CERT_SAMPLE_STREAM, i])
+        rng = np.random.default_rng([config.seed, certify.STREAM_CERT_SAMPLE, i])
         p = forward(x[None, :])[0]
         lo, hi = spec.delta_range
         rep_z = np.stack([

@@ -227,6 +227,22 @@ class TestCompositeStep:
                                     np.random.default_rng([10, step]), step=step, work=work)
         assert traced.rise < 2 * soft.nbytes
 
+    def test_a_structured_step_allocates_less_than_a_quarter_stacked_layer(self):
+        # after step 0, a structured step on a 784-128-10 model forms each
+        # masked layer's (4, out, in) masked weight and weight gradient in
+        # its ("dw", i) array of the work dict, one copy at a time, and
+        # allocates no weight-sized temporary
+        rng = np.random.default_rng(12)
+        model = MaskableModel.initialized(mlp_specs(784, [128], 10), "structured", rng)
+        soft = np.concatenate(init_percentile_scaled(model, 30.0))
+        x = rng.uniform(size=(64, 784))
+        x_t, work = 0.9 * x, {}
+        for step in range(2):  # the rise of step 1 is asserted
+            with TracedPeak() as traced:
+                composite_step_loss(model, soft, x, x_t, CFG,
+                                    np.random.default_rng([12, step]), step=step, work=work)
+        assert traced.rise < model.weights[0].nbytes
+
     @pytest.mark.parametrize("mode, want", [("unstructured", []),
                                             ("structured", [("dw", 0), ("dw", 1)])])
     def test_weight_gradients_only_where_a_mask_needs_one(self, mode, want):

@@ -426,12 +426,28 @@ def test_every_registered_kind_is_used(monkeypatch):
 
 
 @pytest.mark.parametrize("logits, labels", [
-    (np.zeros((3, 2)), [0, 1]), (np.zeros(3), [0, 0, 0]),
+    (np.zeros((3, 2)), [0, 1]), (np.zeros((2, 3, 2)), [0, 1]), (np.zeros(3), [0, 0, 0]),
     (np.zeros((3, 2)), [0, 2, 1]), (np.zeros((3, 2)), [0, -1, 1])],
-    ids=["label-count", "1-d-logits", "label-too-large", "label-negative"])
+    ids=["label-count", "stacked-label-count", "1-d-logits", "label-too-large",
+         "label-negative"])
 def test_cross_entropy_checks_its_batch(logits, labels):
     with pytest.raises(ValueError, match="cross_entropy"):
         cross_entropy(logits, labels)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("batch", [64, 7], ids=["full-batch", "short-batch"])
+def test_stacked_cross_entropy_equals_one_call_per_copy(k, batch):
+    # each copy's loss and logit gradient have the bits of a 2-D call on
+    # that copy alone
+    rng = np.random.default_rng([28, k, batch])
+    logits = 3.0 * rng.standard_normal((k, batch, 5))
+    labels = rng.integers(0, 5, batch)
+    losses, grad = cross_entropy(logits, labels)
+    assert losses.shape == (k,) and grad.shape == logits.shape
+    for j in range(k):
+        loss_j, grad_j = cross_entropy(logits[j], labels)
+        assert losses[j] == loss_j and np.array_equal(grad[j], grad_j)
 
 
 class TestStackedTraining:
