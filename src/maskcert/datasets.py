@@ -9,6 +9,8 @@ v is axis K + 1, so config.validate asks for synthetic_dim >= 2 or >= K + 1.
 
 IDX data: the classic big-endian ubyte image/label pair format, pixels
 scaled to [0, 1] and flattened.
+
+Both return a transforms.Dataset with no picked rows.
 """
 
 from __future__ import annotations
@@ -16,23 +18,15 @@ from __future__ import annotations
 import os
 import stat
 import struct
-from typing import NamedTuple
 
 import numpy as np
 
 from .config import STREAM_SYNTHETIC_TEST, STREAM_SYNTHETIC_TRAIN, ExperimentConfig
 from .errors import DatasetError
+from .transforms import Dataset
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
-
-
-class Dataset(NamedTuple):
-    x: np.ndarray  # (m, n) float64
-    y: np.ndarray  # (m,) int64
-
-    def __len__(self):
-        return len(self.x)
 
 
 def _class_means(cfg: ExperimentConfig) -> np.ndarray:
@@ -124,7 +118,8 @@ def load_idx(images_path, labels_path, expected_classes: int | None = None) -> D
 
 
 def write_dataset_csv(path, ds: Dataset) -> None:
-    """Plain CSV export: feature columns f0..fN-1 then an integer label."""
+    """Plain CSV export of ds.x, ds.y (no picked rows): feature columns
+    f0..fN-1 then an integer label."""
     cols = [f"f{i}" for i in range(ds.x.shape[1])] + ["label"]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(cols) + "\n")
@@ -133,7 +128,7 @@ def write_dataset_csv(path, ds: Dataset) -> None:
 
 
 def accuracy(model, ds: Dataset) -> float:
-    """Share of ds classified correctly."""
+    """Share of ds.x classified as ds.y (the callers' sets have no picked rows)."""
     if len(ds) == 0:
         raise ValueError("cannot score an empty dataset")
     probs = model.forward(ds.x)

@@ -8,9 +8,9 @@ folded into its weights; pruned weights receive exactly zero update because
 their gradient is multiplied by the mask. It trains every masked method's
 model as one stack that shares each batch (_ce_epochs), each model with the
 bits of its training alone. Every stage reads the augmented
-set as transforms.AugmentedSet holds it, clean rows plus picked row
-indices: a transformed row is formed when a batch or an accuracy block
-gathers it, and the stage-2 pairs are the picks.
+set as a transforms.Dataset holds it, clean rows plus picked row indices:
+a transformed row is formed when a batch gathers it, and the stage-2 pairs
+are the picks.
 
 Baselines share everything they can with the main method: identical
 pre-trained weights, augmented data, schedules, and certification streams
@@ -34,7 +34,7 @@ from .masks import (binarize, effective_ratio, hard_multipliers, init_percentile
                     layer_views, unit_magnitudes)
 from .model import MaskableModel, _buffer, forward_probs, masked_backward, masked_forward, mlp_specs
 from .objectives import StepReport, _batch_slots, composite_step_loss
-from .transforms import AUGMENT_DELTA, AugmentedSet, apply, augment_dataset
+from .transforms import AUGMENT_DELTA, apply, augment_dataset
 
 
 class MomentumSGD:
@@ -126,7 +126,7 @@ class EpochStats:
     accuracy: float
 
 
-def _ce_epochs(models: list[MaskableModel], data: AugmentedSet, epochs: int, lr: float,
+def _ce_epochs(models: list[MaskableModel], data: Dataset, epochs: int, lr: float,
                momentum: float, batch_size: int, rng: np.random.Generator,
                multipliers=None) -> list[list[EpochStats]]:
     """Mini-batch cross-entropy training of k models of one architecture as
@@ -136,12 +136,12 @@ def _ce_epochs(models: list[MaskableModel], data: AugmentedSet, epochs: int, lr:
     (k, out, in) stack and its biases one (k, 1, out) stack, of which each
     model keeps views, not a copy; stacked matmul runs one GEMM per model,
     so each model gets the bits of its training alone. Each step gathers
-    its batch (AugmentedSet.gather), folds the weights (_fold) and runs
+    its batch (Dataset.gather), folds the weights (_fold) and runs
     masked_forward, one stacked cross_entropy and masked_backward in one
     errstate block, all in one work dict; it lends its gradients to
-    MomentumSGD as scratch. The per-epoch accuracy runs one stacked
-    forward_probs per AugmentedSet.blocks block. Returns, per epoch, every
-    model's EpochStats."""
+    MomentumSGD as scratch. The per-epoch accuracy gathers the rows in order
+    into the same array, batch_size at a time, for one stacked forward_probs
+    each. Returns, per epoch, every model's EpochStats."""
     specs, k = models[0].specs, len(models)
     ws = [np.stack([m.weights[i] for m in models]) for i in range(len(specs))]
     bs = [np.stack([m.biases[i][None] for m in models]) for i in range(len(specs))]
@@ -183,7 +183,9 @@ def _ce_epochs(models: list[MaskableModel], data: AugmentedSet, epochs: int, lr:
             opt.step(ws + bs, grads, scratch=grads)
         folded = _fold(ws, multipliers, work)
         hits = np.zeros(k, dtype=np.int64)
-        for xb, yb in data.blocks(batch_size, _buffer(work, "x", (batch_size, data.x.shape[1]))):
+        for start in range(0, n, batch_size):
+            idx = np.arange(start, min(start + batch_size, n))
+            xb, yb = data.gather(idx, _buffer(work, "x", (len(idx), data.x.shape[1])))
             probs = forward_probs(xb, folded, bs, specs, work)
             hits += np.count_nonzero(np.argmax(probs, axis=-1) == yb, axis=-1)
         history.append([EpochStats(epoch, float(loss_sum) / n, int(hit) / n)
@@ -207,14 +209,14 @@ def _fold(weights: list, multipliers, work: dict) -> list:
     return folded
 
 
-def stage1_pretrain(model: MaskableModel, train: AugmentedSet,
+def stage1_pretrain(model: MaskableModel, train: Dataset,
                     cfg: ExperimentConfig) -> list[EpochStats]:
     rng = np.random.default_rng([cfg.seed, STREAM_STAGE1])
     return [stats for (stats,) in _ce_epochs([model], train, cfg.stage1_epochs,
                                              cfg.stage1_lr, cfg.momentum, cfg.batch_size, rng)]
 
 
-def stage2_mask_search(model: MaskableModel, train: AugmentedSet, cfg: ExperimentConfig):
+def stage2_mask_search(model: MaskableModel, train: Dataset, cfg: ExperimentConfig):
     """Search the soft mask over the paired batches; weights stay frozen.
 
     Pair j is clean row train.x[train.rows[j]] and its transform. Each batch
@@ -259,7 +261,7 @@ def stage2_mask_search(model: MaskableModel, train: AugmentedSet, cfg: Experimen
     return layer_views(c, model.mask_dims()), reports
 
 
-def stage3_finetune(models: list[MaskableModel], hards: list, train: AugmentedSet,
+def stage3_finetune(models: list[MaskableModel], hards: list, train: Dataset,
                     cfg: ExperimentConfig) -> list[list[EpochStats]]:
     """Fine-tune each model's weights in place under its fixed binary mask,
     all as one stack (_ce_epochs). Returns, per epoch, every model's

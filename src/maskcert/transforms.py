@@ -8,10 +8,10 @@ T(x, delta), for one delta or an array of them; delta = 0 returns the input
 for a shift (a -0.0 entry may come back as +0.0) and its clip to [0, 1] for
 an interpolation, which is the input itself on [0, 1] data.
 
-An augmented training set is its clean rows plus the indices of the rows it
-transforms (AugmentedSet); a transformed row is formed only when a batch or
-an accuracy block reads it, so the set holds no array larger than the clean
-inputs.
+Every labelled set is a Dataset: clean rows plus the indices of the rows it
+transforms (none for a set read from data), each transformed row formed
+only when a batch gathers it. Dataset lives here, beside augment_dataset,
+as config, which datasets imports, imports this module.
 """
 
 from __future__ import annotations
@@ -112,13 +112,13 @@ def apply(spec: TransformSpec, x: np.ndarray, delta, out=None, work=None) -> np.
 
 
 @dataclass(frozen=True, eq=False)
-class AugmentedSet:
-    """A training set of len(x) + len(rows) rows: row i < len(x) is x[i] and
+class Dataset:
+    """A labelled set of len(x) + len(rows) rows: row i < len(x) is x[i] and
     row len(x) + j is T(x[rows[j]], AUGMENT_DELTA) under spec, each with its
     source row's label. Only x is held: a transformed row is formed when it
     is read, with the bits of a transform of the whole tail, since T works
     entry by entry (row by row for the blur). Without rows it is the clean
-    set alone."""
+    set alone, as gen_synthetic and load_idx return it."""
     x: np.ndarray  # (n, features) float64
     y: np.ndarray  # (n,) labels
     rows: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
@@ -130,8 +130,11 @@ class AugmentedSet:
     def gather(self, idx, out=None):
         """(inputs, labels) of rows idx, in idx's order, the inputs gathered
         into `out` if given: one take of the source rows, then the transform
-        of the positions that fall in the tail."""
+        of the positions that fall in the tail. An index outside
+        [0, len(self)) raises IndexError."""
         idx = np.asarray(idx, dtype=np.int64)
+        if idx.size and not 0 <= idx.min() <= idx.max() < len(self):
+            raise IndexError(f"row index outside [0, {len(self)}): {idx.min()} to {idx.max()}")
         at = np.flatnonzero(idx >= len(self.x))
         src = idx.copy()
         src[at] = self.rows[idx[at] - len(self.x)]
@@ -142,22 +145,10 @@ class AugmentedSet:
             xb[at] = apply(self.spec, tail, AUGMENT_DELTA, out=tail)
         return xb, self.y[src]
 
-    def blocks(self, size: int, buf: np.ndarray):
-        """Every row in order, as (inputs, labels) blocks of at most `size`
-        rows: the clean rows as views of x, then the transformed rows,
-        formed in the head of `buf`, an array of at least `size` rows that
-        each such block overwrites."""
-        for start in range(0, len(self.x), size):
-            yield self.x[start:start + size], self.y[start:start + size]
-        for start in range(0, len(self.rows), size):
-            src = self.rows[start:start + size]
-            xb = np.take(self.x, src, axis=0, out=buf[:len(src)], mode="clip")
-            yield apply(self.spec, xb, AUGMENT_DELTA, out=xb), self.y[src]
-
 
 def augment_dataset(x: np.ndarray, y: np.ndarray, spec: TransformSpec, count: int,
-                    rng: np.random.Generator | None = None) -> AugmentedSet:
-    """The AugmentedSet of x and y with `count` transformed samples, each at
+                    rng: np.random.Generator | None = None) -> Dataset:
+    """The Dataset of x and y with `count` transformed samples, each at
     magnitude AUGMENT_DELTA.
 
     Originals are drawn by cycling seeded permutations, so count == len(x)
@@ -176,4 +167,4 @@ def augment_dataset(x: np.ndarray, y: np.ndarray, spec: TransformSpec, count: in
     picks = []
     while len(picks) < count:
         picks.extend(rng.permutation(len(x)).tolist())
-    return AugmentedSet(x, y, np.asarray(picks[:count], dtype=np.int64), spec)
+    return Dataset(x, y, np.asarray(picks[:count], dtype=np.int64), spec)

@@ -549,3 +549,85 @@ class TestErrorsAndProvenance:
                (out2 / "finetuned_csam.ckpt").read_bytes()
         # timestamps are confined to the status file
         assert "finished_utc" in (out1 / "status.txt").read_text()
+
+
+class TestDocumentedExits:
+    """Documented exits that no other test reaches, each driven through main
+    and checked by its exit code and its stderr label."""
+
+    @staticmethod
+    def failed(capsys, label, *fragments):
+        err = capsys.readouterr().err
+        assert err.startswith(f"maskcert: {label}: ")
+        assert all(fragment in err for fragment in fragments), err
+
+    def test_gen_data_on_idx_is_config_error(self, tmp_path, capsys):
+        cfg = TestIdxRoute().write_config(tmp_path)
+        assert run("gen-data", cfg, tmp_path / "o") == EXIT_CONFIG
+        self.failed(capsys, "config error", "gen-data only generates synthetic datasets")
+
+    def test_finetune_on_pretrained_checkpoint_is_io_error(self, tiny_config, tmp_path,
+                                                           capsys):
+        # a pretrained checkpoint carries no soft mask to binarize
+        out = tmp_path / "pre"
+        assert run("pretrain", tiny_config, out) == EXIT_OK
+        assert run("finetune", tiny_config, tmp_path / "o", "--stage-checkpoint",
+                   str(out / "pretrained.ckpt")) == EXIT_IO
+        self.failed(capsys, "i/o error", "finetune needs a mask-search checkpoint")
+
+    def test_config_line_without_equals_names_path_and_line(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(TINY + "stage1_epochs 5\n", encoding="utf-8")
+        assert run("gen-data", cfg, tmp_path / "o") == EXIT_CONFIG
+        line = len(TINY.splitlines()) + 1
+        self.failed(capsys, "config error", f"{cfg}:{line}: expected 'key = value'")
+
+    def test_float_key_that_is_no_number_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(TINY + "stage1_lr = fast\n", encoding="utf-8")
+        assert run("gen-data", cfg, tmp_path / "o") == EXIT_CONFIG
+        self.failed(capsys, "config error", "'stage1_lr'", "expected a number, got 'fast'")
+
+    @pytest.mark.parametrize("stem, defect, message", [
+        ("train-images", "trailing", "trailing bytes after pixel payload"),
+        ("train-labels", "magic", "bad label magic 0x00000802"),
+        ("train-labels", "trailing", "trailing bytes after label payload"),
+    ], ids=["images-trailing", "labels-magic", "labels-trailing"])
+    def test_malformed_idx_file_is_io_error(self, tmp_path, capsys, stem, defect, message):
+        cfg = TestIdxRoute().write_config(tmp_path)
+        path = tmp_path / f"{stem}.idx"
+        data = path.read_bytes()
+        path.write_bytes(data + b"\0" if defect == "trailing" else
+                         struct.pack(">I", 0x802) + data[4:])
+        assert run("pretrain", cfg, tmp_path / "o") == EXIT_IO
+        self.failed(capsys, "i/o error", f"{path}: {message}")
+
+    @pytest.mark.parametrize("defect, message", [
+        ("stage", "unknown stage tag 'pruned'"),
+        ("mask_mode", "unknown mask_mode 'channel'"),
+        ("hard_mask", "hard_mask must have one entry per layer"),
+    ])
+    def test_malformed_checkpoint_header_is_io_error(self, tiny_config, tmp_path, capsys,
+                                                     defect, message):
+        model = MaskableModel.initialized(mlp_specs(16, [64, 64], 2), "unstructured",
+                                          np.random.default_rng(0))
+        ckpt = tmp_path / "bad.ckpt"
+        save_checkpoint(ckpt, model, "finetuned",
+                        hard_mask=[np.ones(n) for n in model.mask_dims()])
+        doc = json.loads(ckpt.read_text())
+        if defect == "hard_mask":
+            doc["hard_mask"].pop()
+        else:
+            doc[defect] = {"stage": "pruned", "mask_mode": "channel"}[defect]
+        ckpt.write_text(json.dumps(doc))
+        assert run("certify", tiny_config, tmp_path / "o", "--stage-checkpoint",
+                   str(ckpt)) == EXIT_IO
+        self.failed(capsys, "i/o error", f"checkpoint {ckpt}: {message}")
+
+    def test_stage1_logit_overflow_is_numeric_failure(self, tmp_path, capsys):
+        # one step at this rate leaves weights whose logits overflow, which
+        # the loss check catches before the backward runs
+        cfg = tmp_path / "fast.cfg"
+        cfg.write_text(TINY + "stage1_lr = 1e300\n", encoding="utf-8")
+        assert run("pretrain", cfg, tmp_path / "o") == EXIT_NUMERIC
+        self.failed(capsys, "numeric failure", "training diverged at epoch 0: non-finite loss")

@@ -17,7 +17,7 @@ from maskcert.model import MaskableModel, masked_backward, masked_forward, mlp_s
 from maskcert.pipeline import (Adam, MomentumSGD, cross_entropy, lmp_mask,
                                run_experiment, stage1_pretrain,
                                stage2_mask_search, stage3_finetune)
-from maskcert.transforms import AUGMENT_DELTA, AugmentedSet, TransformSpec, apply
+from maskcert.transforms import AUGMENT_DELTA, TransformSpec, apply
 from util import PerLayerAdam, TracedPeak, make_cfg
 
 
@@ -97,14 +97,17 @@ class TestBuildData:
 
 
 class TestStage1:
+    @pytest.mark.parametrize("batch_size", [16, 48])
     @pytest.mark.parametrize("level", ["L1", "L2", "none"])
     def test_blocked_accuracy_is_the_accuracy_of_the_materialized_set(self, tmp_path,
-                                                                      level):
+                                                                      level, batch_size):
         # the per-epoch accuracy, forwarded block by block with the tail
         # transformed per block, has the bits of datasets.accuracy on the
-        # whole set at once
+        # whole set at once. Neither batch size divides the 100 clean rows,
+        # so with picks one block holds both clean and transformed rows (at
+        # 48 and L1 it is also the short last block)
         methods = ("vanilla", "lmp") if level == "none" else ("vanilla", "lmp", "csam")
-        cfg = idx_cfg(tmp_path, augment_level=level, methods=methods, batch_size=16)
+        cfg = idx_cfg(tmp_path, augment_level=level, methods=methods, batch_size=batch_size)
         train, _, _, model = tiny_setup(cfg)
         history = stage1_pretrain(model, train, cfg)
         _, transformed = copied_pairs(train)
@@ -177,15 +180,15 @@ class TestStage2:
         model = MaskableModel([LayerSpec(3, 2, "none")], [np.ones((2, 3))],
                               [np.zeros(2)], "structured")
         with pytest.raises(ConfigError, match="prunable"):
-            stage2_mask_search(model, AugmentedSet(np.ones((8, 3)), np.zeros(8, dtype=np.int64),
-                                                   np.arange(4)), ExperimentConfig(seed=0))
+            stage2_mask_search(model, Dataset(np.ones((8, 3)), np.zeros(8, dtype=np.int64),
+                                              np.arange(4)), ExperimentConfig(seed=0))
 
     def test_empty_pairs_rejected(self):
         cfg = tiny_cfg()
         _, _, _, model = tiny_setup(cfg)
         with pytest.raises(ConfigError, match="paired"):
-            stage2_mask_search(model, AugmentedSet(np.ones((4, 16)),
-                                                   np.zeros(4, dtype=np.int64)), cfg)
+            stage2_mask_search(model, Dataset(np.ones((4, 16)), np.zeros(4, dtype=np.int64)),
+                               cfg)
 
     @pytest.mark.parametrize("level", ["L1", "L2"])
     def test_batches_are_the_copied_pairs_rows(self, tmp_path, monkeypatch, level):
@@ -338,7 +341,7 @@ class TestWorkArrays:
         width = 1024
         models = [MaskableModel.initialized(mlp_specs(2, [width], 2), "unstructured", rng)
                   for _ in range(k)]
-        data = AugmentedSet(rng.standard_normal((90, 2)), rng.integers(0, 2, 90))
+        data = Dataset(rng.standard_normal((90, 2)), rng.integers(0, 2, 90))
         multipliers = random_multipliers(models, rng) if masked else None
         rise = self.peak_rise_after_first_epoch(monkeypatch, models, data, multipliers)
         assert rise < 26 * width * 8
@@ -355,7 +358,7 @@ class TestWorkArrays:
         rng = np.random.default_rng(25)
         models = [MaskableModel.initialized(mlp_specs(512, [256], 2), "unstructured", rng)
                   for _ in range(k)]
-        data = AugmentedSet(rng.standard_normal((90, 512)), rng.integers(0, 2, 90))
+        data = Dataset(rng.standard_normal((90, 512)), rng.integers(0, 2, 90))
         rise = self.peak_rise_after_first_epoch(monkeypatch, models, data,
                                                 random_multipliers(models, rng))
         assert rise < models[0].weights[0].nbytes // 2
@@ -372,7 +375,7 @@ class TestWorkArrays:
         rng = np.random.default_rng(26)
         specs = mlp_specs(2048, [256], 2)
         models = [MaskableModel.initialized(specs, "unstructured", rng) for _ in range(k)]
-        data = AugmentedSet(rng.standard_normal((90, 2048)), rng.integers(0, 2, 90))
+        data = Dataset(rng.standard_normal((90, 2048)), rng.integers(0, 2, 90))
         multipliers = random_multipliers(models, rng)
         with TracedPeak() as traced:
             pipeline._ce_epochs(models, data, 2, 0.01, 0.9, 32, np.random.default_rng(27),
@@ -466,8 +469,8 @@ class TestStackedTraining:
         models = [MaskableModel.initialized(specs, "unstructured" if mode == "dense" else mode,
                                             rng) for _ in range(k)]
         spec = TransformSpec(kind="direction_shift", direction=np.eye(6)[2])
-        data = AugmentedSet(rng.standard_normal((60, 6)), rng.integers(0, 3, 60),
-                            rng.integers(0, 60, 30), spec)
+        data = Dataset(rng.standard_normal((60, 6)), rng.integers(0, 3, 60),
+                       rng.integers(0, 60, 30), spec)
         multipliers = None if mode == "dense" else random_multipliers(models, rng)
         solos = [m.copy() for m in models]
         stacked = pipeline._ce_epochs(models, data, 3, 0.05, 0.9, 32,

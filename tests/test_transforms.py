@@ -194,6 +194,16 @@ class TestAugmentDataset:
         # first two full cycles pick every original exactly twice
         assert np.array_equal(np.bincount(aug.rows[:20], minlength=10), np.full(10, 2))
 
+    @pytest.mark.parametrize("bad", [-1, "len"], ids=["negative", "past-the-tail"])
+    @pytest.mark.parametrize("count", [0, 3], ids=["clean", "augmented"])
+    def test_gather_rejects_an_index_outside_the_set(self, count, bad):
+        # alone or among valid indices, rather than clipped to a row
+        aug = augment_dataset(self.x, self.y, shift_spec(), count, np.random.default_rng(17))
+        bad = len(aug) if bad == "len" else bad
+        for idx in ([bad], [0, bad, 1]):
+            with pytest.raises(IndexError, match=rf"outside \[0, {len(aug)}\): "):
+                aug.gather(idx)
+
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             augment_dataset(np.empty((0, 4)), np.empty(0, dtype=int), shift_spec(), 1)
@@ -240,8 +250,8 @@ WIDE_SPECS = {
 }
 
 
-class TestAugmentedSet:
-    """Every row an AugmentedSet reads out has the bits of the same row of
+class TestDataset:
+    """Every row a Dataset reads out has the bits of the same row of
     the materialized set, for 784-wide rows, whose materialized tail is
     transformed 41 rows at a time."""
 
@@ -275,22 +285,6 @@ class TestAugmentedSet:
             xb, yb = aug.gather(idx, out[:len(idx)])
             assert xb.base is out or xb is out
             assert np.array_equal(xb, x_aug[idx]) and np.array_equal(yb, y_aug[idx])
-
-    @pytest.mark.parametrize("level", ["L1", "L2", "none"])
-    @pytest.mark.parametrize("spec_name", sorted(WIDE_SPECS))
-    def test_blocks_are_the_materialized_rows_in_order(self, spec_name, level):
-        # the clean rows come as views of x, the transformed ones in buf
-        aug = self.build(spec_name, level)
-        x_aug, y_aug = materialized(aug)
-        buf = np.empty((32, 784))
-        blocks = [(xb.copy(), yb, np.shares_memory(xb, aug.x), np.shares_memory(xb, buf))
-                  for xb, yb in aug.blocks(32, buf)]
-        assert [len(b[0]) for b in blocks] == ([32, 32, 32, 4] + [32] * (len(aug.rows) // 32)
-                                               + [len(aug.rows) % 32] * bool(len(aug.rows) % 32))
-        assert all(clean and not held for _, _, clean, held in blocks[:4])
-        assert all(held and not clean for _, _, clean, held in blocks[4:])
-        assert np.array_equal(np.concatenate([b[0] for b in blocks]), x_aug)
-        assert np.array_equal(np.concatenate([b[1] for b in blocks]), y_aug)
 
 
 def out_of_place_corrupt(tag, x):
