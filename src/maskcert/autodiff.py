@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import softmax as softmax_values
+from .model import _row_sum, softmax as softmax_values
 
 __all__ = ["primitive"]
 
@@ -37,7 +37,7 @@ def _softmax(v):
     if x.ndim < 1 or x.shape[-1] < 1:
         raise ValueError(f"softmax: expected a non-empty last axis, got shape {x.shape}")
     p = softmax_values(x)
-    return p, lambda g: [p * (g - (g * p).sum(axis=-1, keepdims=True))]
+    return p, lambda g: [p * (g - _row_sum(g * p)[..., None])]
 
 
 _OPS = {"softmax": _softmax}

@@ -59,7 +59,7 @@ from fractions import Fraction
 import numpy as np
 
 from .config import STREAM_CERT_SAMPLE, ExperimentConfig
-from .model import MaskableModel, _buffer, forward_probs, masked_forward, softmax
+from .model import MaskableModel, _buffer, _row_max, forward_probs, masked_forward, softmax
 from .transforms import TransformSpec, apply, corrupt_input
 
 # Work-buffer budgets in float64 entries, shared by the k models of a pass.
@@ -319,7 +319,7 @@ def pca_models(deployed: list[MaskableModel], x_eval, y_eval, spec: TransformSpe
                 # each model's sup-norm discrepancies to its clean probabilities
                 pt -= p_clean[:, b, None, None]
                 np.abs(pt, out=pt)
-                pt.max(axis=-1, out=rep_z[b, :, j:j + r])
+                _row_max(pt, out=rep_z[b, :, j:j + r])
         d = clean_margin(p_clean).T
         # a zero-margin sample is searched too, but its result is not used
         best, log_min = grid_min(rep_z[:len(ids)].reshape(-1, l, n), d.ravel(), grid, work)

@@ -21,7 +21,8 @@ import numpy as np
 from . import autodiff as ad
 from .config import ExperimentConfig
 from .masks import binarize, layer_views, sample_noisy
-from .model import MaskableModel, _buffer, mask_shape, masked_backward, masked_forward
+from .model import (MaskableModel, _buffer, _row_max, _row_sum, mask_shape, masked_backward,
+                    masked_forward)
 
 # Both arguments of the consistency term are mixed with the uniform
 # distribution at this weight before taking logs, so exact zeros in a
@@ -45,7 +46,7 @@ def stability(p, q, g):
     two independent mask draws."""
     _check_pair("stability", p, q)
     diff = p - q
-    rows = (diff * diff).sum(axis=-1)
+    rows = _row_sum(diff * diff)
     g_diff = _row_mean_grad(g, rows) * 2.0 * diff
     return rows.mean(), g_diff, -g_diff
 
@@ -64,7 +65,7 @@ def ratio_penalty(p, q, eta, eps, g):
     # index alone (np.argmax order).
     abs_diff = np.abs(diff)
     top = np.argmax(abs_diff, axis=1)
-    z = abs_diff.max(axis=1)
+    z = _row_max(abs_diff)
     i1 = np.argmax(p, axis=1)
     rest = p.copy()
     rest[rows, i1] = -np.inf
@@ -89,7 +90,7 @@ def consistency(p, q, g):
     ps = (1.0 - KL_SMOOTHING) * p + KL_SMOOTHING / k
     qs = (1.0 - KL_SMOOTHING) * q + KL_SMOOTHING / k
     log_ratio = np.log(ps) - np.log(qs)
-    rows = (ps * log_ratio).sum(axis=-1)
+    rows = _row_sum(ps * log_ratio)
     g_rows = _row_mean_grad(g, rows)
     return (rows.mean(), g_rows * (1.0 - KL_SMOOTHING) * (log_ratio + 1.0),
             g_rows * (1.0 - KL_SMOOTHING) * (-ps / qs))

@@ -32,7 +32,8 @@ from .datasets import Dataset, accuracy, gen_synthetic, load_idx
 from .errors import ConfigError, DatasetError
 from .masks import (binarize, effective_ratio, hard_multipliers, init_percentile_scaled,
                     layer_views, unit_magnitudes)
-from .model import MaskableModel, _buffer, forward_probs, masked_backward, masked_forward, mlp_specs
+from .model import (MaskableModel, _buffer, _row_max, _row_sum, forward_probs, masked_backward,
+                    masked_forward, mlp_specs)
 from .objectives import StepReport, _batch_slots, composite_step_loss
 from .transforms import AUGMENT_DELTA, apply, augment_dataset
 
@@ -108,9 +109,9 @@ def cross_entropy(logits: np.ndarray, labels) -> tuple:
     if labels.min(initial=0) < 0 or labels.max(initial=-1) >= logits.shape[-1]:
         raise ValueError("cross_entropy: label out of range")
     rows = np.arange(len(labels))
-    z = logits - logits.max(axis=-1, keepdims=True)
+    z = logits - _row_max(logits)[..., None]
     e = np.exp(z)
-    total = e.sum(axis=-1, keepdims=True)
+    total = _row_sum(e)[..., None]
     nll = -(z - np.log(total))[..., rows, labels]
     grad = e / total
     grad[..., rows, labels] -= 1.0  # minus the one-hot labels

@@ -124,6 +124,20 @@ class Dataset:
     rows: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
     spec: TransformSpec | None = None
 
+    def __post_init__(self):
+        """Raises ValueError naming the first pick that is not an integer
+        row index in [0, len(x)): gather's take would clip it and its label
+        lookup wrap around, so it would read another row's label."""
+        rows = np.asarray(self.rows)
+        if rows.dtype.kind in "iu":
+            bad = (rows < 0) | (rows >= len(self.x))
+        else:
+            bad = np.ones(rows.shape, dtype=bool)
+        if bad.any():
+            j = int(np.argmax(bad))
+            raise ValueError(f"Dataset: pick {j} is {rows[j].item()!r}, not an integer "
+                             f"in [0, {len(self.x)})")
+
     def __len__(self) -> int:
         return len(self.x) + len(self.rows)
 

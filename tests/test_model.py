@@ -6,9 +6,10 @@ import pytest
 
 from maskcert.errors import DatasetError
 from maskcert.masks import hard_multipliers
-from maskcert.model import (LayerSpec, MaskableModel, _buffer, forward_probs, load_checkpoint,
-                            mask_shape, masked_forward, mlp_specs, save_checkpoint, softmax)
-from util import fold
+from maskcert.model import (_JSON_CHUNK, LayerSpec, MaskableModel, _buffer, forward_probs,
+                            load_checkpoint, mask_shape, masked_forward, mlp_specs,
+                            save_checkpoint, softmax)
+from util import TracedPeak, fold
 
 
 def two_layer(mask_mode="unstructured", seed=0):
@@ -424,3 +425,34 @@ class TestCheckpointBytes:
                 assert extras[name] is None
             else:
                 assert all(np.array_equal(a, b) for a, b in zip(want, extras[name]))
+
+    @pytest.mark.parametrize("mode", ["unstructured", "structured"])
+    def test_arrays_longer_than_a_chunk(self, tmp_path, mode):
+        # weight rows and unstructured mask vectors span several encoder
+        # chunks, one ending exactly at a chunk edge; the structured
+        # classifier's exempt vector is empty, and hard entries are integers
+        width = 2 * _JSON_CHUNK + 7
+        rng = np.random.default_rng(13)
+        model = MaskableModel.initialized(mlp_specs(width, [2, _JSON_CHUNK], 2), mode, rng)
+        soft = [rng.uniform(size=n) for n in model.mask_dims()]
+        hard = [(c > 0.5).astype(float) for c in soft]
+        path = tmp_path / "model.ckpt"
+        for stage, kw in (("mask_searched", {"soft_mask": soft, "hard_mask": hard}),
+                          ("pretrained", {})):
+            save_checkpoint(path, model, stage, seed=5, **kw)
+            assert path.read_bytes() == json_dump_bytes(model, stage, seed=5, **kw)
+        assert (model.mask_dims()[-1] == 0) == (mode == "structured")
+
+    def test_saving_holds_no_whole_array_list(self, tmp_path):
+        # a 128x784 layer's list of floats takes about 3.2 MB; the writer
+        # holds one row or one chunk of a vector of it at a time
+        rng = np.random.default_rng(14)
+        model = MaskableModel.initialized(mlp_specs(784, [128], 10), "unstructured", rng)
+        soft = [rng.uniform(size=n) for n in model.mask_dims()]
+        hard = [(c > 0.5).astype(float) for c in soft]
+        with TracedPeak() as whole:
+            model.weights[0].tolist()
+        for kw in ({}, {"soft_mask": soft}, {"hard_mask": hard}):
+            with TracedPeak() as saving:
+                save_checkpoint(tmp_path / "model.ckpt", model, "mask_searched", **kw)
+            assert saving.rise < whole.rise / 10, (list(kw), saving.rise, whole.rise)

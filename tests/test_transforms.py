@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from maskcert.transforms import (AUGMENT_DELTA, CorruptionTag, TransformSpec, apply,
+from maskcert.transforms import (AUGMENT_DELTA, CorruptionTag, Dataset, TransformSpec, apply,
                                  augment_dataset, corrupt_input)
 
 
@@ -203,6 +203,24 @@ class TestAugmentDataset:
         for idx in ([bad], [0, bad, 1]):
             with pytest.raises(IndexError, match=rf"outside \[0, {len(aug)}\): "):
                 aug.gather(idx)
+
+    @pytest.mark.parametrize("rows, first", [([-1], "0 is -1"), ([2, 10, 3], "1 is 10"),
+                                             ([0.0], "0 is 0.0")],
+                             ids=["negative", "past-the-clean-rows", "not-an-integer"])
+    def test_dataset_rejects_a_pick_outside_the_clean_rows(self, rows, first):
+        # a pick gather would clip in its take and wrap in its label lookup
+        with pytest.raises(ValueError, match=rf"pick {first}, not an integer in \[0, 10\)"):
+            Dataset(self.x, self.y, np.array(rows), shift_spec())
+
+    def test_picks_are_seeded_permutations_end_to_end(self):
+        # the check at construction leaves augment_dataset's picks as they were
+        rng = np.random.default_rng(10)
+        want = np.concatenate([rng.permutation(10) for _ in range(3)])[:25]
+        aug = augment_dataset(self.x, self.y, shift_spec(), 25, rng=np.random.default_rng(10))
+        assert aug.rows.dtype == np.int64 and np.array_equal(aug.rows, want)
+        xb, yb = aug.gather(np.arange(len(aug)))
+        assert np.array_equal(xb[10:], apply(shift_spec(), self.x[want], AUGMENT_DELTA))
+        assert np.array_equal(yb, np.concatenate([self.y, self.y[want]]))
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError, match="empty"):
