@@ -2,9 +2,10 @@
 
 Commands mirror the pipeline stages (gen-data, pretrain, search, finetune,
 certify) plus run-all, which runs all of them for every configured method.
-Every command echoes its effective config into the output directory and
-finishes by writing a machine-readable status file; timestamps and wall times
-are confined to it, so report CSV bodies are byte-identical across reruns.
+Every command first deletes each fixed name it can write under the output
+directory (_OUTPUTS), then echoes its effective config there and finishes by
+writing a machine-readable status file; timestamps and wall times are
+confined to it, so report CSV bodies are byte-identical across reruns.
 
 Exit codes: 0 success, 1 configuration, 2 I/O, 3 numeric failure,
 4 internal invariant breach.
@@ -24,7 +25,7 @@ import numpy as np
 
 from . import pipeline
 from .certify import PcaResult, pca
-from .config import ExperimentConfig, parse_config, serialize, validate
+from .config import METHODS, ExperimentConfig, parse_config, serialize, validate
 from .datasets import accuracy, gen_synthetic, write_dataset_csv
 from .errors import ConfigError, DatasetError
 from .masks import binarize, effective_ratio, hard_multipliers
@@ -242,6 +243,33 @@ _COMMANDS = {
     "run-all": _cmd_run_all,
 }
 
+# every name each command can write under --out besides config.echo.txt and
+# status.txt, every method's for run-all (_clear_outputs)
+_OUTPUTS = {
+    "gen-data": ("train.csv", "test.csv"),
+    "pretrain": ("pretrained.ckpt", "stage1_log.csv"),
+    "search": ("mask_searched.ckpt", "stage2_log.csv"),
+    "finetune": ("finetuned.ckpt", "stage3_log.csv"),
+    "certify": ("cert_report.csv", "cert_report_summary.txt"),
+    "run-all": ("pretrained.ckpt", "stage1_log.csv", "mask_searched.ckpt", "stage2_log.csv",
+                "summary.csv", *(name for m in METHODS for name in (
+                    f"finetuned_{m}.ckpt", f"stage3_log_{m}.csv", f"cert_report_{m}.csv",
+                    f"cert_report_{m}_summary.txt"))),
+}
+
+
+def _clear_outputs(out: Path, args) -> None:
+    """Delete the names `args.command` can write under `out` (_OUTPUTS,
+    config.echo.txt and status.txt), so no result of an earlier run
+    outlives this one under a name the command owns, but never a file it
+    reads: its config (an echo reads back as one) or its checkpoint."""
+    read = {Path(p).resolve() for p in (args.config, getattr(args, "stage_checkpoint", None))
+            if p is not None}
+    for name in ("config.echo.txt", "status.txt", *_OUTPUTS[args.command]):
+        path = out / name
+        if path.resolve() not in read:
+            path.unlink(missing_ok=True)
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="maskcert",
@@ -290,6 +318,7 @@ def main(argv=None) -> int:
         command = args.command
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
+        _clear_outputs(out, args)
         cfg = parse_config(args.config)
         if args.seed is not None:
             cfg = validate(dataclasses.replace(cfg, seed=args.seed),

@@ -169,9 +169,9 @@ def composite_step_loss(model: MaskableModel, soft_mask, x, x_t, cfg: Experiment
     all of it, so the loop may use it as scratch in between: stage 2's
     Adam step forms its update in its first two rows. The stacked input
     also lives in `work`; x and x_t may already be its clean and transformed
-    slots (_batch_slots), as stage 2 gathers each clean batch into the one
-    and transforms it into the other, and then only the other two copies
-    are made.
+    slots (_batch_slots), as stage 2 gathers each batch's clean and
+    transformed rows into them, and then only the other two copies are
+    made.
     """
     x = np.asarray(x, dtype=np.float64)
     x_t = np.asarray(x_t, dtype=np.float64)

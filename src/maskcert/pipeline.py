@@ -35,7 +35,7 @@ from .masks import (binarize, effective_ratio, hard_multipliers, init_percentile
 from .model import (MaskableModel, _buffer, _row_max, _row_sum, forward_probs, masked_backward,
                     masked_forward, mlp_specs)
 from .objectives import StepReport, _batch_slots, composite_step_loss
-from .transforms import AUGMENT_DELTA, apply, augment_dataset
+from .transforms import augment_dataset
 
 
 class MomentumSGD:
@@ -220,14 +220,15 @@ def stage1_pretrain(model: MaskableModel, train: Dataset,
 def stage2_mask_search(model: MaskableModel, train: Dataset, cfg: ExperimentConfig):
     """Search the soft mask over the paired batches; weights stay frozen.
 
-    Pair j is clean row train.x[train.rows[j]] and its transform. Each batch
-    gathers its clean rows straight into the clean slot of the step's
-    stacked input (objectives._batch_slots) and transforms that slot into
-    the transformed one, and each step's result is dropped before the next
-    step, so one mask-sized gradient is live at a time. Returns (soft_mask,
-    step reports). The mask is clamped back into [0, 1] after every update.
-    Each step's noise draws come from a stream derived from (seed, noise
-    namespace, step), so any step is reproducible in isolation.
+    Pair j is clean row train.rows[j] of the set and transformed row
+    len(train.x) + j. Each batch gathers both halves (Dataset.gather)
+    straight into the clean and transformed slots of the step's stacked
+    input (objectives._batch_slots), and each step's result is dropped
+    before the next step, so one mask-sized gradient is live at a time.
+    Returns (soft_mask, step reports). The mask is clamped back into [0, 1]
+    after every update. Each step's noise draws come from a stream derived
+    from (seed, noise namespace, step), so any step is reproducible in
+    isolation.
     """
     rows = train.rows
     if len(rows) == 0:
@@ -247,11 +248,9 @@ def stage2_mask_search(model: MaskableModel, train: Dataset, cfg: ExperimentConf
         for start in range(0, len(rows), cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
             noise_rng = np.random.default_rng([cfg.seed, STREAM_STAGE2_NOISE, step])
-            # gathered straight into the step's stacked input (mode="clip":
-            # the rows are in range)
             x, x_t = _batch_slots(work, (len(idx), train.x.shape[1]))
-            np.take(train.x, rows[idx], axis=0, out=x, mode="clip")
-            apply(train.spec, x, AUGMENT_DELTA, out=x_t)
+            train.gather(rows[idx], out=x)
+            train.gather(len(train.x) + idx, out=x_t)
             result = composite_step_loss(model, c, x, x_t, cfg, noise_rng, step=step, work=work)
             # the mask stack is dead until the next step: Adam's scratch
             opt.step(c, result.grad, _buffer(work, "mask", (2, c.size)))
@@ -293,7 +292,7 @@ class MethodResult:
     method: str
     model: MaskableModel
     hard: list | None
-    cert: PcaResult | None  # set once every method is trained (pca_models)
+    cert: PcaResult  # from pca_models, on the fold that gave clean_accuracy
     stage3_log: list[EpochStats] | None  # None for an unmasked method
     clean_accuracy: float
     ratio: float
@@ -359,10 +358,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentOutput:
     model, so no other method's model or mask is live at the search's peak.
     Nothing writes that model: vanilla deploys it, and each masked method
     fine-tunes a copy under its mask (HARD_MASKS), all in one stage-3
-    stack. Each large array dies with its last reader: the training set
-    once stage 3 is done, a method's fold once its clean accuracy is taken.
-    wall_times holds each stage's seconds, stage 1's with the data build
-    and stage 3's with the clean accuracies."""
+    stack. Each method is folded once (MaskableModel.folded), and that fold
+    gives both its clean accuracy and its certification; the training set
+    dies once stage 3 is done. wall_times holds each stage's seconds, stage
+    1's with the data build and stage 3's with the clean accuracies."""
     marks = [time.perf_counter()]
     train, test, spec = build_data(cfg)
     base = fresh_model(cfg, train.x.shape[1])
@@ -381,20 +380,16 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentOutput:
                              train, cfg)
     del train
     stage3_logs = {m: [epoch[j] for epoch in stage3] for j, m in enumerate(masked)}
-    # a method's fold dies with its accuracy, so the accuracies hold one fold
-    # at a time, and certification folds again: keeping the fold would save
-    # one multiply per weight, and on idx-wide no peak RSS
-    results = {m: MethodResult(
-        method=m, model=models[m], hard=hards[m], cert=None, stage3_log=stage3_logs.get(m),
-        clean_accuracy=accuracy(models[m].folded(hard_multipliers(models[m], hards[m])), test),
-        ratio=effective_ratio(hards[m], models[m])) for m in cfg.methods}
+    deployed = [models[m].folded(hard_multipliers(models[m], hards[m])) for m in cfg.methods]
+    accs = [accuracy(d, test) for d in deployed]
     marks.append(time.perf_counter())
 
-    deployed = [r.model.folded(hard_multipliers(r.model, r.hard)) for r in results.values()]
     certs = pca_models(deployed, test.x[idx], test.y[idx], spec, cfg)
-    for r, cert in zip(results.values(), certs):
-        r.cert = cert
     marks.append(time.perf_counter())
+    results = {m: MethodResult(
+        method=m, model=models[m], hard=hards[m], cert=cert, stage3_log=stage3_logs.get(m),
+        clean_accuracy=acc, ratio=effective_ratio(hards[m], models[m]))
+        for m, acc, cert in zip(cfg.methods, accs, certs)}
     return ExperimentOutput(
         results=results, pretrained=base, stage1_log=stage1_log, soft=soft,
         stage2_log=stage2_log, eval_indices=idx,

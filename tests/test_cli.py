@@ -1,5 +1,6 @@
 import csv
 import json
+import shutil
 import struct
 import time
 import weakref
@@ -631,3 +632,91 @@ class TestDocumentedExits:
         cfg.write_text(TINY + "stage1_lr = 1e300\n", encoding="utf-8")
         assert run("pretrain", cfg, tmp_path / "o") == EXIT_NUMERIC
         self.failed(capsys, "numeric failure", "training diverged at epoch 0: non-finite loss")
+
+
+class TestStaleOutputs:
+    """Each command deletes, before it reads the config, every fixed name it
+    can write under --out (cli._OUTPUTS, config.echo.txt and status.txt), so
+    no file of an earlier run outlives it under a name the command owns."""
+
+    @pytest.fixture(scope="class")
+    def finished(self, tmp_path_factory):
+        cfg = tmp_path_factory.mktemp("cfg") / "exp.cfg"
+        cfg.write_text(TINY, encoding="utf-8")
+        out = tmp_path_factory.mktemp("finished")
+        assert run("run-all", cfg, out) == EXIT_OK
+        return out
+
+    @staticmethod
+    def rerun(finished, tmp_path, text, code):
+        out = tmp_path / "rerun"
+        shutil.copytree(finished, out)
+        cfg = tmp_path / "rerun.cfg"
+        cfg.write_text(text, encoding="utf-8")
+        assert run("run-all", cfg, out) == code
+        return out
+
+    def test_failed_rerun_leaves_only_echo_and_error_status(self, finished, tmp_path):
+        out = self.rerun(finished, tmp_path, TINY + "stage1_lr = 1e300\n", EXIT_NUMERIC)
+        assert sorted(p.name for p in out.iterdir()) == ["config.echo.txt", "status.txt"]
+        assert "status = error\n" in (out / "status.txt").read_text(encoding="utf-8")
+        assert "stage1_lr = 1e+300\n" in (out / "config.echo.txt").read_text(encoding="utf-8")
+
+    def test_vanilla_only_rerun_leaves_no_other_method_file(self, finished, tmp_path):
+        out = self.rerun(finished, tmp_path, TINY + "methods = vanilla\n", EXIT_OK)
+        assert sorted(p.name for p in out.iterdir()) == [
+            "cert_report_vanilla.csv", "cert_report_vanilla_summary.txt", "config.echo.txt",
+            "pretrained.ckpt", "stage1_log.csv", "status.txt", "summary.csv"]
+
+    def test_foreign_file_and_read_checkpoint_survive(self, finished, tmp_path, tiny_config):
+        out = tmp_path / "staged"
+        out.mkdir()
+        (out / "notes.txt").write_text("mine\n", encoding="utf-8")
+        shutil.copy(finished / "pretrained.ckpt", out)
+        assert run("search", tiny_config, out) == EXIT_OK
+        assert (out / "notes.txt").read_text(encoding="utf-8") == "mine\n"
+        assert (out / "pretrained.ckpt").read_bytes() == \
+               (finished / "pretrained.ckpt").read_bytes()
+        assert run("finetune", tiny_config, out) == EXIT_OK
+        # a checkpoint read through --stage-checkpoint is kept even under a
+        # name the command writes (this one carries no soft mask, so exit 2)
+        ckpt = (out / "finetuned.ckpt").read_bytes()
+        assert run("finetune", tiny_config, out, "--stage-checkpoint",
+                   str(out / "finetuned.ckpt")) == EXIT_IO
+        assert (out / "finetuned.ckpt").read_bytes() == ckpt
+
+    def test_echo_read_back_as_config_is_kept(self, tmp_path, tiny_config):
+        out = tmp_path / "echoed"
+        assert run("gen-data", tiny_config, out) == EXIT_OK
+        echo = (out / "config.echo.txt").read_bytes()
+        assert run("gen-data", out / "config.echo.txt", out) == EXIT_OK
+        assert (out / "config.echo.txt").read_bytes() == echo
+
+    def test_usage_error_deletes_nothing(self, finished, tmp_path, tiny_config):
+        out = tmp_path / "kept"
+        shutil.copytree(finished, out)
+        assert run("run-all", tiny_config, out, "--bogus") == EXIT_CONFIG
+        assert all((out / p.name).read_bytes() == p.read_bytes() for p in finished.iterdir())
+
+    @pytest.fixture(scope="class")
+    def written(self, tmp_path_factory):
+        """The names each command writes into a fresh --out, its input
+        checkpoint read from the previous stage's directory."""
+        cfg = tmp_path_factory.mktemp("cfg") / "exp.cfg"
+        cfg.write_text(TINY, encoding="utf-8")
+        inputs = {"search": ("pretrain", "pretrained.ckpt"),
+                  "finetune": ("search", "mask_searched.ckpt"),
+                  "certify": ("finetune", "finetuned.ckpt")}
+        outs = {}
+        for command in cli._COMMANDS:
+            outs[command] = tmp_path_factory.mktemp(command)
+            extra = ()
+            if command in inputs:
+                stage, name = inputs[command]
+                extra = ("--stage-checkpoint", str(outs[stage] / name))
+            assert run(command, cfg, outs[command], *extra) == EXIT_OK
+        return {command: {p.name for p in out.iterdir()} for command, out in outs.items()}
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_written_names_are_listed(self, written, command):
+        assert written[command] <= {"config.echo.txt", "status.txt", *cli._OUTPUTS[command]}
