@@ -218,7 +218,7 @@ def _cmd_certify(cfg: ExperimentConfig, args, out: Path) -> dict:
     # certification; freed before the checkpoint loads, they raised the
     # command's peak RSS in most runs instead
     del train
-    result = pca(deployed, test.x[idx], test.y[idx], spec, cfg)
+    result = pca(deployed, *test.gather(idx), spec, cfg)
     ratio = effective_ratio(hard, model)
     _write_cert_report(out, "cert_report", cfg, result, ratio)
     return {"pca": result.fraction, "pruning_ratio": ratio,

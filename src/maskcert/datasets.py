@@ -7,8 +7,9 @@ Two class means sit at -separation and +separation on the first axis and v
 is the second; K > 2 class means sit at separation on the first K axes and
 v is axis K + 1, so config.validate asks for synthetic_dim >= 2 or >= K + 1.
 
-IDX data: the classic big-endian ubyte image/label pair format, pixels
-scaled to [0, 1] and flattened.
+IDX data: the classic big-endian ubyte image/label pair format, flattened,
+each pixel held as its byte until Dataset.gather, every set's one reader,
+scales it to [0, 1].
 
 Both return a transforms.Dataset with no picked rows.
 """
@@ -87,8 +88,8 @@ def _read_exact(fh, count, path, what):
 
 
 def load_idx(images_path, labels_path, expected_classes: int | None = None) -> Dataset:
-    """Load an IDX image/label file pair, pixels scaled to [0, 1] and
-    flattened to (count, rows*cols)."""
+    """Load an IDX image/label file pair; x is a (count, rows*cols) uint8
+    view of the pixel payload, which Dataset.gather scales to [0, 1]."""
     with open(images_path, "rb") as fh:
         magic, count, rows, cols = struct.unpack(">IIII", _read_exact(fh, 16, images_path, "header"))
         if magic != IDX_IMAGE_MAGIC:
@@ -108,8 +109,7 @@ def load_idx(images_path, labels_path, expected_classes: int | None = None) -> D
     if label_count != count:
         raise DatasetError(
             f"image/label count mismatch: {count} images vs {label_count} labels")
-    x = np.frombuffer(payload, dtype=np.uint8).astype(np.float64).reshape(count, rows * cols)
-    x /= 255.0  # in place: the float copy is the only pixel array
+    x = np.frombuffer(payload, dtype=np.uint8).reshape(count, rows * cols)
     y = np.frombuffer(label_bytes, dtype=np.uint8).astype(np.int64)
     if expected_classes is not None and count and y.max() >= expected_classes:
         raise DatasetError(
@@ -118,18 +118,18 @@ def load_idx(images_path, labels_path, expected_classes: int | None = None) -> D
 
 
 def write_dataset_csv(path, ds: Dataset) -> None:
-    """Plain CSV export of ds.x, ds.y (no picked rows): feature columns
-    f0..fN-1 then an integer label."""
+    """Plain CSV export of every row of ds as Dataset.gather reads it:
+    feature columns f0..fN-1 then an integer label."""
     cols = [f"f{i}" for i in range(ds.x.shape[1])] + ["label"]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(cols) + "\n")
-        for row, label in zip(ds.x, ds.y):
+        for row, label in zip(*ds.gather(np.arange(len(ds)))):
             fh.write(",".join(repr(float(v)) for v in row) + f",{int(label)}\n")
 
 
 def accuracy(model, ds: Dataset) -> float:
-    """Share of ds.x classified as ds.y (the callers' sets have no picked rows)."""
+    """Share of all rows of ds, picks included, classified as their labels."""
     if len(ds) == 0:
         raise ValueError("cannot score an empty dataset")
-    probs = model.forward(ds.x)
-    return float(np.mean(np.argmax(probs, axis=1) == ds.y))
+    x, y = ds.gather(np.arange(len(ds)))
+    return float(np.mean(np.argmax(model.forward(x), axis=1) == y))

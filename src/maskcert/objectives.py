@@ -36,18 +36,13 @@ def _check_pair(kind, p, q):
                          f"got {p.shape} and {q.shape}")
 
 
-def _row_mean_grad(g, rows):
-    """Gradient of the batch mean on each row, as a column."""
-    return np.expand_dims(np.ones_like(rows) * (g / rows.size), -1)
-
-
 def stability(p, q, g):
     """Batch mean of the squared L2 distance between the probability rows of
     two independent mask draws."""
     _check_pair("stability", p, q)
     diff = p - q
     rows = _row_sum(diff * diff)
-    g_diff = _row_mean_grad(g, rows) * 2.0 * diff
+    g_diff = (g / rows.size * 2.0) * diff
     return rows.mean(), g_diff, -g_diff
 
 
@@ -73,7 +68,7 @@ def ratio_penalty(p, q, eta, eps, g):
     den = (p[rows, i1] - p[rows, i2]) / 2.0 + eps
     s = z / den - eta
     softplus = np.maximum(s, 0.0) + np.log1p(np.exp(-np.abs(s)))  # never overflows
-    g_s = np.ones_like(s) * (g / s.size) * np.exp(-np.logaddexp(0.0, -s))
+    g_s = (g / s.size) * np.exp(-np.logaddexp(0.0, -s))
     g_den = -g_s * z / (den * den)
     g_top2 = np.zeros_like(p)
     g_top2[rows, i1] += g_den / 2.0
@@ -91,9 +86,8 @@ def consistency(p, q, g):
     qs = (1.0 - KL_SMOOTHING) * q + KL_SMOOTHING / k
     log_ratio = np.log(ps) - np.log(qs)
     rows = _row_sum(ps * log_ratio)
-    g_rows = _row_mean_grad(g, rows)
-    return (rows.mean(), g_rows * (1.0 - KL_SMOOTHING) * (log_ratio + 1.0),
-            g_rows * (1.0 - KL_SMOOTHING) * (-ps / qs))
+    scale = g / rows.size * (1.0 - KL_SMOOTHING)  # each row's share of the mean
+    return rows.mean(), scale * (log_ratio + 1.0), scale * (-ps / qs)
 
 
 def l1_mean(c, dims, g):

@@ -384,7 +384,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentOutput:
     accs = [accuracy(d, test) for d in deployed]
     marks.append(time.perf_counter())
 
-    certs = pca_models(deployed, test.x[idx], test.y[idx], spec, cfg)
+    certs = pca_models(deployed, *test.gather(idx), spec, cfg)
     marks.append(time.perf_counter())
     results = {m: MethodResult(
         method=m, model=models[m], hard=hards[m], cert=cert, stage3_log=stage3_logs.get(m),

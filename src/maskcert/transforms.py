@@ -117,9 +117,10 @@ class Dataset:
     row len(x) + j is T(x[rows[j]], AUGMENT_DELTA) under spec, each with its
     source row's label. Only x is held: a transformed row is formed when it
     is read, with the bits of a transform of the whole tail, since T works
-    entry by entry (row by row for the blur). Without rows it is the clean
-    set alone, as gen_synthetic and load_idx return it."""
-    x: np.ndarray  # (n, features) float64
+    entry by entry (row by row for the blur). gather, the one reader, alone
+    knows the pixel scale: uint8 pixels read as p / 255.0. Without rows it
+    is the clean set alone, as gen_synthetic and load_idx return it."""
+    x: np.ndarray  # (n, features) float64 features or uint8 pixels
     y: np.ndarray  # (n,) labels
     rows: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
     spec: TransformSpec | None = None
@@ -142,18 +143,23 @@ class Dataset:
         return len(self.x) + len(self.rows)
 
     def gather(self, idx, out=None):
-        """(inputs, labels) of rows idx, in idx's order, the inputs gathered
-        into `out` if given: one take of the source rows, then the transform
-        of the positions that fall in the tail. An index outside
-        [0, len(self)) raises IndexError."""
-        idx = np.asarray(idx, dtype=np.int64)
-        if idx.size and not 0 <= idx.min() <= idx.max() < len(self):
-            raise IndexError(f"row index outside [0, {len(self)}): {idx.min()} to {idx.max()}")
-        at = np.flatnonzero(idx >= len(self.x))
-        src = idx.copy()
-        src[at] = self.rows[idx[at] - len(self.x)]
-        # mode="clip" gathers straight into `out` (every row is in range)
-        xb = np.take(self.x, src, axis=0, out=out, mode="clip")
+        """(inputs, labels) of rows idx, in idx's order, the float64 inputs
+        gathered into `out` if given: one take of the source rows (uint8
+        pixels divided by 255.0), then the transform of the positions in the
+        tail. A non-integer index, or one outside [0, len(self)), raises
+        IndexError."""
+        idx = np.asarray(idx)
+        if idx.size and idx.dtype.kind not in "iu":
+            raise IndexError(f"row indices must be integers, got dtype {idx.dtype}")
+        src = idx.astype(np.int64)  # a copy; an empty list arrives as float64
+        if src.size and not 0 <= src.min() <= src.max() < len(self):
+            raise IndexError(f"row index outside [0, {len(self)}): {src.min()} to {src.max()}")
+        at = np.flatnonzero(src >= len(self.x))
+        src[at] = self.rows[src[at] - len(self.x)]
+        if self.x.dtype == np.uint8:
+            xb = np.divide(np.take(self.x, src, axis=0), 255.0, out=out)
+        else:  # mode="clip" gathers straight into `out` (every row is in range)
+            xb = np.take(self.x, src, axis=0, out=out, mode="clip")
         if at.size:
             tail = xb[at]
             xb[at] = apply(self.spec, tail, AUGMENT_DELTA, out=tail)
@@ -170,7 +176,7 @@ def augment_dataset(x: np.ndarray, y: np.ndarray, spec: TransformSpec, count: in
     pair j is clean row x[rows[j]] and transformed row len(x) + j. Nothing
     is copied or transformed here.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x)
     y = np.asarray(y)
     if len(x) == 0:
         raise ValueError("cannot augment an empty dataset")

@@ -3,10 +3,12 @@ import struct
 import numpy as np
 import pytest
 
-from maskcert.datasets import (Dataset, _class_means, _semantic_direction, gen_synthetic,
-                               load_idx, write_dataset_csv)
+from maskcert.datasets import (Dataset, _class_means, _semantic_direction, accuracy,
+                               gen_synthetic, load_idx, write_dataset_csv)
 from maskcert.errors import DatasetError
-from util import make_cfg
+from maskcert.model import MaskableModel, mlp_specs
+from maskcert.transforms import AUGMENT_DELTA, CorruptionTag, TransformSpec, apply
+from util import TracedPeak, make_cfg
 
 
 def write_idx_pair(tmp_path, images, labels, image_magic=0x803, label_magic=0x801,
@@ -73,16 +75,30 @@ class TestIdx:
         images[0, 0, 0] = 255
         labels = rng.integers(0, 10, size=5, dtype=np.uint8)
         ds = load_idx(*write_idx_pair(tmp_path, images, labels), expected_classes=10)
-        assert ds.x.shape == (5, 12)
-        assert ds.x[0, 0] == 1.0  # 255 scales to exactly 1.0
-        assert np.array_equal(ds.y, labels)
-        assert np.array_equal(ds.x, images.reshape(5, 12) / 255.0)
+        assert ds.x.dtype == np.uint8 and np.array_equal(ds.x, images.reshape(5, 12))
+        x, y = ds.gather(np.arange(5))
+        assert x[0, 0] == 1.0  # 255 scales to exactly 1.0
+        assert np.array_equal(ds.y, labels) and np.array_equal(y, labels)
+        assert np.array_equal(x, images.reshape(5, 12) / 255.0)
 
     def test_in_place_scaling_bits(self, tmp_path):
-        # every byte value scales in place to the bits of astype(float64) / 255.0
+        # the bytes are stored as read, and every byte value gathers to the
+        # bits of astype(float64) / 255.0
         images = np.arange(256, dtype=np.uint8).reshape(4, 8, 8)
         ds = load_idx(*write_idx_pair(tmp_path, images, np.zeros(4)))
-        assert np.array_equal(ds.x, images.reshape(4, 64).astype(np.float64) / 255.0)
+        assert np.array_equal(ds.x, images.reshape(4, 64))
+        x, _ = ds.gather(np.arange(4))
+        assert np.array_equal(x, images.reshape(4, 64).astype(np.float64) / 255.0)
+
+    def test_holds_one_byte_per_pixel(self, tmp_path):
+        # no float copy of the pixels: loading 2,000 28x28 images (a float64
+        # copy would be eight times the payload) stays under twice the payload
+        images = np.random.default_rng(5).integers(0, 256, size=(2000, 28, 28), dtype=np.uint8)
+        paths = write_idx_pair(tmp_path, images, np.arange(2000) % 10)
+        with TracedPeak() as traced:
+            ds = load_idx(*paths, expected_classes=10)
+        assert ds.x.dtype == np.uint8
+        assert traced.rise < 2 * images.nbytes
 
     def test_zero_item_pair_valid(self, tmp_path):
         img, lab = write_idx_pair(tmp_path, np.empty((0, 2, 2), dtype=np.uint8),
@@ -122,3 +138,17 @@ class TestIdx:
         img, lab = write_idx_pair(tmp_path, images, np.array([0, 7], dtype=np.uint8))
         with pytest.raises(DatasetError, match="out of range"):
             load_idx(img, lab, expected_classes=5)
+
+
+def test_accuracy_scores_every_row_of_a_set_with_picks():
+    # picked rows are scored as Dataset.gather reads them, so the accuracy
+    # is that of the set materialized as one array, not of its clean rows
+    rng = np.random.default_rng(3)
+    x, y = rng.uniform(size=(30, 16)), rng.integers(0, 3, size=30)
+    spec = TransformSpec(kind="interp_corrupt", corrupt=CorruptionTag("haze", 0.9))
+    ds = Dataset(x, y, rng.permutation(30)[:20], spec)
+    model = MaskableModel.initialized(mlp_specs(16, [8], 3), "unstructured", rng)
+    whole = Dataset(np.concatenate([x, apply(spec, x[ds.rows], AUGMENT_DELTA)]),
+                    np.concatenate([y, y[ds.rows]]))
+    assert accuracy(model, ds) == accuracy(model, whole)
+    assert accuracy(model, ds) != accuracy(model, Dataset(x, y))

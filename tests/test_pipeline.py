@@ -52,10 +52,16 @@ def idx_cfg(tmp_path, train_count=100, test_count=20, side=28, **kw):
                     corruption="haze", hidden_dims=(8,), **paths, **kw)
 
 
+def scaled_rows(train):
+    """The clean training inputs as floats: IDX pixel bytes scaled by 255.0
+    here, independently of Dataset.gather."""
+    return train.x / 255.0 if train.x.dtype == np.uint8 else train.x
+
+
 def copied_pairs(train):
     """The stage-2 pairs as row-aligned copies: clean rows gathered from the
     training inputs and their transformed copies."""
-    clean = train.x[train.rows]
+    clean = scaled_rows(train)[train.rows]
     return clean, apply(train.spec, clean, AUGMENT_DELTA)
 
 
@@ -111,7 +117,7 @@ class TestStage1:
         train, _, _, model = tiny_setup(cfg)
         history = stage1_pretrain(model, train, cfg)
         _, transformed = copied_pairs(train)
-        whole = Dataset(np.concatenate([train.x, transformed]),
+        whole = Dataset(np.concatenate([scaled_rows(train), transformed]),
                         np.concatenate([train.y, train.y[train.rows]]))
         got = history[-1].accuracy
         assert got == accuracy(model, whole)

@@ -204,6 +204,21 @@ class TestAugmentDataset:
             with pytest.raises(IndexError, match=rf"outside \[0, {len(aug)}\): "):
                 aug.gather(idx)
 
+    @pytest.mark.parametrize("idx, dtype", [([1.7, 2.2], "float64"),
+                                            ([True, False, True, False], "bool"),
+                                            (["1"], "<U1")],
+                             ids=["float", "boolean-mask", "string"])
+    def test_gather_rejects_a_non_integer_index(self, idx, dtype):
+        # rather than truncating 1.7 to row 1 or reading a mask as rows 1 and 0
+        aug = augment_dataset(self.x[:4], self.y[:4], shift_spec(), 0)
+        with pytest.raises(IndexError, match=f"must be integers, got dtype {dtype}"):
+            aug.gather(idx)
+
+    def test_gather_of_no_index_is_empty(self):
+        # numpy makes an empty list float64; it still reads no rows
+        xb, yb = augment_dataset(self.x, self.y, shift_spec(), 3).gather([])
+        assert xb.shape == (0, 4) and yb.shape == (0,)
+
     @pytest.mark.parametrize("rows, first", [([-1], "0 is -1"), ([2, 10, 3], "1 is 10"),
                                              ([0.0], "0 is 0.0")],
                              ids=["negative", "past-the-clean-rows", "not-an-integer"])
@@ -244,6 +259,25 @@ class TestAugmentDataset:
         aug = augment_dataset(self.x, self.y, spec, 13, rng=np.random.default_rng(12))
         xb, _ = aug.gather(np.arange(len(self.x), len(aug)))
         assert np.array_equal(xb, apply(spec, self.x[aug.rows], 1.0))
+
+
+@pytest.mark.parametrize("spec", [haze_spec(),
+                                  TransformSpec(kind="interp_corrupt",
+                                                corrupt=CorruptionTag("gaussian_blur3", 0.8))],
+                         ids=["haze", "blur"])
+def test_gather_scales_pixel_bytes(spec):
+    # every byte value reads as exactly astype(float64) / 255.0, into `out`
+    # too, and a picked row is apply of its scaled source row
+    pixels = np.arange(256, dtype=np.uint8).reshape(4, 64)
+    scaled = pixels.astype(np.float64) / 255.0
+    ds = Dataset(pixels, np.arange(4), np.array([3, 0, 2, 3]), spec)
+    xb, yb = ds.gather(np.arange(4))
+    assert xb.dtype == np.float64 and np.array_equal(xb, scaled)
+    out = np.empty((4, 64))
+    assert ds.gather(np.arange(4), out=out)[0] is out and np.array_equal(out, scaled)
+    tail, labels = ds.gather(np.arange(4, 8))
+    assert np.array_equal(tail, apply(spec, scaled[ds.rows], AUGMENT_DELTA))
+    assert np.array_equal(labels, ds.rows)
 
 
 def materialized(aug):
